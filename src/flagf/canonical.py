@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import TAU_NUM, EndoOnM, LieElement, ad_matrix, poly_in
+from .liealg import TAU_NUM, EndoOnM, LieElement, poly_in
 from .phispace import PhiSpace
 
 # Operators closer than this are treated as the same structure.
@@ -270,10 +270,8 @@ def verify_structure(cs: CanonicalStructure, ps: PhiSpace, others=()) -> Structu
     th = ps.theta.matrix
     comm_theta = np.max(np.abs(f @ th - th @ f)) if d else 0.0
 
-    ad_res = 0.0
-    for hb in ps.h.basis:
-        a = ad_matrix(hb, ps.m)
-        ad_res = max(ad_res, float(np.max(np.abs(a @ f - f @ a))) if d else 0.0)
+    a = ps.ad_h
+    ad_res = np.max(np.abs(a @ f - f @ a)) if a.size else 0.0
 
     pair_res = 0.0
     for other in others:

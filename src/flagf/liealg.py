@@ -6,14 +6,22 @@ subspaces of so(n).  Coordinates are always taken with respect to the fixed
 orthonormal basis (E_ij - E_ji)/sqrt(2), i < j, ordered lexicographically in
 (i, j); this pins down every operator matrix and report for reproducibility.
 
-Matrices here are tiny (n <= 16 by default), entries are O(1), so conservative
-absolute tolerances are used throughout.
+Matrices are small (the benchmark goes up to n = 24, so dim so(n) <= 276) and
+entries are O(1), so conservative absolute tolerances are used throughout.
+
+Structural quantities (ad(h) on m, reductivity, the bracket tensor of m) all
+come from one batched kernel, :func:`bracket_rows`: for each basis element
+x_a it computes the lex coordinates of [x_a, y_b] for a whole basis y with a
+single (n, n) @ (n, n * dim y) product.  :func:`bracket_coords` stacks its
+output, optionally projected onto a subspace, and :func:`ad_matrix` is the
+one-element case.  Memory stays at one (dim y, dim so(n)) block per step; no
+(dim x, dim y, n, n) array is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,6 +42,18 @@ def so_dim(n: int) -> int:
 def lex_pairs(n: int) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, in lexicographic order (0-based)."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@cache
+def lex_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the lex basis, ``np.triu_indices(n, 1)``.
+
+    Cached per n; the arrays are read-only.
+    """
+    iu = np.triu_indices(n, k=1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +134,7 @@ def basis_element(n: int, i: int, j: int, normalized: bool = True) -> LieElement
 
 def lie_coords(x: LieElement) -> np.ndarray:
     """Coordinates of x in the orthonormal lexicographic basis of so(n)."""
-    iu = np.triu_indices(x.n, k=1)
-    return _SQRT2 * x.mat[iu]
+    return _SQRT2 * x.mat[lex_indices(x.n)]
 
 
 def lie_from_coords(n: int, v) -> LieElement:
@@ -123,10 +142,16 @@ def lie_from_coords(n: int, v) -> LieElement:
     v = np.asarray(v, dtype=float)
     if v.shape != (so_dim(n),):
         raise ValueError(f"expected {so_dim(n)} coordinates for so({n}), got {v.shape}")
-    m = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    m[iu] = v / _SQRT2
-    return LieElement(n, m - m.T)
+    return LieElement(n, lie_mats(n, v[None])[0])
+
+
+def lie_mats(n: int, rows) -> np.ndarray:
+    """Skew matrices with the given lex coordinates, one per row: (rows, n, n)."""
+    rows = np.asarray(rows, dtype=float)
+    i, j = lex_indices(n)
+    m = np.zeros((rows.shape[0], n, n))
+    m[:, i, j] = rows / _SQRT2
+    return m - m.transpose(0, 2, 1)
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
@@ -203,10 +228,17 @@ class Subspace:
 
     def member_residual(self, x: LieElement) -> float:
         """Distance from x to this subspace, relative to |x| (0 for x = 0)."""
-        nrm = x.norm
-        if nrm == 0.0:
-            return 0.0
-        return (x - self.project(x)).norm / nrm
+        if x.n != self.ambient_n:
+            raise ValueError(f"dimension mismatch: {x.n} vs ambient {self.ambient_n}")
+        return float(self.residuals(lie_coords(x)[None])[0])
+
+    def residuals(self, rows) -> np.ndarray:
+        """Distance of each lex-coordinate row to this subspace, relative to
+        the row's norm (0 for a zero row)."""
+        rows = np.asarray(rows, dtype=float)
+        out = rows - (rows @ self.coords.T) @ self.coords
+        nrm = np.linalg.norm(rows, axis=1)
+        return np.linalg.norm(out, axis=1) / np.where(nrm == 0.0, 1.0, nrm)
 
     def contains(self, x: LieElement, tol: float = TAU_NUM) -> bool:
         return self.member_residual(x) <= tol
@@ -291,10 +323,6 @@ class EndoOnM:
     def power(self, m: int) -> "EndoOnM":
         return EndoOnM(self.domain, np.linalg.matrix_power(self.matrix, m))
 
-    def max_abs(self) -> float:
-        """Max absolute matrix entry (the operator norm used in residuals)."""
-        return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
-
     @staticmethod
     def identity(domain: Subspace) -> "EndoOnM":
         return EndoOnM(domain, np.eye(domain.dim))
@@ -360,14 +388,52 @@ def project(space: Subspace, x: LieElement) -> LieElement:
     return space.project(x)
 
 
+def bracket_rows(n: int, x_rows, y_rows):
+    """Yield, for each lex-coordinate row x_a of ``x_rows``, the lex
+    coordinates of every [x_a, y_b] as a (len(y_rows), dim so(n)) array.
+
+    Rows need not be orthonormal (``Subspace.coords`` or single elements both
+    work).  Each step is one (n, n) @ (n, n * len(y_rows)) product, and the
+    coordinates are read off as sqrt(2) (P_ij - P_ji), P = X Y, exactly as
+    :func:`bracket` and :func:`lie_coords` do element by element.
+    """
+    i, j = lex_indices(n)
+    ys = lie_mats(n, y_rows)
+    k = ys.shape[0]
+    y_flat = ys.transpose(1, 0, 2).reshape(n, k * n)  # [r, b*n + l] = Y_b[r, l]
+    for xm in lie_mats(n, x_rows):
+        p = (xm @ y_flat).reshape(n, k, n)  # p[r, b, l] = (X Y_b)[r, l]
+        yield _SQRT2 * (p[i, :, j] - p[j, :, i]).T
+
+
+def bracket_coords(x: Subspace, y: Subspace, onto: Subspace | None = None) -> np.ndarray:
+    """Coordinates of every basis bracket [x_a, y_b].
+
+    Returns the lex coordinates, shape (dim x, dim y, dim so(n)), or with
+    ``onto`` the coefficients of their projections onto that subspace, shape
+    (dim x, dim y, dim onto).  Built one x_a at a time from
+    :func:`bracket_rows`.
+    """
+    n = x.ambient_n
+    if y.ambient_n != n or (onto is not None and onto.ambient_n != n):
+        raise ValueError("ambient dimension mismatch")
+    width = so_dim(n) if onto is None else onto.dim
+    out = np.empty((x.dim, y.dim, width))
+    for a, b in enumerate(bracket_rows(n, x.coords, y.coords)):
+        out[a] = b if onto is None else b @ onto.coords.T
+    return out
+
+
 def ad_matrix(h: LieElement, space: Subspace) -> np.ndarray:
     """Matrix of X -> [h, X] compressed to the given subspace basis.
 
     Meaningful when the subspace is invariant under ad(h); column j holds the
     coefficients of the projection of [h, basis_j].
     """
-    cols = [space.coords_of(bracket(h, x)) for x in space.basis]
-    return np.array(cols).T if cols else np.zeros((0, 0))
+    if h.n != space.ambient_n:
+        raise ValueError(f"dimension mismatch: {h.n} vs ambient {space.ambient_n}")
+    b = next(bracket_rows(h.n, lie_coords(h)[None], space.coords))
+    return (b @ space.coords.T).T
 
 
 def decompose_orthogonal(whole: Subspace, parts) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import LieElement, Subspace, bracket, ad_matrix
+from .liealg import LieElement, Subspace, bracket, bracket_coords, bracket_rows
 from .phispace import PhiSpace, flag_complement_pattern
 
 # Relative residual above which an argument is rejected as not lying in m.
@@ -90,9 +90,7 @@ def build_split(ps: PhiSpace) -> TripleSplit:
         )
     n = ps.spec.n
     pattern = flag_complement_pattern(n)
-    if pattern.dim != ps.m.dim or not all(
-        ps.m.member_residual(x) < MEMBERSHIP_TOL for x in pattern.basis
-    ):
+    if pattern.dim != ps.m.dim or not np.max(ps.m.residuals(pattern.coords)) < MEMBERSHIP_TOL:
         raise ValueError("complement does not match the flag block pattern")
 
     d1, d2, d3 = 2, 2 * (n - 3), n - 3
@@ -102,15 +100,7 @@ def build_split(ps: PhiSpace) -> TripleSplit:
     m3 = Subspace(n, pattern.coords[d1 + d2 :])
     block_index = np.concatenate([np.full(d1, 1), np.full(d2, 2), np.full(d3, 3)])
 
-    d = combined.dim
-    basis = combined.basis
-    bm = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            c = combined.coords_of(bracket(basis[i], basis[j]))
-            bm[i, j] = c
-            bm[j, i] = -c
-
+    bm = bracket_coords(combined, combined, onto=combined)
     split = TripleSplit(
         m1=m1, m2=m2, m3=m3, combined=combined, block_index=block_index, bracket_m=bm
     )
@@ -127,25 +117,22 @@ def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
     for a, b in ((split.m1, split.m2), (split.m1, split.m3), (split.m2, split.m3)):
         if a.dim and b.dim and np.max(np.abs(a.coords @ b.coords.T)) > 1e-12:
             raise RuntimeError("blocks are not orthogonal")
-    # Each block is ad(h)-invariant.
-    for hb in ps.h.basis:
-        for blk in (split.m1, split.m2, split.m3):
-            for x in blk.basis:
-                if blk.member_residual(bracket(hb, x)) > MEMBERSHIP_TOL:
-                    raise RuntimeError("block is not ad(h)-invariant")
+    # Each block is ad(h)-invariant: [h_a, x] stays in the block of x.
+    for blk in (split.m1, split.m2, split.m3):
+        for b in bracket_rows(n, ps.h.coords, blk.coords):
+            if np.max(blk.residuals(b), initial=0.0) > MEMBERSHIP_TOL:
+                raise RuntimeError("block is not ad(h)-invariant")
     # Cyclic relations: cross-block brackets land in the third block, and
     # same-block brackets leave m entirely (they fall into h).
     bi = split.block_index
-    for i in range(split.dim):
-        for j in range(split.dim):
-            out = split.bracket_m[i, j]
-            if bi[i] == bi[j]:
-                if np.max(np.abs(out)) > 1e-10:
-                    raise RuntimeError("same-block bracket has a component in m")
-            else:
-                expect = ({1, 2, 3} - {int(bi[i]), int(bi[j])}).pop()
-                if np.max(np.abs(out[bi != expect])) > 1e-10:
-                    raise RuntimeError("bracket relation [m_i, m_{i+1}] in m_{i+2} fails")
+    size = np.abs(split.bracket_m)
+    same = bi[:, None] == bi[None, :]
+    if np.max(size[same], initial=0.0) > 1e-10:
+        raise RuntimeError("same-block bracket has a component in m")
+    third = 6 - bi[:, None] - bi[None, :]  # the block other than those of i and j
+    leak = ~same[:, :, None] & (bi[None, None, :] != third[:, :, None])
+    if np.max(size[leak], initial=0.0) > 1e-10:
+        raise RuntimeError("bracket relation [m_i, m_{i+1}] in m_{i+2} fails")
 
 
 def block_weights(split: TripleSplit, params: MetricParams) -> np.ndarray:
@@ -255,8 +242,3 @@ def naturally_reductive_residual(split: TripleSplit, params: MetricParams) -> fl
 
 def check_naturally_reductive(split: TripleSplit, params: MetricParams, tol: float = 1e-9) -> bool:
     return naturally_reductive_residual(split, params) < tol
-
-
-def ad_h_block_matrices(ps: PhiSpace, split: TripleSplit) -> list[np.ndarray]:
-    """ad(h) on the combined block basis, one matrix per h basis element."""
-    return [ad_matrix(hb, split.combined) for hb in ps.h.basis]

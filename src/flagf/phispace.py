@@ -13,6 +13,7 @@ which canonical structures and invariant metrics are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from .liealg import (
     EndoOnM,
     Subspace,
     basis_element,
-    bracket,
+    bracket_coords,
+    bracket_rows,
     image,
+    lex_indices,
     lex_pairs,
     nullspace,
     so_dim,
@@ -73,6 +76,15 @@ class PhiSpace:
     h: Subspace
     m: Subspace
     theta: EndoOnM
+
+    @cached_property
+    def ad_h(self) -> np.ndarray:
+        """ad(h) on m as a (dim h, dim m, dim m) stack, built on first use.
+
+        ``ad_h[a]`` is the matrix of X -> [h_a, X] over the basis of m (column
+        j holds the m-coefficients of [h_a, m_j]), i.e. ``ad_matrix(h_a, m)``.
+        """
+        return bracket_coords(self.h, self.m, onto=self.m).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -150,7 +162,7 @@ def build_automorphism(n: int, m_blocks: int = 1, k: int = 4) -> AutomorphismSpe
 def phi_matrix(spec: AutomorphismSpec) -> np.ndarray:
     """Matrix of X -> B X B^-1 over the lexicographic orthonormal so(n) basis."""
     n, b = spec.n, spec.b
-    iu = np.triu_indices(n, k=1)
+    iu = lex_indices(n)
     cols = []
     for i, j in lex_pairs(n):
         conj = b @ basis_element(n, i, j).mat @ b.T
@@ -186,9 +198,7 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
 
     if spec.m_blocks == 1 and n >= 4:
         pattern = flag_complement_pattern(n)
-        if pattern.dim == m.dim and all(
-            m.member_residual(x) < TAU_NUM for x in pattern.basis
-        ):
+        if pattern.dim == m.dim and np.max(m.residuals(pattern.coords)) < TAU_NUM:
             m = pattern
 
     theta = EndoOnM(m, m.coords @ phi.matrix @ m.coords.T)
@@ -214,11 +224,10 @@ def _check_phi_space_invariants(spec, phi, h, m, theta) -> None:
     dg = so_dim(spec.n)
     if h.dim + m.dim != dg:
         raise RuntimeError(f"dim h + dim m = {h.dim}+{m.dim} != {dg}")
-    # Reductivity: [h, m] stays in m.
-    for hb in h.basis:
-        for mb in m.basis:
-            if m.member_residual(bracket(hb, mb)) > TAU_NUM:
-                raise RuntimeError("reductivity failure: [h, m] leaves m")
+    # Reductivity: [h, m] stays in m, for all of m per basis element of h.
+    for b in bracket_rows(spec.n, h.coords, m.coords):
+        if np.max(m.residuals(b), initial=0.0) > TAU_NUM:
+            raise RuntimeError("reductivity failure: [h, m] leaves m")
     if m.dim:
         sv = np.linalg.svd(theta.matrix - np.eye(m.dim), compute_uv=False)
         if sv[-1] < 1e-6:

@@ -2,8 +2,9 @@
 
 Floats are rendered with 17 significant digits so every report round-trips
 losslessly and reruns with the same configuration are byte-identical.  Files
-are written atomically (temp file + rename): a failed run never leaves a
-partial report behind.
+are written atomically (a uniquely named temp file in the target directory,
+then a rename): concurrent writers never share a temp file, and a failed
+write leaves neither a partial report nor a stray temp file behind.
 """
 
 from __future__ import annotations
@@ -78,7 +79,19 @@ def csv_text(header, rows) -> str:
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
+    """Replace ``path`` with ``text`` in one rename.
+
+    The temp file is created exclusively (mode "x", so the umask applies as
+    for a plain write) under a random name next to ``path``, and removed if
+    the write or the rename fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flagf.cli import main
+from flagf.liealg import LieElement
 
 
 def run(capsys, *argv):
@@ -48,6 +49,22 @@ class TestVerify:
     def test_general_block_space(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "7", "--m-blocks", "2", "--k", "6")
         assert code == 0
+
+    def test_cost_guard_lie_element_constructions(self, capsys, monkeypatch):
+        # ad(h), reductivity and the split checks run on batched coordinate
+        # arrays; a return to per-element brackets costs tens of thousands of
+        # LieElements here (about 62,600 with one bracket per (h, m) pair).
+        built = [0]
+        post_init = LieElement.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(LieElement, "__post_init__", counting)
+        code, out, _ = run(capsys, "verify", "--n", "16", "--k", "6", "--format", "json")
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert 0 < built[0] < 5000
 
 
 class TestClassify:

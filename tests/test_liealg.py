@@ -7,8 +7,11 @@ from flagf.liealg import (
     ad_matrix,
     basis_element,
     bracket,
+    bracket_coords,
+    bracket_rows,
     decompose_orthogonal,
     image,
+    lex_indices,
     lie_coords,
     lie_from_coords,
     nullspace,
@@ -271,3 +274,71 @@ class TestAdMatrix:
         a = ad_matrix(h, full)
         x = random_skew(rng, 5)
         np.testing.assert_allclose(a @ lie_coords(x), lie_coords(bracket(h, x)), atol=1e-10)
+
+    def test_ad_matches_per_element_brackets(self, rng):
+        sp = Subspace(6, np.linalg.qr(rng.standard_normal((15, 7)))[0].T)
+        h = random_skew(rng, 6)
+        want = np.array([sp.coords_of(bracket(h, x)) for x in sp.basis]).T
+        np.testing.assert_allclose(ad_matrix(h, sp), want, atol=1e-14)
+
+    def test_ad_dimension_mismatch(self, rng):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ad_matrix(random_skew(rng, 4), Subspace.full(5))
+
+
+def random_subspace(rng, n, dim):
+    q = np.linalg.qr(rng.standard_normal((n * (n - 1) // 2, dim)))[0]
+    return Subspace(n, q.T)
+
+
+class TestBracketKernel:
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_matches_bracket_on_every_pair(self, rng, n):
+        x, y = random_subspace(rng, n, 3), random_subspace(rng, n, 4)
+        got = bracket_coords(x, y)
+        assert got.shape == (3, 4, n * (n - 1) // 2)
+        for a, xa in enumerate(x.basis):
+            for b, yb in enumerate(y.basis):
+                np.testing.assert_allclose(got[a, b], lie_coords(bracket(xa, yb)), atol=1e-14)
+
+    def test_projection_onto_subspace(self, rng):
+        x, y, onto = (random_subspace(rng, 5, d) for d in (2, 3, 4))
+        got = bracket_coords(x, y, onto=onto)
+        assert got.shape == (2, 3, 4)
+        for a, xa in enumerate(x.basis):
+            for b, yb in enumerate(y.basis):
+                np.testing.assert_allclose(got[a, b], onto.coords_of(bracket(xa, yb)), atol=1e-14)
+
+    def test_full_basis_antisymmetric_and_matches_oracle(self):
+        full = Subspace.full(5)
+        bc = bracket_coords(full, full)
+        np.testing.assert_array_equal(bc, -bc.transpose(1, 0, 2))
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for a, p in enumerate(pairs):
+            for b, q in enumerate(pairs):
+                want = lie_coords(skew(bracket_oracle(5, [p], [q]) / 2.0))
+                np.testing.assert_allclose(bc[a, b], want, atol=1e-15)
+
+    def test_rows_need_not_be_orthonormal(self, rng):
+        x, y = random_skew(rng, 5), random_skew(rng, 5)
+        (row,) = bracket_rows(5, [lie_coords(x)], [lie_coords(y), 2.0 * lie_coords(y)])
+        np.testing.assert_allclose(row[0], lie_coords(bracket(x, y)), atol=1e-13)
+        np.testing.assert_allclose(row[1], 2.0 * row[0], atol=1e-13)
+
+    def test_empty_subspaces(self):
+        full, empty = Subspace.full(4), Subspace.empty(4)
+        assert bracket_coords(empty, full).shape == (0, 6, 6)
+        assert bracket_coords(full, empty).shape == (6, 0, 6)
+        assert bracket_coords(full, full, onto=empty).shape == (6, 6, 0)
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(ValueError, match="ambient"):
+            bracket_coords(Subspace.full(4), Subspace.full(5))
+
+    def test_lex_indices_cached_and_read_only(self):
+        iu = lex_indices(6)
+        assert lex_indices(6) is iu
+        for a, b in zip(iu, np.triu_indices(6, 1)):
+            np.testing.assert_array_equal(a, b)
+            with pytest.raises(ValueError):
+                a[0] = 1

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf.liealg import Subspace, bracket, random_skew, trace_form
+from flagf.canonical import CanonicalStructure, verify_structure
+from flagf.liealg import EndoOnM, Subspace, bracket, random_skew, trace_form
+from flagf.metricgeom import TripleSplit, _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
+    _check_phi_space_invariants,
     build_automorphism,
     build_phi_space,
     check_regularity,
@@ -146,3 +149,73 @@ class TestRegularity:
         )
         assert not rep.agree
         assert not rep.all_pass
+
+
+class TestAdStack:
+    @pytest.mark.parametrize("n,k,m_blocks", [(5, 4, 1), (7, 6, 1), (8, 6, 2)])
+    def test_matches_per_element_brackets(self, get_space, n, k, m_blocks):
+        # (8, 6, 2) has the SVD-basis complement, not the flag pattern.
+        ps = get_space(n, k, m_blocks)
+        assert ps.ad_h.shape == (ps.h.dim, ps.m.dim, ps.m.dim)
+        for a, hb in enumerate(ps.h.basis):
+            want = np.array([ps.m.coords_of(bracket(hb, x)) for x in ps.m.basis]).T
+            np.testing.assert_allclose(ps.ad_h[a], want, rtol=0.0, atol=1e-14)
+
+    def test_built_once(self, get_space):
+        ps = get_space(5, 6)
+        assert ps.ad_h is ps.ad_h
+
+    def test_verify_structure_flags_non_equivariant_operator(self, get_space):
+        ps = get_space(6, 6)
+        d = ps.m.dim
+        proj = np.zeros((d, d))
+        proj[0, 0] = 1.0  # keeps one basis direction of m1; ad(h) rotates it
+        cs = CanonicalStructure(
+            kind="f-structure", label="x", signature=(), theta_polynomial=(0.0,), op=EndoOnM(ps.m, proj)
+        )
+        assert verify_structure(cs, ps).ad_invariance > 1e-3
+
+
+def _rotate_rows(coords_a, coords_b, angle):
+    """Rotate the first row of a into the first row of b (and back)."""
+    a, b = np.array(coords_a), np.array(coords_b)
+    c, s = np.cos(angle), np.sin(angle)
+    a[0], b[0] = c * coords_a[0] + s * coords_b[0], -s * coords_a[0] + c * coords_b[0]
+    return a, b
+
+
+class TestStructuralChecksStillBite:
+    def test_reductivity_fails_on_corrupted_m(self, get_space):
+        ps = get_space(6, 4)
+        h_rows, m_rows = _rotate_rows(ps.h.coords, ps.m.coords, 0.3)
+        h, m = Subspace(6, h_rows), Subspace(6, m_rows)
+        theta = EndoOnM(m, m.coords @ ps.phi.matrix @ m.coords.T)
+        with pytest.raises(RuntimeError, match="reductivity failure"):
+            _check_phi_space_invariants(ps.spec, ps.phi, h, m, theta)
+
+    def test_split_fails_when_m1_is_rotated_into_m3(self, get_space, get_split):
+        ps, split = get_space(6, 6), get_split(6, 6)
+        m1, m3 = _rotate_rows(split.m1.coords, split.m3.coords, 0.3)
+        bad = TripleSplit(
+            m1=Subspace(6, m1),
+            m2=split.m2,
+            m3=Subspace(6, m3),
+            combined=split.combined,
+            block_index=split.block_index,
+            bracket_m=split.bracket_m,
+        )
+        with pytest.raises(RuntimeError, match="block is not ad\\(h\\)-invariant"):
+            _check_split_invariants(ps, bad)
+
+    def test_split_fails_on_a_wrong_bracket_relation(self, get_space, get_split):
+        ps, split = get_space(6, 6), get_split(6, 6)
+        bm = split.bracket_m.copy()
+        bm[0, 2, 0] = 1e-6  # [m1, m2] must have no m1 component
+        bad = TripleSplit(split.m1, split.m2, split.m3, split.combined, split.block_index, bm)
+        with pytest.raises(RuntimeError, match="bracket relation"):
+            _check_split_invariants(ps, bad)
+        bm = split.bracket_m.copy()
+        bm[2, 3, 0] = 1e-6  # [m2, m2] must leave m
+        bad = TripleSplit(split.m1, split.m2, split.m3, split.combined, split.block_index, bm)
+        with pytest.raises(RuntimeError, match="same-block"):
+            _check_split_invariants(ps, bad)
