@@ -21,7 +21,6 @@ from .liealg import (
     lie_from_coords,
     nullspace,
     poly_in,
-    project,
     random_skew,
     skew,
     trace_form,

@@ -16,41 +16,32 @@ comparable as the U coefficients grow near the parameter boundary.
 
 Membership is declared below 1e-9, non-membership above 1e-3; the band in
 between is flagged indeterminate (never observed on this family).
+
+With closed-form U each polarized condition reads A @ (1, c) = 0 for a fixed
+four-column A and the channel coefficients c = ((t-s)/2, (t-1)/(2s), (s-1)/(2t)),
+so zero sets are exact: the SVD of A gives constraint rows w . (1, c) = 0, read
+as a point, an axis line, all, empty, or else kept as polynomial equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .canonical import CanonicalStructure
-from .metricgeom import MetricParams, TripleSplit, block_weights, u_coords_tensor
+from .metricgeom import (
+    MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channel_masks, u_coords_tensor,
+)
 
 CONDITION_NAMES = ("kill", "nk", "g1")
 
 TAU_MEMBER = 1e-9
 NONMEMBER_MARGIN = 1e-3
-
-# Closed-form U splits into three bracket channels with parameter-dependent
-# coefficients; the conditions are affine in U, which lets an evaluator
-# precompute one tensor per channel and per condition.
-_CHANNELS = ((2, 3), (1, 3), (1, 2))
-
-
-def _channel_coefficients(params: MetricParams) -> np.ndarray:
-    s, t = params.s, params.t
-    return np.array([0.5 * (t - s), (t - 1.0) / (2.0 * s), (s - 1.0) / (2.0 * t)])
-
-
-def _channel_masks(block_index: np.ndarray) -> list[np.ndarray]:
-    masks = []
-    for a, b in _CHANNELS:
-        m = np.zeros((block_index.size, block_index.size))
-        m[np.ix_(block_index == a, block_index == b)] = 1.0
-        m[np.ix_(block_index == b, block_index == a)] = -1.0
-        masks.append(m)
-    return masks
+# Zero sets: singular values of A up to TAU_RANK * ||f|| are rounding noise
+# (kept ones are >= 1 for n = 4..24, dropped ones <= 1e-14), and so are unit
+# vector components and relative coordinate differences up to TAU_RANK.
+TAU_RANK = 1e-9
 
 
 def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -75,6 +66,35 @@ def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, 
         )
         return np.einsum("rs,ijs->ijr", f, inner, optimize=True)
     raise ValueError(f"unknown condition {name!r}")
+
+
+def _row_blocks(d: int) -> list[slice]:
+    """Row slices of <= 2^15 entries for per-point work: freed d^3 temporaries
+    may go back to the OS, to be faulted in again on every call."""
+    size = max(1, (1 << 15) // (d * d))
+    return [slice(i, i + size) for i in range(0, d, size)]
+
+
+def _pair(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i, j, :] = sum_pq a[p, i] b[q, j] x[p, q, :], i.e. x(A X_i, B X_j)."""
+    d = a.shape[0]
+    y = b.T @ x  # y[p, j, :] = sum_q b[q, j] x[p, q, :]
+    return (a.T @ y.reshape(d, d * d)).reshape(d, d, d)
+
+
+def _channel_kernels(f: np.ndarray, f2: np.ndarray, u: np.ndarray, kill, nk, g1) -> None:
+    """Write the kill, nk and g1 tensors of one U channel u (bracket terms
+    belong to the base tensors) into the given arrays, with few temporaries."""
+    ft = f.T
+    np.matmul(ft, u, out=kill)
+    kill -= u @ ft
+    p12 = _pair(u, f, f2)
+    np.matmul(_pair(u, f, f), ft, out=nk)
+    np.subtract(p12, nk, out=nk)  # u(fX, f^2Y) - f u(fX, fY)
+    inner = _pair(u, f2, f2) @ ft
+    inner += p12
+    inner += nk  # 2 u(fX, f^2Y) - f u(fX, fY) + f u(f^2X, f^2Y)
+    np.matmul(inner, ft, out=g1)
 
 
 @dataclass(frozen=True)
@@ -104,13 +124,112 @@ class ClassReport:
         return (not m["kill"] or m["nk"]) and (not m["nk"] or m["g1"])
 
 
+@dataclass(frozen=True)
+class CharacteristicSet:
+    """Zero set of a class condition over the open quadrant s, t > 0.
+
+    kind is "all", "empty", "line" (``lines``: (axis, value), axis "s" or "t"),
+    "points" (``points``: (s, t)) or "equations": the common zeros of
+    ``equations``, the constraints times 2st (degree <= 3) as tuples of
+    (i, j, coeff) terms coeff s^i t^j.  ``rank`` counts the constraints;
+    ``sigma_min_kept`` / ``sigma_max_dropped`` (or None) bound its gap.
+    """
+
+    kind: str
+    points: tuple[tuple[float, float], ...] = ()
+    lines: tuple[tuple[str, float], ...] = ()
+    equations: tuple[tuple[tuple[int, int, float], ...], ...] = ()
+    rank: int = 0
+    sigma_min_kept: float | None = None
+    sigma_max_dropped: float | None = None
+
+    def contains(self, s: float, t: float) -> bool:
+        """Whether (s, t) lies in the set, coordinates compared to TAU_RANK."""
+        if self.kind == "all":
+            return True
+        if self.kind == "equations":
+            terms = [[c * s**i * t**j for i, j, c in poly] for poly in self.equations]
+            return all(abs(sum(ts)) <= TAU_RANK * sum(abs(v) for v in ts) for ts in terms)
+        on_line = any(_near(s if axis == "s" else t, v) for axis, v in self.lines)
+        return on_line or any(_near(s, ps) and _near(t, pt) for ps, pt in self.points)
+
+    def description(self) -> str:
+        if self.kind == "all":
+            return "all (s, t)"
+        if self.kind == "empty":
+            return "empty"
+        parts = [f"line {axis}={value:.6f}" for axis, value in self.lines]
+        parts += [f"({s:.6f}, {t:.6f})" for s, t in self.points]
+        parts += [" ".join(_term_text(*term) for term in poly) + " = 0" for poly in self.equations]
+        return "; ".join(parts)
+
+
+def _near(x: float, v: float) -> bool:
+    return abs(x - v) <= TAU_RANK * max(1.0, abs(v))
+
+
+def _term_text(i: int, j: int, coeff: float) -> str:
+    powers = [v if p == 1 else f"{v}^{p}" for v, p in (("s", i), ("t", j)) if p]
+    return "*".join([f"{coeff:+.6f}", *powers])
+
+
+def decode_constraints(rows) -> CharacteristicSet:
+    """Zero set over s, t > 0 of w . (1, c(s, t)) = 0 for each of the (r, 4)
+    independent constraint rows w.  No rows is "all"; a kernel without the
+    constant term is "empty"; a 1-dim kernel is a point ("empty" at infinity
+    or off the open quadrant); one row on c3 (c2) alone is the line s = 1
+    (t = 1).  Any other shape is returned as "equations", not guessed."""
+    w = np.asarray(rows, dtype=float).reshape(-1, 4)
+    rank = len(w)
+    if rank == 0:
+        return CharacteristicSet(kind="all")
+    _, _, vt = np.linalg.svd(w)
+    kernel = vt[rank:]
+    if not np.any(np.abs(kernel[:, 0]) > TAU_RANK):
+        return CharacteristicSet(kind="empty", rank=rank)
+    if rank == 3:
+        points = _kernel_points(kernel[0])
+        return CharacteristicSet(kind="points" if points else "empty", points=points, rank=rank)
+    support = np.flatnonzero(np.abs(vt[0]) > TAU_RANK).tolist()
+    if rank == 1 and support in ([3], [2]):
+        axis = "s" if support == [3] else "t"
+        return CharacteristicSet(kind="line", lines=((axis, 1.0),), rank=rank)
+    equations = tuple(_constraint_polynomial(row) for row in vt[:rank])
+    return CharacteristicSet(kind="equations", equations=equations, rank=rank)
+
+
+def _kernel_points(v: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """The (s, t) with c(s, t) = v[1:] / v[0] for a kernel vector v: one or none."""
+    c1, c2, c3 = v[1:] / v[0]
+    den = 1.0 - 2.0 * c2
+    if abs(den) <= TAU_RANK:  # the point lies at infinity
+        return ()
+    s = (1.0 - 2.0 * c1) / den
+    t = s + 2.0 * c1
+    if s <= TAU_RANK or t <= TAU_RANK:  # on or beyond the edge of the quadrant
+        return ()
+    if abs((s - 1.0) / (2.0 * t) - c3) > TAU_RANK * (1.0 + abs(c3)):
+        return ()
+    return ((float(s), float(t)),)
+
+
+def _constraint_polynomial(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
+    """2st * w . (1, c(s, t)) as (i, j, coeff) terms of coeff s^i t^j, with
+    the sign of w fixed so that its first nonzero component is positive."""
+    lead = w[np.flatnonzero(np.abs(w) > TAU_RANK)[0]]
+    w0, w1, w2, w3 = (float(x) for x in np.sign(lead) * w)
+    terms = ((1, 1, 2.0 * w0), (1, 2, w1), (2, 1, -w1), (0, 2, w2), (0, 1, -w2), (2, 0, w3), (1, 0, -w3))
+    return tuple(term for term in terms if abs(term[2]) > TAU_RANK)
+
+
 class ClassEvaluator:
     """Evaluates the three class conditions for one structure on one split.
 
     With u_mode "closed" the parameter dependence is reduced to three scalar
-    channel coefficients, so each grid point costs a few tensor adds.  With
-    u_mode "solved" the U tensor is recomputed from the metric equation at
-    every call; this is the slow independent route used for cross-checks.
+    channel coefficients, so each grid point costs a few tensor adds, and the
+    exact zero sets come from the same tensors.  With u_mode "solved" the U
+    tensor is recomputed from the metric equation at every call; this is the
+    slow independent route used for cross-checks.
     """
 
     def __init__(self, f: CanonicalStructure, split: TripleSplit, u_mode: str = "closed"):
@@ -123,27 +242,24 @@ class ClassEvaluator:
         self._f2 = self.f_matrix @ self.f_matrix
         self.f_norm = float(np.linalg.norm(self.f_matrix, 2)) or 1.0
         if u_mode == "closed":
-            bm = split.bracket_m
-            masks = _channel_masks(split.block_index)
-            self._kernels = {}
-            for name in CONDITION_NAMES:
-                base = _condition_tensor(name, self.f_matrix, self._f2, bm, np.zeros_like(bm))
-                chans = [
-                    _condition_tensor(name, self.f_matrix, self._f2, bm, mask[:, :, None] * bm) - base
-                    for mask in masks
-                ]
-                self._kernels[name] = (base, chans)
+            fm, f2, bm = self.f_matrix, self._f2, split.bracket_m
+            # Per condition, base and channel tensors in one (4, d, d, d) stack.
+            self._kernels = {name: np.zeros((4,) + bm.shape) for name in CONDITION_NAMES}
+            self._kernels["kill"][0] = 0.5 * (fm.T @ bm)
+            self._kernels["nk"][0] = 0.5 * _pair(bm, fm, f2)
+            for k, mask in enumerate(u_channel_masks(split), start=1):
+                _channel_kernels(fm, f2, mask[:, :, None] * bm, *(self._kernels[c][k] for c in CONDITION_NAMES))
 
     def condition_tensor(self, name: str, params: MetricParams) -> np.ndarray:
         if name not in CONDITION_NAMES:
             raise ValueError(f"unknown condition {name!r}")
         if self.u_mode == "closed":
-            base, chans = self._kernels[name]
-            coeffs = _channel_coefficients(params)
+            base, *chans = self._kernels[name]
             out = base.copy()
-            for c, ch in zip(coeffs, chans):
+            for c, ch in zip(u_channel_coefficients(params), chans):
                 if c != 0.0:
-                    out += c * ch
+                    for rows in _row_blocks(out.shape[0]):
+                        out[rows] += c * ch[rows]
             return out
         u = u_coords_tensor(self.split, params, mode="solved")
         return _condition_tensor(name, self.f_matrix, self._f2, self.split.bracket_m, u)
@@ -151,8 +267,9 @@ class ClassEvaluator:
     def residual(self, name: str, params: MetricParams) -> tuple[float, tuple[int, int]]:
         """Normalized polarized residual and the basis pair achieving it."""
         c = self.condition_tensor(name, params)
-        sym = c + c.transpose(1, 0, 2)
-        norms = np.linalg.norm(sym, axis=2)
+        norms = np.empty(c.shape[:2])
+        for rows in _row_blocks(c.shape[0]):
+            norms[rows] = np.linalg.norm(c[rows] + c[:, rows].transpose(1, 0, 2), axis=2)
         i, j = np.unravel_index(int(np.argmax(norms)), norms.shape)
         scale = 1.0 + params.s + params.t + 1.0 / params.s + 1.0 / params.t
         return float(norms[i, j] / (self.f_norm * scale)), (int(i), int(j))
@@ -179,6 +296,25 @@ class ClassEvaluator:
             memberships={k: r.member for k, r in results.items()},
             indeterminate={k: r.indeterminate for k, r in results.items()},
             witnesses={k: r.witness for k, r in results.items()},
+        )
+
+    def sweep(self, grid, kappa: float = 1.0) -> list[ClassReport]:
+        """One ClassReport per grid point, in grid order."""
+        return [self.report(MetricParams(s=s, t=t, kappa=kappa)) for s, t in grid]
+
+    def zero_set(self, name: str) -> CharacteristicSet:
+        """Exact zero set of the named condition.  A's columns are the polarized
+        base and channel tensors; its leading right singular vectors, the constraints."""
+        if name not in CONDITION_NAMES or self.u_mode != "closed":
+            raise ValueError(f"no exact zero set for condition {name!r} with u_mode {self.u_mode!r}")
+        k = self._kernels[name]
+        a = (k + k.transpose(0, 2, 1, 3)).reshape(4, -1).T
+        _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
+        rank = int(np.sum(sigma > TAU_RANK * self.f_norm))
+        return replace(
+            decode_constraints(vt[:rank]),
+            sigma_min_kept=float(sigma[rank - 1]) if rank else None,
+            sigma_max_dropped=float(sigma[rank]) if rank < sigma.size else None,
         )
 
 
@@ -241,163 +377,36 @@ def default_grid() -> list[tuple[float, float]]:
 
 
 def sweep(
-    f: CanonicalStructure,
-    split: TripleSplit,
-    grid,
-    kappa: float = 1.0,
-    u_mode: str = "closed",
+    f: CanonicalStructure, split: TripleSplit, grid, kappa: float = 1.0, u_mode: str = "closed"
 ) -> list[ClassReport]:
     """One ClassReport per grid point, in grid order."""
-    for s, t in grid:
-        if not (s > 0 and t > 0):
-            raise ValueError(f"grid points must be positive, got ({s}, {t})")
-    ev = ClassEvaluator(f, split, u_mode=u_mode)
-    return [ev.report(MetricParams(s=s, t=t, kappa=kappa)) for s, t in grid]
+    return ClassEvaluator(f, split, u_mode=u_mode).sweep(grid, kappa)
 
 
-@dataclass(frozen=True)
-class CharacteristicSet:
-    """Detected zero set of a class condition over the (s, t) quadrant.
-
-    kind is "all", "empty", "line" or "points"; lines are (axis, value) with
-    axis "s" or "t"; points carry refined coordinates.  Topology the detector
-    cannot name cleanly falls back to the raw point list.
-    """
-
-    kind: str
-    points: tuple[tuple[float, float], ...] = ()
-    lines: tuple[tuple[str, float], ...] = ()
-
-    def description(self) -> str:
-        if self.kind == "all":
-            return "all (s, t)"
-        if self.kind == "empty":
-            return "empty"
-        parts = [f"line {axis}={value:.6f}" for axis, value in self.lines]
-        parts += [f"({s:.6f}, {t:.6f})" for s, t in self.points]
-        return "; ".join(parts)
+def grid_disagreement(sets: dict[str, CharacteristicSet], reports) -> str | None:
+    """The first grid verdict (from residuals) that the exact zero set of its
+    condition in ``sets`` (from the kernel of A) contradicts, or None."""
+    for r in reports:
+        for name, zs in sets.items():
+            if r.memberships[name] != zs.contains(r.s, r.t):
+                return (
+                    f"{r.structure_label} {name} at (s, t) = ({r.s!r}, {r.t!r}): grid verdict "
+                    f"member={r.memberships[name]}, exact zero set {zs.description()!r}"
+                )
+    return None
 
 
 def characteristic_set(
-    f: CanonicalStructure,
-    split: TripleSplit,
-    condition: str,
-    tol: float = 1e-6,
-    grid=None,
-    kappa: float = 1.0,
-    u_mode: str = "closed",
+    f: CanonicalStructure, split: TripleSplit, condition: str, grid=None, kappa: float = 1.0
 ) -> CharacteristicSet:
-    """Locate the zero set of the condition residual by grid scan plus 1-D
-    refinement along grid lines.
+    """Exact zero set of the condition; see :meth:`ClassEvaluator.zero_set`.
 
-    Full-member grid lines are reported as lines; residual dips along lines
-    are refined by ternary search to ``tol`` and kept when the refined
-    residual clears the membership threshold.  Many refined points sharing a
-    coordinate are consolidated into a line.
+    With a grid, every grid verdict is checked against the set, and a
+    disagreement raises RuntimeError naming the point.
     """
-    ev = ClassEvaluator(f, split, u_mode=u_mode)
-    grid = list(default_grid() if grid is None else grid)
-
-    def res_at(s: float, t: float) -> float:
-        return ev.residual(condition, MetricParams(s=s, t=t, kappa=kappa))[0]
-
-    values = {(s, t): res_at(s, t) for s, t in grid}
-    member = {p for p, r in values.items() if r < TAU_MEMBER}
-    if len(member) == len(values):
-        return CharacteristicSet(kind="all")
-
-    svals = sorted({p[0] for p in grid})
-    tvals = sorted({p[1] for p in grid})
-
-    lines: list[tuple[str, float]] = []
-    min_cover = max(4, int(0.8 * min(len(svals), len(tvals))))
-    for s0 in svals:
-        ts = [t for t in tvals if (s0, t) in values]
-        if len(ts) >= min_cover and all((s0, t) in member for t in ts):
-            lines.append(("s", s0))
-    for t0 in tvals:
-        ss = [s for s in svals if (s, t0) in values]
-        if len(ss) >= min_cover and all((s, t0) in member for s in ss):
-            lines.append(("t", t0))
-
-    def on_line(s: float, t: float) -> bool:
-        return any(
-            (axis == "s" and abs(s - v) < 10 * tol) or (axis == "t" and abs(t - v) < 10 * tol)
-            for axis, v in lines
-        )
-
-    # Refine residual dips along every sufficiently covered grid line.
-    candidates: list[tuple[float, float]] = []
-    for s0 in svals:
-        ts = [t for t in tvals if (s0, t) in values]
-        if len(ts) < 4:
-            continue
-        prof = [values[(s0, t)] for t in ts]
-        for i in range(1, len(ts) - 1):
-            if prof[i] <= prof[i - 1] and prof[i] <= prof[i + 1]:
-                t_star = _ternary_min(lambda t: res_at(s0, t), ts[i - 1], ts[i + 1], tol)
-                candidates.append((s0, t_star))
-    for t0 in tvals:
-        ss = [s for s in svals if (s, t0) in values]
-        if len(ss) < 4:
-            continue
-        prof = [values[(s, t0)] for s in ss]
-        for i in range(1, len(ss) - 1):
-            if prof[i] <= prof[i - 1] and prof[i] <= prof[i + 1]:
-                s_star = _ternary_min(lambda s: res_at(s, t0), ss[i - 1], ss[i + 1], tol)
-                candidates.append((s_star, t0))
-    candidates.extend(member)
-
-    # Polish each candidate coordinatewise and keep true zeros off the lines.
-    ds = (svals[1] - svals[0]) if len(svals) > 1 else 0.25
-    dt = (tvals[1] - tvals[0]) if len(tvals) > 1 else 0.25
-    points: list[tuple[float, float]] = []
-    for s0, t0 in candidates:
-        if on_line(s0, t0):
-            continue
-        t1 = _ternary_min(lambda t: res_at(s0, t), max(t0 - dt, tvals[0] / 2), t0 + dt, tol)
-        s1 = _ternary_min(lambda s: res_at(s, t1), max(s0 - ds, svals[0] / 2), s0 + ds, tol)
-        if res_at(s1, t1) < TAU_MEMBER:
-            if not any(abs(s1 - ps) < 10 * tol and abs(t1 - pt) < 10 * tol for ps, pt in points):
-                points.append((s1, t1))
-
-    # Consolidate point families sharing a coordinate into a line.
-    points, lines = _promote_collinear(points, lines, min_count=min_cover, tol=tol)
-
-    if not lines and not points:
-        return CharacteristicSet(kind="empty")
-    if lines and not points:
-        return CharacteristicSet(kind="line", lines=tuple(lines))
-    return CharacteristicSet(kind="points", points=tuple(sorted(points)), lines=tuple(lines))
-
-
-def _ternary_min(fn, lo: float, hi: float, tol: float) -> float:
-    # Push well below the requested coordinate tolerance so that a true zero
-    # of a V-shaped residual lands under the membership threshold.
-    width = max(1e-11, 1e-4 * tol)
-    for _ in range(400):
-        if hi - lo < width:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if fn(m1) <= fn(m2):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
-
-
-def _promote_collinear(points, lines, min_count: int, tol: float):
-    remaining = list(points)
-    lines = list(lines)
-    for axis, idx in (("s", 0), ("t", 1)):
-        groups: dict[float, list[tuple[float, float]]] = {}
-        for p in remaining:
-            key = round(p[idx] / (10 * tol)) * (10 * tol)
-            groups.setdefault(key, []).append(p)
-        for _, grp in sorted(groups.items()):
-            if len(grp) >= min_count:
-                value = float(np.median([p[idx] for p in grp]))
-                lines.append((axis, value))
-                remaining = [p for p in remaining if p not in grp]
-    return remaining, lines
+    ev = ClassEvaluator(f, split)
+    zs = ev.zero_set(condition)
+    problem = grid_disagreement({condition: zs}, ev.sweep(grid or (), kappa))
+    if problem is not None:
+        raise RuntimeError(problem)
+    return zs

@@ -6,16 +6,14 @@
 
 Exit codes: 0 all checks pass / report written, 1 check or I/O failure,
 2 invalid configuration.  Reports are deterministic for a fixed config and
-seed; sweep output files are written atomically.  The environment variable
-FLAGF_THREADS caps sweep parallelism (default 1).
+seed; sweep output files are written atomically.  A sweep exits 1 without
+writing reports if any grid verdict contradicts the exact zero set.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -422,23 +420,16 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
         cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=SPECIAL_POINTS + cfg.extra_points
     )
 
-    def run_one(cs: canonical.CanonicalStructure):
-        reports = classify.sweep(cs, split, grid, kappa=kappa)
-        summary = {
-            name: classify.characteristic_set(cs, split, name, grid=grid, kappa=kappa)
-            for name in classify.CONDITION_NAMES
-        }
-        return cs, reports, summary
-
-    try:
-        workers = max(1, int(os.environ.get("FLAGF_THREADS", "1") or "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, reps))
-    else:
-        results = [run_one(cs) for cs in reps]
+    results = []
+    for cs in reps:
+        ev = classify.ClassEvaluator(cs, split)
+        reports = ev.sweep(grid, kappa)
+        summary = {name: ev.zero_set(name) for name in classify.CONDITION_NAMES}
+        problem = classify.grid_disagreement(summary, reports)
+        if problem is not None:
+            print(f"flagf: grid sweep contradicts the exact zero set: {problem}", file=sys.stderr)
+            return 1, {}
+        results.append((cs, reports, summary))
 
     outdir = Path(cfg.out)
     try:
@@ -494,7 +485,11 @@ def _charset_dict(cs: classify.CharacteristicSet) -> dict:
         "kind": cs.kind,
         "lines": [{"axis": a, "value": v} for a, v in cs.lines],
         "points": [[s, t] for s, t in cs.points],
+        "equations": [[list(term) for term in poly] for poly in cs.equations],
         "description": cs.description(),
+        "rank": cs.rank,
+        "sigma_min_kept": cs.sigma_min_kept,
+        "sigma_max_dropped": cs.sigma_max_dropped,
     }
 
 

@@ -383,11 +383,6 @@ def image(op, domain: Subspace | None = None) -> Subspace:
     return Subspace(dom.ambient_n, u[:, :rank].T @ dom.coords)
 
 
-def project(space: Subspace, x: LieElement) -> LieElement:
-    """Trace-form-orthogonal projection of x onto the subspace."""
-    return space.project(x)
-
-
 def bracket_rows(n: int, x_rows, y_rows):
     """Yield, for each lex-coordinate row x_a of ``x_rows``, the lex
     coordinates of every [x_a, y_b] as a (len(y_rows), dim so(n)) array.

@@ -193,7 +193,7 @@ def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "close
     """
     bm = split.bracket_m
     if mode == "closed":
-        return u_weight_matrix(split, params)[:, :, None] * bm
+        return np.tensordot(u_channel_coefficients(params), u_channel_masks(split), axes=1)[:, :, None] * bm
     if mode == "solved":
         gd = block_weights(split, params)
         term1 = gd[:, None, None] * bm.transpose(2, 1, 0)
@@ -202,20 +202,20 @@ def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "close
     raise ValueError(f"unknown U mode {mode!r}")
 
 
-def u_weight_matrix(split: TripleSplit, params: MetricParams) -> np.ndarray:
-    """Pair coefficients: U(X_i, X_j) = w[i, j] [X_i, X_j] on the block basis."""
+def u_channel_coefficients(params: MetricParams) -> np.ndarray:
+    """Closed-form coefficients of the U channels [m2, m3], [m1, m3], [m1, m2]."""
     s, t = params.s, params.t
-    c = {
-        (2, 3): 0.5 * (t - s),
-        (1, 3): (t - 1.0) / (2.0 * s),
-        (1, 2): (s - 1.0) / (2.0 * t),
-    }
+    return np.array([0.5 * (t - s), (t - 1.0) / (2.0 * s), (s - 1.0) / (2.0 * t)])
+
+
+def u_channel_masks(split: TripleSplit) -> np.ndarray:
+    """Signed block-pair masks m_k: U(X_i, X_j) = sum_k c_k m_k[i, j] [X_i, X_j]."""
     bi = split.block_index
-    w = np.zeros((split.dim, split.dim))
-    for (a, b), coeff in c.items():
-        w[np.ix_(bi == a, bi == b)] = coeff
-        w[np.ix_(bi == b, bi == a)] = -coeff
-    return w
+    masks = np.zeros((3, split.dim, split.dim))
+    for mask, (a, b) in zip(masks, ((2, 3), (1, 3), (1, 2))):
+        mask[np.ix_(bi == a, bi == b)] = 1.0
+        mask[np.ix_(bi == b, bi == a)] = -1.0
+    return masks
 
 
 def nomizu(

@@ -147,7 +147,7 @@ def test_criterion_07_order4_classification(get_split, get_f_structures):
         f0 = structure_by_label(get_f_structures(n, 4), "f0")
         ev = ClassEvaluator(f0, split)
 
-        kill_set = characteristic_set(f0, split, "kill", tol=1e-6)
+        kill_set = characteristic_set(f0, split, "kill")
         ok &= kill_set.kind == "points" and len(kill_set.points) == 1
         if kill_set.points:
             s_ref, t_ref = kill_set.points[0]

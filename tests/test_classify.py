@@ -7,9 +7,12 @@ from flagf.classify import (
     CONDITION_NAMES,
     ClassEvaluator,
     build_grid,
+    CharacteristicSet,
     characteristic_set,
     check_metric_compat,
+    decode_constraints,
     default_grid,
+    grid_disagreement,
     membership,
     metric_compat_residual,
     product_compat_residual,
@@ -164,6 +167,27 @@ class TestEvaluatorInternals:
             direct = _condition_tensor(name, ev.f_matrix, ev.f_matrix @ ev.f_matrix, split.bracket_m, u)
             np.testing.assert_allclose(ev.condition_tensor(name, p), direct, atol=1e-12)
 
+    def test_row_blocked_arithmetic_matches_whole_tensors(self, get_split, get_f_structures):
+        # d = 17 at n = 8 gives blocks of 8, 8 and 1 rows; the blocked
+        # evaluation must reproduce the whole-tensor arithmetic bit for bit.
+        from flagf.metricgeom import u_channel_coefficients
+
+        split = get_split(8, 6)
+        ev = ClassEvaluator(structure_by_label(get_f_structures(8, 6), "f1"), split)
+        for s, t in [(1.0, FOUR_THIRDS), (0.3, 7.0), (2.0, 2.0)]:
+            p = MetricParams(s, t, kappa=7.0)
+            for name in CONDITION_NAMES:
+                base, *chans = ev._kernels[name]
+                c = base.copy()
+                for coeff, ch in zip(u_channel_coefficients(p), chans):
+                    if coeff != 0.0:
+                        c += coeff * ch
+                np.testing.assert_array_equal(ev.condition_tensor(name, p), c)
+                norms = np.linalg.norm(c + c.transpose(1, 0, 2), axis=2)
+                i, j = np.unravel_index(int(np.argmax(norms)), norms.shape)
+                scale = ev.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
+                assert ev.residual(name, p) == (float(norms[i, j] / scale), (int(i), int(j)))
+
     def test_closed_vs_solved_residuals_agree(self, get_split, get_f_structures):
         split = get_split(5, 6)
         for lbl in ("f1", "f4"):
@@ -273,7 +297,7 @@ class TestCharacteristicSets:
     def test_kill_single_point_refined(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        cs = characteristic_set(f0, split, "kill", tol=1e-6)
+        cs = characteristic_set(f0, split, "kill")
         assert cs.kind == "points"
         assert len(cs.points) == 1
         s, t = cs.points[0]
@@ -281,12 +305,12 @@ class TestCharacteristicSets:
         assert abs(t - FOUR_THIRDS) < 1e-6
 
     def test_kill_point_found_without_special_grid_points(self, get_split, get_f_structures):
-        # Even if (1, 4/3) is not a grid node, the dip refinement on the
-        # s = 1 line must locate it.
+        # The exact set does not depend on the grid: (1, 4/3) is found even
+        # when it is not a grid node, and the grid verdicts agree with it.
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         grid = build_grid(0.25, 3.0, 0.25, extras=())
-        cs = characteristic_set(f0, split, "kill", tol=1e-6, grid=grid)
+        cs = characteristic_set(f0, split, "kill", grid=grid)
         assert cs.kind == "points"
         s, t = cs.points[0]
         assert abs(s - 1.0) < 1e-6 and abs(t - FOUR_THIRDS) < 1e-6
@@ -318,6 +342,133 @@ class TestCharacteristicSets:
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         assert characteristic_set(f0, split, "g1").description() == "all (s, t)"
         assert "line s=1.0" in characteristic_set(f0, split, "nk").description()
+
+
+# The README classification table; it holds for -f exactly as for f.
+README_TABLE = {
+    "f0": {"kill": "point", "nk": "line", "g1": "all"},
+    "f1": {"kill": "point", "nk": "line", "g1": "all"},
+    "f2": {"kill": "empty", "nk": "all", "g1": "all"},
+    "f3": {"kill": "empty", "nk": "all", "g1": "all"},
+    "f4": {"kill": "empty", "nk": "empty", "g1": "all"},
+}
+SMALL_GRID = build_grid(0.5, 2.0, 0.5)
+
+
+def assert_table_shape(zs: CharacteristicSet, expected: str) -> None:
+    if expected == "point":
+        assert zs.kind == "points" and not zs.lines and len(zs.points) == 1, zs
+        np.testing.assert_allclose(zs.points[0], (1.0, FOUR_THIRDS), rtol=0.0, atol=1e-12)
+    elif expected == "line":
+        assert zs.kind == "line" and zs.lines == (("s", 1.0),) and not zs.points, zs
+    else:
+        assert zs.kind == expected and not zs.lines and not zs.points, zs
+
+
+class TestExactZeroSets:
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_readme_table_for_f_and_minus_f(self, get_split, get_f_structures, n, k):
+        split = get_split(n, k)
+        for cs in get_f_structures(n, k):
+            ev = ClassEvaluator(cs, split)
+            sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
+            for name, zs in sets.items():
+                assert_table_shape(zs, README_TABLE[cs.label.lstrip("-")][name])
+            for kappa in (1e-3, 1.0, 1e3):
+                assert grid_disagreement(sets, ev.sweep(SMALL_GRID, kappa)) is None, (cs.label, kappa)
+
+    @pytest.mark.parametrize("k", [8, 10])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_higher_orders_decode_and_agree_with_grid(self, get_split, get_f_structures, n, k):
+        split = get_split(n, k)
+        labels = []
+        for cs in get_f_structures(n, k):
+            if cs.label.startswith("-"):
+                continue
+            labels.append(cs.label)
+            ev = ClassEvaluator(cs, split)
+            sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
+            assert all(zs.kind in ("all", "empty", "line", "points") for zs in sets.values())
+            assert grid_disagreement(sets, ev.sweep(SMALL_GRID)) is None, cs.label
+        assert len(labels) >= 5
+
+    def test_rank_and_singular_value_gap(self, get_split, get_f_structures):
+        split = get_split(5, 4)
+        ev = ClassEvaluator(structure_by_label(get_f_structures(5, 4), "f0"), split)
+        kill, nk, g1 = (ev.zero_set(name) for name in CONDITION_NAMES)
+        assert (kill.rank, nk.rank, g1.rank) == (3, 1, 0)
+        for zs in (kill, nk):
+            assert zs.sigma_min_kept >= 1.0 and zs.sigma_max_dropped <= 1e-12
+        assert g1.sigma_min_kept is None and g1.sigma_max_dropped <= 1e-12
+
+    def test_needs_closed_u_and_a_known_condition(self, get_split, get_f_structures):
+        split = get_split(5, 4)
+        f0 = structure_by_label(get_f_structures(5, 4), "f0")
+        with pytest.raises(ValueError, match="u_mode 'solved'"):
+            ClassEvaluator(f0, split, u_mode="solved").zero_set("kill")
+        with pytest.raises(ValueError, match="condition 'bogus'"):
+            ClassEvaluator(f0, split).zero_set("bogus")
+
+    def test_grid_disagreement_raises(self, get_split, get_f_structures, monkeypatch):
+        split = get_split(5, 4)
+        f0 = structure_by_label(get_f_structures(5, 4), "f0")
+        monkeypatch.setattr(ClassEvaluator, "zero_set", lambda self, name: CharacteristicSet(kind="empty"))
+        with pytest.raises(RuntimeError, match=r"f0 g1 at \(s, t\) = \(0.5, 0.5\)"):
+            characteristic_set(f0, split, "g1", grid=SMALL_GRID)
+
+
+def channel_point(s: float, t: float) -> np.ndarray:
+    return np.array([1.0, 0.5 * (t - s), (t - 1.0) / (2.0 * s), (s - 1.0) / (2.0 * t)])
+
+
+def constraints_for_kernel(v: np.ndarray) -> np.ndarray:
+    """Three rows whose common kernel is spanned by v."""
+    return np.linalg.svd(v[None, :])[2][1:]
+
+
+class TestDecodeConstraints:
+    def test_no_constraint_is_all(self):
+        assert decode_constraints(np.zeros((0, 4))).kind == "all"
+
+    @pytest.mark.parametrize("row,axis", [((0.0, 0.0, 0.0, -2.0), "s"), ((0.0, 0.0, 3.0, 0.0), "t")])
+    def test_axis_lines(self, row, axis):
+        zs = decode_constraints([row])
+        assert zs.kind == "line" and zs.lines == ((axis, 1.0),) and zs.rank == 1
+        on = (1.0, 2.5) if axis == "s" else (2.5, 1.0)
+        assert zs.contains(*on) and not zs.contains(2.5, 2.5)
+
+    def test_point(self):
+        zs = decode_constraints(constraints_for_kernel(channel_point(2.0, 0.5)))
+        assert zs.kind == "points" and zs.rank == 3
+        np.testing.assert_allclose(zs.points[0], (2.0, 0.5), rtol=0.0, atol=1e-13)
+        assert zs.contains(2.0, 0.5) and not zs.contains(2.0, 0.6)
+
+    @pytest.mark.parametrize("v", [(1.0, 0.5, 0.3, -0.5), (1.0, 0.0, 0.5, 0.5), (1.0, 0.0, 0.5 - 1e-12, 0.5)])
+    def test_point_on_the_boundary_or_at_infinity_is_empty(self, v):
+        # (1/2, c2, -1/2) inverts to s = 0, t = 1, the edge of the quadrant;
+        # (0, 1/2, 1/2) is the limit of c(s, s) as s grows without bound, and
+        # c2 within TAU_RANK of 1/2 counts as that limit.
+        with np.errstate(divide="raise"):
+            zs = decode_constraints(constraints_for_kernel(np.array(v)))
+        assert zs.kind == "empty" and zs.rank == 3
+
+    def test_point_with_inconsistent_third_channel_is_empty(self):
+        v = channel_point(2.0, 0.5)
+        v[3] += 0.1
+        assert decode_constraints(constraints_for_kernel(v)).kind == "empty"
+
+    def test_constant_row_is_empty(self):
+        zs = decode_constraints([(1.0, 0.0, 0.0, 0.0)])
+        assert zs.kind == "empty" and not zs.contains(1.0, 1.0)
+
+    def test_diagonal_is_returned_as_equations(self):
+        # c1 = 0 is the diagonal t = s: no axis line, so no guess either.
+        zs = decode_constraints([(0.0, 1.0, 0.0, 0.0)])
+        assert zs.kind == "equations" and not zs.lines and not zs.points
+        assert zs.equations == (((1, 2, 1.0), (2, 1, -1.0)),)
+        assert zs.contains(2.0, 2.0) and zs.contains(0.3, 0.3) and not zs.contains(2.0, 3.0)
+        assert zs.description() == "+1.000000*s*t^2 -1.000000*s^2*t = 0"
 
 
 class TestGridBuilder:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flagf import classify
 from flagf.cli import main
 from flagf.liealg import LieElement
 
@@ -211,18 +212,54 @@ class TestSweep:
         )
         assert code == 2
 
-    def test_sweep_respects_thread_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FLAGF_THREADS", "4")
-        out_a = tmp_path / "mt"
-        code, _, _ = run(
-            capsys, "sweep", "--n", "5", "--k", "6", "--out", str(out_a), "--format", "json"
+    @pytest.mark.parametrize(
+        "k,label,grid_args",
+        [("6", "f1", ("--grid-step", "1.0")), ("4", "f0", ("--grid-min", "2"))],
+    )
+    def test_coarse_grids_report_the_nk_line(self, capsys, tmp_path, k, label, grid_args):
+        # Coarse grids once turned the line s = 1 into two isolated points.
+        code, stdout, _ = run(
+            capsys, "sweep", "--n", "5", "--k", k, "--out", str(tmp_path), "--format", "json", *grid_args
         )
         assert code == 0
-        monkeypatch.setenv("FLAGF_THREADS", "1")
-        out_b = tmp_path / "st"
-        run(capsys, "sweep", "--n", "5", "--k", "6", "--out", str(out_b), "--format", "json")
-        for name in ("f1.json", "f4.json", "summary.json"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        nk = json.loads((tmp_path / "summary.json").read_text())["structures"][label]["nk"]
+        assert nk["kind"] == "line" and nk["lines"] == [{"axis": "s", "value": 1.0}] and nk["points"] == []
+        assert nk["description"] == "line s=1.000000"
+        assert nk["rank"] == 1 and nk["sigma_min_kept"] > 1.0 and nk["sigma_max_dropped"] < 1e-12
+        assert f"{label}: kill: (1.000000, 1.333333); nk: line s=1.000000; g1: all (s, t)" in stdout
+
+    def test_cost_guard_one_evaluator_per_structure(self, capsys, tmp_path, monkeypatch):
+        # Zero sets come from the evaluator that made the grid reports: no
+        # second evaluator, and no residuals beyond the reports' three per point.
+        counts = {"init": 0, "residual": 0}
+        init, residual = classify.ClassEvaluator.__init__, classify.ClassEvaluator.residual
+
+        def counting_init(self, *args, **kwargs):
+            counts["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_residual(self, *args, **kwargs):
+            counts["residual"] += 1
+            return residual(self, *args, **kwargs)
+
+        monkeypatch.setattr(classify.ClassEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(classify.ClassEvaluator, "residual", counting_residual)
+        code, _, _ = run(capsys, "sweep", "--n", "5", "--k", "6", "--out", str(tmp_path), "--format", "json")
+        assert code == 0
+        structures = json.loads((tmp_path / "summary.json").read_text())["structures"]
+        points = len(json.loads((tmp_path / "f1.json").read_text())["sweep"])
+        assert counts["init"] == len(structures) == 4
+        assert counts["residual"] <= 3 * points * len(structures)
+
+    def test_disagreeing_grid_verdict_fails_the_sweep(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            classify.ClassEvaluator, "zero_set", lambda self, name: classify.CharacteristicSet(kind="empty")
+        )
+        out = tmp_path / "bad"
+        code, _, err = run(capsys, "sweep", "--n", "4", "--k", "4", "--out", str(out), "--format", "json")
+        assert code == 1
+        assert "f0 g1 at (s, t) = (0.25, 0.25)" in err
+        assert not out.exists()
 
 
 class TestArgumentErrors:

@@ -17,7 +17,6 @@ from flagf.liealg import (
     nullspace,
     orthonormalized,
     poly_in,
-    project,
     random_skew,
     skew,
     trace_form,
@@ -153,8 +152,8 @@ class TestSubspace:
         sp = Subspace.span(4, [basis_element(4, 0, 1)])
         inside = 2.5 * basis_element(4, 0, 1)
         outside = basis_element(4, 2, 3)
-        assert project(sp, inside).allclose(inside, tol=1e-12)
-        assert project(sp, outside).norm < 1e-14
+        assert sp.project(inside).allclose(inside, tol=1e-12)
+        assert sp.project(outside).norm < 1e-14
         assert sp.contains(inside)
         assert not sp.contains(outside)
 
