@@ -20,7 +20,7 @@ of the k = 4 and k = 6 structures on the flag spaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,16 +83,7 @@ class StructureCheck:
     pairwise_commutation: float
 
     def passed(self, tol: float = 1e-10) -> bool:
-        return (
-            max(
-                self.defining_residual,
-                self.polynomial_residual,
-                self.theta_commutation,
-                self.ad_invariance,
-                self.pairwise_commutation,
-            )
-            < tol
-        )
+        return max(v for k, v in asdict(self).items() if k != "label") < tol
 
 
 @dataclass(frozen=True)
@@ -181,21 +172,26 @@ def generate_product_structures(ps: PhiSpace) -> list[CanonicalStructure]:
     return _dedup_and_label(ps, raw, kind="p", k=k)
 
 
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _defining_residual(m: np.ndarray, product: bool) -> float:
+    """max |P^2 - 1| for an almost product structure, max |f^3 + f| otherwise."""
+    return _max_abs(m @ m - np.eye(len(m)) if product else m @ m @ m + m)
+
+
 def _dedup_and_label(ps, raw, kind: str, k: int) -> list[CanonicalStructure]:
     d = ps.m.dim
     deduped = []
     for sig, poly, op in raw:
         if any(np.max(np.abs(op.matrix - o.matrix)) < _DEDUP_TOL for _, _, o in deduped):
             continue
-        if d:  # the generating formulas guarantee the defining identities
-            m = op.matrix
-            res = (
-                np.max(np.abs(m @ m - np.eye(d)))
-                if kind == "p"
-                else np.max(np.abs(m @ m @ m + m))
-            )
-            if res > TAU_NUM:
-                raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
+        if kind == "f" and d and np.max(np.abs(op.matrix)) < _DEDUP_TOL:
+            continue  # the zero operator satisfies f^3 + f = 0 but is no structure
+        res = _defining_residual(op.matrix, product=kind == "p")
+        if res > TAU_NUM:  # the generating formulas guarantee the defining identities
+            raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
         deduped.append((sig, poly, op))
 
     reference = (REFERENCE_F_COEFFS if kind == "f" else REFERENCE_P_COEFFS).get(k, {})
@@ -257,34 +253,14 @@ def structure_by_label(structures, label: str) -> CanonicalStructure:
 def verify_structure(cs: CanonicalStructure, ps: PhiSpace, others=()) -> StructureCheck:
     """Re-check the defining identity, polynomial reconstruction, commutation
     with theta and with the other structures, and ad(h)-equivariance."""
-    f = cs.op.matrix
-    d = ps.m.dim
-    if cs.kind == "almost-product":
-        defining = np.max(np.abs(f @ f - np.eye(d))) if d else 0.0
-    else:
-        defining = np.max(np.abs(f @ f @ f + f)) if d else 0.0
-
-    rebuilt = poly_in(ps.theta, cs.theta_polynomial).matrix
-    poly_res = np.max(np.abs(rebuilt - f)) if d else 0.0
-
-    th = ps.theta.matrix
-    comm_theta = np.max(np.abs(f @ th - th @ f)) if d else 0.0
-
-    a = ps.ad_h
-    ad_res = np.max(np.abs(a @ f - f @ a)) if a.size else 0.0
-
-    pair_res = 0.0
-    for other in others:
-        g = other.op.matrix
-        pair_res = max(pair_res, float(np.max(np.abs(f @ g - g @ f))) if d else 0.0)
-
+    f, th, ad = cs.op.matrix, ps.theta.matrix, ps.ad_h
     return StructureCheck(
         label=cs.label,
-        defining_residual=float(defining),
-        polynomial_residual=float(poly_res),
-        theta_commutation=float(comm_theta),
-        ad_invariance=float(ad_res),
-        pairwise_commutation=float(pair_res),
+        defining_residual=_defining_residual(f, product=cs.kind == "almost-product"),
+        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial).matrix - f),
+        theta_commutation=_max_abs(f @ th - th @ f),
+        ad_invariance=_max_abs(ad @ f - f @ ad),
+        pairwise_commutation=max([0.0] + [_max_abs(f @ o.op.matrix - o.op.matrix @ f) for o in others]),
     )
 
 

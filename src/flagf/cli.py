@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -169,13 +169,7 @@ def _structure_dict(cs: canonical.CanonicalStructure, check: canonical.Structure
         "polynomial": [float(c) for c in cs.theta_polynomial],
     }
     if check is not None:
-        d["checks"] = {
-            "defining_residual": check.defining_residual,
-            "polynomial_residual": check.polynomial_residual,
-            "theta_commutation": check.theta_commutation,
-            "ad_invariance": check.ad_invariance,
-            "pairwise_commutation": check.pairwise_commutation,
-        }
+        d["checks"] = {key: value for key, value in asdict(check).items() if key != "label"}
     return d
 
 
@@ -236,19 +230,16 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     )
 
     everything = fs + prods
-    worst = {"defining": 0.0, "poly": 0.0, "theta": 0.0, "ad": 0.0, "pair": 0.0}
-    for cs in everything:
-        chk = canonical.verify_structure(cs, ps, others=everything)
-        worst["defining"] = max(worst["defining"], chk.defining_residual)
-        worst["poly"] = max(worst["poly"], chk.polynomial_residual)
-        worst["theta"] = max(worst["theta"], chk.theta_commutation)
-        worst["ad"] = max(worst["ad"], chk.ad_invariance)
-        worst["pair"] = max(worst["pair"], chk.pairwise_commutation)
-    add("structure-defining-identities", worst["defining"] < 1e-10, worst["defining"])
-    add("structure-polynomial-reconstruction", worst["poly"] < 1e-10, worst["poly"])
-    add("structure-theta-commutation", worst["theta"] < 1e-10, worst["theta"])
-    add("structure-ad-invariance", worst["ad"] < 1e-10, worst["ad"])
-    add("structure-pairwise-commutation", worst["pair"] < 1e-10, worst["pair"])
+    structure_checks = [canonical.verify_structure(cs, ps, others=everything) for cs in everything]
+    for name, field in (
+        ("structure-defining-identities", "defining_residual"),
+        ("structure-polynomial-reconstruction", "polynomial_residual"),
+        ("structure-theta-commutation", "theta_commutation"),
+        ("structure-ad-invariance", "ad_invariance"),
+        ("structure-pairwise-commutation", "pairwise_commutation"),
+    ):
+        worst = max([0.0] + [getattr(chk, field) for chk in structure_checks])
+        add(name, worst < 1e-10, worst)
 
     for family in (fs, prods):
         ok = all(
@@ -315,12 +306,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
             dev_nomizu = max(dev_nomizu, abs(val) / kappa)
         add("connection-metric-compatibility", dev_nomizu < 1e-8, dev_nomizu)
 
-        chain_ok = True
-        for cs in fs:
-            ev = classify.ClassEvaluator(cs, split)
-            for s_, t_ in SPECIAL_POINTS:
-                chain_ok = chain_ok and ev.report(metricgeom.MetricParams(s_, t_, kappa)).chain_ok
-        add("class-chain-at-special-points", chain_ok)
+        reports = [r for cs in fs for r in classify.ClassEvaluator(cs, split).sweep(SPECIAL_POINTS, kappa)]
+        add("class-chain-at-special-points", all(r.chain_ok for r in reports))
 
     passed = all(c["passed"] for c in checks)
     report = {
@@ -383,6 +370,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
                 "residual": rep.residuals[name],
                 "member": rep.memberships[name],
                 "indeterminate": rep.indeterminate[name],
+                "witness": None if rep.witnesses[name] is None else list(rep.witnesses[name]),
             }
             for name in classify.CONDITION_NAMES
         },
@@ -400,7 +388,8 @@ def _classify_text(report: dict) -> str:
     for name in classify.CONDITION_NAMES:
         r = report["results"][name]
         verdict = "member" if r["member"] else ("indeterminate" if r["indeterminate"] else "non-member")
-        lines.append(f"{name.upper():>4}: {verdict}  residual={fmt_float(r['residual'])}")
+        witness = "none" if r["witness"] is None else "({}, {})".format(*r["witness"])
+        lines.append(f"{name.upper():>4}: {verdict}  residual={fmt_float(r['residual'])}  witness={witness}")
     lines.append(f"chain_ok: {report['chain_ok']}")
     return "\n".join(lines) + "\n"
 

@@ -270,11 +270,6 @@ def _orth_rows(rows: np.ndarray) -> np.ndarray:
     return vh[:rank]
 
 
-def orthonormalized(space: Subspace) -> Subspace:
-    """Re-run orthonormalization on a subspace (idempotent within TAU_ORTH)."""
-    return Subspace(space.ambient_n, _orth_rows(space.coords))
-
-
 @dataclass(frozen=True, eq=False)
 class EndoOnM:
     """A linear operator on a subspace, as a matrix over its ordered basis.

@@ -12,7 +12,7 @@ which canonical structures and invariant metrics are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,13 +102,7 @@ class RegularityReport:
 
     @property
     def agree(self) -> bool:
-        flags = (
-            self.direct_sum,
-            self.nonsingular_on_image,
-            self.kernel_square_stable,
-            self.theta_no_fixed_vector,
-        )
-        return len(set(flags)) == 1
+        return len(set(asdict(self).values())) == 1
 
     @property
     def all_pass(self) -> bool:
@@ -228,10 +222,9 @@ def _check_phi_space_invariants(spec, phi, h, m, theta) -> None:
     for b in bracket_rows(spec.n, h.coords, m.coords):
         if np.max(m.residuals(b), initial=0.0) > TAU_NUM:
             raise RuntimeError("reductivity failure: [h, m] leaves m")
+    if not _nonsingular(theta.matrix - np.eye(m.dim)):
+        raise RuntimeError("theta has a fixed vector")
     if m.dim:
-        sv = np.linalg.svd(theta.matrix - np.eye(m.dim), compute_uv=False)
-        if sv[-1] < 1e-6:
-            raise RuntimeError("theta has a fixed vector")
         tk = np.linalg.matrix_power(theta.matrix, spec.k)
         if np.max(np.abs(tk - np.eye(m.dim))) > 10 * TAU_NUM:
             raise RuntimeError("theta^k is not the identity")
@@ -252,29 +245,17 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     cross = ps.h.coords @ ps.m.coords.T if ps.h.dim and ps.m.dim else np.zeros((1, 1))
     direct_sum = bool(dims_ok and np.max(np.abs(cross)) < TAU_NUM)
 
-    if ps.m.dim:
-        a_on_image = ps.m.coords @ a.matrix @ ps.m.coords.T
-        sv = np.linalg.svd(a_on_image, compute_uv=False)
-        nonsingular = bool(sv[-1] > 1e-6)
-    else:
-        nonsingular = True
-
-    ker_a = nullspace(a)
-    ker_a2 = nullspace(a @ a)
-    kernel_stable = ker_a.dim == ker_a2.dim
-
-    if ps.m.dim:
-        sv_theta = np.linalg.svd(ps.theta.matrix - np.eye(ps.m.dim), compute_uv=False)
-        no_fixed = bool(sv_theta[-1] > 1e-6)
-    else:
-        no_fixed = True
-
     return RegularityReport(
         direct_sum=direct_sum,
-        nonsingular_on_image=nonsingular,
-        kernel_square_stable=kernel_stable,
-        theta_no_fixed_vector=no_fixed,
+        nonsingular_on_image=_nonsingular(ps.m.coords @ a.matrix @ ps.m.coords.T),
+        kernel_square_stable=nullspace(a).dim == nullspace(a @ a).dim,
+        theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
     )
+
+
+def _nonsingular(mat: np.ndarray) -> bool:
+    """Smallest singular value above 1e-6 (True for an empty matrix)."""
+    return not mat.size or bool(np.linalg.svd(mat, compute_uv=False)[-1] > 1e-6)
 
 
 def fixed_subalgebra_dim(n: int, m_blocks: int) -> int:

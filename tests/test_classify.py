@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ import flagf
 from flagf.canonical import structure_by_label
 from flagf.classify import (
     CONDITION_NAMES,
+    NONMEMBER_MARGIN,
+    TAU_MEMBER,
+    TAU_RANK,
     ClassEvaluator,
     build_grid,
     CharacteristicSet,
@@ -18,9 +23,23 @@ from flagf.classify import (
     product_compat_residual,
     sweep,
 )
-from flagf.metricgeom import MetricParams
+from flagf.metricgeom import MetricParams, u_channel_coefficients, u_channel_masks
 
 FOUR_THIRDS = 4.0 / 3.0
+
+
+def dense_stacks(ev: ClassEvaluator, name: str) -> list[np.ndarray]:
+    """The base and the three U-channel (d, d, d) tensors of a condition,
+    built by the einsum reference route: a zero bracket tensor drops the
+    bracket terms, a zero U tensor the U terms."""
+    from flagf.classify import _condition_tensor
+
+    f, bm = ev.f_matrix, ev.split.bracket_m
+    zero = np.zeros_like(bm)
+    masks = u_channel_masks(ev.split)
+    return [_condition_tensor(name, f, f @ f, bm, zero)] + [
+        _condition_tensor(name, f, f @ f, zero, mask[:, :, None] * bm) for mask in masks
+    ]
 
 
 class TestMetricCompatibility:
@@ -153,40 +172,101 @@ class TestOrderSixMemberships:
 
 class TestEvaluatorInternals:
     def test_closed_kernels_match_direct_evaluation(self, get_split, get_f_structures):
-        # The channel-decomposed fast path must agree with assembling the
-        # condition tensor from the explicit U tensor.
-        from flagf.classify import _condition_tensor
-        from flagf.metricgeom import u_coords_tensor
+        # The compact polarized entries, combined at (s, t), must give the pair
+        # norms of the condition tensor assembled from the explicit U tensor,
+        # and every pair they drop must polarize to zero there.
+        from flagf.classify import _combined_norms
 
         split = get_split(5, 6)
         f1 = structure_by_label(get_f_structures(5, 6), "f1")
         ev = ClassEvaluator(f1, split, u_mode="closed")
         p = MetricParams(1.7, 0.45, kappa=2.0)
-        u = u_coords_tensor(split, p, "closed")
-        for name in CONDITION_NAMES:
-            direct = _condition_tensor(name, ev.f_matrix, ev.f_matrix @ ev.f_matrix, split.bracket_m, u)
-            np.testing.assert_allclose(ev.condition_tensor(name, p), direct, atol=1e-12)
+        norms = _combined_norms(ev._values, ev._starts, u_channel_coefficients(p)[None])[0]
+        for name, span in ev._spans.items():
+            direct = ev.condition_tensor(name, p)
+            sym = np.linalg.norm(direct + direct.transpose(1, 0, 2), axis=2)
+            i, j = ev._pairs[span].T
+            np.testing.assert_allclose(norms[span], sym[i, j], rtol=1e-12, atol=1e-15)
+            dropped = np.ones(sym.shape, dtype=bool)
+            dropped[i, j] = dropped[j, i] = False
+            assert np.max(sym[dropped], initial=0.0) < 1e-12
 
-    def test_row_blocked_arithmetic_matches_whole_tensors(self, get_split, get_f_structures):
-        # d = 17 at n = 8 gives blocks of 8, 8 and 1 rows; the blocked
-        # evaluation must reproduce the whole-tensor arithmetic bit for bit.
-        from flagf.metricgeom import u_channel_coefficients
-
-        split = get_split(8, 6)
-        ev = ClassEvaluator(structure_by_label(get_f_structures(8, 6), "f1"), split)
-        for s, t in [(1.0, FOUR_THIRDS), (0.3, 7.0), (2.0, 2.0)]:
-            p = MetricParams(s, t, kappa=7.0)
-            for name in CONDITION_NAMES:
-                base, *chans = ev._kernels[name]
-                c = base.copy()
-                for coeff, ch in zip(u_channel_coefficients(p), chans):
-                    if coeff != 0.0:
-                        c += coeff * ch
-                np.testing.assert_array_equal(ev.condition_tensor(name, p), c)
-                norms = np.linalg.norm(c + c.transpose(1, 0, 2), axis=2)
-                i, j = np.unravel_index(int(np.argmax(norms)), norms.shape)
+    @pytest.mark.parametrize("n,k", [(5, 4), (5, 6), (6, 8), (8, 6), (12, 6)])
+    def test_compact_residuals_match_dense_route(self, get_split, get_f_structures, n, k):
+        # The dense route polarizes the whole d^3 condition tensor, assembled
+        # from stacks built by the einsum reference route.  On the default
+        # grid residuals agree to rounding (members are noise below 1e-15)
+        # and each non-member's witness pair carries the dense maximum; at
+        # s, t in {1e-6, 1e6} channel coefficients up to 5e11 cancel, so
+        # only the verdicts are compared there.
+        split = get_split(n, k)
+        extremes = [(s, t) for s in (1e-6, 1e6) for t in (1e-6, 1e6)]
+        grid = default_grid()
+        for cs in get_f_structures(n, k):
+            ev = ClassEvaluator(cs, split)
+            stacks = {name: dense_stacks(ev, name) for name in CONDITION_NAMES}
+            for (s, t), rep in zip(grid + extremes, ev.sweep(grid + extremes, kappa=float(n - 1))):
+                c = u_channel_coefficients(MetricParams(s, t))
                 scale = ev.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
-                assert ev.residual(name, p) == (float(norms[i, j] / scale), (int(i), int(j)))
+                for name, (base, *chans) in stacks.items():
+                    cond = base + c[0] * chans[0] + c[1] * chans[1] + c[2] * chans[2]
+                    norms = np.linalg.norm(cond + cond.transpose(1, 0, 2), axis=2)
+                    dense = float(norms.max() / scale)
+                    assert rep.memberships[name] == (dense < TAU_MEMBER), (cs.label, name, s, t)
+                    assert rep.indeterminate[name] == (TAU_MEMBER <= dense <= NONMEMBER_MARGIN)
+                    if (s, t) in grid:
+                        np.testing.assert_allclose(rep.residuals[name], dense, rtol=1e-12, atol=1e-15)
+                        if rep.witnesses[name] is not None:
+                            np.testing.assert_allclose(norms[rep.witnesses[name]], norms.max(), rtol=1e-12)
+
+    def test_polarized_entries_keep_exactly_what_carries_data(self):
+        # One entry below the diagonal, one pair whose rows cancel, one
+        # diagonal pair; everything else is zero.
+        from flagf.classify import _polarized_entries
+
+        k = np.zeros((3, 4, 5, 5, 5))
+        k[0, 2, 3, 1, 4] = 2.0  # only the row (3, 1): its pair is (1, 3)
+        k[1, 0, 2, 4, 0] = 1.5  # rows (2, 4) and (4, 2) cancel
+        k[1, 0, 4, 2, 0] = -1.5
+        k[2, 1, 2, 2, 3] = 0.5  # diagonal pair (2, 2) polarizes to twice its row
+        cond, pairs, owner, values = _polarized_entries(k)
+        assert cond.tolist() == [0, 0, 1, 1, 2, 2]
+        assert pairs.tolist() == [[0, 0], [1, 3], [0, 0], [2, 4], [0, 0], [2, 2]]
+        assert owner.tolist() == [0, 1, 2, 3, 4, 5]  # one zero entry for each empty pair
+        want = np.zeros((4, 6))
+        want[2, 1] = 2.0
+        want[1, 5] = 1.0
+        np.testing.assert_array_equal(values, want)
+
+    def test_report_and_sweep_residuals_are_bit_identical(self, get_split, get_f_structures):
+        # report() is a batch of one; sweep() takes the grid in blocks of
+        # about 2^16 combined entries, and this grid spans several of them.
+        split = get_split(12, 6)
+        grid = build_grid(0.05, 3.0, 0.05)
+        for label in ("f1", "f4"):
+            ev = ClassEvaluator(structure_by_label(get_f_structures(12, 6), label), split)
+            assert len(grid) > 2 * ((1 << 16) // ev._values.shape[1])
+            for (s, t), swept in zip(grid, ev.sweep(grid, kappa=11.0)):
+                single = ev.report(MetricParams(s, t, kappa=11.0))
+                assert single.residuals == swept.residuals and single.witnesses == swept.witnesses
+
+    def test_cost_guard_compact_kernels(self, get_split, get_f_structures):
+        # The dense (4, d, d, d) stacks would be 6.6 MB at n = 16, k = 6, and a
+        # report that built a d^3 condition tensor would allocate d^3 * 8 bytes,
+        # which a freed temporary of that size faults back in on every call.
+        split = get_split(16, 6)
+        d = split.dim
+        ev = ClassEvaluator(structure_by_label(get_f_structures(16, 6), "f4"), split)
+        assert sum(a.nbytes for a in (ev._values, ev._owner, ev._starts, ev._pairs)) < 1 << 20
+        p = MetricParams(0.7, 2.3, kappa=15.0)
+        ev.report(p)
+        tracemalloc.start()
+        try:
+            ev.report(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d**3 * 8 / 4
 
     def test_closed_vs_solved_residuals_agree(self, get_split, get_f_structures):
         split = get_split(5, 6)
@@ -384,6 +464,7 @@ class TestExactZeroSets:
         split = get_split(n, k)
         labels = []
         for cs in get_f_structures(n, k):
+            assert np.linalg.norm(cs.op.matrix, 2) >= 0.5, cs.label  # no zero operator
             if cs.label.startswith("-"):
                 continue
             labels.append(cs.label)
@@ -391,7 +472,25 @@ class TestExactZeroSets:
             sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
             assert all(zs.kind in ("all", "empty", "line", "points") for zs in sets.values())
             assert grid_disagreement(sets, ev.sweep(SMALL_GRID)) is None, cs.label
-        assert len(labels) >= 5
+        assert labels == ["f1", "f2", "f3", "f4"]
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (5, 6), (6, 8), (6, 10)])
+    def test_zero_sets_match_dense_svd(self, get_split, get_f_structures, n, k):
+        # The compact entries weigh pairs i < j by sqrt(2), so that A^T A is that
+        # of the dense (d^3, 4) matrix of polarized reference tensors.
+        split = get_split(n, k)
+        for cs in get_f_structures(n, k):
+            ev = ClassEvaluator(cs, split)
+            for name in CONDITION_NAMES:
+                stack = np.array(dense_stacks(ev, name))
+                a = (stack + stack.transpose(0, 2, 1, 3)).reshape(4, -1).T
+                _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+                rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
+                zs = ev.zero_set(name)
+                assert zs.rank == rank, (cs.label, name)
+                assert zs.description() == decode_constraints(vt[:rank]).description(), (cs.label, name)
+                if rank:
+                    np.testing.assert_allclose(zs.sigma_min_kept, sigma[rank - 1], rtol=1e-12)
 
     def test_rank_and_singular_value_gap(self, get_split, get_f_structures):
         split = get_split(5, 4)

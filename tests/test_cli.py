@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import flagf
 from flagf import classify
 from flagf.cli import main
 from flagf.liealg import LieElement
@@ -106,6 +107,22 @@ class TestClassify:
         assert report["results"]["g1"]["member"] is True
         assert report["results"]["nk"]["member"] is False
         assert report["results"]["nk"]["residual"] > 1e-3
+
+    def test_non_member_reports_its_witness_pair(self, capsys):
+        args = ("classify", "--n", "5", "--k", "4", "--f", "f0", "--s", "1", "--t", "1")
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        ps = flagf.build_phi_space(flagf.build_automorphism(5, 1, 4))
+        split = flagf.build_split(ps)
+        f0 = flagf.structure_by_label(flagf.generate_f_structures(ps), "f0")
+        rep = classify.ClassEvaluator(f0, split).report(flagf.MetricParams.for_space(ps, 1.0, 1.0))
+        assert results["kill"]["member"] is False
+        assert results["kill"]["witness"] == list(rep.witnesses["kill"])
+        assert results["nk"]["witness"] is None and results["g1"]["witness"] is None
+        code, out, _ = run(capsys, *args)
+        i, j = rep.witnesses["kill"]
+        assert f"witness=({i}, {j})" in out and "witness=none" in out
 
     def test_unknown_structure(self, capsys):
         code, _, err = run(

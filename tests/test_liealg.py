@@ -4,6 +4,7 @@ import pytest
 from flagf.liealg import (
     EndoOnM,
     Subspace,
+    _orth_rows,
     ad_matrix,
     basis_element,
     bracket,
@@ -15,12 +16,16 @@ from flagf.liealg import (
     lie_coords,
     lie_from_coords,
     nullspace,
-    orthonormalized,
     poly_in,
     random_skew,
     skew,
     trace_form,
 )
+
+
+def orthonormalized(space: Subspace) -> Subspace:
+    """Re-run orthonormalization on a subspace (idempotent within TAU_ORTH)."""
+    return Subspace(space.ambient_n, _orth_rows(space.coords))
 
 
 def elementary(n, i, j):
