@@ -10,6 +10,7 @@ import numpy as np
 
 import flagf
 from flagf.metricgeom import u_coords_tensor
+from flagf.tolerances import TAU_NAT_RED
 
 n = 5
 ps = flagf.build_phi_space(flagf.build_automorphism(n, 1, 4))
@@ -25,7 +26,7 @@ for s, t in [(1.0, 1.0), (2.0, 1.0), (1.0, 4.0 / 3.0), (0.5, 2.5)]:
     u_closed = flagf.u_tensor_closed(split, p, x, y)
     u_solved = flagf.u_tensor_solved(split, p, x, y)
     dev = (u_closed - u_solved).norm
-    nat = flagf.check_naturally_reductive(split, p)
+    nat = flagf.naturally_reductive_residual(split, p) < TAU_NAT_RED
     print(f"(s, t) = ({s}, {t}):  |U(X,Y)| = {u_closed.norm:8.4f}   "
           f"closed-vs-solved dev = {dev:.1e}   naturally reductive: {nat}")
 

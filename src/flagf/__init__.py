@@ -50,7 +50,6 @@ from .metricgeom import (
     MetricParams,
     TripleSplit,
     build_split,
-    check_naturally_reductive,
     metric_eval,
     naturally_reductive_residual,
     nomizu,
@@ -64,7 +63,6 @@ from .classify import (
     MembershipResult,
     build_grid,
     characteristic_set,
-    check_metric_compat,
     default_grid,
     membership,
     metric_compat_residual,

@@ -20,15 +20,13 @@ of the k = 4 and k = 6 structures on the flag spaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import TAU_NUM, EndoOnM, LieElement, poly_in
+from .liealg import EndoOnM, LieElement, poly_in
 from .phispace import PhiSpace
-
-# Operators closer than this are treated as the same structure.
-_DEDUP_TOL = 10 * TAU_NUM
+from .tolerances import TAU_GENERATED, TAU_GOLDEN, TAU_SAME_OP, TAU_TRIVIAL_KERNEL
 
 # Reference coefficient vectors (index = power of theta) for the small orders.
 # The order-6 product P4 is stored with the involution-consistent coefficients
@@ -73,7 +71,7 @@ class CanonicalStructure:
 
 @dataclass(frozen=True)
 class StructureCheck:
-    """Residuals from re-verifying one structure (all should be ~1e-15)."""
+    """Residuals from re-verifying one structure (~1e-15; verify compares them with TAU_STRUCTURE)."""
 
     label: str
     defining_residual: float
@@ -81,9 +79,6 @@ class StructureCheck:
     theta_commutation: float
     ad_invariance: float
     pairwise_commutation: float
-
-    def passed(self, tol: float = 1e-10) -> bool:
-        return max(v for k, v in asdict(self).items() if k != "label") < tol
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ class GoldenActionReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation < 1e-12
+        return self.max_deviation < TAU_GOLDEN
 
 
 def u_of_k(k: int) -> int:
@@ -185,12 +180,12 @@ def _dedup_and_label(ps, raw, kind: str, k: int) -> list[CanonicalStructure]:
     d = ps.m.dim
     deduped = []
     for sig, poly, op in raw:
-        if any(np.max(np.abs(op.matrix - o.matrix)) < _DEDUP_TOL for _, _, o in deduped):
+        if any(np.max(np.abs(op.matrix - o.matrix)) < TAU_SAME_OP for _, _, o in deduped):
             continue
-        if kind == "f" and d and np.max(np.abs(op.matrix)) < _DEDUP_TOL:
+        if kind == "f" and d and np.max(np.abs(op.matrix)) < TAU_SAME_OP:
             continue  # the zero operator satisfies f^3 + f = 0 but is no structure
         res = _defining_residual(op.matrix, product=kind == "p")
-        if res > TAU_NUM:  # the generating formulas guarantee the defining identities
+        if res > TAU_GENERATED:  # the generating formulas guarantee the defining identities
             raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
         deduped.append((sig, poly, op))
 
@@ -204,21 +199,21 @@ def _dedup_and_label(ps, raw, kind: str, k: int) -> list[CanonicalStructure]:
     for sig, poly, op in deduped:
         label = None
         for name, rm in ref_ops.items():
-            if np.max(np.abs(op.matrix - rm)) < _DEDUP_TOL:
+            if np.max(np.abs(op.matrix - rm)) < TAU_SAME_OP:
                 label = name
-            elif np.max(np.abs(op.matrix + rm)) < _DEDUP_TOL:
+            elif np.max(np.abs(op.matrix + rm)) < TAU_SAME_OP:
                 label = "-" + name
             if label:
                 break
         if label is None and kind == "p" and d:
-            if np.max(np.abs(op.matrix - np.eye(d))) < _DEDUP_TOL:
+            if np.max(np.abs(op.matrix - np.eye(d))) < TAU_SAME_OP:
                 label = "I"
-            elif np.max(np.abs(op.matrix + np.eye(d))) < _DEDUP_TOL:
+            elif np.max(np.abs(op.matrix + np.eye(d))) < TAU_SAME_OP:
                 label = "-I"
         if label is None:
             # Pair with an already labelled negative if present.
             for prev in out:
-                if np.max(np.abs(op.matrix + prev.op.matrix)) < _DEDUP_TOL:
+                if np.max(np.abs(op.matrix + prev.op.matrix)) < TAU_SAME_OP:
                     label = prev.label[1:] if prev.label.startswith("-") else "-" + prev.label
                     break
         if label is None:
@@ -226,7 +221,7 @@ def _dedup_and_label(ps, raw, kind: str, k: int) -> list[CanonicalStructure]:
             label = f"{'f' if kind == 'f' else 'P'}{fresh}"
 
         if kind == "f":
-            trivial_kernel = d > 0 and np.linalg.svd(op.matrix, compute_uv=False)[-1] > 0.5
+            trivial_kernel = d > 0 and np.linalg.svd(op.matrix, compute_uv=False)[-1] > TAU_TRIVIAL_KERNEL
             kind_name = "almost-complex" if trivial_kernel else "f-structure"
         else:
             kind_name = "almost-product"
@@ -286,7 +281,7 @@ def expected_flag_action(label: str, s: np.ndarray) -> np.ndarray:
     return t - t.T
 
 
-def golden_action_check(ps: PhiSpace, tol: float = 1e-12) -> GoldenActionReport:
+def golden_action_check(ps: PhiSpace) -> GoldenActionReport:
     """Compare every order-4/order-6 f-structure against its closed-form
     action, entrywise, on each basis coordinate and on a dense element."""
     k, n = ps.spec.k, ps.spec.n
@@ -311,9 +306,8 @@ def golden_action_check(ps: PhiSpace, tol: float = 1e-12) -> GoldenActionReport:
             want = expected_flag_action(label, x.mat)
             delta = np.abs(got - want)
             dev = max(dev, float(np.max(delta)))
-            if np.max(delta) > tol:
-                for i, j in zip(*np.nonzero(delta > tol)):
-                    mismatches.append((label, (int(i), int(j)), float(got[i, j]), float(want[i, j])))
+            for i, j in zip(*np.nonzero(delta > TAU_GOLDEN)):
+                mismatches.append((label, (int(i), int(j)), float(got[i, j]), float(want[i, j])))
         per.append((label, dev))
         worst = max(worst, dev)
     return GoldenActionReport(

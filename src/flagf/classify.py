@@ -15,8 +15,9 @@ Residuals are normalized by the operator norm of f and by (1 + s + t + 1/s
 + 1/t), so grid sweeps stay comparable as the U coefficients grow near the
 parameter boundary.
 
-Membership is declared below 1e-9, non-membership above 1e-3; the band in
-between is flagged indeterminate (never observed on this family).
+Membership is declared below TAU_MEMBER = 1e-9, non-membership above
+NONMEMBER_MARGIN = 1e-3 (both in :mod:`flagf.tolerances`); the band in between
+is flagged indeterminate.
 
 With closed-form U each polarized condition reads A @ (1, c) = 0 for a fixed
 four-column A and the channel coefficients c = ((t-s)/2, (t-1)/(2s), (s-1)/(2t)),
@@ -34,15 +35,9 @@ from .canonical import CanonicalStructure
 from .metricgeom import (
     MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channel_masks, u_coords_tensor,
 )
+from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
-
-TAU_MEMBER = 1e-9
-NONMEMBER_MARGIN = 1e-3
-# Zero sets: singular values of A up to TAU_RANK * ||f|| are rounding noise
-# (kept ones are >= 1 for n = 4..24, dropped ones <= 1e-14), and so are unit
-# vector components and relative coordinate differences up to TAU_RANK.
-TAU_RANK = 1e-9
 
 
 def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -368,7 +363,7 @@ class ClassEvaluator:
         i, j = self._pairs[self._owner[mine]].T
         a = (self._values[:, mine] * np.where(i == j, 1.0, np.sqrt(2.0))).T
         _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
-        rank = int(np.sum(sigma > TAU_RANK * self.f_norm))
+        rank = int(np.sum(sigma > TAU_RANK * self.f_norm))  # kept sigma >= 1, dropped <= 1e-14 (n = 4..24)
         return replace(
             decode_constraints(vt[:rank]),
             sigma_min_kept=float(sigma[rank - 1]) if rank else None,
@@ -395,13 +390,6 @@ def metric_compat_residual(f: CanonicalStructure, split: TripleSplit, params: Me
     return float(np.max(np.abs(lhs + rhs)) / params.kappa)
 
 
-def check_metric_compat(
-    f: CanonicalStructure, split: TripleSplit, params: MetricParams, tol: float = 1e-10
-) -> bool:
-    """True iff f is skew-adjoint for g(s, t) on all basis pairs."""
-    return metric_compat_residual(f, split, params) < tol
-
-
 def product_compat_residual(p: CanonicalStructure, split: TripleSplit, params: MetricParams) -> float:
     """Max |g(PX, PY) - g(X, Y)| over basis pairs, normalized by kappa
     (the compatibility notion appropriate for almost product structures)."""
@@ -421,7 +409,7 @@ def build_grid(
         raise ValueError("grid step must be positive")
     if gmin <= 0:
         raise ValueError("grid values must be positive")
-    count = int(np.floor((gmax - gmin) / step + 1e-9)) + 1
+    count = int(np.floor((gmax - gmin) / step + TAU_GRID)) + 1
     vals = [gmin + i * step for i in range(count)]
     pts = [(s, t) for s in vals for t in vals]
     for p in extras:

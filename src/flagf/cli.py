@@ -13,6 +13,7 @@ writing reports if any grid verdict contradicts the exact zero set.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import canonical, classify, metricgeom, phispace
-from .liealg import bracket, random_skew, trace_form
+from .liealg import bracket, decompose_orthogonal, random_skew, trace_form
 from .report import atomic_write_text, csv_text, fmt_float, json_dumps
+from .tolerances import NAT_RED_MARGIN, TAU_CONNECTION, TAU_METRIC_COMPAT, TAU_NAT_RED, TAU_ORDER, TAU_PHI
+from .tolerances import TAU_STRUCTURE, TAU_U_NEUTRAL, TAU_U_ORACLE
 
 SPECIAL_POINTS = ((1.0, 1.0), (1.0, 4.0 / 3.0))
 
@@ -108,8 +111,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             s, t = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"cannot parse extra point {chunk!r}: {exc}") from exc
-        if s <= 0 or t <= 0:
-            raise ConfigError(f"extra points must be positive, got ({s}, {t})")
+        if not (0 < s < math.inf and 0 < t < math.inf):
+            raise ConfigError(f"extra points must be positive and finite, got ({s}, {t})")
         extras.append((s, t))
 
     cfg = RunConfig(
@@ -133,14 +136,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("sweep requires --out DIRECTORY")
     if cfg.command in ("verify", "classify") and cfg.fmt == "csv":
         raise ConfigError(f"format csv is not supported for {cfg.command}")
-    if cfg.command == "sweep" and cfg.grid_step <= 0:
-        raise ConfigError("--grid-step must be positive")
-    if cfg.command == "sweep" and (cfg.grid_min <= 0 or cfg.grid_max < cfg.grid_min):
-        raise ConfigError("grid bounds must satisfy 0 < min <= max")
-    if cfg.command == "classify" and (cfg.s <= 0 or cfg.t <= 0):
-        raise ConfigError("--s and --t must be positive")
-    if cfg.kappa is not None and cfg.kappa <= 0:
-        raise ConfigError("--kappa must be positive")
+    # Written as 0 < x < inf, so that NaN and infinity are rejected too.
+    if cfg.command == "sweep" and not 0 < cfg.grid_step < math.inf:
+        raise ConfigError("--grid-step must be positive and finite")
+    if cfg.command == "sweep" and not 0 < cfg.grid_min <= cfg.grid_max < math.inf:
+        raise ConfigError("grid bounds must satisfy 0 < min <= max < inf")
+    if cfg.command == "classify" and not (0 < cfg.s < math.inf and 0 < cfg.t < math.inf):
+        raise ConfigError("--s and --t must be positive and finite")
+    if cfg.kappa is not None and not 0 < cfg.kappa < math.inf:
+        raise ConfigError("--kappa must be positive and finite")
     return cfg
 
 
@@ -207,12 +211,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         px, py = ps.phi.apply(x), ps.phi.apply(y)
         dev_b = max(dev_b, (ps.phi.apply(bracket(x, y)) - bracket(px, py)).norm)
         dev_iso = max(dev_iso, abs(trace_form(px, py) - trace_form(x, y)))
-    add("phi-preserves-bracket", dev_b < 1e-9, dev_b)
-    add("phi-isometry", dev_iso < 1e-9, dev_iso)
+    add("phi-preserves-bracket", dev_b < TAU_PHI, dev_b)
+    add("phi-isometry", dev_iso < TAU_PHI, dev_iso)
 
     tk = np.linalg.matrix_power(ps.theta.matrix, k)
     res_order = float(np.max(np.abs(tk - np.eye(ps.m.dim)))) if ps.m.dim else 0.0
-    add("theta-order", res_order < 1e-9, res_order)
+    add("theta-order", res_order < TAU_ORDER, res_order)
 
     fs = canonical.generate_f_structures(ps)
     prods = canonical.generate_product_structures(ps)
@@ -239,11 +243,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         ("structure-pairwise-commutation", "pairwise_commutation"),
     ):
         worst = max([0.0] + [getattr(chk, field) for chk in structure_checks])
-        add(name, worst < 1e-10, worst)
+        add(name, worst < TAU_STRUCTURE, worst)
 
     for family in (fs, prods):
         ok = all(
-            any(np.max(np.abs(cs.op.matrix + other.op.matrix)) < 1e-10 for other in family)
+            any(np.max(np.abs(cs.op.matrix + other.op.matrix)) < TAU_STRUCTURE for other in family)
             for cs in family
         )
         add(f"{'f' if family is fs else 'product'}-negation-closure", ok)
@@ -254,8 +258,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
     if cfg.m_blocks == 1:
         split = metricgeom.build_split(ps)
-        from .liealg import decompose_orthogonal
-
         add(
             "split-dimensions",
             (split.m1.dim, split.m2.dim, split.m3.dim) == (2, 2 * (n - 3), n - 3),
@@ -270,13 +272,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
             uc = metricgeom.u_coords_tensor(split, p, "closed")
             us = metricgeom.u_coords_tensor(split, p, "solved")
             dev_u = max(dev_u, float(np.max(np.abs(uc - us))))
-        add("u-oracle-agreement", dev_u < 1e-9, dev_u)
+        add("u-oracle-agreement", dev_u < TAU_U_ORACLE, dev_u)
         p11 = metricgeom.MetricParams(1.0, 1.0, kappa)
         u11 = float(np.max(np.abs(metricgeom.u_coords_tensor(split, p11, "closed"))))
-        add("u-vanishes-at-neutral-metric", u11 < 1e-12, u11)
+        add("u-vanishes-at-neutral-metric", u11 < TAU_U_NEUTRAL, u11)
 
-        dev_mc = 0.0
-        dev_pc = 0.0
+        dev_mc = dev_pc = 0.0
         for _ in range(5):
             s_, t_ = rng.uniform(0.1, 5.0, 2)
             p = metricgeom.MetricParams(float(s_), float(t_), kappa)
@@ -284,16 +285,16 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
                 dev_mc = max(dev_mc, classify.metric_compat_residual(cs, split, p))
             for cs in prods:
                 dev_pc = max(dev_pc, classify.product_compat_residual(cs, split, p))
-        add("metric-f-compatibility", dev_mc < 1e-10, dev_mc)
-        add("metric-product-compatibility", dev_pc < 1e-10, dev_pc)
+        add("metric-f-compatibility", dev_mc < TAU_METRIC_COMPAT, dev_mc)
+        add("metric-product-compatibility", dev_pc < TAU_METRIC_COMPAT, dev_pc)
 
         r_nat = metricgeom.naturally_reductive_residual(split, p11)
-        add("naturally-reductive-at-neutral-metric", r_nat < 1e-9, r_nat)
+        add("naturally-reductive-at-neutral-metric", r_nat < TAU_NAT_RED, r_nat)
         r_off = min(
             metricgeom.naturally_reductive_residual(split, metricgeom.MetricParams(2.0, 1.0, kappa)),
             metricgeom.naturally_reductive_residual(split, metricgeom.MetricParams(1.0, 2.0, kappa)),
         )
-        add("not-naturally-reductive-off-neutral", r_off > 1e-3, r_off)
+        add("not-naturally-reductive-off-neutral", r_off > NAT_RED_MARGIN, r_off)
 
         dev_nomizu = 0.0
         p_rand = metricgeom.MetricParams(float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0)), kappa)
@@ -304,7 +305,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
             val = metricgeom.metric_eval(split, p_rand, metricgeom.nomizu(split, p_rand, z, x), y)
             val += metricgeom.metric_eval(split, p_rand, x, metricgeom.nomizu(split, p_rand, z, y))
             dev_nomizu = max(dev_nomizu, abs(val) / kappa)
-        add("connection-metric-compatibility", dev_nomizu < 1e-8, dev_nomizu)
+        add("connection-metric-compatibility", dev_nomizu < TAU_CONNECTION, dev_nomizu)
 
         reports = [r for cs in fs for r in classify.ClassEvaluator(cs, split).sweep(SPECIAL_POINTS, kappa)]
         add("class-chain-at-special-points", all(r.chain_ok for r in reports))

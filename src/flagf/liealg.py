@@ -7,7 +7,8 @@ orthonormal basis (E_ij - E_ji)/sqrt(2), i < j, ordered lexicographically in
 (i, j); this pins down every operator matrix and report for reproducibility.
 
 Matrices are small (the benchmark goes up to n = 24, so dim so(n) <= 276) and
-entries are O(1), so conservative absolute tolerances are used throughout.
+entries are O(1).  Each threshold, and the scale it applies to, is named in
+:mod:`flagf.tolerances`.
 
 Structural quantities (ad(h) on m, reductivity, the bracket tensor of m) all
 come from one batched kernel, :func:`bracket_rows`: for each basis element
@@ -25,11 +26,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-# Tolerances.  TAU_RANK_REL is relative to the largest singular value.
-TAU_SYM = 1e-12
-TAU_ORTH = 1e-12
-TAU_RANK_REL = 1e-9
-TAU_NUM = 1e-9
+from .tolerances import TAU_ORTH, TAU_RANK_REL, TAU_SKEW, TAU_SUBSPACE
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -60,7 +57,7 @@ def lex_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 class LieElement:
     """An element of so(n): a real skew-symmetric n x n matrix.
 
-    Skew-symmetry is enforced on construction within TAU_SYM and the stored
+    Skew-symmetry is enforced on construction within TAU_SKEW and the stored
     matrix is then symmetrized exactly, so ``mat == -mat.T`` holds bitwise.
     Instances are immutable; arithmetic returns new elements.
     """
@@ -73,7 +70,7 @@ class LieElement:
         if mat.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got {mat.shape}")
         dev = np.max(np.abs(mat + mat.T)) if self.n else 0.0
-        if dev > TAU_SYM * max(1.0, np.max(np.abs(mat))):
+        if dev > TAU_SKEW * max(1.0, np.max(np.abs(mat))):
             raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
         mat = 0.5 * (mat - mat.T)
         mat.flags.writeable = False
@@ -100,24 +97,17 @@ class LieElement:
         """Frobenius norm, i.e. sqrt(Tr(X^T X))."""
         return float(np.linalg.norm(self.mat))
 
-    def allclose(self, other: "LieElement", tol: float = TAU_NUM) -> bool:
-        _check_same_n(self, other)
-        return bool(np.max(np.abs(self.mat - other.mat)) <= tol)
-
 
 def _check_same_n(x: LieElement, y: LieElement) -> None:
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
-def skew(mat, tol: float = TAU_SYM) -> LieElement:
-    """Wrap a matrix as a LieElement, checking skew-symmetry within ``tol``."""
+def skew(mat) -> LieElement:
+    """Wrap a square matrix as a LieElement (skew-symmetric within TAU_SKEW)."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = np.max(np.abs(mat + mat.T)) if mat.size else 0.0
-    if dev > tol * max(1.0, np.max(np.abs(mat)) if mat.size else 1.0):
-        raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
     return LieElement(mat.shape[0], mat)
 
 
@@ -230,18 +220,15 @@ class Subspace:
         """Distance from x to this subspace, relative to |x| (0 for x = 0)."""
         if x.n != self.ambient_n:
             raise ValueError(f"dimension mismatch: {x.n} vs ambient {self.ambient_n}")
-        return float(self.residuals(lie_coords(x)[None])[0])
+        v = lie_coords(x)
+        nrm = np.linalg.norm(v)
+        return float(self.residuals(v[None])[0] / nrm) if nrm else 0.0
 
     def residuals(self, rows) -> np.ndarray:
-        """Distance of each lex-coordinate row to this subspace, relative to
-        the row's norm (0 for a zero row)."""
+        """Absolute distance of each lex-coordinate row to this subspace: a bracket
+        of unit basis vectors that is 0 exactly must not be scaled by its own noise."""
         rows = np.asarray(rows, dtype=float)
-        out = rows - (rows @ self.coords.T) @ self.coords
-        nrm = np.linalg.norm(rows, axis=1)
-        return np.linalg.norm(out, axis=1) / np.where(nrm == 0.0, 1.0, nrm)
-
-    def contains(self, x: LieElement, tol: float = TAU_NUM) -> bool:
-        return self.member_residual(x) <= tol
+        return np.linalg.norm(rows - (rows @ self.coords.T) @ self.coords, axis=1)
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -435,7 +422,7 @@ def decompose_orthogonal(whole: Subspace, parts) -> bool:
     if sum(p.dim for p in parts) != whole.dim:
         return False
     for i, p in enumerate(parts):
-        if p.dim and np.max(np.abs(p.coords @ whole.coords.T @ whole.coords - p.coords)) > TAU_NUM:
+        if p.dim and np.max(np.abs(p.coords @ whole.coords.T @ whole.coords - p.coords)) > TAU_SUBSPACE:
             return False
         for q in parts[i + 1 :]:
             if p.dim and q.dim and np.max(np.abs(p.coords @ q.coords.T)) > TAU_ORTH:

@@ -29,9 +29,7 @@ import numpy as np
 
 from .liealg import LieElement, Subspace, bracket, bracket_coords, bracket_rows
 from .phispace import PhiSpace, flag_complement_pattern
-
-# Relative residual above which an argument is rejected as not lying in m.
-MEMBERSHIP_TOL = 1e-9
+from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +88,7 @@ def build_split(ps: PhiSpace) -> TripleSplit:
         )
     n = ps.spec.n
     pattern = flag_complement_pattern(n)
-    if pattern.dim != ps.m.dim or not np.max(ps.m.residuals(pattern.coords)) < MEMBERSHIP_TOL:
+    if pattern.dim != ps.m.dim or not np.max(ps.m.residuals(pattern.coords)) < TAU_SUBSPACE:
         raise ValueError("complement does not match the flag block pattern")
 
     d1, d2, d3 = 2, 2 * (n - 3), n - 3
@@ -115,23 +113,23 @@ def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
         raise RuntimeError(f"unexpected block dimensions {dims}")
     # Pairwise trace-form orthogonality is exact: supports are disjoint.
     for a, b in ((split.m1, split.m2), (split.m1, split.m3), (split.m2, split.m3)):
-        if a.dim and b.dim and np.max(np.abs(a.coords @ b.coords.T)) > 1e-12:
+        if a.dim and b.dim and np.max(np.abs(a.coords @ b.coords.T)) > TAU_ORTH:
             raise RuntimeError("blocks are not orthogonal")
-    # Each block is ad(h)-invariant: [h_a, x] stays in the block of x.
+    # Each block is ad(h)-invariant: [h_a, x] stays in the block of x (absolute leak).
     for blk in (split.m1, split.m2, split.m3):
         for b in bracket_rows(n, ps.h.coords, blk.coords):
-            if np.max(blk.residuals(b), initial=0.0) > MEMBERSHIP_TOL:
+            if np.max(blk.residuals(b), initial=0.0) > TAU_SUBSPACE:
                 raise RuntimeError("block is not ad(h)-invariant")
     # Cyclic relations: cross-block brackets land in the third block, and
     # same-block brackets leave m entirely (they fall into h).
     bi = split.block_index
     size = np.abs(split.bracket_m)
     same = bi[:, None] == bi[None, :]
-    if np.max(size[same], initial=0.0) > 1e-10:
+    if np.max(size[same], initial=0.0) > TAU_CYCLIC:
         raise RuntimeError("same-block bracket has a component in m")
     third = 6 - bi[:, None] - bi[None, :]  # the block other than those of i and j
     leak = ~same[:, :, None] & (bi[None, None, :] != third[:, :, None])
-    if np.max(size[leak], initial=0.0) > 1e-10:
+    if np.max(size[leak], initial=0.0) > TAU_CYCLIC:
         raise RuntimeError("bracket relation [m_i, m_{i+1}] in m_{i+2} fails")
 
 
@@ -145,7 +143,7 @@ def block_weights(split: TripleSplit, params: MetricParams) -> np.ndarray:
 def _require_in_m(split: TripleSplit, *xs: LieElement) -> None:
     for x in xs:
         r = split.combined.member_residual(x)
-        if r > MEMBERSHIP_TOL:
+        if r > TAU_SUBSPACE:
             raise ValueError(f"argument is not in the complement m (residual {r:.3e})")
 
 
@@ -238,7 +236,3 @@ def naturally_reductive_residual(split: TripleSplit, params: MetricParams) -> fl
     lhs = bm * gd[None, None, :]
     rhs = np.einsum("i,jki->ijk", gd, bm)
     return float(np.max(np.abs(lhs - rhs)) / params.kappa)
-
-
-def check_naturally_reductive(split: TripleSplit, params: MetricParams, tol: float = 1e-9) -> bool:
-    return naturally_reductive_residual(split, params) < tol

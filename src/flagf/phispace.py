@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .liealg import (
-    TAU_NUM,
     EndoOnM,
     Subspace,
     basis_element,
@@ -30,8 +29,7 @@ from .liealg import (
     nullspace,
     so_dim,
 )
-
-_ORDER_TOL = 1e-9
+from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_SUBSPACE, TAU_THETA_POWER
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +45,7 @@ class AutomorphismSpec:
         b = np.asarray(self.b, dtype=float)
         if b.shape != (self.n, self.n):
             raise ValueError(f"B must be {self.n}x{self.n}, got {b.shape}")
-        if np.max(np.abs(b @ b.T - np.eye(self.n))) > 1e-10:
+        if np.max(np.abs(b @ b.T - np.eye(self.n))) > TAU_B_ORTH:
             raise ValueError("B must be orthogonal")
         b = b.copy()
         b.flags.writeable = False
@@ -170,7 +168,7 @@ def _conjugation_order(spec: AutomorphismSpec, cap: int) -> int | None:
     acc = np.eye(dg)
     for j in range(1, cap + 1):
         acc = p @ acc
-        if np.max(np.abs(acc - np.eye(dg))) < _ORDER_TOL:
+        if np.max(np.abs(acc - np.eye(dg))) < TAU_ORDER:
             return j
     return None
 
@@ -192,7 +190,7 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
 
     if spec.m_blocks == 1 and n >= 4:
         pattern = flag_complement_pattern(n)
-        if pattern.dim == m.dim and np.max(m.residuals(pattern.coords)) < TAU_NUM:
+        if pattern.dim == m.dim and np.max(m.residuals(pattern.coords)) < TAU_SUBSPACE:
             m = pattern
 
     theta = EndoOnM(m, m.coords @ phi.matrix @ m.coords.T)
@@ -220,13 +218,13 @@ def _check_phi_space_invariants(spec, phi, h, m, theta) -> None:
         raise RuntimeError(f"dim h + dim m = {h.dim}+{m.dim} != {dg}")
     # Reductivity: [h, m] stays in m, for all of m per basis element of h.
     for b in bracket_rows(spec.n, h.coords, m.coords):
-        if np.max(m.residuals(b), initial=0.0) > TAU_NUM:
+        if np.max(m.residuals(b), initial=0.0) > TAU_SUBSPACE:
             raise RuntimeError("reductivity failure: [h, m] leaves m")
     if not _nonsingular(theta.matrix - np.eye(m.dim)):
         raise RuntimeError("theta has a fixed vector")
     if m.dim:
         tk = np.linalg.matrix_power(theta.matrix, spec.k)
-        if np.max(np.abs(tk - np.eye(m.dim))) > 10 * TAU_NUM:
+        if np.max(np.abs(tk - np.eye(m.dim))) > TAU_THETA_POWER:
             raise RuntimeError("theta^k is not the identity")
 
 
@@ -243,7 +241,7 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
 
     dims_ok = ps.h.dim + ps.m.dim == dg
     cross = ps.h.coords @ ps.m.coords.T if ps.h.dim and ps.m.dim else np.zeros((1, 1))
-    direct_sum = bool(dims_ok and np.max(np.abs(cross)) < TAU_NUM)
+    direct_sum = bool(dims_ok and np.max(np.abs(cross)) < TAU_SUBSPACE)
 
     return RegularityReport(
         direct_sum=direct_sum,
@@ -254,8 +252,8 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
 
 
 def _nonsingular(mat: np.ndarray) -> bool:
-    """Smallest singular value above 1e-6 (True for an empty matrix)."""
-    return not mat.size or bool(np.linalg.svd(mat, compute_uv=False)[-1] > 1e-6)
+    """Smallest singular value above TAU_NONSINGULAR (True for an empty matrix)."""
+    return not mat.size or bool(np.linalg.svd(mat, compute_uv=False)[-1] > TAU_NONSINGULAR)
 
 
 def fixed_subalgebra_dim(n: int, m_blocks: int) -> int:

@@ -124,7 +124,7 @@ class TestStructureIdentities:
         everything = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
         for cs in everything:
             chk = verify_structure(cs, ps, others=everything)
-            assert chk.passed(tol=1e-10), chk
+            assert max(v for k, v in vars(chk).items() if k != "label") < 1e-10, chk
 
     def test_theta_itself_is_not_an_f_structure(self, get_space):
         ps = get_space(5, 6)
@@ -191,7 +191,7 @@ class TestKernelStructure:
         ker = nullspace(f0.op)
         assert ker.dim == split.m3.dim
         for x in split.m3.basis:
-            assert ker.contains(x, tol=1e-10)
+            assert ker.member_residual(x) <= 1e-10
 
     def test_f0_squares_to_minus_id_off_kernel(self, get_split, get_f_structures):
         split = get_split(5, 4)

@@ -14,7 +14,6 @@ from flagf.classify import (
     build_grid,
     CharacteristicSet,
     characteristic_set,
-    check_metric_compat,
     decode_constraints,
     default_grid,
     grid_disagreement,
@@ -23,7 +22,10 @@ from flagf.classify import (
     product_compat_residual,
     sweep,
 )
-from flagf.metricgeom import MetricParams, u_channel_coefficients, u_channel_masks
+from flagf.liealg import Subspace, bracket_coords
+from flagf.metricgeom import (
+    MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients, u_channel_masks,
+)
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -51,7 +53,6 @@ class TestMetricCompatibility:
                 p = MetricParams(float(s), float(t), kappa=float(n - 1))
                 for cs in get_f_structures(n, k):
                     assert metric_compat_residual(cs, split, p) < 1e-10
-                    assert check_metric_compat(cs, split, p)
 
     def test_product_structures_preserve_metric(self, get_split, get_products, rng):
         split = get_split(5, 6)
@@ -515,6 +516,37 @@ class TestExactZeroSets:
         monkeypatch.setattr(ClassEvaluator, "zero_set", lambda self, name: CharacteristicSet(kind="empty"))
         with pytest.raises(RuntimeError, match=r"f0 g1 at \(s, t\) = \(0.5, 0.5\)"):
             characteristic_set(f0, split, "g1", grid=SMALL_GRID)
+
+
+def rotated_split(split: TripleSplit, rng) -> TripleSplit:
+    """The split with the basis of each block turned by a random orthogonal matrix."""
+    blocks = [
+        Subspace(b.ambient_n, np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] @ b.coords)
+        for b in (split.m1, split.m2, split.m3)
+    ]
+    combined = Subspace(split.combined.ambient_n, np.vstack([b.coords for b in blocks]))
+    return TripleSplit(*blocks, combined, split.block_index, bracket_coords(combined, combined, onto=combined))
+
+
+class TestBasisInvariance:
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_verdicts_and_zero_sets_ignore_the_basis_inside_each_block(
+        self, get_space, get_split, get_f_structures, n, k
+    ):
+        split = get_split(n, k)
+        turned = rotated_split(split, np.random.default_rng(5))
+        assert not np.allclose(turned.combined.coords, split.combined.coords)
+        _check_split_invariants(get_space(n, k), turned)
+        grid = default_grid()
+        for cs in get_f_structures(n, k):  # f and -f
+            ev, ev_turned = ClassEvaluator(cs, split), ClassEvaluator(cs, turned)
+            for r, rt in zip(ev.sweep(grid), ev_turned.sweep(grid), strict=True):
+                assert r.memberships == rt.memberships, (cs.label, r.s, r.t)
+                assert r.indeterminate == rt.indeterminate, (cs.label, r.s, r.t)
+            for name in CONDITION_NAMES:
+                want = ev.zero_set(name).description()
+                assert ev_turned.zero_set(name).description() == want, (cs.label, name)
 
 
 def channel_point(s: float, t: float) -> np.ndarray:

@@ -52,6 +52,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "7", "--m-blocks", "2", "--k", "6")
         assert code == 0
 
+    @pytest.mark.parametrize("n,m_blocks,k", [(9, 3, 4), (11, 4, 6)])
+    def test_three_and_four_block_spaces_pass(self, capsys, n, m_blocks, k):
+        # [h, m] is 0 exactly but ~1e-15 in floats here; the reductivity check
+        # measures that leak absolutely, not relative to its own norm.
+        argv = ("--n", str(n), "--m-blocks", str(m_blocks), "--k", str(k), "--format", "json")
+        code, out, _ = run(capsys, "verify", *argv)
+        report = json.loads(out)
+        assert code == 0 and report["passed"] is True
+        assert all(c["passed"] for c in report["checks"])
+
     def test_cost_guard_lie_element_constructions(self, capsys, monkeypatch):
         # ad(h), reductivity and the split checks run on batched coordinate
         # arrays; a return to per-element brackets costs tens of thousands of
@@ -277,6 +287,30 @@ class TestSweep:
         assert code == 1
         assert "f0 g1 at (s, t) = (0.25, 0.25)" in err
         assert not out.exists()
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--f", "f0", "--s", "inf", "--t", "1"),
+            ("classify", "--f", "f0", "--s", "nan", "--t", "1"),
+            ("classify", "--f", "f0", "--s", "1", "--t", "nan"),
+            ("classify", "--f", "f0", "--s", "1", "--t", "1", "--kappa", "inf"),
+            ("classify", "--f", "f0", "--s", "1", "--t", "1", "--kappa", "nan"),
+            ("sweep", "--grid-min", "nan"),
+            ("sweep", "--grid-max", "inf"),
+            ("sweep", "--grid-step", "nan"),
+            ("sweep", "--grid-step", "inf"),
+            ("sweep", "--extra-points", "1,inf"),
+        ],
+    )
+    def test_rejected_as_invalid_configuration(self, capsys, tmp_path, argv):
+        out = ("--out", str(tmp_path / "out")) if argv[0] == "sweep" else ()
+        code, _, err = run(capsys, argv[0], "--n", "5", "--k", "4", *out, *argv[1:])
+        assert code == 2
+        assert "flagf: invalid configuration" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestArgumentErrors:

@@ -3,11 +3,11 @@ import pytest
 
 import flagf
 from flagf.liealg import bracket, decompose_orthogonal, skew, trace_form
+from flagf.tolerances import TAU_NAT_RED
 from flagf.metricgeom import (
     MetricParams,
     block_weights,
     build_split,
-    check_naturally_reductive,
     metric_eval,
     naturally_reductive_residual,
     nomizu,
@@ -72,7 +72,7 @@ class TestSplit:
             target = blocks[({1, 2, 3} - {i, j}).pop()]
             for x in blocks[i].basis:
                 for y in blocks[j].basis:
-                    assert target.contains(bracket(x, y), tol=1e-10) or bracket(x, y).norm < 1e-12
+                    assert target.member_residual(bracket(x, y)) <= 1e-10 or bracket(x, y).norm < 1e-12
 
     def test_ad_h_invariance_of_blocks(self, get_space, get_split):
         ps = get_space(6, 4)
@@ -81,7 +81,7 @@ class TestSplit:
             for blk in (split.m1, split.m2, split.m3):
                 for x in blk.basis:
                     z = bracket(hb, x)
-                    assert blk.contains(z, tol=1e-9) or z.norm < 1e-12
+                    assert blk.member_residual(z) <= 1e-9 or z.norm < 1e-12
 
 
 class TestMetricEval:
@@ -241,13 +241,12 @@ class TestNomizu:
 class TestNaturalReductivity:
     def test_holds_at_neutral_params(self, get_split):
         split = get_split(5, 4)
-        assert check_naturally_reductive(split, MetricParams(1.0, 1.0, kappa=4.0))
+        assert naturally_reductive_residual(split, MetricParams(1.0, 1.0, kappa=4.0)) < TAU_NAT_RED
 
     @pytest.mark.parametrize("s,t", [(2.0, 1.0), (1.0, 2.0)])
     def test_fails_off_neutral(self, get_split, s, t):
         split = get_split(5, 4)
         p = MetricParams(s, t, kappa=4.0)
-        assert not check_naturally_reductive(split, p)
         assert naturally_reductive_residual(split, p) > 1e-3
 
     def test_single_block_triples_always_balance(self, get_split):
