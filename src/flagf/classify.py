@@ -11,6 +11,8 @@ to the identical vanishing of a quadratic map on m:
 Each map is tested by full polarization: the quadratic map vanishes
 identically iff its bilinear extension has C(X, Y) + C(Y, X) = 0 on all
 basis pairs; pairs where that holds for every metric are dropped at set-up.
+Set-up reads the conditions term by term (_TERMS) off the nonzeros of the
+bracket tensor and of f; the dense tensors are the reference (condition_tensor).
 Residuals are normalized by the operator norm of f and by (1 + s + t + 1/s
 + 1/t), so grid sweeps stay comparable as the U coefficients grow near the
 parameter boundary.
@@ -31,13 +33,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .canonical import CanonicalStructure
-from .metricgeom import (
-    MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channel_masks, u_coords_tensor,
-)
+from .canonical import CanonicalStructure, nonzero_rows, sum_by_key
+from .metricgeom import MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_coords_tensor
 from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
+MAX_GRID_POINTS = 10**5  # build_grid refuses a larger grid
 
 
 def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -64,47 +65,81 @@ def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, 
     raise ValueError(f"unknown condition {name!r}")
 
 
-def _pair(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j, :] = sum_pq a[p, i] b[q, j] x[p, q, :], i.e. x(A X_i, B X_j)."""
-    d = a.shape[0]
-    y = b.T @ x  # y[p, j, :] = sum_q b[q, j] x[p, q, :]
-    return (a.T @ y.reshape(d, d * d)).reshape(d, d, d)
+# C[i, j, :] of each condition is a sum of terms coef * P T(A X_i, B X_j), T the
+# bracket tensor (base) or U; A, B, P index the row tables of I, f, f^2 and, for
+# P, of f^T, (f^2)^T (3, 4), since P T(..)_s sums P[s, r] T(..)_r.
+_TERMS = (  # (condition, on U, coef, A, B, P), term by term as in the module docstring
+    (0, 0, 0.5, 0, 1, 0), (0, 1, 1.0, 0, 1, 0), (0, 1, -1.0, 0, 0, 3),  # kill
+    (1, 0, 0.5, 1, 2, 0), (1, 1, 1.0, 1, 2, 0), (1, 1, -1.0, 1, 1, 3),  # nk
+    (2, 1, 2.0, 1, 2, 3), (2, 1, -1.0, 1, 1, 4), (2, 1, 1.0, 2, 2, 4),  # g1, its outer f in P
+)
+_COND, _ON_U, _COEF, _A, _B, _P = (np.array(col)[:, None] for col in zip(*_TERMS))
+_BLOCK = 1 << 12  # padded products per block of conditions: bounds set-up memory
 
 
-def _channel_kernels(f: np.ndarray, f2: np.ndarray, u: np.ndarray, kill, nk, g1) -> None:
-    """Write the kill, nk and g1 tensors of one U channel u (bracket terms
-    belong to the base tensors) into the given arrays, with few temporaries."""
-    ft = f.T
-    np.matmul(ft, u, out=kill)
-    kill -= u @ ft
-    p12 = _pair(u, f, f2)
-    np.matmul(_pair(u, f, f), ft, out=nk)
-    np.subtract(p12, nk, out=nk)  # u(fX, f^2Y) - f u(fX, fY)
-    inner = _pair(u, f2, f2) @ ft
-    inner += p12
-    inner += nk  # 2 u(fX, f^2Y) - f u(fX, fY) + f u(f^2X, f^2Y)
-    np.matmul(inner, ft, out=g1)
+def _kept_entries(f: np.ndarray, split: TripleSplit):
+    """Per block of conditions, its kept polarized entries (see _polarize)."""
+    d = split.dim
+    tables = nonzero_rows(np.eye(d), f, f @ f, f.T, (f @ f).T)
+    idx, val = (x.transpose(2, 0, 1).reshape(-1, 5 * d) for x in tables)
+    idx = idx.astype(np.int32 if 12 * d**3 < 2**31 else np.int64)  # keys stay below 12 d^3
+    step = max(1, _BLOCK // (3 * len(split.bracket_nonzeros[0]) * len(idx) ** 3))
+    for c in range(0, len(CONDITION_NAMES), step):
+        conds = range(c, min(c + step, len(CONDITION_NAMES)))
+        yield _polarize(*_summed_entries(slice(3 * c, 3 * conds.stop), idx, val, split), d, conds)
 
 
-def _polarized_entries(k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The polarization k[c, :, i, j] + k[c, :, j, i] of the (3, 4, d, d, d)
-    condition and channel stacks, without what is exactly 0 in every channel.
+def _summed_entries(t: slice, idx: np.ndarray, val: np.ndarray, split: TripleSplit):
+    """The entries != 0 of K[c, ch, i, j, r] (ch 0: base terms, 1-3: the U
+    channels) summed over the terms t, as keys into shape (3, 4, d, d, d) and
+    values: each nonzero of bracket_m times the rows of A, B and P^T at its
+    indices, from the tables idx, val padded to (w, w, w, terms, nonzeros)."""
+    i, j, r, v, channel, sign = split.bracket_nonzeros
+    d = split.dim
+    rows = [(m[t] * d + at).astype(idx.dtype) for m, at in ((_A, i), (_B, j), (_P, r))]
+    value = np.take(val, rows[0], axis=1) * (_COEF[t] * np.where(_ON_U[t], sign * v, v))
+    for row in rows[1:]:
+        value = np.einsum("wte,...te->w...te", np.take(val, row, axis=1), value)  # no broadcast buffers
+    live = value != 0.0
+    value = value[live]
+    key = np.take(idx, rows[0], axis=1) + ((_COND[t] * 4 + np.where(_ON_U[t], channel, 0)) * d).astype(idx.dtype)
+    for row in rows[1:]:
+        key = _outer_sum(np.take(idx, row, axis=1), key * d)
+    key = key[live]
+    return sum_by_key(key, value)
 
-    Returns the condition (R,) and indices (R, 2) of each pair i <= j whose
-    rows hold an entry != 0, row-major, and, for each polarized entry != 0 in
-    some channel, its pair (E,), ascending, and channel values (4, E).  Pair
-    (0, 0) is always kept, so that an all-zero residual has the dense witness
-    (0, 0), and a pair whose rows cancel keeps one zero entry.
-    """
-    carries = np.any(k != 0.0, axis=(1, 4))
-    keep = np.triu(carries | carries.transpose(0, 2, 1))
-    keep[:, 0, 0] = True
-    c, i, j = np.nonzero(keep)
-    rows = k[c, :, i, j] + k[c, :, j, i]  # (R, 4, d)
-    entry = np.any(rows != 0.0, axis=1)
-    entry[:, 0] |= ~np.any(entry, axis=1)
-    owner, r = np.nonzero(entry)
-    return c, np.stack([i, j], axis=1), owner, np.ascontiguousarray(rows[owner, :, r].T)
+
+def _outer_sum(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[w] = x + rows[w], a row at a time (broadcasting allocates buffers)."""
+    out = np.empty((len(rows),) + x.shape, dtype=x.dtype)
+    for w, row in enumerate(rows):
+        np.add(x, row, out=out[w])
+    return out
+
+
+def _polarize(keys: np.ndarray, k: np.ndarray, d: int, conds) -> tuple[np.ndarray, ...]:
+    """From the entries K[c, ch, i, j, r] of the conditions conds (ascending
+    keys into shape (3, 4, d, d, d), values k): the (c, i, j) keys of the pairs
+    i <= j whose rows K[c, :, i, j] or K[c, :, j, i] hold an entry != 0, and
+    (0, 0), so that an all-zero residual has the dense witness; and the
+    polarized entries K[c, :, i, j, r] + K[c, :, j, i, r] != 0 in some channel,
+    as the keys of their pairs (ascending) and channel values (4, E).  A pair
+    whose rows cancel keeps one zero entry."""
+    c, ch, i, j, r = np.unravel_index(keys[k != 0.0], (len(CONDITION_NAMES), 4, d, d, d))
+    k = k[k != 0.0]
+    pair = (c * d + np.minimum(i, j)) * d + np.maximum(i, j)
+    pairs = np.unique(np.concatenate([pair, np.asarray(conds) * d * d]))
+    # Keyed (pair, r, ch), K[.., i, j, r] meets K[.., j, i, r]; a diagonal pair doubles.
+    keys, pol = sum_by_key((pair * d + r) * 4 + ch, np.where(i == j, 2.0 * k, k))
+    keys, pol = keys[pol != 0.0], pol[pol != 0.0]
+    entries, at = np.unique(keys // 4, return_inverse=True)
+    values = np.zeros((4, len(entries) + len(pairs)))  # room for one zero entry per pair
+    values[keys % 4, at] = pol
+    empty = np.ones(len(pairs), dtype=bool)
+    empty[np.searchsorted(pairs, entries // d)] = False
+    owner = np.concatenate([entries // d, pairs[empty]])
+    order = np.argsort(owner, kind="stable")
+    return pairs, owner[order], values[:, order]
 
 
 def _combined_norms(values: np.ndarray, starts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -256,17 +291,17 @@ def _constraint_polynomial(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
 class ClassEvaluator:
     """Evaluates the three class conditions for one structure on one split.
 
-    With u_mode "closed", set-up builds each condition's base tensor and its
-    three U-channel tensors, polarizes them once and keeps only what carries
-    data: the basis pairs i <= j with a nonzero row (at most 168 of 2,145 at
-    n = 24, k = 6) and, of their polarized rows, the entries nonzero in some
-    channel.  That is under 40 kB per evaluator at n = 24 in place of 26 MB
-    of dense stacks.  A residual combines the kept entries with (1, c(s, t))
-    and takes the pair norms, a sweep does the same for blocks of grid
-    points, and the exact zero sets come from the same entries.  With u_mode
-    "solved" the U tensor is recomputed from the metric equation and the
-    dense condition tensor is polarized at every call; this is the slow
-    independent route used for cross-checks.
+    With u_mode "closed", set-up joins the nonzeros of the bracket tensor and
+    of f into each condition's base and three U-channel tensors, polarizes
+    them and keeps only what carries data: the basis pairs i <= j with a
+    nonzero row (at most 169 of 2,145 per condition at n = 24, k = 6) and,
+    of their polarized rows, the entries nonzero in some channel: under 40 kB
+    per evaluator at n = 24, and no d^3 array on the way.  A residual combines
+    the kept entries with (1, c(s, t)) and takes the pair norms, a sweep does
+    the same for blocks of grid points, and the exact zero sets come from the
+    same entries.  With u_mode "solved" the U tensor is recomputed from the
+    metric equation and the dense condition tensor is polarized at every call;
+    this is the slow independent route used for cross-checks.
     """
 
     def __init__(self, f: CanonicalStructure, split: TripleSplit, u_mode: str = "closed"):
@@ -276,25 +311,21 @@ class ClassEvaluator:
         self.split = split
         self.u_mode = u_mode
         self.f_matrix = f.op.matrix_on(split.combined)
-        self._f2 = self.f_matrix @ self.f_matrix
         self.f_norm = float(np.linalg.norm(self.f_matrix, 2)) or 1.0
         if u_mode == "closed":
-            fm, f2, bm = self.f_matrix, self._f2, split.bracket_m
-            # Base and channel tensors per condition, then only what carries data.
-            stacks = np.zeros((len(CONDITION_NAMES), 4) + bm.shape)
-            stacks[0, 0] = 0.5 * (fm.T @ bm)
-            stacks[1, 0] = 0.5 * _pair(bm, fm, f2)
-            for ch, mask in enumerate(u_channel_masks(split), start=1):
-                _channel_kernels(fm, f2, mask[:, :, None] * bm, *stacks[:, ch])
-            cond, self._pairs, self._owner, self._values = _polarized_entries(stacks)
-            self._starts = np.searchsorted(self._owner, np.arange(len(cond)))
+            blocks = zip(*_kept_entries(self.f_matrix, split))
+            pairs, owner, self._values = (np.concatenate(x, axis=-1) for x in blocks)
+            cond, i, j = np.unravel_index(pairs, (len(CONDITION_NAMES), split.dim, split.dim))
+            self._pairs, self._owner = np.stack([i, j], axis=1), np.searchsorted(pairs, owner)
+            self._starts = np.searchsorted(self._owner, np.arange(len(self._pairs)))
             bounds = np.searchsorted(cond, range(len(CONDITION_NAMES) + 1))
             self._spans = {name: slice(lo, hi) for name, lo, hi in zip(CONDITION_NAMES, bounds, bounds[1:])}
 
     def condition_tensor(self, name: str, params: MetricParams) -> np.ndarray:
         """The dense C[i, j, :] of the named condition: the reference route."""
         u = u_coords_tensor(self.split, params, self.u_mode)
-        return _condition_tensor(name, self.f_matrix, self._f2, self.split.bracket_m, u)
+        fm = self.f_matrix
+        return _condition_tensor(name, fm, fm @ fm, self.split.bracket_m, u)
 
     def _residuals(self, params: list[MetricParams]) -> dict[str, list[tuple[float, tuple[int, int]]]]:
         """Per condition and point, the normalized polarized residual and the
@@ -409,7 +440,10 @@ def build_grid(
         raise ValueError("grid step must be positive")
     if gmin <= 0:
         raise ValueError("grid values must be positive")
-    count = int(np.floor((gmax - gmin) / step + TAU_GRID)) + 1
+    per_axis = max(0.0, np.floor((gmax - gmin) / step + TAU_GRID) + 1)
+    if not per_axis**2 + len(extras) <= MAX_GRID_POINTS:  # counted before any is built; refuses inf, nan
+        raise ValueError(f"{per_axis:.3g}^2 + {len(extras)} grid points exceed MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    count = int(per_axis)
     vals = [gmin + i * step for i in range(count)]
     pts = [(s, t) for s in vals for t in vals]
     for p in extras:

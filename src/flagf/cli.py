@@ -355,7 +355,10 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(f"unknown structure {cfg.f_label!r}; known: "
                           + ", ".join(sorted(c.label for c in fs))) from exc
 
-    params = metricgeom.MetricParams.for_space(ps, cfg.s, cfg.t, cfg.kappa)
+    try:
+        params = metricgeom.MetricParams.for_space(ps, cfg.s, cfg.t, cfg.kappa)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     compat = classify.metric_compat_residual(cs, split, params)
     rep = classify.ClassEvaluator(cs, split).report(params)
 
@@ -399,16 +402,21 @@ def _classify_text(report: dict) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
+    kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
+    try:
+        grid = classify.build_grid(
+            cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=SPECIAL_POINTS + cfg.extra_points
+        )
+        for s_, t_ in grid:
+            metricgeom.MetricParams(s_, t_, kappa)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ps = _setup_space(cfg)
     if cfg.m_blocks != 1:
         raise ConfigError("sweep requires the m_blocks=1 flag space")
     split = metricgeom.build_split(ps)
     fs = canonical.generate_f_structures(ps)
     reps = sorted((cs for cs in fs if not cs.label.startswith("-")), key=lambda c: c.label)
-    kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
-    grid = classify.build_grid(
-        cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=SPECIAL_POINTS + cfg.extra_points
-    )
 
     results = []
     for cs in reps:

@@ -23,7 +23,9 @@ the two routes is one of the package's standing cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +55,22 @@ class TripleSplit:
     def dim(self) -> int:
         return self.combined.dim
 
+    @cached_property
+    def bracket_nonzeros(self) -> tuple[np.ndarray, ...]:
+        """bracket_m's nonzeros as arrays (i, j, r, value), with the U channel
+        of (i, j) (its mask in u_channel_masks plus 1, or 0 off every mask)
+        and its mask sign."""
+        i, j, r = np.nonzero(self.bracket_m)
+        masks = u_channel_masks(self)[:, i, j]
+        return i, j, r, self.bracket_m[i, j, r], np.arange(1, 4) @ (masks != 0.0), masks.sum(axis=0)
+
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Characteristic numbers (s, t) plus the overall normalization kappa."""
+    """Characteristic numbers (s, t) plus the overall normalization kappa, all
+    positive and finite; so must be 1/s, 1/t, s + t, kappa s, kappa t, t/s,
+    s/t and s + t + 1/s + 1/t, of which the metric weights, the U coefficients
+    and the residual scale are built."""
 
     s: float
     t: float
@@ -65,8 +79,14 @@ class MetricParams:
     def __post_init__(self):
         for name in ("s", "t", "kappa"):
             v = getattr(self, name)
-            if not (v > 0.0) or not np.isfinite(v):
+            if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a positive finite number, got {v}")
+        s, t, kappa = float(self.s), float(self.t), float(self.kappa)
+        derived = (1 / s, 1 / t, s + t, kappa * s, kappa * t, t / s, s / t, s + t + 1 / s + 1 / t)
+        if not all(map(math.isfinite, derived)):  # a residual would read 0 or NaN instead of a verdict
+            names = ("1/s", "1/t", "s + t", "kappa*s", "kappa*t", "t/s", "s/t", "s + t + 1/s + 1/t")
+            bad = next(name for name, v in zip(names, derived) if not math.isfinite(v))
+            raise ValueError(f"(s, t) = ({s!r}, {t!r}) with kappa = {kappa!r} overflows {bad}")
 
     @staticmethod
     def for_space(ps: PhiSpace, s: float, t: float, kappa: float | None = None) -> "MetricParams":
@@ -120,16 +140,14 @@ def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
         for b in bracket_rows(n, ps.h.coords, blk.coords):
             if np.max(blk.residuals(b), initial=0.0) > TAU_SUBSPACE:
                 raise RuntimeError("block is not ad(h)-invariant")
-    # Cyclic relations: cross-block brackets land in the third block, and
-    # same-block brackets leave m entirely (they fall into h).
+    # Cyclic relations: cross-block brackets land in the third block (6 minus
+    # the other two), and same-block brackets leave m entirely (they fall into h).
+    i, j, r, v = split.bracket_nonzeros[:4]
     bi = split.block_index
-    size = np.abs(split.bracket_m)
-    same = bi[:, None] == bi[None, :]
-    if np.max(size[same], initial=0.0) > TAU_CYCLIC:
+    same = bi[i] == bi[j]
+    if np.max(np.abs(v[same]), initial=0.0) > TAU_CYCLIC:
         raise RuntimeError("same-block bracket has a component in m")
-    third = 6 - bi[:, None] - bi[None, :]  # the block other than those of i and j
-    leak = ~same[:, :, None] & (bi[None, None, :] != third[:, :, None])
-    if np.max(size[leak], initial=0.0) > TAU_CYCLIC:
+    if np.max(np.abs(v[~same & (bi[r] != 6 - bi[i] - bi[j])]), initial=0.0) > TAU_CYCLIC:
         raise RuntimeError("bracket relation [m_i, m_{i+1}] in m_{i+2} fails")
 
 

@@ -84,6 +84,12 @@ class PhiSpace:
         """
         return bracket_coords(self.h, self.m, onto=self.m).transpose(0, 2, 1)
 
+    @cached_property
+    def ad_h_nonzeros(self) -> tuple[np.ndarray, ...]:
+        """The nonzeros of ad_h as arrays (a, row, column, value)."""
+        a, row, col = np.nonzero(self.ad_h)
+        return a, row, col, self.ad_h[a, row, col]
+
 
 @dataclass(frozen=True)
 class RegularityReport:

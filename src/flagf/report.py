@@ -16,59 +16,60 @@ from pathlib import Path
 
 def fmt_float(x: float) -> str:
     """17-significant-digit decimal form, always spelled as a float."""
-    if not (x == x) or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value in report: {x}")
     s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    if s[-1] in "nf":  # nan, inf, -inf
+        raise ValueError(f"non-finite value in report: {x}")
+    return s if "." in s or "e" in s else s + ".0"
+
+
+_KINDS = (dict, list, tuple, str, bool, int, float, type(None))
+_EXACT = frozenset(_KINDS)
 
 
 def json_dumps(obj, indent: int = 2) -> str:
-    """Serialize dicts/lists/scalars with stable layout and float format."""
-    out: list[str] = []
-    _emit(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    """Serialize dicts/lists/scalars with stable layout and float format.
 
+    Dispatch is on the exact type; an instance of a subclass takes the branch
+    of its first base in _KINDS.
+    """
+    pads = [""]
+    quoted: dict[str, str] = {}  # strings repeat, as keys and as values
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-            out.append(pad + json.dumps(key) + ": ")
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(closing + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad)
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(closing + "]")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif obj is None:
-        out.append("null")
-    else:
+    def emit(obj, level: int) -> str:
+        kind = type(obj)
+        if kind not in _EXACT:
+            kind = next((k for k in _KINDS if isinstance(obj, k)), None)
+        if kind is float:
+            return fmt_float(obj)
+        if kind is str:
+            if obj not in quoted:
+                quoted[obj] = json.dumps(obj)
+            return quoted[obj]
+        if kind is dict or kind is list or kind is tuple:
+            if not obj:
+                return "{}" if kind is dict else "[]"
+            if len(pads) <= level + 1:
+                pads.append(" " * (indent * (level + 1)))
+            if kind is dict:
+                items = []
+                for key, val in obj.items():
+                    if not isinstance(key, str):
+                        raise TypeError(f"JSON object keys must be strings, got {type(key)}")
+                    items.append(f"{emit(key, 0)}: {emit(val, level + 1)}")
+            else:
+                items = [emit(val, level + 1) for val in obj]
+            brackets = "{}" if kind is dict else "[]"
+            inner = pads[level + 1]
+            return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pads[level]}{brackets[1]}"
+        if kind is bool:
+            return "true" if obj else "false"
+        if kind is int:
+            return str(obj)
+        if obj is None:
+            return "null"
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
+
+    return emit(obj, 0) + "\n"
 
 
 def csv_text(header, rows) -> str:

@@ -126,6 +126,38 @@ class TestStructureIdentities:
             chk = verify_structure(cs, ps, others=everything)
             assert max(v for k, v in vars(chk).items() if k != "label") < 1e-10, chk
 
+    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 4), (8, 1, 6), (16, 1, 6), (7, 2, 6), (9, 3, 4)])
+    def test_ad_invariance_matches_dense_commutator(self, get_space, n, m_blocks, k):
+        # At m_blocks = 1 every ad(h_a) has one nonzero per row and column, so
+        # each entry of A f - f A is one product minus one product: the same
+        # bits as the dense route.  Otherwise the sums are reordered.
+        ps = get_space(n, k, m_blocks)
+        ad = ps.ad_h
+        for cs in flagf.generate_f_structures(ps):
+            f = cs.op.matrix
+            dense = float(np.max(np.abs(ad @ f - f @ ad)))
+            got = verify_structure(cs, ps).ad_invariance
+            if m_blocks == 1:
+                assert got == dense, cs.label
+            else:
+                assert abs(got - dense) <= 1e-15, cs.label
+
+    def test_cost_guard_verify_structure(self, get_space, get_f_structures):
+        # The dense commutator would allocate (dim h, d, d) temporaries.
+        import tracemalloc
+
+        ps = get_space(16, 6)
+        fs = get_f_structures(16, 6)
+        f4 = structure_by_label(fs, "f4")
+        verify_structure(f4, ps, others=fs)
+        tracemalloc.start()
+        try:
+            verify_structure(f4, ps, others=fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ps.h.dim * ps.m.dim**2 * 8 / 4
+
     def test_theta_itself_is_not_an_f_structure(self, get_space):
         ps = get_space(5, 6)
         fake = CanonicalStructure(

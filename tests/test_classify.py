@@ -7,6 +7,7 @@ import flagf
 from flagf.canonical import structure_by_label
 from flagf.classify import (
     CONDITION_NAMES,
+    MAX_GRID_POINTS,
     NONMEMBER_MARGIN,
     TAU_MEMBER,
     TAU_RANK,
@@ -222,22 +223,57 @@ class TestEvaluatorInternals:
 
     def test_polarized_entries_keep_exactly_what_carries_data(self):
         # One entry below the diagonal, one pair whose rows cancel, one
-        # diagonal pair; everything else is zero.
-        from flagf.classify import _polarized_entries
+        # diagonal pair and one entry that sums to 0.0; everything else is zero.
+        from flagf.classify import _polarize
 
-        k = np.zeros((3, 4, 5, 5, 5))
-        k[0, 2, 3, 1, 4] = 2.0  # only the row (3, 1): its pair is (1, 3)
-        k[1, 0, 2, 4, 0] = 1.5  # rows (2, 4) and (4, 2) cancel
-        k[1, 0, 4, 2, 0] = -1.5
-        k[2, 1, 2, 2, 3] = 0.5  # diagonal pair (2, 2) polarizes to twice its row
-        cond, pairs, owner, values = _polarized_entries(k)
-        assert cond.tolist() == [0, 0, 1, 1, 2, 2]
-        assert pairs.tolist() == [[0, 0], [1, 3], [0, 0], [2, 4], [0, 0], [2, 2]]
-        assert owner.tolist() == [0, 1, 2, 3, 4, 5]  # one zero entry for each empty pair
+        def key(*index):
+            return np.ravel_multi_index(index, (3, 4, 5, 5, 5))
+
+        entries = {
+            key(0, 2, 3, 1, 4): 2.0,  # only the row (3, 1): its pair is (1, 3)
+            key(1, 0, 2, 4, 0): 1.5,  # rows (2, 4) and (4, 2) cancel
+            key(1, 0, 4, 2, 0): -1.5,
+            key(2, 1, 2, 2, 3): 0.5,  # diagonal pair (2, 2) polarizes to twice its row
+            key(2, 3, 1, 4, 2): 0.0,  # carries nothing
+        }
+        keys = np.array(sorted(entries))
+        pairs, owner, values = _polarize(keys, np.array([entries[x] for x in keys]), 5, range(3))
+        assert np.transpose(np.unravel_index(pairs, (3, 5, 5))).tolist() == [
+            [0, 0, 0], [0, 1, 3], [1, 0, 0], [1, 2, 4], [2, 0, 0], [2, 2, 2]
+        ]
+        assert owner.tolist() == pairs.tolist()  # one zero entry for each empty pair
         want = np.zeros((4, 6))
         want[2, 1] = 2.0
         want[1, 5] = 1.0
         np.testing.assert_array_equal(values, want)
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for n in range(4, 17) for k in (4, 6)]
+        + [(24, 6)]
+        + [(n, k) for n in range(6, 10) for k in (8, 10)],
+    )
+    def test_kept_entries_match_dense_keep_rule(self, get_split, get_f_structures, n, k):
+        # The same rule on the dense (3, 4, d, d, d) stacks of the einsum
+        # reference route: pairs i <= j whose rows hold an entry != 0 (and
+        # (0, 0)), and of their polarized rows the entries != 0 in some channel.
+        split = get_split(n, k)
+        for cs in get_f_structures(n, k):
+            ev = ClassEvaluator(cs, split)
+            stacks = np.array([dense_stacks(ev, name) for name in CONDITION_NAMES])
+            carries = np.any(stacks != 0.0, axis=(1, 4))
+            keep = np.triu(carries | carries.transpose(0, 2, 1))
+            keep[:, 0, 0] = True
+            c, i, j = np.nonzero(keep)
+            rows = stacks[c, :, i, j] + stacks[c, :, j, i]
+            entry = np.any(rows != 0.0, axis=1)
+            entry[:, 0] |= ~np.any(entry, axis=1)
+            owner, r = np.nonzero(entry)
+            assert ev._pairs.tolist() == np.stack([i, j], axis=1).tolist(), cs.label
+            assert ev._owner.tolist() == owner.tolist(), cs.label
+            stops = [ev._spans[name].stop for name in CONDITION_NAMES]
+            assert stops == np.searchsorted(c, [1, 2, 3]).tolist()
+            np.testing.assert_allclose(ev._values, rows[owner, :, r].T, rtol=0.0, atol=1e-15)
 
     def test_report_and_sweep_residuals_are_bit_identical(self, get_split, get_f_structures):
         # report() is a batch of one; sweep() takes the grid in blocks of
@@ -255,19 +291,23 @@ class TestEvaluatorInternals:
         # The dense (4, d, d, d) stacks would be 6.6 MB at n = 16, k = 6, and a
         # report that built a d^3 condition tensor would allocate d^3 * 8 bytes,
         # which a freed temporary of that size faults back in on every call.
+        # Set-up, once the split holds its bracket nonzeros, builds nothing of
+        # that size either.
         split = get_split(16, 6)
         d = split.dim
-        ev = ClassEvaluator(structure_by_label(get_f_structures(16, 6), "f4"), split)
+        f4 = structure_by_label(get_f_structures(16, 6), "f4")
+        ev = ClassEvaluator(f4, split)
         assert sum(a.nbytes for a in (ev._values, ev._owner, ev._starts, ev._pairs)) < 1 << 20
         p = MetricParams(0.7, 2.3, kappa=15.0)
         ev.report(p)
-        tracemalloc.start()
-        try:
-            ev.report(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < d**3 * 8 / 4
+        for step in (lambda: ev.report(p), lambda: ClassEvaluator(f4, split)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < d**3 * 8 / 4
 
     def test_closed_vs_solved_residuals_agree(self, get_split, get_f_structures):
         split = get_split(5, 6)
@@ -616,3 +656,12 @@ class TestGridBuilder:
     def test_nonpositive_min_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             build_grid(gmin=-1.0)
+
+    def test_size_limit_is_exact(self):
+        # 316^2 grid points plus extra points off the grid, up to the limit.
+        extras = tuple((0.5, 0.5 + i) for i in range(MAX_GRID_POINTS - 316**2 + 1))
+        assert len(build_grid(1.0, 316.0, 1.0, extras=extras[:-1])) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            build_grid(1.0, 316.0, 1.0, extras=extras)
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            build_grid(1.0, 317.0, 1.0, extras=())

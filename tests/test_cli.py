@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -303,6 +304,14 @@ class TestNonFiniteValues:
             ("sweep", "--grid-step", "nan"),
             ("sweep", "--grid-step", "inf"),
             ("sweep", "--extra-points", "1,inf"),
+            # finite, but 1/s, s + t, kappa * s or t/s overflows
+            ("classify", "--f", "f0", "--s", "1e-320", "--t", "1"),
+            ("classify", "--f", "f0", "--s", "1e308", "--t", "1e308", "--format", "json"),
+            ("classify", "--f", "f0", "--s", "1e-308", "--t", "1e308", "--kappa", "1"),
+            ("sweep", "--grid-min", "1e-320", "--grid-max", "1e-319", "--grid-step", "1e-320"),
+            # more than classify.MAX_GRID_POINTS points
+            ("sweep", "--grid-step", "1e-9"),
+            ("sweep", "--grid-step", "5e-324"),
         ],
     )
     def test_rejected_as_invalid_configuration(self, capsys, tmp_path, argv):
@@ -311,6 +320,15 @@ class TestNonFiniteValues:
         assert code == 2
         assert "flagf: invalid configuration" in err
         assert not (tmp_path / "out").exists()
+
+
+    def test_oversized_grid_is_refused_before_it_is_built(self, capsys, tmp_path):
+        # 2.75e9 values per axis: building them alone would take minutes.
+        start = time.perf_counter()
+        argv = ("sweep", "--n", "5", "--k", "4", "--out", str(tmp_path / "out"), "--grid-step", "1e-9")
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "MAX_GRID_POINTS" in err
 
 
 class TestArgumentErrors:

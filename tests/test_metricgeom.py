@@ -33,6 +33,21 @@ class TestMetricParams:
         with pytest.raises(ValueError):
             MetricParams(s=1.0, t=1.0, kappa=0.0)
 
+    @pytest.mark.parametrize(
+        "s,t,kappa,overflow",
+        [(1e-320, 1.0, 1.0, "1/s"), (1.0, 1e-320, 1.0, "1/t"), (1e308, 1e308, 1.0, "s \\+ t"),
+         (1e308, 1.0, 4.0, "kappa\\*s"), (1.0, 1e308, 4.0, "kappa\\*t"), (1e-308, 1e308, 1.0, "t/s"),
+         (1e308, 0.1, 1.0, "s/t"), (1e-308, 1e-308, 1.0, "1/s \\+ 1/t")],
+    )
+    def test_overflowing_points_rejected(self, s, t, kappa, overflow):
+        with pytest.raises(ValueError, match=f"overflows .*{overflow}"):
+            MetricParams(s=s, t=t, kappa=kappa)
+
+    def test_extreme_points_that_do_not_overflow_are_accepted(self):
+        # s = 1e-300 still meets the residual normalisation defect (ROADMAP item 1).
+        for s, t in [(1e-300, 1.0), (1e307, 1e307), (5e-308, 1.0)]:
+            MetricParams(s=s, t=t, kappa=4.0)
+
     def test_default_kappa_is_n_minus_one(self, get_space):
         p = MetricParams.for_space(get_space(6, 4), 1.0, 2.0)
         assert p.kappa == 5.0

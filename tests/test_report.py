@@ -1,11 +1,94 @@
+import collections
 import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from flagf import report
 from flagf.report import atomic_write_text
+
+
+GOLDEN = """{
+  "empty": {
+    "dict": {},
+    "list": [],
+    "tuple": []
+  },
+  "nested": {
+    "list": [
+      1,
+      [
+        2,
+        [
+          3,
+          {}
+        ]
+      ]
+    ],
+    "dict": {
+      "a": {
+        "b": null
+      }
+    }
+  },
+  "bool_vs_int": [
+    true,
+    1,
+    false,
+    0
+  ],
+  "tuple": [
+    1,
+    "two",
+    3.0
+  ],
+  "floats": [
+    0.10000000000000001,
+    0.33333333333333331,
+    1.152921504606847e+18,
+    -0.0,
+    1.0000000000000001e-05,
+    1.0000000000000001e+300,
+    4.9406564584124654e-324,
+    123456789.0
+  ],
+  "subclasses": [
+    0.33333333333333331,
+    {
+      "k": 2.0
+    }
+  ],
+  "text": "a \\"quoted\\" \\u00e9\\n"
+}
+"""
+
+
+class TestJsonDumps:
+    def test_golden_bytes(self):
+        # np.float64 and OrderedDict are subclasses of float and dict: they
+        # take the reference walk and must give the same bytes.
+        doc = {
+            "empty": {"dict": {}, "list": [], "tuple": ()},
+            "nested": {"list": [1, [2, [3, {}]]], "dict": {"a": {"b": None}}},
+            "bool_vs_int": [True, 1, False, 0],
+            "tuple": (1, "two", 3.0),
+            "floats": [0.1, 1.0 / 3.0, 2.0**60, -0.0, 1e-05, 1e300, 5e-324, 123456789.0],
+            "subclasses": [np.float64(1.0) / 3.0, collections.OrderedDict([("k", np.float64(2.0))])],
+            "text": 'a "quoted" \u00e9\n',
+        }
+        assert report.json_dumps(doc) == GOLDEN
+
+    @pytest.mark.parametrize("bad", [{1: 2.0}, {"a": [{(1, 2): 0}]}, collections.OrderedDict([(1, 2)])])
+    def test_non_string_key_rejected(self, bad):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            report.json_dumps(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), {"x": [1.0, float("inf")]}, [np.float64("-inf")]])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            report.json_dumps(bad)
 
 
 class TestAtomicWrite:
