@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import EndoOnM, LieElement, poly_in
+from .liealg import EndoOnM, lie_mats, poly_in
 from .phispace import PhiSpace
 from .tolerances import TAU_GENERATED, TAU_GOLDEN, TAU_SAME_OP, TAU_TRIVIAL_KERNEL
 
@@ -292,24 +292,23 @@ def verify_structure(cs: CanonicalStructure, ps: PhiSpace, others=()) -> Structu
 
 def expected_flag_action(label: str, s: np.ndarray) -> np.ndarray:
     """Closed-form action of the named structure on a flag-space tangent
-    matrix S (rows/columns 0..n-1; S must have the m coordinate pattern).
+    matrix S, or on each of a (..., n, n) stack (S must have the m pattern).
 
     f0 and f1: (0,1) <- S[0,2], (0,2) <- -S[0,1], (1,j) <- -S[2,j],
     (2,j) <- S[1,j].  f2 keeps only the (1,j)/(2,j) part, f3 only the
     (0,1)/(0,2) part, f4 flips the sign of the (1,j)/(2,j) part of f1.
     """
-    n = s.shape[0]
-    t = np.zeros((n, n))
+    t = np.zeros(s.shape)
     if label in ("f0", "f1", "f3", "f4"):
-        t[0, 1] = s[0, 2]
-        t[0, 2] = -s[0, 1]
+        t[..., 0, 1] = s[..., 0, 2]
+        t[..., 0, 2] = -s[..., 0, 1]
     if label in ("f0", "f1", "f2"):
-        t[1, 3:] = -s[2, 3:]
-        t[2, 3:] = s[1, 3:]
+        t[..., 1, 3:] = -s[..., 2, 3:]
+        t[..., 2, 3:] = s[..., 1, 3:]
     elif label == "f4":
-        t[1, 3:] = s[2, 3:]
-        t[2, 3:] = -s[1, 3:]
-    return t - t.T
+        t[..., 1, 3:] = s[..., 2, 3:]
+        t[..., 2, 3:] = -s[..., 1, 3:]
+    return t - t.swapaxes(-1, -2)
 
 
 def golden_action_check(ps: PhiSpace) -> GoldenActionReport:
@@ -321,30 +320,23 @@ def golden_action_check(ps: PhiSpace) -> GoldenActionReport:
     structures = generate_f_structures(ps)
     labels = sorted(REFERENCE_F_COEFFS[k])
 
-    d = ps.m.dim
-    probes: list[LieElement] = list(ps.m.basis)
-    dense = ps.m.lift(np.arange(1.0, d + 1.0) / 3.0)
-    probes.append(dense)
+    # Probes: every basis element of m, then one dense element.  Mismatches are
+    # listed in the C order of (probe, i, j): probe-major, entries row by row.
+    probes = lie_mats(n, np.vstack([ps.m.coords, (np.arange(1.0, ps.m.dim + 1.0) / 3.0) @ ps.m.coords]))
 
     per = []
     mismatches = []
-    worst = 0.0
     for label in labels:
-        cs = structure_by_label(structures, label)
-        dev = 0.0
-        for x in probes:
-            got = cs.op.apply(x).mat
-            want = expected_flag_action(label, x.mat)
-            delta = np.abs(got - want)
-            dev = max(dev, float(np.max(delta)))
-            for i, j in zip(*np.nonzero(delta > TAU_GOLDEN)):
-                mismatches.append((label, (int(i), int(j)), float(got[i, j]), float(want[i, j])))
-        per.append((label, dev))
-        worst = max(worst, dev)
+        got = structure_by_label(structures, label).op.apply_mats(probes)
+        want = expected_flag_action(label, probes)
+        delta = np.abs(got - want)
+        per.append((label, float(np.max(delta))))
+        for p, i, j in zip(*np.nonzero(delta > TAU_GOLDEN)):
+            mismatches.append((label, (int(i), int(j)), float(got[p, i, j]), float(want[p, i, j])))
     return GoldenActionReport(
         n=n,
         k=k,
-        max_deviation=worst,
+        max_deviation=max(dev for _, dev in per),
         per_structure=tuple(per),
         mismatches=tuple(mismatches),
     )

@@ -21,12 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import canonical, classify, metricgeom, phispace
-from .liealg import bracket, decompose_orthogonal, random_skew, trace_form
+from .liealg import decompose_orthogonal
 from .report import atomic_write_text, csv_text, fmt_float, json_dumps
 from .tolerances import NAT_RED_MARGIN, TAU_CONNECTION, TAU_METRIC_COMPAT, TAU_NAT_RED, TAU_ORDER, TAU_PHI
 from .tolerances import TAU_STRUCTURE, TAU_U_NEUTRAL, TAU_U_ORACLE
 
 SPECIAL_POINTS = ((1.0, 1.0), (1.0, 4.0 / 3.0))
+VERIFY_ST = (0.1, 5.0)  # the range verify draws s and t from
 
 
 class ConfigError(Exception):
@@ -145,6 +146,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--s and --t must be positive and finite")
     if cfg.kappa is not None and not 0 < cfg.kappa < math.inf:
         raise ConfigError("--kappa must be positive and finite")
+    # verify compares values of size kappa * s and kappa * t, s, t in VERIFY_ST: kappa must be normal
+    # (a subnormal one has lost the digits the checks resolve) and kappa * max(VERIFY_ST) finite.
+    if cfg.command == "verify" and cfg.kappa is not None:
+        if not (sys.float_info.min <= cfg.kappa and cfg.kappa * VERIFY_ST[1] < math.inf):
+            raise ConfigError(f"verify needs a normal --kappa with kappa * {VERIFY_ST[1]} finite")
     return cfg
 
 
@@ -205,12 +211,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.m_blocks == 1:
         add("complement-dimension", ps.m.dim == 3 * n - 7, detail={"dim_m": ps.m.dim, "expected": 3 * n - 7})
 
-    dev_b, dev_iso = 0.0, 0.0
-    for _ in range(10):
-        x, y = random_skew(rng, n), random_skew(rng, n)
-        px, py = ps.phi.apply(x), ps.phi.apply(y)
-        dev_b = max(dev_b, (ps.phi.apply(bracket(x, y)) - bracket(px, py)).norm)
-        dev_iso = max(dev_iso, abs(trace_form(px, py) - trace_form(x, y)))
+    a = rng.standard_normal((10, 2, n, n))
+    dev_b, dev_iso = phispace.phi_homomorphism_residuals(ps, a - a.swapaxes(-1, -2))
     add("phi-preserves-bracket", dev_b < TAU_PHI, dev_b)
     add("phi-isometry", dev_iso < TAU_PHI, dev_iso)
 
@@ -267,7 +269,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
         kappa = float(n - 1) if cfg.kappa is None else cfg.kappa
         dev_u = 0.0
-        for s_, t_ in [tuple(rng.uniform(0.1, 5.0, 2)) for _ in range(5)] + [(1.0, 1.0)]:
+        for s_, t_ in [tuple(rng.uniform(*VERIFY_ST, 2)) for _ in range(5)] + [(1.0, 1.0)]:
             p = metricgeom.MetricParams(s=float(s_), t=float(t_), kappa=kappa)
             uc = metricgeom.u_coords_tensor(split, p, "closed")
             us = metricgeom.u_coords_tensor(split, p, "solved")
@@ -279,7 +281,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
         dev_mc = dev_pc = 0.0
         for _ in range(5):
-            s_, t_ = rng.uniform(0.1, 5.0, 2)
+            s_, t_ = rng.uniform(*VERIFY_ST, 2)
             p = metricgeom.MetricParams(float(s_), float(t_), kappa)
             for cs in fs:
                 dev_mc = max(dev_mc, classify.metric_compat_residual(cs, split, p))
@@ -296,15 +298,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         )
         add("not-naturally-reductive-off-neutral", r_off > NAT_RED_MARGIN, r_off)
 
-        dev_nomizu = 0.0
         p_rand = metricgeom.MetricParams(float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0)), kappa)
-        for _ in range(10):
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            y = split.combined.lift(rng.standard_normal(split.dim))
-            z = split.combined.lift(rng.standard_normal(split.dim))
-            val = metricgeom.metric_eval(split, p_rand, metricgeom.nomizu(split, p_rand, z, x), y)
-            val += metricgeom.metric_eval(split, p_rand, x, metricgeom.nomizu(split, p_rand, z, y))
-            dev_nomizu = max(dev_nomizu, abs(val) / kappa)
+        dev_nomizu = metricgeom.connection_compat_residual(split, p_rand, rng.standard_normal((10, 3, split.dim)))
         add("connection-metric-compatibility", dev_nomizu < TAU_CONNECTION, dev_nomizu)
 
         reports = [r for cs in fs for r in classify.ClassEvaluator(cs, split).sweep(SPECIAL_POINTS, kappa)]
@@ -532,7 +527,11 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         if cfg.command == "verify":
-            code, report = cmd_verify(cfg)
+            try:
+                with np.errstate(over="raise"):
+                    code, report = cmd_verify(cfg)
+            except FloatingPointError as exc:  # only --kappa scales the values verify forms
+                raise ConfigError(f"--kappa {cfg.kappa!r} overflows a verify check ({exc})") from exc
             _deliver(cfg, report, _verify_text)
             return code
         if cfg.command == "classify":

@@ -124,7 +124,12 @@ def basis_element(n: int, i: int, j: int, normalized: bool = True) -> LieElement
 
 def lie_coords(x: LieElement) -> np.ndarray:
     """Coordinates of x in the orthonormal lexicographic basis of so(n)."""
-    return _SQRT2 * x.mat[lex_indices(x.n)]
+    return lie_rows(x.mat)
+
+
+def lie_rows(mats) -> np.ndarray:
+    """Lex coordinates of each matrix of a (..., n, n) stack (inverse of :func:`lie_mats`)."""
+    return _SQRT2 * mats[(..., *lex_indices(mats.shape[-1]))]
 
 
 def lie_from_coords(n: int, v) -> LieElement:
@@ -147,8 +152,13 @@ def lie_mats(n: int, rows) -> np.ndarray:
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     """Commutator [X, Y] = XY - YX."""
     _check_same_n(x, y)
-    m = x.mat @ y.mat
-    return LieElement(x.n, m - m.T)
+    return LieElement(x.n, brackets(x.mat, y.mat))
+
+
+def brackets(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Commutators X_p Y_p - Y_p X_p of two (..., n, n) stacks of skew matrices."""
+    m = xs @ ys
+    return m - m.swapaxes(-1, -2)
 
 
 def trace_form(x: LieElement, y: LieElement) -> float:
@@ -214,15 +224,22 @@ class Subspace:
 
     def project(self, x: LieElement) -> LieElement:
         """Trace-form-orthogonal projection of x onto this subspace."""
-        return self.lift(self.coords_of(x))
+        return LieElement(x.n, self.project_rows(lie_coords(x)[None])[0])
+
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Projections of lex-coordinate rows onto this subspace, as a (rows, n, n) stack."""
+        return lie_mats(self.ambient_n, (self.coords.T @ (self.coords @ rows[..., None]))[..., 0])
 
     def member_residual(self, x: LieElement) -> float:
         """Distance from x to this subspace, relative to |x| (0 for x = 0)."""
         if x.n != self.ambient_n:
             raise ValueError(f"dimension mismatch: {x.n} vs ambient {self.ambient_n}")
-        v = lie_coords(x)
-        nrm = np.linalg.norm(v)
-        return float(self.residuals(v[None])[0] / nrm) if nrm else 0.0
+        return float(self.relative_residuals(lie_coords(x)[None])[0])
+
+    def relative_residuals(self, rows) -> np.ndarray:
+        """:meth:`residuals` of lex-coordinate rows relative to their norms (0 for a zero row)."""
+        nrm = np.linalg.norm(rows, axis=1)
+        return np.divide(self.residuals(rows), nrm, out=np.zeros_like(nrm), where=nrm != 0)
 
     def residuals(self, rows) -> np.ndarray:
         """Absolute distance of each lex-coordinate row to this subspace: a bracket
@@ -283,7 +300,12 @@ class EndoOnM:
         return self.domain.dim
 
     def apply(self, x: LieElement) -> LieElement:
-        return self.domain.lift(self.matrix @ self.domain.coords_of(x))
+        return LieElement(x.n, self.apply_mats(x.mat[None])[0])
+
+    def apply_mats(self, mats: np.ndarray) -> np.ndarray:
+        """Images of a (P, n, n) stack of skew matrices, one matrix-vector product per factor."""
+        c = self.domain.coords
+        return lie_mats(self.domain.ambient_n, (c.T @ (self.matrix @ (c @ lie_rows(mats)[..., None])))[..., 0])
 
     def __matmul__(self, other: "EndoOnM") -> "EndoOnM":
         return EndoOnM(self.domain, self.matrix @ other.matrix)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import LieElement, Subspace, bracket, bracket_coords, bracket_rows
+from .liealg import LieElement, Subspace, bracket_coords, bracket_rows, brackets, lie_mats, lie_rows
 from .phispace import PhiSpace, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
@@ -158,31 +158,38 @@ def block_weights(split: TripleSplit, params: MetricParams) -> np.ndarray:
     return params.kappa * w
 
 
-def _require_in_m(split: TripleSplit, *xs: LieElement) -> None:
-    for x in xs:
-        r = split.combined.member_residual(x)
-        if r > TAU_SUBSPACE:
-            raise ValueError(f"argument is not in the complement m (residual {r:.3e})")
+def _m_rows(split: TripleSplit, *stacks: np.ndarray) -> list[np.ndarray]:
+    """Lex coordinates of (P, n, n) stacks; ValueError if any element is not in m."""
+    out = [lie_rows(mats) for mats in stacks]
+    r = np.concatenate([split.combined.relative_residuals(rows) for rows in out])
+    if np.any(r > TAU_SUBSPACE):
+        raise ValueError(f"argument is not in the complement m (residual {np.nanmax(r):.3e})")
+    return out
+
+
+def _metric(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    xv, yv = (rows @ split.combined.coords.T for rows in _m_rows(split, xs, ys))
+    return np.sum(block_weights(split, params) * xv * yv, axis=1)
 
 
 def metric_eval(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> float:
     """g(X, Y) = kappa (<X1,Y1> + s <X2,Y2> + t <X3,Y3>), <,> = Tr(X^T Y)."""
-    _require_in_m(split, x, y)
-    xv = split.combined.coords_of(x)
-    yv = split.combined.coords_of(y)
-    return float(np.sum(block_weights(split, params) * xv * yv))
+    return float(_metric(split, params, x.mat[None], y.mat[None])[0])
+
+
+def _u_closed(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    xr, yr = _m_rows(split, xs, ys)
+    s, t = params.s, params.t
+    x1, x2, x3 = (blk.project_rows(xr) for blk in (split.m1, split.m2, split.m3))
+    y1, y2, y3 = (blk.project_rows(yr) for blk in (split.m1, split.m2, split.m3))
+    out = 0.5 * (t - s) * (brackets(x2, y3) + brackets(y2, x3))
+    out = out + ((t - 1.0) / (2.0 * s)) * (brackets(x1, y3) + brackets(y1, x3))
+    return out + ((s - 1.0) / (2.0 * t)) * (brackets(x1, y2) + brackets(y1, x2))
 
 
 def u_tensor_closed(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> LieElement:
     """Closed-form U(X, Y); symmetric in (X, Y) and valued in m."""
-    _require_in_m(split, x, y)
-    s, t = params.s, params.t
-    x1, x2, x3 = split.m1.project(x), split.m2.project(x), split.m3.project(x)
-    y1, y2, y3 = split.m1.project(y), split.m2.project(y), split.m3.project(y)
-    out = 0.5 * (t - s) * (bracket(x2, y3) + bracket(y2, x3))
-    out = out + ((t - 1.0) / (2.0 * s)) * (bracket(x1, y3) + bracket(y1, x3))
-    out = out + ((s - 1.0) / (2.0 * t)) * (bracket(x1, y2) + bracket(y1, x2))
-    return out
+    return LieElement(x.n, _u_closed(split, params, x.mat[None], y.mat[None])[0])
 
 
 def u_tensor_solved(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> LieElement:
@@ -191,10 +198,8 @@ def u_tensor_solved(split: TripleSplit, params: MetricParams, x: LieElement, y: 
     The block basis diagonalizes g, so the solve is a componentwise rescale.
     This is the independent oracle for :func:`u_tensor_closed`.
     """
-    _require_in_m(split, x, y)
+    xv, yv = (rows[0] @ split.combined.coords.T for rows in _m_rows(split, x.mat[None], y.mat[None]))
     gd = block_weights(split, params)
-    xv = split.combined.coords_of(x)
-    yv = split.combined.coords_of(y)
     bm = split.bracket_m
     rhs = np.einsum("zjr,j,r->z", bm, yv, gd * xv) + np.einsum("zir,i,r->z", bm, xv, gd * yv)
     return split.combined.lift(rhs / (2.0 * gd))
@@ -234,16 +239,23 @@ def u_channel_masks(split: TripleSplit) -> np.ndarray:
     return masks
 
 
-def nomizu(
-    split: TripleSplit,
-    params: MetricParams,
-    x: LieElement,
-    y: LieElement,
-    u_mode: str = "closed",
-) -> LieElement:
-    """Connection bilinear map alpha(X, Y) = (1/2)[X, Y]_m + U(X, Y)."""
-    u_fn = u_tensor_closed if u_mode == "closed" else u_tensor_solved
-    return 0.5 * split.combined.project(bracket(x, y)) + u_fn(split, params, x, y)
+def _alpha(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    return 0.5 * split.combined.project_rows(lie_rows(brackets(xs, ys))) + _u_closed(split, params, xs, ys)
+
+
+def nomizu(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> LieElement:
+    """Connection bilinear map alpha(X, Y) = (1/2)[X, Y]_m + U(X, Y), U closed-form."""
+    return LieElement(x.n, _alpha(split, params, x.mat[None], y.mat[None])[0])
+
+
+def connection_compat_residual(split: TripleSplit, params: MetricParams, xyz) -> float:
+    """max |g(alpha(Z, X), Y) + g(X, alpha(Z, Y))| / kappa over triples (X, Y, Z) given as
+    (P, 3, d) block coordinates: 0 for a metric connection.  Every alpha value must lie in m."""
+    c = split.combined
+    x, y, z = (lie_mats(c.ambient_n, np.asarray(xyz, dtype=float)[:, i] @ c.coords) for i in range(3))
+    val = _metric(split, params, _alpha(split, params, z, x), y)
+    val += _metric(split, params, x, _alpha(split, params, z, y))
+    return float(np.max(np.abs(val) / params.kappa, initial=0.0))
 
 
 def naturally_reductive_residual(split: TripleSplit, params: MetricParams) -> float:

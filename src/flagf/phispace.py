@@ -20,12 +20,13 @@ import numpy as np
 from .liealg import (
     EndoOnM,
     Subspace,
-    basis_element,
     bracket_coords,
     bracket_rows,
+    brackets,
     image,
-    lex_indices,
     lex_pairs,
+    lie_mats,
+    lie_rows,
     nullspace,
     so_dim,
 )
@@ -158,14 +159,18 @@ def build_automorphism(n: int, m_blocks: int = 1, k: int = 4) -> AutomorphismSpe
 
 
 def phi_matrix(spec: AutomorphismSpec) -> np.ndarray:
-    """Matrix of X -> B X B^-1 over the lexicographic orthonormal so(n) basis."""
-    n, b = spec.n, spec.b
-    iu = lex_indices(n)
-    cols = []
-    for i, j in lex_pairs(n):
-        conj = b @ basis_element(n, i, j).mat @ b.T
-        cols.append(np.sqrt(2.0) * conj[iu])
-    return np.array(cols).T
+    """Matrix of X -> B X B^-1 over the lexicographic orthonormal so(n) basis (one stacked conjugation)."""
+    return lie_rows(spec.b @ lie_mats(spec.n, np.eye(so_dim(spec.n))) @ spec.b.T).T
+
+
+def phi_homomorphism_residuals(ps: PhiSpace, xy: np.ndarray) -> tuple[float, float]:
+    """max |phi[X, Y] - [phi X, phi Y]| (Frobenius) and max |<phi X, phi Y> - <X, Y>|
+    over a (P, 2, n, n) stack of skew pairs (X, Y)."""
+    xs, ys = xy[:, 0], xy[:, 1]
+    px, py = ps.phi.apply_mats(xs), ps.phi.apply_mats(ys)
+    dev_b = np.linalg.norm(ps.phi.apply_mats(brackets(xs, ys)) - brackets(px, py), axis=(1, 2))
+    dev_iso = np.abs(np.sum(px * py, axis=(1, 2)) - np.sum(xs * ys, axis=(1, 2)))
+    return float(np.max(dev_b, initial=0.0)), float(np.max(dev_iso, initial=0.0))
 
 
 def _conjugation_order(spec: AutomorphismSpec, cap: int) -> int | None:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import flagf
+from flagf import canonical
 from flagf.canonical import (
     REFERENCE_F_COEFFS,
     REFERENCE_P_COEFFS,
@@ -14,6 +17,7 @@ from flagf.canonical import (
     verify_structure,
 )
 from flagf.liealg import basis_element, nullspace, poly_in, skew
+from flagf.tolerances import TAU_GOLDEN
 
 
 def elem(n, i, j):
@@ -176,7 +180,43 @@ class TestStructureIdentities:
             assert cs.kind == "f-structure"
 
 
+def _golden_per_probe(ps, structures):
+    """The golden-action comparison one probe at a time: (max deviation, mismatches)."""
+    m = ps.m
+    probes = list(m.basis) + [m.lift(np.arange(1.0, m.dim + 1.0) / 3.0)]
+    worst, mismatches = 0.0, []
+    for label in sorted(REFERENCE_F_COEFFS[ps.spec.k]):
+        f = structure_by_label(structures, label).op.matrix
+        for x in probes:
+            got = m.lift(f @ m.coords_of(x)).mat
+            want = expected_flag_action(label, x.mat)
+            delta = np.abs(got - want)
+            worst = max(worst, float(np.max(delta)))
+            for i, j in zip(*np.nonzero(delta > TAU_GOLDEN)):
+                mismatches.append((label, (int(i), int(j)), float(got[i, j]), float(want[i, j])))
+    return worst, tuple(mismatches)
+
+
 class TestGoldenActions:
+    @pytest.mark.parametrize("n", range(5, 17))
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_stacked_check_equals_per_probe_loop(self, get_space, get_f_structures, n, k):
+        rep = golden_action_check(get_space(n, k))
+        assert (rep.max_deviation, rep.mismatches) == _golden_per_probe(get_space(n, k), get_f_structures(n, k))
+
+    def test_sign_flipped_structure_lists_mismatches_in_probe_order(self, get_space, monkeypatch):
+        ps = get_space(6, 6)
+        flipped = [
+            dataclasses.replace(cs, op=-cs.op) if cs.label == "f2" else cs
+            for cs in canonical.generate_f_structures(ps)
+        ]
+        monkeypatch.setattr(canonical, "generate_f_structures", lambda _: flipped)
+        rep = golden_action_check(ps)
+        worst, mismatches = _golden_per_probe(ps, flipped)
+        assert not rep.passed and rep.max_deviation == worst > 1.0
+        assert rep.mismatches == mismatches and {m[0] for m in mismatches} == {"f2"}
+
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("k", [4, 6])
     def test_tabulated_actions_reproduced(self, get_space, n, k):

@@ -64,9 +64,10 @@ class TestVerify:
         assert all(c["passed"] for c in report["checks"])
 
     def test_cost_guard_lie_element_constructions(self, capsys, monkeypatch):
-        # ad(h), reductivity and the split checks run on batched coordinate
-        # arrays; a return to per-element brackets costs tens of thousands of
-        # LieElements here (about 62,600 with one bracket per (h, m) pair).
+        # The structural and the element-level checks all run on stacked
+        # arrays; a return to per-element checks costs hundreds of LieElements
+        # here (1,040 with the per-triple connection and per-probe golden loops)
+        # and per-element brackets tens of thousands.
         built = [0]
         post_init = LieElement.__post_init__
 
@@ -75,9 +76,23 @@ class TestVerify:
             post_init(self)
 
         monkeypatch.setattr(LieElement, "__post_init__", counting)
+        flagf.basis_element(3, 0, 1)
+        assert built[0] == 1  # the patch counts
+        built[0] = 0
         code, out, _ = run(capsys, "verify", "--n", "16", "--k", "6", "--format", "json")
         assert code == 0 and json.loads(out)["passed"] is True
-        assert 0 < built[0] < 5000
+        assert built[0] <= 10
+
+    def test_byte_identical_reruns(self, capsys):
+        argv = ("verify", "--n", "12", "--k", "6", "--seed", "4242", "--format", "json")
+        code, first, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(first)["passed"] is True
+        assert run(capsys, *argv)[1] == first
+
+    @pytest.mark.parametrize("kappa", ["1e-300", "1e307"])
+    def test_extreme_valid_kappa_passes(self, capsys, kappa):
+        code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--kappa", kappa, "--format", "json")
+        assert code == 0 and json.loads(out)["passed"] is True
 
 
 class TestClassify:
@@ -309,6 +324,11 @@ class TestNonFiniteValues:
             ("classify", "--f", "f0", "--s", "1e308", "--t", "1e308", "--format", "json"),
             ("classify", "--f", "f0", "--s", "1e-308", "--t", "1e308", "--kappa", "1"),
             ("sweep", "--grid-min", "1e-320", "--grid-max", "1e-319", "--grid-step", "1e-320"),
+            # verify's kappa: subnormal, kappa * 5 overflows, or a check value overflows
+            ("verify", "--kappa", "1e-320"),
+            ("verify", "--kappa", "1e308"),
+            ("verify", "--kappa", "3e307"),
+            ("verify", "--n", "12", "--kappa", "1.7e307"),
             # more than classify.MAX_GRID_POINTS points
             ("sweep", "--grid-step", "1e-9"),
             ("sweep", "--grid-step", "5e-324"),

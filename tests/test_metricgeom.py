@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import flagf
+from flagf import metricgeom
 from flagf.liealg import bracket, decompose_orthogonal, skew, trace_form
-from flagf.tolerances import TAU_NAT_RED
+from flagf.tolerances import TAU_CONNECTION, TAU_NAT_RED
 from flagf.metricgeom import (
     MetricParams,
     block_weights,
     build_split,
+    connection_compat_residual,
     metric_eval,
     naturally_reductive_residual,
     nomizu,
@@ -251,6 +253,75 @@ class TestNomizu:
             total = metric_eval(split, p, nomizu(split, p, z, x), y)
             total += metric_eval(split, p, x, nomizu(split, p, z, y))
             assert abs(total) < 1e-10
+
+
+def _alpha_per_element(split, p, x, y):
+    """alpha(X, Y) one element at a time, through LieElement brackets and lift/coords_of
+    projections: the per-triple reference of the stacked connection check."""
+    s, t = p.s, p.t
+    x1, x2, x3 = (b.lift(b.coords_of(x)) for b in (split.m1, split.m2, split.m3))
+    y1, y2, y3 = (b.lift(b.coords_of(y)) for b in (split.m1, split.m2, split.m3))
+    u = 0.5 * (t - s) * (bracket(x2, y3) + bracket(y2, x3))
+    u = u + ((t - 1.0) / (2.0 * s)) * (bracket(x1, y3) + bracket(y1, x3))
+    u = u + ((s - 1.0) / (2.0 * t)) * (bracket(x1, y2) + bracket(y1, x2))
+    c = split.combined
+    return 0.5 * c.lift(c.coords_of(bracket(x, y))) + u
+
+
+def _g_per_element(split, p, x, y):
+    return float(np.sum(block_weights(split, p) * split.combined.coords_of(x) * split.combined.coords_of(y)))
+
+
+class TestConnectionCompatibility:
+    @pytest.mark.parametrize("n,k", [(12, 4), (16, 6)])
+    def test_equals_per_triple_loop_bitwise(self, get_split, n, k):
+        # The same draws as verify: 30 vectors of d normals, one (10, 3, d) array.
+        split = get_split(n, k)
+        rng = np.random.default_rng(7)
+        p = MetricParams(float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0)), kappa=n - 1.0)
+        state = rng.bit_generator.state
+        dev = 0.0
+        for _ in range(10):
+            x, y, z = (split.combined.lift(rng.standard_normal(split.dim)) for _ in range(3))
+            val = _g_per_element(split, p, _alpha_per_element(split, p, z, x), y)
+            val += _g_per_element(split, p, x, _alpha_per_element(split, p, z, y))
+            dev = max(dev, abs(val) / p.kappa)
+        rng.bit_generator.state = state
+        got = connection_compat_residual(split, p, rng.standard_normal((10, 3, split.dim)))
+        assert got == dev and 0 < got < TAU_CONNECTION
+
+    def test_one_row_cases_equal_the_reference(self, get_split, rng):
+        split = get_split(8, 6)
+        p = MetricParams(1.9, 0.7, kappa=7.0)
+        x, y = (split.combined.lift(rng.standard_normal(split.dim)) for _ in range(2))
+        assert np.array_equal(nomizu(split, p, x, y).mat, _alpha_per_element(split, p, x, y).mat)
+        assert metric_eval(split, p, x, y) == _g_per_element(split, p, x, y)
+
+    def test_fails_with_a_wrong_u_coefficient(self, get_split, monkeypatch):
+        split = get_split(8, 6)
+        p = MetricParams(1.9, 0.7, kappa=7.0)
+        xyz = np.random.default_rng(1).standard_normal((10, 3, split.dim))
+        assert connection_compat_residual(split, p, xyz) < TAU_CONNECTION
+        u_closed = metricgeom._u_closed
+
+        def wrong_t(sp, q, xs, ys):
+            return u_closed(sp, MetricParams(q.s, 1.1 * q.t, q.kappa), xs, ys)
+
+        monkeypatch.setattr(metricgeom, "_u_closed", wrong_t)
+        assert connection_compat_residual(split, p, xyz) > 1e-3
+
+    def test_an_argument_outside_m_raises_in_any_row(self, get_space, get_split):
+        split, h = get_split(6, 4), get_space(6, 4).h
+        p = MetricParams(1.0, 2.0)
+        xs = np.stack([b.mat for b in split.combined.basis[:3]])
+        ys = xs.copy()
+        ys[-1] = h.basis[0].mat
+        with pytest.raises(ValueError, match="not in the complement m"):
+            metricgeom._metric(split, p, xs, ys)
+        with pytest.raises(ValueError, match="not in the complement m"):
+            metricgeom._alpha(split, p, ys, xs)
+        with pytest.raises(ValueError, match="not in the complement m"):
+            nomizu(split, p, split.m1.basis[0], h.basis[0])
 
 
 class TestNaturalReductivity:

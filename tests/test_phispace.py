@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import flagf
 from flagf.canonical import CanonicalStructure, verify_structure
-from flagf.liealg import EndoOnM, Subspace, bracket, random_skew, trace_form
+from flagf.liealg import EndoOnM, Subspace, basis_element, bracket, lex_pairs, random_skew, trace_form
 from flagf.metricgeom import TripleSplit, _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
@@ -12,8 +14,10 @@ from flagf.phispace import (
     build_phi_space,
     check_regularity,
     fixed_subalgebra_dim,
+    phi_homomorphism_residuals,
     phi_matrix,
 )
+from flagf.tolerances import TAU_PHI
 
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]
 
@@ -66,6 +70,53 @@ class TestBuildAutomorphism:
                 acc = p @ acc
                 assert np.max(np.abs(acc - np.eye(p.shape[0]))) > 1e-3, (n, k, j)
             np.testing.assert_allclose(p @ acc, np.eye(p.shape[0]), atol=1e-12)
+
+
+class TestBatchedPhiChecks:
+    """phi_matrix and the homomorphism check run on stacks; these are their per-element references."""
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_phi_matrix_equals_per_basis_conjugation_bitwise(self, n):
+        for m_blocks in (1, 2):
+            for k in (4, 6, 8):
+                try:
+                    spec = build_automorphism(n, m_blocks, k)
+                except ValueError:  # degenerate (n, m_blocks, k)
+                    continue
+                iu = np.triu_indices(n, 1)
+                cols = [np.sqrt(2.0) * (spec.b @ basis_element(n, i, j).mat @ spec.b.T)[iu] for i, j in lex_pairs(n)]
+                assert np.array_equal(phi_matrix(spec), np.array(cols).T), (n, m_blocks, k)
+
+    @pytest.mark.parametrize("n,k,m_blocks", [(12, 6, 1), (7, 6, 2)])
+    def test_homomorphism_residuals_equal_per_element_loop(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        full = ps.phi.domain
+
+        def apply(x):  # EndoOnM.apply one element at a time
+            return full.lift(ps.phi.matrix @ full.coords_of(x))
+
+        rng = np.random.default_rng(4242)
+        dev_b = dev_iso = 0.0
+        for _ in range(10):
+            x, y = random_skew(rng, n), random_skew(rng, n)
+            px, py = apply(x), apply(y)
+            dev_b = max(dev_b, (apply(bracket(x, y)) - bracket(px, py)).norm)
+            dev_iso = max(dev_iso, abs(trace_form(px, py) - trace_form(x, y)))
+        a = np.random.default_rng(4242).standard_normal((10, 2, n, n))
+        xy = a - a.swapaxes(-1, -2)
+        got = phi_homomorphism_residuals(ps, xy)
+        np.testing.assert_allclose(got, (dev_b, dev_iso), rtol=1e-12, atol=0)  # norms sum in another order
+        assert max(got) < TAU_PHI
+
+    def test_homomorphism_check_fails_with_two_phi_columns_swapped(self, get_space):
+        ps = get_space(7, 6)
+        bad = ps.phi.matrix.copy()
+        bad[:, [0, 1]] = bad[:, [1, 0]]
+        broken = dataclasses.replace(ps, phi=EndoOnM(ps.phi.domain, bad))
+        a = np.random.default_rng(1).standard_normal((10, 2, 7, 7))
+        xy = a - a.swapaxes(-1, -2)
+        dev_b, _ = phi_homomorphism_residuals(broken, xy)
+        assert dev_b > 0.1
 
 
 class TestBuildPhiSpace:
