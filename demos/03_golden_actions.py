@@ -14,20 +14,20 @@ n = 5
 ps = flagf.build_phi_space(flagf.build_automorphism(n, 1, 6))
 fs = flagf.generate_f_structures(ps)
 
-# A tangent vector with recognizable entries.
+# A tangent vector with recognizable entries, as a stack of one matrix.
 coords = np.arange(1.0, ps.m.dim + 1.0)
-sample = ps.m.lift(coords)
+sample = flagf.lie_mats(n, coords[None] @ ps.m.coords)
 print("sample tangent matrix S:")
-print(sample.mat)
+print(sample[0])
 print()
 
 for label in ("f1", "f2", "f3", "f4"):
     cs = flagf.structure_by_label(fs, label)
-    out = cs.op.apply(sample)
-    want = flagf.expected_flag_action(label, sample.mat)
+    out = cs.op.apply_mats(sample)
+    want = flagf.expected_flag_action(label, sample)
     print(f"{label}(S) =")
-    print(out.mat)
-    print(f"  matches tabulated action: {np.max(np.abs(out.mat - want)):.1e}")
+    print(out[0])
+    print(f"  matches tabulated action: {np.max(np.abs(out - want)):.1e}")
     print()
 
 report = flagf.golden_action_check(ps)

@@ -10,20 +10,14 @@ the Killing, nearly-Kaehler and G1 classes as a function of (s, t).
 
 from .liealg import (
     EndoOnM,
-    LieElement,
     Subspace,
-    ad_matrix,
-    basis_element,
-    bracket,
+    brackets,
     decompose_orthogonal,
     image,
-    lie_coords,
-    lie_from_coords,
+    lie_mats,
+    lie_rows,
     nullspace,
     poly_in,
-    random_skew,
-    skew,
-    trace_form,
 )
 from .phispace import (
     AutomorphismSpec,

@@ -39,6 +39,8 @@ from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
 MAX_GRID_POINTS = 10**5  # build_grid refuses a larger grid
+MAX_N = 40  # the CLI refuses a larger --n: on a 2-core box verify --k 4 takes 6 s at n = 40, 95 s and 1 GB at 64
+MAX_K = 16  # the CLI refuses a larger --k: generate_f_structures tries 3^(k/2 - 1) polynomials in theta
 
 
 def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, u: np.ndarray) -> np.ndarray:

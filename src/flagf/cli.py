@@ -144,13 +144,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("grid bounds must satisfy 0 < min <= max < inf")
     if cfg.command == "classify" and not (0 < cfg.s < math.inf and 0 < cfg.t < math.inf):
         raise ConfigError("--s and --t must be positive and finite")
-    if cfg.kappa is not None and not 0 < cfg.kappa < math.inf:
-        raise ConfigError("--kappa must be positive and finite")
-    # verify compares values of size kappa * s and kappa * t, s, t in VERIFY_ST: kappa must be normal
-    # (a subnormal one has lost the digits the checks resolve) and kappa * max(VERIFY_ST) finite.
-    if cfg.command == "verify" and cfg.kappa is not None:
-        if not (sys.float_info.min <= cfg.kappa and cfg.kappa * VERIFY_ST[1] < math.inf):
-            raise ConfigError(f"verify needs a normal --kappa with kappa * {VERIFY_ST[1]} finite")
+    if not (cfg.n <= classify.MAX_N and cfg.k <= classify.MAX_K):
+        raise ConfigError(f"need n <= MAX_N = {classify.MAX_N} and k <= MAX_K = {classify.MAX_K}")
+    # kappa scales every metric value: it must be normal, since a subnormal kappa has lost the
+    # digits the residuals resolve.  verify also forms kappa * s and kappa * t, s, t in VERIFY_ST.
+    if cfg.kappa is not None and not sys.float_info.min <= cfg.kappa < math.inf:
+        raise ConfigError("--kappa must be a normal positive finite number")
+    if cfg.command == "verify" and cfg.kappa is not None and not cfg.kappa * VERIFY_ST[1] < math.inf:
+        raise ConfigError(f"verify needs kappa * {VERIFY_ST[1]} finite")
     return cfg
 
 
@@ -532,12 +533,10 @@ def main(argv=None) -> int:
                     code, report = cmd_verify(cfg)
             except FloatingPointError as exc:  # only --kappa scales the values verify forms
                 raise ConfigError(f"--kappa {cfg.kappa!r} overflows a verify check ({exc})") from exc
-            _deliver(cfg, report, _verify_text)
-            return code
+            return _deliver(cfg, report, _verify_text) or code
         if cfg.command == "classify":
             code, report = cmd_classify(cfg)
-            _deliver(cfg, report, _classify_text)
-            return code
+            return _deliver(cfg, report, _classify_text) or code
         code, info = cmd_sweep(cfg)
         if code == 0:
             for path in info["written"]:
@@ -551,13 +550,19 @@ def main(argv=None) -> int:
         return 2
 
 
-def _deliver(cfg: RunConfig, report: dict, to_text) -> None:
+def _deliver(cfg: RunConfig, report: dict, to_text) -> int:
+    """Write the report to --out or stdout: 0, or 1 on an I/O failure."""
     text = json_dumps(report) if cfg.fmt == "json" else to_text(report)
-    if cfg.out:
-        atomic_write_text(Path(cfg.out), text)
-        print(cfg.out)
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
+        return 0
+    try:
+        atomic_write_text(Path(cfg.out), text)
+    except OSError as exc:
+        print(f"flagf: I/O failure: {exc}", file=sys.stderr)
+        return 1
+    print(cfg.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
 """Dense linear algebra over so(n).
 
-Everything downstream works with real skew-symmetric n x n matrices, the
-commutator bracket, the trace form <X, Y> = Tr(X^T Y), and orthonormal
-subspaces of so(n).  Coordinates are always taken with respect to the fixed
-orthonormal basis (E_ij - E_ji)/sqrt(2), i < j, ordered lexicographically in
-(i, j); this pins down every operator matrix and report for reproducibility.
+An element of so(n) is held in one of two forms: a skew-symmetric matrix,
+one per slice of a (..., n, n) stack, or a row of lex coordinates, its
+coefficients in the fixed orthonormal basis (E_ij - E_ji)/sqrt(2), i < j,
+ordered lexicographically in (i, j).  :func:`lie_rows` and :func:`lie_mats`
+convert between them, and lie_rows is the one place a matrix is checked for
+skew-symmetry.  The lex basis is orthonormal for the trace form
+<X, Y> = Tr(X^T Y), so the trace form of two elements is the dot product of
+their rows.  :func:`brackets` takes the commutators of two stacks,
+:class:`Subspace` holds orthonormal rows and :class:`EndoOnM` an operator on
+them.  The fixed basis pins down every operator matrix and report for
+reproducibility.
 
 Matrices are small (the benchmark goes up to n = 24, so dim so(n) <= 276) and
 entries are O(1).  Each threshold, and the scale it applies to, is named in
@@ -14,15 +20,14 @@ Structural quantities (ad(h) on m, reductivity, the bracket tensor of m) all
 come from one batched kernel, :func:`bracket_rows`: for each basis element
 x_a it computes the lex coordinates of [x_a, y_b] for a whole basis y with a
 single (n, n) @ (n, n * dim y) product.  :func:`bracket_coords` stacks its
-output, optionally projected onto a subspace, and :func:`ad_matrix` is the
-one-element case.  Memory stays at one (dim y, dim so(n)) block per step; no
+output, optionally projected onto a subspace.  Memory stays at one (dim y, dim so(n)) block per step; no
 (dim x, dim y, n, n) array is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -34,11 +39,6 @@ _SQRT2 = np.sqrt(2.0)
 def so_dim(n: int) -> int:
     """Dimension n(n-1)/2 of so(n)."""
     return n * (n - 1) // 2
-
-
-def lex_pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, in lexicographic order (0-based)."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 @cache
@@ -53,91 +53,18 @@ def lex_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-@dataclass(frozen=True, eq=False)
-class LieElement:
-    """An element of so(n): a real skew-symmetric n x n matrix.
-
-    Skew-symmetry is enforced on construction within TAU_SKEW and the stored
-    matrix is then symmetrized exactly, so ``mat == -mat.T`` holds bitwise.
-    Instances are immutable; arithmetic returns new elements.
-    """
-
-    n: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
-        if mat.shape != (self.n, self.n):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix, got {mat.shape}")
-        dev = np.max(np.abs(mat + mat.T)) if self.n else 0.0
-        if dev > TAU_SKEW * max(1.0, np.max(np.abs(mat))):
-            raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
-        mat = 0.5 * (mat - mat.T)
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        _check_same_n(self, other)
-        return LieElement(self.n, self.mat + other.mat)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        _check_same_n(self, other)
-        return LieElement(self.n, self.mat - other.mat)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.n, -self.mat)
-
-    def __mul__(self, c: float) -> "LieElement":
-        return LieElement(self.n, c * self.mat)
-
-    __rmul__ = __mul__
-
-    @property
-    def norm(self) -> float:
-        """Frobenius norm, i.e. sqrt(Tr(X^T X))."""
-        return float(np.linalg.norm(self.mat))
-
-
-def _check_same_n(x: LieElement, y: LieElement) -> None:
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-
-
-def skew(mat) -> LieElement:
-    """Wrap a square matrix as a LieElement (skew-symmetric within TAU_SKEW)."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return LieElement(mat.shape[0], mat)
-
-
-def basis_element(n: int, i: int, j: int, normalized: bool = True) -> LieElement:
-    """E_ij - E_ji (0-based), divided by sqrt(2) when ``normalized``."""
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < n, got ({i}, {j}) for n={n}")
-    m = np.zeros((n, n))
-    v = 1.0 / _SQRT2 if normalized else 1.0
-    m[i, j] = v
-    m[j, i] = -v
-    return LieElement(n, m)
-
-
-def lie_coords(x: LieElement) -> np.ndarray:
-    """Coordinates of x in the orthonormal lexicographic basis of so(n)."""
-    return lie_rows(x.mat)
-
-
 def lie_rows(mats) -> np.ndarray:
-    """Lex coordinates of each matrix of a (..., n, n) stack (inverse of :func:`lie_mats`)."""
+    """Lex coordinates of each matrix of a (..., n, n) stack (inverse of :func:`lie_mats`).
+
+    Raises ValueError if a matrix is not skew-symmetric: |X + X^T| above
+    TAU_SKEW relative to max(1, max |entry|), matrix by matrix.
+    """
+    mats = np.asarray(mats, dtype=float)
+    dev = np.max(np.abs(mats + mats.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(mats), axis=(-2, -1), initial=1.0)
+    if np.any(dev > TAU_SKEW * scale):
+        raise ValueError(f"matrix is not skew-symmetric (deviation {np.max(dev):.3e})")
     return _SQRT2 * mats[(..., *lex_indices(mats.shape[-1]))]
-
-
-def lie_from_coords(n: int, v) -> LieElement:
-    """Inverse of :func:`lie_coords`."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (so_dim(n),):
-        raise ValueError(f"expected {so_dim(n)} coordinates for so({n}), got {v.shape}")
-    return LieElement(n, lie_mats(n, v[None])[0])
 
 
 def lie_mats(n: int, rows) -> np.ndarray:
@@ -149,31 +76,10 @@ def lie_mats(n: int, rows) -> np.ndarray:
     return m - m.transpose(0, 2, 1)
 
 
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Commutator [X, Y] = XY - YX."""
-    _check_same_n(x, y)
-    return LieElement(x.n, brackets(x.mat, y.mat))
-
-
 def brackets(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Commutators X_p Y_p - Y_p X_p of two (..., n, n) stacks of skew matrices."""
     m = xs @ ys
     return m - m.swapaxes(-1, -2)
-
-
-def trace_form(x: LieElement, y: LieElement) -> float:
-    """Tr(X^T Y); positive definite on skew matrices.
-
-    This is the unnormalized pairing; metric code multiplies by an explicit
-    positive constant kappa where an overall normalization is wanted.
-    """
-    _check_same_n(x, y)
-    return float(np.sum(x.mat * y.mat))
-
-
-def random_skew(rng: np.random.Generator, n: int) -> LieElement:
-    a = rng.standard_normal((n, n))
-    return LieElement(n, a - a.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,34 +113,9 @@ class Subspace:
     def dim(self) -> int:
         return self.coords.shape[0]
 
-    @cached_property
-    def basis(self) -> tuple[LieElement, ...]:
-        return tuple(lie_from_coords(self.ambient_n, row) for row in self.coords)
-
-    def coords_of(self, x: LieElement) -> np.ndarray:
-        """Coefficients of the orthogonal projection of x onto this subspace."""
-        if x.n != self.ambient_n:
-            raise ValueError(f"dimension mismatch: {x.n} vs ambient {self.ambient_n}")
-        return self.coords @ lie_coords(x)
-
-    def lift(self, v) -> LieElement:
-        """Element with the given coefficients in this basis."""
-        v = np.asarray(v, dtype=float)
-        return lie_from_coords(self.ambient_n, self.coords.T @ v)
-
-    def project(self, x: LieElement) -> LieElement:
-        """Trace-form-orthogonal projection of x onto this subspace."""
-        return LieElement(x.n, self.project_rows(lie_coords(x)[None])[0])
-
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
         """Projections of lex-coordinate rows onto this subspace, as a (rows, n, n) stack."""
         return lie_mats(self.ambient_n, (self.coords.T @ (self.coords @ rows[..., None]))[..., 0])
-
-    def member_residual(self, x: LieElement) -> float:
-        """Distance from x to this subspace, relative to |x| (0 for x = 0)."""
-        if x.n != self.ambient_n:
-            raise ValueError(f"dimension mismatch: {x.n} vs ambient {self.ambient_n}")
-        return float(self.relative_residuals(lie_coords(x)[None])[0])
 
     def relative_residuals(self, rows) -> np.ndarray:
         """:meth:`residuals` of lex-coordinate rows relative to their norms (0 for a zero row)."""
@@ -257,9 +138,9 @@ class Subspace:
         return Subspace(n, np.zeros((0, so_dim(n))))
 
     @staticmethod
-    def span(n: int, elements) -> "Subspace":
-        """Orthonormalized span of the given LieElements (SVD based)."""
-        rows = np.array([lie_coords(e) for e in elements])
+    def span(n: int, rows) -> "Subspace":
+        """Orthonormalized span of the given lex-coordinate rows (SVD based)."""
+        rows = np.asarray(rows, dtype=float)
         if rows.size == 0:
             return Subspace.empty(n)
         return Subspace(n, _orth_rows(rows))
@@ -278,9 +159,9 @@ def _orth_rows(rows: np.ndarray) -> np.ndarray:
 class EndoOnM:
     """A linear operator on a subspace, as a matrix over its ordered basis.
 
-    Column j holds the coefficients of the image of basis vector j.  Operators
-    act on LieElements by projecting to the domain first; callers that need
-    exactness keep their arguments inside the domain.
+    Column j holds the coefficients of the image of basis vector j.
+    :meth:`apply_mats` projects its arguments to the domain first; callers
+    that need exactness keep them inside the domain.
     """
 
     domain: Subspace
@@ -299,37 +180,10 @@ class EndoOnM:
     def dim(self) -> int:
         return self.domain.dim
 
-    def apply(self, x: LieElement) -> LieElement:
-        return LieElement(x.n, self.apply_mats(x.mat[None])[0])
-
     def apply_mats(self, mats: np.ndarray) -> np.ndarray:
         """Images of a (P, n, n) stack of skew matrices, one matrix-vector product per factor."""
         c = self.domain.coords
         return lie_mats(self.domain.ambient_n, (c.T @ (self.matrix @ (c @ lie_rows(mats)[..., None])))[..., 0])
-
-    def __matmul__(self, other: "EndoOnM") -> "EndoOnM":
-        return EndoOnM(self.domain, self.matrix @ other.matrix)
-
-    def __add__(self, other: "EndoOnM") -> "EndoOnM":
-        return EndoOnM(self.domain, self.matrix + other.matrix)
-
-    def __sub__(self, other: "EndoOnM") -> "EndoOnM":
-        return EndoOnM(self.domain, self.matrix - other.matrix)
-
-    def __neg__(self) -> "EndoOnM":
-        return EndoOnM(self.domain, -self.matrix)
-
-    def __mul__(self, c: float) -> "EndoOnM":
-        return EndoOnM(self.domain, c * self.matrix)
-
-    __rmul__ = __mul__
-
-    def power(self, m: int) -> "EndoOnM":
-        return EndoOnM(self.domain, np.linalg.matrix_power(self.matrix, m))
-
-    @staticmethod
-    def identity(domain: Subspace) -> "EndoOnM":
-        return EndoOnM(domain, np.eye(domain.dim))
 
     def matrix_on(self, domain: Subspace) -> np.ndarray:
         """Matrix of this operator over another orthonormal basis of the domain."""
@@ -350,41 +204,34 @@ def poly_in(op: EndoOnM, coeffs) -> EndoOnM:
     return EndoOnM(op.domain, acc)
 
 
-def _as_matrix_and_domain(op, domain: Subspace | None):
-    if isinstance(op, EndoOnM):
-        return op.matrix, op.domain
-    m = np.asarray(op, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if domain is None:
-        raise ValueError("a raw matrix needs an explicit domain subspace")
-    if domain.dim != m.shape[0]:
-        raise ValueError(f"matrix size {m.shape[0]} != domain dim {domain.dim}")
-    return m, domain
+def _square_on(m, domain: Subspace) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if m.shape != (domain.dim, domain.dim):
+        raise ValueError(f"a {m.shape} matrix does not act on a domain of dim {domain.dim}")
+    return m
 
 
-def nullspace(op, domain: Subspace | None = None) -> Subspace:
-    """Orthonormal basis of the kernel of an operator.
+def nullspace(m, domain: Subspace) -> Subspace:
+    """Orthonormal basis of the kernel of the matrix m, which acts on the
+    coefficients over the basis of ``domain``.
 
     Singular values below TAU_RANK_REL times the largest one are treated as
-    zero.  The result lives in the ambient so(n) of the operator's domain.
+    zero.  The result lives in the ambient so(n) of the domain.
     """
-    m, dom = _as_matrix_and_domain(op, domain)
-    if dom.dim == 0:
-        return Subspace.empty(dom.ambient_n)
-    _, s, vh = np.linalg.svd(m)
+    if domain.dim == 0:
+        return Subspace.empty(domain.ambient_n)
+    _, s, vh = np.linalg.svd(_square_on(m, domain))
     rank = int(np.sum(s > TAU_RANK_REL * s[0])) if s[0] > 0 else 0
-    return Subspace(dom.ambient_n, vh[rank:] @ dom.coords)
+    return Subspace(domain.ambient_n, vh[rank:] @ domain.coords)
 
 
-def image(op, domain: Subspace | None = None) -> Subspace:
-    """Orthonormal basis of the column space of an operator."""
-    m, dom = _as_matrix_and_domain(op, domain)
-    if dom.dim == 0:
-        return Subspace.empty(dom.ambient_n)
-    u, s, _ = np.linalg.svd(m)
+def image(m, domain: Subspace) -> Subspace:
+    """Orthonormal basis of the column space of the matrix m on ``domain``."""
+    if domain.dim == 0:
+        return Subspace.empty(domain.ambient_n)
+    u, s, _ = np.linalg.svd(_square_on(m, domain))
     rank = int(np.sum(s > TAU_RANK_REL * s[0])) if s[0] > 0 else 0
-    return Subspace(dom.ambient_n, u[:, :rank].T @ dom.coords)
+    return Subspace(domain.ambient_n, u[:, :rank].T @ domain.coords)
 
 
 def bracket_rows(n: int, x_rows, y_rows):
@@ -394,7 +241,7 @@ def bracket_rows(n: int, x_rows, y_rows):
     Rows need not be orthonormal (``Subspace.coords`` or single elements both
     work).  Each step is one (n, n) @ (n, n * len(y_rows)) product, and the
     coordinates are read off as sqrt(2) (P_ij - P_ji), P = X Y, exactly as
-    :func:`bracket` and :func:`lie_coords` do element by element.
+    :func:`lie_rows` reads them off :func:`brackets`.
     """
     i, j = lex_indices(n)
     ys = lie_mats(n, y_rows)
@@ -421,18 +268,6 @@ def bracket_coords(x: Subspace, y: Subspace, onto: Subspace | None = None) -> np
     for a, b in enumerate(bracket_rows(n, x.coords, y.coords)):
         out[a] = b if onto is None else b @ onto.coords.T
     return out
-
-
-def ad_matrix(h: LieElement, space: Subspace) -> np.ndarray:
-    """Matrix of X -> [h, X] compressed to the given subspace basis.
-
-    Meaningful when the subspace is invariant under ad(h); column j holds the
-    coefficients of the projection of [h, basis_j].
-    """
-    if h.n != space.ambient_n:
-        raise ValueError(f"dimension mismatch: {h.n} vs ambient {space.ambient_n}")
-    b = next(bracket_rows(h.n, lie_coords(h)[None], space.coords))
-    return (b @ space.coords.T).T
 
 
 def decompose_orthogonal(whole: Subspace, parts) -> bool:

@@ -19,6 +19,11 @@ The symmetric part U of the connection comes either from the closed form
 or, independently, by solving 2 g(U(X,Y), Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y)
 for U in the block basis (the Gram matrix is diagonal there).  Agreement of
 the two routes is one of the package's standing cross-checks.
+
+:func:`metric_eval`, :func:`u_tensor_closed`, :func:`u_tensor_solved` and
+:func:`nomizu` take two (P, n, n) stacks of elements of m and work pair by
+pair (X_p, Y_p); an argument outside m raises ValueError.
+:func:`u_coords_tensor` gives U on all basis pairs in block coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import LieElement, Subspace, bracket_coords, bracket_rows, brackets, lie_mats, lie_rows
+from .liealg import Subspace, bracket_coords, bracket_rows, brackets, lie_mats, lie_rows
 from .phispace import PhiSpace, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
@@ -167,17 +172,16 @@ def _m_rows(split: TripleSplit, *stacks: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _metric(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def metric_eval(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """g(X_p, Y_p) = kappa (<X1,Y1> + s <X2,Y2> + t <X3,Y3>), <,> = Tr(X^T Y),
+    for each pair of two (P, n, n) stacks of elements of m: shape (P,)."""
     xv, yv = (rows @ split.combined.coords.T for rows in _m_rows(split, xs, ys))
     return np.sum(block_weights(split, params) * xv * yv, axis=1)
 
 
-def metric_eval(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> float:
-    """g(X, Y) = kappa (<X1,Y1> + s <X2,Y2> + t <X3,Y3>), <,> = Tr(X^T Y)."""
-    return float(_metric(split, params, x.mat[None], y.mat[None])[0])
-
-
-def _u_closed(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def u_tensor_closed(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Closed-form U(X_p, Y_p) for two (P, n, n) stacks of elements of m, as a
+    (P, n, n) stack; symmetric in (X, Y) and valued in m."""
     xr, yr = _m_rows(split, xs, ys)
     s, t = params.s, params.t
     x1, x2, x3 = (blk.project_rows(xr) for blk in (split.m1, split.m2, split.m3))
@@ -187,22 +191,18 @@ def _u_closed(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.n
     return out + ((s - 1.0) / (2.0 * t)) * (brackets(x1, y2) + brackets(y1, x2))
 
 
-def u_tensor_closed(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> LieElement:
-    """Closed-form U(X, Y); symmetric in (X, Y) and valued in m."""
-    return LieElement(x.n, _u_closed(split, params, x.mat[None], y.mat[None])[0])
-
-
-def u_tensor_solved(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> LieElement:
-    """U(X, Y) recovered from 2 g(U, Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y).
+def u_tensor_solved(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """U(X_p, Y_p) recovered from 2 g(U, Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y), on stacks.
 
     The block basis diagonalizes g, so the solve is a componentwise rescale.
     This is the independent oracle for :func:`u_tensor_closed`.
     """
-    xv, yv = (rows[0] @ split.combined.coords.T for rows in _m_rows(split, x.mat[None], y.mat[None]))
+    c = split.combined
+    xv, yv = (rows @ c.coords.T for rows in _m_rows(split, xs, ys))
     gd = block_weights(split, params)
     bm = split.bracket_m
-    rhs = np.einsum("zjr,j,r->z", bm, yv, gd * xv) + np.einsum("zir,i,r->z", bm, xv, gd * yv)
-    return split.combined.lift(rhs / (2.0 * gd))
+    rhs = np.einsum("zjr,pj,pr->pz", bm, yv, gd * xv) + np.einsum("zir,pi,pr->pz", bm, xv, gd * yv)
+    return lie_mats(c.ambient_n, (rhs / (2.0 * gd)) @ c.coords)
 
 
 def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "closed") -> np.ndarray:
@@ -239,13 +239,10 @@ def u_channel_masks(split: TripleSplit) -> np.ndarray:
     return masks
 
 
-def _alpha(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return 0.5 * split.combined.project_rows(lie_rows(brackets(xs, ys))) + _u_closed(split, params, xs, ys)
-
-
-def nomizu(split: TripleSplit, params: MetricParams, x: LieElement, y: LieElement) -> LieElement:
-    """Connection bilinear map alpha(X, Y) = (1/2)[X, Y]_m + U(X, Y), U closed-form."""
-    return LieElement(x.n, _alpha(split, params, x.mat[None], y.mat[None])[0])
+def nomizu(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Connection bilinear map alpha(X, Y) = (1/2)[X, Y]_m + U(X, Y), U closed-form,
+    for two (P, n, n) stacks of elements of m: a (P, n, n) stack."""
+    return 0.5 * split.combined.project_rows(lie_rows(brackets(xs, ys))) + u_tensor_closed(split, params, xs, ys)
 
 
 def connection_compat_residual(split: TripleSplit, params: MetricParams, xyz) -> float:
@@ -253,8 +250,8 @@ def connection_compat_residual(split: TripleSplit, params: MetricParams, xyz) ->
     (P, 3, d) block coordinates: 0 for a metric connection.  Every alpha value must lie in m."""
     c = split.combined
     x, y, z = (lie_mats(c.ambient_n, np.asarray(xyz, dtype=float)[:, i] @ c.coords) for i in range(3))
-    val = _metric(split, params, _alpha(split, params, z, x), y)
-    val += _metric(split, params, x, _alpha(split, params, z, y))
+    val = metric_eval(split, params, nomizu(split, params, z, x), y)
+    val += metric_eval(split, params, x, nomizu(split, params, z, y))
     return float(np.max(np.abs(val) / params.kappa, initial=0.0))
 
 

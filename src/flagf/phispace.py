@@ -24,7 +24,7 @@ from .liealg import (
     bracket_rows,
     brackets,
     image,
-    lex_pairs,
+    lex_indices,
     lie_mats,
     lie_rows,
     nullspace,
@@ -81,7 +81,7 @@ class PhiSpace:
         """ad(h) on m as a (dim h, dim m, dim m) stack, built on first use.
 
         ``ad_h[a]`` is the matrix of X -> [h_a, X] over the basis of m (column
-        j holds the m-coefficients of [h_a, m_j]), i.e. ``ad_matrix(h_a, m)``.
+        j holds the m-coefficients of [h_a, m_j]).
         """
         return bracket_coords(self.h, self.m, onto=self.m).transpose(0, 2, 1)
 
@@ -195,9 +195,9 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
     n = spec.n
     full = Subspace.full(n)
     phi = EndoOnM(full, phi_matrix(spec))
-    a = phi - EndoOnM.identity(full)
-    h = nullspace(a)
-    m = image(a)
+    a = phi.matrix - np.eye(full.dim)
+    h = nullspace(a, full)
+    m = image(a, full)
 
     if spec.m_blocks == 1 and n >= 4:
         pattern = flag_complement_pattern(n)
@@ -212,14 +212,12 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
 def flag_complement_pattern(n: int) -> Subspace:
     """Block-adapted complement for SO(n)/SO(2)xSO(n-3): coordinates (0,1),
     (0,2); (1,j), (2,j); (0,j), for j >= 3."""
-    pairs = lex_pairs(n)
-    order = [(0, 1), (0, 2)]
-    order += [(1, j) for j in range(3, n)]
-    order += [(2, j) for j in range(3, n)]
-    order += [(0, j) for j in range(3, n)]
-    rows = np.zeros((len(order), so_dim(n)))
-    for r, p in enumerate(order):
-        rows[r, pairs.index(p)] = 1.0
+    position = np.zeros((n, n), dtype=int)
+    position[lex_indices(n)] = np.arange(so_dim(n))
+    js = np.arange(3, n)
+    cols = np.concatenate([position[0, 1:3], position[1, js], position[2, js], position[0, js]])
+    rows = np.zeros((len(cols), so_dim(n)))
+    rows[np.arange(len(cols)), cols] = 1.0
     return Subspace(n, rows)
 
 
@@ -247,17 +245,16 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     vector.  The four answers agree on every well-formed space.
     """
     full = Subspace.full(ps.spec.n)
-    a = ps.phi - EndoOnM.identity(full)
-    dg = so_dim(ps.spec.n)
+    a = ps.phi.matrix - np.eye(full.dim)
 
-    dims_ok = ps.h.dim + ps.m.dim == dg
+    dims_ok = ps.h.dim + ps.m.dim == full.dim
     cross = ps.h.coords @ ps.m.coords.T if ps.h.dim and ps.m.dim else np.zeros((1, 1))
     direct_sum = bool(dims_ok and np.max(np.abs(cross)) < TAU_SUBSPACE)
 
     return RegularityReport(
         direct_sum=direct_sum,
-        nonsingular_on_image=_nonsingular(ps.m.coords @ a.matrix @ ps.m.coords.T),
-        kernel_square_stable=nullspace(a).dim == nullspace(a @ a).dim,
+        nonsingular_on_image=_nonsingular(ps.m.coords @ a @ ps.m.coords.T),
+        kernel_square_stable=nullspace(a, full).dim == nullspace(a @ a, full).dim,
         theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
     )
 

@@ -5,6 +5,11 @@ lines.  Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +43,7 @@ def test_criterion_01_structure_generation(get_space, get_f_structures, get_prod
         ok &= np.allclose(f0.theta_polynomial, REFERENCE_F_COEFFS[4]["f0"], atol=1e-12)
         ps = get_space(n, 4)
         prods4 = get_products(n, 4)
-        theta2 = ps.theta.power(2).matrix
+        theta2 = np.linalg.matrix_power(ps.theta.matrix, 2)
         ok &= any(np.max(np.abs(c.op.matrix - theta2)) < 1e-12 for c in prods4)
 
         fs6 = get_f_structures(n, 6)
@@ -255,3 +260,38 @@ def test_criterion_12_sweep_determinism(tmp_path, capsys):
         if name.endswith(".json"):
             json.loads((tmp_path / "a" / name).read_text())
     _report(12, ok, f"byte-identical sweep reruns across {len(names)} files")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+README_CELLS = {  # README table wording -> CharacteristicSet.description()
+    "exactly (s, t) = (1, 4/3)": "(1.000000, 1.333333)",
+    "exactly the line s = 1": "line s=1.000000",
+    "all (s, t)": "all (s, t)",
+    "never": "empty",
+}
+
+
+def _readme_table() -> dict:
+    """{label: [kill, nk, g1] descriptions} from the classification table of README.md."""
+    table = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("f"):
+            continue
+        for label in re.findall(r"f[₀-₉]", cells[0]):
+            table["f" + str("₀₁₂₃₄₅₆₇₈₉".index(label[1]))] = [README_CELLS[c] for c in cells[1:]]
+    return table
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if demo.name.startswith("05_"):
+        found = dict(re.findall(r"^(f\d):\n((?:   .*\n){3})", proc.stdout, flags=re.M))
+        zero_sets = {label: re.findall(r"zero set: (.*)", block) for label, block in found.items()}
+        table = _readme_table()
+        assert sorted(table) == ["f0", "f1", "f2", "f3", "f4"]
+        assert zero_sets == table

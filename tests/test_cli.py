@@ -5,8 +5,7 @@ import pytest
 
 import flagf
 from flagf import classify
-from flagf.cli import main
-from flagf.liealg import LieElement
+from flagf.cli import build_parser, config_from_args, main
 
 
 def run(capsys, *argv):
@@ -63,26 +62,6 @@ class TestVerify:
         assert code == 0 and report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
 
-    def test_cost_guard_lie_element_constructions(self, capsys, monkeypatch):
-        # The structural and the element-level checks all run on stacked
-        # arrays; a return to per-element checks costs hundreds of LieElements
-        # here (1,040 with the per-triple connection and per-probe golden loops)
-        # and per-element brackets tens of thousands.
-        built = [0]
-        post_init = LieElement.__post_init__
-
-        def counting(self):
-            built[0] += 1
-            post_init(self)
-
-        monkeypatch.setattr(LieElement, "__post_init__", counting)
-        flagf.basis_element(3, 0, 1)
-        assert built[0] == 1  # the patch counts
-        built[0] = 0
-        code, out, _ = run(capsys, "verify", "--n", "16", "--k", "6", "--format", "json")
-        assert code == 0 and json.loads(out)["passed"] is True
-        assert built[0] <= 10
-
     def test_byte_identical_reruns(self, capsys):
         argv = ("verify", "--n", "12", "--k", "6", "--seed", "4242", "--format", "json")
         code, first, _ = run(capsys, *argv)
@@ -93,6 +72,12 @@ class TestVerify:
     def test_extreme_valid_kappa_passes(self, capsys, kappa):
         code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--kappa", kappa, "--format", "json")
         assert code == 0 and json.loads(out)["passed"] is True
+
+    def test_out_naming_a_directory_is_an_io_failure(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--n", "5", "--k", "4", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("flagf: I/O failure: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no temp file left behind
 
 
 class TestClassify:
@@ -164,6 +149,20 @@ class TestClassify:
         assert code == 0
         assert "KILL: non-member" in out
         assert "NK: member" in out
+
+    def test_out_in_a_missing_directory_is_an_io_failure(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        argv = ("classify", "--n", "5", "--k", "4", "--f", "f0", "--s", "1", "--t", "1", "--out", str(target))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("flagf: I/O failure: ") and not target.parent.exists()
+
+    def test_small_normal_kappa_accepted(self, capsys):
+        argv = ("--f", "f0", "--s", "1", "--t", "1.3333333333333333", "--kappa", "1e-300", "--format", "json")
+        code, out, _ = run(capsys, "classify", "--n", "5", "--k", "4", *argv)
+        report = json.loads(out)
+        assert code == 0 and report["results"]["kill"]["member"] is True
+        assert report["metric_compatibility_residual"] > 0.0  # its digits survive, as at kappa = 1
 
     def test_nonpositive_params_rejected(self, capsys):
         code, _, err = run(
@@ -329,6 +328,14 @@ class TestNonFiniteValues:
             ("verify", "--kappa", "1e308"),
             ("verify", "--kappa", "3e307"),
             ("verify", "--n", "12", "--kappa", "1.7e307"),
+            # a subnormal kappa, for every command
+            ("classify", "--f", "f0", "--s", "1", "--t", "1.3333333333333333", "--kappa", "1e-320"),
+            ("sweep", "--kappa", "1e-320"),
+            # n above classify.MAX_N, k above classify.MAX_K
+            ("verify", "--n", "41"),
+            ("verify", "--n", "200"),
+            ("classify", "--f", "f0", "--s", "1", "--t", "1", "--k", "18"),
+            ("sweep", "--k", "100"),
             # more than classify.MAX_GRID_POINTS points
             ("sweep", "--grid-step", "1e-9"),
             ("sweep", "--grid-step", "5e-324"),
@@ -349,6 +356,14 @@ class TestNonFiniteValues:
         code, _, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "MAX_GRID_POINTS" in err
+
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "sweep"])
+    def test_size_limits_accept_their_bounds(self, command, tmp_path):
+        extra = {"verify": [], "classify": ["--f", "f0", "--s", "1", "--t", "1"], "sweep": ["--out", str(tmp_path)]}
+        argv = [command, "--n", str(classify.MAX_N), "--k", str(classify.MAX_K), *extra[command]]
+        cfg = config_from_args(build_parser().parse_args(argv))
+        assert (cfg.n, cfg.k) == (classify.MAX_N, classify.MAX_K) == (40, 16)
 
 
 class TestArgumentErrors:

@@ -5,21 +5,16 @@ from flagf.liealg import (
     EndoOnM,
     Subspace,
     _orth_rows,
-    ad_matrix,
-    basis_element,
-    bracket,
     bracket_coords,
     bracket_rows,
+    brackets,
     decompose_orthogonal,
     image,
     lex_indices,
-    lie_coords,
-    lie_from_coords,
+    lie_mats,
+    lie_rows,
     nullspace,
     poly_in,
-    random_skew,
-    skew,
-    trace_form,
 )
 from flagf.tolerances import TAU_SUBSPACE
 
@@ -33,6 +28,17 @@ def elementary(n, i, j):
     m = np.zeros((n, n))
     m[i, j] = 1.0
     return m
+
+
+def unit(n, i, j, normalized=True):
+    """Lex coordinates of E_ij - E_ji, divided by sqrt(2) when normalized."""
+    return lie_rows(elementary(n, i, j) - elementary(n, j, i)) / (np.sqrt(2.0) if normalized else 1.0)
+
+
+def random_skew(rng, n, count=None):
+    """A random skew matrix, or a (count, n, n) stack of them."""
+    a = rng.standard_normal((n, n) if count is None else (count, n, n))
+    return a - a.swapaxes(-1, -2)
 
 
 def bracket_oracle(n, pairs_x, pairs_y):
@@ -53,94 +59,93 @@ def bracket_oracle(n, pairs_x, pairs_y):
 class TestBracket:
     def test_elementary_example(self):
         # [E12 - E21, E24 - E42] = E14 - E41 (1-based), via the expansion oracle.
-        x = skew(elementary(4, 0, 1) - elementary(4, 1, 0))
-        y = skew(elementary(4, 1, 3) - elementary(4, 3, 1))
+        x = elementary(4, 0, 1) - elementary(4, 1, 0)
+        y = elementary(4, 1, 3) - elementary(4, 3, 1)
         want = bracket_oracle(4, [(0, 1)], [(1, 3)])
         np.testing.assert_allclose(want, elementary(4, 0, 3) - elementary(4, 3, 0))
-        np.testing.assert_allclose(bracket(x, y).mat, want)
+        np.testing.assert_allclose(brackets(x, y), want)
 
     def test_self_bracket_vanishes(self):
-        x = skew(elementary(5, 0, 2) - elementary(5, 2, 0))
-        assert bracket(x, x).norm == 0.0
+        x = elementary(5, 0, 2) - elementary(5, 2, 0)
+        assert np.linalg.norm(brackets(x, x)) == 0.0
 
     def test_matches_oracle_on_all_basis_pairs(self):
         n = 5
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for p in pairs:
-            for q in pairs:
-                got = bracket(
-                    skew(elementary(n, *p) - elementary(n, p[1], p[0])),
-                    skew(elementary(n, *q) - elementary(n, q[1], q[0])),
-                ).mat
-                np.testing.assert_allclose(got, bracket_oracle(n, [p], [q]), atol=1e-14)
+        xs = np.stack([elementary(n, *p) - elementary(n, p[1], p[0]) for p in pairs])
+        got = brackets(xs[:, None], xs[None, :])  # every pair, broadcast over the two stacks
+        for a, p in enumerate(pairs):
+            for b, q in enumerate(pairs):
+                np.testing.assert_allclose(got[a, b], bracket_oracle(n, [p], [q]), atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            bracket(random_skew(rng, 4), random_skew(rng, 5))
+        with pytest.raises(ValueError):
+            brackets(random_skew(rng, 4, 2), random_skew(rng, 5, 2))
 
     def test_result_skew(self, rng):
-        z = bracket(random_skew(rng, 6), random_skew(rng, 6))
-        np.testing.assert_allclose(z.mat, -z.mat.T)
+        z = brackets(random_skew(rng, 6, 3), random_skew(rng, 6, 3))
+        np.testing.assert_array_equal(z, -z.swapaxes(1, 2))
 
     def test_jacobi_identity(self, rng):
-        for _ in range(25):
-            x, y, z = (random_skew(rng, 5) for _ in range(3))
-            total = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
-            assert total.norm < 1e-9
+        x, y, z = (random_skew(rng, 5, 25) for _ in range(3))
+        total = brackets(x, brackets(y, z)) + brackets(y, brackets(z, x)) + brackets(z, brackets(x, y))
+        assert np.max(np.linalg.norm(total, axis=(1, 2))) < 1e-9
 
 
 class TestTraceForm:
+    """Tr(X^T Y) is the dot product of lex coordinates."""
+
     def test_unit_element_norm(self):
-        x = skew(elementary(4, 0, 1) - elementary(4, 1, 0))
-        assert trace_form(x, x) == pytest.approx(2.0)
+        x = unit(4, 0, 1, normalized=False)
+        assert x @ x == pytest.approx(2.0)
 
     def test_disjoint_supports_orthogonal(self):
-        x = skew(elementary(4, 0, 1) - elementary(4, 1, 0))
-        y = skew(elementary(4, 0, 2) - elementary(4, 2, 0))
-        assert trace_form(x, y) == 0.0
+        assert unit(4, 0, 1) @ unit(4, 0, 2) == 0.0
 
     def test_bilinearity(self):
-        x = skew(elementary(4, 0, 1) - elementary(4, 1, 0))
-        assert trace_form(x, 3.0 * x) == pytest.approx(6.0)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            trace_form(random_skew(rng, 4), random_skew(rng, 6))
+        x = unit(4, 0, 1, normalized=False)
+        assert x @ (3.0 * x) == pytest.approx(6.0)
 
     def test_positive_definite(self, rng):
-        for _ in range(10):
-            x = random_skew(rng, 5)
-            assert trace_form(x, x) > 0.0
+        x = lie_rows(random_skew(rng, 5, 10))
+        assert np.all(np.sum(x * x, axis=1) > 0.0)
 
     def test_ad_invariance(self, rng):
         # <[X, Y], Z> = <X, [Y, Z]> underlies the natural reductivity of g0.
-        for _ in range(25):
-            x, y, z = (random_skew(rng, 5) for _ in range(3))
-            lhs = trace_form(bracket(x, y), z)
-            rhs = trace_form(x, bracket(y, z))
-            assert abs(lhs - rhs) < 1e-9
+        x, y, z = (random_skew(rng, 5, 25) for _ in range(3))
+        lhs = np.sum(lie_rows(brackets(x, y)) * lie_rows(z), axis=1)
+        rhs = np.sum(lie_rows(x) * lie_rows(brackets(y, z)), axis=1)
+        assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 class TestCoordinates:
     def test_roundtrip(self, rng):
-        x = random_skew(rng, 6)
-        np.testing.assert_allclose(lie_from_coords(6, lie_coords(x)).mat, x.mat, atol=1e-14)
+        x = random_skew(rng, 6, 4)
+        np.testing.assert_allclose(lie_mats(6, lie_rows(x)), x, atol=1e-14)
 
     def test_isometry(self, rng):
-        x, y = random_skew(rng, 5), random_skew(rng, 5)
-        assert np.dot(lie_coords(x), lie_coords(y)) == pytest.approx(trace_form(x, y))
+        x, y = random_skew(rng, 5, 3), random_skew(rng, 5, 3)
+        np.testing.assert_allclose(np.sum(lie_rows(x) * lie_rows(y), axis=1), np.sum(x * y, axis=(1, 2)))
 
     def test_skew_rejected(self):
         with pytest.raises(ValueError, match="skew"):
-            skew(np.eye(3))
+            lie_rows(np.eye(3))
+
+    def test_skew_checked_per_matrix_relative_to_its_scale(self, rng):
+        x = random_skew(rng, 5, 3)
+        x[2] *= 1e6
+        x[2, 0, 1] += 1e-7  # 1e-13 of that matrix's scale: accepted
+        lie_rows(x)
+        x[0, 0, 1] += 1e-7  # 1e-7 of a scale of about 1 in another matrix: rejected
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            lie_rows(x)
 
 
 class TestSubspace:
     def test_full_space_basis_is_lexicographic(self):
         full = Subspace.full(4)
         assert full.dim == 6
-        first = full.basis[0]
-        np.testing.assert_allclose(first.mat, basis_element(4, 0, 1).mat)
+        np.testing.assert_allclose(lie_mats(4, full.coords)[0], (elementary(4, 0, 1) - elementary(4, 1, 0)) / np.sqrt(2.0))
 
     def test_orthonormality_enforced(self):
         bad = np.ones((2, 6))
@@ -148,20 +153,20 @@ class TestSubspace:
             Subspace(4, bad)
 
     def test_span_orthonormalizes_dependent_set(self):
-        x = basis_element(4, 0, 1, normalized=False)
-        sp = Subspace.span(4, [x, 2.0 * x, basis_element(4, 2, 3, normalized=False)])
+        x = unit(4, 0, 1, normalized=False)
+        sp = Subspace.span(4, [x, 2.0 * x, unit(4, 2, 3, normalized=False)])
         assert sp.dim == 2
         gram = sp.coords @ sp.coords.T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
 
     def test_projection_into_and_out(self):
-        sp = Subspace.span(4, [basis_element(4, 0, 1)])
-        inside = 2.5 * basis_element(4, 0, 1)
-        outside = basis_element(4, 2, 3)
-        assert np.max(np.abs(sp.project(inside).mat - inside.mat)) <= 1e-12
-        assert sp.project(outside).norm < 1e-14
-        assert sp.member_residual(inside) <= TAU_SUBSPACE
-        assert sp.member_residual(outside) > TAU_SUBSPACE
+        sp = Subspace.span(4, [unit(4, 0, 1)])
+        inside, outside = 2.5 * unit(4, 0, 1), unit(4, 2, 3)
+        proj = sp.project_rows(np.stack([inside, outside]))
+        assert np.max(np.abs(proj[0] - lie_mats(4, inside[None])[0])) <= 1e-12
+        assert np.linalg.norm(proj[1]) < 1e-14
+        res = sp.relative_residuals(np.stack([inside, outside]))
+        assert res[0] <= TAU_SUBSPACE < res[1]
 
     def test_reorthonormalize_idempotent(self, rng):
         rows = np.linalg.qr(rng.standard_normal((10, 4)))[0].T
@@ -169,14 +174,13 @@ class TestSubspace:
         again = orthonormalized(sp)
         # Same subspace, orthonormal to within TAU_ORTH.
         assert again.dim == sp.dim
-        for x in sp.basis:
-            assert again.member_residual(x) <= 1e-10
+        assert np.all(again.relative_residuals(sp.coords) <= 1e-10)
 
 
 class TestNullspaceImage:
     def test_identity_has_empty_kernel(self):
         full = Subspace.full(4)
-        assert nullspace(EndoOnM.identity(full)).dim == 0
+        assert nullspace(np.eye(6), full).dim == 0
 
     def test_zero_matrix_kernel_is_everything(self):
         full = Subspace.full(4)
@@ -194,11 +198,9 @@ class TestNullspaceImage:
 
         spec = build_automorphism(4, 1, 4)
         full = Subspace.full(4)
-        a = EndoOnM(full, phi_matrix(spec)) - EndoOnM.identity(full)
-        ker = nullspace(a)
+        ker = nullspace(phi_matrix(spec) - np.eye(6), full)
         assert ker.dim == 1
-        gen = skew(elementary(4, 1, 2) - elementary(4, 2, 1))
-        assert ker.member_residual(gen) <= 1e-10
+        assert ker.relative_residuals(unit(4, 1, 2)[None])[0] <= 1e-10
 
     def test_rank_nullity(self, rng):
         full = Subspace.full(4)
@@ -217,26 +219,29 @@ class TestNullspaceImage:
         assert np.max(np.abs(cross)) < 1e-10
 
     def test_raw_matrix_requires_domain(self):
+        # The matrix must act on the coefficients over the domain's basis.
         with pytest.raises(ValueError, match="domain"):
-            nullspace(np.zeros((3, 3)))
+            nullspace(np.zeros((3, 3)), Subspace.full(4))
+        with pytest.raises(ValueError, match="domain"):
+            image(np.zeros((6, 5)), Subspace.full(4))
 
 
 class TestDecomposeOrthogonal:
     def test_true_decomposition(self):
-        whole = Subspace.span(4, [basis_element(4, 0, 1), basis_element(4, 0, 2), basis_element(4, 2, 3)])
+        whole = Subspace.span(4, [unit(4, 0, 1), unit(4, 0, 2), unit(4, 2, 3)])
         parts = [
-            Subspace.span(4, [basis_element(4, 0, 1)]),
-            Subspace.span(4, [basis_element(4, 0, 2), basis_element(4, 2, 3)]),
+            Subspace.span(4, [unit(4, 0, 1)]),
+            Subspace.span(4, [unit(4, 0, 2), unit(4, 2, 3)]),
         ]
         assert decompose_orthogonal(whole, parts)
 
     def test_dimension_shortfall(self):
         whole = Subspace.full(4)
-        assert not decompose_orthogonal(whole, [Subspace.span(4, [basis_element(4, 0, 1)])])
+        assert not decompose_orthogonal(whole, [Subspace.span(4, [unit(4, 0, 1)])])
 
     def test_non_orthogonal_parts(self):
-        x = basis_element(4, 0, 1, normalized=False)
-        y = basis_element(4, 0, 2, normalized=False)
+        x = unit(4, 0, 1, normalized=False)
+        y = unit(4, 0, 2, normalized=False)
         whole = Subspace.span(4, [x, y])
         parts = [Subspace.span(4, [x]), Subspace.span(4, [x + y])]
         assert not decompose_orthogonal(whole, parts)
@@ -247,10 +252,8 @@ class TestEndoOnM:
         full = Subspace.full(4)
         m = rng.standard_normal((6, 6))
         op = EndoOnM(full, m)
-        x = random_skew(rng, 4)
-        np.testing.assert_allclose(
-            lie_coords(op.apply(x)), m @ lie_coords(x), atol=1e-12
-        )
+        x = random_skew(rng, 4, 3)
+        np.testing.assert_allclose(lie_rows(op.apply_mats(x)), lie_rows(x) @ m.T, atol=1e-12)
 
     def test_poly_in(self, rng):
         full = Subspace.full(4)
@@ -266,29 +269,28 @@ class TestEndoOnM:
         m = rng.standard_normal((6, 6))
         op = EndoOnM(full, m)
         m2 = op.matrix_on(other)
-        x = random_skew(rng, 4)
-        np.testing.assert_allclose(
-            m2 @ other.coords_of(x), other.coords_of(op.apply(x)), atol=1e-10
-        )
+        x = lie_rows(random_skew(rng, 4, 3))
+        got = lie_rows(op.apply_mats(lie_mats(4, x)))
+        np.testing.assert_allclose(x @ other.coords.T @ m2.T, got @ other.coords.T, atol=1e-10)
 
 
 class TestAdMatrix:
+    """ad(h) on a subspace, read off the bracket kernel for one element h."""
+
+    @staticmethod
+    def ad(h, space):
+        return (next(bracket_rows(space.ambient_n, lie_rows(h)[None], space.coords)) @ space.coords.T).T
+
     def test_ad_reproduces_bracket(self, rng):
         full = Subspace.full(5)
-        h = random_skew(rng, 5)
-        a = ad_matrix(h, full)
-        x = random_skew(rng, 5)
-        np.testing.assert_allclose(a @ lie_coords(x), lie_coords(bracket(h, x)), atol=1e-10)
+        h, x = random_skew(rng, 5), random_skew(rng, 5)
+        np.testing.assert_allclose(self.ad(h, full) @ lie_rows(x), lie_rows(brackets(h, x)), atol=1e-10)
 
     def test_ad_matches_per_element_brackets(self, rng):
         sp = Subspace(6, np.linalg.qr(rng.standard_normal((15, 7)))[0].T)
         h = random_skew(rng, 6)
-        want = np.array([sp.coords_of(bracket(h, x)) for x in sp.basis]).T
-        np.testing.assert_allclose(ad_matrix(h, sp), want, atol=1e-14)
-
-    def test_ad_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            ad_matrix(random_skew(rng, 4), Subspace.full(5))
+        want = sp.coords @ lie_rows(brackets(h, lie_mats(6, sp.coords))).T
+        np.testing.assert_allclose(self.ad(h, sp), want, atol=1e-14)
 
 
 def random_subspace(rng, n, dim):
@@ -302,17 +304,15 @@ class TestBracketKernel:
         x, y = random_subspace(rng, n, 3), random_subspace(rng, n, 4)
         got = bracket_coords(x, y)
         assert got.shape == (3, 4, n * (n - 1) // 2)
-        for a, xa in enumerate(x.basis):
-            for b, yb in enumerate(y.basis):
-                np.testing.assert_allclose(got[a, b], lie_coords(bracket(xa, yb)), atol=1e-14)
+        want = lie_rows(brackets(lie_mats(n, x.coords)[:, None], lie_mats(n, y.coords)[None, :]))
+        np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_projection_onto_subspace(self, rng):
         x, y, onto = (random_subspace(rng, 5, d) for d in (2, 3, 4))
         got = bracket_coords(x, y, onto=onto)
         assert got.shape == (2, 3, 4)
-        for a, xa in enumerate(x.basis):
-            for b, yb in enumerate(y.basis):
-                np.testing.assert_allclose(got[a, b], onto.coords_of(bracket(xa, yb)), atol=1e-14)
+        want = lie_rows(brackets(lie_mats(5, x.coords)[:, None], lie_mats(5, y.coords)[None, :])) @ onto.coords.T
+        np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_full_basis_antisymmetric_and_matches_oracle(self):
         full = Subspace.full(5)
@@ -321,13 +321,13 @@ class TestBracketKernel:
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         for a, p in enumerate(pairs):
             for b, q in enumerate(pairs):
-                want = lie_coords(skew(bracket_oracle(5, [p], [q]) / 2.0))
+                want = lie_rows(bracket_oracle(5, [p], [q]) / 2.0)
                 np.testing.assert_allclose(bc[a, b], want, atol=1e-15)
 
     def test_rows_need_not_be_orthonormal(self, rng):
-        x, y = random_skew(rng, 5), random_skew(rng, 5)
-        (row,) = bracket_rows(5, [lie_coords(x)], [lie_coords(y), 2.0 * lie_coords(y)])
-        np.testing.assert_allclose(row[0], lie_coords(bracket(x, y)), atol=1e-13)
+        x, y = lie_rows(random_skew(rng, 5)), lie_rows(random_skew(rng, 5))
+        (row,) = bracket_rows(5, [x], [y, 2.0 * y])
+        np.testing.assert_allclose(row[0], lie_rows(brackets(lie_mats(5, [x]), lie_mats(5, [y])))[0], atol=1e-13)
         np.testing.assert_allclose(row[1], 2.0 * row[0], atol=1e-13)
 
     def test_empty_subspaces(self):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import flagf
 from flagf import metricgeom
-from flagf.liealg import bracket, decompose_orthogonal, skew, trace_form
+from flagf.liealg import brackets, decompose_orthogonal, lie_mats, lie_rows
 from flagf.tolerances import TAU_CONNECTION, TAU_NAT_RED
 from flagf.metricgeom import (
     MetricParams,
@@ -20,10 +19,26 @@ from flagf.metricgeom import (
 
 
 def elem(n, i, j, value=1.0):
-    m = np.zeros((n, n))
-    m[i, j] = value
-    m[j, i] = -value
-    return skew(m)
+    """E_ij - E_ji times value, as a stack of one matrix."""
+    m = np.zeros((1, n, n))
+    m[0, i, j] = value
+    m[0, j, i] = -value
+    return m
+
+
+def basis_mats(space):
+    """The basis of a subspace as a (dim, n, n) stack."""
+    return lie_mats(space.ambient_n, space.coords)
+
+
+def random_m(split, rng, count=1):
+    """count random elements of m, as a (count, n, n) stack."""
+    return lie_mats(split.combined.ambient_n, rng.standard_normal((count, split.dim)) @ split.combined.coords)
+
+
+def all_brackets(a, b):
+    """Lex coordinates of [a_i, b_j] for every pair of basis elements of two subspaces, one row each."""
+    return lie_rows(brackets(basis_mats(a)[:, None], basis_mats(b)[None, :])).reshape(-1, a.coords.shape[1])
 
 
 class TestMetricParams:
@@ -87,53 +102,48 @@ class TestSplit:
         for i in (1, 2, 3):
             j = i % 3 + 1
             target = blocks[({1, 2, 3} - {i, j}).pop()]
-            for x in blocks[i].basis:
-                for y in blocks[j].basis:
-                    assert target.member_residual(bracket(x, y)) <= 1e-10 or bracket(x, y).norm < 1e-12
+            rows = all_brackets(blocks[i], blocks[j])
+            assert np.all((target.relative_residuals(rows) <= 1e-10) | (np.linalg.norm(rows, axis=1) < 1e-12))
 
     def test_ad_h_invariance_of_blocks(self, get_space, get_split):
         ps = get_space(6, 4)
         split = get_split(6, 4)
-        for hb in ps.h.basis:
-            for blk in (split.m1, split.m2, split.m3):
-                for x in blk.basis:
-                    z = bracket(hb, x)
-                    assert blk.member_residual(z) <= 1e-9 or z.norm < 1e-12
+        for blk in (split.m1, split.m2, split.m3):
+            rows = all_brackets(ps.h, blk)
+            assert np.all((blk.relative_residuals(rows) <= 1e-9) | (np.linalg.norm(rows, axis=1) < 1e-12))
 
 
 class TestMetricEval:
     def test_unit_vector_in_m2_scales_with_s(self, get_split):
         split = get_split(5, 4)
-        x = split.m2.basis[0]
+        x = basis_mats(split.m2)[:1]
         p = MetricParams(s=2.0, t=1.0, kappa=1.0)
-        assert metric_eval(split, p, x, x) == pytest.approx(2.0)
+        assert metric_eval(split, p, x, x) == pytest.approx([2.0])
 
     def test_cross_block_pairs_vanish(self, get_split):
         split = get_split(5, 4)
         p = MetricParams(s=2.0, t=3.0, kappa=1.0)
-        assert metric_eval(split, p, split.m1.basis[0], split.m3.basis[0]) == 0.0
+        assert np.all(metric_eval(split, p, basis_mats(split.m1)[:1], basis_mats(split.m3)[:1]) == 0.0)
 
     def test_neutral_params_reduce_to_scaled_trace_form(self, get_split, rng):
         split = get_split(6, 4)
         p = MetricParams(s=1.0, t=1.0, kappa=5.0)
-        for _ in range(10):
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            y = split.combined.lift(rng.standard_normal(split.dim))
-            assert metric_eval(split, p, x, y) == pytest.approx(5.0 * trace_form(x, y), abs=1e-10)
+        x, y = random_m(split, rng, 10), random_m(split, rng, 10)
+        trace_form = np.sum(x * y, axis=(1, 2))  # Tr(X^T Y)
+        np.testing.assert_allclose(metric_eval(split, p, x, y), 5.0 * trace_form, rtol=0, atol=1e-10)
 
     def test_rejects_arguments_outside_m(self, get_split):
         split = get_split(5, 4)
         h_elem = elem(5, 1, 2)  # isotropy direction, not in m
         with pytest.raises(ValueError, match="not in the complement"):
-            metric_eval(split, MetricParams(1.0, 1.0), h_elem, split.m1.basis[0])
+            metric_eval(split, MetricParams(1.0, 1.0), h_elem, basis_mats(split.m1)[:1])
 
     def test_positive_definite(self, get_split, rng):
         split = get_split(5, 6)
         p = MetricParams(s=0.3, t=2.5, kappa=4.0)
         assert np.all(block_weights(split, p) > 0)
-        for _ in range(10):
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            assert metric_eval(split, p, x, x) > 0
+        x = random_m(split, rng, 10)
+        assert np.all(metric_eval(split, p, x, x) > 0)
 
 
 class TestUTensor:
@@ -143,37 +153,31 @@ class TestUTensor:
         x = elem(4, 0, 1)
         y = elem(4, 1, 3)
         p = MetricParams(s=2.0, t=1.0, kappa=3.0)
-        got = u_tensor_closed(split, p, x, y)
-        want = 0.5 * elem(4, 0, 3).mat
-        np.testing.assert_allclose(got.mat, want, atol=1e-14)
-        also = u_tensor_solved(split, p, x, y)
-        np.testing.assert_allclose(also.mat, want, atol=1e-12)
+        want = 0.5 * elem(4, 0, 3)
+        np.testing.assert_allclose(u_tensor_closed(split, p, x, y), want, atol=1e-14)
+        np.testing.assert_allclose(u_tensor_solved(split, p, x, y), want, atol=1e-12)
 
     def test_vanishes_at_neutral_params(self, get_split, rng):
         split = get_split(5, 6)
         p = MetricParams(1.0, 1.0, kappa=4.0)
         assert np.max(np.abs(u_coords_tensor(split, p, "closed"))) == 0.0
         assert np.max(np.abs(u_coords_tensor(split, p, "solved"))) < 1e-12
-        x = split.combined.lift(rng.standard_normal(split.dim))
-        y = split.combined.lift(rng.standard_normal(split.dim))
-        assert u_tensor_closed(split, p, x, y).norm == 0.0
+        x, y = random_m(split, rng), random_m(split, rng)
+        assert np.linalg.norm(u_tensor_closed(split, p, x, y)) == 0.0
 
     def test_symmetric_in_arguments(self, get_split, rng):
         split = get_split(6, 6)
         p = MetricParams(0.7, 2.1, kappa=2.0)
-        for _ in range(10):
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            y = split.combined.lift(rng.standard_normal(split.dim))
-            assert (u_tensor_closed(split, p, x, y) - u_tensor_closed(split, p, y, x)).norm < 1e-12
-            assert (u_tensor_solved(split, p, x, y) - u_tensor_solved(split, p, y, x)).norm < 1e-12
+        x, y = random_m(split, rng, 10), random_m(split, rng, 10)
+        for u in (u_tensor_closed, u_tensor_solved):
+            dev = np.linalg.norm(u(split, p, x, y) - u(split, p, y, x), axis=(1, 2))
+            assert np.all(dev < 1e-12)
 
     def test_output_lies_in_m(self, get_split, rng):
         split = get_split(5, 6)
         p = MetricParams(1.7, 0.4)
-        for _ in range(10):
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            y = split.combined.lift(rng.standard_normal(split.dim))
-            assert split.combined.member_residual(u_tensor_closed(split, p, x, y)) < 1e-9
+        x, y = random_m(split, rng, 10), random_m(split, rng, 10)
+        assert np.all(split.combined.relative_residuals(lie_rows(u_tensor_closed(split, p, x, y))) < 1e-9)
 
     def test_closed_equals_solved_on_random_pairs(self, get_split, rng):
         # The agreement of the two routes is the numerical re-derivation of
@@ -183,9 +187,8 @@ class TestUTensor:
         for _ in range(100):
             s, t = rng.uniform(0.1, 5.0, size=2)
             p = MetricParams(float(s), float(t), kappa=float(rng.uniform(0.5, 5.0)))
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            y = split.combined.lift(rng.standard_normal(split.dim))
-            dev = (u_tensor_closed(split, p, x, y) - u_tensor_solved(split, p, x, y)).norm
+            x, y = random_m(split, rng), random_m(split, rng)
+            dev = np.linalg.norm(u_tensor_closed(split, p, x, y) - u_tensor_solved(split, p, x, y))
             worst = max(worst, dev)
         assert worst < 1e-9
 
@@ -203,13 +206,10 @@ class TestUTensor:
         split = get_split(5, 4)
         p = MetricParams(2.0, 0.5, kappa=2.0)
         u = u_coords_tensor(split, p, "closed")
-        basis = split.combined.basis
-        for i in range(split.dim):
-            for j in range(split.dim):
-                direct = u_tensor_closed(split, p, basis[i], basis[j])
-                np.testing.assert_allclose(
-                    u[i, j], split.combined.coords_of(direct), atol=1e-12
-                )
+        d, b = split.dim, basis_mats(split.combined)
+        xs, ys = np.repeat(b, d, axis=0), np.tile(b, (d, 1, 1))  # row i * d + j holds the pair (i, j)
+        direct = lie_rows(u_tensor_closed(split, p, xs, ys)) @ split.combined.coords.T
+        np.testing.assert_allclose(u.reshape(d * d, d), direct, atol=1e-12)
 
     def test_nonzero_away_from_neutral_params(self, get_split):
         split = get_split(5, 4)
@@ -219,57 +219,60 @@ class TestUTensor:
 
     def test_solved_is_kappa_invariant(self, get_split, rng):
         split = get_split(5, 6)
-        x = split.combined.lift(rng.standard_normal(split.dim))
-        y = split.combined.lift(rng.standard_normal(split.dim))
+        x, y = random_m(split, rng), random_m(split, rng)
         a = u_tensor_solved(split, MetricParams(1.7, 0.6, kappa=1.0), x, y)
         b = u_tensor_solved(split, MetricParams(1.7, 0.6, kappa=2.0), x, y)
-        assert (a - b).norm < 1e-12
+        assert np.linalg.norm(a - b) < 1e-12
 
 
 class TestNomizu:
     def test_reduces_to_half_bracket_at_neutral_params(self, get_split, rng):
         split = get_split(5, 4)
         p = MetricParams(1.0, 1.0, kappa=4.0)
-        x = split.combined.lift(rng.standard_normal(split.dim))
-        y = split.combined.lift(rng.standard_normal(split.dim))
-        want = 0.5 * split.combined.project(bracket(x, y))
-        assert (nomizu(split, p, x, y) - want).norm < 1e-12
+        x, y = random_m(split, rng), random_m(split, rng)
+        want = 0.5 * split.combined.project_rows(lie_rows(brackets(x, y)))
+        assert np.linalg.norm(nomizu(split, p, x, y) - want) < 1e-12
 
     def test_diagonal_equals_u(self, get_split, rng):
         split = get_split(5, 6)
         p = MetricParams(.8, 2.2)
-        for _ in range(5):
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            assert (nomizu(split, p, x, x) - u_tensor_closed(split, p, x, x)).norm < 1e-12
+        x = random_m(split, rng, 5)
+        dev = np.linalg.norm(nomizu(split, p, x, x) - u_tensor_closed(split, p, x, x), axis=(1, 2))
+        assert np.all(dev < 1e-12)
 
     def test_metric_compatibility(self, get_split, rng):
         # g(alpha(Z, X), Y) + g(X, alpha(Z, Y)) = 0: Levi-Civita property.
         split = get_split(5, 4)
         p = MetricParams(1.9, 0.7, kappa=4.0)
-        for _ in range(20):
-            x = split.combined.lift(rng.standard_normal(split.dim))
-            y = split.combined.lift(rng.standard_normal(split.dim))
-            z = split.combined.lift(rng.standard_normal(split.dim))
-            total = metric_eval(split, p, nomizu(split, p, z, x), y)
-            total += metric_eval(split, p, x, nomizu(split, p, z, y))
-            assert abs(total) < 1e-10
+        x, y, z = (random_m(split, rng, 20) for _ in range(3))
+        total = metric_eval(split, p, nomizu(split, p, z, x), y)
+        total += metric_eval(split, p, x, nomizu(split, p, z, y))
+        assert np.all(np.abs(total) < 1e-10)
 
 
 def _alpha_per_element(split, p, x, y):
-    """alpha(X, Y) one element at a time, through LieElement brackets and lift/coords_of
-    projections: the per-triple reference of the stacked connection check."""
-    s, t = p.s, p.t
-    x1, x2, x3 = (b.lift(b.coords_of(x)) for b in (split.m1, split.m2, split.m3))
-    y1, y2, y3 = (b.lift(b.coords_of(y)) for b in (split.m1, split.m2, split.m3))
-    u = 0.5 * (t - s) * (bracket(x2, y3) + bracket(y2, x3))
-    u = u + ((t - 1.0) / (2.0 * s)) * (bracket(x1, y3) + bracket(y1, x3))
-    u = u + ((s - 1.0) / (2.0 * t)) * (bracket(x1, y2) + bracket(y1, x2))
-    c = split.combined
-    return 0.5 * c.lift(c.coords_of(bracket(x, y))) + u
+    """alpha(X, Y) for one pair of (n, n) matrices, through 2-D products and
+    matrix-vector projections: the per-triple reference of the stacked check."""
+    n, s, t = split.combined.ambient_n, p.s, p.t
+
+    def br(a, b):
+        m = a @ b
+        return m - m.T
+
+    def proj(space, a):
+        return lie_mats(n, (space.coords.T @ (space.coords @ lie_rows(a)))[None])[0]
+
+    x1, x2, x3 = (proj(b, x) for b in (split.m1, split.m2, split.m3))
+    y1, y2, y3 = (proj(b, y) for b in (split.m1, split.m2, split.m3))
+    u = 0.5 * (t - s) * (br(x2, y3) + br(y2, x3))
+    u = u + ((t - 1.0) / (2.0 * s)) * (br(x1, y3) + br(y1, x3))
+    u = u + ((s - 1.0) / (2.0 * t)) * (br(x1, y2) + br(y1, x2))
+    return 0.5 * proj(split.combined, br(x, y)) + u
 
 
 def _g_per_element(split, p, x, y):
-    return float(np.sum(block_weights(split, p) * split.combined.coords_of(x) * split.combined.coords_of(y)))
+    c = split.combined.coords
+    return float(np.sum(block_weights(split, p) * (c @ lie_rows(x)) * (c @ lie_rows(y))))
 
 
 class TestConnectionCompatibility:
@@ -282,7 +285,7 @@ class TestConnectionCompatibility:
         state = rng.bit_generator.state
         dev = 0.0
         for _ in range(10):
-            x, y, z = (split.combined.lift(rng.standard_normal(split.dim)) for _ in range(3))
+            x, y, z = (random_m(split, rng)[0] for _ in range(3))
             val = _g_per_element(split, p, _alpha_per_element(split, p, z, x), y)
             val += _g_per_element(split, p, x, _alpha_per_element(split, p, z, y))
             dev = max(dev, abs(val) / p.kappa)
@@ -293,35 +296,42 @@ class TestConnectionCompatibility:
     def test_one_row_cases_equal_the_reference(self, get_split, rng):
         split = get_split(8, 6)
         p = MetricParams(1.9, 0.7, kappa=7.0)
-        x, y = (split.combined.lift(rng.standard_normal(split.dim)) for _ in range(2))
-        assert np.array_equal(nomizu(split, p, x, y).mat, _alpha_per_element(split, p, x, y).mat)
-        assert metric_eval(split, p, x, y) == _g_per_element(split, p, x, y)
+        x, y = random_m(split, rng), random_m(split, rng)
+        assert np.array_equal(nomizu(split, p, x, y)[0], _alpha_per_element(split, p, x[0], y[0]))
+        assert metric_eval(split, p, x, y)[0] == _g_per_element(split, p, x[0], y[0])
 
     def test_fails_with_a_wrong_u_coefficient(self, get_split, monkeypatch):
         split = get_split(8, 6)
         p = MetricParams(1.9, 0.7, kappa=7.0)
         xyz = np.random.default_rng(1).standard_normal((10, 3, split.dim))
         assert connection_compat_residual(split, p, xyz) < TAU_CONNECTION
-        u_closed = metricgeom._u_closed
+        u_closed = metricgeom.u_tensor_closed
 
         def wrong_t(sp, q, xs, ys):
             return u_closed(sp, MetricParams(q.s, 1.1 * q.t, q.kappa), xs, ys)
 
-        monkeypatch.setattr(metricgeom, "_u_closed", wrong_t)
+        monkeypatch.setattr(metricgeom, "u_tensor_closed", wrong_t)
         assert connection_compat_residual(split, p, xyz) > 1e-3
 
     def test_an_argument_outside_m_raises_in_any_row(self, get_space, get_split):
         split, h = get_split(6, 4), get_space(6, 4).h
         p = MetricParams(1.0, 2.0)
-        xs = np.stack([b.mat for b in split.combined.basis[:3]])
+        xs = basis_mats(split.combined)[:3]
         ys = xs.copy()
-        ys[-1] = h.basis[0].mat
-        with pytest.raises(ValueError, match="not in the complement m"):
-            metricgeom._metric(split, p, xs, ys)
-        with pytest.raises(ValueError, match="not in the complement m"):
-            metricgeom._alpha(split, p, ys, xs)
-        with pytest.raises(ValueError, match="not in the complement m"):
-            nomizu(split, p, split.m1.basis[0], h.basis[0])
+        ys[-1] = basis_mats(h)[0]
+        for fn in (metric_eval, u_tensor_closed, u_tensor_solved, nomizu):
+            with pytest.raises(ValueError, match="not in the complement m"):
+                fn(split, p, xs, ys)
+            with pytest.raises(ValueError, match="not in the complement m"):
+                fn(split, p, ys[-1:], xs[:1])
+
+    def test_a_non_skew_argument_raises(self, get_split):
+        split = get_split(6, 4)
+        xs = basis_mats(split.combined)[:3]
+        ys = xs.copy()
+        ys[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            metric_eval(split, MetricParams(1.0, 2.0), xs, ys)
 
 
 class TestNaturalReductivity:

@@ -5,7 +5,7 @@ import pytest
 
 import flagf
 from flagf.canonical import CanonicalStructure, verify_structure
-from flagf.liealg import EndoOnM, Subspace, basis_element, bracket, lex_pairs, random_skew, trace_form
+from flagf.liealg import EndoOnM, Subspace, brackets, lie_mats, lie_rows
 from flagf.metricgeom import TripleSplit, _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
@@ -20,6 +20,18 @@ from flagf.phispace import (
 from flagf.tolerances import TAU_PHI
 
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]
+
+
+def random_skew(rng, n, count=None):
+    """A random skew matrix, or a (count, n, n) stack of them."""
+    a = rng.standard_normal((n, n) if count is None else (count, n, n))
+    return a - a.swapaxes(-1, -2)
+
+
+def all_brackets(a, b):
+    """Lex coordinates of [a_i, b_j] for every pair of basis elements of two subspaces, one row each."""
+    n = a.ambient_n
+    return lie_rows(brackets(lie_mats(n, a.coords)[:, None], lie_mats(n, b.coords)[None, :])).reshape(-1, a.coords.shape[1])
 
 
 class TestBuildAutomorphism:
@@ -84,7 +96,11 @@ class TestBatchedPhiChecks:
                 except ValueError:  # degenerate (n, m_blocks, k)
                     continue
                 iu = np.triu_indices(n, 1)
-                cols = [np.sqrt(2.0) * (spec.b @ basis_element(n, i, j).mat @ spec.b.T)[iu] for i, j in lex_pairs(n)]
+                cols = []
+                for i, j in zip(*iu):
+                    e = np.zeros((n, n))
+                    e[i, j], e[j, i] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+                    cols.append(np.sqrt(2.0) * (spec.b @ e @ spec.b.T)[iu])
                 assert np.array_equal(phi_matrix(spec), np.array(cols).T), (n, m_blocks, k)
 
     @pytest.mark.parametrize("n,k,m_blocks", [(12, 6, 1), (7, 6, 2)])
@@ -92,16 +108,20 @@ class TestBatchedPhiChecks:
         ps = get_space(n, k, m_blocks)
         full = ps.phi.domain
 
-        def apply(x):  # EndoOnM.apply one element at a time
-            return full.lift(ps.phi.matrix @ full.coords_of(x))
+        def apply(x):  # phi on one (n, n) matrix, through matrix-vector products
+            return lie_mats(n, (full.coords.T @ (ps.phi.matrix @ (full.coords @ lie_rows(x))))[None])[0]
+
+        def br(a, b):
+            m = a @ b
+            return m - m.T
 
         rng = np.random.default_rng(4242)
         dev_b = dev_iso = 0.0
         for _ in range(10):
             x, y = random_skew(rng, n), random_skew(rng, n)
             px, py = apply(x), apply(y)
-            dev_b = max(dev_b, (apply(bracket(x, y)) - bracket(px, py)).norm)
-            dev_iso = max(dev_iso, abs(trace_form(px, py) - trace_form(x, y)))
+            dev_b = max(dev_b, np.linalg.norm(apply(br(x, y)) - br(px, py)))
+            dev_iso = max(dev_iso, abs(np.sum(px * py) - np.sum(x * y)))
         a = np.random.default_rng(4242).standard_normal((10, 2, n, n))
         xy = a - a.swapaxes(-1, -2)
         got = phi_homomorphism_residuals(ps, xy)
@@ -139,17 +159,16 @@ class TestBuildPhiSpace:
 
     def test_phi_preserves_bracket(self, get_space, rng):
         ps = get_space(5, 6)
-        for _ in range(10):
-            x, y = random_skew(rng, 5), random_skew(rng, 5)
-            lhs = ps.phi.apply(bracket(x, y))
-            rhs = bracket(ps.phi.apply(x), ps.phi.apply(y))
-            assert (lhs - rhs).norm < 1e-9
+        x, y = random_skew(rng, 5, 10), random_skew(rng, 5, 10)
+        lhs = ps.phi.apply_mats(brackets(x, y))
+        rhs = brackets(ps.phi.apply_mats(x), ps.phi.apply_mats(y))
+        assert np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))) < 1e-9
 
     def test_phi_is_isometry(self, get_space, rng):
         ps = get_space(5, 4)
-        for _ in range(10):
-            x, y = random_skew(rng, 5), random_skew(rng, 5)
-            assert abs(trace_form(ps.phi.apply(x), ps.phi.apply(y)) - trace_form(x, y)) < 1e-9
+        x, y = random_skew(rng, 5, 10), random_skew(rng, 5, 10)
+        tr = np.sum(ps.phi.apply_mats(x) * ps.phi.apply_mats(y), axis=(1, 2)) - np.sum(x * y, axis=(1, 2))
+        assert np.max(np.abs(tr)) < 1e-9
 
     @pytest.mark.parametrize("n,k", TEST_MATRIX)
     def test_theta_order_and_no_fixed_vector(self, get_space, n, k):
@@ -161,9 +180,7 @@ class TestBuildPhiSpace:
 
     def test_reductivity(self, get_space):
         ps = get_space(6, 6)
-        for hb in ps.h.basis:
-            for mb in ps.m.basis:
-                assert ps.m.member_residual(bracket(hb, mb)) <= 1e-9
+        assert np.max(ps.m.relative_residuals(all_brackets(ps.h, ps.m))) <= 1e-9
 
     def test_h_orthogonal_to_m(self, get_space):
         ps = get_space(6, 4)
@@ -208,9 +225,8 @@ class TestAdStack:
         # (8, 6, 2) has the SVD-basis complement, not the flag pattern.
         ps = get_space(n, k, m_blocks)
         assert ps.ad_h.shape == (ps.h.dim, ps.m.dim, ps.m.dim)
-        for a, hb in enumerate(ps.h.basis):
-            want = np.array([ps.m.coords_of(bracket(hb, x)) for x in ps.m.basis]).T
-            np.testing.assert_allclose(ps.ad_h[a], want, rtol=0.0, atol=1e-14)
+        want = (all_brackets(ps.h, ps.m) @ ps.m.coords.T).reshape(ps.h.dim, ps.m.dim, ps.m.dim)
+        np.testing.assert_allclose(ps.ad_h, want.transpose(0, 2, 1), rtol=0.0, atol=1e-14)
 
     def test_built_once(self, get_space):
         ps = get_space(5, 6)
