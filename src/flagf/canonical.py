@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import EndoOnM, lie_mats, poly_in
+from .liealg import EndoOnM, lie_mats, poly_in, sum_by_key
 from .phispace import PhiSpace
 from .tolerances import TAU_GENERATED, TAU_GOLDEN, TAU_SAME_OP, TAU_TRIVIAL_KERNEL
 
@@ -179,15 +179,6 @@ def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.stack([np.argsort(m == 0.0, axis=1, kind="stable")[:, :w].copy() for m in mats])
     rows = np.arange(len(idx[0]))[:, None]
     return idx, np.stack([m[rows, i] for m, i in zip(mats, idx)])
-
-
-def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the sum of each key's values."""
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    del order
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
-    return keys[first], np.add.reduceat(values, first)
 
 
 def _ad_invariance(f: np.ndarray, ps: PhiSpace) -> float:

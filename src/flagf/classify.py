@@ -33,13 +33,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .canonical import CanonicalStructure, nonzero_rows, sum_by_key
+from .canonical import CanonicalStructure, nonzero_rows
+from .liealg import sum_by_key
 from .metricgeom import MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_coords_tensor
 from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
 MAX_GRID_POINTS = 10**5  # build_grid refuses a larger grid
-MAX_N = 40  # the CLI refuses a larger --n: on a 2-core box verify --k 4 takes 6 s at n = 40, 95 s and 1 GB at 64
+MAX_N = 40  # the CLI refuses a larger --n: on a 2-core box verify --k 4 takes 2 s at n = 40, 25 s and 0.5 GB at 64
 MAX_K = 16  # the CLI refuses a larger --k: generate_f_structures tries 3^(k/2 - 1) polynomials in theta
 
 

@@ -1,4 +1,4 @@
-"""Dense linear algebra over so(n).
+"""Linear algebra over so(n).
 
 An element of so(n) is held in one of two forms: a skew-symmetric matrix,
 one per slice of a (..., n, n) stack, or a row of lex coordinates, its
@@ -16,12 +16,15 @@ Matrices are small (the benchmark goes up to n = 24, so dim so(n) <= 276) and
 entries are O(1).  Each threshold, and the scale it applies to, is named in
 :mod:`flagf.tolerances`.
 
-Structural quantities (ad(h) on m, reductivity, the bracket tensor of m) all
-come from one batched kernel, :func:`bracket_rows`: for each basis element
-x_a it computes the lex coordinates of [x_a, y_b] for a whole basis y with a
-single (n, n) @ (n, n * dim y) product.  :func:`bracket_coords` stacks its
-output, optionally projected onto a subspace.  Memory stays at one (dim y, dim so(n)) block per step; no
-(dim x, dim y, n, n) array is ever formed.
+Structural quantities (ad(h) on m, reductivity, the split checks, the
+bracket tensor of m) all come from one sparse kernel,
+:func:`bracket_nonzeros`: it joins the nonzero entries of the skew matrices
+of two sets of rows on their shared matrix index and sums equal keys, so two
+lex basis vectors cost one product, and only if they share exactly one index.
+:func:`bracket_row_chunks` turns the nonzero brackets into dense rows a chunk
+at a time, for residuals and projections; :func:`bracket_coords` scatters
+them into a (dim x, dim y, ...) array.  No (dim x, dim y, n, n) array is
+ever formed.
 """
 
 from __future__ import annotations
@@ -234,22 +237,74 @@ def image(m, domain: Subspace) -> Subspace:
     return Subspace(domain.ambient_n, u[:, :rank].T @ domain.coords)
 
 
-def bracket_rows(n: int, x_rows, y_rows):
-    """Yield, for each lex-coordinate row x_a of ``x_rows``, the lex
-    coordinates of every [x_a, y_b] as a (len(y_rows), dim so(n)) array.
+def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of each key's values."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    del order
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
+    return keys[first], np.add.reduceat(values, first)
 
-    Rows need not be orthonormal (``Subspace.coords`` or single elements both
-    work).  Each step is one (n, n) @ (n, n * len(y_rows)) product, and the
-    coordinates are read off as sqrt(2) (P_ij - P_ji), P = X Y, exactly as
-    :func:`lie_rows` reads them off :func:`brackets`.
-    """
+
+def _entries(n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nonzero entries X[r, c] of the skew matrices of lex-coordinate rows,
+    as arrays (row, r, c, value), valued exactly as in :func:`lie_mats`."""
+    a, p = np.nonzero(rows)
     i, j = lex_indices(n)
-    ys = lie_mats(n, y_rows)
-    k = ys.shape[0]
-    y_flat = ys.transpose(1, 0, 2).reshape(n, k * n)  # [r, b*n + l] = Y_b[r, l]
-    for xm in lie_mats(n, x_rows):
-        p = (xm @ y_flat).reshape(n, k, n)  # p[r, b, l] = (X Y_b)[r, l]
-        yield _SQRT2 * (p[i, :, j] - p[j, :, i]).T
+    half = rows[a, p] / _SQRT2
+    return np.tile(a, 2), np.concatenate([i[p], j[p]]), np.concatenate([j[p], i[p]]), np.concatenate([half, -half])
+
+
+def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:
+    """The nonzero lex coordinates of every bracket [x_a, y_b], as arrays
+    (a, b, lex position, value) sorted by (a, b, position).
+
+    Rows need not be orthonormal.  The entries X[r, s] and Y[s, q] of the two
+    skew matrices are joined on their shared index s; each product adds to
+    (XY)[r, q], and the coordinate of (i, j), i < j, is sqrt(2) ((XY)[i, j] -
+    (XY)[j, i]) as in :func:`lie_rows` of :func:`brackets`.  Entries are read
+    exactly, with no threshold, and a coordinate that sums to 0 is dropped.
+    For rows with one nonzero each, every coordinate is one product, so it
+    has the bits of the dense product.
+    """
+    x_rows, y_rows = (np.asarray(r, dtype=float).reshape(-1, so_dim(n)) for r in (x_rows, y_rows))
+    xa, xr, xs, xv = _entries(n, x_rows)
+    yb, ys, yq, yv = _entries(n, y_rows)
+    order = np.argsort(ys, kind="stable")
+    yb, yq, yv = yb[order], yq[order], yv[order]
+    start = np.searchsorted(ys[order], np.arange(n + 1))  # Y entries of row s: start[s]:start[s + 1]
+    # Every pair (xi, yi) of an X entry (r, s) and a Y entry (s, q).
+    count = (start[1:] - start[:-1])[xs]
+    xi = np.repeat(np.arange(len(xs)), count)
+    yi = np.arange(len(xi)) + np.repeat(start[xs] - (np.cumsum(count) - count), count)
+    r, q = xr[xi], yq[yi]
+    keep = r != q  # a diagonal entry of XY cancels in XY - YX
+    r, q, xi, yi = r[keep], q[keep], xi[keep], yi[keep]
+    lo, hi = np.minimum(r, q), np.maximum(r, q)
+    pos = lo * n - lo * (lo + 1) // 2 + hi - lo - 1
+    dg, dy = so_dim(n), len(y_rows)
+    prod = xv[xi] * yv[yi]
+    keys, val = sum_by_key((xa[xi] * dy + yb[yi]) * dg + pos, np.where(r < q, prod, -prod))
+    val = _SQRT2 * val
+    keys, val = keys[val != 0.0], val[val != 0.0]
+    return keys // (dy * dg), keys // dg % dy, keys % dg, val
+
+
+_CHUNK_BYTES = 1 << 18
+
+
+def bracket_row_chunks(n: int, x_rows, y_rows):
+    """Yield (a, b, rows): the nonzero brackets [x_a, y_b] of :func:`bracket_nonzeros`
+    as dense lex-coordinate rows, at most 256 kB of rows at a time."""
+    a, b, pos, val = bracket_nonzeros(n, x_rows, y_rows)
+    new_pair = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))[: len(a)]
+    bounds = np.append(np.flatnonzero(new_pair), len(a))
+    step = max(1, _CHUNK_BYTES // (8 * so_dim(n)))
+    for lo in range(0, len(bounds) - 1, step):
+        edges = bounds[lo : lo + step + 1]  # the entries of bracket lo + p are edges[p]:edges[p + 1]
+        rows = np.zeros((len(edges) - 1, so_dim(n)))
+        rows[np.repeat(np.arange(len(rows)), np.diff(edges)), pos[edges[0] : edges[-1]]] = val[edges[0] : edges[-1]]
+        yield a[edges[:-1]], b[edges[:-1]], rows
 
 
 def bracket_coords(x: Subspace, y: Subspace, onto: Subspace | None = None) -> np.ndarray:
@@ -257,16 +312,16 @@ def bracket_coords(x: Subspace, y: Subspace, onto: Subspace | None = None) -> np
 
     Returns the lex coordinates, shape (dim x, dim y, dim so(n)), or with
     ``onto`` the coefficients of their projections onto that subspace, shape
-    (dim x, dim y, dim onto).  Built one x_a at a time from
-    :func:`bracket_rows`.
+    (dim x, dim y, dim onto).  A scatter of :func:`bracket_row_chunks`, with
+    one product per chunk for the projection.
     """
     n = x.ambient_n
     if y.ambient_n != n or (onto is not None and onto.ambient_n != n):
         raise ValueError("ambient dimension mismatch")
     width = so_dim(n) if onto is None else onto.dim
-    out = np.empty((x.dim, y.dim, width))
-    for a, b in enumerate(bracket_rows(n, x.coords, y.coords)):
-        out[a] = b if onto is None else b @ onto.coords.T
+    out = np.zeros((x.dim, y.dim, width))
+    for a, b, rows in bracket_row_chunks(n, x.coords, y.coords):
+        out[a, b] = rows if onto is None else rows @ onto.coords.T
     return out
 
 

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import Subspace, bracket_coords, bracket_rows, brackets, lie_mats, lie_rows
+from .liealg import Subspace, bracket_coords, bracket_row_chunks, brackets, lie_mats, lie_rows
 from .phispace import PhiSpace, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
@@ -141,9 +141,11 @@ def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
         if a.dim and b.dim and np.max(np.abs(a.coords @ b.coords.T)) > TAU_ORTH:
             raise RuntimeError("blocks are not orthogonal")
     # Each block is ad(h)-invariant: [h_a, x] stays in the block of x (absolute leak).
-    for blk in (split.m1, split.m2, split.m3):
-        for b in bracket_rows(n, ps.h.coords, blk.coords):
-            if np.max(blk.residuals(b), initial=0.0) > TAU_SUBSPACE:
+    blocks = (split.m1, split.m2, split.m3)
+    owner = np.repeat(np.arange(3), [blk.dim for blk in blocks])
+    for _, b, rows in bracket_row_chunks(n, ps.h.coords, np.vstack([blk.coords for blk in blocks])):
+        for t, blk in enumerate(blocks):
+            if np.max(blk.residuals(rows[owner[b] == t]), initial=0.0) > TAU_SUBSPACE:
                 raise RuntimeError("block is not ad(h)-invariant")
     # Cyclic relations: cross-block brackets land in the third block (6 minus
     # the other two), and same-block brackets leave m entirely (they fall into h).

@@ -20,8 +20,7 @@ import numpy as np
 from .liealg import (
     EndoOnM,
     Subspace,
-    bracket_coords,
-    bracket_rows,
+    bracket_row_chunks,
     brackets,
     image,
     lex_indices,
@@ -77,19 +76,21 @@ class PhiSpace:
     theta: EndoOnM
 
     @cached_property
-    def ad_h(self) -> np.ndarray:
-        """ad(h) on m as a (dim h, dim m, dim m) stack, built on first use.
-
-        ``ad_h[a]`` is the matrix of X -> [h_a, X] over the basis of m (column
-        j holds the m-coefficients of [h_a, m_j]).
-        """
-        return bracket_coords(self.h, self.m, onto=self.m).transpose(0, 2, 1)
-
-    @cached_property
     def ad_h_nonzeros(self) -> tuple[np.ndarray, ...]:
-        """The nonzeros of ad_h as arrays (a, row, column, value)."""
-        a, row, col = np.nonzero(self.ad_h)
-        return a, row, col, self.ad_h[a, row, col]
+        """The nonzeros of ad(h) on m as arrays (a, row, column, value), sorted:
+        ``value`` is the m-coefficient ``row`` of [h_a, m_column].  Only the
+        nonzero brackets are projected, one product per chunk of them."""
+        d = self.m.dim
+        keys, values = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for a, b, rows in bracket_row_chunks(self.spec.n, self.h.coords, self.m.coords):
+            coef = rows @ self.m.coords.T
+            p, row = np.nonzero(coef)
+            keys.append((a[p] * d + row) * d + b[p])
+            values.append(coef[p, row])
+        keys, values = np.concatenate(keys), np.concatenate(values)
+        order = np.argsort(keys)
+        keys, values = keys[order], values[order]
+        return keys // (d * d), keys // d % d, keys % d, values
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,9 @@ def _check_phi_space_invariants(spec, phi, h, m, theta) -> None:
     dg = so_dim(spec.n)
     if h.dim + m.dim != dg:
         raise RuntimeError(f"dim h + dim m = {h.dim}+{m.dim} != {dg}")
-    # Reductivity: [h, m] stays in m, for all of m per basis element of h.
-    for b in bracket_rows(spec.n, h.coords, m.coords):
-        if np.max(m.residuals(b), initial=0.0) > TAU_SUBSPACE:
+    # Reductivity: [h, m] stays in m (a zero bracket leaks nothing).
+    for _, _, rows in bracket_row_chunks(spec.n, h.coords, m.coords):
+        if np.max(m.residuals(rows), initial=0.0) > TAU_SUBSPACE:
             raise RuntimeError("reductivity failure: [h, m] leaves m")
     if not _nonsingular(theta.matrix - np.eye(m.dim)):
         raise RuntimeError("theta has a fixed vector")
@@ -242,9 +243,10 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
 
     Checks: so(n) = h (+) image(A) as an orthogonal direct sum; A restricted
     to its image is nonsingular; ker A^2 = ker A; and theta has no fixed
-    vector.  The four answers agree on every well-formed space.
+    vector.  The four answers agree on every well-formed space.  ker A is
+    ps.h, as :func:`build_phi_space` computed it.
     """
-    full = Subspace.full(ps.spec.n)
+    full = ps.phi.domain
     a = ps.phi.matrix - np.eye(full.dim)
 
     dims_ok = ps.h.dim + ps.m.dim == full.dim
@@ -254,7 +256,7 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     return RegularityReport(
         direct_sum=direct_sum,
         nonsingular_on_image=_nonsingular(ps.m.coords @ a @ ps.m.coords.T),
-        kernel_square_stable=nullspace(a, full).dim == nullspace(a @ a, full).dim,
+        kernel_square_stable=ps.h.dim == nullspace(a @ a, full).dim,
         theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
     )
 

@@ -20,6 +20,13 @@ from flagf.liealg import EndoOnM, brackets, lie_mats, lie_rows, nullspace, poly_
 from flagf.tolerances import TAU_GOLDEN
 
 
+def dense_ad_h(ps):
+    """ad(h) on m as a (dim h, d, d) stack from matrix commutators, one h_a at a time."""
+    n, ms = ps.spec.n, lie_mats(ps.spec.n, ps.m.coords)
+    rows = np.stack([lie_rows(brackets(hm[None], ms)) for hm in lie_mats(n, ps.h.coords)])
+    return (rows @ ps.m.coords.T).transpose(0, 2, 1)
+
+
 def elem(n, i, j):
     """E_ij - E_ji, as a stack of one matrix."""
     m = np.zeros((1, n, n))
@@ -137,7 +144,7 @@ class TestStructureIdentities:
         # each entry of A f - f A is one product minus one product: the same
         # bits as the dense route.  Otherwise the sums are reordered.
         ps = get_space(n, k, m_blocks)
-        ad = ps.ad_h
+        ad = dense_ad_h(ps)
         for cs in flagf.generate_f_structures(ps):
             f = cs.op.matrix
             dense = float(np.max(np.abs(ad @ f - f @ ad)))

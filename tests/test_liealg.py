@@ -6,7 +6,8 @@ from flagf.liealg import (
     Subspace,
     _orth_rows,
     bracket_coords,
-    bracket_rows,
+    bracket_nonzeros,
+    bracket_row_chunks,
     brackets,
     decompose_orthogonal,
     image,
@@ -274,12 +275,26 @@ class TestEndoOnM:
         np.testing.assert_allclose(x @ other.coords.T @ m2.T, got @ other.coords.T, atol=1e-10)
 
 
+def joined(n, x_rows, y_rows):
+    """The (len x, len y, dim so(n)) scatter of bracket_nonzeros."""
+    a, b, pos, val = bracket_nonzeros(n, x_rows, y_rows)
+    out = np.zeros((len(x_rows), len(y_rows), n * (n - 1) // 2))
+    out[a, b, pos] = val
+    return out
+
+
+def commutators(n, x_rows, y_rows):
+    """Lex coordinates of every [x_a, y_b] from matrix commutators, one x_a at a time."""
+    ys = lie_mats(n, y_rows)
+    return np.stack([lie_rows(brackets(xm[None], ys)) for xm in lie_mats(n, x_rows)])
+
+
 class TestAdMatrix:
     """ad(h) on a subspace, read off the bracket kernel for one element h."""
 
     @staticmethod
     def ad(h, space):
-        return (next(bracket_rows(space.ambient_n, lie_rows(h)[None], space.coords)) @ space.coords.T).T
+        return (joined(space.ambient_n, lie_rows(h)[None], space.coords)[0] @ space.coords.T).T
 
     def test_ad_reproduces_bracket(self, rng):
         full = Subspace.full(5)
@@ -324,9 +339,46 @@ class TestBracketKernel:
                 want = lie_rows(bracket_oracle(5, [p], [q]) / 2.0)
                 np.testing.assert_allclose(bc[a, b], want, atol=1e-15)
 
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_bitwise_equal_to_commutators_on_flag_spaces(self, get_space, n, k):
+        # Every basis vector of h and m is one lex basis vector, so every
+        # coordinate is a single product: the same bits as the dense route.
+        ps = get_space(n, k)
+        pairs = [(ps.h, ps.m), (ps.m, ps.m)]
+        if k == 4 and n in (4, 5, 8, 12, 16, 24):  # full x full does not depend on k
+            pairs.append((Subspace.full(n), Subspace.full(n)))
+        for x, y in pairs:
+            np.testing.assert_array_equal(joined(n, x.coords, y.coords), commutators(n, x.coords, y.coords))
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(7, 2, 6), (10, 2, 6), (12, 3, 8)])
+    def test_svd_complement_within_rounding(self, get_space, n, m_blocks, k):
+        # The rows of m are dense here and the join sums in another order.
+        ps = get_space(n, k, m_blocks)
+        for x, y in [(ps.h, ps.m), (ps.m, ps.m)]:
+            got, want = joined(n, x.coords, y.coords), commutators(n, x.coords, y.coords)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    def test_nonzeros_are_sorted_and_exact(self):
+        a, b, pos, val = bracket_nonzeros(5, np.eye(10), np.eye(10))
+        keys = (a * 10 + b) * 10 + pos
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(val != 0.0)
+        # [x, x] = 0 is dropped, not kept as an explicit zero.
+        x = 3.0 * np.eye(10)[0] - 2.0 * np.eye(10)[7]
+        assert all(len(arr) == 0 for arr in bracket_nonzeros(5, [x], [x]))
+
+    def test_chunks_scatter_to_the_same_rows(self, rng, monkeypatch):
+        x, y = random_subspace(rng, 6, 5), random_subspace(rng, 6, 4)
+        want = bracket_coords(x, y)
+        monkeypatch.setattr("flagf.liealg._CHUNK_BYTES", 3 * 8 * 15)
+        chunks = list(bracket_row_chunks(6, x.coords, y.coords))
+        assert len(chunks) == 7 and all(len(rows) <= 3 for _, _, rows in chunks)
+        np.testing.assert_array_equal(bracket_coords(x, y), want)
+
     def test_rows_need_not_be_orthonormal(self, rng):
         x, y = lie_rows(random_skew(rng, 5)), lie_rows(random_skew(rng, 5))
-        (row,) = bracket_rows(5, [x], [y, 2.0 * y])
+        (row,) = joined(5, [x], [y, 2.0 * y])
         np.testing.assert_allclose(row[0], lie_rows(brackets(lie_mats(5, [x]), lie_mats(5, [y])))[0], atol=1e-13)
         np.testing.assert_allclose(row[1], 2.0 * row[0], atol=1e-13)
 

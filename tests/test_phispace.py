@@ -219,18 +219,33 @@ class TestRegularity:
         assert not rep.all_pass
 
 
+def dense_ad_h(ps):
+    """ad(h) on m as a (dim h, d, d) stack from matrix commutators: [a][:, j] holds
+    the m-coefficients of [h_a, m_j]."""
+    want = (all_brackets(ps.h, ps.m) @ ps.m.coords.T).reshape(ps.h.dim, ps.m.dim, ps.m.dim)
+    return want.transpose(0, 2, 1)
+
+
 class TestAdStack:
-    @pytest.mark.parametrize("n,k,m_blocks", [(5, 4, 1), (7, 6, 1), (8, 6, 2)])
+    @pytest.mark.parametrize("n,k,m_blocks", [(5, 4, 1), (7, 6, 1), (12, 6, 1), (8, 6, 2), (12, 8, 3)])
     def test_matches_per_element_brackets(self, get_space, n, k, m_blocks):
-        # (8, 6, 2) has the SVD-basis complement, not the flag pattern.
+        # The m_blocks > 1 spaces have the SVD-basis complement, not the flag pattern.
         ps = get_space(n, k, m_blocks)
-        assert ps.ad_h.shape == (ps.h.dim, ps.m.dim, ps.m.dim)
-        want = (all_brackets(ps.h, ps.m) @ ps.m.coords.T).reshape(ps.h.dim, ps.m.dim, ps.m.dim)
-        np.testing.assert_allclose(ps.ad_h, want.transpose(0, 2, 1), rtol=0.0, atol=1e-14)
+        a, row, col, val = ps.ad_h_nonzeros
+        got = np.zeros((ps.h.dim, ps.m.dim, ps.m.dim))
+        got[a, row, col] = val
+        want = dense_ad_h(ps)
+        if m_blocks == 1:
+            np.testing.assert_array_equal(got, want)
+            assert len(val) == np.count_nonzero(want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        keys = (a * ps.m.dim + row) * ps.m.dim + col
+        assert np.all(np.diff(keys) > 0) and np.all(val != 0.0)
 
     def test_built_once(self, get_space):
         ps = get_space(5, 6)
-        assert ps.ad_h is ps.ad_h
+        assert ps.ad_h_nonzeros is ps.ad_h_nonzeros
 
     def test_verify_structure_flags_non_equivariant_operator(self, get_space):
         ps = get_space(6, 6)
@@ -249,6 +264,31 @@ def _rotate_rows(coords_a, coords_b, angle):
     c, s = np.cos(angle), np.sin(angle)
     a[0], b[0] = c * coords_a[0] + s * coords_b[0], -s * coords_a[0] + c * coords_b[0]
     return a, b
+
+
+class TestCostGuard:
+    """Peak traced allocations at n = 24, k = 6.  With a dense (dim h, d, d)
+    ad(h) stack (7.1 MB) ad_h_nonzeros peaked at 9.7 MB, and with the dense
+    bracket kernel build_split peaked at 4.9 MB."""
+
+    @staticmethod
+    def peak(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ad_h_nonzeros_stays_below_1_mb(self, get_space):
+        fresh = dataclasses.replace(get_space(24, 6))  # no cached ad(h)
+        assert self.peak(lambda: fresh.ad_h_nonzeros) < 1_000_000
+
+    def test_build_split_stays_at_or_below_the_dense_kernel(self, get_space):
+        ps = get_space(24, 6)
+        assert self.peak(lambda: flagf.build_split(ps)) <= 4_900_000
 
 
 class TestStructuralChecksStillBite:
