@@ -13,10 +13,9 @@ from .liealg import (
     Subspace,
     brackets,
     decompose_orthogonal,
-    image,
+    kernel_and_image,
     lie_mats,
     lie_rows,
-    nullspace,
     poly_in,
 )
 from .phispace import (
@@ -57,7 +56,6 @@ from .classify import (
     MembershipResult,
     build_grid,
     characteristic_set,
-    default_grid,
     membership,
     metric_compat_residual,
     product_compat_residual,

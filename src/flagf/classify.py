@@ -12,7 +12,8 @@ Each map is tested by full polarization: the quadratic map vanishes
 identically iff its bilinear extension has C(X, Y) + C(Y, X) = 0 on all
 basis pairs; pairs where that holds for every metric are dropped at set-up.
 Set-up reads the conditions term by term (_TERMS) off the nonzeros of the
-bracket tensor and of f; the dense tensors are the reference (condition_tensor).
+bracket tensor (TripleSplit.bracket_nonzeros) and of f; the dense einsum
+tensors of _condition_tensor are the reference the tests compare with.
 Residuals are normalized by the operator norm of f and by (1 + s + t + 1/s
 + 1/t), so grid sweeps stay comparable as the U coefficients grow near the
 parameter boundary.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .canonical import CanonicalStructure, nonzero_rows
 from .liealg import sum_by_key
-from .metricgeom import MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_coords_tensor
+from .metricgeom import MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channels
 from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
@@ -45,7 +46,8 @@ MAX_K = 16  # the CLI refuses a larger --k: generate_f_structures tries 3^(k/2 -
 
 
 def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """C[i, j, :] for the named condition, given the U tensor to use."""
+    """C[i, j, :] for the named condition from the dense bracket tensor bm and
+    the U tensor to use: the reference route."""
     if name == "kill":
         return (
             0.5 * np.einsum("bj,ibr->ijr", f, bm, optimize=True)
@@ -95,9 +97,10 @@ def _kept_entries(f: np.ndarray, split: TripleSplit):
 def _summed_entries(t: slice, idx: np.ndarray, val: np.ndarray, split: TripleSplit):
     """The entries != 0 of K[c, ch, i, j, r] (ch 0: base terms, 1-3: the U
     channels) summed over the terms t, as keys into shape (3, 4, d, d, d) and
-    values: each nonzero of bracket_m times the rows of A, B and P^T at its
-    indices, from the tables idx, val padded to (w, w, w, terms, nonzeros)."""
-    i, j, r, v, channel, sign = split.bracket_nonzeros
+    values: each nonzero of the bracket tensor times the rows of A, B and P^T
+    at its indices, from the tables idx, val padded to (w, w, w, terms, nonzeros)."""
+    i, j, r, v = split.bracket_nonzeros
+    channel, sign = u_channels(split, i, j)
     d = split.dim
     rows = [(m[t] * d + at).astype(idx.dtype) for m, at in ((_A, i), (_B, j), (_P, r))]
     value = np.take(val, rows[0], axis=1) * (_COEF[t] * np.where(_ON_U[t], sign * v, v))
@@ -294,64 +297,44 @@ def _constraint_polynomial(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
 class ClassEvaluator:
     """Evaluates the three class conditions for one structure on one split.
 
-    With u_mode "closed", set-up joins the nonzeros of the bracket tensor and
-    of f into each condition's base and three U-channel tensors, polarizes
-    them and keeps only what carries data: the basis pairs i <= j with a
-    nonzero row (at most 169 of 2,145 per condition at n = 24, k = 6) and,
-    of their polarized rows, the entries nonzero in some channel: under 40 kB
-    per evaluator at n = 24, and no d^3 array on the way.  A residual combines
-    the kept entries with (1, c(s, t)) and takes the pair norms, a sweep does
-    the same for blocks of grid points, and the exact zero sets come from the
-    same entries.  With u_mode "solved" the U tensor is recomputed from the
-    metric equation and the dense condition tensor is polarized at every call;
-    this is the slow independent route used for cross-checks.
+    Set-up joins the nonzeros of the bracket tensor (``split.bracket_nonzeros``)
+    and of f into each condition's base and three U-channel tensors,
+    polarizes them and keeps only what carries data: the basis pairs i <= j
+    with a nonzero row (at most 169 of 2,145 per condition at n = 24, k = 6)
+    and, of their polarized rows, the entries nonzero in some channel: under
+    40 kB per evaluator at n = 24, and no d^3 array on the way.  A residual
+    combines the kept entries with (1, c(s, t)) of the closed-form U and
+    takes the pair norms, a sweep does the same for blocks of grid points,
+    and the exact zero sets come from the same entries.
     """
 
-    def __init__(self, f: CanonicalStructure, split: TripleSplit, u_mode: str = "closed"):
-        if u_mode not in ("closed", "solved"):
-            raise ValueError(f"unknown U mode {u_mode!r}")
+    def __init__(self, f: CanonicalStructure, split: TripleSplit):
         self.structure = f
         self.split = split
-        self.u_mode = u_mode
         self.f_matrix = f.op.matrix_on(split.combined)
         self.f_norm = float(np.linalg.norm(self.f_matrix, 2)) or 1.0
-        if u_mode == "closed":
-            blocks = zip(*_kept_entries(self.f_matrix, split))
-            pairs, owner, self._values = (np.concatenate(x, axis=-1) for x in blocks)
-            cond, i, j = np.unravel_index(pairs, (len(CONDITION_NAMES), split.dim, split.dim))
-            self._pairs, self._owner = np.stack([i, j], axis=1), np.searchsorted(pairs, owner)
-            self._starts = np.searchsorted(self._owner, np.arange(len(self._pairs)))
-            bounds = np.searchsorted(cond, range(len(CONDITION_NAMES) + 1))
-            self._spans = {name: slice(lo, hi) for name, lo, hi in zip(CONDITION_NAMES, bounds, bounds[1:])}
-
-    def condition_tensor(self, name: str, params: MetricParams) -> np.ndarray:
-        """The dense C[i, j, :] of the named condition: the reference route."""
-        u = u_coords_tensor(self.split, params, self.u_mode)
-        fm = self.f_matrix
-        return _condition_tensor(name, fm, fm @ fm, self.split.bracket_m, u)
+        blocks = zip(*_kept_entries(self.f_matrix, split))
+        pairs, owner, self._values = (np.concatenate(x, axis=-1) for x in blocks)
+        cond, i, j = np.unravel_index(pairs, (len(CONDITION_NAMES), split.dim, split.dim))
+        self._pairs, self._owner = np.stack([i, j], axis=1), np.searchsorted(pairs, owner)
+        self._starts = np.searchsorted(self._owner, np.arange(len(self._pairs)))
+        bounds = np.searchsorted(cond, range(len(CONDITION_NAMES) + 1))
+        self._spans = {name: slice(lo, hi) for name, lo, hi in zip(CONDITION_NAMES, bounds, bounds[1:])}
 
     def _residuals(self, params: list[MetricParams]) -> dict[str, list[tuple[float, tuple[int, int]]]]:
         """Per condition and point, the normalized polarized residual and the
         first basis pair i <= j (row-major) achieving it."""
-        if self.u_mode == "closed":
-            coeffs = np.array([u_channel_coefficients(p) for p in params]).reshape(-1, 3)
-            norms = np.empty((len(params), len(self._pairs)))
-            step = max(1, (1 << 16) // self._values.shape[1])  # points per block of ~2^16 entries
-            for b in range(0, len(params), step):
-                norms[b : b + step] = _combined_norms(self._values, self._starts, coeffs[b : b + step])
-            parts = {name: (self._pairs[span], norms[:, span]) for name, span in self._spans.items()}
-        else:
-            i, j = np.triu_indices(self.split.dim)
-            parts = {}
-            for name in CONDITION_NAMES:
-                dense = (self.condition_tensor(name, p) for p in params)
-                norms = [np.linalg.norm(c[i, j] + c[j, i], axis=1) for c in dense]
-                parts[name] = (np.stack([i, j], axis=1), np.reshape(norms, (len(params), len(i))))
+        coeffs = np.array([u_channel_coefficients(p) for p in params]).reshape(-1, 3)
+        norms = np.empty((len(params), len(self._pairs)))
+        step = max(1, (1 << 16) // self._values.shape[1])  # points per block of ~2^16 entries
+        for b in range(0, len(params), step):
+            norms[b : b + step] = _combined_norms(self._values, self._starts, coeffs[b : b + step])
         scale = np.array([self.f_norm * (1.0 + p.s + p.t + 1.0 / p.s + 1.0 / p.t) for p in params])
         out = {}
-        for name, (pairs, norms) in parts.items():
-            res = np.max(norms, axis=1) / scale
-            out[name] = list(zip(res.tolist(), map(tuple, pairs[np.argmax(norms, axis=1)].tolist())))
+        for name, span in self._spans.items():
+            pairs, cond_norms = self._pairs[span], norms[:, span]
+            res = np.max(cond_norms, axis=1) / scale
+            out[name] = list(zip(res.tolist(), map(tuple, pairs[np.argmax(cond_norms, axis=1)].tolist())))
         return out
 
     def residual(self, name: str, params: MetricParams) -> tuple[float, tuple[int, int]]:
@@ -390,8 +373,8 @@ class ClassEvaluator:
         base and channel tensors; its leading right singular vectors, the constraints.
         A pair i < j stands for both ordered pairs, so its rows weigh sqrt(2):
         A^T A is that of the dense polarized tensors."""
-        if name not in CONDITION_NAMES or self.u_mode != "closed":
-            raise ValueError(f"no exact zero set for condition {name!r} with u_mode {self.u_mode!r}")
+        if name not in CONDITION_NAMES:
+            raise ValueError(f"no exact zero set for condition {name!r}")
         span = self._spans[name]
         mine = (self._owner >= span.start) & (self._owner < span.stop)
         i, j = self._pairs[self._owner[mine]].T
@@ -405,14 +388,8 @@ class ClassEvaluator:
         )
 
 
-def membership(
-    f: CanonicalStructure,
-    split: TripleSplit,
-    params: MetricParams,
-    condition: str,
-    u_mode: str = "closed",
-) -> MembershipResult:
-    return ClassEvaluator(f, split, u_mode=u_mode).membership(condition, params)
+def membership(f: CanonicalStructure, split: TripleSplit, params: MetricParams, condition: str) -> MembershipResult:
+    return ClassEvaluator(f, split).membership(condition, params)
 
 
 def metric_compat_residual(f: CanonicalStructure, split: TripleSplit, params: MetricParams) -> float:
@@ -455,15 +432,9 @@ def build_grid(
     return pts
 
 
-def default_grid() -> list[tuple[float, float]]:
-    return build_grid()
-
-
-def sweep(
-    f: CanonicalStructure, split: TripleSplit, grid, kappa: float = 1.0, u_mode: str = "closed"
-) -> list[ClassReport]:
+def sweep(f: CanonicalStructure, split: TripleSplit, grid, kappa: float = 1.0) -> list[ClassReport]:
     """One ClassReport per grid point, in grid order."""
-    return ClassEvaluator(f, split, u_mode=u_mode).sweep(grid, kappa)
+    return ClassEvaluator(f, split).sweep(grid, kappa)
 
 
 def grid_disagreement(sets: dict[str, CharacteristicSet], reports) -> str | None:

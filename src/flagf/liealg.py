@@ -22,9 +22,11 @@ bracket tensor of m) all come from one sparse kernel,
 of two sets of rows on their shared matrix index and sums equal keys, so two
 lex basis vectors cost one product, and only if they share exactly one index.
 :func:`bracket_row_chunks` turns the nonzero brackets into dense rows a chunk
-at a time, for residuals and projections; :func:`bracket_coords` scatters
-them into a (dim x, dim y, ...) array.  No (dim x, dim y, n, n) array is
-ever formed.
+at a time, for residuals and projections; :func:`bracket_coords` projects
+them onto a subspace and keeps the nonzero coefficients, again as sorted
+index and value arrays.  No (dim x, dim y, n, n) array is ever formed, and
+:func:`scatter` is the one way back to a dense array, for references.
+:func:`kernel_and_image` reads both subspaces of a matrix off one SVD.
 """
 
 from __future__ import annotations
@@ -140,24 +142,6 @@ class Subspace:
     def empty(n: int) -> "Subspace":
         return Subspace(n, np.zeros((0, so_dim(n))))
 
-    @staticmethod
-    def span(n: int, rows) -> "Subspace":
-        """Orthonormalized span of the given lex-coordinate rows (SVD based)."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.size == 0:
-            return Subspace.empty(n)
-        return Subspace(n, _orth_rows(rows))
-
-
-def _orth_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal row basis of the row space, dropping near-dependent rows."""
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0:
-        return rows[:0]
-    rank = int(np.sum(s > TAU_RANK_REL * s[0]))
-    return vh[:rank]
-
-
 @dataclass(frozen=True, eq=False)
 class EndoOnM:
     """A linear operator on a subspace, as a matrix over its ordered basis.
@@ -207,34 +191,21 @@ def poly_in(op: EndoOnM, coeffs) -> EndoOnM:
     return EndoOnM(op.domain, acc)
 
 
-def _square_on(m, domain: Subspace) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (domain.dim, domain.dim):
-        raise ValueError(f"a {m.shape} matrix does not act on a domain of dim {domain.dim}")
-    return m
-
-
-def nullspace(m, domain: Subspace) -> Subspace:
-    """Orthonormal basis of the kernel of the matrix m, which acts on the
-    coefficients over the basis of ``domain``.
+def kernel_and_image(m, domain: Subspace) -> tuple[Subspace, Subspace]:
+    """Orthonormal bases of the kernel and of the column space of the matrix m,
+    which acts on the coefficients over the basis of ``domain``: one SVD.
 
     Singular values below TAU_RANK_REL times the largest one are treated as
-    zero.  The result lives in the ambient so(n) of the domain.
+    zero.  Both results live in the ambient so(n) of the domain.
     """
+    n, m = domain.ambient_n, np.asarray(m, dtype=float)
     if domain.dim == 0:
-        return Subspace.empty(domain.ambient_n)
-    _, s, vh = np.linalg.svd(_square_on(m, domain))
+        return Subspace.empty(n), Subspace.empty(n)
+    if m.shape != (domain.dim, domain.dim):
+        raise ValueError(f"a {m.shape} matrix does not act on a domain of dim {domain.dim}")
+    u, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > TAU_RANK_REL * s[0])) if s[0] > 0 else 0
-    return Subspace(domain.ambient_n, vh[rank:] @ domain.coords)
-
-
-def image(m, domain: Subspace) -> Subspace:
-    """Orthonormal basis of the column space of the matrix m on ``domain``."""
-    if domain.dim == 0:
-        return Subspace.empty(domain.ambient_n)
-    u, s, _ = np.linalg.svd(_square_on(m, domain))
-    rank = int(np.sum(s > TAU_RANK_REL * s[0])) if s[0] > 0 else 0
-    return Subspace(domain.ambient_n, u[:, :rank].T @ domain.coords)
+    return Subspace(n, vh[rank:] @ domain.coords), Subspace(n, u[:, :rank].T @ domain.coords)
 
 
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,21 +278,27 @@ def bracket_row_chunks(n: int, x_rows, y_rows):
         yield a[edges[:-1]], b[edges[:-1]], rows
 
 
-def bracket_coords(x: Subspace, y: Subspace, onto: Subspace | None = None) -> np.ndarray:
-    """Coordinates of every basis bracket [x_a, y_b].
-
-    Returns the lex coordinates, shape (dim x, dim y, dim so(n)), or with
-    ``onto`` the coefficients of their projections onto that subspace, shape
-    (dim x, dim y, dim onto).  A scatter of :func:`bracket_row_chunks`, with
-    one product per chunk for the projection.
-    """
+def bracket_coords(x: Subspace, y: Subspace, onto: Subspace) -> tuple[np.ndarray, ...]:
+    """The nonzero coefficients of the projections of every basis bracket
+    [x_a, y_b] onto ``onto``, as arrays (a, b, onto position, value) sorted by
+    (a, b, position).  One product per chunk of :func:`bracket_row_chunks`,
+    exact zeros dropped."""
     n = x.ambient_n
-    if y.ambient_n != n or (onto is not None and onto.ambient_n != n):
+    if y.ambient_n != n or onto.ambient_n != n:
         raise ValueError("ambient dimension mismatch")
-    width = so_dim(n) if onto is None else onto.dim
-    out = np.zeros((x.dim, y.dim, width))
+    parts = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
     for a, b, rows in bracket_row_chunks(n, x.coords, y.coords):
-        out[a, b] = rows if onto is None else rows @ onto.coords.T
+        coef = rows @ onto.coords.T
+        p, r = np.nonzero(coef)  # row-major, and the chunks come in (a, b) order
+        parts.append((a[p], b[p], r, coef[p, r]))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def scatter(shape, *nonzeros) -> np.ndarray:
+    """The dense array of the given shape holding nonzeros = (index arrays...,
+    values) at their indices and 0 elsewhere: the one way back from sparse."""
+    out = np.zeros(shape)
+    out[nonzeros[:-1]] = nonzeros[-1]
     return out
 
 

@@ -24,17 +24,21 @@ the two routes is one of the package's standing cross-checks.
 :func:`nomizu` take two (P, n, n) stacks of elements of m and work pair by
 pair (X_p, Y_p); an argument outside m raises ValueError.
 :func:`u_coords_tensor` gives U on all basis pairs in block coordinates.
+Like :func:`naturally_reductive_residual`, the split checks and the class
+set-up, it reads the bracket tensor of m off its nonzeros
+(``TripleSplit.bracket_nonzeros``), and :func:`u_channels` gives the
+closed-form channel of each basis pair.  Only a reference (the einsum of
+:func:`u_tensor_solved`) or a dense result scatters them into a d^3 array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .liealg import Subspace, bracket_coords, bracket_row_chunks, brackets, lie_mats, lie_rows
+from .liealg import Subspace, bracket_coords, bracket_row_chunks, brackets, lie_mats, lie_rows, scatter, sum_by_key
 from .phispace import PhiSpace, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
@@ -45,8 +49,9 @@ class TripleSplit:
 
     ``combined`` carries the block-adapted orthonormal basis (m1 rows first,
     then m2, then m3); ``block_index`` maps each basis vector to its block
-    (1, 2 or 3); ``bracket_m`` is the (d, d, d) tensor of the m-projections of
-    basis brackets, bracket_m[i, j] = coords of [X_i, X_j]_m.
+    (1, 2 or 3).  ``bracket_nonzeros`` is the bracket tensor of m, the only
+    form it is kept in: arrays (i, j, r, value), sorted by (i, j, r), of the
+    nonzero coefficients r of [X_i, X_j]_m (252 of 65^3 at n = 24).
     """
 
     m1: Subspace
@@ -54,20 +59,11 @@ class TripleSplit:
     m3: Subspace
     combined: Subspace
     block_index: np.ndarray
-    bracket_m: np.ndarray
+    bracket_nonzeros: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
         return self.combined.dim
-
-    @cached_property
-    def bracket_nonzeros(self) -> tuple[np.ndarray, ...]:
-        """bracket_m's nonzeros as arrays (i, j, r, value), with the U channel
-        of (i, j) (its mask in u_channel_masks plus 1, or 0 off every mask)
-        and its mask sign."""
-        i, j, r = np.nonzero(self.bracket_m)
-        masks = u_channel_masks(self)[:, i, j]
-        return i, j, r, self.bracket_m[i, j, r], np.arange(1, 4) @ (masks != 0.0), masks.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -123,9 +119,9 @@ def build_split(ps: PhiSpace) -> TripleSplit:
     m3 = Subspace(n, pattern.coords[d1 + d2 :])
     block_index = np.concatenate([np.full(d1, 1), np.full(d2, 2), np.full(d3, 3)])
 
-    bm = bracket_coords(combined, combined, onto=combined)
+    nonzeros = bracket_coords(combined, combined, onto=combined)
     split = TripleSplit(
-        m1=m1, m2=m2, m3=m3, combined=combined, block_index=block_index, bracket_m=bm
+        m1=m1, m2=m2, m3=m3, combined=combined, block_index=block_index, bracket_nonzeros=nonzeros
     )
     _check_split_invariants(ps, split)
     return split
@@ -149,7 +145,7 @@ def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
                 raise RuntimeError("block is not ad(h)-invariant")
     # Cyclic relations: cross-block brackets land in the third block (6 minus
     # the other two), and same-block brackets leave m entirely (they fall into h).
-    i, j, r, v = split.bracket_nonzeros[:4]
+    i, j, r, v = split.bracket_nonzeros
     bi = split.block_index
     same = bi[i] == bi[j]
     if np.max(np.abs(v[same]), initial=0.0) > TAU_CYCLIC:
@@ -197,31 +193,38 @@ def u_tensor_solved(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys
     """U(X_p, Y_p) recovered from 2 g(U, Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y), on stacks.
 
     The block basis diagonalizes g, so the solve is a componentwise rescale.
-    This is the independent oracle for :func:`u_tensor_closed`.
+    This is the independent oracle for :func:`u_tensor_closed`; it contracts
+    the dense bracket tensor, as a reference.
     """
     c = split.combined
     xv, yv = (rows @ c.coords.T for rows in _m_rows(split, xs, ys))
     gd = block_weights(split, params)
-    bm = split.bracket_m
+    bm = scatter((split.dim,) * 3, *split.bracket_nonzeros)
     rhs = np.einsum("zjr,pj,pr->pz", bm, yv, gd * xv) + np.einsum("zir,pi,pr->pz", bm, xv, gd * yv)
     return lie_mats(c.ambient_n, (rhs / (2.0 * gd)) @ c.coords)
 
 
 def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "closed") -> np.ndarray:
-    """U on all basis pairs as a (d, d, d) coordinate tensor.
+    """U on all basis pairs as a (d, d, d) coordinate tensor, read off the
+    nonzeros of the bracket tensor and scattered once.
 
-    mode "closed" scales the bracket tensor by the block-pair coefficients of
-    the closed form; mode "solved" runs the metric-equation solve.  The two
-    agree to rounding for all valid parameters.
+    mode "closed" scales each nonzero by the closed-form coefficient of its
+    block pair; mode "solved" runs the metric-equation solve
+    U[a, b, z] = (g_a B[z, b, a] + g_b B[b, z, a]) / (2 g_z), B the bracket
+    tensor.  The two agree to rounding for all valid parameters.
     """
-    bm = split.bracket_m
+    d = split.dim
+    i, j, r, v = split.bracket_nonzeros
     if mode == "closed":
-        return np.tensordot(u_channel_coefficients(params), u_channel_masks(split), axes=1)[:, :, None] * bm
+        channel, sign = u_channels(split, i, j)
+        coef = np.concatenate(([0.0], u_channel_coefficients(params)))[channel] * sign
+        return scatter((d, d, d), i, j, r, coef * v)
     if mode == "solved":
         gd = block_weights(split, params)
-        term1 = gd[:, None, None] * bm.transpose(2, 1, 0)
-        term2 = gd[None, :, None] * bm.transpose(1, 2, 0)
-        return (term1 + term2) / (2.0 * gd[None, None, :])
+        # Each nonzero B[i, j, r] feeds U[r, j, i] (weight g_r) and U[r, i, j] (weight g_i).
+        keys = np.concatenate([(r * d + j) * d + i, (r * d + i) * d + j])
+        keys, val = sum_by_key(keys, np.concatenate([gd[r] * v, gd[i] * v]))
+        return scatter(d**3, keys, val / (2.0 * gd[keys % d])).reshape(d, d, d)
     raise ValueError(f"unknown U mode {mode!r}")
 
 
@@ -231,14 +234,14 @@ def u_channel_coefficients(params: MetricParams) -> np.ndarray:
     return np.array([0.5 * (t - s), (t - 1.0) / (2.0 * s), (s - 1.0) / (2.0 * t)])
 
 
-def u_channel_masks(split: TripleSplit) -> np.ndarray:
-    """Signed block-pair masks m_k: U(X_i, X_j) = sum_k c_k m_k[i, j] [X_i, X_j]."""
-    bi = split.block_index
-    masks = np.zeros((3, split.dim, split.dim))
-    for mask, (a, b) in zip(masks, ((2, 3), (1, 3), (1, 2))):
-        mask[np.ix_(bi == a, bi == b)] = 1.0
-        mask[np.ix_(bi == b, bi == a)] = -1.0
-    return masks
+def u_channels(split: TripleSplit, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The U channel of each basis pair (X_i, X_j) and its sign, so that
+    U(X_i, X_j) = sign c[channel - 1] [X_i, X_j] with c = u_channel_coefficients.
+    With b the block index, the channel is 6 - b_i - b_j (1: [m2, m3],
+    2: [m1, m3], 3: [m1, m2]) and the sign is sign(b_j - b_i); inside one
+    block both are 0."""
+    bi, bj = split.block_index[i], split.block_index[j]
+    return np.where(bi == bj, 0, 6 - bi - bj), np.sign(bj - bi).astype(float)
 
 
 def nomizu(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -260,8 +263,10 @@ def connection_compat_residual(split: TripleSplit, params: MetricParams, xyz) ->
 def naturally_reductive_residual(split: TripleSplit, params: MetricParams) -> float:
     """Max violation of g([X,Y]_m, Z) = g(X, [Y,Z]_m) over basis triples,
     normalized by kappa."""
+    d = split.dim
     gd = block_weights(split, params)
-    bm = split.bracket_m
-    lhs = bm * gd[None, None, :]
-    rhs = np.einsum("i,jki->ijk", gd, bm)
-    return float(np.max(np.abs(lhs - rhs)) / params.kappa)
+    i, j, r, v = split.bracket_nonzeros
+    # B[i, j, r] g_r is the left side at (i, j, r) and the right side at (r, i, j).
+    keys = np.concatenate([(i * d + j) * d + r, (r * d + i) * d + j])
+    _, diff = sum_by_key(keys, np.concatenate([v * gd[r], -(gd[r] * v)]))
+    return float(np.max(np.abs(diff), initial=0.0) / params.kappa)

@@ -6,7 +6,7 @@ An automorphism is conjugation by an orthogonal block matrix
 
 where eps_t is the 2x2 rotation by 2*pi*t/k.  The induced map phi = Ad(B) on
 so(n) has fixed-point subalgebra h = ker(phi - id) and canonical complement
-m = image(phi - id); theta is phi restricted to m.  These are the data on
+m = im(phi - id); theta is phi restricted to m.  These are the data on
 which canonical structures and invariant metrics are built.
 """
 
@@ -20,13 +20,13 @@ import numpy as np
 from .liealg import (
     EndoOnM,
     Subspace,
+    bracket_coords,
     bracket_row_chunks,
     brackets,
-    image,
+    kernel_and_image,
     lex_indices,
     lie_mats,
     lie_rows,
-    nullspace,
     so_dim,
 )
 from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_SUBSPACE, TAU_THETA_POWER
@@ -64,7 +64,7 @@ class PhiSpace:
     h : Subspace
         Fixed-point subalgebra ker(phi - id).
     m : Subspace
-        Canonical complement image(phi - id).
+        Canonical complement im(phi - id).
     theta : EndoOnM
         Restriction of phi to m.
     """
@@ -78,19 +78,11 @@ class PhiSpace:
     @cached_property
     def ad_h_nonzeros(self) -> tuple[np.ndarray, ...]:
         """The nonzeros of ad(h) on m as arrays (a, row, column, value), sorted:
-        ``value`` is the m-coefficient ``row`` of [h_a, m_column].  Only the
-        nonzero brackets are projected, one product per chunk of them."""
-        d = self.m.dim
-        keys, values = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for a, b, rows in bracket_row_chunks(self.spec.n, self.h.coords, self.m.coords):
-            coef = rows @ self.m.coords.T
-            p, row = np.nonzero(coef)
-            keys.append((a[p] * d + row) * d + b[p])
-            values.append(coef[p, row])
-        keys, values = np.concatenate(keys), np.concatenate(values)
-        order = np.argsort(keys)
-        keys, values = keys[order], values[order]
-        return keys // (d * d), keys // d % d, keys % d, values
+        ``value`` is the m-coefficient ``row`` of [h_a, m_column]
+        (:func:`bracket_coords` of h and m onto m, re-sorted by row)."""
+        a, column, row, value = bracket_coords(self.h, self.m, self.m)
+        order = np.lexsort((column, row, a))
+        return a[order], row[order], column[order], value[order]
 
 
 @dataclass(frozen=True)
@@ -191,14 +183,12 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
     For the single-rotation-block flag spaces the complement basis is chosen
     block-adapted (rows (0,1), (0,2); then (1,j), (2,j); then (0,j), j >= 3),
     which keeps downstream metric computations exact.  Otherwise an SVD basis
-    of image(phi - id) is used.
+    of im(phi - id) is used.
     """
     n = spec.n
     full = Subspace.full(n)
     phi = EndoOnM(full, phi_matrix(spec))
-    a = phi.matrix - np.eye(full.dim)
-    h = nullspace(a, full)
-    m = image(a, full)
+    h, m = kernel_and_image(phi.matrix - np.eye(full.dim), full)
 
     if spec.m_blocks == 1 and n >= 4:
         pattern = flag_complement_pattern(n)
@@ -241,7 +231,7 @@ def _check_phi_space_invariants(spec, phi, h, m, theta) -> None:
 def check_regularity(ps: PhiSpace) -> RegularityReport:
     """Evaluate the equivalent decomposition conditions on a PhiSpace.
 
-    Checks: so(n) = h (+) image(A) as an orthogonal direct sum; A restricted
+    Checks: so(n) = h (+) im(A) as an orthogonal direct sum; A restricted
     to its image is nonsingular; ker A^2 = ker A; and theta has no fixed
     vector.  The four answers agree on every well-formed space.  ker A is
     ps.h, as :func:`build_phi_space` computed it.
@@ -256,7 +246,7 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     return RegularityReport(
         direct_sum=direct_sum,
         nonsingular_on_image=_nonsingular(ps.m.coords @ a @ ps.m.coords.T),
-        kernel_square_stable=ps.h.dim == nullspace(a @ a, full).dim,
+        kernel_square_stable=ps.h.dim == kernel_and_image(a @ a, full)[0].dim,
         theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
     )
 

@@ -9,13 +9,13 @@ spells a threshold out (tests/test_tolerances.py guards this).
 # so(n) linear algebra (liealg) and the h (+) m split (phispace, metricgeom)
 TAU_SKEW = 1e-12  # relative to max(1, max |entry|): |X + X^T| of a matrix taken as an element of so(n)
 TAU_ORTH = 1e-12  # absolute: Gram entries of orthonormal rows, within a basis or across disjoint blocks
-TAU_RANK_REL = 1e-9  # relative to sigma_0: the singular values that span, nullspace and image keep
+TAU_RANK_REL = 1e-9  # relative to sigma_0: the singular values that kernel_and_image counts as nonzero
 TAU_SUBSPACE = 1e-9  # distance to a subspace: relative to |x| for an argument, absolute for unit rows and brackets
 TAU_B_ORTH = 1e-10  # absolute: max |B B^T - I| of the conjugating matrix
 TAU_ORDER = 1e-9  # absolute: max |entry| of phi^j - id (the order of Ad(B)) and of theta^k - id (verify)
 TAU_THETA_POWER = 1e-8  # absolute: max |theta^k - id|, the invariant build_phi_space raises on
 TAU_NONSINGULAR = 1e-6  # absolute: smallest singular value of a regularity operator
-TAU_CYCLIC = 1e-10  # absolute: bracket_m entries that the cyclic block relations forbid
+TAU_CYCLIC = 1e-10  # absolute: bracket tensor nonzeros that the cyclic block relations forbid
 
 # canonical structures (canonical)
 TAU_SAME_OP = 1e-8  # absolute: max |entry| of the difference of two operators (dedup, labels, zero f)

@@ -16,7 +16,7 @@ import pytest
 
 import flagf
 from flagf.canonical import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS, structure_by_label
-from flagf.classify import CONDITION_NAMES, ClassEvaluator, characteristic_set, default_grid
+from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid, characteristic_set
 from flagf.liealg import poly_in
 from flagf.metricgeom import (
     MetricParams,
@@ -109,12 +109,11 @@ def test_criterion_05_splitting(get_space, get_split):
         for a, b in ((split.m1, split.m2), (split.m1, split.m3), (split.m2, split.m3)):
             worst_orth = max(worst_orth, float(np.max(np.abs(a.coords @ b.coords.T))))
         bi = split.block_index
-        for i in range(split.dim):
-            for j in range(split.dim):
-                out = split.bracket_m[i, j]
-                if bi[i] != bi[j]:
-                    expect = ({1, 2, 3} - {int(bi[i]), int(bi[j])}).pop()
-                    worst_bracket = max(worst_bracket, float(np.max(np.abs(out[bi != expect]))))
+        for i, j, r, v in zip(*split.bracket_nonzeros):
+            if bi[i] != bi[j]:
+                expect = ({1, 2, 3} - {int(bi[i]), int(bi[j])}).pop()
+                if bi[r] != expect:
+                    worst_bracket = max(worst_bracket, abs(float(v)))
     ok &= worst_orth < 1e-12 and worst_bracket < 1e-10
     _report(
         5,
@@ -167,7 +166,7 @@ def test_criterion_07_order4_classification(get_split, get_f_structures):
         nk_set = characteristic_set(f0, split, "nk")
         ok &= nk_set.kind == "line" and nk_set.lines == (("s", 1.0),)
 
-        worst_g1 = max(ev.residual("g1", MetricParams(s, t))[0] for s, t in default_grid())
+        worst_g1 = max(ev.residual("g1", MetricParams(s, t))[0] for s, t in build_grid())
         ok &= worst_g1 < 1e-9
         details.append(f"n={n}")
     _report(7, ok, f"order-4 classes: point (1,4/3), line s=1, G1 all ({', '.join(details)})")
@@ -175,7 +174,7 @@ def test_criterion_07_order4_classification(get_split, get_f_structures):
 
 def test_criterion_08_order6_classification(get_split, get_f_structures):
     ok = True
-    grid = default_grid()
+    grid = build_grid()
     for n in (4, 5, 6, 7, 8):
         split = get_split(n, 6)
         fs = get_f_structures(n, 6)
@@ -207,7 +206,7 @@ def test_criterion_09_chain_property(get_split, get_f_structures):
         for cs in get_f_structures(n, k):
             if cs.label.startswith("-"):
                 continue
-            for rep in flagf.sweep(cs, split, default_grid(), kappa=float(n - 1)):
+            for rep in flagf.sweep(cs, split, build_grid(), kappa=float(n - 1)):
                 reports += 1
                 if not rep.chain_ok:
                     violations += 1

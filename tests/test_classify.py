@@ -16,33 +16,52 @@ from flagf.classify import (
     CharacteristicSet,
     characteristic_set,
     decode_constraints,
-    default_grid,
     grid_disagreement,
     membership,
     metric_compat_residual,
     product_compat_residual,
     sweep,
 )
-from flagf.liealg import Subspace, bracket_coords
+from flagf.classify import _condition_tensor
+from flagf.liealg import Subspace, bracket_coords, scatter
 from flagf.metricgeom import (
-    MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients, u_channel_masks,
+    MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients, u_coords_tensor,
 )
 
 FOUR_THIRDS = 4.0 / 3.0
 
 
+def dense_bracket(split: TripleSplit) -> np.ndarray:
+    """The (d, d, d) bracket tensor of m."""
+    return scatter((split.dim,) * 3, *split.bracket_nonzeros)
+
+
 def dense_stacks(ev: ClassEvaluator, name: str) -> list[np.ndarray]:
     """The base and the three U-channel (d, d, d) tensors of a condition,
     built by the einsum reference route: a zero bracket tensor drops the
-    bracket terms, a zero U tensor the U terms."""
-    from flagf.classify import _condition_tensor
-
-    f, bm = ev.f_matrix, ev.split.bracket_m
+    bracket terms, a zero U tensor the U terms.  Channel c holds the bracket
+    tensor on its block pairs (a, b), with sign +1 on (a, b) and -1 on (b, a)."""
+    f, bm, bi = ev.f_matrix, dense_bracket(ev.split), ev.split.block_index
     zero = np.zeros_like(bm)
-    masks = u_channel_masks(ev.split)
+    masks = [np.outer(bi == a, bi == b) * 1.0 - np.outer(bi == b, bi == a) for a, b in ((2, 3), (1, 3), (1, 2))]
     return [_condition_tensor(name, f, f @ f, bm, zero)] + [
         _condition_tensor(name, f, f @ f, zero, mask[:, :, None] * bm) for mask in masks
     ]
+
+
+def dense_condition(ev: ClassEvaluator, name: str, p: MetricParams, mode: str) -> np.ndarray:
+    """The dense C[i, j, :] of the named condition with the closed or the solved U."""
+    f = ev.f_matrix
+    return _condition_tensor(name, f, f @ f, dense_bracket(ev.split), u_coords_tensor(ev.split, p, mode))
+
+
+def dense_residual(ev: ClassEvaluator, name: str, p: MetricParams) -> float:
+    """The residual of the named condition polarized off the dense tensor with
+    the solved U, normalized as ClassEvaluator normalizes it."""
+    c = dense_condition(ev, name, p, "solved")
+    i, j = np.triu_indices(ev.split.dim)
+    pair_max = np.max(np.linalg.norm(c[i, j] + c[j, i], axis=1))
+    return pair_max / (ev.f_norm * (1.0 + p.s + p.t + 1.0 / p.s + 1.0 / p.t))
 
 
 class TestMetricCompatibility:
@@ -181,11 +200,11 @@ class TestEvaluatorInternals:
 
         split = get_split(5, 6)
         f1 = structure_by_label(get_f_structures(5, 6), "f1")
-        ev = ClassEvaluator(f1, split, u_mode="closed")
+        ev = ClassEvaluator(f1, split)
         p = MetricParams(1.7, 0.45, kappa=2.0)
         norms = _combined_norms(ev._values, ev._starts, u_channel_coefficients(p)[None])[0]
         for name, span in ev._spans.items():
-            direct = ev.condition_tensor(name, p)
+            direct = dense_condition(ev, name, p, "closed")
             sym = np.linalg.norm(direct + direct.transpose(1, 0, 2), axis=2)
             i, j = ev._pairs[span].T
             np.testing.assert_allclose(norms[span], sym[i, j], rtol=1e-12, atol=1e-15)
@@ -203,7 +222,7 @@ class TestEvaluatorInternals:
         # only the verdicts are compared there.
         split = get_split(n, k)
         extremes = [(s, t) for s in (1e-6, 1e6) for t in (1e-6, 1e6)]
-        grid = default_grid()
+        grid = build_grid()
         for cs in get_f_structures(n, k):
             ev = ClassEvaluator(cs, split)
             stacks = {name: dense_stacks(ev, name) for name in CONDITION_NAMES}
@@ -310,18 +329,18 @@ class TestEvaluatorInternals:
             assert peak < d**3 * 8 / 4
 
     def test_closed_vs_solved_residuals_agree(self, get_split, get_f_structures):
+        # The evaluator (closed-form U) against the dense condition tensor
+        # built with the U solved from the metric equation.
         split = get_split(5, 6)
         for lbl in ("f1", "f4"):
-            cs = structure_by_label(get_f_structures(5, 6), lbl)
-            ev_c = ClassEvaluator(cs, split, u_mode="closed")
-            ev_s = ClassEvaluator(cs, split, u_mode="solved")
+            ev = ClassEvaluator(structure_by_label(get_f_structures(5, 6), lbl), split)
             for s, t in [(1.0, FOUR_THIRDS), (0.25, 3.0), (2.0, 2.0)]:
                 p = MetricParams(s, t)
                 for name in CONDITION_NAMES:
-                    rc, _ = ev_c.residual(name, p)
-                    rs, _ = ev_s.residual(name, p)
+                    rc, _ = ev.residual(name, p)
+                    rs = dense_residual(ev, name, p)
                     assert abs(rc - rs) < 1e-8
-                    assert ev_c.membership(name, p).member == ev_s.membership(name, p).member
+                    assert ev.membership(name, p).member == (rs < TAU_MEMBER)
 
     def test_membership_kappa_invariant(self, get_split, get_f_structures):
         split = get_split(5, 4)
@@ -341,7 +360,7 @@ class TestEvaluatorInternals:
         ev = ClassEvaluator(f0, split)
         for s, t, name in [(1.0, FOUR_THIRDS, "kill"), (1.0, 0.7, "nk"), (2.2, 0.4, "g1")]:
             p = MetricParams(s, t)
-            c = ev.condition_tensor(name, p)
+            c = dense_condition(ev, name, p, "closed")
             sym = c + c.transpose(1, 0, 2)
             pair_max = np.max(np.linalg.norm(sym, axis=2))
             for _ in range(100):
@@ -361,13 +380,11 @@ class TestEvaluatorInternals:
         # (1/2)[fX, f^2 X]_m = 0 for every X, independently of the metric:
         # the parameter-free part of the nearly-Kaehler condition tensor is
         # zero after polarization for f0 and f1.
-        from flagf.classify import _condition_tensor
-
         split = get_split(n, k)
         cs = structure_by_label(get_f_structures(n, k), label)
         f = cs.op.matrix_on(split.combined)
-        zero_u = np.zeros_like(split.bracket_m)
-        base = _condition_tensor("nk", f, f @ f, split.bracket_m, zero_u)
+        bm = dense_bracket(split)
+        base = _condition_tensor("nk", f, f @ f, bm, np.zeros_like(bm))
         sym = base + base.transpose(1, 0, 2)
         assert np.max(np.abs(sym)) < 1e-12
 
@@ -382,7 +399,7 @@ class TestSweep:
         assert all(r.chain_ok for r in reports)
 
     def test_grid_includes_special_points(self):
-        grid = default_grid()
+        grid = build_grid()
         assert (1.0, 1.0) in grid
         assert (1.0, FOUR_THIRDS) in grid
 
@@ -392,12 +409,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="positive"):
             sweep(f0, split, [(0.0, 1.0)])
 
-    def test_no_indeterminate_verdicts_on_default_grid(self, get_split, get_f_structures):
+    def test_no_indeterminate_verdicts_on_the_standard_grid(self, get_split, get_f_structures):
         split = get_split(5, 6)
         for cs in get_f_structures(5, 6):
             if cs.label.startswith("-"):
                 continue
-            for rep in sweep(cs, split, default_grid()):
+            for rep in sweep(cs, split, build_grid()):
                 assert not any(rep.indeterminate.values()), (cs.label, rep.s, rep.t)
 
     def test_negated_structure_same_classes(self, get_split, get_f_structures):
@@ -542,11 +559,9 @@ class TestExactZeroSets:
             assert zs.sigma_min_kept >= 1.0 and zs.sigma_max_dropped <= 1e-12
         assert g1.sigma_min_kept is None and g1.sigma_max_dropped <= 1e-12
 
-    def test_needs_closed_u_and_a_known_condition(self, get_split, get_f_structures):
+    def test_needs_a_known_condition(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        with pytest.raises(ValueError, match="u_mode 'solved'"):
-            ClassEvaluator(f0, split, u_mode="solved").zero_set("kill")
         with pytest.raises(ValueError, match="condition 'bogus'"):
             ClassEvaluator(f0, split).zero_set("bogus")
 
@@ -565,7 +580,7 @@ def rotated_split(split: TripleSplit, rng) -> TripleSplit:
         for b in (split.m1, split.m2, split.m3)
     ]
     combined = Subspace(split.combined.ambient_n, np.vstack([b.coords for b in blocks]))
-    return TripleSplit(*blocks, combined, split.block_index, bracket_coords(combined, combined, onto=combined))
+    return TripleSplit(*blocks, combined, split.block_index, bracket_coords(combined, combined, combined))
 
 
 class TestBasisInvariance:
@@ -578,7 +593,7 @@ class TestBasisInvariance:
         turned = rotated_split(split, np.random.default_rng(5))
         assert not np.allclose(turned.combined.coords, split.combined.coords)
         _check_split_invariants(get_space(n, k), turned)
-        grid = default_grid()
+        grid = build_grid()
         for cs in get_f_structures(n, k):  # f and -f
             ev, ev_turned = ClassEvaluator(cs, split), ClassEvaluator(cs, turned)
             for r, rt in zip(ev.sweep(grid), ev_turned.sweep(grid), strict=True):

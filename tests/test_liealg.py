@@ -4,25 +4,19 @@ import pytest
 from flagf.liealg import (
     EndoOnM,
     Subspace,
-    _orth_rows,
     bracket_coords,
     bracket_nonzeros,
     bracket_row_chunks,
     brackets,
     decompose_orthogonal,
-    image,
+    kernel_and_image,
     lex_indices,
     lie_mats,
     lie_rows,
-    nullspace,
     poly_in,
+    scatter,
 )
 from flagf.tolerances import TAU_SUBSPACE
-
-
-def orthonormalized(space: Subspace) -> Subspace:
-    """Re-run orthonormalization on a subspace (idempotent within TAU_ORTH)."""
-    return Subspace(space.ambient_n, _orth_rows(space.coords))
 
 
 def elementary(n, i, j):
@@ -154,14 +148,18 @@ class TestSubspace:
             Subspace(4, bad)
 
     def test_span_orthonormalizes_dependent_set(self):
-        x = unit(4, 0, 1, normalized=False)
-        sp = Subspace.span(4, [x, 2.0 * x, unit(4, 2, 3, normalized=False)])
+        # The image of a matrix is the span of its columns, here x, 2x and y.
+        x, y = unit(4, 0, 1, normalized=False), unit(4, 2, 3, normalized=False)
+        cols = np.zeros((6, 6))
+        cols[:, :3] = np.stack([x, 2.0 * x, y], axis=1)
+        sp = kernel_and_image(cols, Subspace.full(4))[1]
         assert sp.dim == 2
         gram = sp.coords @ sp.coords.T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
+        assert np.max(sp.residuals(np.stack([x, y]) / np.sqrt(2.0))) < 1e-12
 
     def test_projection_into_and_out(self):
-        sp = Subspace.span(4, [unit(4, 0, 1)])
+        sp = Subspace(4, unit(4, 0, 1)[None])
         inside, outside = 2.5 * unit(4, 0, 1), unit(4, 2, 3)
         proj = sp.project_rows(np.stack([inside, outside]))
         assert np.max(np.abs(proj[0] - lie_mats(4, inside[None])[0])) <= 1e-12
@@ -170,9 +168,10 @@ class TestSubspace:
         assert res[0] <= TAU_SUBSPACE < res[1]
 
     def test_reorthonormalize_idempotent(self, rng):
+        # The image of the orthogonal projector onto a subspace is that subspace.
         rows = np.linalg.qr(rng.standard_normal((10, 4)))[0].T
         sp = Subspace(5, rows)
-        again = orthonormalized(sp)
+        again = kernel_and_image(rows.T @ rows, Subspace.full(5))[1]
         # Same subspace, orthonormal to within TAU_ORTH.
         assert again.dim == sp.dim
         assert np.all(again.relative_residuals(sp.coords) <= 1e-10)
@@ -181,16 +180,17 @@ class TestSubspace:
 class TestNullspaceImage:
     def test_identity_has_empty_kernel(self):
         full = Subspace.full(4)
-        assert nullspace(np.eye(6), full).dim == 0
+        ker, im = kernel_and_image(np.eye(6), full)
+        assert (ker.dim, im.dim) == (0, 6)
 
     def test_zero_matrix_kernel_is_everything(self):
         full = Subspace.full(4)
-        ker = nullspace(np.zeros((6, 6)), domain=full)
+        ker = kernel_and_image(np.zeros((6, 6)), domain=full)[0]
         assert ker.dim == 6
 
     def test_image_of_zero_is_empty(self):
         full = Subspace.full(4)
-        assert image(np.zeros((6, 6)), domain=full).dim == 0
+        assert kernel_and_image(np.zeros((6, 6)), domain=full)[1].dim == 0
 
     def test_fixed_space_of_order4_conjugation_on_so4(self):
         # Fixed points of Ad(B) for the order-4 flag automorphism on so(4)
@@ -199,7 +199,7 @@ class TestNullspaceImage:
 
         spec = build_automorphism(4, 1, 4)
         full = Subspace.full(4)
-        ker = nullspace(phi_matrix(spec) - np.eye(6), full)
+        ker = kernel_and_image(phi_matrix(spec) - np.eye(6), full)[0]
         assert ker.dim == 1
         assert ker.relative_residuals(unit(4, 1, 2)[None])[0] <= 1e-10
 
@@ -207,44 +207,44 @@ class TestNullspaceImage:
         full = Subspace.full(4)
         m = rng.standard_normal((6, 6))
         m[:, 3] = m[:, 0] + m[:, 1]  # force a nontrivial kernel
-        assert nullspace(m, domain=full).dim + image(m, domain=full).dim == 6
+        ker, im = kernel_and_image(m, domain=full)
+        assert (ker.dim, im.dim) == (1, 5)
 
-    def test_nullspace_orthogonal_to_row_image(self, rng):
+    def test_kernel_orthogonal_to_row_image(self, rng):
         # kernel of M is orthogonal to image of M^T
         full = Subspace.full(4)
         m = rng.standard_normal((6, 6))
         m[:, 3] = m[:, 2]
-        ker = nullspace(m, domain=full)
-        rowspace = image(m.T, domain=full)
+        ker = kernel_and_image(m, domain=full)[0]
+        rowspace = kernel_and_image(m.T, domain=full)[1]
         cross = ker.coords @ rowspace.coords.T
         assert np.max(np.abs(cross)) < 1e-10
 
     def test_raw_matrix_requires_domain(self):
         # The matrix must act on the coefficients over the domain's basis.
         with pytest.raises(ValueError, match="domain"):
-            nullspace(np.zeros((3, 3)), Subspace.full(4))
+            kernel_and_image(np.zeros((3, 3)), Subspace.full(4))
         with pytest.raises(ValueError, match="domain"):
-            image(np.zeros((6, 5)), Subspace.full(4))
+            kernel_and_image(np.zeros((6, 5)), Subspace.full(4))
 
 
 class TestDecomposeOrthogonal:
     def test_true_decomposition(self):
-        whole = Subspace.span(4, [unit(4, 0, 1), unit(4, 0, 2), unit(4, 2, 3)])
+        whole = Subspace(4, np.stack([unit(4, 0, 1), unit(4, 0, 2), unit(4, 2, 3)]))
         parts = [
-            Subspace.span(4, [unit(4, 0, 1)]),
-            Subspace.span(4, [unit(4, 0, 2), unit(4, 2, 3)]),
+            Subspace(4, unit(4, 0, 1)[None]),
+            Subspace(4, np.stack([unit(4, 0, 2), unit(4, 2, 3)])),
         ]
         assert decompose_orthogonal(whole, parts)
 
     def test_dimension_shortfall(self):
         whole = Subspace.full(4)
-        assert not decompose_orthogonal(whole, [Subspace.span(4, [unit(4, 0, 1)])])
+        assert not decompose_orthogonal(whole, [Subspace(4, unit(4, 0, 1)[None])])
 
     def test_non_orthogonal_parts(self):
-        x = unit(4, 0, 1, normalized=False)
-        y = unit(4, 0, 2, normalized=False)
-        whole = Subspace.span(4, [x, y])
-        parts = [Subspace.span(4, [x]), Subspace.span(4, [x + y])]
+        x, y = unit(4, 0, 1), unit(4, 0, 2)
+        whole = Subspace(4, np.stack([x, y]))
+        parts = [Subspace(4, x[None]), Subspace(4, (x + y)[None] / np.sqrt(2.0))]
         assert not decompose_orthogonal(whole, parts)
 
 
@@ -277,10 +277,12 @@ class TestEndoOnM:
 
 def joined(n, x_rows, y_rows):
     """The (len x, len y, dim so(n)) scatter of bracket_nonzeros."""
-    a, b, pos, val = bracket_nonzeros(n, x_rows, y_rows)
-    out = np.zeros((len(x_rows), len(y_rows), n * (n - 1) // 2))
-    out[a, b, pos] = val
-    return out
+    return scatter((len(x_rows), len(y_rows), n * (n - 1) // 2), *bracket_nonzeros(n, x_rows, y_rows))
+
+
+def projected(x, y, onto):
+    """The (dim x, dim y, dim onto) scatter of bracket_coords."""
+    return scatter((x.dim, y.dim, onto.dim), *bracket_coords(x, y, onto))
 
 
 def commutators(n, x_rows, y_rows):
@@ -317,21 +319,21 @@ class TestBracketKernel:
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_matches_bracket_on_every_pair(self, rng, n):
         x, y = random_subspace(rng, n, 3), random_subspace(rng, n, 4)
-        got = bracket_coords(x, y)
+        got = projected(x, y, Subspace.full(n))
         assert got.shape == (3, 4, n * (n - 1) // 2)
         want = lie_rows(brackets(lie_mats(n, x.coords)[:, None], lie_mats(n, y.coords)[None, :]))
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_projection_onto_subspace(self, rng):
         x, y, onto = (random_subspace(rng, 5, d) for d in (2, 3, 4))
-        got = bracket_coords(x, y, onto=onto)
+        got = projected(x, y, onto)
         assert got.shape == (2, 3, 4)
         want = lie_rows(brackets(lie_mats(5, x.coords)[:, None], lie_mats(5, y.coords)[None, :])) @ onto.coords.T
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_full_basis_antisymmetric_and_matches_oracle(self):
         full = Subspace.full(5)
-        bc = bracket_coords(full, full)
+        bc = projected(full, full, full)
         np.testing.assert_array_equal(bc, -bc.transpose(1, 0, 2))
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         for a, p in enumerate(pairs):
@@ -359,6 +361,12 @@ class TestBracketKernel:
             got, want = joined(n, x.coords, y.coords), commutators(n, x.coords, y.coords)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
+    def test_projections_are_sorted_and_nonzero(self, rng):
+        x, y, onto = (random_subspace(rng, 5, d) for d in (2, 3, 4))
+        a, b, r, val = bracket_coords(x, y, onto)
+        assert len(val) == 2 * 3 * 4  # random subspaces: no coefficient vanishes
+        assert np.all(np.diff((a * 3 + b) * 4 + r) > 0) and np.all(val != 0.0)
+
     def test_nonzeros_are_sorted_and_exact(self):
         a, b, pos, val = bracket_nonzeros(5, np.eye(10), np.eye(10))
         keys = (a * 10 + b) * 10 + pos
@@ -370,11 +378,13 @@ class TestBracketKernel:
 
     def test_chunks_scatter_to_the_same_rows(self, rng, monkeypatch):
         x, y = random_subspace(rng, 6, 5), random_subspace(rng, 6, 4)
-        want = bracket_coords(x, y)
+        full = Subspace.full(6)
+        want = bracket_coords(x, y, full)
         monkeypatch.setattr("flagf.liealg._CHUNK_BYTES", 3 * 8 * 15)
         chunks = list(bracket_row_chunks(6, x.coords, y.coords))
         assert len(chunks) == 7 and all(len(rows) <= 3 for _, _, rows in chunks)
-        np.testing.assert_array_equal(bracket_coords(x, y), want)
+        for got, col in zip(bracket_coords(x, y, full), want, strict=True):
+            np.testing.assert_array_equal(got, col)
 
     def test_rows_need_not_be_orthonormal(self, rng):
         x, y = lie_rows(random_skew(rng, 5)), lie_rows(random_skew(rng, 5))
@@ -384,13 +394,13 @@ class TestBracketKernel:
 
     def test_empty_subspaces(self):
         full, empty = Subspace.full(4), Subspace.empty(4)
-        assert bracket_coords(empty, full).shape == (0, 6, 6)
-        assert bracket_coords(full, empty).shape == (6, 0, 6)
-        assert bracket_coords(full, full, onto=empty).shape == (6, 6, 0)
+        for x, y, onto in [(empty, full, full), (full, empty, full), (full, full, empty)]:
+            assert all(len(col) == 0 for col in bracket_coords(x, y, onto))
+            assert projected(x, y, onto).shape == (x.dim, y.dim, onto.dim)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError, match="ambient"):
-            bracket_coords(Subspace.full(4), Subspace.full(5))
+            bracket_coords(Subspace.full(4), Subspace.full(5), Subspace.full(4))
 
     def test_lex_indices_cached_and_read_only(self):
         iu = lex_indices(6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flagf import metricgeom
-from flagf.liealg import brackets, decompose_orthogonal, lie_mats, lie_rows
+from flagf.liealg import brackets, decompose_orthogonal, lie_mats, lie_rows, scatter
 from flagf.tolerances import TAU_CONNECTION, TAU_NAT_RED
 from flagf.metricgeom import (
     MetricParams,
@@ -12,6 +12,8 @@ from flagf.metricgeom import (
     metric_eval,
     naturally_reductive_residual,
     nomizu,
+    u_channel_coefficients,
+    u_channels,
     u_coords_tensor,
     u_tensor_closed,
     u_tensor_solved,
@@ -39,6 +41,11 @@ def random_m(split, rng, count=1):
 def all_brackets(a, b):
     """Lex coordinates of [a_i, b_j] for every pair of basis elements of two subspaces, one row each."""
     return lie_rows(brackets(basis_mats(a)[:, None], basis_mats(b)[None, :])).reshape(-1, a.coords.shape[1])
+
+
+def dense_bracket(split):
+    """The (d, d, d) bracket tensor of m."""
+    return scatter((split.dim,) * 3, *split.bracket_nonzeros)
 
 
 class TestMetricParams:
@@ -350,7 +357,7 @@ class TestNaturalReductivity:
         split = get_split(5, 6)
         p = MetricParams(2.3, 0.4)
         gd = block_weights(split, p)
-        bm = split.bracket_m
+        bm = dense_bracket(split)
         bi = split.block_index
         for b in (1, 2, 3):
             idx = np.nonzero(bi == b)[0]
@@ -360,3 +367,55 @@ class TestNaturalReductivity:
                         lhs = bm[i, j, l] * gd[l]
                         rhs = gd[i] * bm[j, l, i]
                         assert abs(lhs - rhs) < 1e-12
+
+
+class TestSparseBracketTensor:
+    """The split keeps the bracket tensor B of m as its nonzeros.  The
+    quantities read off them must have the bits of the dense formulas on B
+    (array_equal: the sign of a zero entry may differ)."""
+
+    POINTS = [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0), (0.3, 3.7, 1.0), (1.0, 4.0 / 3.0, 7.0), (1e-3, 1e3, 0.5)]
+
+    @staticmethod
+    def dense_formulas(split, p):
+        """U closed, U solved and the natural-reductivity residual, by dense
+        (d, d, d) arithmetic on B with signed block-pair masks."""
+        bm, bi, d = dense_bracket(split), split.block_index, split.dim
+        masks = np.zeros((3, d, d))
+        for mask, (a, b) in zip(masks, ((2, 3), (1, 3), (1, 2))):
+            mask[np.ix_(bi == a, bi == b)] = 1.0
+            mask[np.ix_(bi == b, bi == a)] = -1.0
+        closed = np.tensordot(u_channel_coefficients(p), masks, axes=1)[:, :, None] * bm
+        gd = block_weights(split, p)
+        term1 = gd[:, None, None] * bm.transpose(2, 1, 0)
+        term2 = gd[None, :, None] * bm.transpose(1, 2, 0)
+        solved = (term1 + term2) / (2.0 * gd[None, None, :])
+        nat = float(np.max(np.abs(bm * gd[None, None, :] - np.einsum("i,jki->ijk", gd, bm))) / p.kappa)
+        return closed, solved, nat
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_bitwise_equal_to_dense_formulas(self, get_split, n):
+        split = get_split(n, 6 if n > 4 else 4)
+        for s, t, kappa in self.POINTS:
+            p = MetricParams(s, t, kappa)
+            closed, solved, nat = self.dense_formulas(split, p)
+            np.testing.assert_array_equal(u_coords_tensor(split, p, "closed"), closed)
+            np.testing.assert_array_equal(u_coords_tensor(split, p, "solved"), solved)
+            assert naturally_reductive_residual(split, p) == nat
+
+    def test_channels_follow_the_block_pairs(self, get_split):
+        split = get_split(6, 6)
+        bi = split.block_index
+        i, j = (x.ravel() for x in np.indices((split.dim, split.dim)))
+        channel, sign = u_channels(split, i, j)
+        pairs = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
+        for a, b, c, sg in zip(bi[i], bi[j], channel, sign):
+            want = (0, 0.0) if a == b else (pairs[min(a, b), max(a, b)], 1.0 if a < b else -1.0)
+            assert (c, sg) == want
+
+    def test_nonzeros_are_sorted_and_exact(self, get_split):
+        split = get_split(24, 6)
+        i, j, r, v = split.bracket_nonzeros
+        d = split.dim
+        assert len(v) == 252 and np.all(v != 0.0)
+        assert np.all(np.diff((i * d + j) * d + r) > 0)

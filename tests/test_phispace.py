@@ -6,7 +6,7 @@ import pytest
 import flagf
 from flagf.canonical import CanonicalStructure, verify_structure
 from flagf.liealg import EndoOnM, Subspace, brackets, lie_mats, lie_rows
-from flagf.metricgeom import TripleSplit, _check_split_invariants
+from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
     _check_phi_space_invariants,
@@ -269,7 +269,8 @@ def _rotate_rows(coords_a, coords_b, angle):
 class TestCostGuard:
     """Peak traced allocations at n = 24, k = 6.  With a dense (dim h, d, d)
     ad(h) stack (7.1 MB) ad_h_nonzeros peaked at 9.7 MB, and with the dense
-    bracket kernel build_split peaked at 4.9 MB."""
+    bracket kernel build_split peaked at 4.9 MB, with the dense bracket
+    tensor of m at 3.56 MB."""
 
     @staticmethod
     def peak(fn):
@@ -290,6 +291,12 @@ class TestCostGuard:
         ps = get_space(24, 6)
         assert self.peak(lambda: flagf.build_split(ps)) <= 4_900_000
 
+    def test_build_split_stays_below_one_dense_bracket_tensor(self, get_space):
+        # The split keeps the bracket tensor of m as its 252 nonzeros, so its
+        # peak (1.37 MB) stays below one (d, d, d) float array, 2.2 MB at d = 65.
+        ps = get_space(24, 6)
+        assert self.peak(lambda: flagf.build_split(ps)) < ps.m.dim**3 * 8
+
 
 class TestStructuralChecksStillBite:
     def test_reductivity_fails_on_corrupted_m(self, get_space):
@@ -303,26 +310,19 @@ class TestStructuralChecksStillBite:
     def test_split_fails_when_m1_is_rotated_into_m3(self, get_space, get_split):
         ps, split = get_space(6, 6), get_split(6, 6)
         m1, m3 = _rotate_rows(split.m1.coords, split.m3.coords, 0.3)
-        bad = TripleSplit(
-            m1=Subspace(6, m1),
-            m2=split.m2,
-            m3=Subspace(6, m3),
-            combined=split.combined,
-            block_index=split.block_index,
-            bracket_m=split.bracket_m,
-        )
+        bad = dataclasses.replace(split, m1=Subspace(6, m1), m3=Subspace(6, m3))
         with pytest.raises(RuntimeError, match="block is not ad\\(h\\)-invariant"):
             _check_split_invariants(ps, bad)
 
     def test_split_fails_on_a_wrong_bracket_relation(self, get_space, get_split):
         ps, split = get_space(6, 6), get_split(6, 6)
-        bm = split.bracket_m.copy()
-        bm[0, 2, 0] = 1e-6  # [m1, m2] must have no m1 component
-        bad = TripleSplit(split.m1, split.m2, split.m3, split.combined, split.block_index, bm)
+
+        def with_nonzero(i, j, r, value):
+            extra = (np.array([i]), np.array([j]), np.array([r]), np.array([value]))
+            nonzeros = tuple(np.concatenate(pair) for pair in zip(split.bracket_nonzeros, extra))
+            return dataclasses.replace(split, bracket_nonzeros=nonzeros)
+
         with pytest.raises(RuntimeError, match="bracket relation"):
-            _check_split_invariants(ps, bad)
-        bm = split.bracket_m.copy()
-        bm[2, 3, 0] = 1e-6  # [m2, m2] must leave m
-        bad = TripleSplit(split.m1, split.m2, split.m3, split.combined, split.block_index, bm)
+            _check_split_invariants(ps, with_nonzero(0, 2, 0, 1e-6))  # [m1, m2] must have no m1 component
         with pytest.raises(RuntimeError, match="same-block"):
-            _check_split_invariants(ps, bad)
+            _check_split_invariants(ps, with_nonzero(2, 3, 0, 1e-6))  # [m2, m2] must leave m
