@@ -1,4 +1,4 @@
-"""Canonical affinor structures: polynomials in theta.
+"""Canonical affinor structures: polynomials in theta, fixed by signs.
 
 On a space of order k every canonical f-structure (f^3 + f = 0) arises as
 
@@ -11,10 +11,14 @@ structure (P^2 = id) is P(theta) = sum_m a_m theta^m with
     a_m = a_{k-m} = (2/k) sum_j xi_j cos(2 pi m j / k)                (k odd)
     a_m = a_{k-m} = (1/k) (2 sum_j xi_j cos(2 pi m j / k) + (-1)^m xi_{k/2})   (k even)
 
-over sign tuples xi in {-1, 1}.  This module enumerates both families,
-deduplicates the resulting operators, attaches stable labels, and provides
-verification helpers, including an entrywise check of the closed-form actions
-of the k = 4 and k = 6 structures on the flag spaces.
+over sign tuples xi in {-1, 1}.  Both formulas are discrete transforms: on
+the eigenspace of theta at the angle 2 pi l / k, f acts as zeta_l J (and as 0
+at the angle pi) and P acts as xi_l.  So a structure is fixed by its signs on
+the angles theta has (:func:`phispace.theta_angles`), its sign key, and two
+signature tuples give the same operator iff their keys agree.  This module
+builds one structure per sign key, labels it from exact sign tables, and
+provides verification helpers, including an entrywise check of the
+closed-form actions of the k = 4 and k = 6 structures on the flag spaces.
 """
 
 from __future__ import annotations
@@ -25,30 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import EndoOnM, lie_mats, poly_in, sum_by_key
-from .phispace import PhiSpace
-from .tolerances import TAU_GENERATED, TAU_GOLDEN, TAU_SAME_OP, TAU_TRIVIAL_KERNEL
+from .phispace import PhiSpace, theta_angles
+from .tolerances import TAU_GENERATED, TAU_GOLDEN
 
-# Reference coefficient vectors (index = power of theta) for the small orders.
-# The order-6 product P4 is stored with the involution-consistent coefficients
-# (-2/3) theta + (1/3) theta^3 + (-2/3) theta^5, which satisfy a_m = a_{k-m}.
-SQ3 = np.sqrt(3.0)
-REFERENCE_F_COEFFS = {
-    4: {"f0": (0.0, 0.5, 0.0, -0.5)},
-    6: {
-        "f1": (0.0, 1 / SQ3, 0.0, 0.0, 0.0, -1 / SQ3),
-        "f2": (0.0, 1 / (2 * SQ3), -1 / (2 * SQ3), 0.0, 1 / (2 * SQ3), -1 / (2 * SQ3)),
-        "f3": (0.0, 1 / (2 * SQ3), 1 / (2 * SQ3), 0.0, -1 / (2 * SQ3), -1 / (2 * SQ3)),
-        "f4": (0.0, 0.0, 1 / SQ3, 0.0, -1 / SQ3, 0.0),
-    },
+# The paper's structures of orders 4 and 6, by their signature: zeta_1..zeta_u
+# for f, xi_1..xi_{k/2} for P.  A structure takes the first label whose signs
+# agree with its key on the angles of theta, "-" marking the negative.
+F_LABEL_SIGNS = {
+    4: {"f0": (1,)},
+    6: {"f1": (1, 1), "f2": (0, 1), "f3": (1, 0), "f4": (1, -1)},
 }
-REFERENCE_P_COEFFS = {
-    4: {"P0": (0.0, 0.0, 1.0, 0.0)},
-    6: {
-        "P1": (-1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        "P2": (0.0, 1 / 3, 1.0, 1 / 3, 1.0, 1 / 3),
-        "P3": (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-        "P4": (0.0, -2 / 3, 0.0, 1 / 3, 0.0, -2 / 3),
-    },
+P_LABEL_SIGNS = {
+    4: {"P0": (-1, 1)},
+    6: {"P1": (-1, -1, -1), "P2": (-1, -1, 1), "P3": (-1, 1, -1), "P4": (-1, 1, 1)},
 }
 
 
@@ -133,38 +126,72 @@ def p_polynomial(k: int, xi) -> np.ndarray:
 def generate_f_structures(ps: PhiSpace) -> list[CanonicalStructure]:
     """All distinct canonical f-structures on the space, labelled.
 
-    Enumerates zeta in {-1,0,1}^u minus zero, builds the polynomial operator,
-    and deduplicates.  Labels follow the order-4 and order-6 reference lists
-    (f0; f1..f4) where those apply, with "-" marking negatives; for other
-    orders representatives are labelled f1, f2, ... in generation order.
+    One structure per nonzero sign key in {-1, 0, 1} on the angles of theta
+    below pi.  Labels follow the order-4 and order-6 tables (f0; f1..f4)
+    where those apply, with "-" marking negatives; otherwise structures are
+    labelled f1, f2, ... in key order.
     """
-    k = ps.spec.k
-    u = u_of_k(k)
-    raw = []
-    for zeta in itertools.product((-1, 0, 1), repeat=u):
-        if all(z == 0 for z in zeta):
-            continue
-        poly = f_polynomial(k, zeta)
-        op = poly_in(ps.theta, poly)
-        raw.append((zeta, poly, op))
-    return _dedup_and_label(ps, raw, kind="f", k=k)
+    return _structures(ps, product=False)
 
 
 def generate_product_structures(ps: PhiSpace) -> list[CanonicalStructure]:
     """All distinct canonical almost product structures, labelled.
 
-    For even k the sign tuple has u + 1 entries (the extra sign drives the
-    alternating term); for odd k it has u entries.
+    One structure per sign key in {-1, 1} on the angles of theta up to pi;
+    the signature xi has k/2 entries, the last one for the angle pi.
+    """
+    return _structures(ps, product=True)
+
+
+def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
+    """One structure per nonzero sign key, keys in itertools.product order.
+
+    The signature is the first zeta (xi) in that order with the key: the key
+    on the angles theta has, -1 on the others.  A label is the first of: a
+    sign-table entry or its negative; I or -I (P only); the negative of an
+    earlier structure's label; a fresh label.
     """
     k = ps.spec.k
-    u = u_of_k(k)
-    width = u + 1 if k % 2 == 0 else u
-    raw = []
-    for xi in itertools.product((-1, 1), repeat=width):
-        poly = p_polynomial(k, xi)
+    width = k // 2 if product else u_of_k(k)
+    angles = theta_angles(ps.spec)
+    on = [l for l in angles if l <= width]
+    table = (P_LABEL_SIGNS if product else F_LABEL_SIGNS).get(k, {})
+    named = [(name, tuple(signs[l - 1] for l in on)) for name, signs in table.items()]
+    labels: dict[tuple[int, ...], str] = {}
+    out: list[CanonicalStructure] = []
+    fresh = 0
+    for key in itertools.product((-1, 1) if product else (-1, 0, 1), repeat=len(on)):
+        if not any(key):
+            continue
+        neg = tuple(-s for s in key)
+        label = None
+        for name, ref in named:
+            if ref in (key, neg):
+                label = name if ref == key else "-" + name
+                break
+        if label is None and product and len(set(key)) == 1:
+            label = "I" if key[0] == 1 else "-I"
+        if label is None and neg in labels:
+            label = labels[neg][1:] if labels[neg].startswith("-") else "-" + labels[neg]
+        if label is None:
+            fresh += 1
+            label = f"{'P' if product else 'f'}{fresh}"
+        labels[key] = label
+
+        signature = [-1] * width
+        for l, sign in zip(on, key):
+            signature[l - 1] = sign
+        poly = (p_polynomial if product else f_polynomial)(k, signature)
         op = poly_in(ps.theta, poly)
-        raw.append((xi, poly, op))
-    return _dedup_and_label(ps, raw, kind="p", k=k)
+        res = _defining_residual(op.matrix, product)
+        if res > TAU_GENERATED:  # the generating formulas guarantee the defining identities
+            raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
+        if product:
+            kind = "almost-product"
+        else:  # f is 0 at the angle pi and on the angles whose sign is 0
+            kind = "almost-complex" if 0 not in key and k // 2 not in angles else "f-structure"
+        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(float(c) for c in poly), op))
+    return out
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -196,67 +223,6 @@ def _ad_invariance(f: np.ndarray, ps: PhiSpace) -> float:
 def _defining_residual(m: np.ndarray, product: bool) -> float:
     """max |P^2 - 1| for an almost product structure, max |f^3 + f| otherwise."""
     return _max_abs(m @ m - np.eye(len(m)) if product else m @ m @ m + m)
-
-
-def _dedup_and_label(ps, raw, kind: str, k: int) -> list[CanonicalStructure]:
-    d = ps.m.dim
-    deduped = []
-    for sig, poly, op in raw:
-        if any(np.max(np.abs(op.matrix - o.matrix)) < TAU_SAME_OP for _, _, o in deduped):
-            continue
-        if kind == "f" and d and np.max(np.abs(op.matrix)) < TAU_SAME_OP:
-            continue  # the zero operator satisfies f^3 + f = 0 but is no structure
-        res = _defining_residual(op.matrix, product=kind == "p")
-        if res > TAU_GENERATED:  # the generating formulas guarantee the defining identities
-            raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
-        deduped.append((sig, poly, op))
-
-    reference = (REFERENCE_F_COEFFS if kind == "f" else REFERENCE_P_COEFFS).get(k, {})
-    ref_ops = {
-        name: poly_in(ps.theta, coeffs).matrix for name, coeffs in reference.items()
-    }
-
-    out: list[CanonicalStructure] = []
-    fresh = 0
-    for sig, poly, op in deduped:
-        label = None
-        for name, rm in ref_ops.items():
-            if np.max(np.abs(op.matrix - rm)) < TAU_SAME_OP:
-                label = name
-            elif np.max(np.abs(op.matrix + rm)) < TAU_SAME_OP:
-                label = "-" + name
-            if label:
-                break
-        if label is None and kind == "p" and d:
-            if np.max(np.abs(op.matrix - np.eye(d))) < TAU_SAME_OP:
-                label = "I"
-            elif np.max(np.abs(op.matrix + np.eye(d))) < TAU_SAME_OP:
-                label = "-I"
-        if label is None:
-            # Pair with an already labelled negative if present.
-            for prev in out:
-                if np.max(np.abs(op.matrix + prev.op.matrix)) < TAU_SAME_OP:
-                    label = prev.label[1:] if prev.label.startswith("-") else "-" + prev.label
-                    break
-        if label is None:
-            fresh += 1
-            label = f"{'f' if kind == 'f' else 'P'}{fresh}"
-
-        if kind == "f":
-            trivial_kernel = d > 0 and np.linalg.svd(op.matrix, compute_uv=False)[-1] > TAU_TRIVIAL_KERNEL
-            kind_name = "almost-complex" if trivial_kernel else "f-structure"
-        else:
-            kind_name = "almost-product"
-        out.append(
-            CanonicalStructure(
-                kind=kind_name,
-                label=label,
-                signature=tuple(int(x) for x in sig),
-                theta_polynomial=tuple(float(c) for c in poly),
-                op=op,
-            )
-        )
-    return out
 
 
 def structure_by_label(structures, label: str) -> CanonicalStructure:
@@ -309,7 +275,7 @@ def golden_action_check(ps: PhiSpace) -> GoldenActionReport:
     if k not in (4, 6) or ps.spec.m_blocks != 1:
         raise ValueError("closed-form actions are tabulated for the m_blocks=1 spaces of order 4 or 6")
     structures = generate_f_structures(ps)
-    labels = sorted(REFERENCE_F_COEFFS[k])
+    labels = sorted(F_LABEL_SIGNS[k])
 
     # Probes: every basis element of m, then one dense element.  Mismatches are
     # listed in the C order of (probe, i, j): probe-major, entries row by row.

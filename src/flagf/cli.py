@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[common], help="run the full verification suite")
 
     pc = sub.add_parser("classify", parents=[common], help="class membership of one structure at one (s, t)")
-    pc.add_argument("--f", type=str, required=True, help="structure label (f0, or f1..f4)")
+    pc.add_argument("--f", type=str, required=True,
+                    help="structure label (f0, or f1..f4); pass a negative one as --f=-f1")
     pc.add_argument("--s", type=float, required=True)
     pc.add_argument("--t", type=float, required=True)
 
@@ -349,7 +350,8 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
         cs = canonical.structure_by_label(fs, cfg.f_label)
     except KeyError as exc:
         raise ConfigError(f"unknown structure {cfg.f_label!r}; known: "
-                          + ", ".join(sorted(c.label for c in fs))) from exc
+                          + ", ".join(sorted(c.label for c in fs))
+                          + " (pass a negative label as --f=-f1)") from exc
 
     try:
         params = metricgeom.MetricParams.for_space(ps, cfg.s, cfg.t, cfg.kappa)

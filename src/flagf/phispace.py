@@ -12,6 +12,7 @@ which canonical structures and invariant metrics are built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -149,6 +150,20 @@ def build_automorphism(n: int, m_blocks: int = 1, k: int = 4) -> AutomorphismSpe
             f"(degenerate parameters n={n}, m_blocks={m_blocks}, k={k})"
         )
     return spec
+
+
+def theta_angles(spec: AutomorphismSpec) -> tuple[int, ...]:
+    """The eigen-angles 2 pi l / k of theta, as the sorted indices l folded to
+    1 <= l <= k/2 (l and k - l are one angle up to conjugation).
+
+    B has the eigen-angle indices 0, +-t for t = 1..m_blocks and k/2 once per
+    -1; Ad(B) on so(n) = Lambda^2 R^n has the pairwise sums, mod k, and m
+    keeps the nonzero ones.
+    """
+    k, mb = spec.k, spec.m_blocks
+    idx = [0, *range(1, mb + 1), *range(-mb, 0), *[k // 2] * (spec.n - 2 * mb - 1)]
+    sums = {(a + b) % k for a, b in itertools.combinations(idx, 2)}
+    return tuple(sorted({min(s, k - s) for s in sums} - {0}))
 
 
 def phi_matrix(spec: AutomorphismSpec) -> np.ndarray:

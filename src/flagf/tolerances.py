@@ -18,10 +18,8 @@ TAU_NONSINGULAR = 1e-6  # absolute: smallest singular value of a regularity oper
 TAU_CYCLIC = 1e-10  # absolute: bracket tensor nonzeros that the cyclic block relations forbid
 
 # canonical structures (canonical)
-TAU_SAME_OP = 1e-8  # absolute: max |entry| of the difference of two operators (dedup, labels, zero f)
 TAU_GENERATED = 1e-9  # absolute: max |f^3 + f| or |P^2 - 1| of a freshly generated operator
 TAU_STRUCTURE = 1e-10  # absolute: the StructureCheck residuals, and max |f + g| for the negative g of f
-TAU_TRIVIAL_KERNEL = 0.5  # absolute: smallest singular value above which an f-structure is almost complex
 TAU_GOLDEN = 1e-12  # absolute: entrywise deviation from the closed-form actions at k = 4, 6
 
 # metrics and connection (metricgeom, classify, the verify checks)

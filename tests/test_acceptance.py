@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf.canonical import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS, structure_by_label
+from flagf.canonical import structure_by_label
 from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid, characteristic_set
 from flagf.liealg import poly_in
 from flagf.metricgeom import (
@@ -23,6 +23,7 @@ from flagf.metricgeom import (
     naturally_reductive_residual,
     u_coords_tensor,
 )
+from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 
 FOUR_THIRDS = 4.0 / 3.0
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]

@@ -1,23 +1,81 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 
 import flagf
 from flagf import canonical
 from flagf.canonical import (
-    REFERENCE_F_COEFFS,
-    REFERENCE_P_COEFFS,
     CanonicalStructure,
     expected_flag_action,
     f_polynomial,
     golden_action_check,
+    p_polynomial,
     structure_by_label,
     u_of_k,
     verify_structure,
 )
 from flagf.liealg import EndoOnM, brackets, kernel_and_image, lie_mats, lie_rows, poly_in
 from flagf.tolerances import TAU_GOLDEN
+
+# m_blocks 1-3 with k = 4..12; n = 2 m_blocks + 1 has no angle pi once m_blocks >= 2.
+SIGN_GRID = [
+    (n, m_blocks, k)
+    for m_blocks, ns in ((1, (4, 5)), (2, (5, 6)), (3, (7, 8)))
+    for n in ns
+    for k in (4, 6, 8, 10, 12)
+]
+SAME_OP = 1e-8  # the reference route's bound on max |entry| of the difference of two operators
+
+
+def reference_structures(ps, product):
+    """The structures by brute force, as (label, signature, polynomial, kind, op):
+    every zeta (xi) evaluated as a d x d polynomial in theta, duplicates and the
+    zero operator dropped by pairwise comparison, labels matched against the
+    paper's coefficients, almost-complex read off the smallest singular value."""
+    k, d = ps.spec.k, ps.m.dim
+    width = k // 2 if product else u_of_k(k)
+    kept = []
+    for sig in itertools.product((-1, 1) if product else (-1, 0, 1), repeat=width):
+        poly = (p_polynomial if product else f_polynomial)(k, sig)
+        op = poly_in(ps.theta, poly).matrix
+        if np.max(np.abs(op)) < SAME_OP or any(np.max(np.abs(op - o)) < SAME_OP for _, _, o in kept):
+            continue
+        kept.append((sig, poly, op))
+
+    table = (REFERENCE_P_COEFFS if product else REFERENCE_F_COEFFS).get(k, {})
+    ref_ops = {name: poly_in(ps.theta, coeffs).matrix for name, coeffs in table.items()}
+    out, fresh = [], 0
+    for sig, poly, op in kept:
+        label = None
+        for name, rm in ref_ops.items():
+            if np.max(np.abs(op - rm)) < SAME_OP:
+                label = name
+            elif np.max(np.abs(op + rm)) < SAME_OP:
+                label = "-" + name
+            if label:
+                break
+        if label is None and product:
+            if np.max(np.abs(op - np.eye(d))) < SAME_OP:
+                label = "I"
+            elif np.max(np.abs(op + np.eye(d))) < SAME_OP:
+                label = "-I"
+        if label is None:
+            for prev in out:
+                if np.max(np.abs(op + prev[4])) < SAME_OP:
+                    label = prev[0][1:] if prev[0].startswith("-") else "-" + prev[0]
+                    break
+        if label is None:
+            fresh += 1
+            label = f"{'P' if product else 'f'}{fresh}"
+        if product:
+            kind = "almost-product"
+        else:
+            kind = "almost-complex" if np.linalg.svd(op, compute_uv=False)[-1] > 0.5 else "f-structure"
+        out.append((label, tuple(sig), tuple(float(c) for c in poly), kind, op))
+    return out
 
 
 def dense_ad_h(ps):
@@ -43,6 +101,38 @@ class TestUOfK:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             u_of_k(2)
+
+
+class TestSignKeys:
+    @pytest.mark.parametrize("n,m_blocks,k", SIGN_GRID)
+    def test_bitwise_equal_to_the_brute_force_route(self, get_space, n, m_blocks, k):
+        ps = get_space(n, k, m_blocks)
+        for product, generate in ((False, flagf.generate_f_structures), (True, flagf.generate_product_structures)):
+            got = [
+                (cs.label, cs.signature, cs.theta_polynomial, cs.kind, cs.op.matrix.tobytes())
+                for cs in generate(ps)
+            ]
+            want = [(*rest, op.tobytes()) for *rest, op in reference_structures(ps, product)]
+            assert got == want
+
+    def test_almost_complex_where_theta_has_no_angle_pi(self, get_space):
+        # Angles {1, 2, 3} at k = 8: the 2^3 keys without a zero give trivial kernels.
+        fs = flagf.generate_f_structures(get_space(5, 8, 2))
+        assert len(fs) == 3**3 - 1
+        assert sum(cs.kind == "almost-complex" for cs in fs) == 8
+
+    def test_cost_guard_one_polynomial_per_structure(self, get_space, monkeypatch):
+        # Enumerating every zeta would evaluate 3^7 - 1 = 2186 polynomials in theta.
+        ps = get_space(12, 16)
+        calls = []
+
+        def counting_poly_in(op, coeffs):
+            calls.append(1)
+            return poly_in(op, coeffs)
+
+        monkeypatch.setattr(canonical, "poly_in", counting_poly_in)
+        fs = canonical.generate_f_structures(ps)
+        assert len(calls) <= len(fs) == 8
 
 
 class TestOrder4Generation:

@@ -142,6 +142,20 @@ class TestClassify:
         assert code == 2
         assert "unknown structure" in err
 
+    def test_negative_label_is_passed_with_equals(self, capsys):
+        # argparse reads "--f -f0" as two options; "--f=-f0" is the form that works.
+        code, out, _ = run(
+            capsys, "classify", "--n", "5", "--k", "4", "--f=-f0", "--s", "1", "--t", "1", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["structure"]["id"] == "-f0"
+        code, _, err = run(capsys, "classify", "--n", "5", "--k", "4", "--f", "f9", "--s", "1", "--t", "1")
+        assert code == 2
+        assert "-f0" in err and "--f=-f1" in err
+        with pytest.raises(SystemExit):
+            main(["classify", "--help"])
+        assert "--f=-f1" in "".join(capsys.readouterr().out.split())
+
     def test_text_output(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--n", "5", "--k", "4", "--f", "f0", "--s", "1", "--t", "1"

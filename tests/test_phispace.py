@@ -16,6 +16,7 @@ from flagf.phispace import (
     fixed_subalgebra_dim,
     phi_homomorphism_residuals,
     phi_matrix,
+    theta_angles,
 )
 from flagf.tolerances import TAU_PHI
 
@@ -177,6 +178,18 @@ class TestBuildPhiSpace:
         tk = np.linalg.matrix_power(ps.theta.matrix, k)
         assert np.max(np.abs(tk - np.eye(d))) < 1e-12
         assert np.min(np.linalg.svd(ps.theta.matrix - np.eye(d), compute_uv=False)) > 1e-6
+
+    @pytest.mark.parametrize(
+        "n,m_blocks,k",
+        [(n, mb, k) for mb, ns in ((1, (4, 5)), (2, (5, 6)), (3, (7, 8))) for n in ns for k in (4, 6, 8, 10, 12)],
+    )
+    def test_theta_angles_are_those_of_the_numeric_theta(self, get_space, n, m_blocks, k):
+        ps = get_space(n, k, m_blocks)
+        folded = np.abs(np.angle(np.linalg.eigvals(ps.theta.matrix))) * k / (2 * np.pi)
+        assert np.max(np.abs(folded - np.rint(folded))) < 1e-9
+        assert theta_angles(ps.spec) == tuple(sorted(set(np.rint(folded).astype(int).tolist())))
+        if m_blocks == 1:
+            assert set(theta_angles(ps.spec)) == {1, k // 2 - 1, k // 2}
 
     def test_reductivity(self, get_space):
         ps = get_space(6, 6)
