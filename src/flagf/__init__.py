@@ -40,6 +40,7 @@ from .canonical import (
     verify_structure,
 )
 from .metricgeom import (
+    MetricGrid,
     MetricParams,
     TripleSplit,
     build_split,
@@ -53,6 +54,7 @@ from .classify import (
     CharacteristicSet,
     ClassEvaluator,
     ClassReport,
+    ClassSweep,
     MembershipResult,
     build_grid,
     characteristic_set,

@@ -182,7 +182,7 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
         for l, sign in zip(on, key):
             signature[l - 1] = sign
         poly = (p_polynomial if product else f_polynomial)(k, signature)
-        op = poly_in(ps.theta, poly)
+        op = poly_in(ps.theta, poly, ps.theta_powers)
         res = _defining_residual(op.matrix, product)
         if res > TAU_GENERATED:  # the generating formulas guarantee the defining identities
             raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
@@ -240,7 +240,7 @@ def verify_structure(cs: CanonicalStructure, ps: PhiSpace, others=()) -> Structu
     return StructureCheck(
         label=cs.label,
         defining_residual=_defining_residual(f, product=cs.kind == "almost-product"),
-        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial).matrix - f),
+        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial, ps.theta_powers).matrix - f),
         theta_commutation=_max_abs(f @ th - th @ f),
         ad_invariance=_ad_invariance(f, ps),
         pairwise_commutation=max([0.0] + [_max_abs(f @ o.op.matrix - o.op.matrix @ f) for o in others]),

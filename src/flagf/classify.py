@@ -26,6 +26,15 @@ With closed-form U each polarized condition reads A @ (1, c) = 0 for a fixed
 four-column A and the channel coefficients c = ((t-s)/2, (t-1)/(2s), (s-1)/(2t)),
 so zero sets are exact: the SVD of A gives constraint rows w . (1, c) = 0, read
 as a point, an axis line, all, empty, or else kept as polynomial equations.
+
+ClassEvaluator.report gives one ClassReport for one MetricParams.  A sweep
+works on columns: ClassEvaluator.sweep takes a MetricGrid (every point
+checked once by MetricParams, however many structures are swept) and returns
+one ClassSweep, whose s, t, residuals, memberships, indeterminate flags,
+witnesses and chain_ok are arrays over the grid, computed from the same
+blocks of pair norms as a report, bit for bit.  CharacteristicSet.contains
+takes arrays too, so grid_disagreement compares whole columns with the exact
+zero sets.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import numpy as np
 
 from .canonical import CanonicalStructure, nonzero_rows
 from .liealg import sum_by_key
-from .metricgeom import MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channels
+from .metricgeom import MetricGrid, MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channels
 from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
@@ -175,10 +184,9 @@ class MembershipResult:
     witness: tuple[int, int] | None
 
 
-def _verdict(name: str, res: float, pair: tuple[int, int]) -> MembershipResult:
-    member = res < TAU_MEMBER
-    indeterminate = (not member) and res <= NONMEMBER_MARGIN
-    return MembershipResult(name, res, member, indeterminate, witness=None if member else pair)
+def _chain_ok(m):
+    """kill => nk => g1 on the memberships m: bools, or bool arrays."""
+    return (m["kill"] <= m["nk"]) & (m["nk"] <= m["g1"])
 
 
 @dataclass(frozen=True)
@@ -195,8 +203,27 @@ class ClassReport:
 
     @property
     def chain_ok(self) -> bool:
-        m = self.memberships
-        return (not m["kill"] or m["nk"]) and (not m["nk"] or m["g1"])
+        return _chain_ok(self.memberships)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassSweep:
+    """Class residuals and verdicts for one structure on a grid, as columns
+    in grid order: ``s`` and ``t`` (P,) floats; per condition ``residuals``
+    (P,) floats, ``memberships`` and ``indeterminate`` (P,) bools and
+    ``witnesses`` (P, 2) basis pairs, (-1, -1) where the point is a member."""
+
+    structure_label: str
+    s: np.ndarray
+    t: np.ndarray
+    residuals: dict[str, np.ndarray]
+    memberships: dict[str, np.ndarray]
+    indeterminate: dict[str, np.ndarray]
+    witnesses: dict[str, np.ndarray]
+
+    @property
+    def chain_ok(self) -> np.ndarray:
+        return _chain_ok(self.memberships)
 
 
 @dataclass(frozen=True)
@@ -218,15 +245,19 @@ class CharacteristicSet:
     sigma_min_kept: float | None = None
     sigma_max_dropped: float | None = None
 
-    def contains(self, s: float, t: float) -> bool:
-        """Whether (s, t) lies in the set, coordinates compared to TAU_RANK."""
-        if self.kind == "all":
-            return True
-        if self.kind == "equations":
-            terms = [[c * s**i * t**j for i, j, c in poly] for poly in self.equations]
-            return all(abs(sum(ts)) <= TAU_RANK * sum(abs(v) for v in ts) for ts in terms)
-        on_line = any(_near(s if axis == "s" else t, v) for axis, v in self.lines)
-        return on_line or any(_near(s, ps) and _near(t, pt) for ps, pt in self.points)
+    def contains(self, s, t):
+        """Whether (s, t) lies in the set: a bool for one point, a bool array
+        for arrays of points.  Coordinates are compared to TAU_RANK, and so is
+        the sum of an equation's terms, taken left to right, to their sizes."""
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        inside = np.full(np.broadcast(s, t).shape, self.kind in ("all", "equations"))
+        for poly in self.equations:
+            inside &= _vanishes(poly, s, t)
+        for axis, v in self.lines:
+            inside |= _near(s if axis == "s" else t, v)
+        for ps, pt in self.points:
+            inside |= _near(s, ps) & _near(t, pt)
+        return inside[()]
 
     def description(self) -> str:
         if self.kind == "all":
@@ -239,8 +270,19 @@ class CharacteristicSet:
         return "; ".join(parts)
 
 
-def _near(x: float, v: float) -> bool:
-    return abs(x - v) <= TAU_RANK * max(1.0, abs(v))
+def _near(x: np.ndarray, v: float) -> np.ndarray:
+    return np.abs(x - v) <= TAU_RANK * max(1.0, abs(v))
+
+
+def _vanishes(poly, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|sum of the terms coeff s^i t^j| <= TAU_RANK * sum of their sizes."""
+    s_pow, t_pow = (1.0, s, s * s), (1.0, t, t * t)  # the degrees are at most 2
+    total = size = 0.0
+    for i, j, c in poly:
+        term = c * s_pow[i] * t_pow[j]
+        total = total + term
+        size = size + np.abs(term)
+    return np.abs(total) <= TAU_RANK * size
 
 
 def _term_text(i: int, j: int, coeff: float) -> str:
@@ -297,6 +339,12 @@ def _constraint_polynomial(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
     return tuple(term for term in terms if abs(term[2]) > TAU_RANK)
 
 
+def _condition_index(name: str) -> int:
+    if name not in CONDITION_NAMES:
+        raise ValueError(f"unknown condition {name!r}")
+    return CONDITION_NAMES.index(name)
+
+
 class ClassEvaluator:
     """Evaluates the three class conditions for one structure on one split.
 
@@ -324,52 +372,63 @@ class ClassEvaluator:
         bounds = np.searchsorted(cond, range(len(CONDITION_NAMES) + 1))
         self._spans = {name: slice(lo, hi) for name, lo, hi in zip(CONDITION_NAMES, bounds, bounds[1:])}
 
-    def _residuals(self, params: list[MetricParams]) -> dict[str, list[tuple[float, tuple[int, int]]]]:
+    def _residuals(self, params: MetricParams | MetricGrid) -> tuple[np.ndarray, np.ndarray]:
         """Per condition and point, the normalized polarized residual and the
-        first basis pair i <= j (row-major) achieving it."""
-        coeffs = np.array([u_channel_coefficients(p) for p in params]).reshape(-1, 3)
-        norms = np.empty((len(params), len(self._pairs)))
+        first basis pair i <= j (row-major) achieving it: (3, P) and (3, P, 2)."""
+        coeffs = u_channel_coefficients(params).T.reshape(-1, 3)
+        norms = np.empty((len(coeffs), len(self._pairs)))
         step = max(1, (1 << 16) // self._values.shape[1])  # points per block of ~2^16 entries
-        for b in range(0, len(params), step):
+        for b in range(0, len(coeffs), step):
             norms[b : b + step] = _combined_norms(self._values, self._starts, coeffs[b : b + step])
-        scale = np.array([self.f_norm * (1.0 + p.s + p.t + 1.0 / p.s + 1.0 / p.t) for p in params])
-        out = {}
-        for name, span in self._spans.items():
-            pairs, cond_norms = self._pairs[span], norms[:, span]
-            res = np.max(cond_norms, axis=1) / scale
-            out[name] = list(zip(res.tolist(), map(tuple, pairs[np.argmax(cond_norms, axis=1)].tolist())))
-        return out
+        s, t = params.s, params.t
+        scale = self.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
+        res = np.empty((len(self._spans), len(coeffs)))
+        pairs = np.empty((len(self._spans), len(coeffs), 2), dtype=self._pairs.dtype)
+        for c, span in enumerate(self._spans.values()):
+            cond_norms = norms[:, span]
+            res[c] = cond_norms.max(axis=1) / scale
+            pairs[c] = self._pairs[span][cond_norms.argmax(axis=1)]
+        return res, pairs
+
+    def _verdicts(self, params: MetricParams | MetricGrid) -> tuple[np.ndarray, ...]:
+        """Residuals, memberships, indeterminate flags and witnesses per
+        condition and point: (3, P) arrays, and (3, P, 2) with (-1, -1) for a member."""
+        res, pairs = self._residuals(params)
+        member = res < TAU_MEMBER
+        indeterminate = ~member & (res <= NONMEMBER_MARGIN)
+        return res, member, indeterminate, np.where(member[..., None], -1, pairs)
 
     def residual(self, name: str, params: MetricParams) -> tuple[float, tuple[int, int]]:
         """Normalized polarized residual and the basis pair achieving it."""
-        if name not in CONDITION_NAMES:
-            raise ValueError(f"unknown condition {name!r}")
-        return self._residuals([params])[name][0]
+        c = _condition_index(name)
+        res, pairs = self._residuals(params)
+        return float(res[c, 0]), tuple(pairs[c, 0].tolist())
 
     def membership(self, name: str, params: MetricParams) -> MembershipResult:
-        return _verdict(name, *self.residual(name, params))
-
-    def _reports(self, params: list[MetricParams]) -> list[ClassReport]:
-        results = {name: [_verdict(name, *r) for r in rs] for name, rs in self._residuals(params).items()}
-        return [
-            ClassReport(
-                structure_label=self.structure.label,
-                s=p.s,
-                t=p.t,
-                residuals={k: r[i].residual for k, r in results.items()},
-                memberships={k: r[i].member for k, r in results.items()},
-                indeterminate={k: r[i].indeterminate for k, r in results.items()},
-                witnesses={k: r[i].witness for k, r in results.items()},
-            )
-            for i, p in enumerate(params)
-        ]
+        c = _condition_index(name)
+        res, member, indeterminate, witness = (x[c, 0].tolist() for x in self._verdicts(params))
+        return MembershipResult(name, res, member, indeterminate, None if member else tuple(witness))
 
     def report(self, params: MetricParams) -> ClassReport:
-        return self._reports([params])[0]
+        res, member, indeterminate, witness = (x[:, 0].tolist() for x in self._verdicts(params))
+        return ClassReport(
+            structure_label=self.structure.label,
+            s=params.s,
+            t=params.t,
+            residuals=dict(zip(CONDITION_NAMES, res)),
+            memberships=dict(zip(CONDITION_NAMES, member)),
+            indeterminate=dict(zip(CONDITION_NAMES, indeterminate)),
+            witnesses={name: None if m else tuple(w) for name, m, w in zip(CONDITION_NAMES, member, witness)},
+        )
 
-    def sweep(self, grid, kappa: float = 1.0) -> list[ClassReport]:
-        """One ClassReport per grid point, in grid order."""
-        return self._reports([MetricParams(s=s, t=t, kappa=kappa) for s, t in grid])
+    def sweep(self, grid, kappa: float = 1.0) -> ClassSweep:
+        """The residuals and verdicts at every grid point, as columns in grid
+        order.  ``grid`` is a MetricGrid, or (s, t) points that
+        :meth:`MetricGrid.of` checks at ``kappa`` (no verdict depends on kappa)."""
+        if not isinstance(grid, MetricGrid):
+            grid = MetricGrid.of(grid, kappa)
+        columns = [dict(zip(CONDITION_NAMES, x)) for x in self._verdicts(grid)]
+        return ClassSweep(self.structure.label, grid.s, grid.t, *columns)
 
     def zero_set(self, name: str) -> CharacteristicSet:
         """Exact zero set of the named condition.  A's columns are the polarized
@@ -435,22 +494,25 @@ def build_grid(
     return pts
 
 
-def sweep(f: CanonicalStructure, split: TripleSplit, grid, kappa: float = 1.0) -> list[ClassReport]:
-    """One ClassReport per grid point, in grid order."""
+def sweep(f: CanonicalStructure, split: TripleSplit, grid, kappa: float = 1.0) -> ClassSweep:
+    """The residuals and verdicts at every grid point; see :meth:`ClassEvaluator.sweep`."""
     return ClassEvaluator(f, split).sweep(grid, kappa)
 
 
-def grid_disagreement(sets: dict[str, CharacteristicSet], reports) -> str | None:
+def grid_disagreement(sets: dict[str, CharacteristicSet], sweep: ClassSweep) -> str | None:
     """The first grid verdict (from residuals) that the exact zero set of its
-    condition in ``sets`` (from the kernel of A) contradicts, or None."""
-    for r in reports:
-        for name, zs in sets.items():
-            if r.memberships[name] != zs.contains(r.s, r.t):
-                return (
-                    f"{r.structure_label} {name} at (s, t) = ({r.s!r}, {r.t!r}): grid verdict "
-                    f"member={r.memberships[name]}, exact zero set {zs.description()!r}"
-                )
-    return None
+    condition in ``sets`` (from the kernel of A) contradicts, or None: the
+    first such point in grid order, and at it the first such condition."""
+    names = list(sets)
+    wrong = np.array([sweep.memberships[name] != sets[name].contains(sweep.s, sweep.t) for name in names])
+    if not wrong.any():
+        return None
+    p = int(np.argmax(wrong.any(axis=0)))
+    name = names[int(np.argmax(wrong[:, p]))]
+    return (
+        f"{sweep.structure_label} {name} at (s, t) = ({float(sweep.s[p])!r}, {float(sweep.t[p])!r}): grid verdict "
+        f"member={bool(sweep.memberships[name][p])}, exact zero set {sets[name].description()!r}"
+    )
 
 
 def characteristic_set(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import canonical, classify, metricgeom, phispace
 from .liealg import decompose_orthogonal
-from .report import atomic_write_text, csv_text, fmt_float, json_dumps
+from .report import Rows, atomic_write_text, csv_text, fmt_float, json_dumps
 from .tolerances import NAT_RED_MARGIN, TAU_CONNECTION, TAU_METRIC_COMPAT, TAU_NAT_RED, TAU_ORDER, TAU_PHI
 from .tolerances import TAU_STRUCTURE, TAU_U_NEUTRAL, TAU_U_ORACLE
 
@@ -304,8 +304,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         dev_nomizu = metricgeom.connection_compat_residual(split, p_rand, rng.standard_normal((10, 3, split.dim)))
         add("connection-metric-compatibility", dev_nomizu < TAU_CONNECTION, dev_nomizu)
 
-        reports = [r for cs in fs for r in classify.ClassEvaluator(cs, split).sweep(SPECIAL_POINTS, kappa)]
-        add("class-chain-at-special-points", all(r.chain_ok for r in reports))
+        special = metricgeom.MetricGrid.of(SPECIAL_POINTS, kappa)
+        chain = [classify.ClassEvaluator(cs, split).sweep(special).chain_ok.all() for cs in fs]
+        add("class-chain-at-special-points", all(chain))
 
     passed = all(c["passed"] for c in checks)
     report = {
@@ -402,11 +403,10 @@ def _classify_text(report: dict) -> str:
 def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
     try:
-        grid = classify.build_grid(
+        points = classify.build_grid(
             cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=SPECIAL_POINTS + cfg.extra_points
         )
-        for s_, t_ in grid:
-            metricgeom.MetricParams(s_, t_, kappa)
+        grid = metricgeom.MetricGrid.of(points, kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ps = _setup_space(cfg)
@@ -419,20 +419,20 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     results = []
     for cs in reps:
         ev = classify.ClassEvaluator(cs, split)
-        reports = ev.sweep(grid, kappa)
+        swept = ev.sweep(grid)
         summary = {name: ev.zero_set(name) for name in classify.CONDITION_NAMES}
-        problem = classify.grid_disagreement(summary, reports)
+        problem = classify.grid_disagreement(summary, swept)
         if problem is not None:
             print(f"flagf: grid sweep contradicts the exact zero set: {problem}", file=sys.stderr)
             return 1, {}
-        results.append((cs, reports, summary))
+        results.append((cs, swept, summary))
 
     outdir = Path(cfg.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
         summary_all = {}
-        for cs, reports, summary in results:
+        for cs, swept, summary in results:
             chk = canonical.verify_structure(cs, ps, others=fs)
             sdict = {name: _charset_dict(summary[name]) for name in classify.CONDITION_NAMES}
             summary_all[cs.label] = sdict
@@ -441,20 +441,19 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
                 "config": cfg.as_dict(),
                 "space": _space_dict(ps),
                 "structures": [_structure_dict(cs, chk)],
-                "sweep": [
+                "sweep": Rows(
                     {
-                        "s": r.s,
-                        "t": r.t,
-                        "residuals": {n_: r.residuals[n_] for n_ in classify.CONDITION_NAMES},
-                        "memberships": {n_: r.memberships[n_] for n_ in classify.CONDITION_NAMES},
-                        "chain_ok": r.chain_ok,
+                        "s": swept.s,
+                        "t": swept.t,
+                        "residuals": swept.residuals,
+                        "memberships": swept.memberships,
+                        "chain_ok": swept.chain_ok,
                     }
-                    for r in reports
-                ],
+                ),
                 "summary": sdict,
             }
             path = outdir / f"{cs.label}.{_ext(cfg.fmt)}"
-            atomic_write_text(path, _render_sweep(doc, reports, cfg.fmt))
+            atomic_write_text(path, _render_sweep(doc, swept, cfg.fmt))
             written.append(str(path))
 
         summary_doc = {
@@ -489,34 +488,22 @@ def _charset_dict(cs: classify.CharacteristicSet) -> dict:
     }
 
 
-def _render_sweep(doc: dict, reports, fmt: str) -> str:
+def _render_sweep(doc: dict, swept: classify.ClassSweep, fmt: str) -> str:
     if fmt == "json":
         return json_dumps(doc)
+    names = classify.CONDITION_NAMES
+    columns = (swept.s, swept.t, *(swept.residuals[n_] for n_ in names))
+    s, t, *res = ([fmt_float(x) for x in col.tolist()] for col in columns)
+    member = [swept.memberships[n_].tolist() for n_ in names]
     if fmt == "csv":
         header = ["s", "t", "kill_residual", "nk_residual", "g1_residual", "kill", "nk", "g1"]
-        rows = [
-            [
-                fmt_float(r.s),
-                fmt_float(r.t),
-                fmt_float(r.residuals["kill"]),
-                fmt_float(r.residuals["nk"]),
-                fmt_float(r.residuals["g1"]),
-                str(r.memberships["kill"]).lower(),
-                str(r.memberships["nk"]).lower(),
-                str(r.memberships["g1"]).lower(),
-            ]
-            for r in reports
-        ]
-        return csv_text(header, rows)
+        flags = [["true" if m else "false" for m in col] for col in member]
+        return csv_text(header, zip(s, t, *res, *flags))
+    cells = [[f"{n_}={r}{'*' if m else ''}" for r, m in zip(rs, ms)] for n_, rs, ms in zip(names, res, member)]
     lines = [f"structure {doc['structures'][0]['id']}"]
-    for r in reports:
-        cells = " ".join(
-            f"{n_}={fmt_float(r.residuals[n_])}{'*' if r.memberships[n_] else ''}"
-            for n_ in classify.CONDITION_NAMES
-        )
-        lines.append(f"s={fmt_float(r.s)} t={fmt_float(r.t)} {cells}")
+    lines += [f"s={s_} t={t_} {' '.join(row)}" for s_, t_, *row in zip(s, t, *cells)]
     lines.append("summary:")
-    for n_ in classify.CONDITION_NAMES:
+    for n_ in names:
         lines.append(f"  {n_}: {doc['summary'][n_]['description']}")
     return "\n".join(lines) + "\n"
 

@@ -180,14 +180,28 @@ class EndoOnM:
         return r @ self.matrix @ r.T
 
 
-def poly_in(op: EndoOnM, coeffs) -> EndoOnM:
-    """Evaluate sum_m coeffs[m] * op^m."""
-    acc = np.zeros((op.dim, op.dim))
+def op_powers(op: EndoOnM, count: int) -> np.ndarray:
+    """op^0, ..., op^(count - 1) as a (count, d, d) stack, each op @ the one before."""
+    powers = np.empty((count, op.dim, op.dim))
     p = np.eye(op.dim)
-    for c in coeffs:
+    for m in range(count):
+        powers[m] = p
+        if m + 1 < count:
+            p = op.matrix @ p
+    return powers
+
+
+def poly_in(op: EndoOnM, coeffs, powers: np.ndarray | None = None) -> EndoOnM:
+    """Evaluate sum_m coeffs[m] * op^m, term by term in m.  ``powers`` is
+    op_powers(op, count) for some count >= len(coeffs), to reuse across calls."""
+    if powers is None:
+        powers = op_powers(op, len(coeffs))
+    if len(coeffs) > len(powers):
+        raise ValueError(f"{len(coeffs)} coefficients need more than {len(powers)} powers")
+    acc = np.zeros((op.dim, op.dim))
+    for c, p in zip(coeffs, powers):
         if c != 0.0:
             acc = acc + c * p
-        p = op.matrix @ p
     return EndoOnM(op.domain, acc)
 
 

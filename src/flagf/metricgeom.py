@@ -95,6 +95,27 @@ class MetricParams:
         return MetricParams(s=s, t=t, kappa=float(ps.spec.n - 1) if kappa is None else kappa)
 
 
+@dataclass(frozen=True, eq=False)
+class MetricGrid:
+    """Points (s, t) at one kappa as two float arrays, in point order.
+
+    Build it with :meth:`of`, which checks every point once with MetricParams;
+    a grid can then be swept by any number of evaluators without a check per
+    point and per evaluator.
+    """
+
+    s: np.ndarray
+    t: np.ndarray
+    kappa: float = 1.0
+
+    @staticmethod
+    def of(points, kappa: float = 1.0) -> "MetricGrid":
+        """Raises ValueError, as MetricParams does, at the first invalid point."""
+        params = [MetricParams(s, t, kappa) for s, t in points]
+        s, t = np.array([[p.s for p in params], [p.t for p in params]], dtype=float).reshape(2, -1)
+        return MetricGrid(s, t, kappa)
+
+
 def build_split(ps: PhiSpace) -> TripleSplit:
     """Read off the three blocks of m for a single-rotation-block flag space.
 
@@ -228,8 +249,9 @@ def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "close
     raise ValueError(f"unknown U mode {mode!r}")
 
 
-def u_channel_coefficients(params: MetricParams) -> np.ndarray:
-    """Closed-form coefficients of the U channels [m2, m3], [m1, m3], [m1, m2]."""
+def u_channel_coefficients(params: MetricParams | MetricGrid) -> np.ndarray:
+    """Closed-form coefficients of the U channels [m2, m3], [m1, m3], [m1, m2]:
+    (3,) at one point, (3, P) with a column per point of a grid."""
     s, t = params.s, params.t
     return np.array([0.5 * (t - s), (t - 1.0) / (2.0 * s), (s - 1.0) / (2.0 * t)])
 

@@ -28,6 +28,7 @@ from .liealg import (
     lex_indices,
     lie_mats,
     lie_rows,
+    op_powers,
     so_dim,
 )
 from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_SUBSPACE, TAU_THETA_POWER
@@ -75,6 +76,14 @@ class PhiSpace:
     h: Subspace
     m: Subspace
     theta: EndoOnM
+
+    @cached_property
+    def theta_powers(self) -> np.ndarray:
+        """theta^0, ..., theta^(k - 1) on m (:func:`op_powers`): every canonical
+        structure is a polynomial of degree < k in theta."""
+        powers = op_powers(self.theta, self.spec.k)
+        powers.flags.writeable = False
+        return powers
 
     @cached_property
     def ad_h_nonzeros(self) -> tuple[np.ndarray, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -22,12 +23,27 @@ def fmt_float(x: float) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
-_KINDS = (dict, list, tuple, str, bool, int, float, type(None))
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A JSON list of objects of one shape, given by columns.
+
+    ``layout`` is one row: a dict, possibly nested, whose leaves are columns
+    of equal length (sequences, or arrays with ``tolist``).  json_dumps writes
+    row i as it writes that dict with every column replaced by its element i,
+    byte for byte, without building the row dicts.
+    """
+
+    layout: dict
+
+
+_KINDS = (Rows, dict, list, tuple, str, bool, int, float, type(None))
 _EXACT = frozenset(_KINDS)
+_SCALARS = {float: fmt_float, bool: lambda v: "true" if v else "false", int: str, type(None): lambda v: "null"}
+_SLOT = "\0"  # stands for a column in a row of Rows; json.dumps writes NUL in a string as \u0000
 
 
 def json_dumps(obj, indent: int = 2) -> str:
-    """Serialize dicts/lists/scalars with stable layout and float format.
+    """Serialize dicts/lists/scalars and Rows with stable layout and float format.
 
     Dispatch is on the exact type; an instance of a subclass takes the branch
     of its first base in _KINDS.
@@ -35,39 +51,51 @@ def json_dumps(obj, indent: int = 2) -> str:
     pads = [""]
     quoted: dict[str, str] = {}  # strings repeat, as keys and as values
 
-    def emit(obj, level: int) -> str:
+    def emit(obj, level: int, slots: list | None = None) -> str:
+        """obj at nesting level ``level``; with ``slots``, each value below a
+        dict is a column: it is appended to slots, with its level, as _SLOT."""
         kind = type(obj)
         if kind not in _EXACT:
             kind = next((k for k in _KINDS if isinstance(obj, k)), None)
-        if kind is float:
-            return fmt_float(obj)
+        if slots is not None and kind is not dict:
+            slots.append((obj, level))
+            return _SLOT
+        if kind in _SCALARS:
+            return _SCALARS[kind](obj)
         if kind is str:
             if obj not in quoted:
                 quoted[obj] = json.dumps(obj)
             return quoted[obj]
-        if kind is dict or kind is list or kind is tuple:
-            if not obj:
-                return "{}" if kind is dict else "[]"
-            if len(pads) <= level + 1:
-                pads.append(" " * (indent * (level + 1)))
-            if kind is dict:
-                items = []
-                for key, val in obj.items():
-                    if not isinstance(key, str):
-                        raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-                    items.append(f"{emit(key, 0)}: {emit(val, level + 1)}")
-            else:
-                items = [emit(val, level + 1) for val in obj]
-            brackets = "{}" if kind is dict else "[]"
-            inner = pads[level + 1]
-            return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pads[level]}{brackets[1]}"
-        if kind is bool:
-            return "true" if obj else "false"
-        if kind is int:
-            return str(obj)
-        if obj is None:
-            return "null"
+        if kind is dict:
+            items = []
+            for key, val in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be strings, got {type(key)}")
+                items.append(f"{emit(key, 0)}: {emit(val, level + 1, slots)}")
+            return container("{}", items, level)
+        if kind is list or kind is tuple:
+            return container("[]", [emit(val, level + 1) for val in obj], level)
+        if kind is Rows:
+            columns: list = []
+            template = emit(obj.layout, level + 1, columns).replace("%", "%%").replace(_SLOT, "%s")
+            cells = [column(col.tolist() if hasattr(col, "tolist") else col, at) for col, at in columns]
+            return container("[]", [template % values for values in zip(*cells)], level)
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
+
+    def column(values, level: int) -> list[str]:
+        """Each value as emit writes it, with one formatter for a column of one scalar type."""
+        kinds = set(map(type, values))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        return list(map(write, values)) if write else [emit(value, level) for value in values]
+
+    def container(brackets: str, items: list[str], level: int) -> str:
+        """Items one per line, indented one level deeper than the brackets."""
+        if not items:
+            return brackets
+        while len(pads) <= level + 1:
+            pads.append(" " * (indent * len(pads)))
+        inner = pads[level + 1]
+        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pads[level]}{brackets[1]}"
 
     return emit(obj, 0) + "\n"
 

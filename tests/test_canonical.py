@@ -6,7 +6,7 @@ import pytest
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 
 import flagf
-from flagf import canonical
+from flagf import canonical, liealg, phispace
 from flagf.canonical import (
     CanonicalStructure,
     expected_flag_action,
@@ -126,13 +126,32 @@ class TestSignKeys:
         ps = get_space(12, 16)
         calls = []
 
-        def counting_poly_in(op, coeffs):
+        def counting_poly_in(op, coeffs, *powers):
             calls.append(1)
-            return poly_in(op, coeffs)
+            return poly_in(op, coeffs, *powers)
 
         monkeypatch.setattr(canonical, "poly_in", counting_poly_in)
         fs = canonical.generate_f_structures(ps)
         assert len(calls) <= len(fs) == 8
+
+
+    def test_cost_guard_one_theta_power_stack_per_space(self, monkeypatch):
+        # Generation and verify's reconstruction check share the space's
+        # stack of theta powers; poly_in computes no powers of its own.
+        calls, op_powers = [], liealg.op_powers
+
+        def counting_op_powers(op, count):
+            calls.append(count)
+            return op_powers(op, count)
+
+        monkeypatch.setattr(phispace, "op_powers", counting_op_powers)
+        monkeypatch.setattr(liealg, "op_powers", lambda op, count: pytest.fail("poly_in built its own powers"))
+        ps = flagf.build_phi_space(flagf.build_automorphism(12, 2, 16))
+        structures = canonical.generate_f_structures(ps) + canonical.generate_product_structures(ps)
+        assert len(structures) > 100
+        for cs in structures[:: len(structures) // 10]:
+            assert verify_structure(cs, ps).polynomial_residual < 1e-10
+        assert calls == [16]
 
 
 class TestOrder4Generation:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,19 +227,22 @@ class TestEvaluatorInternals:
         for cs in get_f_structures(n, k):
             ev = ClassEvaluator(cs, split)
             stacks = {name: dense_stacks(ev, name) for name in CONDITION_NAMES}
-            for (s, t), rep in zip(grid + extremes, ev.sweep(grid + extremes, kappa=float(n - 1))):
+            swept = ev.sweep(grid + extremes, kappa=float(n - 1))
+            for p, (s, t) in enumerate(grid + extremes):
                 c = u_channel_coefficients(MetricParams(s, t))
                 scale = ev.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
                 for name, (base, *chans) in stacks.items():
                     cond = base + c[0] * chans[0] + c[1] * chans[1] + c[2] * chans[2]
                     norms = np.linalg.norm(cond + cond.transpose(1, 0, 2), axis=2)
                     dense = float(norms.max() / scale)
-                    assert rep.memberships[name] == (dense < TAU_MEMBER), (cs.label, name, s, t)
-                    assert rep.indeterminate[name] == (TAU_MEMBER <= dense <= NONMEMBER_MARGIN)
+                    member, witness = swept.memberships[name][p], tuple(swept.witnesses[name][p].tolist())
+                    assert member == (dense < TAU_MEMBER), (cs.label, name, s, t)
+                    assert swept.indeterminate[name][p] == (TAU_MEMBER <= dense <= NONMEMBER_MARGIN)
+                    assert (witness == (-1, -1)) == member
                     if (s, t) in grid:
-                        np.testing.assert_allclose(rep.residuals[name], dense, rtol=1e-12, atol=1e-15)
-                        if rep.witnesses[name] is not None:
-                            np.testing.assert_allclose(norms[rep.witnesses[name]], norms.max(), rtol=1e-12)
+                        np.testing.assert_allclose(swept.residuals[name][p], dense, rtol=1e-12, atol=1e-15)
+                        if not member:
+                            np.testing.assert_allclose(norms[witness], norms.max(), rtol=1e-12)
 
     def test_polarized_entries_keep_exactly_what_carries_data(self):
         # One entry below the diagonal, one pair whose rows cancel, one
@@ -302,9 +306,14 @@ class TestEvaluatorInternals:
         for label in ("f1", "f4"):
             ev = ClassEvaluator(structure_by_label(get_f_structures(12, 6), label), split)
             assert len(grid) > 2 * ((1 << 16) // ev._values.shape[1])
-            for (s, t), swept in zip(grid, ev.sweep(grid, kappa=11.0)):
+            swept = ev.sweep(grid, kappa=11.0)
+            for p, (s, t) in enumerate(grid):
                 single = ev.report(MetricParams(s, t, kappa=11.0))
-                assert single.residuals == swept.residuals and single.witnesses == swept.witnesses
+                assert single.residuals == {name: swept.residuals[name][p] for name in CONDITION_NAMES}
+                assert single.witnesses == {
+                    name: None if swept.memberships[name][p] else tuple(swept.witnesses[name][p].tolist())
+                    for name in CONDITION_NAMES
+                }
 
     def test_cost_guard_compact_kernels(self, get_split, get_f_structures):
         # The dense (4, d, d, d) stacks would be 6.6 MB at n = 16, k = 6, and a
@@ -394,9 +403,9 @@ class TestSweep:
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         grid = build_grid(0.5, 2.0, 0.5)
-        reports = sweep(f0, split, grid, kappa=4.0)
-        assert [(r.s, r.t) for r in reports] == grid
-        assert all(r.chain_ok for r in reports)
+        swept = sweep(f0, split, grid, kappa=4.0)
+        assert list(zip(swept.s.tolist(), swept.t.tolist())) == grid
+        assert swept.chain_ok.tolist() == [True] * len(grid)
 
     def test_grid_includes_special_points(self):
         grid = build_grid()
@@ -414,8 +423,9 @@ class TestSweep:
         for cs in get_f_structures(5, 6):
             if cs.label.startswith("-"):
                 continue
-            for rep in sweep(cs, split, build_grid()):
-                assert not any(rep.indeterminate.values()), (cs.label, rep.s, rep.t)
+            swept = sweep(cs, split, build_grid())
+            for name, flags in swept.indeterminate.items():
+                assert not flags.any(), (cs.label, name, swept.s[flags], swept.t[flags])
 
     def test_negated_structure_same_classes(self, get_split, get_f_structures):
         split = get_split(5, 6)
@@ -572,6 +582,26 @@ class TestExactZeroSets:
         with pytest.raises(RuntimeError, match=r"f0 g1 at \(s, t\) = \(0.5, 0.5\)"):
             characteristic_set(f0, split, "g1", grid=SMALL_GRID)
 
+    def test_first_disagreement_is_the_earliest_point_then_the_first_condition(
+        self, get_split, get_f_structures
+    ):
+        ev = ClassEvaluator(structure_by_label(get_f_structures(5, 4), "f0"), get_split(5, 4))
+        swept = ev.sweep(SMALL_GRID)
+        sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
+        assert grid_disagreement(sets, swept) is None
+        early, late = (1.5, 0.5), (2.0, 2.0)  # f0 is in neither class there
+        assert SMALL_GRID.index(early) < SMALL_GRID.index(late)
+        # kill, first in condition order, is wrong only at the later point; nk only at the earlier one.
+        sets["kill"] = replace(sets["kill"], points=sets["kill"].points + (late,))
+        sets["nk"] = replace(sets["nk"], points=(early,))
+        problem = grid_disagreement(sets, swept)
+        assert problem.startswith("f0 nk at (s, t) = (1.5, 0.5): grid verdict member=False, exact zero set"), problem
+        # Wrong at the same point, the condition that comes first in sets is named.
+        sets["kill"] = replace(sets["kill"], points=sets["kill"].points + (early,))
+        assert grid_disagreement(sets, swept).startswith("f0 kill at (s, t) = (1.5, 0.5)")
+        reordered = {name: sets[name] for name in ("nk", "kill", "g1")}
+        assert grid_disagreement(reordered, swept).startswith("f0 nk at (s, t) = (1.5, 0.5)")
+
 
 def rotated_split(split: TripleSplit, rng) -> TripleSplit:
     """The split with the basis of each block turned by a random orthogonal matrix."""
@@ -596,9 +626,10 @@ class TestBasisInvariance:
         grid = build_grid()
         for cs in get_f_structures(n, k):  # f and -f
             ev, ev_turned = ClassEvaluator(cs, split), ClassEvaluator(cs, turned)
-            for r, rt in zip(ev.sweep(grid), ev_turned.sweep(grid), strict=True):
-                assert r.memberships == rt.memberships, (cs.label, r.s, r.t)
-                assert r.indeterminate == rt.indeterminate, (cs.label, r.s, r.t)
+            swept, swept_turned = ev.sweep(grid), ev_turned.sweep(grid)
+            for name in CONDITION_NAMES:
+                assert swept.memberships[name].tolist() == swept_turned.memberships[name].tolist(), (cs.label, name)
+                assert swept.indeterminate[name].tolist() == swept_turned.indeterminate[name].tolist(), (cs.label, name)
             for name in CONDITION_NAMES:
                 want = ev.zero_set(name).description()
                 assert ev_turned.zero_set(name).description() == want, (cs.label, name)
@@ -655,6 +686,77 @@ class TestDecodeConstraints:
         assert zs.equations == (((1, 2, 1.0), (2, 1, -1.0)),)
         assert zs.contains(2.0, 2.0) and zs.contains(0.3, 0.3) and not zs.contains(2.0, 3.0)
         assert zs.description() == "+1.000000*s*t^2 -1.000000*s^2*t = 0"
+
+
+def contains_both_forms(zs: CharacteristicSet, points) -> list[bool]:
+    """zs.contains on arrays, checked against zs.contains point by point."""
+    s, t = (np.array(col, dtype=float) for col in zip(*points))
+    got = zs.contains(s, t)
+    assert got.dtype == bool and got.shape == s.shape
+    one_by_one = [zs.contains(a, b) for a, b in points]
+    assert all(np.ndim(x) == 0 for x in one_by_one)
+    assert got.tolist() == [bool(x) for x in one_by_one], zs
+    return got.tolist()
+
+
+def equations_hold(zs: CharacteristicSet, s: float, t: float) -> bool:
+    """The rule for "equations" in plain floats: each equation's terms summed
+    left to right, compared with TAU_RANK times the sum of their sizes."""
+    ok = True
+    for poly in zs.equations:
+        total = size = 0.0
+        for i, j, c in poly:
+            term = c * s**i * t**j
+            total += term
+            size += abs(term)
+        ok = ok and abs(total) <= TAU_RANK * size
+    return ok
+
+
+class TestContainsOnArrays:
+    BAND = (0.5, 0.99, 1.01, 2.0)  # offsets in units of the TAU_RANK band: inside, inside, outside, outside
+
+    def test_all_and_empty(self):
+        points = [(0.3, 2.0), (1.0, 1.0), (1e-6, 1e6)]
+        assert contains_both_forms(decode_constraints(np.zeros((0, 4))), points) == [True] * 3
+        assert contains_both_forms(decode_constraints([(1.0, 0.0, 0.0, 0.0)]), points) == [False] * 3
+
+    @pytest.mark.parametrize("row,axis", [((0.0, 0.0, 0.0, -2.0), "s"), ((0.0, 0.0, 3.0, 0.0), "t")])
+    def test_lines_at_the_edge_of_the_band(self, row, axis):
+        zs = decode_constraints([row])
+        assert zs.kind == "line" and zs.lines == ((axis, 1.0),)
+        offsets = [sign * k * TAU_RANK for k in self.BAND for sign in (1, -1)]
+        points = [(1.0 + o, 2.5) if axis == "s" else (2.5, 1.0 + o) for o in offsets] + [(2.5, 2.5)]
+        assert contains_both_forms(zs, points) == [True] * 4 + [False] * 5
+
+    def test_point_at_the_edge_of_the_band(self):
+        zs = decode_constraints(constraints_for_kernel(channel_point(2.0, 0.5)))
+        assert zs.kind == "points"
+        (ps, pt), = zs.points
+        points = []
+        for k in self.BAND:
+            points += [(ps + k * TAU_RANK * ps, pt), (ps, pt - k * TAU_RANK)]  # the bands are 2e-9 and 1e-9 wide
+        assert contains_both_forms(zs, points) == [True] * 4 + [False] * 4
+
+    def test_equations_from_a_rank_two_row_set(self):
+        # c1 = 0 and c2 = c3, that is t = s and t(t - 1) = s(s - 1): the diagonal.
+        zs = decode_constraints([(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, -1.0)])
+        assert zs.kind == "equations" and zs.rank == 2 and len(zs.equations) == 2
+        points = [(s, s * (1.0 + sign * eps)) for s in (0.3, 1.7, 40.0) for eps in np.geomspace(1e-12, 1e-6, 25)
+                  for sign in (1, -1)]
+        got = contains_both_forms(zs, points)
+        assert got == [equations_hold(zs, s, t) for s, t in points]
+
+        def ratio(s, t):  # of the worst equation: 1 on the edge of the band
+            worst = 0.0
+            for poly in zs.equations:
+                terms = [c * s**i * t**j for i, j, c in poly]
+                worst = max(worst, abs(sum(terms)) / (TAU_RANK * sum(abs(x) for x in terms)))
+            return worst
+
+        ratios = [ratio(s, t) for s, t in points]
+        assert any(0.5 < r < 1.0 for r in ratios) and any(1.0 < r < 2.0 for r in ratios)
+        assert all((r <= 1.0) == hit for r, hit in zip(ratios, got) if abs(r - 1.0) > 1e-6)
 
 
 class TestGridBuilder:

@@ -1,11 +1,14 @@
 import json
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flagf
-from flagf import classify
-from flagf.cli import build_parser, config_from_args, main
+from flagf import classify, metricgeom
+from flagf.cli import SPECIAL_POINTS, build_parser, config_from_args, main
+from flagf.report import csv_text, fmt_float, json_dumps
 
 
 def run(capsys, *argv):
@@ -72,6 +75,14 @@ class TestVerify:
     def test_extreme_valid_kappa_passes(self, capsys, kappa):
         code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--kappa", kappa, "--format", "json")
         assert code == 0 and json.loads(out)["passed"] is True
+
+    def test_chain_check_fails_when_one_special_point_breaks_the_chain(self, capsys, monkeypatch):
+        # The check reads the columnar chain_ok of each structure at (1, 1) and
+        # (1, 4/3); a break at the second point alone must fail it.
+        monkeypatch.setattr(classify, "_chain_ok", lambda m: np.arange(len(m["kill"])) != 1)
+        code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--format", "json")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert code == 1 and failed == ["class-chain-at-special-points"]
 
     def test_out_naming_a_directory_is_an_io_failure(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--n", "5", "--k", "4", "--out", str(tmp_path))
@@ -307,6 +318,43 @@ class TestSweep:
         assert counts["init"] == len(structures) == 4
         assert counts["residual"] <= 3 * points * len(structures)
 
+    def test_cost_guard_no_per_point_objects(self, capsys, tmp_path, monkeypatch):
+        # Each grid point is checked once (by MetricParams, for all evaluators
+        # together), and the sweep builds no per-point report objects.
+        counts = {"params": 0, "report": 0, "membership": 0}
+        post_init = metricgeom.MetricParams.__post_init__
+
+        def counting(key, original):
+            def wrapper(self, *args, **kwargs):
+                counts[key] += 1
+                return original(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(metricgeom.MetricParams, "__post_init__", counting("params", post_init))
+        for key, cls in (("report", classify.ClassReport), ("membership", classify.MembershipResult)):
+            monkeypatch.setattr(cls, "__init__", counting(key, cls.__init__))
+        code, _, _ = run(capsys, "sweep", "--n", "5", "--k", "6", "--out", str(tmp_path), "--format", "json")
+        assert code == 0
+        points = len(json.loads((tmp_path / "f1.json").read_text())["sweep"])
+        assert counts == {"params": points, "report": 0, "membership": 0}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--n", "5", "--k", "6"),
+            ("--n", "5", "--k", "6", "--grid-step", "1.0"),
+            ("--n", "5", "--k", "4", "--extra-points", "0.3,2.0;1.5,1.5", "--kappa", "3.5"),
+        ],
+    )
+    def test_files_match_the_per_row_rendering(self, capsys, tmp_path, fmt, args):
+        argv = ["sweep", *args, "--out", str(tmp_path), "--format", fmt]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())["structures"]
+        for label, text in per_row_rendering(argv, summary).items():
+            assert (tmp_path / label).read_text() == text, label
+
     def test_disagreeing_grid_verdict_fails_the_sweep(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(
             classify.ClassEvaluator, "zero_set", lambda self, name: classify.CharacteristicSet(kind="empty")
@@ -316,6 +364,60 @@ class TestSweep:
         assert code == 1
         assert "f0 g1 at (s, t) = (0.25, 0.25)" in err
         assert not out.exists()
+
+
+def per_row_rendering(argv, summary: dict) -> dict[str, str]:
+    """The sweep files of a run as they were written before sweeps were
+    columnar: one ClassReport per grid point from ClassEvaluator.report, then
+    json_dumps of one dict per row, or the CSV and text loops over the
+    reports.  The rest of a JSON file (config, space, structure checks,
+    summary) is read back from the file; ``summary`` is that of summary.json."""
+    cfg = config_from_args(build_parser().parse_args(argv))
+    kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
+    grid = classify.build_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=SPECIAL_POINTS + cfg.extra_points)
+    ps = flagf.build_phi_space(flagf.build_automorphism(cfg.n, 1, cfg.k))
+    split = flagf.build_split(ps)
+    fs = flagf.generate_f_structures(ps)
+    names = classify.CONDITION_NAMES
+    ext = {"json": "json", "csv": "csv", "text": "txt"}[cfg.fmt]
+    out = {}
+    for label in summary:
+        ev = classify.ClassEvaluator(flagf.structure_by_label(fs, label), split)
+        reports = [ev.report(metricgeom.MetricParams(s, t, kappa)) for s, t in grid]
+        path = Path(cfg.out) / f"{label}.{ext}"
+        if cfg.fmt == "json":
+            doc = json.loads(path.read_text())
+            doc["sweep"] = [
+                {
+                    "s": r.s,
+                    "t": r.t,
+                    "residuals": {n_: r.residuals[n_] for n_ in names},
+                    "memberships": {n_: r.memberships[n_] for n_ in names},
+                    "chain_ok": r.chain_ok,
+                }
+                for r in reports
+            ]
+            out[path.name] = json_dumps(doc)
+        elif cfg.fmt == "csv":
+            header = ["s", "t", "kill_residual", "nk_residual", "g1_residual", "kill", "nk", "g1"]
+            rows = [
+                [fmt_float(r.s), fmt_float(r.t)]
+                + [fmt_float(r.residuals[n_]) for n_ in names]
+                + [str(r.memberships[n_]).lower() for n_ in names]
+                for r in reports
+            ]
+            out[path.name] = csv_text(header, rows)
+        else:
+            lines = [f"structure {label}"]
+            for r in reports:
+                cells = " ".join(
+                    f"{n_}={fmt_float(r.residuals[n_])}{'*' if r.memberships[n_] else ''}" for n_ in names
+                )
+                lines.append(f"s={fmt_float(r.s)} t={fmt_float(r.t)} {cells}")
+            lines.append("summary:")
+            lines += [f"  {n_}: {summary[label][n_]['description']}" for n_ in names]
+            out[path.name] = "\n".join(lines) + "\n"
+    return out
 
 
 class TestNonFiniteValues:

@@ -13,6 +13,7 @@ from flagf.liealg import (
     lex_indices,
     lie_mats,
     lie_rows,
+    op_powers,
     poly_in,
     scatter,
 )
@@ -262,6 +263,21 @@ class TestEndoOnM:
         op = EndoOnM(full, m)
         got = poly_in(op, [1.0, 0.0, 2.0]).matrix
         np.testing.assert_allclose(got, np.eye(6) + 2.0 * m @ m, atol=1e-12)
+
+    def test_poly_in_on_a_power_stack_is_bitwise_the_power_loop(self, rng):
+        # The loop poly_in once ran: op^m = op @ op^(m-1), summed term by term.
+        op = EndoOnM(Subspace.full(4), rng.standard_normal((6, 6)))
+        powers = op_powers(op, 5)
+        for coeffs in ([1.0, 0.0, 2.0], [0.0, -0.5, 0.0, 0.25, 3.0], [0.0] * 5):
+            want, p = np.zeros((6, 6)), np.eye(6)
+            for c in coeffs:
+                if c != 0.0:
+                    want = want + c * p
+                p = op.matrix @ p
+            assert poly_in(op, coeffs).matrix.tobytes() == want.tobytes()
+            assert poly_in(op, coeffs, powers).matrix.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="powers"):
+            poly_in(op, [1.0] * 6, powers)
 
     def test_matrix_on_rotated_basis(self, rng):
         full = Subspace.full(4)

@@ -91,6 +91,36 @@ class TestJsonDumps:
             report.json_dumps(bad)
 
 
+class TestRows:
+    def test_rows_render_as_the_row_dicts(self):
+        # Columns of every scalar kind, nested dicts, keys with braces and a
+        # NUL, a mixed column and a column of lists, at two nesting levels.
+        s = np.array([0.25, 1.0 / 3.0, 2.0**60])
+        layout = {
+            "s": s,
+            "{key} 100%": {"flag": np.array([True, False, True]), "n": [1, 2, 3], "none": [None] * 3},
+            "nul\0": {"mixed": [1.5, "x{}", None], "deep": {"list": [[1.0, {"a": 2}], [], (3,)]}},
+        }
+        rows = [
+            {
+                "s": float(s[i]),
+                "{key} 100%": {"flag": [True, False, True][i], "n": i + 1, "none": None},
+                "nul\0": {"mixed": [1.5, "x{}", None][i], "deep": {"list": [[1.0, {"a": 2}], [], (3,)][i]}},
+            }
+            for i in range(3)
+        ]
+        for doc, want in (({"rows": report.Rows(layout)}, {"rows": rows}), (report.Rows(layout), rows)):
+            assert report.json_dumps(doc) == report.json_dumps(want)
+
+    def test_no_rows_is_an_empty_list(self):
+        empty = report.Rows({"s": np.zeros(0), "r": {"kill": []}})
+        assert report.json_dumps({"sweep": empty}) == report.json_dumps({"sweep": []})
+
+    def test_non_finite_column_value_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            report.json_dumps(report.Rows({"s": np.array([1.0, np.nan])}))
+
+
 class TestAtomicWrite:
     def test_concurrent_writers_on_one_path(self, tmp_path):
         path = tmp_path / "out.json"
