@@ -30,5 +30,5 @@ for label in ("f1", "f2", "f3", "f4"):
     print(f"  matches tabulated action: {np.max(np.abs(out - want)):.1e}")
     print()
 
-report = flagf.golden_action_check(ps)
+report = flagf.golden_action_check(ps, fs)
 print(f"entrywise check over all basis directions: max deviation {report.max_deviation:.2e}")

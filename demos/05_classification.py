@@ -8,7 +8,7 @@ The sweep detects, numerically, that on these flag spaces:
   * every structure is G1 for every metric."""
 
 import flagf
-from flagf.classify import ClassEvaluator, characteristic_set
+from flagf.classify import ClassEvaluator, class_evaluators
 from flagf.metricgeom import MetricParams
 
 for n, k, labels in [(5, 4, ("f0",)), (6, 6, ("f1", "f2", "f3", "f4"))]:
@@ -16,12 +16,11 @@ for n, k, labels in [(5, 4, ("f0",)), (6, 6, ("f1", "f2", "f3", "f4"))]:
     split = flagf.build_split(ps)
     fs = flagf.generate_f_structures(ps)
     print(f"=== order {k}, n = {n} ===")
-    for label in labels:
-        cs = flagf.structure_by_label(fs, label)
-        sets = {cond: characteristic_set(cs, split, cond) for cond in ("kill", "nk", "g1")}
+    # One evaluator per structure, all set up together; each gives its three exact zero sets.
+    for label, ev in zip(labels, class_evaluators([flagf.structure_by_label(fs, label) for label in labels], split)):
         print(f"{label}:")
         for cond in ("kill", "nk", "g1"):
-            print(f"   {cond.upper():<4} zero set: {sets[cond].description()}")
+            print(f"   {cond.upper():<4} zero set: {ev.zero_set(cond).description()}")
     print()
 
 # Drill into one point: f1 at the Killing metric and just off it.

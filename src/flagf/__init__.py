@@ -58,9 +58,11 @@ from .classify import (
     MembershipResult,
     build_grid,
     characteristic_set,
+    class_evaluators,
     membership,
     metric_compat_residual,
     product_compat_residual,
+    structure_matrices,
     sweep,
 )
 

@@ -199,13 +199,23 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of each row of the given (d, d) matrices, as (len(mats),
-    d, w) column and value tables padded with zeros to the widest row w.
-    Entries are read exactly: nothing is thresholded."""
-    w = max(1, max(int(np.count_nonzero(m, axis=1).max(initial=0)) for m in mats))
-    idx = np.stack([np.argsort(m == 0.0, axis=1, kind="stable")[:, :w].copy() for m in mats])
-    rows = np.arange(len(idx[0]))[:, None]
-    return idx, np.stack([m[rows, i] for m, i in zip(mats, idx)])
+    """The nonzeros of each row of the given (..., d, d) matrices, all of one
+    shape, as (len(mats), ..., d, w) column and value tables, in column order,
+    padded with column 0 and value 0 to the widest row w.  Entries are read
+    exactly: nothing is thresholded."""
+    entries = []  # per matrix: row, slot in the row, column and value of each nonzero
+    for m in mats:
+        rows = m.reshape(-1, m.shape[-1])
+        r, c = np.nonzero(rows)
+        entries.append((r, np.arange(len(r)) - np.searchsorted(r, r), c, rows[r, c]))
+    w = max(1, max(int(slot.max(initial=0)) + 1 for _, slot, _, _ in entries))
+    shape = (len(mats), mats[0].size // mats[0].shape[-1], w)
+    idx, val = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    for t, (r, slot, c, v) in enumerate(entries):
+        idx[t, r, slot] = c
+        val[t, r, slot] = v
+    shape = (len(mats),) + mats[0].shape[:-1] + (w,)
+    return idx.reshape(shape), val.reshape(shape)
 
 
 def _ad_invariance(f: np.ndarray, ps: PhiSpace) -> float:
@@ -268,13 +278,13 @@ def expected_flag_action(label: str, s: np.ndarray) -> np.ndarray:
     return t - t.swapaxes(-1, -2)
 
 
-def golden_action_check(ps: PhiSpace) -> GoldenActionReport:
+def golden_action_check(ps: PhiSpace, structures) -> GoldenActionReport:
     """Compare every order-4/order-6 f-structure against its closed-form
-    action, entrywise, on each basis coordinate and on a dense element."""
+    action, entrywise, on each basis coordinate and on a dense element.
+    ``structures`` are the f-structures of ps, as generate_f_structures gives them."""
     k, n = ps.spec.k, ps.spec.n
     if k not in (4, 6) or ps.spec.m_blocks != 1:
         raise ValueError("closed-form actions are tabulated for the m_blocks=1 spaces of order 4 or 6")
-    structures = generate_f_structures(ps)
     labels = sorted(F_LABEL_SIGNS[k])
 
     # Probes: every basis element of m, then one dense element.  Mismatches are

@@ -13,10 +13,14 @@ identically iff its bilinear extension has C(X, Y) + C(Y, X) = 0 on all
 basis pairs; pairs where that holds for every metric are dropped at set-up.
 Set-up reads the conditions term by term (_TERMS) off the nonzeros of the
 bracket tensor (TripleSplit.bracket_nonzeros) and of f; the dense einsum
-tensors of _condition_tensor are the reference the tests compare with.
-Residuals are normalized by the operator norm of f and by (1 + s + t + 1/s
-+ 1/t), so grid sweeps stay comparable as the U coefficients grow near the
-parameter boundary.
+tensors of _condition_tensor are the reference the tests compare with.  All
+the structures of a space share the bracket tensor, so class_evaluators sets
+them up in one join over the stack of their matrices, keyed structure first,
+with the bits of a set-up of each alone; ClassEvaluator(f, split) is the
+list [f].  Residuals are normalized by the operator norm of f and by (1 + s
++ t + 1/s + 1/t), so grid sweeps stay comparable as the U coefficients grow
+near the parameter boundary.  A point where a pair norm still overflows is
+refused with ValueError rather than given a verdict.
 
 Membership is declared below TAU_MEMBER = 1e-9, non-membership above
 NONMEMBER_MARGIN = 1e-3 (both in :mod:`flagf.tolerances`); the band in between
@@ -85,42 +89,56 @@ def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, 
 # C[i, j, :] of each condition is a sum of terms coef * P T(A X_i, B X_j), T the
 # bracket tensor (base) or U; A, B, P index the row tables of I, f, f^2 and, for
 # P, of f^T, (f^2)^T (3, 4), since P T(..)_s sums P[s, r] T(..)_r.
-_TERMS = (  # (condition, on U, coef, A, B, P), term by term as in the module docstring
-    (0, 0, 0.5, 0, 1, 0), (0, 1, 1.0, 0, 1, 0), (0, 1, -1.0, 0, 0, 3),  # kill
-    (1, 0, 0.5, 1, 2, 0), (1, 1, 1.0, 1, 2, 0), (1, 1, -1.0, 1, 1, 3),  # nk
-    (2, 1, 2.0, 1, 2, 3), (2, 1, -1.0, 1, 1, 4), (2, 1, 1.0, 2, 2, 4),  # g1, its outer f in P
+_TERMS = (  # (on U, coef, A, B, P), term by term as in the module docstring, 3 per condition
+    (0, 0.5, 0, 1, 0), (1, 1.0, 0, 1, 0), (1, -1.0, 0, 0, 3),  # kill
+    (0, 0.5, 1, 2, 0), (1, 1.0, 1, 2, 0), (1, -1.0, 1, 1, 3),  # nk
+    (1, 2.0, 1, 2, 3), (1, -1.0, 1, 1, 4), (1, 1.0, 2, 2, 4),  # g1, its outer f in P
 )
-_COND, _ON_U, _COEF, _A, _B, _P = (np.array(col)[:, None] for col in zip(*_TERMS))
-_BLOCK = 1 << 12  # padded products per block of conditions: bounds set-up memory
+_ON_U, _COEF, _A, _B, _P = (np.array(col)[:, None] for col in zip(*_TERMS))
+# Set-up joins the groups g = 3 * structure + condition in blocks of consecutive
+# groups, each of at most this many padded products (3 terms x bracket nonzeros x w^3
+# per group, w the widest row of f and f^2) for each structure joined, or of one group
+# if a group alone is larger.  A block peaks at about 17 bytes per padded product, so
+# set-up takes about 70 kB per structure on top of what it keeps.
+JOIN_PRODUCTS_PER_STRUCTURE = 1 << 12
 
 
 def _kept_entries(f: np.ndarray, split: TripleSplit):
-    """Per block of conditions, its kept polarized entries (see _polarize)."""
-    d = split.dim
-    tables = nonzero_rows(np.eye(d), f, f @ f, f.T, (f @ f).T)
-    idx, val = (x.transpose(2, 0, 1).reshape(-1, 5 * d) for x in tables)
-    idx = idx.astype(np.int32 if 12 * d**3 < 2**31 else np.int64)  # keys stay below 12 d^3
-    step = max(1, _BLOCK // (3 * len(split.bracket_nonzeros[0]) * len(idx) ** 3))
-    for c in range(0, len(CONDITION_NAMES), step):
-        conds = range(c, min(c + step, len(CONDITION_NAMES)))
-        yield _polarize(*_summed_entries(slice(3 * c, 3 * conds.stop), idx, val, split), d, conds)
+    """Per block of groups g = 3 * structure + condition, the kept polarized
+    entries (see _polarize) of the (S, d, d) stack f of block-basis matrices."""
+    d, groups = split.dim, 3 * len(f)
+    tables = nonzero_rows(np.broadcast_to(np.eye(d), f.shape), f, f @ f, f.swapaxes(1, 2), (f @ f).swapaxes(1, 2))
+    # (5, S, d, w) -> (w, 5 S d): row a of table m of structure s is column (5 s + m) d + a
+    idx, val = (x.transpose(3, 1, 0, 2).reshape(x.shape[-1], -1) for x in tables)
+    del tables
+    idx = idx.astype(np.int32 if 4 * groups * d**3 < 2**31 else np.int64)  # keys stay below 4 groups d^3
+    per_group = 3 * len(split.bracket_nonzeros[0]) * len(idx) ** 3  # padded products
+    step = max(1, len(f) * JOIN_PRODUCTS_PER_STRUCTURE // per_group)  # groups per block
+    for g in range(0, groups, step):
+        block = np.arange(g, min(g + step, groups))
+        yield _polarize(*_summed_entries(block, idx, val, split), d, block, groups)
 
 
-def _summed_entries(t: slice, idx: np.ndarray, val: np.ndarray, split: TripleSplit):
-    """The entries != 0 of K[c, ch, i, j, r] (ch 0: base terms, 1-3: the U
-    channels) summed over the terms t, as keys into shape (3, 4, d, d, d) and
-    values: each nonzero of the bracket tensor times the rows of A, B and P^T
-    at its indices, from the tables idx, val padded to (w, w, w, terms, nonzeros)."""
+def _summed_entries(block: np.ndarray, idx: np.ndarray, val: np.ndarray, split: TripleSplit):
+    """The entries != 0 of K[g, ch, i, j, r] (ch 0: base terms, 1-3: the U
+    channels) for the groups g in block, summed over their terms, as keys into
+    shape (groups, 4, d, d, d) and values: each nonzero of the bracket tensor
+    times the rows of A, B and P^T at its indices, from the tables idx, val
+    padded to (w, w, w, terms, nonzeros).  The group is the outermost key, so
+    each key sums its terms in the same order whatever else is in the block."""
     i, j, r, v = split.bracket_nonzeros
     channel, sign = u_channels(split, i, j)
     d = split.dim
-    rows = [(m[t] * d + at).astype(idx.dtype) for m, at in ((_A, i), (_B, j), (_P, r))]
-    value = np.take(val, rows[0], axis=1) * (_COEF[t] * np.where(_ON_U[t], sign * v, v))
+    term = (3 * (block % 3)[:, None] + np.arange(3)).ravel()  # the 3 terms of each group's condition
+    group = np.repeat(block, 3)[:, None]
+    table = 5 * (group // 3)  # the first table of each term's structure
+    rows = [((table + m[term]) * d + at).astype(idx.dtype) for m, at in ((_A, i), (_B, j), (_P, r))]
+    value = np.take(val, rows[0], axis=1) * (_COEF[term] * np.where(_ON_U[term], sign * v, v))
     for row in rows[1:]:
         value = np.einsum("wte,...te->w...te", np.take(val, row, axis=1), value)  # no broadcast buffers
     live = value != 0.0
     value = value[live]
-    key = np.take(idx, rows[0], axis=1) + ((_COND[t] * 4 + np.where(_ON_U[t], channel, 0)) * d).astype(idx.dtype)
+    key = np.take(idx, rows[0], axis=1) + ((group * 4 + np.where(_ON_U[term], channel, 0)) * d).astype(idx.dtype)
     for row in rows[1:]:
         key = _outer_sum(np.take(idx, row, axis=1), key * d)
     key = key[live]
@@ -135,18 +153,18 @@ def _outer_sum(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polarize(keys: np.ndarray, k: np.ndarray, d: int, conds) -> tuple[np.ndarray, ...]:
-    """From the entries K[c, ch, i, j, r] of the conditions conds (ascending
-    keys into shape (3, 4, d, d, d), values k): the (c, i, j) keys of the pairs
-    i <= j whose rows K[c, :, i, j] or K[c, :, j, i] hold an entry != 0, and
-    (0, 0), so that an all-zero residual has the dense witness; and the
-    polarized entries K[c, :, i, j, r] + K[c, :, j, i, r] != 0 in some channel,
+def _polarize(keys: np.ndarray, k: np.ndarray, d: int, block: np.ndarray, groups: int) -> tuple[np.ndarray, ...]:
+    """From the entries K[g, ch, i, j, r] of the groups in block (ascending
+    keys into shape (groups, 4, d, d, d), values k): the (g, i, j) keys of the
+    pairs i <= j whose rows K[g, :, i, j] or K[g, :, j, i] hold an entry != 0,
+    and (0, 0), so that an all-zero residual has the dense witness; and the
+    polarized entries K[g, :, i, j, r] + K[g, :, j, i, r] != 0 in some channel,
     as the keys of their pairs (ascending) and channel values (4, E).  A pair
     whose rows cancel keeps one zero entry."""
-    c, ch, i, j, r = np.unravel_index(keys[k != 0.0], (len(CONDITION_NAMES), 4, d, d, d))
+    g, ch, i, j, r = np.unravel_index(keys[k != 0.0], (groups, 4, d, d, d))
     k = k[k != 0.0]
-    pair = (c * d + np.minimum(i, j)) * d + np.maximum(i, j)
-    pairs = np.unique(np.concatenate([pair, np.asarray(conds) * d * d]))
+    pair = (g * d + np.minimum(i, j)) * d + np.maximum(i, j)
+    pairs = np.unique(np.concatenate([pair, block * d * d]))
     # Keyed (pair, r, ch), K[.., i, j, r] meets K[.., j, i, r]; a diagonal pair doubles.
     keys, pol = sum_by_key((pair * d + r) * 4 + ch, np.where(i == j, 2.0 * k, k))
     keys, pol = keys[pol != 0.0], pol[pol != 0.0]
@@ -353,28 +371,23 @@ class ClassEvaluator:
     polarizes them and keeps only what carries data: the basis pairs i <= j
     with a nonzero row (at most 169 of 2,145 per condition at n = 24, k = 6)
     and, of their polarized rows, the entries nonzero in some channel: under
-    40 kB per evaluator at n = 24, and no d^3 array on the way.  A residual
-    combines the kept entries with (1, c(s, t)) of the closed-form U and
-    takes the pair norms, a sweep does the same for blocks of grid points,
-    and the exact zero sets come from the same entries.
+    40 kB per evaluator at n = 24, and no d^3 array on the way.  The join runs
+    once per space: :func:`class_evaluators` sets up every structure of a list
+    together, in blocks of JOIN_PRODUCTS_PER_STRUCTURE per structure, and each
+    evaluator holds its slice of the shared arrays; this constructor is the
+    list [f].  A residual combines the kept entries with (1, c(s, t)) of the
+    closed-form U and takes the pair norms, a sweep does the same for blocks
+    of grid points, and the exact zero sets come from the same entries.
     """
 
     def __init__(self, f: CanonicalStructure, split: TripleSplit):
-        self.structure = f
-        self.split = split
-        self.f_matrix = f.op.matrix_on(split.combined)
-        self.f_norm = float(np.linalg.norm(self.f_matrix, 2)) or 1.0
-        blocks = zip(*_kept_entries(self.f_matrix, split))
-        pairs, owner, self._values = (np.concatenate(x, axis=-1) for x in blocks)
-        cond, i, j = np.unravel_index(pairs, (len(CONDITION_NAMES), split.dim, split.dim))
-        self._pairs, self._owner = np.stack([i, j], axis=1), np.searchsorted(pairs, owner)
-        self._starts = np.searchsorted(self._owner, np.arange(len(self._pairs)))
-        bounds = np.searchsorted(cond, range(len(CONDITION_NAMES) + 1))
-        self._spans = {name: slice(lo, hi) for name, lo, hi in zip(CONDITION_NAMES, bounds, bounds[1:])}
+        (ev,) = class_evaluators([f], split)
+        vars(self).update(vars(ev))
 
     def _residuals(self, params: MetricParams | MetricGrid) -> tuple[np.ndarray, np.ndarray]:
         """Per condition and point, the normalized polarized residual and the
-        first basis pair i <= j (row-major) achieving it: (3, P) and (3, P, 2)."""
+        first basis pair i <= j (row-major) achieving it: (3, P) and (3, P, 2).
+        Raises ValueError at the first point where a pair norm overflows."""
         coeffs = u_channel_coefficients(params).T.reshape(-1, 3)
         norms = np.empty((len(coeffs), len(self._pairs)))
         step = max(1, (1 << 16) // self._values.shape[1])  # points per block of ~2^16 entries
@@ -382,13 +395,15 @@ class ClassEvaluator:
             norms[b : b + step] = _combined_norms(self._values, self._starts, coeffs[b : b + step])
         s, t = params.s, params.t
         scale = self.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
-        res = np.empty((len(self._spans), len(coeffs)))
-        pairs = np.empty((len(self._spans), len(coeffs), 2), dtype=self._pairs.dtype)
+        at = np.empty((len(self._spans), len(coeffs)), dtype=np.intp)  # the pair of each maximum
         for c, span in enumerate(self._spans.values()):
-            cond_norms = norms[:, span]
-            res[c] = cond_norms.max(axis=1) / scale
-            pairs[c] = self._pairs[span][cond_norms.argmax(axis=1)]
-        return res, pairs
+            at[c] = norms[:, span].argmax(axis=1) + span.start
+        res = norms[np.arange(len(coeffs)), at] / scale
+        if not np.isfinite(res).all():  # inf, or nan from inf - inf, where a pair norm overflows
+            p = int(np.argmin(np.isfinite(res).all(axis=0)))
+            s, t = (float(np.ravel(x)[p]) for x in (s, t))
+            raise ValueError(f"{self.structure.label}: a class residual overflows at (s, t) = ({s!r}, {t!r})")
+        return res, self._pairs[at]
 
     def _verdicts(self, params: MetricParams | MetricGrid) -> tuple[np.ndarray, ...]:
         """Residuals, memberships, indeterminate flags and witnesses per
@@ -450,25 +465,57 @@ class ClassEvaluator:
         )
 
 
+def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
+    """One ClassEvaluator per structure, all set up by one join (see
+    ClassEvaluator); each holds a slice of the shared arrays."""
+    if not structures:
+        return []
+    mats = structure_matrices(structures, split)
+    norms = np.linalg.norm(mats, 2, axis=(1, 2)).tolist()
+    pairs, owner, values = (np.concatenate(x, axis=-1) for x in zip(*_kept_entries(mats, split)))
+    owner = np.searchsorted(pairs, owner)
+    group, i, j = np.unravel_index(pairs, (3 * len(structures), split.dim, split.dim))
+    ij = np.stack([i, j], axis=1)
+    starts = np.searchsorted(owner, np.arange(len(pairs) + 1))  # each pair owns an entry
+    bounds = np.searchsorted(group, np.arange(3 * len(structures) + 1)).tolist()
+    out = []
+    for s, cs in enumerate(structures):
+        lo, hi = bounds[3 * s], bounds[3 * s + 3]
+        first, stop = starts[lo], starts[hi]
+        ev = ClassEvaluator.__new__(ClassEvaluator)
+        ev.structure, ev.split, ev.f_matrix, ev.f_norm = cs, split, mats[s], norms[s] or 1.0
+        ev._pairs, ev._owner, ev._values = ij[lo:hi], owner[first:stop] - lo, values[:, first:stop]
+        ev._starts = starts[lo:hi] - first
+        spans = zip(CONDITION_NAMES, bounds[3 * s :], bounds[3 * s + 1 :])
+        ev._spans = {name: slice(a - lo, b - lo) for name, a, b in spans}
+        out.append(ev)
+    return out
+
+
 def membership(f: CanonicalStructure, split: TripleSplit, params: MetricParams, condition: str) -> MembershipResult:
     return ClassEvaluator(f, split).membership(condition, params)
 
 
-def metric_compat_residual(f: CanonicalStructure, split: TripleSplit, params: MetricParams) -> float:
-    """Max |g(fX, Y) + g(X, fY)| over basis pairs, normalized by kappa."""
-    fm = f.op.matrix_on(split.combined)
+def structure_matrices(structures, split: TripleSplit) -> np.ndarray:
+    """The (S, d, d) stack of the structures' matrices over the block basis."""
+    return np.array([cs.op.matrix_on(split.combined) for cs in structures]).reshape(-1, split.dim, split.dim)
+
+
+def metric_compat_residual(f: np.ndarray, split: TripleSplit, params: MetricParams) -> float:
+    """Max |g(fX, Y) + g(X, fY)| over basis pairs, normalized by kappa, for a
+    (d, d) block-basis matrix f or the most incompatible of an (S, d, d) stack."""
     gd = block_weights(split, params)
-    lhs = fm.T * gd[None, :]  # lhs[i, j] = g(f X_i, X_j) = gd_j F[j, i]
-    rhs = gd[:, None] * fm  # rhs[i, j] = g(X_i, f X_j) = gd_i F[i, j]
-    return float(np.max(np.abs(lhs + rhs)) / params.kappa)
+    lhs = np.swapaxes(f, -1, -2) * gd  # lhs[i, j] = g(f X_i, X_j) = gd_j F[j, i]
+    rhs = gd[:, None] * f  # rhs[i, j] = g(X_i, f X_j) = gd_i F[i, j]
+    return float(np.max(np.abs(lhs + rhs), initial=0.0) / params.kappa)
 
 
-def product_compat_residual(p: CanonicalStructure, split: TripleSplit, params: MetricParams) -> float:
-    """Max |g(PX, PY) - g(X, Y)| over basis pairs, normalized by kappa
-    (the compatibility notion appropriate for almost product structures)."""
-    pm = p.op.matrix_on(split.combined)
+def product_compat_residual(p: np.ndarray, split: TripleSplit, params: MetricParams) -> float:
+    """Max |g(PX, PY) - g(X, Y)| over basis pairs, normalized by kappa, for a
+    (d, d) block-basis matrix P or the worst of an (S, d, d) stack (the
+    compatibility notion appropriate for almost product structures)."""
     g = np.diag(block_weights(split, params))
-    return float(np.max(np.abs(pm.T @ g @ pm - g)) / params.kappa)
+    return float(np.max(np.abs(np.swapaxes(p, -1, -2) @ g @ p - g), initial=0.0) / params.kappa)
 
 
 def build_grid(

@@ -249,15 +249,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         worst = max([0.0] + [getattr(chk, field) for chk in structure_checks])
         add(name, worst < TAU_STRUCTURE, worst)
 
-    for family in (fs, prods):
-        ok = all(
-            any(np.max(np.abs(cs.op.matrix + other.op.matrix)) < TAU_STRUCTURE for other in family)
-            for cs in family
-        )
-        add(f"{'f' if family is fs else 'product'}-negation-closure", ok)
+    for name, family in (("f", fs), ("product", prods)):
+        mats = np.array([cs.op.matrix for cs in family]).reshape(-1, ps.m.dim, ps.m.dim)
+        ok = all(np.any(np.max(np.abs(mats + m), axis=(1, 2)) < TAU_STRUCTURE) for m in mats)
+        add(f"{name}-negation-closure", ok)
 
     if k in (4, 6) and cfg.m_blocks == 1:
-        golden = canonical.golden_action_check(ps)
+        golden = canonical.golden_action_check(ps, fs)
         add("golden-action", golden.passed, golden.max_deviation)
 
     if cfg.m_blocks == 1:
@@ -282,13 +280,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         add("u-vanishes-at-neutral-metric", u11 < TAU_U_NEUTRAL, u11)
 
         dev_mc = dev_pc = 0.0
+        f_mats, p_mats = (classify.structure_matrices(family, split) for family in (fs, prods))
         for _ in range(5):
             s_, t_ = rng.uniform(*VERIFY_ST, 2)
             p = metricgeom.MetricParams(float(s_), float(t_), kappa)
-            for cs in fs:
-                dev_mc = max(dev_mc, classify.metric_compat_residual(cs, split, p))
-            for cs in prods:
-                dev_pc = max(dev_pc, classify.product_compat_residual(cs, split, p))
+            dev_mc = max(dev_mc, classify.metric_compat_residual(f_mats, split, p))
+            dev_pc = max(dev_pc, classify.product_compat_residual(p_mats, split, p))
         add("metric-f-compatibility", dev_mc < TAU_METRIC_COMPAT, dev_mc)
         add("metric-product-compatibility", dev_pc < TAU_METRIC_COMPAT, dev_pc)
 
@@ -305,7 +302,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         add("connection-metric-compatibility", dev_nomizu < TAU_CONNECTION, dev_nomizu)
 
         special = metricgeom.MetricGrid.of(SPECIAL_POINTS, kappa)
-        chain = [classify.ClassEvaluator(cs, split).sweep(special).chain_ok.all() for cs in fs]
+        chain = [ev.sweep(special).chain_ok.all() for ev in classify.class_evaluators(fs, split)]
         add("class-chain-at-special-points", all(chain))
 
     passed = all(c["passed"] for c in checks)
@@ -358,8 +355,13 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
         params = metricgeom.MetricParams.for_space(ps, cfg.s, cfg.t, cfg.kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    compat = classify.metric_compat_residual(cs, split, params)
-    rep = classify.ClassEvaluator(cs, split).report(params)
+    ev = classify.ClassEvaluator(cs, split)
+    compat = classify.metric_compat_residual(ev.f_matrix, split, params)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual raises ValueError
+            rep = ev.report(params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     report = {
         "command": "classify",
@@ -417,9 +419,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     reps = sorted((cs for cs in fs if not cs.label.startswith("-")), key=lambda c: c.label)
 
     results = []
-    for cs in reps:
-        ev = classify.ClassEvaluator(cs, split)
-        swept = ev.sweep(grid)
+    for cs, ev in zip(reps, classify.class_evaluators(reps, split)):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual raises ValueError
+                swept = ev.sweep(grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         summary = {name: ev.zero_set(name) for name in classify.CONDITION_NAMES}
         problem = classify.grid_disagreement(summary, swept)
         if problem is not None:

@@ -67,7 +67,8 @@ def test_criterion_02_golden_actions(get_space):
     worst = 0.0
     for n in (4, 5, 6):
         for k in (4, 6):
-            rep = flagf.golden_action_check(get_space(n, k))
+            ps = get_space(n, k)
+            rep = flagf.golden_action_check(ps, flagf.generate_f_structures(ps))
             worst = max(worst, rep.max_deviation)
     _report(2, worst < 1e-12, f"closed-form actions entrywise, max dev {worst:.2e}")
 
@@ -223,7 +224,7 @@ def test_criterion_10_metric_compatibility(get_split, get_f_structures):
             split = get_split(n, k)
             cs = structure_by_label(get_f_structures(n, k), lbl)
             p = MetricParams(float(s), float(t), kappa=float(n - 1))
-            worst = max(worst, flagf.metric_compat_residual(cs, split, p))
+            worst = max(worst, flagf.metric_compat_residual(flagf.structure_matrices([cs], split), split, p))
     _report(10, worst < 1e-10, f"skew-adjointness of all five structures, max residual {worst:.2e}")
 
 

@@ -322,17 +322,17 @@ class TestGoldenActions:
     @pytest.mark.parametrize("n", range(5, 17))
     @pytest.mark.parametrize("k", [4, 6])
     def test_stacked_check_equals_per_probe_loop(self, get_space, get_f_structures, n, k):
-        rep = golden_action_check(get_space(n, k))
-        assert (rep.max_deviation, rep.mismatches) == _golden_per_probe(get_space(n, k), get_f_structures(n, k))
+        ps = get_space(n, k)
+        rep = golden_action_check(ps, canonical.generate_f_structures(ps))
+        assert (rep.max_deviation, rep.mismatches) == _golden_per_probe(ps, get_f_structures(n, k))
 
-    def test_sign_flipped_structure_lists_mismatches_in_probe_order(self, get_space, monkeypatch):
+    def test_sign_flipped_structure_lists_mismatches_in_probe_order(self, get_space):
         ps = get_space(6, 6)
         flipped = [
             dataclasses.replace(cs, op=EndoOnM(cs.op.domain, -cs.op.matrix)) if cs.label == "f2" else cs
             for cs in canonical.generate_f_structures(ps)
         ]
-        monkeypatch.setattr(canonical, "generate_f_structures", lambda _: flipped)
-        rep = golden_action_check(ps)
+        rep = golden_action_check(ps, flipped)
         worst, mismatches = _golden_per_probe(ps, flipped)
         assert not rep.passed and rep.max_deviation == worst > 1.0
         assert rep.mismatches == mismatches and {m[0] for m in mismatches} == {"f2"}
@@ -341,13 +341,14 @@ class TestGoldenActions:
     @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("k", [4, 6])
     def test_tabulated_actions_reproduced(self, get_space, n, k):
-        rep = golden_action_check(get_space(n, k))
+        ps = get_space(n, k)
+        rep = golden_action_check(ps, canonical.generate_f_structures(ps))
         assert rep.passed, rep.mismatches[:5]
         assert rep.max_deviation < 1e-12
 
     def test_wrong_order_rejected(self, get_space):
         with pytest.raises(ValueError, match="order 4 or 6"):
-            golden_action_check(get_space(5, 8))
+            golden_action_check(get_space(5, 8), canonical.generate_f_structures(get_space(5, 8)))
 
     def test_f0_on_single_s24_coordinate(self, get_space, get_f_structures):
         # Input with only s24 = 1 maps to output with only the (3,4) slot set

@@ -21,8 +21,10 @@ from flagf.classify import (
     membership,
     metric_compat_residual,
     product_compat_residual,
+    structure_matrices,
     sweep,
 )
+from flagf import classify
 from flagf.classify import _condition_tensor
 from flagf.liealg import Subspace, bracket_coords, scatter
 from flagf.metricgeom import (
@@ -73,7 +75,7 @@ class TestMetricCompatibility:
                 s, t = rng.uniform(0.1, 5.0, size=2)
                 p = MetricParams(float(s), float(t), kappa=float(n - 1))
                 for cs in get_f_structures(n, k):
-                    assert metric_compat_residual(cs, split, p) < 1e-10
+                    assert metric_compat_residual(cs.op.matrix_on(split.combined), split, p) < 1e-10
 
     def test_product_structures_preserve_metric(self, get_split, get_products, rng):
         split = get_split(5, 6)
@@ -81,14 +83,14 @@ class TestMetricCompatibility:
             s, t = rng.uniform(0.2, 4.0, size=2)
             p = MetricParams(float(s), float(t))
             for cs in get_products(5, 6):
-                assert product_compat_residual(cs, split, p) < 1e-10
+                assert product_compat_residual(cs.op.matrix_on(split.combined), split, p) < 1e-10
 
     def test_product_structure_fails_f_compatibility(self, get_space, get_split, get_products):
         # P3 is symmetric, not skew-adjoint, for g; treating it as an
         # f-structure must be reported honestly while the product-style
         # compatibility g(PX, PY) = g(X, Y) holds.
         split = get_split(5, 6)
-        p3 = structure_by_label(get_products(5, 6), "P3")
+        p3 = structure_by_label(get_products(5, 6), "P3").op.matrix_on(split.combined)
         p = MetricParams(1.5, 0.8)
         assert metric_compat_residual(p3, split, p) > 1e-3
         assert product_compat_residual(p3, split, p) < 1e-10
@@ -102,7 +104,7 @@ class TestMetricCompatibility:
             kind="f-structure", label="theta", signature=(),
             theta_polynomial=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), op=ps.theta,
         )
-        assert metric_compat_residual(fake, split, MetricParams(2.0, 0.5)) > 1e-3
+        assert metric_compat_residual(structure_matrices([fake], split), split, MetricParams(2.0, 0.5)) > 1e-3
 
 
 class TestOrderFourMemberships:
@@ -260,7 +262,7 @@ class TestEvaluatorInternals:
             key(2, 3, 1, 4, 2): 0.0,  # carries nothing
         }
         keys = np.array(sorted(entries))
-        pairs, owner, values = _polarize(keys, np.array([entries[x] for x in keys]), 5, range(3))
+        pairs, owner, values = _polarize(keys, np.array([entries[x] for x in keys]), 5, np.arange(3), 3)
         assert np.transpose(np.unravel_index(pairs, (3, 5, 5))).tolist() == [
             [0, 0, 0], [0, 1, 3], [1, 0, 0], [1, 2, 4], [2, 0, 0], [2, 2, 2]
         ]
@@ -396,6 +398,88 @@ class TestEvaluatorInternals:
         base = _condition_tensor("nk", f, f @ f, bm, np.zeros_like(bm))
         sym = base + base.transpose(1, 0, 2)
         assert np.max(np.abs(sym)) < 1e-12
+
+
+def bits(*arrays) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+CORNER_GRID = [(1e-6, 1e-6), (1e-6, 1e6), (1e6, 1e-6), (1e6, 1e6), (1.0, FOUR_THIRDS), (1.0, 2.5), (0.3, 1.7)]
+
+
+class TestJoinedSetUp:
+    """class_evaluators sets up every structure of a list in one join; each
+    evaluator must hold exactly the bits a set-up of its structure alone gives."""
+
+    @staticmethod
+    def assert_same_bits(a: ClassEvaluator, b: ClassEvaluator, grid) -> None:
+        assert a.structure is b.structure and a.f_norm == b.f_norm and a._spans == b._spans
+        assert bits(a.f_matrix, a._values, a._pairs, a._owner, a._starts) == bits(
+            b.f_matrix, b._values, b._pairs, b._owner, b._starts
+        )
+        sa, sb = a.sweep(grid), b.sweep(grid)
+        for name in CONDITION_NAMES:
+            assert bits(sa.residuals[name], sa.witnesses[name]) == bits(sb.residuals[name], sb.witnesses[name])
+            za, zb = a.zero_set(name), b.zero_set(name)
+            assert za == zb, (a.structure.label, name)
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (12, 6), (24, 6)])
+    def test_joined_evaluators_equal_single_ones_bitwise(self, get_split, get_f_structures, n, k):
+        split, fs = get_split(n, k), get_f_structures(n, k)
+        assert any(cs.label.startswith("-") for cs in fs)  # negatives included
+        joined = classify.class_evaluators(fs, split)
+        assert [ev.structure for ev in joined] == fs
+        for ev, cs in zip(joined, fs):
+            self.assert_same_bits(ev, ClassEvaluator(cs, split), CORNER_GRID)
+
+    @pytest.mark.parametrize("per_structure", [1, 1 << 30])
+    def test_block_size_does_not_change_the_bits(self, get_split, get_f_structures, monkeypatch, per_structure):
+        # One group per block, or every group in one block: each key sums its
+        # terms in the same order either way.
+        split, fs = get_split(8, 6), get_f_structures(8, 6)
+        joined = classify.class_evaluators(fs, split)
+        monkeypatch.setattr(classify, "JOIN_PRODUCTS_PER_STRUCTURE", per_structure)
+        for a, b in zip(joined, classify.class_evaluators(fs, split)):
+            self.assert_same_bits(a, b, CORNER_GRID)
+
+    def test_no_structures_no_evaluators(self, get_split):
+        assert classify.class_evaluators([], get_split(5, 4)) == []
+
+    @pytest.mark.parametrize("n,k", [(5, 6), (12, 6), (16, 4)])
+    def test_stacked_compatibility_maxima_equal_the_per_structure_ones(
+        self, get_split, get_f_structures, get_products, n, k
+    ):
+        split, fs, prods = get_split(n, k), get_f_structures(n, k), get_products(n, k)
+        f_mats, p_mats = structure_matrices(fs, split), structure_matrices(prods, split)
+        for s, t in [(0.1, 5.0), (2.3, 0.7), (1.0, FOUR_THIRDS)]:
+            p = MetricParams(s, t, kappa=float(n - 1))
+            one = [metric_compat_residual(cs.op.matrix_on(split.combined), split, p) for cs in fs]
+            assert metric_compat_residual(f_mats, split, p) == max(one)
+            one = [product_compat_residual(cs.op.matrix_on(split.combined), split, p) for cs in prods]
+            assert product_compat_residual(p_mats, split, p) == max(one)
+
+
+class TestResidualOverflow:
+    """Inside the domain MetricParams accepts, a channel coefficient can still
+    square to inf in a pair norm: the evaluator refuses the point."""
+
+    def test_report_names_the_point(self, get_split, get_f_structures):
+        ev = ClassEvaluator(structure_by_label(get_f_structures(6, 6), "f2"), get_split(6, 6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"f2: a class residual overflows at \(s, t\) = \(1e-200, 1e-200\)"):
+                ev.report(MetricParams(1e-200, 1e-200))
+
+    def test_sweep_names_the_first_such_point(self, get_split, get_f_structures):
+        ev = ClassEvaluator(structure_by_label(get_f_structures(6, 6), "f1"), get_split(6, 6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"overflows at \(s, t\) = \(1e-180, 2e-180\)"):
+                ev.sweep([(1.0, 1.0), (1e-180, 2e-180), (1e-200, 1e-200)])
+
+    def test_finite_residuals_are_kept(self, get_split, get_f_structures):
+        # Nearer the edge than most grids, but every norm finite: a report as before.
+        ev = ClassEvaluator(structure_by_label(get_f_structures(6, 6), "f2"), get_split(6, 6))
+        rep = ev.report(MetricParams(1e-100, 1e-100))
+        assert rep.memberships == {"kill": False, "nk": True, "g1": True}
 
 
 class TestSweep:

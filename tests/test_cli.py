@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_class_setup(monkeypatch) -> dict:
+    """Counts the class evaluators built and the sparse joins that set them up
+    (calls of classify._kept_entries), whichever way they are built."""
+    counts = {"evaluators": 0, "joins": 0}
+    build, join = classify.class_evaluators, classify._kept_entries
+
+    def counting_build(*args, **kwargs):
+        out = build(*args, **kwargs)
+        counts["evaluators"] += len(out)
+        return out
+
+    def counting_join(*args, **kwargs):
+        counts["joins"] += 1
+        return join(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "class_evaluators", counting_build)
+    monkeypatch.setattr(classify, "_kept_entries", counting_join)
+    return counts
 
 
 class TestVerify:
@@ -83,6 +104,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--format", "json")
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
         assert code == 1 and failed == ["class-chain-at-special-points"]
+
+    def test_cost_guard_one_join_for_all_structures(self, capsys, monkeypatch):
+        # The class chain sets up an evaluator per f-structure from one join,
+        # however many structures the space has.
+        counts = count_class_setup(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--n", "12", "--k", "6", "--format", "json")
+        assert code == 0
+        structures = json.loads(out)["structures"]["f"]
+        assert counts == {"evaluators": len(structures), "joins": 1} and len(structures) == 8
 
     def test_out_naming_a_directory_is_an_io_failure(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--n", "5", "--k", "4", "--out", str(tmp_path))
@@ -296,26 +326,24 @@ class TestSweep:
         assert f"{label}: kill: (1.000000, 1.333333); nk: line s=1.000000; g1: all (s, t)" in stdout
 
     def test_cost_guard_one_evaluator_per_structure(self, capsys, tmp_path, monkeypatch):
-        # Zero sets come from the evaluator that made the grid reports: no
-        # second evaluator, and no residuals beyond the reports' three per point.
-        counts = {"init": 0, "residual": 0}
-        init, residual = classify.ClassEvaluator.__init__, classify.ClassEvaluator.residual
-
-        def counting_init(self, *args, **kwargs):
-            counts["init"] += 1
-            init(self, *args, **kwargs)
+        # Zero sets come from the evaluator that made the grid reports: one
+        # evaluator per structure, all set up by one join, and no residuals
+        # beyond the reports' three per point.
+        counts = count_class_setup(monkeypatch)
+        counts["residual"] = 0
+        residual = classify.ClassEvaluator.residual
 
         def counting_residual(self, *args, **kwargs):
             counts["residual"] += 1
             return residual(self, *args, **kwargs)
 
-        monkeypatch.setattr(classify.ClassEvaluator, "__init__", counting_init)
         monkeypatch.setattr(classify.ClassEvaluator, "residual", counting_residual)
         code, _, _ = run(capsys, "sweep", "--n", "5", "--k", "6", "--out", str(tmp_path), "--format", "json")
         assert code == 0
         structures = json.loads((tmp_path / "summary.json").read_text())["structures"]
         points = len(json.loads((tmp_path / "f1.json").read_text())["sweep"])
-        assert counts["init"] == len(structures) == 4
+        assert counts["evaluators"] == len(structures) == 4
+        assert counts["joins"] == 1
         assert counts["residual"] <= 3 * points * len(structures)
 
     def test_cost_guard_no_per_point_objects(self, capsys, tmp_path, monkeypatch):
@@ -464,6 +492,25 @@ class TestNonFiniteValues:
         assert "flagf: invalid configuration" in err
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--f", "f2", "--s", "1e-200", "--t", "1e-200"),
+            ("sweep", "--grid-min", "1e-200", "--grid-max", "1e-199", "--grid-step", "1e-200"),
+        ],
+    )
+    def test_overflowing_residual_is_invalid_configuration(self, capsys, tmp_path, argv):
+        # Every value MetricParams checks is finite here, but channel
+        # coefficients near 5e199 square to inf in the pair norms.
+        out = ("--out", str(tmp_path / "out")) if argv[0] == "sweep" else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code, stdout, err = run(capsys, argv[0], "--n", "6", "--k", "6", *out, *argv[1:])
+        assert code == 2 and stdout == ""
+        assert err.startswith("flagf: invalid configuration: ") and "Traceback" not in err
+        assert "a class residual overflows at (s, t) = (1e-200, 1e-200)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_grid_is_refused_before_it_is_built(self, capsys, tmp_path):
         # 2.75e9 values per axis: building them alone would take minutes.
