@@ -37,7 +37,7 @@ from .canonical import (
     golden_action_check,
     structure_by_label,
     u_of_k,
-    verify_structure,
+    verify_structures,
 )
 from .metricgeom import (
     MetricGrid,

@@ -16,9 +16,11 @@ the eigenspace of theta at the angle 2 pi l / k, f acts as zeta_l J (and as 0
 at the angle pi) and P acts as xi_l.  So a structure is fixed by its signs on
 the angles theta has (:func:`phispace.theta_angles`), its sign key, and two
 signature tuples give the same operator iff their keys agree.  This module
-builds one structure per sign key, labels it from exact sign tables, and
-provides verification helpers, including an entrywise check of the
-closed-form actions of the k = 4 and k = 6 structures on the flag spaces.
+builds one structure per sign key and labels it from exact sign tables.
+:func:`verify_structures` re-checks a list of structures on the stack of
+their matrices (identities, reconstruction, commutation, ad(h)-invariance),
+and :func:`golden_action_check` compares the k = 4 and k = 6 structures
+entrywise with their closed-form actions on the flag spaces.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ import numpy as np
 from .liealg import EndoOnM, lie_mats, poly_in, sum_by_key
 from .phispace import PhiSpace, theta_angles
 from .tolerances import TAU_GENERATED, TAU_GOLDEN
+
+# verify_structures joins ad(h) with runs of structures of about this many terms
+# (2 per nonzero of ad(h) and of f that meet), so that its memory stays bounded.
+AD_JOIN_TERMS = 1 << 16
 
 # The paper's structures of orders 4 and 6, by their signature: zeta_1..zeta_u
 # for f, xi_1..xi_{k/2} for P.  A structure takes the first label whose signs
@@ -194,8 +200,9 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
     return out
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """max |entry| of each matrix of a (..., d, d) stack."""
+    return np.max(np.abs(a), axis=(-2, -1), initial=0.0)
 
 
 def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,21 +225,11 @@ def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx.reshape(shape), val.reshape(shape)
 
 
-def _ad_invariance(f: np.ndarray, ps: PhiSpace) -> float:
-    """max |A_a f - f A_a| over the ad(h_a), joined from the nonzeros of ad(h)
-    and f: at m_blocks = 1 each entry is one product minus one, as in A @ f."""
-    a, x, z, v = ps.ad_h_nonzeros
-    d = len(f)
-    idx, val = nonzero_rows(f, f.T)
-    af, fa = ((a * d + x) * d)[:, None] + idx[0, z], (a[:, None] * d + idx[1, x]) * d + z[:, None]
-    keys = np.concatenate([af.ravel(), fa.ravel()])
-    terms = np.concatenate([(v[:, None] * val[0, z]).ravel(), (-(val[1, x] * v[:, None])).ravel()])
-    return float(np.max(np.abs(sum_by_key(keys, terms)[1]), initial=0.0))
-
-
-def _defining_residual(m: np.ndarray, product: bool) -> float:
-    """max |P^2 - 1| for an almost product structure, max |f^3 + f| otherwise."""
-    return _max_abs(m @ m - np.eye(len(m)) if product else m @ m @ m + m)
+def _defining_residual(m: np.ndarray, product: bool) -> np.ndarray:
+    """max |P^2 - 1| for almost product structures, max |f^3 + f| otherwise,
+    per matrix of a (..., d, d) stack."""
+    sq = m @ m
+    return _max_abs(sq - np.eye(m.shape[-1]) if product else sq @ m + m)
 
 
 def structure_by_label(structures, label: str) -> CanonicalStructure:
@@ -243,18 +240,63 @@ def structure_by_label(structures, label: str) -> CanonicalStructure:
     raise KeyError(f"unknown structure {label!r} (known: {known})")
 
 
-def verify_structure(cs: CanonicalStructure, ps: PhiSpace, others=()) -> StructureCheck:
-    """Re-check the defining identity, polynomial reconstruction, commutation
-    with theta and with the other structures, and ad(h)-equivariance."""
-    f, th = cs.op.matrix, ps.theta.matrix
-    return StructureCheck(
-        label=cs.label,
-        defining_residual=_defining_residual(f, product=cs.kind == "almost-product"),
-        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial, ps.theta_powers).matrix - f),
-        theta_commutation=_max_abs(f @ th - th @ f),
-        ad_invariance=_ad_invariance(f, ps),
-        pairwise_commutation=max([0.0] + [_max_abs(f @ o.op.matrix - o.op.matrix @ f) for o in others]),
-    )
+def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
+    """Re-check each structure of the list: its defining identity, its
+    polynomial reconstruction, its commutation with theta and with the rest
+    of the list, and its ad(h)-equivariance, all on the (S, d, d) stack of
+    operator matrices.  Pairs are multiplied once, a row block
+    f[a] @ f[a+1:] at a time; [b, a] = -[a, b] holds exactly."""
+    structures = list(structures)
+    if not structures:
+        return []
+    d, count = ps.m.dim, len(structures)
+    f = np.array([cs.op.matrix for cs in structures]).reshape(count, d, d)
+    th = ps.theta.matrix
+
+    product = np.array([cs.kind == "almost-product" for cs in structures])
+    defining = np.where(product, _defining_residual(f, True), _defining_residual(f, False))
+
+    coeffs = np.zeros((count, len(ps.theta_powers)))
+    for row, cs in zip(coeffs, structures):
+        row[: len(cs.theta_polynomial)] = cs.theta_polynomial
+    acc = np.zeros_like(f)
+    for c, p in zip(coeffs.T, ps.theta_powers):  # term by term, as poly_in
+        if np.any(c != 0.0):
+            acc = acc + c[:, None, None] * p
+
+    pairwise = np.zeros(count)
+    for a in range(count - 1):
+        rest = f[a + 1 :]
+        comm = _max_abs(f[a] @ rest - rest @ f[a])
+        pairwise[a] = max(pairwise[a], comm.max())
+        np.maximum(pairwise[a + 1 :], comm, out=pairwise[a + 1 :])
+
+    columns = (defining, _max_abs(acc - f), _max_abs(f @ th - th @ f), _ad_invariance(f, ps), pairwise)
+    return [StructureCheck(cs.label, *values) for cs, *values in zip(structures, *(c.tolist() for c in columns))]
+
+
+def _ad_invariance(f: np.ndarray, ps: PhiSpace) -> np.ndarray:
+    """max |A_a f - f A_a| over the ad(h_a), per matrix of the (S, d, d) stack
+    f, joined from the nonzeros of ad(h) and of f and keyed structure first:
+    at m_blocks = 1 each entry is one product minus one, as in A @ f.  The
+    stack is joined in runs of structures of about AD_JOIN_TERMS terms."""
+    a, x, z, v = ps.ad_h_nonzeros
+    d = ps.m.dim
+    nz = f != 0.0
+    size = nz.sum(axis=2)[:, z].sum(axis=1) + nz.sum(axis=1)[:, x].sum(axis=1)  # terms of each structure
+    run = (np.cumsum(size) - size) // AD_JOIN_TERMS
+    bounds = np.append(np.flatnonzero(np.diff(run, prepend=-1)), len(f)).tolist()
+    out = np.zeros(len(f))
+    for lo, hi in zip(bounds, bounds[1:]):
+        idx, val = nonzero_rows(f[lo:hi], f[lo:hi].swapaxes(1, 2))
+        first = (np.arange(hi - lo) * ps.h.dim)[:, None, None]  # key of (structure, h_a) is (first + a) d^2
+        af = ((first + a[:, None]) * d + x[:, None]) * d + idx[0][:, z]
+        fa = ((first + a[:, None]) * d + idx[1][:, x]) * d + z[:, None]
+        keys = np.concatenate([af.ravel(), fa.ravel()])
+        terms = np.concatenate([(v[:, None] * val[0][:, z]).ravel(), (-(val[1][:, x] * v[:, None])).ravel()])
+        keys, sums = sum_by_key(keys, terms)
+        np.maximum.at(out[lo:hi], keys // (ps.h.dim * d * d), np.abs(sums))
+    return out
 
 
 def expected_flag_action(label: str, s: np.ndarray) -> np.ndarray:

@@ -4,10 +4,16 @@
     flagf classify --n 5 --k 4 --f f0 --s 1 --t 1.3333333
     flagf sweep    --n 5 --k 6 --out reports/ --format json
 
+verify re-checks every f- and P-structure of the space in one stacked call
+(canonical.verify_structures) and compares the closed and solved U on their
+nonzeros (metricgeom.u_nonzeros); sweep's per-structure checks come from
+one stacked call too.
+
 Exit codes: 0 all checks pass / report written, 1 check or I/O failure,
-2 invalid configuration.  Reports are deterministic for a fixed config and
-seed; sweep output files are written atomically.  A sweep exits 1 without
-writing reports if any grid verdict contradicts the exact zero set.
+2 invalid configuration (a negative --seed among them).  Reports are
+deterministic for a fixed config and seed; sweep output files are written
+atomically.  A sweep exits 1 without writing reports if any grid verdict
+contradicts the exact zero set.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import canonical, classify, metricgeom, phispace
-from .liealg import decompose_orthogonal
+from .liealg import decompose_orthogonal, sum_by_key
 from .report import Rows, atomic_write_text, csv_text, fmt_float, json_dumps
 from .tolerances import NAT_RED_MARGIN, TAU_CONNECTION, TAU_METRIC_COMPAT, TAU_NAT_RED, TAU_ORDER, TAU_PHI
 from .tolerances import TAU_STRUCTURE, TAU_U_NEUTRAL, TAU_U_ORACLE
@@ -145,6 +151,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("grid bounds must satisfy 0 < min <= max < inf")
     if cfg.command == "classify" and not (0 < cfg.s < math.inf and 0 < cfg.t < math.inf):
         raise ConfigError("--s and --t must be positive and finite")
+    if cfg.seed < 0:  # numpy seeds must be non-negative
+        raise ConfigError(f"--seed must be non-negative, got {cfg.seed}")
     if not (cfg.n <= classify.MAX_N and cfg.k <= classify.MAX_K):
         raise ConfigError(f"need n <= MAX_N = {classify.MAX_N} and k <= MAX_K = {classify.MAX_K}")
     # kappa scales every metric value: it must be normal, since a subnormal kappa has lost the
@@ -237,8 +245,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         detail={"count": len(prods), "up_to_sign": len(prods) // 2, "expected": expected_p},
     )
 
-    everything = fs + prods
-    structure_checks = [canonical.verify_structure(cs, ps, others=everything) for cs in everything]
+    structure_checks = canonical.verify_structures(fs + prods, ps)
     for name, field in (
         ("structure-defining-identities", "defining_residual"),
         ("structure-polynomial-reconstruction", "polynomial_residual"),
@@ -271,12 +278,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         dev_u = 0.0
         for s_, t_ in [tuple(rng.uniform(*VERIFY_ST, 2)) for _ in range(5)] + [(1.0, 1.0)]:
             p = metricgeom.MetricParams(s=float(s_), t=float(t_), kappa=kappa)
-            uc = metricgeom.u_coords_tensor(split, p, "closed")
-            us = metricgeom.u_coords_tensor(split, p, "solved")
-            dev_u = max(dev_u, float(np.max(np.abs(uc - us))))
+            (kc, uc), (ks, us) = (metricgeom.u_nonzeros(split, p, mode) for mode in ("closed", "solved"))
+            diff = sum_by_key(np.concatenate([kc, ks]), np.concatenate([uc, -us]))[1]  # U closed - U solved
+            dev_u = max(dev_u, float(np.max(np.abs(diff), initial=0.0)))
         add("u-oracle-agreement", dev_u < TAU_U_ORACLE, dev_u)
         p11 = metricgeom.MetricParams(1.0, 1.0, kappa)
-        u11 = float(np.max(np.abs(metricgeom.u_coords_tensor(split, p11, "closed"))))
+        u11 = float(np.max(np.abs(metricgeom.u_nonzeros(split, p11, "closed")[1]), initial=0.0))
         add("u-vanishes-at-neutral-metric", u11 < TAU_U_NEUTRAL, u11)
 
         dev_mc = dev_pc = 0.0
@@ -432,13 +439,14 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
             return 1, {}
         results.append((cs, swept, summary))
 
+    checks = {chk.label: chk for chk in canonical.verify_structures(fs, ps)}
     outdir = Path(cfg.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
         summary_all = {}
         for cs, swept, summary in results:
-            chk = canonical.verify_structure(cs, ps, others=fs)
+            chk = checks[cs.label]
             sdict = {name: _charset_dict(summary[name]) for name in classify.CONDITION_NAMES}
             summary_all[cs.label] = sdict
             doc = {

@@ -23,12 +23,14 @@ the two routes is one of the package's standing cross-checks.
 :func:`metric_eval`, :func:`u_tensor_closed`, :func:`u_tensor_solved` and
 :func:`nomizu` take two (P, n, n) stacks of elements of m and work pair by
 pair (X_p, Y_p); an argument outside m raises ValueError.
-:func:`u_coords_tensor` gives U on all basis pairs in block coordinates.
+:func:`u_nonzeros` gives U on all basis pairs in block coordinates, by
+either route, as sorted keys into the (d, d, d) tensor and their values.
 Like :func:`naturally_reductive_residual`, the split checks and the class
 set-up, it reads the bracket tensor of m off its nonzeros
 (``TripleSplit.bracket_nonzeros``), and :func:`u_channels` gives the
 closed-form channel of each basis pair.  Only a reference (the einsum of
-:func:`u_tensor_solved`) or a dense result scatters them into a d^3 array.
+:func:`u_tensor_solved`) or a dense result (:func:`u_coords_tensor`)
+scatters them into a d^3 array.
 """
 
 from __future__ import annotations
@@ -225,9 +227,10 @@ def u_tensor_solved(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys
     return lie_mats(c.ambient_n, (rhs / (2.0 * gd)) @ c.coords)
 
 
-def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "closed") -> np.ndarray:
-    """U on all basis pairs as a (d, d, d) coordinate tensor, read off the
-    nonzeros of the bracket tensor and scattered once.
+def u_nonzeros(split: TripleSplit, params: MetricParams, mode: str = "closed") -> tuple[np.ndarray, np.ndarray]:
+    """U on all basis pairs, read off the nonzeros of the bracket tensor, as
+    sorted flat keys (a d + b) d + z into the (d, d, d) coordinate tensor
+    U[a, b, z] and their values.
 
     mode "closed" scales each nonzero by the closed-form coefficient of its
     block pair; mode "solved" runs the metric-equation solve
@@ -239,14 +242,21 @@ def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "close
     if mode == "closed":
         channel, sign = u_channels(split, i, j)
         coef = np.concatenate(([0.0], u_channel_coefficients(params)))[channel] * sign
-        return scatter((d, d, d), i, j, r, coef * v)
+        return (i * d + j) * d + r, coef * v
     if mode == "solved":
         gd = block_weights(split, params)
         # Each nonzero B[i, j, r] feeds U[r, j, i] (weight g_r) and U[r, i, j] (weight g_i).
         keys = np.concatenate([(r * d + j) * d + i, (r * d + i) * d + j])
         keys, val = sum_by_key(keys, np.concatenate([gd[r] * v, gd[i] * v]))
-        return scatter(d**3, keys, val / (2.0 * gd[keys % d])).reshape(d, d, d)
+        return keys, val / (2.0 * gd[keys % d])
     raise ValueError(f"unknown U mode {mode!r}")
+
+
+def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "closed") -> np.ndarray:
+    """U on all basis pairs as a dense (d, d, d) coordinate tensor: the
+    :func:`u_nonzeros` of the mode, scattered."""
+    d = split.dim
+    return scatter(d**3, *u_nonzeros(split, params, mode)).reshape(d, d, d)
 
 
 def u_channel_coefficients(params: MetricParams | MetricGrid) -> np.ndarray:

@@ -1,0 +1,57 @@
+"""The per-structure routes that verify's stacked checks replaced, kept as
+references: every StructureCheck field and every U coordinate must keep
+their bits.
+
+``verify_structure`` re-checks one structure against a list of others, one
+matrix product at a time, and joins ad(h) with that structure alone;
+``u_coords_tensor`` builds the dense (d, d, d) U tensor of each route.
+"""
+
+import numpy as np
+
+from flagf.canonical import StructureCheck, nonzero_rows
+from flagf.liealg import poly_in, scatter, sum_by_key
+from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
+
+
+def _max_abs(a):
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _defining_residual(m, product):
+    return _max_abs(m @ m - np.eye(len(m)) if product else m @ m @ m + m)
+
+
+def _ad_invariance(f, ps):
+    a, x, z, v = ps.ad_h_nonzeros
+    d = len(f)
+    idx, val = nonzero_rows(f, f.T)
+    af, fa = ((a * d + x) * d)[:, None] + idx[0, z], (a[:, None] * d + idx[1, x]) * d + z[:, None]
+    keys = np.concatenate([af.ravel(), fa.ravel()])
+    terms = np.concatenate([(v[:, None] * val[0, z]).ravel(), (-(val[1, x] * v[:, None])).ravel()])
+    return float(np.max(np.abs(sum_by_key(keys, terms)[1]), initial=0.0))
+
+
+def verify_structure(cs, ps, others=()):
+    f, th = cs.op.matrix, ps.theta.matrix
+    return StructureCheck(
+        label=cs.label,
+        defining_residual=_defining_residual(f, product=cs.kind == "almost-product"),
+        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial, ps.theta_powers).matrix - f),
+        theta_commutation=_max_abs(f @ th - th @ f),
+        ad_invariance=_ad_invariance(f, ps),
+        pairwise_commutation=max([0.0] + [_max_abs(f @ o.op.matrix - o.op.matrix @ f) for o in others]),
+    )
+
+
+def u_coords_tensor(split, params, mode):
+    d = split.dim
+    i, j, r, v = split.bracket_nonzeros
+    if mode == "closed":
+        channel, sign = u_channels(split, i, j)
+        coef = np.concatenate(([0.0], u_channel_coefficients(params)))[channel] * sign
+        return scatter((d, d, d), i, j, r, coef * v)
+    gd = block_weights(split, params)
+    keys = np.concatenate([(r * d + j) * d + i, (r * d + i) * d + j])
+    keys, val = sum_by_key(keys, np.concatenate([gd[r] * v, gd[i] * v]))
+    return scatter(d**3, keys, val / (2.0 * gd[keys % d])).reshape(d, d, d)

@@ -78,8 +78,7 @@ def test_criterion_03_structural_identities(get_space, get_f_structures, get_pro
     for n, k in [(4, 4), (5, 4), (6, 4), (4, 6), (5, 6), (6, 6)]:
         ps = get_space(n, k)
         everything = get_f_structures(n, k) + get_products(n, k)
-        for cs in everything:
-            chk = flagf.verify_structure(cs, ps, others=everything)
+        for chk in flagf.verify_structures(everything, ps):
             worst = max(
                 worst,
                 chk.defining_residual,

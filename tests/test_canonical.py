@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import structure_checks_reference as reference
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 
 import flagf
@@ -15,7 +16,7 @@ from flagf.canonical import (
     p_polynomial,
     structure_by_label,
     u_of_k,
-    verify_structure,
+    verify_structures,
 )
 from flagf.liealg import EndoOnM, brackets, kernel_and_image, lie_mats, lie_rows, poly_in
 from flagf.tolerances import TAU_GOLDEN
@@ -149,8 +150,8 @@ class TestSignKeys:
         ps = flagf.build_phi_space(flagf.build_automorphism(12, 2, 16))
         structures = canonical.generate_f_structures(ps) + canonical.generate_product_structures(ps)
         assert len(structures) > 100
-        for cs in structures[:: len(structures) // 10]:
-            assert verify_structure(cs, ps).polynomial_residual < 1e-10
+        for chk in verify_structures(structures[:: len(structures) // 10], ps):
+            assert chk.polynomial_residual < 1e-10
         assert calls == [16]
 
 
@@ -243,8 +244,9 @@ class TestStructureIdentities:
     def test_verify_structure_residuals(self, get_space):
         ps = get_space(6, 6)
         everything = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
-        for cs in everything:
-            chk = verify_structure(cs, ps, others=everything)
+        checks = verify_structures(everything, ps)
+        assert [chk.label for chk in checks] == [cs.label for cs in everything]
+        for chk in checks:
             assert max(v for k, v in vars(chk).items() if k != "label") < 1e-10, chk
 
     @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 4), (8, 1, 6), (16, 1, 6), (7, 2, 6), (9, 3, 4)])
@@ -254,10 +256,11 @@ class TestStructureIdentities:
         # bits as the dense route.  Otherwise the sums are reordered.
         ps = get_space(n, k, m_blocks)
         ad = dense_ad_h(ps)
-        for cs in flagf.generate_f_structures(ps):
+        fs = flagf.generate_f_structures(ps)
+        for cs, chk in zip(fs, verify_structures(fs, ps)):
             f = cs.op.matrix
             dense = float(np.max(np.abs(ad @ f - f @ ad)))
-            got = verify_structure(cs, ps).ad_invariance
+            got = chk.ad_invariance
             if m_blocks == 1:
                 assert got == dense, cs.label
             else:
@@ -270,10 +273,10 @@ class TestStructureIdentities:
         ps = get_space(16, 6)
         fs = get_f_structures(16, 6)
         f4 = structure_by_label(fs, "f4")
-        verify_structure(f4, ps, others=fs)
+        verify_structures([f4], ps)
         tracemalloc.start()
         try:
-            verify_structure(f4, ps, others=fs)
+            verify_structures([f4], ps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -288,13 +291,85 @@ class TestStructureIdentities:
             theta_polynomial=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
             op=ps.theta,
         )
-        chk = verify_structure(fake, ps)
+        (chk,) = verify_structures([fake], ps)
         assert chk.defining_residual > 0.5
 
     def test_no_almost_complex_structures_here(self, get_f_structures):
         # Every canonical f-structure on these spaces kills at least m3.
         for cs in get_f_structures(5, 6) + get_f_structures(5, 4):
             assert cs.kind == "f-structure"
+
+
+CHECK_FIELDS = ("defining_residual", "polynomial_residual", "theta_commutation", "ad_invariance",
+                "pairwise_commutation")
+
+
+def check_bits(checks):
+    """Each check's label and the bytes of each residual, which must be a float."""
+    out = []
+    for chk in checks:
+        values = [getattr(chk, name) for name in CHECK_FIELDS]
+        assert all(type(v) is float for v in values), chk
+        out.append((chk.label, *(np.float64(v).tobytes() for v in values)))
+    return out
+
+
+def non_equivariant_fake(ps):
+    """An f-structure-shaped operator that keeps one basis direction of m1,
+    which ad(h) rotates: not ad(h)-invariant, not a polynomial in theta."""
+    proj = np.zeros((ps.m.dim, ps.m.dim))
+    proj[0, 0] = 1.0
+    return CanonicalStructure("f-structure", "fake", (), (0.0,) * ps.spec.k, EndoOnM(ps.m, proj))
+
+
+class TestStackedStructureChecks:
+    @pytest.mark.parametrize(
+        "n,m_blocks,k", [(5, 1, 4), (5, 1, 6), (8, 1, 6), (12, 1, 6), (16, 1, 6), (7, 2, 6), (9, 2, 8)]
+    )
+    def test_every_field_is_bitwise_the_per_structure_route(self, get_space, n, m_blocks, k):
+        ps = get_space(n, k, m_blocks)
+        fs = flagf.generate_f_structures(ps)
+        everything = fs + flagf.generate_product_structures(ps)
+        for family in (everything, fs):  # verify checks both families together, sweep the f-structures
+            want = [reference.verify_structure(cs, ps, others=family) for cs in family]
+            assert check_bits(verify_structures(family, ps)) == check_bits(want)
+
+    def test_a_non_equivariant_fake_is_flagged_at_its_own_index_only(self, get_space):
+        ps = get_space(6, 6)
+        everything = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
+        at = len(everything) // 2
+        stack = everything[:at] + [non_equivariant_fake(ps)] + everything[at:]
+        checks = verify_structures(stack, ps)
+        assert check_bits(checks) == check_bits([reference.verify_structure(cs, ps, others=stack) for cs in stack])
+        flagged = [i for i, chk in enumerate(checks) if chk.ad_invariance > 1e-3]
+        assert flagged == [at]
+        assert checks[at].polynomial_residual == 1.0 and checks[at].pairwise_commutation > 1e-3
+        # Every other structure keeps its own residuals; only its commutator with the fake is new.
+        alone = verify_structures(everything, ps)
+        for chk, ref in zip(checks[:at] + checks[at + 1 :], alone):
+            assert check_bits([dataclasses.replace(chk, pairwise_commutation=0.0)]) == check_bits(
+                [dataclasses.replace(ref, pairwise_commutation=0.0)]
+            )
+
+    def test_empty_list(self, get_space):
+        assert verify_structures([], get_space(5, 6)) == []
+
+    def test_cost_guard_pairwise_products_in_row_blocks(self, get_space, get_f_structures, get_products):
+        # f[a] @ f[a+1:] is one row block of products at a time; gathering all
+        # S (S - 1) / 2 pairs at once peaks at about 30 S d^2 doubles here.
+        import tracemalloc
+
+        ps = get_space(24, 6)
+        everything = get_f_structures(24, 6) + get_products(24, 6)
+        verify_structures(everything, ps)
+        tracemalloc.start()
+        try:
+            verify_structures(everything, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(everything) == 16
+        assert peak < 12 * len(everything) * ps.m.dim**2 * 8
 
 
 def _golden_per_probe(ps, structures):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf import classify, metricgeom
+from flagf import canonical, classify, metricgeom
 from flagf.cli import SPECIAL_POINTS, build_parser, config_from_args, main
 from flagf.report import csv_text, fmt_float, json_dumps
 
@@ -113,6 +113,27 @@ class TestVerify:
         assert code == 0
         structures = json.loads(out)["structures"]["f"]
         assert counts == {"evaluators": len(structures), "joins": 1} and len(structures) == 8
+
+    def test_cost_guard_one_ad_join_and_no_dense_u(self, capsys, monkeypatch):
+        # The structure checks of all f- and P-structures take one stacked
+        # call and one join of ad(h); the U oracle compares nonzeros only.
+        counts = {"verify_structures": 0, "ad_joins": 0}
+        verify_structures, nonzero_rows = canonical.verify_structures, canonical.nonzero_rows
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(canonical, "verify_structures", counting("verify_structures", verify_structures))
+        monkeypatch.setattr(canonical, "nonzero_rows", counting("ad_joins", nonzero_rows))
+        monkeypatch.setattr(metricgeom, "u_coords_tensor", lambda *a, **k: pytest.fail("dense U tensor built"))
+        code, out, _ = run(capsys, "verify", "--n", "12", "--k", "6", "--format", "json")
+        assert code == 0
+        structures = json.loads(out)["structures"]
+        assert len(structures["f"]) + len(structures["product"]) == 16
+        assert counts == {"verify_structures": 1, "ad_joins": 1}
 
     def test_out_naming_a_directory_is_an_io_failure(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--n", "5", "--k", "4", "--out", str(tmp_path))
@@ -530,6 +551,28 @@ class TestNonFiniteValues:
 
 
 class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify",),
+            ("classify", "--f", "f0", "--s", "1", "--t", "1"),
+            ("sweep",),
+        ],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "-4242"])
+    def test_negative_seed_is_invalid_configuration(self, capsys, tmp_path, argv, seed):
+        out = ("--out", str(tmp_path / "out")) if argv[0] == "sweep" else ()
+        code, stdout, err = run(capsys, argv[0], "--n", "5", "--k", "4", "--seed", seed, *out, *argv[1:])
+        assert code == 2 and stdout == ""
+        assert err == f"flagf: invalid configuration: --seed must be non-negative, got {seed}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "sweep"])
+    def test_seed_zero_is_accepted(self, command, tmp_path):
+        extra = {"verify": [], "classify": ["--f", "f0", "--s", "1", "--t", "1"], "sweep": ["--out", str(tmp_path)]}
+        argv = [command, "--n", "5", "--k", "4", "--seed", "0", *extra[command]]
+        assert config_from_args(build_parser().parse_args(argv)).seed == 0
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import structure_checks_reference as reference
 
 from flagf import metricgeom
-from flagf.liealg import brackets, decompose_orthogonal, lie_mats, lie_rows, scatter
+from flagf.liealg import brackets, decompose_orthogonal, lie_mats, lie_rows, scatter, sum_by_key
 from flagf.tolerances import TAU_CONNECTION, TAU_NAT_RED
 from flagf.metricgeom import (
     MetricParams,
@@ -15,6 +16,7 @@ from flagf.metricgeom import (
     u_channel_coefficients,
     u_channels,
     u_coords_tensor,
+    u_nonzeros,
     u_tensor_closed,
     u_tensor_solved,
 )
@@ -402,6 +404,34 @@ class TestSparseBracketTensor:
             np.testing.assert_array_equal(u_coords_tensor(split, p, "closed"), closed)
             np.testing.assert_array_equal(u_coords_tensor(split, p, "solved"), solved)
             assert naturally_reductive_residual(split, p) == nat
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 12, 16, 24])
+    def test_u_nonzeros_scattered_are_bitwise_the_dense_route(self, get_split, n):
+        split = get_split(n, 6 if n > 4 else 4)
+        d = split.dim
+        for s, t, kappa in self.POINTS:
+            p = MetricParams(s, t, kappa)
+            for mode in ("closed", "solved"):
+                keys, values = u_nonzeros(split, p, mode)
+                assert keys.dtype.kind == "i" and np.all(np.diff(keys) > 0)
+                dense = scatter(d**3, keys, values).reshape(d, d, d)
+                assert dense.tobytes() == reference.u_coords_tensor(split, p, mode).tobytes()
+                assert u_coords_tensor(split, p, mode).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("n", [5, 12, 24])
+    def test_closed_minus_solved_by_key_is_the_dense_deviation(self, get_split, n):
+        # verify's u-oracle-agreement residual, read off the nonzeros of both routes
+        split = get_split(n, 6)
+        for s, t, kappa in self.POINTS:
+            p = MetricParams(s, t, kappa)
+            (kc, uc), (ks, us) = (u_nonzeros(split, p, mode) for mode in ("closed", "solved"))
+            diff = sum_by_key(np.concatenate([kc, ks]), np.concatenate([uc, -us]))[1]
+            dense = reference.u_coords_tensor(split, p, "closed") - reference.u_coords_tensor(split, p, "solved")
+            assert float(np.max(np.abs(diff), initial=0.0)) == float(np.max(np.abs(dense)))
+
+    def test_unknown_u_mode(self, get_split):
+        with pytest.raises(ValueError, match="unknown U mode"):
+            u_nonzeros(get_split(5, 4), MetricParams(1.0, 2.0), "dense")
 
     def test_channels_follow_the_block_pairs(self, get_split):
         split = get_split(6, 6)

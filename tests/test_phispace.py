@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf.canonical import CanonicalStructure, verify_structure
+from flagf.canonical import CanonicalStructure, verify_structures
 from flagf.liealg import EndoOnM, Subspace, brackets, lie_mats, lie_rows
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
@@ -268,7 +268,7 @@ class TestAdStack:
         cs = CanonicalStructure(
             kind="f-structure", label="x", signature=(), theta_polynomial=(0.0,), op=EndoOnM(ps.m, proj)
         )
-        assert verify_structure(cs, ps).ad_invariance > 1e-3
+        assert verify_structures([cs], ps)[0].ad_invariance > 1e-3
 
 
 def _rotate_rows(coords_a, coords_b, angle):
