@@ -13,7 +13,6 @@ from .liealg import (
     Subspace,
     brackets,
     decompose_orthogonal,
-    kernel_and_image,
     lie_mats,
     lie_rows,
     poly_in,

@@ -54,7 +54,7 @@ from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
 MAX_GRID_POINTS = 10**5  # build_grid refuses a larger grid
-MAX_N = 40  # the CLI refuses a larger --n: on a 2-core box verify --k 4 takes 2 s at n = 40, 25 s and 0.5 GB at 64
+MAX_N = 40  # the CLI refuses a larger --n: on a 2-core Xeon verify --k 4 takes 0.2 s at n = 40, 1.3 s and 0.2 GB at 64
 # The CLI refuses a larger --k.  At m_blocks = 1 theta has 3 eigen-angles, so there are at most
 # 8 f- and 8 P-structures for any k; m_blocks >= 2 can reach all k/2 - 1 angles below pi, and
 # then 3^(k/2 - 1) - 1 f-structures.

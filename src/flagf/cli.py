@@ -222,9 +222,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         add("complement-dimension", ps.m.dim == 3 * n - 7, detail={"dim_m": ps.m.dim, "expected": 3 * n - 7})
 
     a = rng.standard_normal((10, 2, n, n))
-    dev_b, dev_iso = phispace.phi_homomorphism_residuals(ps, a - a.swapaxes(-1, -2))
+    xy = a - a.swapaxes(-1, -2)
+    dev_b, dev_iso = phispace.phi_homomorphism_residuals(ps, xy)
     add("phi-preserves-bracket", dev_b < TAU_PHI, dev_b)
     add("phi-isometry", dev_iso < TAU_PHI, dev_iso)
+    dev_conj = phispace.phi_conjugation_residual(ps, xy.reshape(-1, n, n))
+    add("phi-is-conjugation-by-b", dev_conj < TAU_PHI, dev_conj)
 
     tk = np.linalg.matrix_power(ps.theta.matrix, k)
     res_order = float(np.max(np.abs(tk - np.eye(ps.m.dim)))) if ps.m.dim else 0.0

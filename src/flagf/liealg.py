@@ -16,27 +16,32 @@ Matrices are small (the benchmark goes up to n = 24, so dim so(n) <= 276) and
 entries are O(1).  Each threshold, and the scale it applies to, is named in
 :mod:`flagf.tolerances`.
 
-Structural quantities (ad(h) on m, reductivity, the split checks, the
-bracket tensor of m) all come from one sparse kernel,
-:func:`bracket_nonzeros`: it joins the nonzero entries of the skew matrices
-of two sets of rows on their shared matrix index and sums equal keys, so two
-lex basis vectors cost one product, and only if they share exactly one index.
-:func:`bracket_row_chunks` turns the nonzero brackets into dense rows a chunk
-at a time, for residuals and projections; :func:`bracket_coords` projects
-them onto a subspace and keeps the nonzero coefficients, again as sorted
-index and value arrays.  No (dim x, dim y, n, n) array is ever formed, and
+A :class:`Subspace` keeps its rows both ways: as their nonzeros
+(``entries``) and as dense lex rows (``coords``); it is built from either and
+makes the other on first use, so a subspace of unit lex vectors costs
+O(dim log dim) to build and check.  Structural quantities (ad(h) on m,
+reductivity, the split checks, the bracket tensor of m) all come from one
+sparse kernel, :func:`bracket_nonzeros`: it joins the nonzero entries of the
+skew matrices of two sets of rows on their shared matrix index and sums equal
+keys, so two lex basis vectors cost one product, and only if they share
+exactly one index.
+:func:`bracket_coords` joins those nonzeros with the entries of a subspace,
+on the lex position, for the coefficients of each bracket's projection, and
+:func:`bracket_leak` joins once more for the distance of each bracket from
+a subspace (or from one of several blocks); both keep only nonzeros, as
+sorted index and value arrays.  No
+(dim x, dim y, n, n) array and no dense bracket row is ever formed, and
 :func:`scatter` is the one way back to a dense array, for references.
-:func:`kernel_and_image` reads both subspaces of a matrix off one SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
-from .tolerances import TAU_ORTH, TAU_RANK_REL, TAU_SKEW, TAU_SUBSPACE
+from .tolerances import TAU_ORTH, TAU_SKEW, TAU_SUBSPACE
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -87,36 +92,74 @@ def brackets(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return m - m.swapaxes(-1, -2)
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of so(n) with an orthonormal ordered basis.
 
-    ``coords`` holds one basis element per row, expressed in the lexicographic
-    orthonormal basis of so(n), so the Gram matrix under Tr(X^T Y) is exactly
-    ``coords @ coords.T``.  Construction rejects bases that are not orthonormal
-    within TAU_ORTH.
+    Each basis element is a row of lex coordinates.  ``coords`` holds the rows
+    densely, as a (dim, dim so(n)) array, and ``entries`` holds their nonzeros
+    as arrays (row, lex position, value) in row-major order; both are
+    read-only.  ``Subspace(n, coords)`` builds from dense rows and
+    :meth:`of_entries` from nonzeros, and either way the other form is made
+    on first use.  The Gram matrix under Tr(X^T Y) is ``coords @ coords.T``;
+    construction sums it from the entries and rejects bases that are not
+    orthonormal within TAU_ORTH.  Subspaces are immutable and compare by
+    identity.
     """
 
-    ambient_n: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        dg = so_dim(self.ambient_n)
+    def __init__(self, ambient_n: int, coords):
+        c = np.array(coords, dtype=float)
+        dg = so_dim(ambient_n)
         if c.ndim != 2 or c.shape[1] != dg:
             raise ValueError(f"coords must be (dim, {dg}), got {c.shape}")
-        if c.shape[0]:
-            gram = c @ c.T
-            dev = np.max(np.abs(gram - np.eye(c.shape[0])))
+        c.flags.writeable = False
+        row, pos = np.nonzero(c)
+        self._set(ambient_n, c.shape[0], row, pos, c[row, pos])
+        self.__dict__["coords"] = c
+
+    @classmethod
+    def of_entries(cls, ambient_n: int, dim: int, row, pos, val) -> "Subspace":
+        """The subspace whose basis row ``row[e]`` holds ``val[e]`` at lex
+        position ``pos[e]`` and 0 elsewhere; zero values are dropped."""
+        val = np.asarray(val, dtype=float).ravel()
+        keep = val != 0.0
+        row, pos = (np.asarray(a, dtype=np.intp).ravel()[keep] for a in (row, pos))
+        val = val[keep]
+        dg = so_dim(ambient_n)
+        key = row * dg + pos
+        if len(key) and (min(row.min(), pos.min()) < 0 or row.max() >= dim or pos.max() >= dg):
+            raise ValueError(f"entries out of range for {dim} rows of so({ambient_n})")
+        order = np.argsort(key, kind="stable")
+        if np.any(np.diff(key[order]) == 0):
+            raise ValueError("an entry is given twice")
+        sp = cls.__new__(cls)
+        sp._set(ambient_n, dim, row[order], pos[order], val[order])
+        return sp
+
+    def _set(self, ambient_n: int, dim: int, *entries, check: bool = True) -> None:
+        for a in entries:
+            a.flags.writeable = False
+        self.__dict__.update(ambient_n=ambient_n, dim=dim, entries=entries)
+        if check and dim:
+            dev = _gram_deviation(so_dim(ambient_n), dim, *entries)
             if dev > TAU_ORTH:
                 raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Subspace is immutable (cannot set {name!r})")
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        c = scatter((self.dim, so_dim(self.ambient_n)), *self.entries)
+        c.flags.writeable = False
+        return c
+
+    def sub(self, lo: int, hi: int) -> "Subspace":
+        """The span of basis rows lo..hi-1, in order (orthonormal as a part of this basis)."""
+        row, pos, val = self.entries
+        keep = (row >= lo) & (row < hi)
+        sp = Subspace.__new__(Subspace)
+        sp._set(self.ambient_n, hi - lo, row[keep] - lo, pos[keep], val[keep], check=False)
+        return sp
 
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
         """Projections of lex-coordinate rows onto this subspace, as a (rows, n, n) stack."""
@@ -136,11 +179,25 @@ class Subspace:
     @staticmethod
     def full(n: int) -> "Subspace":
         """All of so(n), with the lexicographic orthonormal basis."""
-        return Subspace(n, np.eye(so_dim(n)))
+        dg = so_dim(n)
+        sp = Subspace.__new__(Subspace)
+        sp._set(n, dg, np.arange(dg), np.arange(dg), np.ones(dg), check=False)  # the lex basis itself
+        return sp
 
     @staticmethod
     def empty(n: int) -> "Subspace":
-        return Subspace(n, np.zeros((0, so_dim(n))))
+        return Subspace.of_entries(n, 0, [], [], [])
+
+
+def _gram_deviation(dg: int, dim: int, row, pos, val) -> float:
+    """max |G - I| for the Gram matrix G of rows given by their nonzeros,
+    summed over the pairs of entries that share a lex position."""
+    li, ri = _join(pos, pos, dg)
+    keys, g = sum_by_key(row[li] * dim + row[ri], val[li] * val[ri])
+    diag = keys // dim == keys % dim
+    missing = dim - np.count_nonzero(diag)  # zero rows
+    return max(float(np.max(np.abs(g - diag), initial=0.0)), 1.0 if missing else 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class EndoOnM:
@@ -174,7 +231,10 @@ class EndoOnM:
 
     def matrix_on(self, domain: Subspace) -> np.ndarray:
         """Matrix of this operator over another orthonormal basis of the domain."""
-        if np.array_equal(domain.coords, self.domain.coords):
+        mine = self.domain
+        if domain is mine or (
+            domain.dim == mine.dim and all(np.array_equal(a, b) for a, b in zip(domain.entries, mine.entries))
+        ):
             return np.array(self.matrix)
         r = domain.coords @ self.domain.coords.T
         return r @ self.matrix @ r.T
@@ -205,23 +265,6 @@ def poly_in(op: EndoOnM, coeffs, powers: np.ndarray | None = None) -> EndoOnM:
     return EndoOnM(op.domain, acc)
 
 
-def kernel_and_image(m, domain: Subspace) -> tuple[Subspace, Subspace]:
-    """Orthonormal bases of the kernel and of the column space of the matrix m,
-    which acts on the coefficients over the basis of ``domain``: one SVD.
-
-    Singular values below TAU_RANK_REL times the largest one are treated as
-    zero.  Both results live in the ambient so(n) of the domain.
-    """
-    n, m = domain.ambient_n, np.asarray(m, dtype=float)
-    if domain.dim == 0:
-        return Subspace.empty(n), Subspace.empty(n)
-    if m.shape != (domain.dim, domain.dim):
-        raise ValueError(f"a {m.shape} matrix does not act on a domain of dim {domain.dim}")
-    u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > TAU_RANK_REL * s[0])) if s[0] > 0 else 0
-    return Subspace(n, vh[rank:] @ domain.coords), Subspace(n, u[:, :rank].T @ domain.coords)
-
-
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the sum of each key's values."""
     order = np.argsort(keys, kind="stable")
@@ -231,13 +274,24 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys[first], np.add.reduceat(values, first)
 
 
-def _entries(n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The nonzero entries X[r, c] of the skew matrices of lex-coordinate rows,
-    as arrays (row, r, c, value), valued exactly as in :func:`lie_mats`."""
-    a, p = np.nonzero(rows)
+def _join(left: np.ndarray, right: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (li, ri) with left[li] == right[ri], for values in
+    range(size): li ascending, and for each li the ri ascending."""
+    order = np.argsort(right, kind="stable")
+    start = np.searchsorted(right[order], np.arange(size + 1))  # right[order[start[v]:start[v + 1]]] == v
+    count = (start[1:] - start[:-1])[left]
+    li = np.repeat(np.arange(len(left)), count)
+    ri = order[np.arange(len(li)) + np.repeat(start[left] - (np.cumsum(count) - count), count)]
+    return li, ri
+
+
+def _matrix_entries(n: int, row, pos, val) -> tuple[np.ndarray, ...]:
+    """The nonzero entries X[r, c] of the skew matrices of lex rows given by
+    their nonzeros (row, pos, val), as arrays (row, r, c, value), valued
+    exactly as in :func:`lie_mats`."""
     i, j = lex_indices(n)
-    half = rows[a, p] / _SQRT2
-    return np.tile(a, 2), np.concatenate([i[p], j[p]]), np.concatenate([j[p], i[p]]), np.concatenate([half, -half])
+    half = val / _SQRT2
+    return np.tile(row, 2), np.concatenate([i[pos], j[pos]]), np.concatenate([j[pos], i[pos]]), np.concatenate([half, -half])
 
 
 def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:
@@ -253,21 +307,21 @@ def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:
     has the bits of the dense product.
     """
     x_rows, y_rows = (np.asarray(r, dtype=float).reshape(-1, so_dim(n)) for r in (x_rows, y_rows))
-    xa, xr, xs, xv = _entries(n, x_rows)
-    yb, ys, yq, yv = _entries(n, y_rows)
-    order = np.argsort(ys, kind="stable")
-    yb, yq, yv = yb[order], yq[order], yv[order]
-    start = np.searchsorted(ys[order], np.arange(n + 1))  # Y entries of row s: start[s]:start[s + 1]
-    # Every pair (xi, yi) of an X entry (r, s) and a Y entry (s, q).
-    count = (start[1:] - start[:-1])[xs]
-    xi = np.repeat(np.arange(len(xs)), count)
-    yi = np.arange(len(xi)) + np.repeat(start[xs] - (np.cumsum(count) - count), count)
+    x_nz, y_nz = (np.nonzero(r) for r in (x_rows, y_rows))
+    return _bracket_join(n, (*x_nz, x_rows[x_nz]), (*y_nz, y_rows[y_nz]), len(y_rows))
+
+
+def _bracket_join(n: int, x_entries, y_entries, dy: int) -> tuple[np.ndarray, ...]:
+    """:func:`bracket_nonzeros` of rows given by their nonzeros (row, pos, val), dy rows of y."""
+    xa, xr, xs, xv = _matrix_entries(n, *x_entries)
+    yb, ys, yq, yv = _matrix_entries(n, *y_entries)
+    xi, yi = _join(xs, ys, n)  # every X entry (r, s) with every Y entry (s, q)
     r, q = xr[xi], yq[yi]
     keep = r != q  # a diagonal entry of XY cancels in XY - YX
     r, q, xi, yi = r[keep], q[keep], xi[keep], yi[keep]
     lo, hi = np.minimum(r, q), np.maximum(r, q)
     pos = lo * n - lo * (lo + 1) // 2 + hi - lo - 1
-    dg, dy = so_dim(n), len(y_rows)
+    dg = so_dim(n)
     prod = xv[xi] * yv[yi]
     keys, val = sum_by_key((xa[xi] * dy + yb[yi]) * dg + pos, np.where(r < q, prod, -prod))
     val = _SQRT2 * val
@@ -275,37 +329,74 @@ def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:
     return keys // (dy * dg), keys // dg % dy, keys % dg, val
 
 
-_CHUNK_BYTES = 1 << 18
-
-
-def bracket_row_chunks(n: int, x_rows, y_rows):
-    """Yield (a, b, rows): the nonzero brackets [x_a, y_b] of :func:`bracket_nonzeros`
-    as dense lex-coordinate rows, at most 256 kB of rows at a time."""
-    a, b, pos, val = bracket_nonzeros(n, x_rows, y_rows)
-    new_pair = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))[: len(a)]
-    bounds = np.append(np.flatnonzero(new_pair), len(a))
-    step = max(1, _CHUNK_BYTES // (8 * so_dim(n)))
-    for lo in range(0, len(bounds) - 1, step):
-        edges = bounds[lo : lo + step + 1]  # the entries of bracket lo + p are edges[p]:edges[p + 1]
-        rows = np.zeros((len(edges) - 1, so_dim(n)))
-        rows[np.repeat(np.arange(len(rows)), np.diff(edges)), pos[edges[0] : edges[-1]]] = val[edges[0] : edges[-1]]
-        yield a[edges[:-1]], b[edges[:-1]], rows
+def _coefficients(pair, pos, val, row, row_pos, row_val, d: int, dg: int, keep=None):
+    """The nonzero inner products of vectors given by their nonzeros (pair, pos,
+    val) with d rows given by theirs (row, pos, val), joined on the lex position,
+    over the pairs of entries that ``keep`` (a mask of the joined pairs) keeps:
+    sorted keys pair d + row and values."""
+    bi, oi = _join(pos, row_pos, dg)
+    if keep is not None:
+        mask = keep(bi, oi)
+        bi, oi = bi[mask], oi[mask]
+    keys, coef = sum_by_key(pair[bi] * d + row[oi], val[bi] * row_val[oi])
+    nz = coef != 0.0
+    return keys[nz], coef[nz]
 
 
 def bracket_coords(x: Subspace, y: Subspace, onto: Subspace) -> tuple[np.ndarray, ...]:
     """The nonzero coefficients of the projections of every basis bracket
     [x_a, y_b] onto ``onto``, as arrays (a, b, onto position, value) sorted by
-    (a, b, position).  One product per chunk of :func:`bracket_row_chunks`,
-    exact zeros dropped."""
+    (a, b, position): the nonzeros of the brackets joined with the entries of
+    ``onto`` on the lex position, equal keys summed, exact zeros dropped.  On
+    rows of one entry 1.0 each coefficient is one product by 1.0."""
     n = x.ambient_n
     if y.ambient_n != n or onto.ambient_n != n:
         raise ValueError("ambient dimension mismatch")
-    parts = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
-    for a, b, rows in bracket_row_chunks(n, x.coords, y.coords):
-        coef = rows @ onto.coords.T
-        p, r = np.nonzero(coef)  # row-major, and the chunks come in (a, b) order
-        parts.append((a[p], b[p], r, coef[p, r]))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    a, b, pos, val = _bracket_join(n, x.entries, y.entries, y.dim)
+    keys, coef = _coefficients(a * y.dim + b, pos, val, *onto.entries, onto.dim, so_dim(n))
+    return keys // (y.dim * onto.dim), keys // onto.dim % y.dim, keys % onto.dim, coef
+
+
+def bracket_leak(x: Subspace, *blocks: Subspace) -> float:
+    """The largest distance of a basis bracket [x_a, y] from the block of y,
+    y a basis vector of one of the blocks, absolute as :meth:`Subspace.residuals`.
+
+    From nonzeros: the brackets of x with the stacked rows of the blocks, their
+    coefficients over the rows of the same block (as :func:`bracket_coords`),
+    and each bracket minus its projection, the coefficients joined back with
+    the entries of the block.  ``bracket_leak(h, m)`` measures [h, m] against m.
+    """
+    n, dg = x.ambient_n, so_dim(x.ambient_n)
+    if any(blk.ambient_n != n for blk in blocks):
+        raise ValueError("ambient dimension mismatch")
+    dims = [blk.dim for blk in blocks]
+    d, offset = sum(dims), np.cumsum([0] + dims)
+    row, pos, val = (np.concatenate([blk.entries[t] + (offset[i] if t == 0 else 0) for i, blk in enumerate(blocks)]) for t in range(3))
+    owner = np.repeat(np.arange(len(blocks)), dims)
+    a, b, bpos, bval = _bracket_join(n, x.entries, (row, pos, val), d)
+    pair = a * d + b
+    same_block = lambda bi, oi: owner[b[bi]] == owner[row[oi]]  # noqa: E731
+    keys, coef = _coefficients(pair, bpos, bval, row, pos, val, d, dg, keep=same_block)
+    ci, oi = _join(keys % d, row, d)  # each coefficient with the entries of its row
+    diff_keys = np.concatenate([pair * dg + bpos, keys[ci] // d * dg + pos[oi]])
+    diff_keys, diff = sum_by_key(diff_keys, np.concatenate([bval, -(coef[ci] * val[oi])]))
+    pair = diff_keys // dg
+    return float(np.sqrt(np.max(sum_by_key(pair, diff * diff)[1], initial=0.0)))
+
+
+def operator_on(space: Subspace, rows, cols, vals) -> np.ndarray:
+    """The (dim, dim) matrix C A C^T, C = space.coords, of the operator A on
+    so(n) whose nonzeros are A[rows, cols] = vals: its matrix over the basis
+    of a subspace it preserves, summed from nonzeros.  On rows of one entry
+    1.0 each entry is read off A, a gather."""
+    d, dg = space.dim, so_dim(space.ambient_n)
+    a, a_pos, a_val = space.entries
+    rows, cols, vals = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), np.asarray(vals, dtype=float)
+    li, ri = _join(a_pos, rows, dg)  # C[a, p] A[p, q]
+    lj, bj = _join(cols[ri], a_pos, dg)  # ... C[b, q]
+    li, ri = li[lj], ri[lj]
+    keys, val = sum_by_key(a[li] * d + a[bj], (a_val[li] * vals[ri]) * a_val[bj])
+    return scatter(d * d, keys, val).reshape(d, d)
 
 
 def scatter(shape, *nonzeros) -> np.ndarray:

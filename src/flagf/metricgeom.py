@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import Subspace, bracket_coords, bracket_row_chunks, brackets, lie_mats, lie_rows, scatter, sum_by_key
+from .liealg import bracket_coords, bracket_leak, brackets, lie_mats, lie_rows, scatter, sum_by_key
 from .phispace import PhiSpace, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
@@ -132,14 +132,13 @@ def build_split(ps: PhiSpace) -> TripleSplit:
         )
     n = ps.spec.n
     pattern = flag_complement_pattern(n)
-    if pattern.dim != ps.m.dim or not np.max(ps.m.residuals(pattern.coords)) < TAU_SUBSPACE:
+    if ps.m.dim != pattern.dim or not np.isin(ps.m.entries[1], pattern.entries[1]).all():
+        # m lies in the pattern's span iff its nonzeros sit on the pattern's lex positions
         raise ValueError("complement does not match the flag block pattern")
 
     d1, d2, d3 = 2, 2 * (n - 3), n - 3
     combined = pattern
-    m1 = Subspace(n, pattern.coords[:d1])
-    m2 = Subspace(n, pattern.coords[d1 : d1 + d2])
-    m3 = Subspace(n, pattern.coords[d1 + d2 :])
+    m1, m2, m3 = pattern.sub(0, d1), pattern.sub(d1, d1 + d2), pattern.sub(d1 + d2, d1 + d2 + d3)
     block_index = np.concatenate([np.full(d1, 1), np.full(d2, 2), np.full(d3, 3)])
 
     nonzeros = bracket_coords(combined, combined, onto=combined)
@@ -160,12 +159,8 @@ def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
         if a.dim and b.dim and np.max(np.abs(a.coords @ b.coords.T)) > TAU_ORTH:
             raise RuntimeError("blocks are not orthogonal")
     # Each block is ad(h)-invariant: [h_a, x] stays in the block of x (absolute leak).
-    blocks = (split.m1, split.m2, split.m3)
-    owner = np.repeat(np.arange(3), [blk.dim for blk in blocks])
-    for _, b, rows in bracket_row_chunks(n, ps.h.coords, np.vstack([blk.coords for blk in blocks])):
-        for t, blk in enumerate(blocks):
-            if np.max(blk.residuals(rows[owner[b] == t]), initial=0.0) > TAU_SUBSPACE:
-                raise RuntimeError("block is not ad(h)-invariant")
+    if bracket_leak(ps.h, split.m1, split.m2, split.m3) > TAU_SUBSPACE:
+        raise RuntimeError("block is not ad(h)-invariant")
     # Cyclic relations: cross-block brackets land in the third block (6 minus
     # the other two), and same-block brackets leave m entirely (they fall into h).
     i, j, r, v = split.bracket_nonzeros

@@ -8,13 +8,25 @@ where eps_t is the 2x2 rotation by 2*pi*t/k.  The induced map phi = Ad(B) on
 so(n) has fixed-point subalgebra h = ker(phi - id) and canonical complement
 m = im(phi - id); theta is phi restricted to m.  These are the data on
 which canonical structures and invariant metrics are built.
+
+All of them are read off B's blocks, the connected index sets of its
+support.  B X B^T maps the lex basis vector of (i, j) into the span of those
+of (i', j') with i' in the block of i and j' in the block of j, so phi is
+block-diagonal on the lex basis, one block per pair of B's blocks
+(:func:`phi_blocks`; of size 1, 2 or 4 for the B above, one block of size
+dim so(n) for a dense B).  h and m come block by block from phi - id: a zero
+block gives h its lex vectors, a nonsingular one gives them to m, and only a
+block that is neither takes an SVD, of its own matrix.  theta is gathered
+from the nonzeros of phi.  Construction forms no dense dim-so(n) matrix;
+``PhiSpace.phi`` scatters the blocks into one on first use, for
+:func:`check_regularity` and verify's phi checks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -22,16 +34,17 @@ from .liealg import (
     EndoOnM,
     Subspace,
     bracket_coords,
-    bracket_row_chunks,
+    bracket_leak,
     brackets,
-    kernel_and_image,
     lex_indices,
     lie_mats,
-    lie_rows,
     op_powers,
+    operator_on,
     so_dim,
 )
-from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_SUBSPACE, TAU_THETA_POWER
+from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_RANK_REL, TAU_SUBSPACE, TAU_THETA_POWER
+
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +66,15 @@ class AutomorphismSpec:
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
 
+    @cached_property
+    def phi_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:func:`phi_blocks` of B, computed once; the arrays are read-only."""
+        blocks = phi_blocks(self.b)
+        for arrays in blocks:
+            for a in arrays:
+                a.flags.writeable = False
+        return blocks
+
 
 @dataclass(frozen=True, eq=False)
 class PhiSpace:
@@ -61,8 +83,6 @@ class PhiSpace:
     Attributes
     ----------
     spec : AutomorphismSpec
-    phi : EndoOnM
-        Ad(B) on all of so(n), X -> B X B^-1.
     h : Subspace
         Fixed-point subalgebra ker(phi - id).
     m : Subspace
@@ -72,10 +92,19 @@ class PhiSpace:
     """
 
     spec: AutomorphismSpec
-    phi: EndoOnM
     h: Subspace
     m: Subspace
     theta: EndoOnM
+
+    @cached_property
+    def phi(self) -> EndoOnM:
+        """Ad(B) on all of so(n), X -> B X B^-1, over the lex basis: the blocks
+        of :func:`phi_blocks` scattered into one dense matrix, on first use."""
+        dg = so_dim(self.spec.n)
+        dense = np.zeros((dg, dg))
+        for pos, mats in self.spec.phi_blocks:
+            dense[pos[:, :, None], pos[:, None, :]] = mats
+        return EndoOnM(Subspace.full(self.spec.n), dense)
 
     @cached_property
     def theta_powers(self) -> np.ndarray:
@@ -126,9 +155,12 @@ def build_automorphism(n: int, m_blocks: int = 1, k: int = 4) -> AutomorphismSpe
     """Construct B = diag{1, eps_1, ..., eps_m, -1, ..., -1} of order k.
 
     Requires n >= 4, k even and > 2, k >= 2*m_blocks - 2, and enough rows for
-    the blocks (n - 2*m_blocks - 1 >= 0).  Conjugation by B is verified to
-    have order exactly k as an operator on so(n); a degenerate parameter
-    combination that collapses the order is rejected.
+    the blocks (n - 2*m_blocks - 1 >= 0).  Conjugation by B then has order
+    exactly k on so(n), whatever the parameters: B^k = 1, since each
+    eps_t^k = 1 and k is even, so Ad(B)^k = id; and B has the eigen-angle
+    indices 0 (its leading 1) and +-1 (eps_1), so Ad(B) has the index
+    1 - 0 = 1 (it is eps_1 on the lex vectors of (0, 1) and (0, 2)), an
+    eigenvalue of order exactly k.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
@@ -151,14 +183,7 @@ def build_automorphism(n: int, m_blocks: int = 1, k: int = 4) -> AutomorphismSpe
     for r in range(2 * m_blocks + 1, n):
         b[r, r] = -1.0
 
-    spec = AutomorphismSpec(n=n, m_blocks=m_blocks, k=k, b=b)
-    order = _conjugation_order(spec, cap=k)
-    if order != k:
-        raise ValueError(
-            f"conjugation by B has order {order}, not {k} "
-            f"(degenerate parameters n={n}, m_blocks={m_blocks}, k={k})"
-        )
-    return spec
+    return AutomorphismSpec(n=n, m_blocks=m_blocks, k=k, b=b)
 
 
 def theta_angles(spec: AutomorphismSpec) -> tuple[int, ...]:
@@ -175,11 +200,6 @@ def theta_angles(spec: AutomorphismSpec) -> tuple[int, ...]:
     return tuple(sorted({min(s, k - s) for s in sums} - {0}))
 
 
-def phi_matrix(spec: AutomorphismSpec) -> np.ndarray:
-    """Matrix of X -> B X B^-1 over the lexicographic orthonormal so(n) basis (one stacked conjugation)."""
-    return lie_rows(spec.b @ lie_mats(spec.n, np.eye(so_dim(spec.n))) @ spec.b.T).T
-
-
 def phi_homomorphism_residuals(ps: PhiSpace, xy: np.ndarray) -> tuple[float, float]:
     """max |phi[X, Y] - [phi X, phi Y]| (Frobenius) and max |<phi X, phi Y> - <X, Y>|
     over a (P, 2, n, n) stack of skew pairs (X, Y)."""
@@ -190,40 +210,143 @@ def phi_homomorphism_residuals(ps: PhiSpace, xy: np.ndarray) -> tuple[float, flo
     return float(np.max(dev_b, initial=0.0)), float(np.max(dev_iso, initial=0.0))
 
 
-def _conjugation_order(spec: AutomorphismSpec, cap: int) -> int | None:
-    p = phi_matrix(spec)
-    dg = p.shape[0]
-    acc = np.eye(dg)
-    for j in range(1, cap + 1):
-        acc = p @ acc
-        if np.max(np.abs(acc - np.eye(dg))) < TAU_ORDER:
-            return j
-    return None
+def phi_blocks(b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ad(B) over the lex basis as its diagonal blocks, one per pair of B's
+    blocks, stacked by size s: a list of (lex positions (blocks, s), matrices
+    (blocks, s, s)), ascending in s; the positions of a block ascend.
+
+    Each entry has the bits of the stacked conjugation B E B^T of the lex
+    basis elements E.  Across two blocks of B an entry of B E B^T is one
+    product, sqrt(2) ((B[i', i] / sqrt(2)) B[j', j]) or the same with i and j
+    swapped and the sign flipped; inside one block of B it sums two, rounded
+    as the BLAS kernel rounds them (a fused multiply-add, or not), so those
+    columns are the stacked conjugation itself, of their lex basis elements.
+    """
+    n = len(b)
+    lab = _support_labels(b)
+    i, j = lex_indices(n)
+    lo, hi = np.minimum(lab[i], lab[j]), np.maximum(lab[i], lab[j])
+    half = 1.0 / _SQRT2  # the entry of a unit row in lie_mats
+    out = []
+    for pos in _index_blocks(lo * n + hi):
+        s = pos.shape[1]
+        u, v = i[pos][:, :, None], j[pos][:, :, None]  # row pairs
+        ci, cj = i[pos][:, None, :], j[pos][:, None, :]  # column pairs
+        direct = lab[u] == lab[ci]
+        be = np.where(direct, b[u, ci] * half, b[u, cj] * -half)  # (B E)[u, c] for the one c that meets v
+        mats = _SQRT2 * (be * np.where(direct, b[v, cj], b[v, ci]))
+        inside = lo[pos[:, 0]] == hi[pos[:, 0]]
+        if inside.any():  # the stacked conjugation itself, on the lex basis elements of these blocks
+            cols = pos[inside]
+            unit = np.zeros((cols.size, so_dim(n)))
+            unit[np.arange(cols.size), cols.ravel()] = 1.0
+            conj = (b @ lie_mats(n, unit) @ b.T).reshape(len(cols), s, n, n)  # [g, c]: B E B^T, E at cols[g, c]
+            g, c = np.arange(len(cols))[:, None, None], np.arange(s)[None, None, :]
+            mats[inside] = _SQRT2 * conj[g, c, i[cols][:, :, None], j[cols][:, :, None]]  # read as lie_rows does
+        out.append((pos, mats))
+    return out
+
+
+def phi_conjugation_residual(ps: PhiSpace, xs: np.ndarray) -> float:
+    """max |phi(X) - B X B^T| (entrywise) over a (P, n, n) stack of skew
+    matrices: phi, as assembled block by block, against B itself."""
+    b = ps.spec.b
+    return float(np.max(np.abs(ps.phi.apply_mats(xs) - b @ xs @ b.T), initial=0.0))
+
+
+def _support_labels(mat: np.ndarray) -> np.ndarray:
+    """Each index of a square matrix labelled by the smallest index of its
+    connected set, i and j being joined where mat[i, j] or mat[j, i] is nonzero."""
+    adj = (mat != 0) | (mat.T != 0)
+    lab = np.arange(len(mat))
+    while True:
+        new = np.minimum(lab, np.min(np.where(adj, lab, len(mat)), axis=1, initial=len(mat)))
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _index_blocks(labels: np.ndarray) -> list[np.ndarray]:
+    """The indices of each label, ascending, stacked by count: a (blocks, s)
+    array per count s, ascending in s, blocks in the order of their labels."""
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1])))
+    size = np.diff(np.append(first, len(labels)))
+    return [order[first[size == s][:, None] + np.arange(s)] for s in np.flatnonzero(np.bincount(size))]
+
+
+def _stack_singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix of a (count, s, s) stack, descending:
+    closed forms for s <= 2, one batched SVD otherwise."""
+    s = mats.shape[-1]
+    if s == 1:
+        return np.abs(mats[:, 0])
+    if s == 2:
+        a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+        p, q = np.hypot(a + d, c - b), np.hypot(a - d, b + c)
+        return np.stack([(p + q) / 2, np.abs(p - q) / 2], axis=1)
+    return np.linalg.svd(mats, compute_uv=False)
 
 
 def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
-    """Compute phi, the fixed subalgebra, the canonical complement and theta.
+    """Compute the fixed subalgebra, the canonical complement and theta, block
+    by block over :func:`phi_blocks`.
 
-    For the single-rotation-block flag spaces the complement basis is chosen
-    block-adapted (rows (0,1), (0,2); then (1,j), (2,j); then (0,j), j >= 3),
-    which keeps downstream metric computations exact.  Otherwise an SVD basis
-    of im(phi - id) is used.
+    A block of phi - id is zero, nonsingular or mixed by its singular values:
+    those above TAU_RANK_REL times the largest of all blocks count.  A zero
+    block gives h its lex vectors and a nonsingular one gives them to m; a
+    mixed block gives h the kernel and m the image of its own SVD.  Lex
+    vectors come in lex order, and the SVD vectors of a block in their order
+    at the block's first lex position.  If m is the lex vectors of
+    :func:`flag_complement_pattern`, as on the single-rotation-block flag
+    spaces, it takes that block-adapted order, which keeps downstream metric
+    computations exact.  theta is phi over m, gathered from the nonzeros of
+    phi.
     """
     n = spec.n
-    full = Subspace.full(n)
-    phi = EndoOnM(full, phi_matrix(spec))
-    h, m = kernel_and_image(phi.matrix - np.eye(full.dim), full)
-
+    blocks = spec.phi_blocks
+    sv = [_stack_singular_values(mats - np.eye(mats.shape[-1])) for _, mats in blocks]
+    top = max(float(v.max()) for v in sv)
+    h_parts, m_parts = [], []  # per entry: the vector's sort key (first, index), position, value
+    for (pos, mats), v in zip(blocks, sv):
+        s = pos.shape[1]
+        rank = np.sum(v > TAU_RANK_REL * top, axis=1)
+        for parts, lex in ((h_parts, pos[rank == 0].ravel()), (m_parts, pos[rank == s].ravel())):
+            parts.append((lex, np.zeros(len(lex), dtype=int), lex, np.ones(len(lex))))
+        for g in np.flatnonzero((rank > 0) & (rank < s)):
+            u, _, vh = np.linalg.svd(mats[g] - np.eye(s))
+            for parts, vecs in ((h_parts, vh[rank[g] :]), (m_parts, u[:, : rank[g]].T)):
+                at = np.repeat(np.arange(len(vecs)), s)
+                parts.append((np.full(vecs.size, pos[g, 0]), at, np.tile(pos[g], len(vecs)), vecs.ravel()))
+    h, m = _basis(n, h_parts), None
     if spec.m_blocks == 1 and n >= 4:
         pattern = flag_complement_pattern(n)
-        if pattern.dim == m.dim and np.max(m.residuals(pattern.coords)) < TAU_SUBSPACE:
-            m = pattern
+        first, _, pos, _ = (np.concatenate(col) for col in zip(*m_parts))
+        if np.array_equal(first, pos) and np.array_equal(np.sort(pos), np.sort(pattern.entries[1])):
+            m = pattern  # m is lex vectors (keyed by their own position) on the pattern's positions
+    if m is None:
+        m = _basis(n, m_parts)
 
-    theta = EndoOnM(m, m.coords @ phi.matrix @ m.coords.T)
-    _check_phi_space_invariants(spec, phi, h, m, theta)
-    return PhiSpace(spec=spec, phi=phi, h=h, m=m, theta=theta)
+    nonzeros = [(np.broadcast_to(pos[:, :, None], mats.shape), np.broadcast_to(pos[:, None, :], mats.shape), mats) for pos, mats in blocks]
+    rows, cols, vals = (np.concatenate([nz[t].ravel() for nz in nonzeros]) for t in range(3))
+    theta = EndoOnM(m, operator_on(m, rows, cols, vals))
+    _check_phi_space_invariants(spec, h, m, theta)
+    return PhiSpace(spec=spec, h=h, m=m, theta=theta)
 
 
+def _basis(n: int, parts) -> Subspace:
+    """The subspace with one basis row per vector of the parts, in the order
+    of their keys (first, index); a part is the arrays (first, index,
+    position, value) of its entries, the entries of one vector sharing a key."""
+    first, at, pos, val = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((at, first))
+    first, at = first[order], at[order]
+    new = np.concatenate(([True], (first[1:] != first[:-1]) | (at[1:] != at[:-1])))[: len(first)]
+    return Subspace.of_entries(n, int(new.sum()), np.cumsum(new) - 1, pos[order], val[order])
+
+
+@cache
 def flag_complement_pattern(n: int) -> Subspace:
     """Block-adapted complement for SO(n)/SO(2)xSO(n-3): coordinates (0,1),
     (0,2); (1,j), (2,j); (0,j), for j >= 3."""
@@ -231,19 +354,16 @@ def flag_complement_pattern(n: int) -> Subspace:
     position[lex_indices(n)] = np.arange(so_dim(n))
     js = np.arange(3, n)
     cols = np.concatenate([position[0, 1:3], position[1, js], position[2, js], position[0, js]])
-    rows = np.zeros((len(cols), so_dim(n)))
-    rows[np.arange(len(cols)), cols] = 1.0
-    return Subspace(n, rows)
+    return Subspace.of_entries(n, len(cols), np.arange(len(cols)), cols, np.ones(len(cols)))
 
 
-def _check_phi_space_invariants(spec, phi, h, m, theta) -> None:
+def _check_phi_space_invariants(spec, h, m, theta) -> None:
     dg = so_dim(spec.n)
     if h.dim + m.dim != dg:
         raise RuntimeError(f"dim h + dim m = {h.dim}+{m.dim} != {dg}")
-    # Reductivity: [h, m] stays in m (a zero bracket leaks nothing).
-    for _, _, rows in bracket_row_chunks(spec.n, h.coords, m.coords):
-        if np.max(m.residuals(rows), initial=0.0) > TAU_SUBSPACE:
-            raise RuntimeError("reductivity failure: [h, m] leaves m")
+    # Reductivity: [h, m] stays in m (absolute leak; a zero bracket leaks nothing).
+    if bracket_leak(h, m) > TAU_SUBSPACE:
+        raise RuntimeError("reductivity failure: [h, m] leaves m")
     if not _nonsingular(theta.matrix - np.eye(m.dim)):
         raise RuntimeError("theta has a fixed vector")
     if m.dim:
@@ -258,7 +378,9 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     Checks: so(n) = h (+) im(A) as an orthogonal direct sum; A restricted
     to its image is nonsingular; ker A^2 = ker A; and theta has no fixed
     vector.  The four answers agree on every well-formed space.  ker A is
-    ps.h, as :func:`build_phi_space` computed it.
+    ps.h, as :func:`build_phi_space` computed it; A is the dense matrix of
+    ``ps.phi`` minus id, and ranks and smallest singular values come from
+    singular values alone.
     """
     full = ps.phi.domain
     a = ps.phi.matrix - np.eye(full.dim)
@@ -270,14 +392,23 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     return RegularityReport(
         direct_sum=direct_sum,
         nonsingular_on_image=_nonsingular(ps.m.coords @ a @ ps.m.coords.T),
-        kernel_square_stable=ps.h.dim == kernel_and_image(a @ a, full)[0].dim,
+        kernel_square_stable=ps.h.dim == _kernel_dim(a @ a),
         theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
     )
 
 
 def _nonsingular(mat: np.ndarray) -> bool:
-    """Smallest singular value above TAU_NONSINGULAR (True for an empty matrix)."""
-    return not mat.size or bool(np.linalg.svd(mat, compute_uv=False)[-1] > TAU_NONSINGULAR)
+    """Smallest singular value above TAU_NONSINGULAR (True for an empty matrix),
+    read as the smallest eigenvalue of mat^T mat above TAU_NONSINGULAR^2: its
+    error, about 1e-16 |mat|^2, is far below that bound for O(1) operators."""
+    return not mat.size or bool(np.linalg.eigvalsh(mat.T @ mat)[0] > TAU_NONSINGULAR**2)
+
+
+def _kernel_dim(mat: np.ndarray) -> int:
+    """The singular values at or below TAU_RANK_REL times the largest one, counted
+    (singular values only, no vectors)."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sv <= TAU_RANK_REL * np.max(sv, initial=0.0)))
 
 
 def fixed_subalgebra_dim(n: int, m_blocks: int) -> int:

@@ -9,10 +9,10 @@ spells a threshold out (tests/test_tolerances.py guards this).
 # so(n) linear algebra (liealg) and the h (+) m split (phispace, metricgeom)
 TAU_SKEW = 1e-12  # relative to max(1, max |entry|): |X + X^T| of a matrix taken as an element of so(n)
 TAU_ORTH = 1e-12  # absolute: Gram entries of orthonormal rows, within a basis or across disjoint blocks
-TAU_RANK_REL = 1e-9  # relative to sigma_0: the singular values that kernel_and_image counts as nonzero
+TAU_RANK_REL = 1e-9  # relative to the largest singular value: those counted as nonzero in phi - id's blocks and A^2
 TAU_SUBSPACE = 1e-9  # distance to a subspace: relative to |x| for an argument, absolute for unit rows and brackets
 TAU_B_ORTH = 1e-10  # absolute: max |B B^T - I| of the conjugating matrix
-TAU_ORDER = 1e-9  # absolute: max |entry| of phi^j - id (the order of Ad(B)) and of theta^k - id (verify)
+TAU_ORDER = 1e-9  # absolute: max |entry| of theta^k - id (verify's theta-order)
 TAU_THETA_POWER = 1e-8  # absolute: max |theta^k - id|, the invariant build_phi_space raises on
 TAU_NONSINGULAR = 1e-6  # absolute: smallest singular value of a regularity operator
 TAU_CYCLIC = 1e-10  # absolute: bracket tensor nonzeros that the cyclic block relations forbid
@@ -23,7 +23,7 @@ TAU_STRUCTURE = 1e-10  # absolute: the StructureCheck residuals, and max |f + g|
 TAU_GOLDEN = 1e-12  # absolute: entrywise deviation from the closed-form actions at k = 4, 6
 
 # metrics and connection (metricgeom, classify, the verify checks)
-TAU_PHI = 1e-9  # absolute, on random O(1) X, Y: |phi[X, Y] - [phi X, phi Y]| and |<phi X, phi Y> - <X, Y>|
+TAU_PHI = 1e-9  # absolute, on random O(1) X, Y: |phi[X, Y] - [phi X, phi Y]|, |<phi X, phi Y> - <X, Y>| and |phi X - B X B^T|
 TAU_U_ORACLE = 1e-9  # absolute: max |entry| of U closed-form minus U solved
 TAU_U_NEUTRAL = 1e-12  # absolute: max |U| at the neutral metric (s, t) = (1, 1)
 TAU_METRIC_COMPAT = 1e-10  # relative to kappa: |g(fX, Y) + g(X, fY)| and |g(PX, PY) - g(X, Y)| on basis pairs

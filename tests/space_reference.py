@@ -1,0 +1,96 @@
+"""The dense routes that the block-by-block phi-space replaced, kept as
+references: phi must keep their bits, and h, m and theta their subspaces.
+
+``phi_matrix`` is the stacked conjugation B E B^T of every lex basis element;
+``conjugation_order`` the order of Ad(B) by repeated dense products;
+``kernel_and_image`` one SVD of a matrix on a domain; ``dense_phi_space`` h
+and m off the SVD of phi - id (m replaced by the flag pattern when it spans
+it) and theta as m phi m^T; ``bracket_row_chunks``, ``bracket_coords`` and
+``bracket_leak`` the brackets as dense lex rows, a chunk at a time, projected
+by one product per chunk.
+"""
+
+import numpy as np
+
+from flagf.liealg import EndoOnM, Subspace, bracket_nonzeros, lie_mats, lie_rows, so_dim
+from flagf.phispace import flag_complement_pattern
+from flagf.tolerances import TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
+
+
+def phi_matrix(spec) -> np.ndarray:
+    """Matrix of X -> B X B^-1 over the lex basis (one stacked conjugation)."""
+    return lie_rows(spec.b @ lie_mats(spec.n, np.eye(so_dim(spec.n))) @ spec.b.T).T
+
+
+def conjugation_order(spec, cap: int) -> int | None:
+    """The least j <= cap with phi^j = id within TAU_ORDER, or None."""
+    p = phi_matrix(spec)
+    dg = p.shape[0]
+    acc = np.eye(dg)
+    for j in range(1, cap + 1):
+        acc = p @ acc
+        if np.max(np.abs(acc - np.eye(dg))) < TAU_ORDER:
+            return j
+    return None
+
+
+def kernel_and_image(m, domain: Subspace) -> tuple[Subspace, Subspace]:
+    """Orthonormal bases of the kernel and of the column space of m, which acts
+    on the coefficients over the basis of ``domain``: one SVD, singular values
+    below TAU_RANK_REL times the largest one counted as zero."""
+    n, m = domain.ambient_n, np.asarray(m, dtype=float)
+    if domain.dim == 0:
+        return Subspace.empty(n), Subspace.empty(n)
+    if m.shape != (domain.dim, domain.dim):
+        raise ValueError(f"a {m.shape} matrix does not act on a domain of dim {domain.dim}")
+    u, s, vh = np.linalg.svd(m)
+    rank = int(np.sum(s > TAU_RANK_REL * s[0])) if s[0] > 0 else 0
+    return Subspace(n, vh[rank:] @ domain.coords), Subspace(n, u[:, :rank].T @ domain.coords)
+
+
+def dense_phi_space(spec) -> tuple[Subspace, Subspace, EndoOnM]:
+    """h, m and theta by the dense route: the SVD of phi - id, the flag
+    pattern for m where it spans the same space, theta = m phi m^T."""
+    n = spec.n
+    full = Subspace.full(n)
+    phi = phi_matrix(spec)
+    h, m = kernel_and_image(phi - np.eye(full.dim), full)
+    if spec.m_blocks == 1 and n >= 4:
+        pattern = flag_complement_pattern(n)
+        if pattern.dim == m.dim and np.max(m.residuals(pattern.coords)) < TAU_SUBSPACE:
+            m = pattern
+    return h, m, EndoOnM(m, m.coords @ phi @ m.coords.T)
+
+
+CHUNK_BYTES = 1 << 18
+
+
+def bracket_row_chunks(n: int, x_rows, y_rows):
+    """Yield (a, b, rows): the nonzero brackets [x_a, y_b] of bracket_nonzeros
+    as dense lex-coordinate rows, at most CHUNK_BYTES of rows at a time."""
+    a, b, pos, val = bracket_nonzeros(n, x_rows, y_rows)
+    new_pair = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))[: len(a)]
+    bounds = np.append(np.flatnonzero(new_pair), len(a))
+    step = max(1, CHUNK_BYTES // (8 * so_dim(n)))
+    for lo in range(0, len(bounds) - 1, step):
+        edges = bounds[lo : lo + step + 1]  # the entries of bracket lo + p are edges[p]:edges[p + 1]
+        rows = np.zeros((len(edges) - 1, so_dim(n)))
+        rows[np.repeat(np.arange(len(rows)), np.diff(edges)), pos[edges[0] : edges[-1]]] = val[edges[0] : edges[-1]]
+        yield a[edges[:-1]], b[edges[:-1]], rows
+
+
+def bracket_coords(x: Subspace, y: Subspace, onto: Subspace) -> tuple[np.ndarray, ...]:
+    """The nonzero coefficients (a, b, onto position, value) of the projections
+    of every basis bracket onto ``onto``, one product per chunk."""
+    parts = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
+    for a, b, rows in bracket_row_chunks(x.ambient_n, x.coords, y.coords):
+        coef = rows @ onto.coords.T
+        p, r = np.nonzero(coef)  # row-major, and the chunks come in (a, b) order
+        parts.append((a[p], b[p], r, coef[p, r]))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def bracket_leak(x: Subspace, y: Subspace, onto: Subspace) -> float:
+    """The largest Subspace.residuals of a basis bracket's dense row."""
+    chunks = bracket_row_chunks(x.ambient_n, x.coords, y.coords)
+    return max([0.0] + [float(np.max(onto.residuals(rows), initial=0.0)) for _, _, rows in chunks])

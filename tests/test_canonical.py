@@ -18,8 +18,9 @@ from flagf.canonical import (
     u_of_k,
     verify_structures,
 )
-from flagf.liealg import EndoOnM, brackets, kernel_and_image, lie_mats, lie_rows, poly_in
+from flagf.liealg import EndoOnM, brackets, lie_mats, lie_rows, poly_in
 from flagf.tolerances import TAU_GOLDEN
+from space_reference import kernel_and_image
 
 # m_blocks 1-3 with k = 4..12; n = 2 m_blocks + 1 has no angle pi once m_blocks >= 2.
 SIGN_GRID = [

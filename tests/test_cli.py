@@ -76,10 +76,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "7", "--m-blocks", "2", "--k", "6")
         assert code == 0
 
-    @pytest.mark.parametrize("n,m_blocks,k", [(9, 3, 4), (11, 4, 6)])
+    @pytest.mark.parametrize("n,m_blocks,k", [(9, 3, 4), (11, 4, 6), (9, 4, 6)])
     def test_three_and_four_block_spaces_pass(self, capsys, n, m_blocks, k):
         # [h, m] is 0 exactly but ~1e-15 in floats here; the reductivity check
-        # measures that leak absolutely, not relative to its own norm.
+        # measures that leak absolutely, not relative to its own norm.  At
+        # (9, 3, 4), (11, 4, 6) and (9, 4, 6) one block of phi - id is neither
+        # zero nor nonsingular.
         argv = ("--n", str(n), "--m-blocks", str(m_blocks), "--k", str(k), "--format", "json")
         code, out, _ = run(capsys, "verify", *argv)
         report = json.loads(out)

@@ -5,19 +5,22 @@ from flagf.liealg import (
     EndoOnM,
     Subspace,
     bracket_coords,
+    bracket_leak,
     bracket_nonzeros,
-    bracket_row_chunks,
     brackets,
     decompose_orthogonal,
-    kernel_and_image,
     lex_indices,
     lie_mats,
     lie_rows,
     op_powers,
+    operator_on,
     poly_in,
     scatter,
 )
 from flagf.tolerances import TAU_SUBSPACE
+
+import space_reference as ref
+from space_reference import kernel_and_image
 
 
 def elementary(n, i, j):
@@ -196,11 +199,11 @@ class TestNullspaceImage:
     def test_fixed_space_of_order4_conjugation_on_so4(self):
         # Fixed points of Ad(B) for the order-4 flag automorphism on so(4)
         # form the line through E23 - E32 (1-based indices).
-        from flagf.phispace import build_automorphism, phi_matrix
+        from flagf.phispace import build_automorphism
 
         spec = build_automorphism(4, 1, 4)
         full = Subspace.full(4)
-        ker = kernel_and_image(phi_matrix(spec) - np.eye(6), full)[0]
+        ker = kernel_and_image(ref.phi_matrix(spec) - np.eye(6), full)[0]
         assert ker.dim == 1
         assert ker.relative_residuals(unit(4, 1, 2)[None])[0] <= 1e-10
 
@@ -369,13 +372,18 @@ class TestBracketKernel:
         for x, y in pairs:
             np.testing.assert_array_equal(joined(n, x.coords, y.coords), commutators(n, x.coords, y.coords))
 
-    @pytest.mark.parametrize("n,m_blocks,k", [(7, 2, 6), (10, 2, 6), (12, 3, 8)])
+    @pytest.mark.parametrize("n,m_blocks,k", [(7, 2, 6), (10, 2, 6), (12, 3, 8), (9, 3, 4), (9, 4, 6)])
     def test_svd_complement_within_rounding(self, get_space, n, m_blocks, k):
-        # The rows of m are dense here and the join sums in another order.
+        # h and m are block-local: at (7, 2, 6), (10, 2, 6) and (12, 3, 8) every
+        # row is one lex vector, so the join keeps the gemm's bits.  At (9, 3, 4)
+        # and (9, 4, 6) a mixed block of phi - id gives h and m dense SVD rows,
+        # which the join sums in another order than the gemm.
         ps = get_space(n, k, m_blocks)
+        unit = all(np.count_nonzero(s.coords, axis=1).max() == 1 for s in (ps.h, ps.m))
+        assert unit == ((n, m_blocks, k) not in {(9, 3, 4), (9, 4, 6)})
         for x, y in [(ps.h, ps.m), (ps.m, ps.m)]:
             got, want = joined(n, x.coords, y.coords), commutators(n, x.coords, y.coords)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=0.0 if unit else 1e-15)
 
     def test_projections_are_sorted_and_nonzero(self, rng):
         x, y, onto = (random_subspace(rng, 5, d) for d in (2, 3, 4))
@@ -392,15 +400,19 @@ class TestBracketKernel:
         x = 3.0 * np.eye(10)[0] - 2.0 * np.eye(10)[7]
         assert all(len(arr) == 0 for arr in bracket_nonzeros(5, [x], [x]))
 
-    def test_chunks_scatter_to_the_same_rows(self, rng, monkeypatch):
+    def test_sparse_projection_matches_the_dense_chunks(self, rng, monkeypatch):
+        # The dense reference projects one chunk of bracket rows at a time; the
+        # join sums each coefficient in another order, so rotated rows agree to rounding.
         x, y = random_subspace(rng, 6, 5), random_subspace(rng, 6, 4)
         full = Subspace.full(6)
-        want = bracket_coords(x, y, full)
-        monkeypatch.setattr("flagf.liealg._CHUNK_BYTES", 3 * 8 * 15)
-        chunks = list(bracket_row_chunks(6, x.coords, y.coords))
+        monkeypatch.setattr(ref, "CHUNK_BYTES", 3 * 8 * 15)
+        chunks = list(ref.bracket_row_chunks(6, x.coords, y.coords))
         assert len(chunks) == 7 and all(len(rows) <= 3 for _, _, rows in chunks)
-        for got, col in zip(bracket_coords(x, y, full), want, strict=True):
-            np.testing.assert_array_equal(got, col)
+        for onto in (full, random_subspace(rng, 6, 7)):
+            got, want = bracket_coords(x, y, onto), ref.bracket_coords(x, y, onto)
+            for g, w in zip(got[:3], want[:3], strict=True):
+                np.testing.assert_array_equal(g, w)
+            np.testing.assert_allclose(got[3], want[3], rtol=0.0, atol=1e-14)
 
     def test_rows_need_not_be_orthonormal(self, rng):
         x, y = lie_rows(random_skew(rng, 5)), lie_rows(random_skew(rng, 5))
@@ -425,3 +437,75 @@ class TestBracketKernel:
             np.testing.assert_array_equal(a, b)
             with pytest.raises(ValueError):
                 a[0] = 1
+
+
+class TestSparseRows:
+    """A Subspace built from nonzeros is the one built from the same dense rows."""
+
+    def test_entries_and_coords_agree(self, rng):
+        dense = random_subspace(rng, 5, 4)
+        sparse = Subspace.of_entries(5, 4, *dense.entries)
+        np.testing.assert_array_equal(sparse.coords, dense.coords)
+        for got, want in zip(sparse.entries, dense.entries, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert not sparse.coords.flags.writeable and not any(a.flags.writeable for a in sparse.entries)
+
+    def test_entries_are_sorted_and_zeros_dropped(self):
+        sp = Subspace.of_entries(4, 2, [1, 0, 0], [0, 5, 2], [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(sp.entries[0], [0, 1])
+        np.testing.assert_array_equal(sp.entries[1], [5, 0])
+
+    def test_bad_entries_rejected(self):
+        with pytest.raises(ValueError, match="twice"):
+            Subspace.of_entries(4, 1, [0, 0], [3, 3], [0.5, 0.5])
+        with pytest.raises(ValueError, match="range"):
+            Subspace.of_entries(4, 1, [0], [6], [1.0])
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace.of_entries(4, 2, [0, 1], [3, 3], [1.0, 1.0])  # two equal rows
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace.of_entries(4, 2, [0], [3], [1.0])  # a zero row
+
+    def test_immutable(self):
+        sp = Subspace.full(4)
+        with pytest.raises(AttributeError):
+            sp.coords = np.zeros((6, 6))
+
+    def test_sub_keeps_the_rows(self, rng):
+        sp = random_subspace(rng, 5, 6)
+        np.testing.assert_array_equal(sp.sub(2, 5).coords, sp.coords[2:5])
+        assert sp.sub(3, 3).dim == 0
+
+
+class TestSparseLeakAndRestriction:
+    """bracket_leak and operator_on from nonzeros against dense rows and products."""
+
+    @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (12, 6, 1), (7, 6, 2), (9, 6, 4)])
+    def test_leak_of_flag_spaces(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        full = Subspace.full(n)
+        for x, y in ((ps.h, ps.m), (ps.m, ps.m), (full, ps.m)):
+            np.testing.assert_allclose(bracket_leak(x, y), ref.bracket_leak(x, y, y), rtol=1e-12, atol=1e-15)
+
+    def test_leak_of_rotated_rows(self, rng):
+        x, y = random_subspace(rng, 6, 5), random_subspace(rng, 6, 7)
+        assert bracket_leak(x, y) > 0.1
+        np.testing.assert_allclose(bracket_leak(x, y), ref.bracket_leak(x, y, y), rtol=1e-12)
+
+    def test_leak_per_block_is_the_largest_block_leak(self, rng, get_split):
+        split = get_split(7, 6)
+        x = random_subspace(rng, 7, 3)
+        blocks = (split.m1, split.m2, split.m3)
+        want = max(ref.bracket_leak(x, blk, blk) for blk in blocks)
+        np.testing.assert_allclose(bracket_leak(x, *blocks), want, rtol=1e-12)
+        rotated = [Subspace(7, np.linalg.qr(rng.standard_normal((21, blk.dim)))[0].T) for blk in blocks]
+        want = max(ref.bracket_leak(x, blk, blk) for blk in rotated)
+        np.testing.assert_allclose(bracket_leak(x, *rotated), want, rtol=1e-12)
+
+    def test_operator_on(self, rng):
+        op = np.where(rng.random((10, 10)) < 0.3, rng.standard_normal((10, 10)), 0.0)
+        rows, cols = np.nonzero(op)
+        for sp in (random_subspace(rng, 5, 4), Subspace(5, np.eye(10)[[7, 2, 3]])):
+            want = sp.coords @ op @ sp.coords.T
+            np.testing.assert_allclose(operator_on(sp, rows, cols, op[rows, cols]), want, rtol=0, atol=1e-14)
+        unit = Subspace(5, np.eye(10)[[7, 2, 3]])
+        assert operator_on(unit, rows, cols, op[rows, cols]).tobytes() == op[np.ix_([7, 2, 3], [7, 2, 3])].tobytes()

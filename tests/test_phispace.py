@@ -5,20 +5,29 @@ import pytest
 
 import flagf
 from flagf.canonical import CanonicalStructure, verify_structures
-from flagf.liealg import EndoOnM, Subspace, brackets, lie_mats, lie_rows
+from flagf.liealg import EndoOnM, Subspace, brackets, lex_indices, lie_mats, lie_rows
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
     _check_phi_space_invariants,
+    _kernel_dim,
+    _nonsingular,
+    _stack_singular_values,
     build_automorphism,
     build_phi_space,
     check_regularity,
     fixed_subalgebra_dim,
+    flag_complement_pattern,
+    phi_blocks,
+    phi_conjugation_residual,
     phi_homomorphism_residuals,
-    phi_matrix,
+    rotation_block,
     theta_angles,
 )
 from flagf.tolerances import TAU_PHI
+
+import space_reference as ref
+from space_reference import phi_matrix
 
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]
 
@@ -133,7 +142,8 @@ class TestBatchedPhiChecks:
         ps = get_space(7, 6)
         bad = ps.phi.matrix.copy()
         bad[:, [0, 1]] = bad[:, [1, 0]]
-        broken = dataclasses.replace(ps, phi=EndoOnM(ps.phi.domain, bad))
+        broken = dataclasses.replace(ps)
+        vars(broken)["phi"] = EndoOnM(ps.phi.domain, bad)  # phi is built on first use
         a = np.random.default_rng(1).standard_normal((10, 2, 7, 7))
         xy = a - a.swapaxes(-1, -2)
         dev_b, _ = phi_homomorphism_residuals(broken, xy)
@@ -306,7 +316,8 @@ class TestCostGuard:
 
     def test_build_split_stays_below_one_dense_bracket_tensor(self, get_space):
         # The split keeps the bracket tensor of m as its 252 nonzeros, so its
-        # peak (1.37 MB) stays below one (d, d, d) float array, 2.2 MB at d = 65.
+        # peak (0.32 MB; 1.37 MB with dense bracket rows) stays below one (d, d, d)
+        # float array, 2.2 MB at d = 65.
         ps = get_space(24, 6)
         assert self.peak(lambda: flagf.build_split(ps)) < ps.m.dim**3 * 8
 
@@ -314,11 +325,14 @@ class TestCostGuard:
 class TestStructuralChecksStillBite:
     def test_reductivity_fails_on_corrupted_m(self, get_space):
         ps = get_space(6, 4)
-        h_rows, m_rows = _rotate_rows(ps.h.coords, ps.m.coords, 0.3)
+        # Rotating e_12 into e_01 keeps [h, m] in m, so rotate h's row e_45 into m's first row.
+        i, j = lex_indices(6)
+        r = np.flatnonzero(ps.h.coords[:, np.flatnonzero((i == 4) & (j == 5))[0]])[0]
+        h_rows, m_rows = _rotate_rows(np.roll(ps.h.coords, -r, axis=0), ps.m.coords, 0.3)
         h, m = Subspace(6, h_rows), Subspace(6, m_rows)
         theta = EndoOnM(m, m.coords @ ps.phi.matrix @ m.coords.T)
         with pytest.raises(RuntimeError, match="reductivity failure"):
-            _check_phi_space_invariants(ps.spec, ps.phi, h, m, theta)
+            _check_phi_space_invariants(ps.spec, h, m, theta)
 
     def test_split_fails_when_m1_is_rotated_into_m3(self, get_space, get_split):
         ps, split = get_space(6, 6), get_split(6, 6)
@@ -339,3 +353,188 @@ class TestStructuralChecksStillBite:
             _check_split_invariants(ps, with_nonzero(0, 2, 0, 1e-6))  # [m1, m2] must have no m1 component
         with pytest.raises(RuntimeError, match="same-block"):
             _check_split_invariants(ps, with_nonzero(2, 3, 0, 1e-6))  # [m2, m2] must leave m
+
+
+def _specs(ns, blocks=(1, 2, 3), ks=range(4, 17, 2)):
+    """Every accepted (n, m_blocks, k) spec of the grid."""
+    out = []
+    for n in ns:
+        for m_blocks in blocks:
+            for k in ks:
+                try:
+                    out.append(build_automorphism(n, m_blocks, k))
+                except ValueError:  # a parameter set build_automorphism refuses
+                    pass
+    return out
+
+
+def _projector(space):
+    return space.coords.T @ space.coords
+
+
+def _order_k_dense_b(n, k, seed):
+    """A dense orthogonal B of order k: rotations by 2 pi t / k in a random basis."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    d = np.eye(n)
+    for t in range(1, n // 2 + 1):
+        d[2 * t - 2 : 2 * t, 2 * t - 2 : 2 * t] = rotation_block(2.0 * np.pi * t / k)
+    return q @ d @ q.T
+
+
+class TestBlockRoute:
+    """phi, h, m and theta from B's blocks against the dense routes of space_reference."""
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_phi_is_bitwise_the_stacked_conjugation(self, n):
+        specs = _specs([n])
+        assert specs
+        for spec in specs:
+            dense = np.zeros((n * (n - 1) // 2,) * 2)
+            for pos, mats in phi_blocks(spec.b):
+                dense[pos[:, :, None], pos[:, None, :]] = mats
+            assert np.array_equal(dense, ref.phi_matrix(spec)), (n, spec.m_blocks, spec.k)
+        ps = build_phi_space(specs[-1])
+        assert np.array_equal(ps.phi.matrix, dense)  # PhiSpace.phi is that scatter
+
+    def test_phi_blocks_have_size_1_2_or_4(self):
+        for spec in _specs([9, 12], blocks=(1, 2, 4)):
+            sizes = {pos.shape[1] for pos, _ in phi_blocks(spec.b)}
+            assert sizes <= {1, 2, 4}, (spec.n, spec.m_blocks, spec.k)
+            covered = np.sort(np.concatenate([pos.ravel() for pos, _ in phi_blocks(spec.b)]))
+            np.testing.assert_array_equal(covered, np.arange(spec.n * (spec.n - 1) // 2))
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_one_rotation_block_h_m_theta(self, n):
+        # m is the flag pattern, h the other lex vectors in lex order, and theta
+        # the pattern's gather of phi, bit for bit.
+        pattern = flag_complement_pattern(n)
+        others = np.setdiff1d(np.arange(n * (n - 1) // 2), pattern.entries[1])
+        for spec in _specs([n], blocks=(1,), ks=(4, 6, 10, 16)):
+            ps = build_phi_space(spec)
+            assert ps.m is pattern
+            np.testing.assert_array_equal(ps.h.coords, np.eye(n * (n - 1) // 2)[others])
+            want = pattern.coords @ ref.phi_matrix(spec) @ pattern.coords.T
+            assert ps.theta.matrix.tobytes() == want.tobytes(), (n, spec.k)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [_specs(range(4, 9)), _specs(range(9, 13)), _specs([16, 24], blocks=(1, 2), ks=(6, 8))],
+        ids=["n4-8", "n9-12", "n16-24"],
+    )
+    def test_projectors_match_the_svd_route(self, specs):
+        for spec in specs:
+            ps = build_phi_space(spec)
+            h, m, theta = ref.dense_phi_space(spec)
+            assert (ps.h.dim, ps.m.dim) == (h.dim, m.dim)
+            for got, want in ((ps.h, h), (ps.m, m)):
+                np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
+            # theta is the same operator over another basis of m
+            np.testing.assert_allclose(theta.matrix_on(ps.m), ps.theta.matrix, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m_blocks,k,rows,cols", [(3, 4, (1, 2), (5, 6)), (4, 6, (3, 4), (7, 8))])
+    def test_mixed_block(self, m_blocks, k, rows, cols):
+        # At (9, 3, 4) the rotations t = 1 and t = 3 sum to k, at (9, 4, 6)
+        # t = 2 and t = 4: Ad(B) on the lex vectors of rows x cols has the
+        # eigenvalue 1 twice and two others.
+        spec = build_automorphism(9, m_blocks, k)
+        ps = build_phi_space(spec)
+        i, j = lex_indices(9)
+        pos = np.flatnonzero(np.isin(i, rows) & np.isin(j, cols))
+        assert any(np.array_equal(p, pos) for group, _ in phi_blocks(spec.b) for p in group)
+        for space in (ps.h, ps.m):  # two SVD vectors each, inside the block and not lex vectors
+            row, at, _ = space.entries
+            rows = np.unique(row[np.isin(at, pos)])
+            assert len(rows) == 2
+            assert np.all(np.isin(at[np.isin(row, rows)], pos))
+            assert np.count_nonzero(np.isin(row, rows)) > 2
+        h, m, _ = ref.dense_phi_space(spec)
+        np.testing.assert_allclose(_projector(ps.h), _projector(h), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_projector(ps.m), _projector(m), rtol=0, atol=1e-12)
+        assert check_regularity(ps).all_pass
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_hand_built_b(self, n):
+        identity = build_phi_space(AutomorphismSpec(n=n, m_blocks=1, k=1, b=np.eye(n)))
+        assert [pos.shape for pos, _ in identity.spec.phi_blocks] == [(n * (n - 1) // 2, 1)]
+        assert identity.m.dim == 0 and identity.h.dim == n * (n - 1) // 2
+        assert np.array_equal(identity.phi.matrix, ref.phi_matrix(identity.spec))
+        for k in (4, 6):
+            spec = AutomorphismSpec(n=n, m_blocks=1, k=k, b=_order_k_dense_b(n, k, seed=n))
+            ((pos, _),) = phi_blocks(spec.b)  # one block: all of so(n)
+            assert pos.shape == (1, n * (n - 1) // 2)
+            ps = build_phi_space(spec)
+            assert np.array_equal(ps.phi.matrix, ref.phi_matrix(spec))
+            h, m, _ = ref.dense_phi_space(spec)
+            np.testing.assert_allclose(_projector(ps.h), _projector(h), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_projector(ps.m), _projector(m), rtol=0, atol=1e-12)
+            assert check_regularity(ps).all_pass
+
+    def test_dense_order_is_k_on_every_accepted_spec(self):
+        # build_automorphism no longer checks the order: B has the eigen-angle
+        # indices 0 and +-1, so Ad(B) has index 1 and order exactly k.
+        specs = _specs(range(4, 15), blocks=range(1, 7))
+        assert len(specs) == 267
+        for spec in specs:
+            assert ref.conjugation_order(spec, cap=spec.k) == spec.k, (spec.n, spec.m_blocks, spec.k)
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(7, 2, 6), (9, 2, 8), (9, 4, 6), (12, 3, 8)])
+    def test_theta_and_f_rows_are_at_most_4_wide(self, get_space, n, m_blocks, k):
+        # m is block-local, so theta and every polynomial in it act within blocks of <= 4.
+        ps = get_space(n, k, m_blocks)
+        assert np.max(np.count_nonzero(ps.theta.matrix, axis=1)) <= 4
+        for cs in flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps):
+            assert np.max(np.count_nonzero(cs.op.matrix, axis=1)) <= 4, cs.label
+
+    def test_phi_conjugation_residual_bites(self, get_space):
+        ps = get_space(7, 6)
+        xs = random_skew(np.random.default_rng(5), 7, 20)
+        assert phi_conjugation_residual(ps, xs) < TAU_PHI
+        bad = ps.phi.matrix.copy()
+        bad[:, [0, 1]] = bad[:, [1, 0]]
+        broken = dataclasses.replace(ps)
+        vars(broken)["phi"] = EndoOnM(ps.phi.domain, bad)
+        assert phi_conjugation_residual(broken, xs) > 0.1
+
+
+class TestSingularValues:
+    def test_closed_forms_match_lapack(self, rng):
+        for s in (1, 2):
+            mats = rng.standard_normal((200, s, s))
+            mats[:50, -1] = mats[:50, 0]  # singular ones
+            np.testing.assert_allclose(_stack_singular_values(mats), np.linalg.svd(mats, compute_uv=False), rtol=0, atol=1e-14)
+
+    def test_nonsingular_reads_the_smallest_singular_value(self, rng):
+        q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        for smallest, want in ((2e-6, True), (5e-7, False), (0.0, False)):
+            mat = q @ np.diag([2.0, 1.5, 1.0, 0.7, 0.5, 0.2, 0.1, smallest]) @ q.T
+            assert _nonsingular(mat) is want
+        assert _nonsingular(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("n,k,m_blocks", [(5, 4, 1), (12, 6, 1), (7, 6, 2), (9, 6, 4)])
+    def test_kernel_dim_is_the_svd_kernel(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        a = ps.phi.matrix - np.eye(ps.phi.dim)
+        for mat in (a, a @ a):
+            assert _kernel_dim(mat) == ref.kernel_and_image(mat, ps.phi.domain)[0].dim == ps.h.dim
+
+
+class TestConstructionCost:
+    """Building a flag space takes no SVD and forms no dense dim-so(n) matrix."""
+
+    def test_no_svd_at_one_rotation_block(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for n, k in [(5, 4), (12, 6), (24, 16)]:
+            flagf.build_split(build_phi_space(build_automorphism(n, 1, k)))
+
+    def test_no_dense_so_n_array(self):
+        # The whole construction peaks below one 276 x 276 float array, so no
+        # (dim so(n))^2 product or matrix is formed.  A first build imports
+        # numpy.ma (np.unique does), which is not the construction's memory.
+        flagf.build_split(build_phi_space(build_automorphism(24, 1, 6)))
+        dense = 276 * 276 * 8
+        assert TestCostGuard.peak(lambda: flagf.build_split(build_phi_space(build_automorphism(24, 1, 6)))) < dense
+        spec = build_automorphism(24, 1, 6)
+        assert TestCostGuard.peak(lambda: build_phi_space(spec)) < dense
