@@ -24,7 +24,6 @@ from .phispace import (
     build_automorphism,
     build_phi_space,
     check_regularity,
-    fixed_subalgebra_dim,
 )
 from .canonical import (
     CanonicalStructure,
@@ -47,7 +46,6 @@ from .metricgeom import (
     naturally_reductive_residual,
     nomizu,
     u_tensor_closed,
-    u_tensor_solved,
 )
 from .classify import (
     CharacteristicSet,

@@ -19,7 +19,9 @@ signature tuples give the same operator iff their keys agree.  This module
 builds one structure per sign key and labels it from exact sign tables.
 :func:`verify_structures` re-checks a list of structures on the stack of
 their matrices (identities, reconstruction, commutation, ad(h)-invariance),
-and :func:`golden_action_check` compares the k = 4 and k = 6 structures
+with commutation inside the list bounded from those columns,
+:func:`negation_residual` pairs each structure with its negative, and
+:func:`golden_action_check` compares the k = 4 and k = 6 structures
 entrywise with their closed-form actions on the flag spaces.
 """
 
@@ -244,8 +246,19 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
     """Re-check each structure of the list: its defining identity, its
     polynomial reconstruction, its commutation with theta and with the rest
     of the list, and its ad(h)-equivariance, all on the (S, d, d) stack of
-    operator matrices.  Pairs are multiplied once, a row block
-    f[a] @ f[a+1:] at a time; [b, a] = -[a, b] holds exactly."""
+    operator matrices, in O(S) products.
+
+    Commutation with the rest is bounded from the other columns, not
+    multiplied out pair by pair.  Write F_b = sum_m c_{b,m} theta^m + E_b,
+    max |E_b| = r_b the reconstruction residual, and t_a = max |[F_a, theta]|.
+    [F_a, theta^m] telescopes to sum_{i<m} theta^i [F_a, theta] theta^(m-1-i),
+    and max |X Y Z| <= |X|_inf max |Y| |Z|_1 (row and column sums), so
+
+        max |[F_a, F_b]| <= t_a sum_m |c_{b,m}| K_m + (|F_a|_inf + |F_a|_1) r_b,
+        K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1,
+
+    and ``pairwise_commutation`` of F_a is the right side maxed over b,
+    each term on its own: t_a max_b (...) + (...) max_b r_b."""
     structures = list(structures)
     if not structures:
         return []
@@ -263,16 +276,29 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
     for c, p in zip(coeffs.T, ps.theta_powers):  # term by term, as poly_in
         if np.any(c != 0.0):
             acc = acc + c[:, None, None] * p
+    polynomial, theta_commutation = _max_abs(acc - f), _max_abs(f @ th - th @ f)
 
-    pairwise = np.zeros(count)
-    for a in range(count - 1):
-        rest = f[a + 1 :]
-        comm = _max_abs(f[a] @ rest - rest @ f[a])
-        pairwise[a] = max(pairwise[a], comm.max())
-        np.maximum(pairwise[a + 1 :], comm, out=pairwise[a + 1 :])
+    powers = np.abs(ps.theta_powers)
+    row_sums, col_sums = powers.sum(axis=2).max(axis=1), powers.sum(axis=1).max(axis=1)
+    k_m = np.concatenate(([0.0], np.convolve(row_sums, col_sums)[: len(powers) - 1]))
+    f_norms = np.abs(f).sum(axis=2).max(axis=1) + np.abs(f).sum(axis=1).max(axis=1)
+    pairwise = theta_commutation * np.max(np.abs(coeffs) @ k_m) + f_norms * np.max(polynomial)
 
-    columns = (defining, _max_abs(acc - f), _max_abs(f @ th - th @ f), _ad_invariance(f, ps), pairwise)
+    columns = (defining, polynomial, theta_commutation, _ad_invariance(f, ps), pairwise)
     return [StructureCheck(cs.label, *values) for cs, *values in zip(structures, *(c.tolist() for c in columns))]
+
+
+def negation_residual(structures) -> float:
+    """max |F + G| over the structures F of the list, G the one labelled as the
+    negative of F ("x" and "-x"); infinite if some F has no such partner."""
+    by_label = {cs.label: cs.op.matrix for cs in structures}
+    worst = 0.0
+    for label, f in by_label.items():
+        g = by_label.get(label[1:] if label.startswith("-") else "-" + label)
+        if g is None:
+            return np.inf
+        worst = max(worst, float(np.max(np.abs(f + g), initial=0.0)))
+    return worst
 
 
 def _ad_invariance(f: np.ndarray, ps: PhiSpace) -> np.ndarray:

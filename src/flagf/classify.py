@@ -12,9 +12,9 @@ Each map is tested by full polarization: the quadratic map vanishes
 identically iff its bilinear extension has C(X, Y) + C(Y, X) = 0 on all
 basis pairs; pairs where that holds for every metric are dropped at set-up.
 Set-up reads the conditions term by term (_TERMS) off the nonzeros of the
-bracket tensor (TripleSplit.bracket_nonzeros) and of f; the dense einsum
-tensors of _condition_tensor are the reference the tests compare with.  All
-the structures of a space share the bracket tensor, so class_evaluators sets
+bracket tensor (TripleSplit.bracket_nonzeros) and of f; the tests keep the
+dense einsum tensors of each condition as the reference.  All the structures
+of a space share the bracket tensor, so class_evaluators sets
 them up in one join over the stack of their matrices, keyed structure first,
 with the bits of a set-up of each alone; ClassEvaluator(f, split) is the
 list [f].  Residuals are normalized by the operator norm of f and by (1 + s
@@ -54,36 +54,13 @@ from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
 
 CONDITION_NAMES = ("kill", "nk", "g1")
 MAX_GRID_POINTS = 10**5  # build_grid refuses a larger grid
-MAX_N = 40  # the CLI refuses a larger --n: on a 2-core Xeon verify --k 4 takes 0.2 s at n = 40, 1.3 s and 0.2 GB at 64
+DEFAULT_GRID = (0.25, 3.0, 0.25)  # (min, max, step) of each axis of the default sweep grid
+SPECIAL_POINTS = ((1.0, 1.0), (1.0, 4.0 / 3.0))  # the neutral metric and the f0/f1 Kill point, added to every grid
+MAX_N = 40  # the CLI refuses a larger --n: on a 2-core Xeon verify --k 4 takes 0.07-0.12 s at n = 40, 0.3 s and 80 MB at 64
 # The CLI refuses a larger --k.  At m_blocks = 1 theta has 3 eigen-angles, so there are at most
 # 8 f- and 8 P-structures for any k; m_blocks >= 2 can reach all k/2 - 1 angles below pi, and
 # then 3^(k/2 - 1) - 1 f-structures.
 MAX_K = 16
-
-
-def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """C[i, j, :] for the named condition from the dense bracket tensor bm and
-    the U tensor to use: the reference route."""
-    if name == "kill":
-        return (
-            0.5 * np.einsum("bj,ibr->ijr", f, bm, optimize=True)
-            + np.einsum("bj,ibr->ijr", f, u, optimize=True)
-            - np.einsum("rb,ijb->ijr", f, u, optimize=True)
-        )
-    if name == "nk":
-        return (
-            0.5 * np.einsum("ai,bj,abr->ijr", f, f2, bm, optimize=True)
-            + np.einsum("ai,bj,abr->ijr", f, f2, u, optimize=True)
-            - np.einsum("rc,ai,bj,abc->ijr", f, f, f, u, optimize=True)
-        )
-    if name == "g1":
-        inner = (
-            2.0 * np.einsum("ai,bj,abr->ijr", f, f2, u, optimize=True)
-            - np.einsum("rc,ai,bj,abc->ijr", f, f, f, u, optimize=True)
-            + np.einsum("rc,ai,bj,abc->ijr", f, f2, f2, u, optimize=True)
-        )
-        return np.einsum("rs,ijs->ijr", f, inner, optimize=True)
-    raise ValueError(f"unknown condition {name!r}")
 
 
 # C[i, j, :] of each condition is a sum of terms coef * P T(A X_i, B X_j), T the
@@ -519,10 +496,10 @@ def product_compat_residual(p: np.ndarray, split: TripleSplit, params: MetricPar
 
 
 def build_grid(
-    gmin: float = 0.25,
-    gmax: float = 3.0,
-    step: float = 0.25,
-    extras: tuple[tuple[float, float], ...] = ((1.0, 1.0), (1.0, 4.0 / 3.0)),
+    gmin: float = DEFAULT_GRID[0],
+    gmax: float = DEFAULT_GRID[1],
+    step: float = DEFAULT_GRID[2],
+    extras: tuple[tuple[float, float], ...] = SPECIAL_POINTS,
 ) -> list[tuple[float, float]]:
     """Row-major (s, t) grid with the special points appended (deduplicated)."""
     if step <= 0:

@@ -32,7 +32,6 @@ from .report import Rows, atomic_write_text, csv_text, fmt_float, json_dumps
 from .tolerances import NAT_RED_MARGIN, TAU_CONNECTION, TAU_METRIC_COMPAT, TAU_NAT_RED, TAU_ORDER, TAU_PHI
 from .tolerances import TAU_STRUCTURE, TAU_U_NEUTRAL, TAU_U_ORACLE
 
-SPECIAL_POINTS = ((1.0, 1.0), (1.0, 4.0 / 3.0))
 VERIFY_ST = (0.1, 5.0)  # the range verify draws s and t from
 
 
@@ -99,9 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--t", type=float, required=True)
 
     pw = sub.add_parser("sweep", parents=[common], help="sweep the (s, t) grid for every f-structure")
-    pw.add_argument("--grid-min", type=float, default=0.25)
-    pw.add_argument("--grid-max", type=float, default=3.0)
-    pw.add_argument("--grid-step", type=float, default=0.25)
+    for option, default in zip(("--grid-min", "--grid-max", "--grid-step"), classify.DEFAULT_GRID):
+        pw.add_argument(option, type=float, default=default)
     pw.add_argument("--extra-points", type=str, default="", help='extra grid points, e.g. "0.3,2.0;1.5,1.5"')
     return parser
 
@@ -131,9 +129,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         f_label=getattr(args, "f", None),
         s=getattr(args, "s", None),
         t=getattr(args, "t", None),
-        grid_min=getattr(args, "grid_min", 0.25),
-        grid_max=getattr(args, "grid_max", 3.0),
-        grid_step=getattr(args, "grid_step", 0.25),
+        grid_min=getattr(args, "grid_min", classify.DEFAULT_GRID[0]),
+        grid_max=getattr(args, "grid_max", classify.DEFAULT_GRID[1]),
+        grid_step=getattr(args, "grid_step", classify.DEFAULT_GRID[2]),
         extra_points=tuple(extras),
         fmt=args.format,
         out=args.out,
@@ -260,9 +258,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         add(name, worst < TAU_STRUCTURE, worst)
 
     for name, family in (("f", fs), ("product", prods)):
-        mats = np.array([cs.op.matrix for cs in family]).reshape(-1, ps.m.dim, ps.m.dim)
-        ok = all(np.any(np.max(np.abs(mats + m), axis=(1, 2)) < TAU_STRUCTURE) for m in mats)
-        add(f"{name}-negation-closure", ok)
+        add(f"{name}-negation-closure", canonical.negation_residual(family) < TAU_STRUCTURE)
 
     if k in (4, 6) and cfg.m_blocks == 1:
         golden = canonical.golden_action_check(ps, fs)
@@ -311,7 +307,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         dev_nomizu = metricgeom.connection_compat_residual(split, p_rand, rng.standard_normal((10, 3, split.dim)))
         add("connection-metric-compatibility", dev_nomizu < TAU_CONNECTION, dev_nomizu)
 
-        special = metricgeom.MetricGrid.of(SPECIAL_POINTS, kappa)
+        special = metricgeom.MetricGrid.of(classify.SPECIAL_POINTS, kappa)
         chain = [ev.sweep(special).chain_ok.all() for ev in classify.class_evaluators(fs, split)]
         add("class-chain-at-special-points", all(chain))
 
@@ -416,7 +412,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
     try:
         points = classify.build_grid(
-            cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=SPECIAL_POINTS + cfg.extra_points
+            cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=classify.SPECIAL_POINTS + cfg.extra_points
         )
         grid = metricgeom.MetricGrid.of(points, kappa)
     except ValueError as exc:

@@ -20,17 +20,16 @@ or, independently, by solving 2 g(U(X,Y), Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y)
 for U in the block basis (the Gram matrix is diagonal there).  Agreement of
 the two routes is one of the package's standing cross-checks.
 
-:func:`metric_eval`, :func:`u_tensor_closed`, :func:`u_tensor_solved` and
-:func:`nomizu` take two (P, n, n) stacks of elements of m and work pair by
-pair (X_p, Y_p); an argument outside m raises ValueError.
-:func:`u_nonzeros` gives U on all basis pairs in block coordinates, by
-either route, as sorted keys into the (d, d, d) tensor and their values.
+:func:`metric_eval`, :func:`u_tensor_closed` and :func:`nomizu` take two
+(P, n, n) stacks of elements of m and work pair by pair (X_p, Y_p); an
+argument outside m raises ValueError.  :func:`u_nonzeros` gives U on all
+basis pairs in block coordinates, by either route, as sorted keys into the
+(d, d, d) tensor and their values; its solved mode is the one solved route.
 Like :func:`naturally_reductive_residual`, the split checks and the class
 set-up, it reads the bracket tensor of m off its nonzeros
 (``TripleSplit.bracket_nonzeros``), and :func:`u_channels` gives the
-closed-form channel of each basis pair.  Only a reference (the einsum of
-:func:`u_tensor_solved`) or a dense result (:func:`u_coords_tensor`)
-scatters them into a d^3 array.
+closed-form channel of each basis pair.  Nothing here scatters them into a
+d^3 array.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import bracket_coords, bracket_leak, brackets, lie_mats, lie_rows, scatter, sum_by_key
+from .liealg import bracket_coords, bracket_leak, brackets, lie_mats, lie_rows, sum_by_key
 from .phispace import PhiSpace, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
@@ -207,21 +206,6 @@ def u_tensor_closed(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys
     return out + ((s - 1.0) / (2.0 * t)) * (brackets(x1, y2) + brackets(y1, x2))
 
 
-def u_tensor_solved(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """U(X_p, Y_p) recovered from 2 g(U, Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y), on stacks.
-
-    The block basis diagonalizes g, so the solve is a componentwise rescale.
-    This is the independent oracle for :func:`u_tensor_closed`; it contracts
-    the dense bracket tensor, as a reference.
-    """
-    c = split.combined
-    xv, yv = (rows @ c.coords.T for rows in _m_rows(split, xs, ys))
-    gd = block_weights(split, params)
-    bm = scatter((split.dim,) * 3, *split.bracket_nonzeros)
-    rhs = np.einsum("zjr,pj,pr->pz", bm, yv, gd * xv) + np.einsum("zir,pi,pr->pz", bm, xv, gd * yv)
-    return lie_mats(c.ambient_n, (rhs / (2.0 * gd)) @ c.coords)
-
-
 def u_nonzeros(split: TripleSplit, params: MetricParams, mode: str = "closed") -> tuple[np.ndarray, np.ndarray]:
     """U on all basis pairs, read off the nonzeros of the bracket tensor, as
     sorted flat keys (a d + b) d + z into the (d, d, d) coordinate tensor
@@ -245,13 +229,6 @@ def u_nonzeros(split: TripleSplit, params: MetricParams, mode: str = "closed") -
         keys, val = sum_by_key(keys, np.concatenate([gd[r] * v, gd[i] * v]))
         return keys, val / (2.0 * gd[keys % d])
     raise ValueError(f"unknown U mode {mode!r}")
-
-
-def u_coords_tensor(split: TripleSplit, params: MetricParams, mode: str = "closed") -> np.ndarray:
-    """U on all basis pairs as a dense (d, d, d) coordinate tensor: the
-    :func:`u_nonzeros` of the mode, scattered."""
-    d = split.dim
-    return scatter(d**3, *u_nonzeros(split, params, mode)).reshape(d, d, d)
 
 
 def u_channel_coefficients(params: MetricParams | MetricGrid) -> np.ndarray:

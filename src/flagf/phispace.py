@@ -17,9 +17,11 @@ block-diagonal on the lex basis, one block per pair of B's blocks
 dim so(n) for a dense B).  h and m come block by block from phi - id: a zero
 block gives h its lex vectors, a nonsingular one gives them to m, and only a
 block that is neither takes an SVD, of its own matrix.  theta is gathered
-from the nonzeros of phi.  Construction forms no dense dim-so(n) matrix;
-``PhiSpace.phi`` scatters the blocks into one on first use, for
-:func:`check_regularity` and verify's phi checks.
+from the nonzeros of phi.  The blocks are the only form phi is kept in:
+:func:`check_regularity` reads its ranks off the singular values of each
+block of phi - id and of its square, and verify's phi checks apply phi to
+lex rows block by block.  Nothing forms a dense dim-so(n) matrix, except the
+one block of a hand-built dense B.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ import numpy as np
 from .liealg import (
     EndoOnM,
     Subspace,
+    _coefficients,
     bracket_coords,
     bracket_leak,
     brackets,
     lex_indices,
     lie_mats,
+    lie_rows,
     op_powers,
     operator_on,
     so_dim,
@@ -95,16 +99,6 @@ class PhiSpace:
     h: Subspace
     m: Subspace
     theta: EndoOnM
-
-    @cached_property
-    def phi(self) -> EndoOnM:
-        """Ad(B) on all of so(n), X -> B X B^-1, over the lex basis: the blocks
-        of :func:`phi_blocks` scattered into one dense matrix, on first use."""
-        dg = so_dim(self.spec.n)
-        dense = np.zeros((dg, dg))
-        for pos, mats in self.spec.phi_blocks:
-            dense[pos[:, :, None], pos[:, None, :]] = mats
-        return EndoOnM(Subspace.full(self.spec.n), dense)
 
     @cached_property
     def theta_powers(self) -> np.ndarray:
@@ -204,8 +198,8 @@ def phi_homomorphism_residuals(ps: PhiSpace, xy: np.ndarray) -> tuple[float, flo
     """max |phi[X, Y] - [phi X, phi Y]| (Frobenius) and max |<phi X, phi Y> - <X, Y>|
     over a (P, 2, n, n) stack of skew pairs (X, Y)."""
     xs, ys = xy[:, 0], xy[:, 1]
-    px, py = ps.phi.apply_mats(xs), ps.phi.apply_mats(ys)
-    dev_b = np.linalg.norm(ps.phi.apply_mats(brackets(xs, ys)) - brackets(px, py), axis=(1, 2))
+    px, py, pb = (_apply_phi(ps.spec, mats) for mats in (xs, ys, brackets(xs, ys)))
+    dev_b = np.linalg.norm(pb - brackets(px, py), axis=(1, 2))
     dev_iso = np.abs(np.sum(px * py, axis=(1, 2)) - np.sum(xs * ys, axis=(1, 2)))
     return float(np.max(dev_b, initial=0.0)), float(np.max(dev_iso, initial=0.0))
 
@@ -251,7 +245,22 @@ def phi_conjugation_residual(ps: PhiSpace, xs: np.ndarray) -> float:
     """max |phi(X) - B X B^T| (entrywise) over a (P, n, n) stack of skew
     matrices: phi, as assembled block by block, against B itself."""
     b = ps.spec.b
-    return float(np.max(np.abs(ps.phi.apply_mats(xs) - b @ xs @ b.T), initial=0.0))
+    return float(np.max(np.abs(_apply_phi(ps.spec, xs) - b @ xs @ b.T), initial=0.0))
+
+
+def _apply_phi(spec: AutomorphismSpec, mats: np.ndarray) -> np.ndarray:
+    """phi of each matrix of a (P, n, n) stack of skew matrices: its lex row
+    mapped block by block over :func:`phi_blocks`.  Each block sums its
+    columns in order, so an element's image does not depend on the stack."""
+    rows = lie_rows(mats)
+    out = np.empty_like(rows)
+    for pos, blocks in spec.phi_blocks:
+        x = rows[:, pos][:, :, None]  # (P, blocks, 1, s)
+        acc = blocks[..., 0] * x[..., 0]
+        for j in range(1, pos.shape[1]):
+            acc = acc + blocks[..., j] * x[..., j]
+        out[:, pos] = acc
+    return lie_mats(spec.n, out)
 
 
 def _support_labels(mat: np.ndarray) -> np.ndarray:
@@ -378,21 +387,24 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     Checks: so(n) = h (+) im(A) as an orthogonal direct sum; A restricted
     to its image is nonsingular; ker A^2 = ker A; and theta has no fixed
     vector.  The four answers agree on every well-formed space.  ker A is
-    ps.h, as :func:`build_phi_space` computed it; A is the dense matrix of
-    ``ps.phi`` minus id, and ranks and smallest singular values come from
-    singular values alone.
+    ps.h, as :func:`build_phi_space` computed it, and A = phi - id is read
+    block by block off ``spec.phi_blocks``.  Ranks count the singular values
+    of the blocks of A (of A^2) above TAU_RANK_REL times the largest of all
+    blocks.  phi is orthogonal, so A is normal, and the singular values of A
+    on its image are its nonzero ones: the restriction is nonsingular iff the
+    smallest kept one exceeds TAU_NONSINGULAR.  h and m are orthogonal iff
+    their entries, joined on the lex position, have no cross Gram entry.
     """
-    full = ps.phi.domain
-    a = ps.phi.matrix - np.eye(full.dim)
-
-    dims_ok = ps.h.dim + ps.m.dim == full.dim
-    cross = ps.h.coords @ ps.m.coords.T if ps.h.dim and ps.m.dim else np.zeros((1, 1))
-    direct_sum = bool(dims_ok and np.max(np.abs(cross)) < TAU_SUBSPACE)
+    a = [mats - np.eye(mats.shape[-1]) for _, mats in ps.spec.phi_blocks]
+    sv_a, sv_a2 = (np.concatenate([_stack_singular_values(x).ravel() for x in xs]) for xs in (a, [x @ x for x in a]))
+    kept = sv_a[sv_a > TAU_RANK_REL * sv_a.max()]
+    dg = so_dim(ps.spec.n)
+    _, cross = _coefficients(*ps.h.entries, *ps.m.entries, ps.m.dim, dg)  # the nonzeros of h.coords @ m.coords.T
 
     return RegularityReport(
-        direct_sum=direct_sum,
-        nonsingular_on_image=_nonsingular(ps.m.coords @ a @ ps.m.coords.T),
-        kernel_square_stable=ps.h.dim == _kernel_dim(a @ a),
+        direct_sum=bool(ps.h.dim + ps.m.dim == dg and np.max(np.abs(cross), initial=0.0) < TAU_SUBSPACE),
+        nonsingular_on_image=bool(np.min(kept, initial=np.inf) > TAU_NONSINGULAR),
+        kernel_square_stable=ps.h.dim == np.count_nonzero(sv_a2 <= TAU_RANK_REL * sv_a2.max()),
         theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
     )
 
@@ -402,17 +414,3 @@ def _nonsingular(mat: np.ndarray) -> bool:
     read as the smallest eigenvalue of mat^T mat above TAU_NONSINGULAR^2: its
     error, about 1e-16 |mat|^2, is far below that bound for O(1) operators."""
     return not mat.size or bool(np.linalg.eigvalsh(mat.T @ mat)[0] > TAU_NONSINGULAR**2)
-
-
-def _kernel_dim(mat: np.ndarray) -> int:
-    """The singular values at or below TAU_RANK_REL times the largest one, counted
-    (singular values only, no vectors)."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv <= TAU_RANK_REL * np.max(sv, initial=0.0)))
-
-
-def fixed_subalgebra_dim(n: int, m_blocks: int) -> int:
-    """Expected dim of h away from degenerate rotation angles:
-    m_blocks + dim so(n - 2*m_blocks - 1)."""
-    r = n - 2 * m_blocks - 1
-    return m_blocks + r * (r - 1) // 2

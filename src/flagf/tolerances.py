@@ -9,7 +9,7 @@ spells a threshold out (tests/test_tolerances.py guards this).
 # so(n) linear algebra (liealg) and the h (+) m split (phispace, metricgeom)
 TAU_SKEW = 1e-12  # relative to max(1, max |entry|): |X + X^T| of a matrix taken as an element of so(n)
 TAU_ORTH = 1e-12  # absolute: Gram entries of orthonormal rows, within a basis or across disjoint blocks
-TAU_RANK_REL = 1e-9  # relative to the largest singular value: those counted as nonzero in phi - id's blocks and A^2
+TAU_RANK_REL = 1e-9  # relative to the largest singular value of all blocks: those counted as nonzero in the blocks of A = phi - id and of A^2
 TAU_SUBSPACE = 1e-9  # distance to a subspace: relative to |x| for an argument, absolute for unit rows and brackets
 TAU_B_ORTH = 1e-10  # absolute: max |B B^T - I| of the conjugating matrix
 TAU_ORDER = 1e-9  # absolute: max |entry| of theta^k - id (verify's theta-order)
@@ -20,6 +20,8 @@ TAU_CYCLIC = 1e-10  # absolute: bracket tensor nonzeros that the cyclic block re
 # canonical structures (canonical)
 TAU_GENERATED = 1e-9  # absolute: max |f^3 + f| or |P^2 - 1| of a freshly generated operator
 TAU_STRUCTURE = 1e-10  # absolute: the StructureCheck residuals, and max |f + g| for the negative g of f
+# pairwise_commutation is the bound t_a max_b sum_m |c_bm| K_m + (|F_a|_inf + |F_a|_1) max_b r_b from the
+# theta commutation t and reconstruction residual r, K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1
 TAU_GOLDEN = 1e-12  # absolute: entrywise deviation from the closed-form actions at k = 4, 6
 
 # metrics and connection (metricgeom, classify, the verify checks)

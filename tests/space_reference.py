@@ -1,25 +1,59 @@
 """The dense routes that the block-by-block phi-space replaced, kept as
 references: phi must keep their bits, and h, m and theta their subspaces.
 
-``phi_matrix`` is the stacked conjugation B E B^T of every lex basis element;
+``phi_matrix`` is the stacked conjugation B E B^T of every lex basis element,
+and ``scattered_phi`` the blocks of ``spec.phi_blocks`` scattered into one
+dense matrix (the two agree bit for bit on a well-formed spec);
 ``conjugation_order`` the order of Ad(B) by repeated dense products;
 ``kernel_and_image`` one SVD of a matrix on a domain; ``dense_phi_space`` h
 and m off the SVD of phi - id (m replaced by the flag pattern when it spans
 it) and theta as m phi m^T; ``bracket_row_chunks``, ``bracket_coords`` and
 ``bracket_leak`` the brackets as dense lex rows, a chunk at a time, projected
-by one product per chunk.
+by one product per chunk.  ``dense_regularity`` is check_regularity on the
+dense A = phi - id and A^2, with every singular value of A^2 and the dense
+cross Gram h.coords @ m.coords.T.
 """
 
 import numpy as np
 
 from flagf.liealg import EndoOnM, Subspace, bracket_nonzeros, lie_mats, lie_rows, so_dim
-from flagf.phispace import flag_complement_pattern
+from flagf.phispace import RegularityReport, _nonsingular, flag_complement_pattern
 from flagf.tolerances import TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
 
 def phi_matrix(spec) -> np.ndarray:
     """Matrix of X -> B X B^-1 over the lex basis (one stacked conjugation)."""
     return lie_rows(spec.b @ lie_mats(spec.n, np.eye(so_dim(spec.n))) @ spec.b.T).T
+
+
+def scattered_phi(spec) -> np.ndarray:
+    """The blocks of ``spec.phi_blocks`` scattered into one dense matrix."""
+    dg = so_dim(spec.n)
+    dense = np.zeros((dg, dg))
+    for pos, mats in spec.phi_blocks:
+        dense[pos[:, :, None], pos[:, None, :]] = mats
+    return dense
+
+
+def kernel_dim(mat) -> int:
+    """The singular values at or below TAU_RANK_REL times the largest one, counted."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sv <= TAU_RANK_REL * np.max(sv, initial=0.0)))
+
+
+def dense_regularity(ps) -> RegularityReport:
+    """The four regularity answers from the dense A = phi - id (phi scattered
+    from ps.spec.phi_blocks): h (+) m against the dense cross Gram, A on m
+    as m A m^T, and the kernel of A^2 from all its singular values."""
+    dg = so_dim(ps.spec.n)
+    a = scattered_phi(ps.spec) - np.eye(dg)
+    cross = ps.h.coords @ ps.m.coords.T if ps.h.dim and ps.m.dim else np.zeros((1, 1))
+    return RegularityReport(
+        direct_sum=bool(ps.h.dim + ps.m.dim == dg and np.max(np.abs(cross)) < TAU_SUBSPACE),
+        nonsingular_on_image=_nonsingular(ps.m.coords @ a @ ps.m.coords.T),
+        kernel_square_stable=ps.h.dim == kernel_dim(a @ a),
+        theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
+    )
 
 
 def conjugation_order(spec, cap: int) -> int | None:

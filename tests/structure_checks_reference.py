@@ -3,15 +3,17 @@ references: every StructureCheck field and every U coordinate must keep
 their bits.
 
 ``verify_structure`` re-checks one structure against a list of others, one
-matrix product at a time, and joins ad(h) with that structure alone;
-``u_coords_tensor`` builds the dense (d, d, d) U tensor of each route.
+matrix product at a time (every pair multiplied out), and joins ad(h) with
+that structure alone; ``u_coords_tensor`` builds the dense (d, d, d) U
+tensor of each route, and ``u_tensor_solved`` solves for U on stacks of
+pairs of elements of m by contracting the dense bracket tensor.
 """
 
 import numpy as np
 
 from flagf.canonical import StructureCheck, nonzero_rows
-from flagf.liealg import poly_in, scatter, sum_by_key
-from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
+from flagf.liealg import lie_mats, poly_in, scatter, sum_by_key
+from flagf.metricgeom import _m_rows, block_weights, u_channel_coefficients, u_channels
 
 
 def _max_abs(a):
@@ -55,3 +57,15 @@ def u_coords_tensor(split, params, mode):
     keys = np.concatenate([(r * d + j) * d + i, (r * d + i) * d + j])
     keys, val = sum_by_key(keys, np.concatenate([gd[r] * v, gd[i] * v]))
     return scatter(d**3, keys, val / (2.0 * gd[keys % d])).reshape(d, d, d)
+
+
+def u_tensor_solved(split, params, xs, ys):
+    """U(X_p, Y_p) recovered from 2 g(U, Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y), for
+    two (P, n, n) stacks of elements of m.  The block basis diagonalizes g,
+    so the solve is a componentwise rescale."""
+    c = split.combined
+    xv, yv = (rows @ c.coords.T for rows in _m_rows(split, xs, ys))
+    gd = block_weights(split, params)
+    bm = scatter((split.dim,) * 3, *split.bracket_nonzeros)
+    rhs = np.einsum("zjr,pj,pr->pz", bm, yv, gd * xv) + np.einsum("zir,pi,pr->pz", bm, xv, gd * yv)
+    return lie_mats(c.ambient_n, (rhs / (2.0 * gd)) @ c.coords)

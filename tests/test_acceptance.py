@@ -18,12 +18,9 @@ import flagf
 from flagf.canonical import structure_by_label
 from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid, characteristic_set
 from flagf.liealg import poly_in
-from flagf.metricgeom import (
-    MetricParams,
-    naturally_reductive_residual,
-    u_coords_tensor,
-)
+from flagf.metricgeom import MetricParams, naturally_reductive_residual
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
+from structure_checks_reference import u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]

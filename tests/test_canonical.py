@@ -13,13 +13,14 @@ from flagf.canonical import (
     expected_flag_action,
     f_polynomial,
     golden_action_check,
+    negation_residual,
     p_polynomial,
     structure_by_label,
     u_of_k,
     verify_structures,
 )
 from flagf.liealg import EndoOnM, brackets, lie_mats, lie_rows, poly_in
-from flagf.tolerances import TAU_GOLDEN
+from flagf.tolerances import TAU_GOLDEN, TAU_STRUCTURE
 from space_reference import kernel_and_image
 
 # m_blocks 1-3 with k = 4..12; n = 2 m_blocks + 1 has no angle pi once m_blocks >= 2.
@@ -301,18 +302,25 @@ class TestStructureIdentities:
             assert cs.kind == "f-structure"
 
 
-CHECK_FIELDS = ("defining_residual", "polynomial_residual", "theta_commutation", "ad_invariance",
-                "pairwise_commutation")
+# The fields measured structure by structure; pairwise_commutation is a bound built from them.
+CHECK_FIELDS = ("defining_residual", "polynomial_residual", "theta_commutation", "ad_invariance")
 
 
 def check_bits(checks):
-    """Each check's label and the bytes of each residual, which must be a float."""
+    """Each check's label and the bytes of each measured residual; every field must be a float."""
     out = []
     for chk in checks:
-        values = [getattr(chk, name) for name in CHECK_FIELDS]
-        assert all(type(v) is float for v in values), chk
-        out.append((chk.label, *(np.float64(v).tobytes() for v in values)))
+        assert all(type(v) is float for v in dataclasses.astuple(chk)[1:]), chk
+        out.append((chk.label, *(np.float64(getattr(chk, name)).tobytes() for name in CHECK_FIELDS)))
     return out
+
+
+def worst_pairwise(checks):
+    return max(chk.pairwise_commutation for chk in checks)
+
+
+# The pairwise bound holds for exact products; a product of O(1) matrices rounds to about this.
+ROUNDING = np.finfo(float).eps
 
 
 def non_equivariant_fake(ps):
@@ -327,13 +335,44 @@ class TestStackedStructureChecks:
     @pytest.mark.parametrize(
         "n,m_blocks,k", [(5, 1, 4), (5, 1, 6), (8, 1, 6), (12, 1, 6), (16, 1, 6), (7, 2, 6), (9, 2, 8)]
     )
-    def test_every_field_is_bitwise_the_per_structure_route(self, get_space, n, m_blocks, k):
+    def test_measured_fields_are_bitwise_the_per_structure_route(self, get_space, n, m_blocks, k):
+        # The pairwise bound is at least the largest commutator the reference multiplies out,
+        # up to rounding: the f-structures alone read 0 where their products round to 1e-32.
         ps = get_space(n, k, m_blocks)
         fs = flagf.generate_f_structures(ps)
         everything = fs + flagf.generate_product_structures(ps)
         for family in (everything, fs):  # verify checks both families together, sweep the f-structures
+            got = verify_structures(family, ps)
             want = [reference.verify_structure(cs, ps, others=family) for cs in family]
-            assert check_bits(verify_structures(family, ps)) == check_bits(want)
+            assert check_bits(got) == check_bits(want)
+            assert worst_pairwise(want) <= worst_pairwise(got) + ROUNDING
+            assert worst_pairwise(got) < TAU_STRUCTURE
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 6), (9, 2, 8), (12, 3, 8)])
+    def test_pairwise_bound_covers_every_measured_commutator(self, get_space, n, m_blocks, k):
+        # Structure by structure the bound holds up to the rounding of the products:
+        # where theta-commutation and reconstruction read 0 it reads 0, a product ~1e-16.
+        ps = get_space(n, k, m_blocks)
+        family = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
+        got = verify_structures(family, ps)
+        want = [reference.verify_structure(cs, ps, others=family) for cs in family]
+        assert worst_pairwise(want) <= worst_pairwise(got) < TAU_STRUCTURE
+        for chk, ref in zip(got, want):
+            assert ref.pairwise_commutation <= chk.pairwise_commutation + ROUNDING, chk.label
+
+    def test_a_structure_that_does_not_commute_with_theta_fails_pairwise(self, get_space):
+        ps = get_space(6, 6)
+        family = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
+        # f1 plus a multiple of a matrix unit: its polynomial still claims to be f1.
+        f1 = structure_by_label(family, "f1")
+        bent = np.array(f1.op.matrix)
+        bent[0, 1] += 1e-6
+        stack = family + [dataclasses.replace(f1, label="bent", op=EndoOnM(ps.m, bent))]
+        got = verify_structures(stack, ps)
+        want = [reference.verify_structure(cs, ps, others=stack) for cs in stack]
+        assert worst_pairwise(want) > TAU_STRUCTURE
+        assert worst_pairwise(want) <= worst_pairwise(got)
+        assert got[-1].theta_commutation > TAU_STRUCTURE
 
     def test_a_non_equivariant_fake_is_flagged_at_its_own_index_only(self, get_space):
         ps = get_space(6, 6)
@@ -341,7 +380,9 @@ class TestStackedStructureChecks:
         at = len(everything) // 2
         stack = everything[:at] + [non_equivariant_fake(ps)] + everything[at:]
         checks = verify_structures(stack, ps)
-        assert check_bits(checks) == check_bits([reference.verify_structure(cs, ps, others=stack) for cs in stack])
+        want = [reference.verify_structure(cs, ps, others=stack) for cs in stack]
+        assert check_bits(checks) == check_bits(want)
+        assert all(r.pairwise_commutation <= c.pairwise_commutation for c, r in zip(checks, want))
         flagged = [i for i, chk in enumerate(checks) if chk.ad_invariance > 1e-3]
         assert flagged == [at]
         assert checks[at].polynomial_residual == 1.0 and checks[at].pairwise_commutation > 1e-3
@@ -355,8 +396,8 @@ class TestStackedStructureChecks:
     def test_empty_list(self, get_space):
         assert verify_structures([], get_space(5, 6)) == []
 
-    def test_cost_guard_pairwise_products_in_row_blocks(self, get_space, get_f_structures, get_products):
-        # f[a] @ f[a+1:] is one row block of products at a time; gathering all
+    def test_cost_guard_no_pairwise_products(self, get_space, get_f_structures, get_products):
+        # The checks take O(S) products of d x d matrices; gathering all
         # S (S - 1) / 2 pairs at once peaks at about 30 S d^2 doubles here.
         import tracemalloc
 
@@ -371,6 +412,37 @@ class TestStackedStructureChecks:
             tracemalloc.stop()
         assert len(everything) == 16
         assert peak < 12 * len(everything) * ps.m.dim**2 * 8
+
+
+class TestNegationClosure:
+    """Each structure is paired with the one labelled as its negative."""
+
+    @staticmethod
+    def any_negative(family):
+        """The O(S^2) route verify took before: every matrix has some negative in the family."""
+        mats = np.array([cs.op.matrix for cs in family])
+        return all(np.any(np.max(np.abs(mats + m), axis=(1, 2)) < TAU_STRUCTURE) for m in mats)
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 4), (5, 1, 6), (9, 2, 8), (9, 3, 8)])
+    def test_families_are_closed(self, get_space, n, m_blocks, k):
+        ps = get_space(n, k, m_blocks)
+        for family in (flagf.generate_f_structures(ps), flagf.generate_product_structures(ps)):
+            assert negation_residual(family) < TAU_STRUCTURE
+            assert self.any_negative(family)
+
+    def test_a_perturbed_negative_fails(self, get_space):
+        family = flagf.generate_f_structures(get_space(5, 6))
+        at = [cs.label for cs in family].index("-f2")
+        bent = np.array(family[at].op.matrix)
+        bent[0, 0] += 1e-6
+        family[at] = dataclasses.replace(family[at], op=EndoOnM(family[at].op.domain, bent))
+        assert negation_residual(family) > TAU_STRUCTURE
+        assert not self.any_negative(family)
+
+    def test_a_structure_without_a_partner_fails(self, get_space):
+        family = [cs for cs in flagf.generate_product_structures(get_space(5, 6)) if cs.label != "-P3"]
+        assert negation_residual(family) == np.inf
+        assert negation_residual([]) == 0.0
 
 
 def _golden_per_probe(ps, structures):

@@ -25,13 +25,36 @@ from flagf.classify import (
     sweep,
 )
 from flagf import classify
-from flagf.classify import _condition_tensor
 from flagf.liealg import Subspace, bracket_coords, scatter
-from flagf.metricgeom import (
-    MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients, u_coords_tensor,
-)
+from flagf.metricgeom import MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients
+from structure_checks_reference import u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
+
+
+def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """C[i, j, :] for the named condition from the dense bracket tensor bm and
+    the U tensor to use, by einsum: the reference route of the class set-up."""
+    if name == "kill":
+        return (
+            0.5 * np.einsum("bj,ibr->ijr", f, bm, optimize=True)
+            + np.einsum("bj,ibr->ijr", f, u, optimize=True)
+            - np.einsum("rb,ijb->ijr", f, u, optimize=True)
+        )
+    if name == "nk":
+        return (
+            0.5 * np.einsum("ai,bj,abr->ijr", f, f2, bm, optimize=True)
+            + np.einsum("ai,bj,abr->ijr", f, f2, u, optimize=True)
+            - np.einsum("rc,ai,bj,abc->ijr", f, f, f, u, optimize=True)
+        )
+    if name == "g1":
+        inner = (
+            2.0 * np.einsum("ai,bj,abr->ijr", f, f2, u, optimize=True)
+            - np.einsum("rc,ai,bj,abc->ijr", f, f, f, u, optimize=True)
+            + np.einsum("rc,ai,bj,abc->ijr", f, f2, f2, u, optimize=True)
+        )
+        return np.einsum("rs,ijs->ijr", f, inner, optimize=True)
+    raise ValueError(f"unknown condition {name!r}")
 
 
 def dense_bracket(split: TripleSplit) -> np.ndarray:

@@ -9,14 +9,13 @@ from flagf.liealg import EndoOnM, Subspace, brackets, lex_indices, lie_mats, lie
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
+    _apply_phi,
     _check_phi_space_invariants,
-    _kernel_dim,
     _nonsingular,
     _stack_singular_values,
     build_automorphism,
     build_phi_space,
     check_regularity,
-    fixed_subalgebra_dim,
     flag_complement_pattern,
     phi_blocks,
     phi_conjugation_residual,
@@ -36,6 +35,28 @@ def random_skew(rng, n, count=None):
     """A random skew matrix, or a (count, n, n) stack of them."""
     a = rng.standard_normal((n, n) if count is None else (count, n, n))
     return a - a.swapaxes(-1, -2)
+
+
+def fixed_subalgebra_dim(n, m_blocks):
+    """Expected dim of h away from degenerate rotation angles:
+    m_blocks + dim so(n - 2*m_blocks - 1)."""
+    r = n - 2 * m_blocks - 1
+    return m_blocks + r * (r - 1) // 2
+
+
+def with_phi_columns_swapped(ps, p, q):
+    """ps with the lex columns p and q of phi swapped, inside every block of
+    ``spec.phi_blocks`` that holds both (phi_blocks is cached on the spec)."""
+    blocks = []
+    for pos, mats in ps.spec.phi_blocks:
+        mats = mats.copy()
+        for g in np.flatnonzero(np.isin(pos, [p, q]).sum(axis=1) == 2):
+            (a,), (b,) = np.flatnonzero(pos[g] == p), np.flatnonzero(pos[g] == q)
+            mats[g][:, [a, b]] = mats[g][:, [b, a]]
+        blocks.append((pos, mats))
+    spec = dataclasses.replace(ps.spec)
+    vars(spec)["phi_blocks"] = blocks
+    return dataclasses.replace(ps, spec=spec)
 
 
 def all_brackets(a, b):
@@ -116,10 +137,9 @@ class TestBatchedPhiChecks:
     @pytest.mark.parametrize("n,k,m_blocks", [(12, 6, 1), (7, 6, 2)])
     def test_homomorphism_residuals_equal_per_element_loop(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
-        full = ps.phi.domain
 
-        def apply(x):  # phi on one (n, n) matrix, through matrix-vector products
-            return lie_mats(n, (full.coords.T @ (ps.phi.matrix @ (full.coords @ lie_rows(x))))[None])[0]
+        def apply(x):  # phi on one (n, n) matrix, a stack of one
+            return _apply_phi(ps.spec, x[None])[0]
 
         def br(a, b):
             m = a @ b
@@ -138,12 +158,24 @@ class TestBatchedPhiChecks:
         np.testing.assert_allclose(got, (dev_b, dev_iso), rtol=1e-12, atol=0)  # norms sum in another order
         assert max(got) < TAU_PHI
 
+    @pytest.mark.parametrize("n", [5, 8, 12, 16, 24])
+    def test_phi_from_the_blocks_is_the_dense_product(self, n):
+        # Bit for bit at one rotation block (blocks of size 1 and 2); to rounding otherwise.
+        # An element's image does not depend on the stack it comes in.
+        xs = random_skew(np.random.default_rng(n), n, 20)
+        for spec in _specs([n], blocks=(1, 2, 3), ks=(4, 6, 8)):
+            dense = lie_mats(n, (phi_matrix(spec) @ lie_rows(xs)[..., None])[..., 0])
+            one_by_one = np.concatenate([_apply_phi(spec, x[None]) for x in xs])
+            assert _apply_phi(spec, xs).tobytes() == one_by_one.tobytes()
+            if spec.m_blocks == 1:
+                assert _apply_phi(spec, xs).tobytes() == dense.tobytes(), (spec.m_blocks, spec.k)
+            else:
+                np.testing.assert_allclose(_apply_phi(spec, xs), dense, rtol=0, atol=1e-13)
+
     def test_homomorphism_check_fails_with_two_phi_columns_swapped(self, get_space):
         ps = get_space(7, 6)
-        bad = ps.phi.matrix.copy()
-        bad[:, [0, 1]] = bad[:, [1, 0]]
-        broken = dataclasses.replace(ps)
-        vars(broken)["phi"] = EndoOnM(ps.phi.domain, bad)  # phi is built on first use
+        broken = with_phi_columns_swapped(ps, 0, 1)
+        assert not np.array_equal(phi_matrix(ps.spec), ref.scattered_phi(broken.spec))
         a = np.random.default_rng(1).standard_normal((10, 2, 7, 7))
         xy = a - a.swapaxes(-1, -2)
         dev_b, _ = phi_homomorphism_residuals(broken, xy)
@@ -171,14 +203,14 @@ class TestBuildPhiSpace:
     def test_phi_preserves_bracket(self, get_space, rng):
         ps = get_space(5, 6)
         x, y = random_skew(rng, 5, 10), random_skew(rng, 5, 10)
-        lhs = ps.phi.apply_mats(brackets(x, y))
-        rhs = brackets(ps.phi.apply_mats(x), ps.phi.apply_mats(y))
+        lhs = _apply_phi(ps.spec, brackets(x, y))
+        rhs = brackets(_apply_phi(ps.spec, x), _apply_phi(ps.spec, y))
         assert np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))) < 1e-9
 
     def test_phi_is_isometry(self, get_space, rng):
         ps = get_space(5, 4)
         x, y = random_skew(rng, 5, 10), random_skew(rng, 5, 10)
-        tr = np.sum(ps.phi.apply_mats(x) * ps.phi.apply_mats(y), axis=(1, 2)) - np.sum(x * y, axis=(1, 2))
+        tr = np.sum(_apply_phi(ps.spec, x) * _apply_phi(ps.spec, y), axis=(1, 2)) - np.sum(x * y, axis=(1, 2))
         assert np.max(np.abs(tr)) < 1e-9
 
     @pytest.mark.parametrize("n,k", TEST_MATRIX)
@@ -240,6 +272,86 @@ class TestRegularity:
         )
         assert not rep.agree
         assert not rep.all_pass
+
+
+class TestRegularityFromBlocks:
+    """check_regularity reads phi - id block by block; space_reference.dense_regularity
+    is the dense route it replaced (A and A^2 as dim-so(n) matrices)."""
+
+    def test_equals_the_dense_route_on_every_accepted_spec(self):
+        specs = _specs(range(4, 17), blocks=(1, 2, 3, 4))
+        assert len(specs) == 293
+        for spec in specs:
+            ps = build_phi_space(spec)
+            rep = check_regularity(ps)
+            assert rep == ref.dense_regularity(ps), (spec.n, spec.m_blocks, spec.k)
+            assert rep.all_pass, (spec.n, spec.m_blocks, spec.k)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_identity_and_dense_b(self, n):
+        identity = build_phi_space(AutomorphismSpec(n=n, m_blocks=1, k=1, b=np.eye(n)))
+        for spec in [identity.spec] + [AutomorphismSpec(n, 1, k, _order_k_dense_b(n, k, seed=n)) for k in (4, 6)]:
+            ps = build_phi_space(spec)
+            rep = check_regularity(ps)
+            assert rep == ref.dense_regularity(ps) and rep.all_pass, (n, spec.k)
+
+    @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (8, 6, 1), (9, 8, 2)])
+    def test_a_dropped_h_row_fails_both_routes(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        broken = dataclasses.replace(ps, h=ps.h.sub(1, ps.h.dim))
+        rep = check_regularity(broken)
+        assert rep == ref.dense_regularity(broken)
+        assert not rep.direct_sum and not rep.kernel_square_stable and not rep.all_pass
+
+    @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (9, 8, 2)])
+    def test_an_m_row_tilted_into_h_fails_both_routes(self, get_space, n, k, m_blocks):
+        # m stays orthonormal and of the right dimension, but is no longer orthogonal to h.
+        ps = get_space(n, k, m_blocks)
+        rows = np.array(ps.m.coords)
+        rows[0] = np.cos(0.1) * rows[0] + np.sin(0.1) * ps.h.coords[0]
+        broken = dataclasses.replace(ps, m=Subspace(n, rows))
+        rep = check_regularity(broken)
+        assert rep == ref.dense_regularity(broken)
+        assert not rep.direct_sum and not rep.all_pass
+
+    @staticmethod
+    def with_block(ps, size, g, mat):
+        """ps with block g of the given size in ``spec.phi_blocks`` replaced by mat."""
+        blocks = [(pos, np.array(mats)) for pos, mats in ps.spec.phi_blocks]
+        (_, mats), = [b for b in blocks if b[0].shape[1] == size]
+        mats[g] = mat
+        spec = dataclasses.replace(ps.spec)
+        vars(spec)["phi_blocks"] = blocks
+        return dataclasses.replace(ps, spec=spec)
+
+    def test_a_corrupted_phi_block_fails_both_routes(self, get_space):
+        ps = get_space(7, 6)
+        (_, singles), = [b for b in ps.spec.phi_blocks if b[0].shape[1] == 1]
+        fixed = int(np.flatnonzero(singles[:, 0, 0] == 1.0)[0])  # a lex vector of h
+        flipped = self.with_block(ps, 1, fixed, [[-1.0]])  # now outside ker(phi - id)
+        rep = check_regularity(flipped)
+        assert rep == ref.dense_regularity(flipped)
+        assert not rep.kernel_square_stable and not rep.agree
+        # A rotation of m by 1e-7: A is nonsingular on m in exact terms, but
+        # below TAU_NONSINGULAR, and A^2 has a singular value below the rank cut.
+        nearly_fixed = self.with_block(ps, 2, 0, rotation_block(1e-7))
+        rep = check_regularity(nearly_fixed)
+        assert rep == ref.dense_regularity(nearly_fixed)
+        assert not rep.nonsingular_on_image and not rep.kernel_square_stable
+
+    def test_cost_guard_below_one_dense_matrix(self, get_space):
+        # Regularity and the three phi residuals at n = 24 peak below one 276 x 276
+        # float array: no dense dim-so(n) matrix is formed (A^2 alone was one).
+        ps = dataclasses.replace(get_space(24, 6))
+        xy = random_skew(np.random.default_rng(0), 24, 20).reshape(10, 2, 24, 24)
+
+        def run():
+            check_regularity(ps)
+            phi_homomorphism_residuals(ps, xy)
+            phi_conjugation_residual(ps, xy.reshape(-1, 24, 24))
+
+        run()
+        assert TestCostGuard.peak(run) < 276 * 276 * 8
 
 
 def dense_ad_h(ps):
@@ -330,7 +442,7 @@ class TestStructuralChecksStillBite:
         r = np.flatnonzero(ps.h.coords[:, np.flatnonzero((i == 4) & (j == 5))[0]])[0]
         h_rows, m_rows = _rotate_rows(np.roll(ps.h.coords, -r, axis=0), ps.m.coords, 0.3)
         h, m = Subspace(6, h_rows), Subspace(6, m_rows)
-        theta = EndoOnM(m, m.coords @ ps.phi.matrix @ m.coords.T)
+        theta = EndoOnM(m, m.coords @ phi_matrix(ps.spec) @ m.coords.T)
         with pytest.raises(RuntimeError, match="reductivity failure"):
             _check_phi_space_invariants(ps.spec, h, m, theta)
 
@@ -393,8 +505,7 @@ class TestBlockRoute:
             for pos, mats in phi_blocks(spec.b):
                 dense[pos[:, :, None], pos[:, None, :]] = mats
             assert np.array_equal(dense, ref.phi_matrix(spec)), (n, spec.m_blocks, spec.k)
-        ps = build_phi_space(specs[-1])
-        assert np.array_equal(ps.phi.matrix, dense)  # PhiSpace.phi is that scatter
+        assert not hasattr(build_phi_space(specs[-1]), "phi")  # the blocks are the only form of phi
 
     def test_phi_blocks_have_size_1_2_or_4(self):
         for spec in _specs([9, 12], blocks=(1, 2, 4)):
@@ -457,13 +568,13 @@ class TestBlockRoute:
         identity = build_phi_space(AutomorphismSpec(n=n, m_blocks=1, k=1, b=np.eye(n)))
         assert [pos.shape for pos, _ in identity.spec.phi_blocks] == [(n * (n - 1) // 2, 1)]
         assert identity.m.dim == 0 and identity.h.dim == n * (n - 1) // 2
-        assert np.array_equal(identity.phi.matrix, ref.phi_matrix(identity.spec))
+        assert np.array_equal(ref.scattered_phi(identity.spec), ref.phi_matrix(identity.spec))
         for k in (4, 6):
             spec = AutomorphismSpec(n=n, m_blocks=1, k=k, b=_order_k_dense_b(n, k, seed=n))
             ((pos, _),) = phi_blocks(spec.b)  # one block: all of so(n)
             assert pos.shape == (1, n * (n - 1) // 2)
             ps = build_phi_space(spec)
-            assert np.array_equal(ps.phi.matrix, ref.phi_matrix(spec))
+            assert np.array_equal(ref.scattered_phi(spec), ref.phi_matrix(spec))
             h, m, _ = ref.dense_phi_space(spec)
             np.testing.assert_allclose(_projector(ps.h), _projector(h), rtol=0, atol=1e-12)
             np.testing.assert_allclose(_projector(ps.m), _projector(m), rtol=0, atol=1e-12)
@@ -489,11 +600,7 @@ class TestBlockRoute:
         ps = get_space(7, 6)
         xs = random_skew(np.random.default_rng(5), 7, 20)
         assert phi_conjugation_residual(ps, xs) < TAU_PHI
-        bad = ps.phi.matrix.copy()
-        bad[:, [0, 1]] = bad[:, [1, 0]]
-        broken = dataclasses.replace(ps)
-        vars(broken)["phi"] = EndoOnM(ps.phi.domain, bad)
-        assert phi_conjugation_residual(broken, xs) > 0.1
+        assert phi_conjugation_residual(with_phi_columns_swapped(ps, 0, 1), xs) > 0.1
 
 
 class TestSingularValues:
@@ -513,9 +620,10 @@ class TestSingularValues:
     @pytest.mark.parametrize("n,k,m_blocks", [(5, 4, 1), (12, 6, 1), (7, 6, 2), (9, 6, 4)])
     def test_kernel_dim_is_the_svd_kernel(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
-        a = ps.phi.matrix - np.eye(ps.phi.dim)
+        full = Subspace.full(n)
+        a = phi_matrix(ps.spec) - np.eye(full.dim)
         for mat in (a, a @ a):
-            assert _kernel_dim(mat) == ref.kernel_and_image(mat, ps.phi.domain)[0].dim == ps.h.dim
+            assert ref.kernel_dim(mat) == ref.kernel_and_image(mat, full)[0].dim == ps.h.dim
 
 
 class TestConstructionCost:
