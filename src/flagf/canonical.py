@@ -18,8 +18,8 @@ the angles theta has (:func:`phispace.theta_angles`), its sign key, and two
 signature tuples give the same operator iff their keys agree.  This module
 builds one structure per sign key and labels it from exact sign tables.
 :func:`verify_structures` re-checks a list of structures on the stack of
-their matrices (identities, reconstruction, commutation, ad(h)-invariance),
-with commutation inside the list bounded from those columns,
+their matrices (identities, reconstruction, theta-commutation) and bounds
+from those their commutation with each other and with ad(h),
 :func:`negation_residual` pairs each structure with its negative, and
 :func:`golden_action_check` compares the k = 4 and k = 6 structures
 entrywise with their closed-form actions on the flag spaces.
@@ -35,10 +35,6 @@ import numpy as np
 from .liealg import EndoOnM, lie_mats, poly_in, sum_by_key
 from .phispace import PhiSpace, theta_angles
 from .tolerances import TAU_GENERATED, TAU_GOLDEN
-
-# verify_structures joins ad(h) with runs of structures of about this many terms
-# (2 per nonzero of ad(h) and of f that meet), so that its memory stays bounded.
-AD_JOIN_TERMS = 1 << 16
 
 # The paper's structures of orders 4 and 6, by their signature: zeta_1..zeta_u
 # for f, xi_1..xi_{k/2} for P.  A structure takes the first label whose signs
@@ -191,7 +187,8 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
             signature[l - 1] = sign
         poly = (p_polynomial if product else f_polynomial)(k, signature)
         op = poly_in(ps.theta, poly, ps.theta_powers)
-        res = _defining_residual(op.matrix, product)
+        sq = op.matrix @ op.matrix
+        res = np.max(np.abs(sq - np.eye(len(sq)) if product else sq @ op.matrix + op.matrix))
         if res > TAU_GENERATED:  # the generating formulas guarantee the defining identities
             raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
         if product:
@@ -203,8 +200,8 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
-    """max |entry| of each matrix of a (..., d, d) stack."""
-    return np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    """max |entry| of each matrix of a (..., d, d) stack, overwriting a with |a|."""
+    return np.max(np.abs(a, out=a), axis=(-2, -1), initial=0.0)
 
 
 def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,13 +224,6 @@ def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx.reshape(shape), val.reshape(shape)
 
 
-def _defining_residual(m: np.ndarray, product: bool) -> np.ndarray:
-    """max |P^2 - 1| for almost product structures, max |f^3 + f| otherwise,
-    per matrix of a (..., d, d) stack."""
-    sq = m @ m
-    return _max_abs(sq - np.eye(m.shape[-1]) if product else sq @ m + m)
-
-
 def structure_by_label(structures, label: str) -> CanonicalStructure:
     for cs in structures:
         if cs.label == label:
@@ -243,48 +233,63 @@ def structure_by_label(structures, label: str) -> CanonicalStructure:
 
 
 def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
-    """Re-check each structure of the list: its defining identity, its
-    polynomial reconstruction, its commutation with theta and with the rest
-    of the list, and its ad(h)-equivariance, all on the (S, d, d) stack of
-    operator matrices, in O(S) products.
+    """Re-check each structure of the list on the (S, d, d) stack of operator
+    matrices, in O(S) products: measure its defining identity, polynomial
+    reconstruction and commutation with theta, and bound from those its
+    commutation with the rest of the list and with ad(h).
 
-    Commutation with the rest is bounded from the other columns, not
-    multiplied out pair by pair.  Write F_b = sum_m c_{b,m} theta^m + E_b,
-    max |E_b| = r_b the reconstruction residual, and t_a = max |[F_a, theta]|.
-    [F_a, theta^m] telescopes to sum_{i<m} theta^i [F_a, theta] theta^(m-1-i),
-    and max |X Y Z| <= |X|_inf max |Y| |Z|_1 (row and column sums), so
+    Write F_b = sum_m c_{b,m} theta^m + E_b, r_b = max |E_b| the reconstruction
+    residual.  For any X, [X, theta^m] telescopes to sum_{i<m} theta^i [X, theta]
+    theta^(m-1-i), and max |X Y Z| <= |X|_inf max |Y| |Z|_1 (row and column
+    sums), so with K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1
 
-        max |[F_a, F_b]| <= t_a sum_m |c_{b,m}| K_m + (|F_a|_inf + |F_a|_1) r_b,
-        K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1,
+        max |[X, F_b]| <= max |[X, theta]| sum_m |c_{b,m}| K_m + (|X|_inf + |X|_1) r_b.
 
-    and ``pairwise_commutation`` of F_a is the right side maxed over b,
-    each term on its own: t_a max_b (...) + (...) max_b r_b."""
+    X = F_a gives ``pairwise_commutation`` of F_a, the right side maxed over b
+    term by term: t_a max_b (...) + (|F_a|_inf + |F_a|_1) max_b r_b, with
+    t_a = max |[F_a, theta]|.  X = ad(h_a) on m, maxed over a, gives
+    ``ad_invariance`` of F_b: t_h sum_m |c_{b,m}| K_m + N_A r_b, with
+    t_h = max_a max |[A_a, theta]| from one join of ad(h) with theta and
+    N_A = max_a (|A_a|_inf + |A_a|_1)."""
     structures = list(structures)
     if not structures:
         return []
     d, count = ps.m.dim, len(structures)
-    f = np.array([cs.op.matrix for cs in structures]).reshape(count, d, d)
     th = ps.theta.matrix
+    t_h = _ad_commutator(th, ps)  # joined before the stacks exist, so its memory adds to none of them
+    f = np.array([cs.op.matrix for cs in structures]).reshape(count, d, d)
+    work, tmp = np.empty_like(f), np.empty_like(f)  # every step below writes into these two
 
+    np.matmul(f, f, out=work)
+    cubic = _max_abs(np.add(np.matmul(work, f, out=tmp), f, out=tmp))
     product = np.array([cs.kind == "almost-product" for cs in structures])
-    defining = np.where(product, _defining_residual(f, True), _defining_residual(f, False))
+    defining = np.where(product, _max_abs(np.subtract(work, np.eye(d), out=work)), cubic)
 
     coeffs = np.zeros((count, len(ps.theta_powers)))
     for row, cs in zip(coeffs, structures):
         row[: len(cs.theta_polynomial)] = cs.theta_polynomial
-    acc = np.zeros_like(f)
+    work.fill(0.0)
     for c, p in zip(coeffs.T, ps.theta_powers):  # term by term, as poly_in
         if np.any(c != 0.0):
-            acc = acc + c[:, None, None] * p
-    polynomial, theta_commutation = _max_abs(acc - f), _max_abs(f @ th - th @ f)
+            work += np.multiply(c[:, None, None], p, out=tmp)
+    polynomial = _max_abs(np.subtract(work, f, out=work))
+    np.matmul(f, th, out=work)
+    theta_commutation = _max_abs(np.subtract(work, np.matmul(th, f, out=tmp), out=work))
 
     powers = np.abs(ps.theta_powers)
     row_sums, col_sums = powers.sum(axis=2).max(axis=1), powers.sum(axis=1).max(axis=1)
     k_m = np.concatenate(([0.0], np.convolve(row_sums, col_sums)[: len(powers) - 1]))
-    f_norms = np.abs(f).sum(axis=2).max(axis=1) + np.abs(f).sum(axis=1).max(axis=1)
-    pairwise = theta_commutation * np.max(np.abs(coeffs) @ k_m) + f_norms * np.max(polynomial)
+    reach = np.abs(coeffs) @ k_m
+    abs_f = np.abs(f, out=work)
+    f_norms = abs_f.sum(axis=2).max(axis=1) + abs_f.sum(axis=1).max(axis=1)
+    pairwise = theta_commutation * np.max(reach) + f_norms * np.max(polynomial)
 
-    columns = (defining, polynomial, theta_commutation, _ad_invariance(f, ps), pairwise)
+    a, x, z, v = ps.ad_h_nonzeros
+    by_row, by_col = (np.bincount(a * d + i, np.abs(v), ps.h.dim * d).reshape(-1, d) for i in (x, z))
+    ad_norm = np.max(by_row.max(axis=1) + by_col.max(axis=1), initial=0.0)  # N_A
+    ad_invariance = t_h * reach + ad_norm * polynomial
+
+    columns = (defining, polynomial, theta_commutation, ad_invariance, pairwise)
     return [StructureCheck(cs.label, *values) for cs, *values in zip(structures, *(c.tolist() for c in columns))]
 
 
@@ -301,28 +306,17 @@ def negation_residual(structures) -> float:
     return worst
 
 
-def _ad_invariance(f: np.ndarray, ps: PhiSpace) -> np.ndarray:
-    """max |A_a f - f A_a| over the ad(h_a), per matrix of the (S, d, d) stack
-    f, joined from the nonzeros of ad(h) and of f and keyed structure first:
-    at m_blocks = 1 each entry is one product minus one, as in A @ f.  The
-    stack is joined in runs of structures of about AD_JOIN_TERMS terms."""
-    a, x, z, v = ps.ad_h_nonzeros
+def _ad_commutator(x: np.ndarray, ps: PhiSpace) -> float:
+    """max |A_a x - x A_a| over the ad(h_a), for one (d, d) matrix x, joined
+    from the nonzeros of ad(h) and of x: at m_blocks = 1 each entry is one
+    product minus one, as in A @ x."""
+    a, r, c, v = ps.ad_h_nonzeros
     d = ps.m.dim
-    nz = f != 0.0
-    size = nz.sum(axis=2)[:, z].sum(axis=1) + nz.sum(axis=1)[:, x].sum(axis=1)  # terms of each structure
-    run = (np.cumsum(size) - size) // AD_JOIN_TERMS
-    bounds = np.append(np.flatnonzero(np.diff(run, prepend=-1)), len(f)).tolist()
-    out = np.zeros(len(f))
-    for lo, hi in zip(bounds, bounds[1:]):
-        idx, val = nonzero_rows(f[lo:hi], f[lo:hi].swapaxes(1, 2))
-        first = (np.arange(hi - lo) * ps.h.dim)[:, None, None]  # key of (structure, h_a) is (first + a) d^2
-        af = ((first + a[:, None]) * d + x[:, None]) * d + idx[0][:, z]
-        fa = ((first + a[:, None]) * d + idx[1][:, x]) * d + z[:, None]
-        keys = np.concatenate([af.ravel(), fa.ravel()])
-        terms = np.concatenate([(v[:, None] * val[0][:, z]).ravel(), (-(val[1][:, x] * v[:, None])).ravel()])
-        keys, sums = sum_by_key(keys, terms)
-        np.maximum.at(out[lo:hi], keys // (ps.h.dim * d * d), np.abs(sums))
-    return out
+    idx, val = nonzero_rows(x, x.T)
+    ax, xa = ((a * d + r) * d)[:, None] + idx[0][c], (a[:, None] * d + idx[1][r]) * d + c[:, None]
+    keys = np.concatenate([ax.ravel(), xa.ravel()])
+    terms = np.concatenate([(v[:, None] * val[0][c]).ravel(), (-(val[1][r] * v[:, None])).ravel()])
+    return float(np.max(np.abs(sum_by_key(keys, terms)[1]), initial=0.0))
 
 
 def expected_flag_action(label: str, s: np.ndarray) -> np.ndarray:

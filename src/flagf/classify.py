@@ -549,7 +549,7 @@ def characteristic_set(
     """
     ev = ClassEvaluator(f, split)
     zs = ev.zero_set(condition)
-    problem = grid_disagreement({condition: zs}, ev.sweep(grid or (), kappa))
+    problem = grid_disagreement({condition: zs}, ev.sweep(() if grid is None else grid, kappa))
     if problem is not None:
         raise RuntimeError(problem)
     return zs

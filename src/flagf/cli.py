@@ -5,9 +5,9 @@
     flagf sweep    --n 5 --k 6 --out reports/ --format json
 
 verify re-checks every f- and P-structure of the space in one stacked call
-(canonical.verify_structures) and compares the closed and solved U on their
-nonzeros (metricgeom.u_nonzeros); sweep's per-structure checks come from
-one stacked call too.
+(canonical.verify_structures), compares the closed and solved U on their
+nonzeros (metricgeom.u_nonzeros) and the class chain on the f-structures up
+to sign; sweep's per-structure checks come from one stacked call too.
 
 Exit codes: 0 all checks pass / report written, 1 check or I/O failure,
 2 invalid configuration (a negative --seed among them).  Reports are
@@ -307,8 +307,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         dev_nomizu = metricgeom.connection_compat_residual(split, p_rand, rng.standard_normal((10, 3, split.dim)))
         add("connection-metric-compatibility", dev_nomizu < TAU_CONNECTION, dev_nomizu)
 
+        # -f lies in f's classes (f-negation-closure pairs them): the chain is checked up to sign, as in sweep
         special = metricgeom.MetricGrid.of(classify.SPECIAL_POINTS, kappa)
-        chain = [ev.sweep(special).chain_ok.all() for ev in classify.class_evaluators(fs, split)]
+        reps = [cs for cs in fs if not cs.label.startswith("-")]
+        chain = [ev.sweep(special).chain_ok.all() for ev in classify.class_evaluators(reps, split)]
         add("class-chain-at-special-points", all(chain))
 
     passed = all(c["passed"] for c in checks)

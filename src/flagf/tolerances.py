@@ -20,8 +20,8 @@ TAU_CYCLIC = 1e-10  # absolute: bracket tensor nonzeros that the cyclic block re
 # canonical structures (canonical)
 TAU_GENERATED = 1e-9  # absolute: max |f^3 + f| or |P^2 - 1| of a freshly generated operator
 TAU_STRUCTURE = 1e-10  # absolute: the StructureCheck residuals, and max |f + g| for the negative g of f
-# pairwise_commutation is the bound t_a max_b sum_m |c_bm| K_m + (|F_a|_inf + |F_a|_1) max_b r_b from the
-# theta commutation t and reconstruction residual r, K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1
+# pairwise_commutation and ad_invariance are bounds read off each structure's theta commutation and
+# reconstruction residual (canonical.verify_structures): 0 where both read 0, though products round to 1e-16
 TAU_GOLDEN = 1e-12  # absolute: entrywise deviation from the closed-form actions at k = 4, 6
 
 # metrics and connection (metricgeom, classify, the verify checks)

@@ -1,12 +1,12 @@
 """The per-structure routes that verify's stacked checks replaced, kept as
-references: every StructureCheck field and every U coordinate must keep
-their bits.
+references: every measured StructureCheck field and every U coordinate must
+keep their bits, and the two bounds must cover what these routes measure.
 
 ``verify_structure`` re-checks one structure against a list of others, one
 matrix product at a time (every pair multiplied out), and joins ad(h) with
-that structure alone; ``u_coords_tensor`` builds the dense (d, d, d) U
-tensor of each route, and ``u_tensor_solved`` solves for U on stacks of
-pairs of elements of m by contracting the dense bracket tensor.
+that structure alone (``ad_commutator``); ``u_coords_tensor`` builds the
+dense (d, d, d) U tensor of each route, and ``u_tensor_solved`` solves for U
+on stacks of pairs of elements of m by contracting the dense bracket tensor.
 """
 
 import numpy as np
@@ -24,7 +24,8 @@ def _defining_residual(m, product):
     return _max_abs(m @ m - np.eye(len(m)) if product else m @ m @ m + m)
 
 
-def _ad_invariance(f, ps):
+def ad_commutator(f, ps):
+    """max |A_a f - f A_a| over the ad(h_a), joined from the nonzeros of ad(h) and of f."""
     a, x, z, v = ps.ad_h_nonzeros
     d = len(f)
     idx, val = nonzero_rows(f, f.T)
@@ -41,7 +42,7 @@ def verify_structure(cs, ps, others=()):
         defining_residual=_defining_residual(f, product=cs.kind == "almost-product"),
         polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial, ps.theta_powers).matrix - f),
         theta_commutation=_max_abs(f @ th - th @ f),
-        ad_invariance=_ad_invariance(f, ps),
+        ad_invariance=ad_commutator(f, ps),
         pairwise_commutation=max([0.0] + [_max_abs(f @ o.op.matrix - o.op.matrix @ f) for o in others]),
     )
 

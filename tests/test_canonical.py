@@ -254,19 +254,23 @@ class TestStructureIdentities:
     @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 4), (8, 1, 6), (16, 1, 6), (7, 2, 6), (9, 3, 4)])
     def test_ad_invariance_matches_dense_commutator(self, get_space, n, m_blocks, k):
         # At m_blocks = 1 every ad(h_a) has one nonzero per row and column, so
-        # each entry of A f - f A is one product minus one product: the same
-        # bits as the dense route.  Otherwise the sums are reordered.
+        # each entry of A f - f A is one product minus one product: the join
+        # has the bits of the dense route.  Otherwise the sums are reordered.
+        # verify's ad_invariance bounds the dense commutator, up to its rounding.
         ps = get_space(n, k, m_blocks)
         ad = dense_ad_h(ps)
         fs = flagf.generate_f_structures(ps)
         for cs, chk in zip(fs, verify_structures(fs, ps)):
             f = cs.op.matrix
             dense = float(np.max(np.abs(ad @ f - f @ ad)))
-            got = chk.ad_invariance
+            joined = reference.ad_commutator(f, ps)
             if m_blocks == 1:
-                assert got == dense, cs.label
+                assert joined == dense, cs.label
             else:
-                assert abs(got - dense) <= 1e-15, cs.label
+                assert abs(joined - dense) <= 1e-15, cs.label
+            assert dense <= chk.ad_invariance + AD_REFERENCE_ROUNDING, cs.label
+        th = ps.theta.matrix
+        assert canonical._ad_commutator(th, ps) == reference.ad_commutator(th, ps)
 
     def test_cost_guard_verify_structure(self, get_space, get_f_structures):
         # The dense commutator would allocate (dim h, d, d) temporaries.
@@ -302,8 +306,8 @@ class TestStructureIdentities:
             assert cs.kind == "f-structure"
 
 
-# The fields measured structure by structure; pairwise_commutation is a bound built from them.
-CHECK_FIELDS = ("defining_residual", "polynomial_residual", "theta_commutation", "ad_invariance")
+# The fields measured structure by structure; pairwise_commutation and ad_invariance are bounds built from them.
+CHECK_FIELDS = ("defining_residual", "polynomial_residual", "theta_commutation")
 
 
 def check_bits(checks):
@@ -321,6 +325,13 @@ def worst_pairwise(checks):
 
 # The pairwise bound holds for exact products; a product of O(1) matrices rounds to about this.
 ROUNDING = np.finfo(float).eps
+# ad_invariance bounds [A, F] for F = sum_m c_m theta^m + E exactly, with E the reconstruction residual,
+# which verify and poly_in both form by the same float steps (so it reads 0).  The reference joins ad(h)
+# with F's stored entries instead: each a float sum of at most k <= MAX_K = 16 products c_m (theta^m)_ij,
+# off the exact sum by at most 16 (eps / 2) sum_m |c_m| <= 32 eps (|theta^m|_ij <= 1 and sum_m |c_m| < 4
+# on every space tested), which ad(h) scales by at most N_A = sqrt(2) to 46 eps, and each entry of its
+# own join rounds by a few eps more.
+AD_REFERENCE_ROUNDING = 64 * ROUNDING
 
 
 def non_equivariant_fake(ps):
@@ -338,6 +349,7 @@ class TestStackedStructureChecks:
     def test_measured_fields_are_bitwise_the_per_structure_route(self, get_space, n, m_blocks, k):
         # The pairwise bound is at least the largest commutator the reference multiplies out,
         # up to rounding: the f-structures alone read 0 where their products round to 1e-32.
+        # The ad(h) bound is at least each structure's join, up to the reference's rounding.
         ps = get_space(n, k, m_blocks)
         fs = flagf.generate_f_structures(ps)
         everything = fs + flagf.generate_product_structures(ps)
@@ -347,6 +359,77 @@ class TestStackedStructureChecks:
             assert check_bits(got) == check_bits(want)
             assert worst_pairwise(want) <= worst_pairwise(got) + ROUNDING
             assert worst_pairwise(got) < TAU_STRUCTURE
+            for chk, ref in zip(got, want):
+                assert ref.ad_invariance <= chk.ad_invariance + AD_REFERENCE_ROUNDING, chk.label
+                assert chk.ad_invariance < TAU_STRUCTURE, chk.label
+
+    @pytest.mark.parametrize(
+        "n,m_blocks,k",
+        [(5, 1, 6), (16, 1, 16), (24, 1, 6), (7, 2, 6), (9, 3, 4), (9, 4, 6), (11, 4, 6), (12, 3, 8), (9, 4, 16)],
+    )
+    def test_ad_bound_covers_every_join(self, get_space, n, m_blocks, k):
+        # Structure by structure, against the join of ad(h) with that structure alone;
+        # the bound reads exactly 0 where theta commutes with ad(h) and F is its polynomial.
+        ps = get_space(n, k, m_blocks)
+        family = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
+        got = verify_structures(family, ps)
+        want = [reference.verify_structure(cs, ps) for cs in family]
+        assert check_bits(got) == check_bits(want)
+        theta_commutes = canonical._ad_commutator(ps.theta.matrix, ps) == 0.0
+        for chk, ref in zip(got, want):
+            assert ref.ad_invariance <= chk.ad_invariance + AD_REFERENCE_ROUNDING < TAU_STRUCTURE, chk.label
+            if theta_commutes and chk.polynomial_residual == 0.0:
+                assert chk.ad_invariance == 0.0, chk.label
+
+    def test_the_norm_term_is_reached_by_a_rank_one_fake(self, get_space):
+        # At m_blocks = 1 each ad(h_a) has one nonzero per row and column, of modulus 1/sqrt(2).
+        # For its nonzero (x, z, v), E = (e_x - e_z)(e_x + e_z)^T has max |E| = 1 and
+        # [A_a, E]_xz = -2 v: the join reaches N_A r_F = |A_a|_inf + |A_a|_1, so that term is tight.
+        ps = get_space(6, 6)
+        a, x, z, v = ps.ad_h_nonzeros
+        u, w = np.zeros(ps.m.dim), np.zeros(ps.m.dim)
+        u[x[0]], u[z[0]], w[x[0]], w[z[0]] = 1.0, -1.0, 1.0, 1.0
+        fake = dataclasses.replace(non_equivariant_fake(ps), op=EndoOnM(ps.m, np.outer(u, w)))
+        (chk,) = verify_structures([fake], ps)
+        joined = reference.ad_commutator(fake.op.matrix, ps)
+        assert chk.polynomial_residual == 1.0 and joined == 2 * abs(v[0])
+        assert joined <= chk.ad_invariance <= joined + AD_REFERENCE_ROUNDING
+
+    def test_a_theta_that_does_not_commute_with_ad_h_fails_the_bound(self, get_space):
+        # theta conjugated by a rotation of two basis directions of m keeps its order and its
+        # polynomials keep their identities, but no longer commutes with ad(h): only the
+        # ad(h) bound can see it, and it must, as the join of each structure does.
+        ps = get_space(6, 6)
+        d = ps.m.dim
+        q = np.eye(d)
+        q[0, 0] = q[d - 1, d - 1] = np.cos(0.3)
+        q[0, d - 1], q[d - 1, 0] = -np.sin(0.3), np.sin(0.3)
+        bent = dataclasses.replace(ps, theta=EndoOnM(ps.m, q @ ps.theta.matrix @ q.T))
+        family = flagf.generate_f_structures(bent) + flagf.generate_product_structures(bent)
+        got = verify_structures(family, bent)
+        want = [reference.verify_structure(cs, bent) for cs in family]
+        for chk in got:
+            assert max(getattr(chk, name) for name in CHECK_FIELDS) < TAU_STRUCTURE, chk.label
+        assert max(ref.ad_invariance for ref in want) > 1e-3
+        assert all(ref.ad_invariance <= chk.ad_invariance for chk, ref in zip(got, want))
+        assert min(chk.ad_invariance for chk in got) > 1e-3
+
+    def test_cost_guard_stack_and_two_working_stacks(self, get_space):
+        # verify_structures keeps the (S, d, d) stack and two working stacks that every step
+        # writes into; the per-structure lists add under 5 % of a stack here (S = 2314, d = 32).
+        import tracemalloc
+
+        ps = get_space(9, 16, 4)
+        family = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
+        verify_structures(family, ps)
+        tracemalloc.start()
+        try:
+            verify_structures(family, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = len(family) * ps.m.dim**2 * 8
+        assert len(family) == 2314 and peak < 3.15 * stack
 
     @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 6), (9, 2, 8), (12, 3, 8)])
     def test_pairwise_bound_covers_every_measured_commutator(self, get_space, n, m_blocks, k):
@@ -383,15 +466,14 @@ class TestStackedStructureChecks:
         want = [reference.verify_structure(cs, ps, others=stack) for cs in stack]
         assert check_bits(checks) == check_bits(want)
         assert all(r.pairwise_commutation <= c.pairwise_commutation for c, r in zip(checks, want))
+        assert all(r.ad_invariance <= c.ad_invariance + AD_REFERENCE_ROUNDING for c, r in zip(checks, want))
         flagged = [i for i, chk in enumerate(checks) if chk.ad_invariance > 1e-3]
-        assert flagged == [at]
+        assert flagged == [at] and want[at].ad_invariance > 1e-3
         assert checks[at].polynomial_residual == 1.0 and checks[at].pairwise_commutation > 1e-3
-        # Every other structure keeps its own residuals; only its commutator with the fake is new.
+        # Every other structure keeps its own residuals and ad(h) bound; only its commutator with the fake is new.
         alone = verify_structures(everything, ps)
         for chk, ref in zip(checks[:at] + checks[at + 1 :], alone):
-            assert check_bits([dataclasses.replace(chk, pairwise_commutation=0.0)]) == check_bits(
-                [dataclasses.replace(ref, pairwise_commutation=0.0)]
-            )
+            assert check_bits([chk]) == check_bits([ref]) and chk.ad_invariance == ref.ad_invariance
 
     def test_empty_list(self, get_space):
         assert verify_structures([], get_space(5, 6)) == []

@@ -26,7 +26,7 @@ from flagf.classify import (
 )
 from flagf import classify
 from flagf.liealg import Subspace, bracket_coords, scatter
-from flagf.metricgeom import MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients
+from flagf.metricgeom import MetricGrid, MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients
 from structure_checks_reference import u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
@@ -534,6 +534,23 @@ class TestSweep:
             for name, flags in swept.indeterminate.items():
                 assert not flags.any(), (cs.label, name, swept.s[flags], swept.t[flags])
 
+    @pytest.mark.parametrize("n,k", [(5, 4), (6, 6), (12, 6), (6, 8), (8, 10), (16, 16)])
+    def test_negated_structures_same_verdicts_at_the_special_points(self, get_split, get_f_structures, n, k):
+        # verify checks the class chain on the structures up to sign.  -f's kill and nk
+        # polarized entries are f's negated and its g1 entries f's, so at k = 4, 6 (exact
+        # negatives) the residuals keep their bits; at k >= 8 the pairs can differ by 1e-16.
+        split, fs = get_split(n, k), get_f_structures(n, k)
+        special = MetricGrid.of(classify.SPECIAL_POINTS, float(n - 1))
+        swept = {ev.structure.label: ev.sweep(special) for ev in classify.class_evaluators(fs, split)}
+        negatives = [label for label in swept if label.startswith("-")]
+        assert len(negatives) == len(swept) // 2
+        for label in negatives:
+            minus, plus = swept[label], swept[label[1:]]
+            for name in CONDITION_NAMES:
+                assert minus.memberships[name].tolist() == plus.memberships[name].tolist(), (label, name)
+                if k in (4, 6):
+                    assert bits(minus.residuals[name]) == bits(plus.residuals[name]), (label, name)
+
     def test_negated_structure_same_classes(self, get_split, get_f_structures):
         split = get_split(5, 6)
         fs = get_f_structures(5, 6)
@@ -591,6 +608,14 @@ class TestCharacteristicSets:
         split = get_split(5, 6)
         f4 = structure_by_label(get_f_structures(5, 6), "f4")
         assert characteristic_set(f4, split, "nk").kind == "empty"
+
+    def test_grid_given_as_an_array_or_a_metric_grid(self, get_split, get_f_structures):
+        split = get_split(5, 4)
+        f0 = structure_by_label(get_f_structures(5, 4), "f0")
+        points = np.array([[1.0, FOUR_THIRDS], [2.0, 2.0]])
+        for grid in (points, MetricGrid.of(points)):
+            cs = characteristic_set(f0, split, "kill", grid=grid)
+            assert cs.kind == "points" and cs.contains(points[:, 0], points[:, 1]).tolist() == [True, False]
 
     def test_description_strings(self, get_split, get_f_structures):
         split = get_split(5, 4)

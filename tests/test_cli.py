@@ -109,13 +109,13 @@ class TestVerify:
         assert code == 1 and failed == ["class-chain-at-special-points"]
 
     def test_cost_guard_one_join_for_all_structures(self, capsys, monkeypatch):
-        # The class chain sets up an evaluator per f-structure from one join,
-        # however many structures the space has.
+        # The class chain sets up an evaluator per f-structure up to sign from one join,
+        # however many structures the space has: -f lies in the classes of f.
         counts = count_class_setup(monkeypatch)
         code, out, _ = run(capsys, "verify", "--n", "12", "--k", "6", "--format", "json")
         assert code == 0
         structures = json.loads(out)["structures"]["f"]
-        assert counts == {"evaluators": len(structures), "joins": 1} and len(structures) == 8
+        assert counts == {"evaluators": len(structures) // 2, "joins": 1} and len(structures) == 8
 
     def test_cost_guard_one_ad_join_and_no_dense_u(self, capsys, monkeypatch):
         # The structure checks of all f- and P-structures take one stacked

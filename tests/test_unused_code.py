@@ -1,5 +1,6 @@
-"""Every top-level function or class of the package is used by the package
-or exported by it: a reference kept only for the tests lives in tests/."""
+"""Every top-level function, class or UPPER_CASE constant of the package is
+used by the package or exported by it: a reference kept only for the tests
+lives in tests/."""
 
 import ast
 from pathlib import Path
@@ -35,10 +36,16 @@ def unused_definitions(src: Path) -> list[str]:
     unused = []
     for file, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and n.id.isupper()]
+            else:
                 continue
-            if not any(node.name in names_outside(other, node) for other in trees.values()):
-                unused.append(f"{file}:{node.name}")
+            for name in names:
+                if name not in exported and not any(name in names_outside(other, node) for other in trees.values()):
+                    unused.append(f"{file}:{name}")
     return unused
 
 
@@ -55,3 +62,13 @@ def test_the_guard_sees_a_definition_named_only_in_a_docstring(tmp_path):
         "class Unused:\n    pass\n"
     )
     assert unused_definitions(tmp_path) == ["a.py:orphan", "a.py:Unused"]
+
+
+def test_the_guard_sees_a_constant_named_only_in_its_own_assignment(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import kept, EXPORTED\n")
+    (tmp_path / "a.py").write_text(
+        'USED = 1\nEXPORTED = 2\nORPHAN = 1 << 16  # see ORPHAN\nTYPED: int = 3\n_lower = 4\n\n\n'
+        'def kept():\n    """Reads USED, not STALE."""\n    return USED\n'
+    )
+    (tmp_path / "b.py").write_text("STALE = 5\nPAIR, ALSO = 6, 7\nprint(ALSO)\n")
+    assert unused_definitions(tmp_path) == ["a.py:ORPHAN", "a.py:TYPED", "b.py:STALE", "b.py:PAIR"]
