@@ -42,25 +42,19 @@ from .metricgeom import (
     MetricParams,
     TripleSplit,
     build_split,
-    metric_eval,
     naturally_reductive_residual,
-    nomizu,
-    u_tensor_closed,
 )
 from .classify import (
     CharacteristicSet,
     ClassEvaluator,
     ClassReport,
     ClassSweep,
-    MembershipResult,
     build_grid,
     characteristic_set,
     class_evaluators,
-    membership,
     metric_compat_residual,
     product_compat_residual,
     structure_matrices,
-    sweep,
 )
 
 __version__ = "0.1.0"

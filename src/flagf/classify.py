@@ -170,15 +170,6 @@ def _combined_norms(values: np.ndarray, starts: np.ndarray, coeffs: np.ndarray) 
     return np.sqrt(np.add.reduceat(comb, starts, axis=1))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    condition: str
-    residual: float
-    member: bool
-    indeterminate: bool
-    witness: tuple[int, int] | None
-
-
 def _chain_ok(m):
     """kill => nk => g1 on the memberships m: bools, or bool arrays."""
     return (m["kill"] <= m["nk"]) & (m["nk"] <= m["g1"])
@@ -334,12 +325,6 @@ def _constraint_polynomial(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
     return tuple(term for term in terms if abs(term[2]) > TAU_RANK)
 
 
-def _condition_index(name: str) -> int:
-    if name not in CONDITION_NAMES:
-        raise ValueError(f"unknown condition {name!r}")
-    return CONDITION_NAMES.index(name)
-
-
 class ClassEvaluator:
     """Evaluates the three class conditions for one structure on one split.
 
@@ -389,17 +374,6 @@ class ClassEvaluator:
         member = res < TAU_MEMBER
         indeterminate = ~member & (res <= NONMEMBER_MARGIN)
         return res, member, indeterminate, np.where(member[..., None], -1, pairs)
-
-    def residual(self, name: str, params: MetricParams) -> tuple[float, tuple[int, int]]:
-        """Normalized polarized residual and the basis pair achieving it."""
-        c = _condition_index(name)
-        res, pairs = self._residuals(params)
-        return float(res[c, 0]), tuple(pairs[c, 0].tolist())
-
-    def membership(self, name: str, params: MetricParams) -> MembershipResult:
-        c = _condition_index(name)
-        res, member, indeterminate, witness = (x[c, 0].tolist() for x in self._verdicts(params))
-        return MembershipResult(name, res, member, indeterminate, None if member else tuple(witness))
 
     def report(self, params: MetricParams) -> ClassReport:
         res, member, indeterminate, witness = (x[:, 0].tolist() for x in self._verdicts(params))
@@ -469,10 +443,6 @@ def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
     return out
 
 
-def membership(f: CanonicalStructure, split: TripleSplit, params: MetricParams, condition: str) -> MembershipResult:
-    return ClassEvaluator(f, split).membership(condition, params)
-
-
 def structure_matrices(structures, split: TripleSplit) -> np.ndarray:
     """The (S, d, d) stack of the structures' matrices over the block basis."""
     return np.array([cs.op.matrix_on(split.combined) for cs in structures]).reshape(-1, split.dim, split.dim)
@@ -516,11 +486,6 @@ def build_grid(
         if p not in pts:
             pts.append((float(p[0]), float(p[1])))
     return pts
-
-
-def sweep(f: CanonicalStructure, split: TripleSplit, grid, kappa: float = 1.0) -> ClassSweep:
-    """The residuals and verdicts at every grid point; see :meth:`ClassEvaluator.sweep`."""
-    return ClassEvaluator(f, split).sweep(grid, kappa)
 
 
 def grid_disagreement(sets: dict[str, CharacteristicSet], sweep: ClassSweep) -> str | None:

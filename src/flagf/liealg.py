@@ -10,7 +10,10 @@ skew-symmetry.  The lex basis is orthonormal for the trace form
 their rows.  :func:`brackets` takes the commutators of two stacks,
 :class:`Subspace` holds orthonormal rows and :class:`EndoOnM` an operator on
 them.  The fixed basis pins down every operator matrix and report for
-reproducibility.
+reproducibility.  Stacks of matrices serve only the oracles on random and
+probe elements (verify's phi checks and the golden actions of the
+structures); brackets, and the connection and class conditions built on
+them, are computed on basis elements, from nonzeros.
 
 Matrices are small (the benchmark goes up to n = 24, so dim so(n) <= 276) and
 entries are O(1).  Each threshold, and the scale it applies to, is named in
@@ -29,9 +32,10 @@ exactly one index.
 on the lex position, for the coefficients of each bracket's projection, and
 :func:`bracket_leak` joins once more for the distance of each bracket from
 a subspace (or from one of several blocks); both keep only nonzeros, as
-sorted index and value arrays.  No
-(dim x, dim y, n, n) array and no dense bracket row is ever formed, and
-:func:`scatter` is the one way back to a dense array, for references.
+sorted index and value arrays, and are the only projections onto a
+subspace.  No (dim x, dim y, n, n) array and no dense bracket row is ever
+formed, and :func:`scatter` is the one way back to a dense array, for
+references.
 """
 
 from __future__ import annotations
@@ -160,21 +164,6 @@ class Subspace:
         sp = Subspace.__new__(Subspace)
         sp._set(self.ambient_n, hi - lo, row[keep] - lo, pos[keep], val[keep], check=False)
         return sp
-
-    def project_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Projections of lex-coordinate rows onto this subspace, as a (rows, n, n) stack."""
-        return lie_mats(self.ambient_n, (self.coords.T @ (self.coords @ rows[..., None]))[..., 0])
-
-    def relative_residuals(self, rows) -> np.ndarray:
-        """:meth:`residuals` of lex-coordinate rows relative to their norms (0 for a zero row)."""
-        nrm = np.linalg.norm(rows, axis=1)
-        return np.divide(self.residuals(rows), nrm, out=np.zeros_like(nrm), where=nrm != 0)
-
-    def residuals(self, rows) -> np.ndarray:
-        """Absolute distance of each lex-coordinate row to this subspace: a bracket
-        of unit basis vectors that is 0 exactly must not be scaled by its own noise."""
-        rows = np.asarray(rows, dtype=float)
-        return np.linalg.norm(rows - (rows @ self.coords.T) @ self.coords, axis=1)
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -359,7 +348,8 @@ def bracket_coords(x: Subspace, y: Subspace, onto: Subspace) -> tuple[np.ndarray
 
 def bracket_leak(x: Subspace, *blocks: Subspace) -> float:
     """The largest distance of a basis bracket [x_a, y] from the block of y,
-    y a basis vector of one of the blocks, absolute as :meth:`Subspace.residuals`.
+    y a basis vector of one of the blocks: absolute, since a bracket of unit
+    basis vectors that is 0 exactly must not be scaled by its own noise.
 
     From nonzeros: the brackets of x with the stacked rows of the blocks, their
     coefficients over the rows of the same block (as :func:`bracket_coords`),

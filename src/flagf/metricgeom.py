@@ -20,16 +20,16 @@ or, independently, by solving 2 g(U(X,Y), Z) = g(X,[Z,Y]_m) + g([Z,X]_m, Y)
 for U in the block basis (the Gram matrix is diagonal there).  Agreement of
 the two routes is one of the package's standing cross-checks.
 
-:func:`metric_eval`, :func:`u_tensor_closed` and :func:`nomizu` take two
-(P, n, n) stacks of elements of m and work pair by pair (X_p, Y_p); an
-argument outside m raises ValueError.  :func:`u_nonzeros` gives U on all
-basis pairs in block coordinates, by either route, as sorted keys into the
-(d, d, d) tensor and their values; its solved mode is the one solved route.
-Like :func:`naturally_reductive_residual`, the split checks and the class
-set-up, it reads the bracket tensor of m off its nonzeros
+Everything here works on the block basis of m.  :func:`u_nonzeros` gives U
+on all basis pairs, by either route, as sorted keys into the (d, d, d)
+tensor and their values; its solved mode is the one solved route.  Like
+:func:`naturally_reductive_residual`, the split checks and the class set-up,
+it reads the bracket tensor B of m off its nonzeros
 (``TripleSplit.bracket_nonzeros``), and :func:`u_channels` gives the
-closed-form channel of each basis pair.  Nothing here scatters them into a
-d^3 array.
+closed-form channel of each basis pair.  The connection alpha = (1/2) B + U
+has the keys of B, and :func:`connection_compat_residual` checks it on every
+basis triple from them.  Nothing here takes a stack of matrices or scatters
+nonzeros into a d^3 array.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import bracket_coords, bracket_leak, brackets, lie_mats, lie_rows, sum_by_key
+from .liealg import bracket_coords, bracket_leak, sum_by_key
 from .phispace import PhiSpace, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_ORTH, TAU_SUBSPACE
 
@@ -178,34 +178,6 @@ def block_weights(split: TripleSplit, params: MetricParams) -> np.ndarray:
     return params.kappa * w
 
 
-def _m_rows(split: TripleSplit, *stacks: np.ndarray) -> list[np.ndarray]:
-    """Lex coordinates of (P, n, n) stacks; ValueError if any element is not in m."""
-    out = [lie_rows(mats) for mats in stacks]
-    r = np.concatenate([split.combined.relative_residuals(rows) for rows in out])
-    if np.any(r > TAU_SUBSPACE):
-        raise ValueError(f"argument is not in the complement m (residual {np.nanmax(r):.3e})")
-    return out
-
-
-def metric_eval(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """g(X_p, Y_p) = kappa (<X1,Y1> + s <X2,Y2> + t <X3,Y3>), <,> = Tr(X^T Y),
-    for each pair of two (P, n, n) stacks of elements of m: shape (P,)."""
-    xv, yv = (rows @ split.combined.coords.T for rows in _m_rows(split, xs, ys))
-    return np.sum(block_weights(split, params) * xv * yv, axis=1)
-
-
-def u_tensor_closed(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Closed-form U(X_p, Y_p) for two (P, n, n) stacks of elements of m, as a
-    (P, n, n) stack; symmetric in (X, Y) and valued in m."""
-    xr, yr = _m_rows(split, xs, ys)
-    s, t = params.s, params.t
-    x1, x2, x3 = (blk.project_rows(xr) for blk in (split.m1, split.m2, split.m3))
-    y1, y2, y3 = (blk.project_rows(yr) for blk in (split.m1, split.m2, split.m3))
-    out = 0.5 * (t - s) * (brackets(x2, y3) + brackets(y2, x3))
-    out = out + ((t - 1.0) / (2.0 * s)) * (brackets(x1, y3) + brackets(y1, x3))
-    return out + ((s - 1.0) / (2.0 * t)) * (brackets(x1, y2) + brackets(y1, x2))
-
-
 def u_nonzeros(split: TripleSplit, params: MetricParams, mode: str = "closed") -> tuple[np.ndarray, np.ndarray]:
     """U on all basis pairs, read off the nonzeros of the bracket tensor, as
     sorted flat keys (a d + b) d + z into the (d, d, d) coordinate tensor
@@ -248,20 +220,21 @@ def u_channels(split: TripleSplit, i: np.ndarray, j: np.ndarray) -> tuple[np.nda
     return np.where(bi == bj, 0, 6 - bi - bj), np.sign(bj - bi).astype(float)
 
 
-def nomizu(split: TripleSplit, params: MetricParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Connection bilinear map alpha(X, Y) = (1/2)[X, Y]_m + U(X, Y), U closed-form,
-    for two (P, n, n) stacks of elements of m: a (P, n, n) stack."""
-    return 0.5 * split.combined.project_rows(lie_rows(brackets(xs, ys))) + u_tensor_closed(split, params, xs, ys)
+def connection_compat_residual(split: TripleSplit, params: MetricParams) -> float:
+    """Max |g(alpha(Z, X), Y) + g(X, alpha(Z, Y))| over basis triples (Z, X, Y),
+    normalized by kappa: 0 for a metric connection (:func:`_compat_form`)."""
+    return float(np.max(np.abs(_compat_form(split, params)[1]), initial=0.0) / params.kappa)
 
 
-def connection_compat_residual(split: TripleSplit, params: MetricParams, xyz) -> float:
-    """max |g(alpha(Z, X), Y) + g(X, alpha(Z, Y))| / kappa over triples (X, Y, Z) given as
-    (P, 3, d) block coordinates: 0 for a metric connection.  Every alpha value must lie in m."""
-    c = split.combined
-    x, y, z = (lie_mats(c.ambient_n, np.asarray(xyz, dtype=float)[:, i] @ c.coords) for i in range(3))
-    val = metric_eval(split, params, nomizu(split, params, z, x), y)
-    val += metric_eval(split, params, x, nomizu(split, params, z, y))
-    return float(np.max(np.abs(val) / params.kappa, initial=0.0))
+def _compat_form(split: TripleSplit, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
+    """g(alpha(X_c, X_a), X_b) + g(X_a, alpha(X_c, X_b)) on every basis triple,
+    as sorted keys (c d + a) d + b and their sums, read off the nonzeros of
+    alpha = (1/2) B + U, U closed-form (the keys of both are those of B)."""
+    d = split.dim
+    i, j, r, v = split.bracket_nonzeros
+    gr = block_weights(split, params)[r] * (0.5 * v + u_nonzeros(split, params, "closed")[1])
+    # alpha[i, j, r] g_r is the first term at (c, a, b) = (i, j, r) and the second at (i, r, j).
+    return sum_by_key(np.concatenate([(i * d + j) * d + r, (i * d + r) * d + j]), np.concatenate([gr, gr]))
 
 
 def naturally_reductive_residual(split: TripleSplit, params: MetricParams) -> float:

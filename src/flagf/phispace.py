@@ -46,7 +46,7 @@ from .liealg import (
     operator_on,
     so_dim,
 )
-from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_RANK_REL, TAU_SUBSPACE, TAU_THETA_POWER
+from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -107,6 +107,16 @@ class PhiSpace:
         powers = op_powers(self.theta, self.spec.k)
         powers.flags.writeable = False
         return powers
+
+    @cached_property
+    def theta_order_residual(self) -> float:
+        """max |theta^k - id| on m, the one theta-order residual (build_phi_space
+        raises on it, verify reports it).  theta^k is theta @ theta^(k - 1) by the
+        products of :attr:`theta_powers`, bit for bit, without keeping the k powers."""
+        tk = np.eye(self.m.dim)
+        for _ in range(self.spec.k):
+            tk = self.theta.matrix @ tk
+        return float(np.max(np.abs(tk - np.eye(self.m.dim)), initial=0.0))
 
     @cached_property
     def ad_h_nonzeros(self) -> tuple[np.ndarray, ...]:
@@ -339,9 +349,9 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
 
     nonzeros = [(np.broadcast_to(pos[:, :, None], mats.shape), np.broadcast_to(pos[:, None, :], mats.shape), mats) for pos, mats in blocks]
     rows, cols, vals = (np.concatenate([nz[t].ravel() for nz in nonzeros]) for t in range(3))
-    theta = EndoOnM(m, operator_on(m, rows, cols, vals))
-    _check_phi_space_invariants(spec, h, m, theta)
-    return PhiSpace(spec=spec, h=h, m=m, theta=theta)
+    ps = PhiSpace(spec=spec, h=h, m=m, theta=EndoOnM(m, operator_on(m, rows, cols, vals)))
+    _check_phi_space_invariants(ps)
+    return ps
 
 
 def _basis(n: int, parts) -> Subspace:
@@ -366,19 +376,18 @@ def flag_complement_pattern(n: int) -> Subspace:
     return Subspace.of_entries(n, len(cols), np.arange(len(cols)), cols, np.ones(len(cols)))
 
 
-def _check_phi_space_invariants(spec, h, m, theta) -> None:
-    dg = so_dim(spec.n)
+def _check_phi_space_invariants(ps: PhiSpace) -> None:
+    h, m = ps.h, ps.m
+    dg = so_dim(ps.spec.n)
     if h.dim + m.dim != dg:
         raise RuntimeError(f"dim h + dim m = {h.dim}+{m.dim} != {dg}")
     # Reductivity: [h, m] stays in m (absolute leak; a zero bracket leaks nothing).
     if bracket_leak(h, m) > TAU_SUBSPACE:
         raise RuntimeError("reductivity failure: [h, m] leaves m")
-    if not _nonsingular(theta.matrix - np.eye(m.dim)):
+    if not _nonsingular(ps.theta.matrix - np.eye(m.dim)):
         raise RuntimeError("theta has a fixed vector")
-    if m.dim:
-        tk = np.linalg.matrix_power(theta.matrix, spec.k)
-        if np.max(np.abs(tk - np.eye(m.dim))) > TAU_THETA_POWER:
-            raise RuntimeError("theta^k is not the identity")
+    if ps.theta_order_residual > TAU_ORDER:
+        raise RuntimeError("theta^k is not the identity")
 
 
 def check_regularity(ps: PhiSpace) -> RegularityReport:

@@ -10,10 +10,9 @@ spells a threshold out (tests/test_tolerances.py guards this).
 TAU_SKEW = 1e-12  # relative to max(1, max |entry|): |X + X^T| of a matrix taken as an element of so(n)
 TAU_ORTH = 1e-12  # absolute: Gram entries of orthonormal rows, within a basis or across disjoint blocks
 TAU_RANK_REL = 1e-9  # relative to the largest singular value of all blocks: those counted as nonzero in the blocks of A = phi - id and of A^2
-TAU_SUBSPACE = 1e-9  # distance to a subspace: relative to |x| for an argument, absolute for unit rows and brackets
+TAU_SUBSPACE = 1e-9  # absolute: distance of unit rows and of brackets of unit basis vectors to a subspace
 TAU_B_ORTH = 1e-10  # absolute: max |B B^T - I| of the conjugating matrix
-TAU_ORDER = 1e-9  # absolute: max |entry| of theta^k - id (verify's theta-order)
-TAU_THETA_POWER = 1e-8  # absolute: max |theta^k - id|, the invariant build_phi_space raises on
+TAU_ORDER = 1e-9  # absolute: max |entry| of theta^k - id, which build_phi_space raises on and verify's theta-order reports
 TAU_NONSINGULAR = 1e-6  # absolute: smallest singular value of a regularity operator
 TAU_CYCLIC = 1e-10  # absolute: bracket tensor nonzeros that the cyclic block relations forbid
 
@@ -31,7 +30,7 @@ TAU_U_NEUTRAL = 1e-12  # absolute: max |U| at the neutral metric (s, t) = (1, 1)
 TAU_METRIC_COMPAT = 1e-10  # relative to kappa: |g(fX, Y) + g(X, fY)| and |g(PX, PY) - g(X, Y)| on basis pairs
 TAU_NAT_RED = 1e-9  # relative to kappa: |g([X, Y]_m, Z) - g(X, [Y, Z]_m)| on basis triples
 NAT_RED_MARGIN = 1e-3  # relative to kappa: the same residual off the neutral metric must exceed it
-TAU_CONNECTION = 1e-8  # relative to kappa: |g(alpha(Z, X), Y) + g(X, alpha(Z, Y))| on random O(1) X, Y, Z
+TAU_CONNECTION = 1e-8  # relative to kappa: |g(alpha(Z, X), Y) + g(X, alpha(Z, Y))| on every basis triple
 
 # class membership and zero sets (classify)
 TAU_MEMBER = 1e-9  # relative to |f| (1 + s + t + 1/s + 1/t): a class residual below it is a member

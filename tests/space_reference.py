@@ -11,7 +11,8 @@ it) and theta as m phi m^T; ``bracket_row_chunks``, ``bracket_coords`` and
 ``bracket_leak`` the brackets as dense lex rows, a chunk at a time, projected
 by one product per chunk.  ``dense_regularity`` is check_regularity on the
 dense A = phi - id and A^2, with every singular value of A^2 and the dense
-cross Gram h.coords @ m.coords.T.
+cross Gram h.coords @ m.coords.T.  ``residuals``, ``relative_residuals`` and
+``project_rows`` measure and project dense lex rows against a subspace.
 """
 
 import numpy as np
@@ -33,6 +34,25 @@ def scattered_phi(spec) -> np.ndarray:
     for pos, mats in spec.phi_blocks:
         dense[pos[:, :, None], pos[:, None, :]] = mats
     return dense
+
+
+def residuals(space: Subspace, rows) -> np.ndarray:
+    """Absolute distance of each lex-coordinate row to a subspace, rows minus
+    their projection by one dense product: a bracket of unit basis vectors
+    that is 0 exactly must not be scaled by its own noise."""
+    rows = np.asarray(rows, dtype=float)
+    return np.linalg.norm(rows - (rows @ space.coords.T) @ space.coords, axis=1)
+
+
+def relative_residuals(space: Subspace, rows) -> np.ndarray:
+    """:func:`residuals` of lex-coordinate rows relative to their norms (0 for a zero row)."""
+    nrm = np.linalg.norm(rows, axis=1)
+    return np.divide(residuals(space, rows), nrm, out=np.zeros_like(nrm), where=nrm != 0)
+
+
+def project_rows(space: Subspace, rows: np.ndarray) -> np.ndarray:
+    """Projections of lex-coordinate rows onto a subspace, as a (rows, n, n) stack."""
+    return lie_mats(space.ambient_n, (space.coords.T @ (space.coords @ rows[..., None]))[..., 0])
 
 
 def kernel_dim(mat) -> int:
@@ -91,7 +111,7 @@ def dense_phi_space(spec) -> tuple[Subspace, Subspace, EndoOnM]:
     h, m = kernel_and_image(phi - np.eye(full.dim), full)
     if spec.m_blocks == 1 and n >= 4:
         pattern = flag_complement_pattern(n)
-        if pattern.dim == m.dim and np.max(m.residuals(pattern.coords)) < TAU_SUBSPACE:
+        if pattern.dim == m.dim and np.max(residuals(m, pattern.coords)) < TAU_SUBSPACE:
             m = pattern
     return h, m, EndoOnM(m, m.coords @ phi @ m.coords.T)
 
@@ -125,6 +145,6 @@ def bracket_coords(x: Subspace, y: Subspace, onto: Subspace) -> tuple[np.ndarray
 
 
 def bracket_leak(x: Subspace, y: Subspace, onto: Subspace) -> float:
-    """The largest Subspace.residuals of a basis bracket's dense row."""
+    """The largest :func:`residuals` of a basis bracket's dense row."""
     chunks = bracket_row_chunks(x.ambient_n, x.coords, y.coords)
-    return max([0.0] + [float(np.max(onto.residuals(rows), initial=0.0)) for _, _, rows in chunks])
+    return max([0.0] + [float(np.max(residuals(onto, rows), initial=0.0)) for _, _, rows in chunks])

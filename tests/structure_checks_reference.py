@@ -7,13 +7,26 @@ matrix product at a time (every pair multiplied out), and joins ad(h) with
 that structure alone (``ad_commutator``); ``u_coords_tensor`` builds the
 dense (d, d, d) U tensor of each route, and ``u_tensor_solved`` solves for U
 on stacks of pairs of elements of m by contracting the dense bracket tensor.
+
+The dense connection route works on two (P, n, n) stacks of elements of m,
+pair by pair (X_p, Y_p); an argument outside m raises ValueError
+(``m_rows``).  ``metric_eval`` is g(X_p, Y_p), ``u_tensor_closed`` the
+closed-form U from brackets of the block projections, ``nomizu`` the
+connection alpha = (1/2)[X, Y]_m + U, and ``compat_form`` the trilinear form
+g(alpha(Z, X), Y) + g(X, alpha(Z, Y)) on triples of stacks, whose largest
+value over random triples was verify's connection check
+(``connection_compat_residual``).  ``scaled_channel`` is a wrong closed-form
+U coefficient to patch in, for tests that a check sees it.
 """
 
 import numpy as np
 
 from flagf.canonical import StructureCheck, nonzero_rows
-from flagf.liealg import lie_mats, poly_in, scatter, sum_by_key
-from flagf.metricgeom import _m_rows, block_weights, u_channel_coefficients, u_channels
+from flagf.liealg import brackets, lie_mats, lie_rows, poly_in, scatter, sum_by_key
+from flagf import metricgeom
+from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
+from flagf.tolerances import TAU_SUBSPACE
+from space_reference import project_rows, relative_residuals
 
 
 def _max_abs(a):
@@ -65,8 +78,68 @@ def u_tensor_solved(split, params, xs, ys):
     two (P, n, n) stacks of elements of m.  The block basis diagonalizes g,
     so the solve is a componentwise rescale."""
     c = split.combined
-    xv, yv = (rows @ c.coords.T for rows in _m_rows(split, xs, ys))
+    xv, yv = (rows @ c.coords.T for rows in m_rows(split, xs, ys))
     gd = block_weights(split, params)
     bm = scatter((split.dim,) * 3, *split.bracket_nonzeros)
     rhs = np.einsum("zjr,pj,pr->pz", bm, yv, gd * xv) + np.einsum("zir,pi,pr->pz", bm, xv, gd * yv)
     return lie_mats(c.ambient_n, (rhs / (2.0 * gd)) @ c.coords)
+
+
+def m_rows(split, *stacks):
+    """Lex coordinates of (P, n, n) stacks; ValueError if any element is not in m
+    (relative to |x|)."""
+    out = [lie_rows(mats) for mats in stacks]
+    r = np.concatenate([relative_residuals(split.combined, rows) for rows in out])
+    if np.any(r > TAU_SUBSPACE):
+        raise ValueError(f"argument is not in the complement m (residual {np.nanmax(r):.3e})")
+    return out
+
+
+def metric_eval(split, params, xs, ys):
+    """g(X_p, Y_p) = kappa (<X1,Y1> + s <X2,Y2> + t <X3,Y3>), <,> = Tr(X^T Y): shape (P,)."""
+    xv, yv = (rows @ split.combined.coords.T for rows in m_rows(split, xs, ys))
+    return np.sum(block_weights(split, params) * xv * yv, axis=1)
+
+
+def u_tensor_closed(split, params, xs, ys):
+    """Closed-form U(X_p, Y_p) as a (P, n, n) stack; symmetric in (X, Y) and valued in m."""
+    xr, yr = m_rows(split, xs, ys)
+    s, t = params.s, params.t
+    x1, x2, x3 = (project_rows(blk, xr) for blk in (split.m1, split.m2, split.m3))
+    y1, y2, y3 = (project_rows(blk, yr) for blk in (split.m1, split.m2, split.m3))
+    out = 0.5 * (t - s) * (brackets(x2, y3) + brackets(y2, x3))
+    out = out + ((t - 1.0) / (2.0 * s)) * (brackets(x1, y3) + brackets(y1, x3))
+    return out + ((s - 1.0) / (2.0 * t)) * (brackets(x1, y2) + brackets(y1, x2))
+
+
+def nomizu(split, params, xs, ys):
+    """alpha(X_p, Y_p) = (1/2)[X_p, Y_p]_m + U(X_p, Y_p), U from this module's
+    ``u_tensor_closed`` (looked up at call time, so a test can replace it)."""
+    return 0.5 * project_rows(split.combined, lie_rows(brackets(xs, ys))) + u_tensor_closed(split, params, xs, ys)
+
+
+def compat_form(split, params, zs, xs, ys):
+    """g(alpha(Z_p, X_p), Y_p) + g(X_p, alpha(Z_p, Y_p)) for three (P, n, n) stacks: shape (P,)."""
+    return metric_eval(split, params, nomizu(split, params, zs, xs), ys) + metric_eval(
+        split, params, xs, nomizu(split, params, zs, ys)
+    )
+
+
+def connection_compat_residual(split, params, xyz):
+    """max |compat_form| / kappa over triples (X, Y, Z) given as (P, 3, d) block coordinates."""
+    c = split.combined
+    x, y, z = (lie_mats(c.ambient_n, np.asarray(xyz, dtype=float)[:, i] @ c.coords) for i in range(3))
+    return float(np.max(np.abs(compat_form(split, params, z, x, y)) / params.kappa, initial=0.0))
+
+
+def scaled_channel(channel, factor):
+    """metricgeom.u_channel_coefficients with one channel's coefficient times
+    factor, to patch in for a wrong closed-form U."""
+    original = metricgeom.u_channel_coefficients
+
+    def coefficients(params):
+        c = original(params)
+        c[channel] *= factor
+        return c
+
+    return coefficients

@@ -156,15 +156,13 @@ def test_criterion_07_order4_classification(get_split, get_f_structures):
             ok &= abs(s_ref - 1.0) < 1e-6 and abs(t_ref - 1.333333) < 2e-6
 
         for t in (0.3, 1.0, FOUR_THIRDS, 2.5):
-            r_on, _ = ev.residual("nk", MetricParams(1.0, t))
-            ok &= r_on < 1e-9
+            ok &= ev.report(MetricParams(1.0, t)).residuals["nk"] < 1e-9
             for s in (0.5, 2.0):
-                r_off, _ = ev.residual("nk", MetricParams(s, t))
-                ok &= r_off > 1e-3
+                ok &= ev.report(MetricParams(s, t)).residuals["nk"] > 1e-3
         nk_set = characteristic_set(f0, split, "nk")
         ok &= nk_set.kind == "line" and nk_set.lines == (("s", 1.0),)
 
-        worst_g1 = max(ev.residual("g1", MetricParams(s, t))[0] for s, t in build_grid())
+        worst_g1 = float(ev.sweep(build_grid()).residuals["g1"].max())
         ok &= worst_g1 < 1e-9
         details.append(f"n={n}")
     _report(7, ok, f"order-4 classes: point (1,4/3), line s=1, G1 all ({', '.join(details)})")
@@ -179,19 +177,19 @@ def test_criterion_08_order6_classification(get_split, get_f_structures):
         evs = {lbl: ClassEvaluator(structure_by_label(fs, lbl), split) for lbl in ("f1", "f2", "f3", "f4")}
 
         for s, t in grid:
-            p = MetricParams(s, t)
+            res = {lbl: ev.report(MetricParams(s, t)).residuals for lbl, ev in evs.items()}
             at_special = abs(s - 1.0) < 1e-12 and abs(t - FOUR_THIRDS) < 1e-12
-            r1, _ = evs["f1"].residual("kill", p)
+            r1 = res["f1"]["kill"]
             ok &= (r1 < 1e-9) if at_special else (r1 > 1e-3)
             for lbl in ("f2", "f3", "f4"):
-                ok &= evs[lbl].residual("kill", p)[0] > 1e-3
-            rnk1, _ = evs["f1"].residual("nk", p)
+                ok &= res[lbl]["kill"] > 1e-3
+            rnk1 = res["f1"]["nk"]
             ok &= (rnk1 < 1e-9) if abs(s - 1.0) < 1e-12 else (rnk1 > 1e-3)
-            ok &= evs["f2"].residual("nk", p)[0] < 1e-9
-            ok &= evs["f3"].residual("nk", p)[0] < 1e-9
-            ok &= evs["f4"].residual("nk", p)[0] > 1e-3
+            ok &= res["f2"]["nk"] < 1e-9
+            ok &= res["f3"]["nk"] < 1e-9
+            ok &= res["f4"]["nk"] > 1e-3
             for lbl in ("f1", "f2", "f3", "f4"):
-                ok &= evs[lbl].residual("g1", p)[0] < 1e-9
+                ok &= res[lbl]["g1"] < 1e-9
         assert ok, f"order-6 classification failed at n={n}"
     _report(8, ok, "order-6 classes for n in 4..8 on the full default grid")
 
@@ -204,7 +202,7 @@ def test_criterion_09_chain_property(get_split, get_f_structures):
         for cs in get_f_structures(n, k):
             if cs.label.startswith("-"):
                 continue
-            chain_ok = flagf.sweep(cs, split, build_grid(), kappa=float(n - 1)).chain_ok
+            chain_ok = ClassEvaluator(cs, split).sweep(build_grid(), kappa=float(n - 1)).chain_ok
             reports += len(chain_ok)
             violations += int(np.sum(~chain_ok))
     _report(9, violations == 0, f"kill => nk => g1 in all {reports} reports, {violations} violations")

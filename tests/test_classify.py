@@ -18,11 +18,9 @@ from flagf.classify import (
     characteristic_set,
     decode_constraints,
     grid_disagreement,
-    membership,
     metric_compat_residual,
     product_compat_residual,
     structure_matrices,
-    sweep,
 )
 from flagf import classify
 from flagf.liealg import Subspace, bracket_coords, scatter
@@ -137,35 +135,36 @@ class TestOrderFourMemberships:
     def test_kill_member_at_special_point(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        res = membership(f0, split, MetricParams(1.0, FOUR_THIRDS, kappa=4.0), "kill")
-        assert res.member and res.witness is None
+        rep = ClassEvaluator(f0, split).report(MetricParams(1.0, FOUR_THIRDS, kappa=4.0))
+        assert rep.memberships["kill"] and rep.witnesses["kill"] is None
 
     def test_kill_non_member_at_neutral_params(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        res = membership(f0, split, MetricParams(1.0, 1.0, kappa=4.0), "kill")
-        assert not res.member
-        assert res.residual > 1e-3
-        assert res.witness is not None
+        rep = ClassEvaluator(f0, split).report(MetricParams(1.0, 1.0, kappa=4.0))
+        assert not rep.memberships["kill"]
+        assert rep.residuals["kill"] > 1e-3
+        assert rep.witnesses["kill"] is not None
 
     def test_nk_member_at_neutral_params(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        assert membership(f0, split, MetricParams(1.0, 1.0), "nk").member
+        assert ClassEvaluator(f0, split).report(MetricParams(1.0, 1.0)).memberships["nk"]
 
     @pytest.mark.parametrize("t", [0.3, 1.0, FOUR_THIRDS, 2.5])
     def test_nk_along_the_line(self, get_split, get_f_structures, t):
         split = get_split(6, 4)
         f0 = structure_by_label(get_f_structures(6, 4), "f0")
-        assert membership(f0, split, MetricParams(1.0, t), "nk").member
+        ev = ClassEvaluator(f0, split)
+        assert ev.report(MetricParams(1.0, t)).memberships["nk"]
         for s in (0.5, 2.0):
-            res = membership(f0, split, MetricParams(s, t), "nk")
-            assert not res.member and res.residual > 1e-3
+            rep = ev.report(MetricParams(s, t))
+            assert not rep.memberships["nk"] and rep.residuals["nk"] > 1e-3
 
     def test_g1_member_anywhere(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        assert membership(f0, split, MetricParams(2.0, 0.7), "g1").member
+        assert ClassEvaluator(f0, split).report(MetricParams(2.0, 0.7)).memberships["g1"]
 
 
 @pytest.fixture
@@ -181,40 +180,40 @@ class TestOrderSixMemberships:
 
     def test_f1_kill_only_at_special_point(self, setup):
         split, fs = setup
-        assert membership(fs["f1"], split, MetricParams(1.0, FOUR_THIRDS), "kill").member
+        ev = ClassEvaluator(fs["f1"], split)
+        assert ev.report(MetricParams(1.0, FOUR_THIRDS)).memberships["kill"]
         for s, t in [(1.0, 1.0), (1.0, 2.0), (2.0, FOUR_THIRDS), (0.5, 0.5)]:
-            res = membership(fs["f1"], split, MetricParams(s, t), "kill")
-            assert not res.member and res.residual > 1e-3
+            rep = ev.report(MetricParams(s, t))
+            assert not rep.memberships["kill"] and rep.residuals["kill"] > 1e-3
 
     def test_f2_f3_nk_everywhere(self, setup, rng):
         split, fs = setup
         for _ in range(10):
             s, t = rng.uniform(0.1, 5.0, size=2)
             for lbl in ("f2", "f3"):
-                assert membership(fs[lbl], split, MetricParams(float(s), float(t)), "nk").member
+                assert ClassEvaluator(fs[lbl], split).report(MetricParams(float(s), float(t))).memberships["nk"]
 
     def test_f4_never_nk(self, setup, rng):
         split, fs = setup
         for _ in range(10):
             s, t = rng.uniform(0.1, 5.0, size=2)
-            res = membership(fs["f4"], split, MetricParams(float(s), float(t)), "nk")
-            assert not res.member and res.residual > 1e-3
+            rep = ClassEvaluator(fs["f4"], split).report(MetricParams(float(s), float(t)))
+            assert not rep.memberships["nk"] and rep.residuals["nk"] > 1e-3
 
     def test_f2_f3_f4_never_kill(self, setup):
         split, fs = setup
         grid = build_grid(0.5, 2.5, 0.5)
         for lbl in ("f2", "f3", "f4"):
-            for s, t in grid:
-                res = membership(fs[lbl], split, MetricParams(s, t), "kill")
-                assert not res.member and res.residual > 1e-3, (lbl, s, t)
+            swept = ClassEvaluator(fs[lbl], split).sweep(grid)
+            assert not swept.memberships["kill"].any() and swept.residuals["kill"].min() > 1e-3, lbl
 
     def test_all_g1_everywhere(self, setup, rng):
         split, fs = setup
         for _ in range(5):
             s, t = rng.uniform(0.1, 5.0, size=2)
             for cs in fs.values():
-                res = membership(cs, split, MetricParams(float(s), float(t)), "g1")
-                assert res.member, (cs.label, res.residual)
+                rep = ClassEvaluator(cs, split).report(MetricParams(float(s), float(t)))
+                assert rep.memberships["g1"], (cs.label, rep.residuals["g1"])
 
 
 class TestEvaluatorInternals:
@@ -370,20 +369,20 @@ class TestEvaluatorInternals:
             ev = ClassEvaluator(structure_by_label(get_f_structures(5, 6), lbl), split)
             for s, t in [(1.0, FOUR_THIRDS), (0.25, 3.0), (2.0, 2.0)]:
                 p = MetricParams(s, t)
+                rep = ev.report(p)
                 for name in CONDITION_NAMES:
-                    rc, _ = ev.residual(name, p)
                     rs = dense_residual(ev, name, p)
-                    assert abs(rc - rs) < 1e-8
-                    assert ev.membership(name, p).member == (rs < TAU_MEMBER)
+                    assert abs(rep.residuals[name] - rs) < 1e-8
+                    assert rep.memberships[name] == (rs < TAU_MEMBER)
 
     def test_membership_kappa_invariant(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         for s, t in [(1.0, FOUR_THIRDS), (0.5, 2.0), (1.0, 1.0)]:
-            a = membership(f0, split, MetricParams(s, t, kappa=1.0), "kill")
-            b = membership(f0, split, MetricParams(s, t, kappa=2.0), "kill")
-            assert a.member == b.member
-            assert abs(a.residual - b.residual) < 1e-12
+            ev = ClassEvaluator(f0, split)
+            a, b = (ev.report(MetricParams(s, t, kappa=kappa)) for kappa in (1.0, 2.0))
+            assert a.memberships["kill"] == b.memberships["kill"]
+            assert abs(a.residuals["kill"] - b.residuals["kill"]) < 1e-12
 
     def test_polarization_bounds_quadratic_residual(self, get_split, get_f_structures, rng):
         # |C(X, X)| is controlled by the max symmetrized pair value: spot
@@ -402,12 +401,6 @@ class TestEvaluatorInternals:
                 quad = np.einsum("ijr,i,j->r", c, x, x)
                 bound = 0.5 * pair_max * np.sum(np.abs(x)) ** 2
                 assert np.linalg.norm(quad) <= bound + 1e-12
-
-    def test_unknown_condition_rejected(self, get_split, get_f_structures):
-        split = get_split(5, 4)
-        f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        with pytest.raises(ValueError, match="unknown condition"):
-            ClassEvaluator(f0, split).residual("bogus", MetricParams(1.0, 1.0))
 
     @pytest.mark.parametrize("n,k,label", [(5, 4, "f0"), (5, 6, "f1"), (6, 6, "f1")])
     def test_nk_bracket_part_vanishes_identically(self, get_split, get_f_structures, n, k, label):
@@ -510,7 +503,7 @@ class TestSweep:
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         grid = build_grid(0.5, 2.0, 0.5)
-        swept = sweep(f0, split, grid, kappa=4.0)
+        swept = ClassEvaluator(f0, split).sweep(grid, kappa=4.0)
         assert list(zip(swept.s.tolist(), swept.t.tolist())) == grid
         assert swept.chain_ok.tolist() == [True] * len(grid)
 
@@ -523,14 +516,14 @@ class TestSweep:
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         with pytest.raises(ValueError, match="positive"):
-            sweep(f0, split, [(0.0, 1.0)])
+            ClassEvaluator(f0, split).sweep([(0.0, 1.0)])
 
     def test_no_indeterminate_verdicts_on_the_standard_grid(self, get_split, get_f_structures):
         split = get_split(5, 6)
         for cs in get_f_structures(5, 6):
             if cs.label.startswith("-"):
                 continue
-            swept = sweep(cs, split, build_grid())
+            swept = ClassEvaluator(cs, split).sweep(build_grid())
             for name, flags in swept.indeterminate.items():
                 assert not flags.any(), (cs.label, name, swept.s[flags], swept.t[flags])
 
@@ -558,11 +551,7 @@ class TestSweep:
         minus = structure_by_label(fs, "-f4")
         for s, t in [(1.0, 1.0), (2.0, 0.5)]:
             p = MetricParams(s, t)
-            for name in CONDITION_NAMES:
-                assert (
-                    membership(plus, split, p, name).member
-                    == membership(minus, split, p, name).member
-                )
+            assert ClassEvaluator(plus, split).report(p).memberships == ClassEvaluator(minus, split).report(p).memberships
 
 
 class TestCharacteristicSets:

@@ -11,6 +11,8 @@ from flagf import canonical, classify, metricgeom
 from flagf.classify import SPECIAL_POINTS
 from flagf.cli import build_parser, config_from_args, main
 from flagf.report import csv_text, fmt_float, json_dumps
+from flagf.tolerances import TAU_CONNECTION
+from structure_checks_reference import scaled_channel
 
 
 def run(capsys, *argv):
@@ -100,6 +102,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--kappa", kappa, "--format", "json")
         assert code == 0 and json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("n,k", [(12, 4), (24, 6), (40, 4)])
+    def test_kappa_that_passes_at_n_5_passes_at_larger_n(self, capsys, n, k):
+        # The connection check reads unit basis triples, so its values do not grow
+        # with n: a kappa that no check overflows at n = 5 passes at every n.
+        argv = ("verify", "--n", str(n), "--k", str(k), "--kappa", "1.7e307", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["passed"] is True
+
     def test_chain_check_fails_when_one_special_point_breaks_the_chain(self, capsys, monkeypatch):
         # The check reads the columnar chain_ok of each structure at (1, 1) and
         # (1, 4/3); a break at the second point alone must fail it.
@@ -107,6 +117,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--format", "json")
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
         assert code == 1 and failed == ["class-chain-at-special-points"]
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_connection_check_fails_with_a_u_channel_scaled_by_one_plus_1e_6(self, capsys, monkeypatch, channel):
+        # U closed-form off by 1e-6 in one channel: the closed-vs-solved oracle and the
+        # connection's metric compatibility on every basis triple both see it.
+        monkeypatch.setattr(metricgeom, "u_channel_coefficients", scaled_channel(channel, 1.0 + 1e-6))
+        code, out, _ = run(capsys, "verify", "--n", "5", "--k", "4", "--format", "json")
+        checks = json.loads(out)["checks"]
+        assert code == 1
+        assert [c["name"] for c in checks if not c["passed"]] == ["u-oracle-agreement", "connection-metric-compatibility"]
+        connection = next(c for c in checks if c["name"] == "connection-metric-compatibility")
+        assert connection["residual"] > TAU_CONNECTION
 
     def test_cost_guard_one_join_for_all_structures(self, capsys, monkeypatch):
         # The class chain sets up an evaluator per f-structure up to sign from one join,
@@ -352,28 +374,29 @@ class TestSweep:
     def test_cost_guard_one_evaluator_per_structure(self, capsys, tmp_path, monkeypatch):
         # Zero sets come from the evaluator that made the grid reports: one
         # evaluator per structure, all set up by one join, and no residuals
-        # beyond the reports' three per point.
+        # beyond one batch of the grid per structure.
         counts = count_class_setup(monkeypatch)
-        counts["residual"] = 0
-        residual = classify.ClassEvaluator.residual
+        counts["residuals"] = 0
+        residuals = classify.ClassEvaluator._residuals
 
-        def counting_residual(self, *args, **kwargs):
-            counts["residual"] += 1
-            return residual(self, *args, **kwargs)
+        def counting_residuals(self, *args, **kwargs):
+            counts["residuals"] += 1
+            return residuals(self, *args, **kwargs)
 
-        monkeypatch.setattr(classify.ClassEvaluator, "residual", counting_residual)
+        monkeypatch.setattr(classify.ClassEvaluator, "_residuals", counting_residuals)
         code, _, _ = run(capsys, "sweep", "--n", "5", "--k", "6", "--out", str(tmp_path), "--format", "json")
         assert code == 0
         structures = json.loads((tmp_path / "summary.json").read_text())["structures"]
         points = len(json.loads((tmp_path / "f1.json").read_text())["sweep"])
         assert counts["evaluators"] == len(structures) == 4
         assert counts["joins"] == 1
-        assert counts["residual"] <= 3 * points * len(structures)
+        assert counts["residuals"] == len(structures)  # one batch of the whole grid per structure
+        assert points > 1
 
     def test_cost_guard_no_per_point_objects(self, capsys, tmp_path, monkeypatch):
         # Each grid point is checked once (by MetricParams, for all evaluators
         # together), and the sweep builds no per-point report objects.
-        counts = {"params": 0, "report": 0, "membership": 0}
+        counts = {"params": 0, "report": 0}
         post_init = metricgeom.MetricParams.__post_init__
 
         def counting(key, original):
@@ -383,12 +406,11 @@ class TestSweep:
             return wrapper
 
         monkeypatch.setattr(metricgeom.MetricParams, "__post_init__", counting("params", post_init))
-        for key, cls in (("report", classify.ClassReport), ("membership", classify.MembershipResult)):
-            monkeypatch.setattr(cls, "__init__", counting(key, cls.__init__))
+        monkeypatch.setattr(classify.ClassReport, "__init__", counting("report", classify.ClassReport.__init__))
         code, _, _ = run(capsys, "sweep", "--n", "5", "--k", "6", "--out", str(tmp_path), "--format", "json")
         assert code == 0
         points = len(json.loads((tmp_path / "f1.json").read_text())["sweep"])
-        assert counts == {"params": points, "report": 0, "membership": 0}
+        assert counts == {"params": points, "report": 0}
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize(
@@ -495,7 +517,7 @@ class TestNonFiniteValues:
             ("verify", "--kappa", "1e-320"),
             ("verify", "--kappa", "1e308"),
             ("verify", "--kappa", "3e307"),
-            ("verify", "--n", "12", "--kappa", "1.7e307"),
+            ("verify", "--n", "12", "--kappa", "2e307"),
             # a subnormal kappa, for every command
             ("classify", "--f", "f0", "--s", "1", "--t", "1.3333333333333333", "--kappa", "1e-320"),
             ("sweep", "--kappa", "1e-320"),

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 import structure_checks_reference as reference
-from structure_checks_reference import u_coords_tensor, u_tensor_solved
+from space_reference import project_rows, relative_residuals
+from structure_checks_reference import metric_eval, nomizu, scaled_channel, u_coords_tensor, u_tensor_closed, u_tensor_solved
 
-from flagf import metricgeom
+from flagf import liealg, metricgeom
 from flagf.liealg import brackets, decompose_orthogonal, lie_mats, lie_rows, scatter, sum_by_key
 from flagf.tolerances import TAU_CONNECTION, TAU_NAT_RED
 from flagf.metricgeom import (
     MetricParams,
+    _compat_form,
     block_weights,
     build_split,
     connection_compat_residual,
-    metric_eval,
     naturally_reductive_residual,
-    nomizu,
     u_channel_coefficients,
     u_channels,
     u_nonzeros,
-    u_tensor_closed,
 )
 
 
@@ -111,14 +110,14 @@ class TestSplit:
             j = i % 3 + 1
             target = blocks[({1, 2, 3} - {i, j}).pop()]
             rows = all_brackets(blocks[i], blocks[j])
-            assert np.all((target.relative_residuals(rows) <= 1e-10) | (np.linalg.norm(rows, axis=1) < 1e-12))
+            assert np.all((relative_residuals(target, rows) <= 1e-10) | (np.linalg.norm(rows, axis=1) < 1e-12))
 
     def test_ad_h_invariance_of_blocks(self, get_space, get_split):
         ps = get_space(6, 4)
         split = get_split(6, 4)
         for blk in (split.m1, split.m2, split.m3):
             rows = all_brackets(ps.h, blk)
-            assert np.all((blk.relative_residuals(rows) <= 1e-9) | (np.linalg.norm(rows, axis=1) < 1e-12))
+            assert np.all((relative_residuals(blk, rows) <= 1e-9) | (np.linalg.norm(rows, axis=1) < 1e-12))
 
 
 class TestMetricEval:
@@ -185,7 +184,7 @@ class TestUTensor:
         split = get_split(5, 6)
         p = MetricParams(1.7, 0.4)
         x, y = random_m(split, rng, 10), random_m(split, rng, 10)
-        assert np.all(split.combined.relative_residuals(lie_rows(u_tensor_closed(split, p, x, y))) < 1e-9)
+        assert np.all(relative_residuals(split.combined, lie_rows(u_tensor_closed(split, p, x, y))) < 1e-9)
 
     def test_closed_equals_solved_on_random_pairs(self, get_split, rng):
         # The agreement of the two routes is the numerical re-derivation of
@@ -238,7 +237,7 @@ class TestNomizu:
         split = get_split(5, 4)
         p = MetricParams(1.0, 1.0, kappa=4.0)
         x, y = random_m(split, rng), random_m(split, rng)
-        want = 0.5 * split.combined.project_rows(lie_rows(brackets(x, y)))
+        want = 0.5 * project_rows(split.combined, lie_rows(brackets(x, y)))
         assert np.linalg.norm(nomizu(split, p, x, y) - want) < 1e-12
 
     def test_diagonal_equals_u(self, get_split, rng):
@@ -283,10 +282,13 @@ def _g_per_element(split, p, x, y):
     return float(np.sum(block_weights(split, p) * (c @ lie_rows(x)) * (c @ lie_rows(y))))
 
 
-class TestConnectionCompatibility:
+class TestDenseConnectionReference:
+    """The dense connection route of structure_checks_reference, the oracle of
+    the check on nonzeros, against per-element 2-D arithmetic."""
+
     @pytest.mark.parametrize("n,k", [(12, 4), (16, 6)])
     def test_equals_per_triple_loop_bitwise(self, get_split, n, k):
-        # The same draws as verify: 30 vectors of d normals, one (10, 3, d) array.
+        # 30 vectors of d normals, one (10, 3, d) array.
         split = get_split(n, k)
         rng = np.random.default_rng(7)
         p = MetricParams(float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0)), kappa=n - 1.0)
@@ -298,7 +300,7 @@ class TestConnectionCompatibility:
             val += _g_per_element(split, p, x, _alpha_per_element(split, p, z, y))
             dev = max(dev, abs(val) / p.kappa)
         rng.bit_generator.state = state
-        got = connection_compat_residual(split, p, rng.standard_normal((10, 3, split.dim)))
+        got = reference.connection_compat_residual(split, p, rng.standard_normal((10, 3, split.dim)))
         assert got == dev and 0 < got < TAU_CONNECTION
 
     def test_one_row_cases_equal_the_reference(self, get_split, rng):
@@ -307,19 +309,6 @@ class TestConnectionCompatibility:
         x, y = random_m(split, rng), random_m(split, rng)
         assert np.array_equal(nomizu(split, p, x, y)[0], _alpha_per_element(split, p, x[0], y[0]))
         assert metric_eval(split, p, x, y)[0] == _g_per_element(split, p, x[0], y[0])
-
-    def test_fails_with_a_wrong_u_coefficient(self, get_split, monkeypatch):
-        split = get_split(8, 6)
-        p = MetricParams(1.9, 0.7, kappa=7.0)
-        xyz = np.random.default_rng(1).standard_normal((10, 3, split.dim))
-        assert connection_compat_residual(split, p, xyz) < TAU_CONNECTION
-        u_closed = metricgeom.u_tensor_closed
-
-        def wrong_t(sp, q, xs, ys):
-            return u_closed(sp, MetricParams(q.s, 1.1 * q.t, q.kappa), xs, ys)
-
-        monkeypatch.setattr(metricgeom, "u_tensor_closed", wrong_t)
-        assert connection_compat_residual(split, p, xyz) > 1e-3
 
     def test_an_argument_outside_m_raises_in_any_row(self, get_space, get_split):
         split, h = get_split(6, 4), get_space(6, 4).h
@@ -340,6 +329,91 @@ class TestConnectionCompatibility:
         ys[1, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="not skew-symmetric"):
             metric_eval(split, MetricParams(1.0, 2.0), xs, ys)
+
+
+def wrong_t(u_route):
+    """A U route (u_nonzeros, or the reference's u_tensor_closed) evaluated at
+    1.1 t, the metric left at t."""
+
+    def route(split, q, *args):
+        return u_route(split, MetricParams(q.s, 1.1 * q.t, q.kappa), *args)
+
+    return route
+
+
+class TestConnectionCompatibility:
+    """metricgeom.connection_compat_residual: alpha = (1/2) B + U read off the
+    bracket nonzeros, g(alpha(Z, X), Y) + g(X, alpha(Z, Y)) on every basis
+    triple, one sum by key."""
+
+    @staticmethod
+    def dense_form(split, p):
+        """The dense reference's g(alpha(Z, X), Y) + g(X, alpha(Z, Y)) on every
+        basis triple (Z, X, Y) = (X_c, X_a, X_b), as a (d, d, d) array: alpha
+        from nomizu on all basis pairs, g as the Gram matrix of metric_eval."""
+        d, b = split.dim, basis_mats(split.combined)
+        firsts, seconds = np.repeat(b, d, axis=0), np.tile(b, (d, 1, 1))  # row a * d + b: (X_a, X_b)
+        alpha = (lie_rows(nomizu(split, p, firsts, seconds)) @ split.combined.coords.T).reshape(d, d, d)
+        gram = metric_eval(split, p, firsts, seconds).reshape(d, d)
+        return np.einsum("car,rb->cab", alpha, gram) + np.einsum("ar,cbr->cab", gram, alpha)
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (12, 6), (24, 6)])
+    def test_residual_tensor_is_the_dense_form_on_every_basis_triple(self, get_split, monkeypatch, n, k):
+        # At the metric the form vanishes on both routes; with U taken at 1.1 t it
+        # does not, and the two routes must still agree triple by triple.
+        split = get_split(n, k)
+        d = split.dim
+        p = MetricParams(1.9, 0.7, kappa=n - 1.0)
+        for wrong in (False, True):
+            if wrong:
+                monkeypatch.setattr(metricgeom, "u_nonzeros", wrong_t(metricgeom.u_nonzeros))
+                monkeypatch.setattr(reference, "u_tensor_closed", wrong_t(reference.u_tensor_closed))
+            keys, values = _compat_form(split, p)
+            assert np.all(np.diff(keys) > 0)
+            got = scatter(d**3, keys, values).reshape(d, d, d)
+            dense = self.dense_form(split, p)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * p.kappa)
+            assert (np.max(np.abs(dense)) > 0.01 * p.kappa) == wrong
+            residual = connection_compat_residual(split, p)
+            assert residual == float(np.max(np.abs(values)) / p.kappa)
+            assert (residual > 1e-3) if wrong else (residual < 1e-15)
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (12, 6)])
+    def test_alpha_on_basis_pairs_is_the_dense_connection(self, get_split, n, k):
+        split = get_split(n, k)
+        d, b = split.dim, basis_mats(split.combined)
+        p = MetricParams(0.4, 2.7, kappa=3.0)
+        i, j, r, v = split.bracket_nonzeros
+        alpha = scatter((d, d, d), i, j, r, 0.5 * v + u_nonzeros(split, p, "closed")[1])
+        xs, ys = np.repeat(b, d, axis=0), np.tile(b, (d, 1, 1))
+        dense = lie_rows(nomizu(split, p, xs, ys)) @ split.combined.coords.T
+        np.testing.assert_allclose(alpha.reshape(d * d, d), dense, rtol=0, atol=1e-14)
+
+    def test_fails_with_a_wrong_u_coefficient(self, get_split, monkeypatch):
+        split = get_split(8, 6)
+        p = MetricParams(1.9, 0.7, kappa=7.0)
+        assert connection_compat_residual(split, p) < TAU_CONNECTION
+        monkeypatch.setattr(metricgeom, "u_nonzeros", wrong_t(metricgeom.u_nonzeros))
+        assert connection_compat_residual(split, p) > 1e-3
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_a_u_channel_scaled_by_one_plus_1e_6_fails(self, get_split, monkeypatch, channel):
+        split = get_split(8, 6)
+        p = MetricParams(1.9, 0.7, kappa=7.0)
+        assert connection_compat_residual(split, p) < 1e-15
+        monkeypatch.setattr(metricgeom, "u_channel_coefficients", scaled_channel(channel, 1.0 + 1e-6))
+        assert connection_compat_residual(split, p) > 10 * TAU_CONNECTION
+
+    def test_cost_guard_no_matrix_stacks(self, get_split, monkeypatch):
+        # The check reads alpha off nonzeros: no bracket of stacks, no stack of matrices.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a matrix stack was formed")
+
+        for name in ("brackets", "lie_mats", "lie_rows"):
+            monkeypatch.setattr(liealg, name, forbidden)
+            monkeypatch.setattr(metricgeom, name, forbidden, raising=False)
+        split = get_split(24, 6)
+        assert connection_compat_residual(split, MetricParams(1.9, 0.7, kappa=23.0)) < TAU_CONNECTION
 
 
 class TestNaturalReductivity:

@@ -9,6 +9,7 @@ from flagf.liealg import EndoOnM, Subspace, brackets, lex_indices, lie_mats, lie
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
+    PhiSpace,
     _apply_phi,
     _check_phi_space_invariants,
     _nonsingular,
@@ -23,7 +24,7 @@ from flagf.phispace import (
     rotation_block,
     theta_angles,
 )
-from flagf.tolerances import TAU_PHI
+from flagf.tolerances import TAU_ORDER, TAU_PHI
 
 import space_reference as ref
 from space_reference import phi_matrix
@@ -235,7 +236,7 @@ class TestBuildPhiSpace:
 
     def test_reductivity(self, get_space):
         ps = get_space(6, 6)
-        assert np.max(ps.m.relative_residuals(all_brackets(ps.h, ps.m))) <= 1e-9
+        assert np.max(ref.relative_residuals(ps.m, all_brackets(ps.h, ps.m))) <= 1e-9
 
     def test_h_orthogonal_to_m(self, get_space):
         ps = get_space(6, 4)
@@ -444,7 +445,23 @@ class TestStructuralChecksStillBite:
         h, m = Subspace(6, h_rows), Subspace(6, m_rows)
         theta = EndoOnM(m, m.coords @ phi_matrix(ps.spec) @ m.coords.T)
         with pytest.raises(RuntimeError, match="reductivity failure"):
-            _check_phi_space_invariants(ps.spec, h, m, theta)
+            _check_phi_space_invariants(PhiSpace(ps.spec, h, m, theta))
+
+    def test_theta_order_fails_above_tau_order(self, get_space):
+        # theta scaled by 1 + 5e-10 gives |theta^4 - id| = 2e-9: above TAU_ORDER, below 1e-8.
+        ps = get_space(6, 4)
+        bad = PhiSpace(ps.spec, ps.h, ps.m, EndoOnM(ps.m, (1.0 + 5e-10) * ps.theta.matrix))
+        assert TAU_ORDER < bad.theta_order_residual < 1e-8
+        with pytest.raises(RuntimeError, match="theta\\^k is not the identity"):
+            _check_phi_space_invariants(bad)
+
+    @pytest.mark.parametrize("n,k,m_blocks", [(4, 4, 1), (12, 6, 1), (9, 8, 3), (16, 16, 1)])
+    def test_theta_order_residual_is_theta_times_its_last_power(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        eye = np.eye(ps.m.dim)
+        assert ps.theta_order_residual == float(np.max(np.abs(ps.theta.matrix @ ps.theta_powers[-1] - eye)))
+        by_squaring = float(np.max(np.abs(np.linalg.matrix_power(ps.theta.matrix, k) - eye)))
+        assert max(ps.theta_order_residual, by_squaring) < 1e-14
 
     def test_split_fails_when_m1_is_rotated_into_m3(self, get_space, get_split):
         ps, split = get_space(6, 6), get_split(6, 6)
