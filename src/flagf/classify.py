@@ -32,8 +32,8 @@ so zero sets are exact: the SVD of A gives constraint rows w . (1, c) = 0, read
 as a point, an axis line, all, empty, or else kept as polynomial equations.
 
 ClassEvaluator.report gives one ClassReport for one MetricParams.  A sweep
-works on columns: ClassEvaluator.sweep takes a MetricGrid (every point
-checked once by MetricParams, however many structures are swept) and returns
+works on columns: ClassEvaluator.sweep takes a MetricGrid (its points
+checked once, as arrays, however many structures are swept) and returns
 one ClassSweep, whose s, t, residuals, memberships, indeterminate flags,
 witnesses and chain_ok are arrays over the grid, computed from the same
 blocks of pair norms as a report, bit for bit.  CharacteristicSet.contains

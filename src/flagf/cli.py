@@ -30,7 +30,7 @@ import numpy as np
 
 from . import canonical, classify, metricgeom, phispace
 from .liealg import decompose_orthogonal, sum_by_key
-from .report import Rows, atomic_write_text, csv_text, fmt_float, json_dumps
+from .report import Rows, atomic_write_text, fill, fmt_bools, fmt_float, fmt_floats, json_dumps
 from .tolerances import NAT_RED_MARGIN, TAU_CONNECTION, TAU_METRIC_COMPAT, TAU_NAT_RED, TAU_ORDER, TAU_PHI
 from .tolerances import TAU_STRUCTURE, TAU_U_NEUTRAL, TAU_U_ORACLE
 
@@ -506,20 +506,16 @@ def _render_sweep(doc: dict, swept: classify.ClassSweep, fmt: str) -> str:
     if fmt == "json":
         return json_dumps(doc)
     names = classify.CONDITION_NAMES
-    columns = (swept.s, swept.t, *(swept.residuals[n_] for n_ in names))
-    s, t, *res = ([fmt_float(x) for x in col.tolist()] for col in columns)
-    member = [swept.memberships[n_].tolist() for n_ in names]
+    s, t, *res = map(fmt_floats, (swept.s, swept.t, *(swept.residuals[n_] for n_ in names)))
+    member = [swept.memberships[n_] for n_ in names]
     if fmt == "csv":
-        header = ["s", "t", "kill_residual", "nk_residual", "g1_residual", "kill", "nk", "g1"]
-        flags = [["true" if m else "false" for m in col] for col in member]
-        return csv_text(header, zip(s, t, *res, *flags))
-    cells = [[f"{n_}={r}{'*' if m else ''}" for r, m in zip(rs, ms)] for n_, rs, ms in zip(names, res, member)]
-    lines = [f"structure {doc['structures'][0]['id']}"]
-    lines += [f"s={s_} t={t_} {' '.join(row)}" for s_, t_, *row in zip(s, t, *cells)]
-    lines.append("summary:")
-    for n_ in names:
-        lines.append(f"  {n_}: {doc['summary'][n_]['description']}")
-    return "\n".join(lines) + "\n"
+        header = "s,t,kill_residual,nk_residual,g1_residual,kill,nk,g1\n"
+        return header + fill(",".join(["%s"] * 8) + "\n", "", [s, t, *res, *map(fmt_bools, member)])
+    cells = [col for n_, rs, ms in zip(names, res, member) for col in (rs, np.where(ms, "*", "").tolist())]
+    row = "s=%s t=%s " + " ".join(f"{n_}=%s%s" for n_ in names) + "\n"
+    lines = [f"structure {doc['structures'][0]['id']}\n", fill(row, "", [s, t, *cells]), "summary:\n"]
+    lines += [f"  {n_}: {doc['summary'][n_]['description']}\n" for n_ in names]
+    return "".join(lines)
 
 
 # ------------------------------------------------------------------- main --

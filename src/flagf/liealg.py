@@ -165,18 +165,6 @@ class Subspace:
         sp._set(self.ambient_n, hi - lo, row[keep] - lo, pos[keep], val[keep], check=False)
         return sp
 
-    @staticmethod
-    def full(n: int) -> "Subspace":
-        """All of so(n), with the lexicographic orthonormal basis."""
-        dg = so_dim(n)
-        sp = Subspace.__new__(Subspace)
-        sp._set(n, dg, np.arange(dg), np.arange(dg), np.ones(dg), check=False)  # the lex basis itself
-        return sp
-
-    @staticmethod
-    def empty(n: int) -> "Subspace":
-        return Subspace.of_entries(n, 0, [], [], [])
-
 
 def _gram_deviation(dg: int, dim: int, row, pos, val) -> float:
     """max |G - I| for the Gram matrix G of rows given by their nonzeros,

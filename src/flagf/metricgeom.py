@@ -100,9 +100,9 @@ class MetricParams:
 class MetricGrid:
     """Points (s, t) at one kappa as two float arrays, in point order.
 
-    Build it with :meth:`of`, which checks every point once with MetricParams;
-    a grid can then be swept by any number of evaluators without a check per
-    point and per evaluator.
+    Build it with :meth:`of`, which checks every point once, as arrays, with
+    the predicates of MetricParams; a grid can then be swept by any number of
+    evaluators without a check per point and per evaluator.
     """
 
     s: np.ndarray
@@ -111,9 +111,27 @@ class MetricGrid:
 
     @staticmethod
     def of(points, kappa: float = 1.0) -> "MetricGrid":
-        """Raises ValueError, as MetricParams does, at the first invalid point."""
-        params = [MetricParams(s, t, kappa) for s, t in points]
-        s, t = np.array([[p.s for p in params], [p.t for p in params]], dtype=float).reshape(2, -1)
+        """Raises as MetricParams does at the first point it refuses.
+
+        Plain numbers are checked as two float arrays, and only a refused
+        point is handed to MetricParams, which raises; any other coordinate
+        or kappa (a string, a Fraction) goes to MetricParams point by point.
+        """
+        points = list(points)
+        st, k = np.array(points), np.array(kappa)
+        first = 0
+        if st.dtype.kind in "biuf" and st.shape == (len(points), 2) and k.dtype.kind in "biuf" and k.ndim == 0:
+            s, t = np.ascontiguousarray(st.T, dtype=float)
+            kf = float(k)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                derived = (1 / s, 1 / t, s + t, kf * s, kf * t, t / s, s / t, s + t + 1 / s + 1 / t)
+                ok = (s > 0.0) & (t > 0.0) & (kf > 0.0) & np.isfinite([s, t, *derived]).all(axis=0) & np.isfinite(kf)
+            if ok.all():
+                return MetricGrid(s, t, kappa)
+            first = int(np.argmin(ok))
+        for s_, t_ in points[first:]:
+            MetricParams(s_, t_, kappa)
+        s, t = np.ascontiguousarray(np.array(points, dtype=float).reshape(-1, 2).T)
         return MetricGrid(s, t, kappa)
 
 

@@ -1,7 +1,8 @@
 """Deterministic JSON/CSV/text emission.
 
 Floats are rendered with 17 significant digits so every report round-trips
-losslessly and reruns with the same configuration are byte-identical.  Files
+losslessly and reruns with the same configuration are byte-identical; the
+columns of a Rows are formatted a column at a time, as one batch each.  Files
 are written atomically (a uniquely named temp file in the target directory,
 then a rename): concurrent writers never share a temp file, and a failed
 write leaves neither a partial report nor a stray temp file behind.
@@ -9,10 +10,13 @@ write leaves neither a partial report nor a stray temp file behind.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 
 def fmt_float(x: float) -> str:
@@ -23,14 +27,47 @@ def fmt_float(x: float) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
+def fmt_floats(values) -> list[str]:
+    """fmt_float of each value, formatted as one batch.
+
+    "%.17g" leaves out both "." and "e" exactly where the value is a whole
+    number below 1e17 in magnitude (17 digits tell every double apart, so
+    no fraction rounds to a whole number), and those cells get ".0".
+    """
+    a = np.asarray(values, dtype=float)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"non-finite value in report: {float(a[np.argmin(finite)])}")
+    whole = (a == np.trunc(a)) & (np.abs(a) < 1e17)
+    cells = ("".join(_FLOAT_SLOTS[whole.view(np.uint8)].tolist()) % tuple(a.tolist())).split("\0")
+    cells.pop()  # the empty tail after the last separator
+    return cells
+
+
+def fmt_bools(values) -> list[str]:
+    """"true" or "false" for each value."""
+    return _TRUTH[np.asarray(values, dtype=bool).view(np.uint8)].tolist()
+
+
+def fill(template: str, sep: str, columns: list) -> str:
+    """``template`` once per row, joined by ``sep``, with its %s slots taken
+    from the columns in order: one % over the repeated template."""
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    rows = lengths[0] if lengths else 0
+    return sep.join([template] * rows) % tuple(chain.from_iterable(zip(*columns)))
+
+
 @dataclass(frozen=True, eq=False)
 class Rows:
     """A JSON list of objects of one shape, given by columns.
 
     ``layout`` is one row: a dict, possibly nested, whose leaves are columns
-    of equal length (sequences, or arrays with ``tolist``).  json_dumps writes
-    row i as it writes that dict with every column replaced by its element i,
-    byte for byte, without building the row dicts.
+    of equal length (sequences, or arrays with ``tolist``; json_dumps raises
+    ValueError if the lengths differ).  json_dumps writes row i as it writes
+    that dict with every column replaced by its element i, byte for byte,
+    without building the row dicts.
     """
 
     layout: dict
@@ -38,8 +75,12 @@ class Rows:
 
 _KINDS = (Rows, dict, list, tuple, str, bool, int, float, type(None))
 _EXACT = frozenset(_KINDS)
-_SCALARS = {float: fmt_float, bool: lambda v: "true" if v else "false", int: str, type(None): lambda v: "null"}
-_SLOT = "\0"  # stands for a column in a row of Rows; json.dumps writes NUL in a string as \u0000
+_SCALARS = {float: fmt_float, bool: lambda v: "true" if v else "false", int: str, type(None): lambda v: "null",
+            str: encode_basestring_ascii}  # a str as json.dumps writes it, quoted in C
+_COLUMNS = {float: fmt_floats, bool: fmt_bools}  # a whole column of one of these kinds at once
+_FLOAT_SLOTS = np.array(["%.17g\0", "%.17g.0\0"], dtype=object)  # a cell of fmt_floats, by whether it is whole
+_TRUTH = np.array(["false", "true"], dtype=object)
+_SLOT = "\0"  # stands for a column in a row of Rows; a JSON string writes NUL as \u0000
 
 
 def json_dumps(obj, indent: int = 2) -> str:
@@ -49,7 +90,6 @@ def json_dumps(obj, indent: int = 2) -> str:
     of its first base in _KINDS.
     """
     pads = [""]
-    quoted: dict[str, str] = {}  # strings repeat, as keys and as values
 
     def emit(obj, level: int, slots: list | None = None) -> str:
         """obj at nesting level ``level``; with ``slots``, each value below a
@@ -62,49 +102,46 @@ def json_dumps(obj, indent: int = 2) -> str:
             return _SLOT
         if kind in _SCALARS:
             return _SCALARS[kind](obj)
-        if kind is str:
-            if obj not in quoted:
-                quoted[obj] = json.dumps(obj)
-            return quoted[obj]
         if kind is dict:
             items = []
             for key, val in obj.items():
                 if not isinstance(key, str):
                     raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-                items.append(f"{emit(key, 0)}: {emit(val, level + 1, slots)}")
+                items.append(f"{encode_basestring_ascii(key)}: {emit(val, level + 1, slots)}")
             return container("{}", items, level)
         if kind is list or kind is tuple:
             return container("[]", [emit(val, level + 1) for val in obj], level)
         if kind is Rows:
             columns: list = []
             template = emit(obj.layout, level + 1, columns).replace("%", "%%").replace(_SLOT, "%s")
-            cells = [column(col.tolist() if hasattr(col, "tolist") else col, at) for col, at in columns]
-            return container("[]", [template % values for values in zip(*cells)], level)
+            body = fill(template, f",\n{pad(level + 1)}", [column(col, at) for col, at in columns])
+            return container("[]", [body] if body else [], level)  # a row is never empty
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
 
-    def column(values, level: int) -> list[str]:
+    def column(col, level: int) -> list[str]:
         """Each value as emit writes it, with one formatter for a column of one scalar type."""
+        values = col.tolist() if hasattr(col, "tolist") else col
         kinds = set(map(type, values))
-        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        return list(map(write, values)) if write else [emit(value, level) for value in values]
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _COLUMNS:
+            return _COLUMNS[kind](col)
+        if kind in _SCALARS:
+            return list(map(_SCALARS[kind], values))
+        return [emit(value, level) for value in values]
+
+    def pad(level: int) -> str:
+        while len(pads) <= level:
+            pads.append(" " * (indent * len(pads)))
+        return pads[level]
 
     def container(brackets: str, items: list[str], level: int) -> str:
         """Items one per line, indented one level deeper than the brackets."""
         if not items:
             return brackets
-        while len(pads) <= level + 1:
-            pads.append(" " * (indent * len(pads)))
-        inner = pads[level + 1]
+        inner = pad(level + 1)
         return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pads[level]}{brackets[1]}"
 
     return emit(obj, 0) + "\n"
-
-
-def csv_text(header, rows) -> str:
-    """Comma-joined lines; cells are preformatted strings."""
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

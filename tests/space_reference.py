@@ -13,6 +13,8 @@ by one product per chunk.  ``dense_regularity`` is check_regularity on the
 dense A = phi - id and A^2, with every singular value of A^2 and the dense
 cross Gram h.coords @ m.coords.T.  ``residuals``, ``relative_residuals`` and
 ``project_rows`` measure and project dense lex rows against a subspace.
+``full_space`` and ``empty_space`` are all of so(n) on the lex basis and the
+zero subspace, which only the tests build.
 """
 
 import numpy as np
@@ -88,13 +90,23 @@ def conjugation_order(spec, cap: int) -> int | None:
     return None
 
 
+def full_space(n: int) -> Subspace:
+    """All of so(n), with the lexicographic orthonormal basis."""
+    dg = so_dim(n)
+    return Subspace.of_entries(n, dg, np.arange(dg), np.arange(dg), np.ones(dg))
+
+
+def empty_space(n: int) -> Subspace:
+    return Subspace.of_entries(n, 0, [], [], [])
+
+
 def kernel_and_image(m, domain: Subspace) -> tuple[Subspace, Subspace]:
     """Orthonormal bases of the kernel and of the column space of m, which acts
     on the coefficients over the basis of ``domain``: one SVD, singular values
     below TAU_RANK_REL times the largest one counted as zero."""
     n, m = domain.ambient_n, np.asarray(m, dtype=float)
     if domain.dim == 0:
-        return Subspace.empty(n), Subspace.empty(n)
+        return empty_space(n), empty_space(n)
     if m.shape != (domain.dim, domain.dim):
         raise ValueError(f"a {m.shape} matrix does not act on a domain of dim {domain.dim}")
     u, s, vh = np.linalg.svd(m)
@@ -106,7 +118,7 @@ def dense_phi_space(spec) -> tuple[Subspace, Subspace, EndoOnM]:
     """h, m and theta by the dense route: the SVD of phi - id, the flag
     pattern for m where it spans the same space, theta = m phi m^T."""
     n = spec.n
-    full = Subspace.full(n)
+    full = full_space(n)
     phi = phi_matrix(spec)
     h, m = kernel_and_image(phi - np.eye(full.dim), full)
     if spec.m_blocks == 1 and n >= 4:

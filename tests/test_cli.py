@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf import canonical, classify, metricgeom
+from flagf import canonical, classify, metricgeom, report
 from flagf.classify import SPECIAL_POINTS
 from flagf.cli import build_parser, config_from_args, main
-from flagf.report import csv_text, fmt_float, json_dumps
+from flagf.report import fmt_float, json_dumps
 from flagf.tolerances import TAU_CONNECTION
 from structure_checks_reference import scaled_channel
 
@@ -394,23 +394,32 @@ class TestSweep:
         assert points > 1
 
     def test_cost_guard_no_per_point_objects(self, capsys, tmp_path, monkeypatch):
-        # Each grid point is checked once (by MetricParams, for all evaluators
-        # together), and the sweep builds no per-point report objects.
-        counts = {"params": 0, "report": 0}
+        # A valid grid is checked as two arrays, with no MetricParams at all,
+        # the sweep builds no per-point report objects, and the float and bool
+        # columns of a file are formatted a column at a time: the number of
+        # single values formatted does not grow with the grid.
+        counts = {"params": 0, "report": 0, "cells": 0}
         post_init = metricgeom.MetricParams.__post_init__
 
         def counting(key, original):
-            def wrapper(self, *args, **kwargs):
+            def wrapper(*args, **kwargs):
                 counts[key] += 1
-                return original(self, *args, **kwargs)
+                return original(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(metricgeom.MetricParams, "__post_init__", counting("params", post_init))
         monkeypatch.setattr(classify.ClassReport, "__init__", counting("report", classify.ClassReport.__init__))
-        code, _, _ = run(capsys, "sweep", "--n", "5", "--k", "6", "--out", str(tmp_path), "--format", "json")
-        assert code == 0
-        points = len(json.loads((tmp_path / "f1.json").read_text())["sweep"])
-        assert counts == {"params": points, "report": 0}
+        for kind in (float, bool):
+            monkeypatch.setitem(report._SCALARS, kind, counting("cells", report._SCALARS[kind]))
+        cells = []
+        for step in ("0.25", "1.0"):
+            counts["cells"] = 0
+            argv = ["sweep", "--n", "5", "--k", "6", "--grid-step", step, "--format", "json"]
+            assert run(capsys, *argv, "--out", str(tmp_path / step))[0] == 0
+            cells.append(counts["cells"])
+        points = len(json.loads((tmp_path / "0.25" / "f1.json").read_text())["sweep"])
+        assert points == 145 and counts["params"] == counts["report"] == 0
+        assert cells[0] == cells[1]
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize(
@@ -438,6 +447,13 @@ class TestSweep:
         assert code == 1
         assert "f0 g1 at (s, t) = (0.25, 0.25)" in err
         assert not out.exists()
+
+
+def csv_text(header, rows) -> str:
+    """Comma-joined lines; cells are preformatted strings."""
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def per_row_rendering(argv, summary: dict) -> dict[str, str]:

@@ -20,7 +20,7 @@ from flagf.liealg import (
 from flagf.tolerances import TAU_SUBSPACE
 
 import space_reference as ref
-from space_reference import kernel_and_image
+from space_reference import empty_space, full_space, kernel_and_image
 
 
 def elementary(n, i, j):
@@ -142,7 +142,7 @@ class TestCoordinates:
 
 class TestSubspace:
     def test_full_space_basis_is_lexicographic(self):
-        full = Subspace.full(4)
+        full = full_space(4)
         assert full.dim == 6
         np.testing.assert_allclose(lie_mats(4, full.coords)[0], (elementary(4, 0, 1) - elementary(4, 1, 0)) / np.sqrt(2.0))
 
@@ -156,7 +156,7 @@ class TestSubspace:
         x, y = unit(4, 0, 1, normalized=False), unit(4, 2, 3, normalized=False)
         cols = np.zeros((6, 6))
         cols[:, :3] = np.stack([x, 2.0 * x, y], axis=1)
-        sp = kernel_and_image(cols, Subspace.full(4))[1]
+        sp = kernel_and_image(cols, full_space(4))[1]
         assert sp.dim == 2
         gram = sp.coords @ sp.coords.T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
@@ -175,7 +175,7 @@ class TestSubspace:
         # The image of the orthogonal projector onto a subspace is that subspace.
         rows = np.linalg.qr(rng.standard_normal((10, 4)))[0].T
         sp = Subspace(5, rows)
-        again = kernel_and_image(rows.T @ rows, Subspace.full(5))[1]
+        again = kernel_and_image(rows.T @ rows, full_space(5))[1]
         # Same subspace, orthonormal to within TAU_ORTH.
         assert again.dim == sp.dim
         assert np.all(ref.relative_residuals(again, sp.coords) <= 1e-10)
@@ -183,17 +183,17 @@ class TestSubspace:
 
 class TestNullspaceImage:
     def test_identity_has_empty_kernel(self):
-        full = Subspace.full(4)
+        full = full_space(4)
         ker, im = kernel_and_image(np.eye(6), full)
         assert (ker.dim, im.dim) == (0, 6)
 
     def test_zero_matrix_kernel_is_everything(self):
-        full = Subspace.full(4)
+        full = full_space(4)
         ker = kernel_and_image(np.zeros((6, 6)), domain=full)[0]
         assert ker.dim == 6
 
     def test_image_of_zero_is_empty(self):
-        full = Subspace.full(4)
+        full = full_space(4)
         assert kernel_and_image(np.zeros((6, 6)), domain=full)[1].dim == 0
 
     def test_fixed_space_of_order4_conjugation_on_so4(self):
@@ -202,13 +202,13 @@ class TestNullspaceImage:
         from flagf.phispace import build_automorphism
 
         spec = build_automorphism(4, 1, 4)
-        full = Subspace.full(4)
+        full = full_space(4)
         ker = kernel_and_image(ref.phi_matrix(spec) - np.eye(6), full)[0]
         assert ker.dim == 1
         assert ref.relative_residuals(ker, unit(4, 1, 2)[None])[0] <= 1e-10
 
     def test_rank_nullity(self, rng):
-        full = Subspace.full(4)
+        full = full_space(4)
         m = rng.standard_normal((6, 6))
         m[:, 3] = m[:, 0] + m[:, 1]  # force a nontrivial kernel
         ker, im = kernel_and_image(m, domain=full)
@@ -216,7 +216,7 @@ class TestNullspaceImage:
 
     def test_kernel_orthogonal_to_row_image(self, rng):
         # kernel of M is orthogonal to image of M^T
-        full = Subspace.full(4)
+        full = full_space(4)
         m = rng.standard_normal((6, 6))
         m[:, 3] = m[:, 2]
         ker = kernel_and_image(m, domain=full)[0]
@@ -227,9 +227,9 @@ class TestNullspaceImage:
     def test_raw_matrix_requires_domain(self):
         # The matrix must act on the coefficients over the domain's basis.
         with pytest.raises(ValueError, match="domain"):
-            kernel_and_image(np.zeros((3, 3)), Subspace.full(4))
+            kernel_and_image(np.zeros((3, 3)), full_space(4))
         with pytest.raises(ValueError, match="domain"):
-            kernel_and_image(np.zeros((6, 5)), Subspace.full(4))
+            kernel_and_image(np.zeros((6, 5)), full_space(4))
 
 
 class TestDecomposeOrthogonal:
@@ -242,7 +242,7 @@ class TestDecomposeOrthogonal:
         assert decompose_orthogonal(whole, parts)
 
     def test_dimension_shortfall(self):
-        whole = Subspace.full(4)
+        whole = full_space(4)
         assert not decompose_orthogonal(whole, [Subspace(4, unit(4, 0, 1)[None])])
 
     def test_non_orthogonal_parts(self):
@@ -254,14 +254,14 @@ class TestDecomposeOrthogonal:
 
 class TestEndoOnM:
     def test_apply_matches_matrix(self, rng):
-        full = Subspace.full(4)
+        full = full_space(4)
         m = rng.standard_normal((6, 6))
         op = EndoOnM(full, m)
         x = random_skew(rng, 4, 3)
         np.testing.assert_allclose(lie_rows(op.apply_mats(x)), lie_rows(x) @ m.T, atol=1e-12)
 
     def test_poly_in(self, rng):
-        full = Subspace.full(4)
+        full = full_space(4)
         m = rng.standard_normal((6, 6))
         op = EndoOnM(full, m)
         got = poly_in(op, [1.0, 0.0, 2.0]).matrix
@@ -269,7 +269,7 @@ class TestEndoOnM:
 
     def test_poly_in_on_a_power_stack_is_bitwise_the_power_loop(self, rng):
         # The loop poly_in once ran: op^m = op @ op^(m-1), summed term by term.
-        op = EndoOnM(Subspace.full(4), rng.standard_normal((6, 6)))
+        op = EndoOnM(full_space(4), rng.standard_normal((6, 6)))
         powers = op_powers(op, 5)
         for coeffs in ([1.0, 0.0, 2.0], [0.0, -0.5, 0.0, 0.25, 3.0], [0.0] * 5):
             want, p = np.zeros((6, 6)), np.eye(6)
@@ -283,7 +283,7 @@ class TestEndoOnM:
             poly_in(op, [1.0] * 6, powers)
 
     def test_matrix_on_rotated_basis(self, rng):
-        full = Subspace.full(4)
+        full = full_space(4)
         q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         other = Subspace(4, q)
         m = rng.standard_normal((6, 6))
@@ -318,7 +318,7 @@ class TestAdMatrix:
         return (joined(space.ambient_n, lie_rows(h)[None], space.coords)[0] @ space.coords.T).T
 
     def test_ad_reproduces_bracket(self, rng):
-        full = Subspace.full(5)
+        full = full_space(5)
         h, x = random_skew(rng, 5), random_skew(rng, 5)
         np.testing.assert_allclose(self.ad(h, full) @ lie_rows(x), lie_rows(brackets(h, x)), atol=1e-10)
 
@@ -338,7 +338,7 @@ class TestBracketKernel:
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_matches_bracket_on_every_pair(self, rng, n):
         x, y = random_subspace(rng, n, 3), random_subspace(rng, n, 4)
-        got = projected(x, y, Subspace.full(n))
+        got = projected(x, y, full_space(n))
         assert got.shape == (3, 4, n * (n - 1) // 2)
         want = lie_rows(brackets(lie_mats(n, x.coords)[:, None], lie_mats(n, y.coords)[None, :]))
         np.testing.assert_allclose(got, want, atol=1e-14)
@@ -351,7 +351,7 @@ class TestBracketKernel:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_full_basis_antisymmetric_and_matches_oracle(self):
-        full = Subspace.full(5)
+        full = full_space(5)
         bc = projected(full, full, full)
         np.testing.assert_array_equal(bc, -bc.transpose(1, 0, 2))
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -368,7 +368,7 @@ class TestBracketKernel:
         ps = get_space(n, k)
         pairs = [(ps.h, ps.m), (ps.m, ps.m)]
         if k == 4 and n in (4, 5, 8, 12, 16, 24):  # full x full does not depend on k
-            pairs.append((Subspace.full(n), Subspace.full(n)))
+            pairs.append((full_space(n), full_space(n)))
         for x, y in pairs:
             np.testing.assert_array_equal(joined(n, x.coords, y.coords), commutators(n, x.coords, y.coords))
 
@@ -404,7 +404,7 @@ class TestBracketKernel:
         # The dense reference projects one chunk of bracket rows at a time; the
         # join sums each coefficient in another order, so rotated rows agree to rounding.
         x, y = random_subspace(rng, 6, 5), random_subspace(rng, 6, 4)
-        full = Subspace.full(6)
+        full = full_space(6)
         monkeypatch.setattr(ref, "CHUNK_BYTES", 3 * 8 * 15)
         chunks = list(ref.bracket_row_chunks(6, x.coords, y.coords))
         assert len(chunks) == 7 and all(len(rows) <= 3 for _, _, rows in chunks)
@@ -421,14 +421,14 @@ class TestBracketKernel:
         np.testing.assert_allclose(row[1], 2.0 * row[0], atol=1e-13)
 
     def test_empty_subspaces(self):
-        full, empty = Subspace.full(4), Subspace.empty(4)
+        full, empty = full_space(4), empty_space(4)
         for x, y, onto in [(empty, full, full), (full, empty, full), (full, full, empty)]:
             assert all(len(col) == 0 for col in bracket_coords(x, y, onto))
             assert projected(x, y, onto).shape == (x.dim, y.dim, onto.dim)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError, match="ambient"):
-            bracket_coords(Subspace.full(4), Subspace.full(5), Subspace.full(4))
+            bracket_coords(full_space(4), full_space(5), full_space(4))
 
     def test_lex_indices_cached_and_read_only(self):
         iu = lex_indices(6)
@@ -466,7 +466,7 @@ class TestSparseRows:
             Subspace.of_entries(4, 2, [0], [3], [1.0])  # a zero row
 
     def test_immutable(self):
-        sp = Subspace.full(4)
+        sp = full_space(4)
         with pytest.raises(AttributeError):
             sp.coords = np.zeros((6, 6))
 
@@ -482,7 +482,7 @@ class TestSparseLeakAndRestriction:
     @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (12, 6, 1), (7, 6, 2), (9, 6, 4)])
     def test_leak_of_flag_spaces(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
-        full = Subspace.full(n)
+        full = full_space(n)
         for x, y in ((ps.h, ps.m), (ps.m, ps.m), (full, ps.m)):
             np.testing.assert_allclose(bracket_leak(x, y), ref.bracket_leak(x, y, y), rtol=1e-12, atol=1e-15)
 

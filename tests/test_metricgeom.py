@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import structure_checks_reference as reference
@@ -8,6 +10,7 @@ from flagf import liealg, metricgeom
 from flagf.liealg import brackets, decompose_orthogonal, lie_mats, lie_rows, scatter, sum_by_key
 from flagf.tolerances import TAU_CONNECTION, TAU_NAT_RED
 from flagf.metricgeom import (
+    MetricGrid,
     MetricParams,
     _compat_form,
     block_weights,
@@ -75,6 +78,64 @@ class TestMetricParams:
     def test_default_kappa_is_n_minus_one(self, get_space):
         p = MetricParams.for_space(get_space(6, 4), 1.0, 2.0)
         assert p.kappa == 5.0
+
+
+def per_point_grid(points, kappa):
+    """MetricGrid.of as a MetricParams per point: the reference for its checks."""
+    params = [MetricParams(s, t, kappa) for s, t in points]
+    return np.array([[p.s for p in params], [p.t for p in params]], dtype=float).reshape(2, -1)
+
+
+def outcome(build, points, kappa):
+    """(exception type, message) of a refused grid, or the values of its s and t."""
+    try:
+        grid = build(points, kappa)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+    s, t = grid if isinstance(grid, np.ndarray) else (grid.s, grid.t)
+    return "grid", s.tolist(), t.tolist()
+
+
+class TestMetricGrid:
+    @pytest.mark.parametrize(
+        "bad,kappa",
+        [((0.0, 1.0), 1.0), ((-1.0, 2.0), 1.0), ((np.nan, 1.0), 1.0), ((1.0, np.inf), 1.0), ((1e-320, 1.0), 1.0),
+         ((1e308, 1e308), 1.0), ((10.0, 1.0), 1e300), ((1e10, 1.0), 1e300), ((1.0, "2"), 1.0), ((1.0, None), 1.0),
+         ((1.0, 2.0), "3"), ((1.0, 2.0), np.nan), ((1.0, 2.0), -1.0)],
+    )
+    def test_refuses_as_metric_params_at_the_first_bad_point(self, bad, kappa):
+        # Valid points, then the point under test, then a point that fails
+        # another check: the point under test is the one named.
+        points = [(0.5, 2.0), (1.0, 1.0), bad, (1e-320, -3.0)]
+        assert outcome(MetricGrid.of, points, kappa) == outcome(per_point_grid, points, kappa)
+
+    @pytest.mark.parametrize(
+        "points,kappa",
+        [([(1, 2), (True, 3.5)], 2), ([(0.25, 0.25), (1e-150, 1e150)], np.int64(4)), ([], "unchecked"),
+         ([(Fraction(1, 3), 2.0)], Fraction(3, 2)), (np.array([[1.0, 4.0 / 3.0], [2.0, 0.5]]), 7.0)],
+    )
+    def test_valid_points_keep_their_values(self, points, kappa):
+        # kappa is only checked with a point, as MetricParams checks it.
+        want = per_point_grid(points, kappa)
+        grid = MetricGrid.of(points, kappa)
+        assert grid.kappa is kappa and grid.s.flags.c_contiguous and grid.t.flags.c_contiguous
+        assert np.array([grid.s, grid.t]).tolist() == want.tolist() and grid.s.dtype == float
+
+    def test_matches_the_per_point_check_on_random_extremes(self):
+        rng = np.random.default_rng(11)
+        with np.errstate(over="ignore"):
+            values = rng.choice([1.0, -1.0], (300, 9), p=[0.9, 0.1]) * np.power(10.0, rng.uniform(-330, 330, (300, 9)))
+        for row in values.tolist():
+            points, kappa = list(zip(row[0:8:2], row[1:8:2])), row[8]
+            assert outcome(MetricGrid.of, points, kappa) == outcome(per_point_grid, points, kappa)
+
+    def test_no_metric_params_for_a_valid_grid(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("MetricParams built")
+
+        monkeypatch.setattr(MetricParams, "__post_init__", refuse)
+        grid = MetricGrid.of([(s, t) for s in (0.5, 1.0, 2.0) for t in (0.5, 4.0 / 3.0)], 4.0)
+        assert grid.s.shape == grid.t.shape == (6,)
 
 
 class TestSplit:

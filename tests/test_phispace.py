@@ -27,7 +27,7 @@ from flagf.phispace import (
 from flagf.tolerances import TAU_ORDER, TAU_PHI
 
 import space_reference as ref
-from space_reference import phi_matrix
+from space_reference import full_space, phi_matrix
 
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]
 
@@ -637,7 +637,7 @@ class TestSingularValues:
     @pytest.mark.parametrize("n,k,m_blocks", [(5, 4, 1), (12, 6, 1), (7, 6, 2), (9, 6, 4)])
     def test_kernel_dim_is_the_svd_kernel(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
-        full = Subspace.full(n)
+        full = full_space(n)
         a = phi_matrix(ps.spec) - np.eye(full.dim)
         for mat in (a, a @ a):
             assert ref.kernel_dim(mat) == ref.kernel_and_image(mat, full)[0].dim == ps.h.dim

@@ -1,4 +1,5 @@
 import collections
+import json
 import os
 import sys
 import threading
@@ -119,6 +120,55 @@ class TestRows:
     def test_non_finite_column_value_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             report.json_dumps(report.Rows({"s": np.array([1.0, np.nan])}))
+
+
+class TestColumns:
+    EDGES = [0.0, -0.0, 1.0, 3.0, 1e16, 1e17, 2.0**60, 0.1, 1.0 / 3.0, 5e-324, 1e-320, 1.7976931348623157e308]
+
+    def test_float_column_is_fmt_float_of_each_cell(self):
+        values = self.EDGES + [-x for x in self.EDGES] + [99999999999999984.0, 1e16 + 2.0, 0.5, 1e-5, 123456789.0]
+        assert report.fmt_floats(np.array(values)) == list(map(report.fmt_float, values))
+        assert report.fmt_floats(values) == list(map(report.fmt_float, values))
+        assert report.fmt_floats(np.zeros(0)) == []
+
+    def test_float_column_matches_on_random_bit_patterns(self):
+        # Any finite double, and whole numbers on both sides of 1e17, where
+        # "%.17g" turns to exponent form; next to each, its neighbour above.
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        wholes = np.round(rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.integers(0, 20, 4000))
+        for col in (values, wholes, np.nextafter(wholes, np.inf), np.arange(-50.0, 50.0) / 4):
+            assert report.fmt_floats(col) == list(map(report.fmt_float, col.tolist()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_raises_as_fmt_float(self, bad):
+        with pytest.raises(ValueError) as want:
+            report.fmt_float(bad)
+        with pytest.raises(ValueError) as got:
+            report.fmt_floats(np.array([1.0, bad, -bad]))
+        assert str(got.value) == str(want.value)
+
+    def test_bool_column(self):
+        assert report.fmt_bools(np.array([True, False, True])) == ["true", "false", "true"]
+        assert report.fmt_bools([False]) == ["false"] and report.fmt_bools(np.zeros(0, dtype=bool)) == []
+
+    def test_strings_are_quoted_as_json_dumps_quotes_them(self):
+        texts = ["", "plain", 'a "quoted" \\ \u00e9\n\t\0', "\u2028\U0001f600", "\ud800 lone", "{key} 100%"]
+        assert report.json_dumps(texts) == json.dumps(texts, indent=2) + "\n"
+        assert report.json_dumps({t: t for t in texts}) == json.dumps({t: t for t in texts}, indent=2) + "\n"
+
+    def test_fill_repeats_the_template(self):
+        assert report.fill("%s=%s;", "|", [["a", "b"], ["1", "2"]]) == "a=1;|b=2;"
+        assert report.fill("x", ",", []) == ""
+
+    def test_columns_of_unequal_length_are_refused(self):
+        # zip would stop at the shortest column and drop rows without a word
+        rows = report.Rows({"a": np.array([1.0, 2.0, 3.0]), "b": np.array([True, False])})
+        with pytest.raises(ValueError, match=r"columns differ in length: \[3, 2\]"):
+            report.json_dumps(rows)
+        with pytest.raises(ValueError, match=r"columns differ in length: \[1, 2\]"):
+            report.fill("%s%s", "", [["a"], ["1", "2"]])
 
 
 class TestAtomicWrite:

@@ -1,6 +1,12 @@
 """Every top-level function, class or UPPER_CASE constant of the package is
 used by the package or exported by it: a reference kept only for the tests
-lives in tests/."""
+lives in tests/.
+
+The guard matches names, not bindings, and only at the top level of a
+module: a method is not checked, and a name counts as used wherever it
+appears as an identifier or attribute.  So a method that only the tests call
+(as Subspace.full and Subspace.empty were, while np.full and np.empty named
+the same attributes) is left to review."""
 
 import ast
 from pathlib import Path
