@@ -16,7 +16,8 @@ the eigenspace of theta at the angle 2 pi l / k, f acts as zeta_l J (and as 0
 at the angle pi) and P acts as xi_l.  So a structure is fixed by its signs on
 the angles theta has (:func:`phispace.theta_angles`), its sign key, and two
 signature tuples give the same operator iff their keys agree.  This module
-builds one structure per sign key and labels it from exact sign tables.
+builds one structure per sign key, all keys of a kind as one stack summed
+term by term over theta's powers, and labels them from exact sign tables.
 :func:`verify_structures` re-checks a list of structures on the stack of
 their matrices (identities, reconstruction, theta-commutation) and bounds
 from those their commutation with each other and with ad(h),
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import EndoOnM, lie_mats, poly_in, sum_by_key
+from .liealg import EndoOnM, lie_mats, sum_by_key
 from .phispace import PhiSpace, theta_angles
 from .tolerances import TAU_GENERATED, TAU_GOLDEN
 
@@ -101,29 +102,26 @@ def u_of_k(k: int) -> int:
 
 
 def f_polynomial(k: int, zeta) -> np.ndarray:
-    """Coefficients a_0..a_{k-1} of the f-structure for a zeta tuple."""
-    u = u_of_k(k)
-    poly = np.zeros(k)
-    for m in range(1, u + 1):
-        am = (2.0 / k) * sum(
-            z * np.sin(2.0 * np.pi * m * j / k) for j, z in enumerate(zeta, start=1)
-        )
-        poly[m] += am
-        poly[k - m] -= am
+    """Coefficients a_0..a_{k-1} of the f-structure for a zeta tuple, or a row of them per row of a stack."""
+    zeta = np.asarray(zeta)
+    poly = np.zeros(zeta.shape[:-1] + (k,))
+    for m in range(1, u_of_k(k) + 1):
+        am = (2.0 / k) * sum(zeta[..., j - 1] * np.sin(2.0 * np.pi * m * j / k) for j in range(1, zeta.shape[-1] + 1))
+        poly[..., m] += am
+        poly[..., k - m] -= am
     return poly
 
 
 def p_polynomial(k: int, xi) -> np.ndarray:
-    """Coefficients a_0..a_{k-1} of the almost product structure for xi."""
+    """Coefficients a_0..a_{k-1} of the almost product structure for xi, or a row per row of a stack."""
+    xi = np.asarray(xi)
     u = u_of_k(k)
-    poly = np.zeros(k)
+    poly = np.zeros(xi.shape[:-1] + (k,))
     for m in range(k):
-        acc = 2.0 * sum(
-            x * np.cos(2.0 * np.pi * m * j / k) for j, x in enumerate(xi[:u], start=1)
-        )
+        acc = 2.0 * sum(xi[..., j - 1] * np.cos(2.0 * np.pi * m * j / k) for j in range(1, min(u, xi.shape[-1]) + 1))
         if k % 2 == 0:
-            acc += (-1) ** m * xi[u]
-        poly[m] = acc / k
+            acc += (-1) ** m * xi[..., u]
+        poly[..., m] = acc / k
     return poly
 
 
@@ -153,20 +151,39 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
     The signature is the first zeta (xi) in that order with the key: the key
     on the angles theta has, -1 on the others.  A label is the first of: a
     sign-table entry or its negative; I or -I (P only); the negative of an
-    earlier structure's label; a fresh label.
+    earlier structure's label; a fresh label.  The operators are summed term
+    by term as :func:`poly_in` sums one polynomial, a stack of them at a
+    time, and their defining identity is checked on each stack.
     """
-    k = ps.spec.k
+    k, d = ps.spec.k, ps.m.dim
     width = k // 2 if product else u_of_k(k)
     angles = theta_angles(ps.spec)
     on = [l for l in angles if l <= width]
     table = (P_LABEL_SIGNS if product else F_LABEL_SIGNS).get(k, {})
     named = [(name, tuple(signs[l - 1] for l in on)) for name, signs in table.items()]
+    keys = [key for key in itertools.product((-1, 1) if product else (-1, 0, 1), repeat=len(on)) if any(key)]
+    signatures = np.full((len(keys), width), -1)
+    signatures[:, np.subtract(on, 1)] = keys
+    polys = (p_polynomial if product else f_polynomial)(k, signatures)
+
+    ops, step = [], max(1, (1 << 17) // (8 * d * d))  # operators per stack: a stack and its temporaries stay in cache
+    terms = [(c, p.ravel()) for c, p, live in zip(polys.T, ps.theta_powers, polys.any(axis=0)) if live]
+    for lo in range(0, len(keys), step):
+        flat = np.zeros((min(step, len(keys) - lo), d * d))
+        tmp = np.empty_like(flat)
+        for c, p in terms:  # term by term, as poly_in
+            flat += np.multiply(c[lo : lo + step, None], p, out=tmp)
+        stack = flat.reshape(-1, d, d)
+        sq = stack @ stack
+        res = _max_abs(np.subtract(sq, np.eye(d), out=sq) if product else np.add(sq @ stack, stack, out=sq))
+        if res.max() > TAU_GENERATED:  # the generating formulas guarantee the defining identities
+            raise RuntimeError(f"generated operator violates its identity ({res[np.argmax(res > TAU_GENERATED)]:.3e})")
+        ops += [EndoOnM(ps.m, op) for op in stack]
+
     labels: dict[tuple[int, ...], str] = {}
     out: list[CanonicalStructure] = []
     fresh = 0
-    for key in itertools.product((-1, 1) if product else (-1, 0, 1), repeat=len(on)):
-        if not any(key):
-            continue
+    for key, signature, poly, op in zip(keys, signatures.tolist(), polys.tolist(), ops):
         neg = tuple(-s for s in key)
         label = None
         for name, ref in named:
@@ -181,21 +198,11 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
             fresh += 1
             label = f"{'P' if product else 'f'}{fresh}"
         labels[key] = label
-
-        signature = [-1] * width
-        for l, sign in zip(on, key):
-            signature[l - 1] = sign
-        poly = (p_polynomial if product else f_polynomial)(k, signature)
-        op = poly_in(ps.theta, poly, ps.theta_powers)
-        sq = op.matrix @ op.matrix
-        res = np.max(np.abs(sq - np.eye(len(sq)) if product else sq @ op.matrix + op.matrix))
-        if res > TAU_GENERATED:  # the generating formulas guarantee the defining identities
-            raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
         if product:
             kind = "almost-product"
         else:  # f is 0 at the angle pi and on the angles whose sign is 0
             kind = "almost-complex" if 0 not in key and k // 2 not in angles else "f-structure"
-        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(float(c) for c in poly), op))
+        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(poly), op))
     return out
 
 

@@ -471,7 +471,7 @@ def build_grid(
     step: float = DEFAULT_GRID[2],
     extras: tuple[tuple[float, float], ...] = SPECIAL_POINTS,
 ) -> list[tuple[float, float]]:
-    """Row-major (s, t) grid with the special points appended (deduplicated)."""
+    """Row-major (s, t) grid with the extra points appended as floats, each point once."""
     if step <= 0:
         raise ValueError("grid step must be positive")
     if gmin <= 0:
@@ -482,10 +482,7 @@ def build_grid(
     count = int(per_axis)
     vals = [gmin + i * step for i in range(count)]
     pts = [(s, t) for s in vals for t in vals]
-    for p in extras:
-        if p not in pts:
-            pts.append((float(p[0]), float(p[1])))
-    return pts
+    return list(dict.fromkeys(pts + [(float(p[0]), float(p[1])) for p in extras]))
 
 
 def grid_disagreement(sets: dict[str, CharacteristicSet], sweep: ClassSweep) -> str | None:

@@ -24,18 +24,16 @@ A :class:`Subspace` keeps its rows both ways: as their nonzeros
 makes the other on first use, so a subspace of unit lex vectors costs
 O(dim log dim) to build and check.  Structural quantities (ad(h) on m,
 reductivity, the split checks, the bracket tensor of m) all come from one
-sparse kernel, :func:`bracket_nonzeros`: it joins the nonzero entries of the
+sparse kernel, :func:`_bracket_join`: it joins the nonzero entries of the
 skew matrices of two sets of rows on their shared matrix index and sums equal
 keys, so two lex basis vectors cost one product, and only if they share
-exactly one index.
-:func:`bracket_coords` joins those nonzeros with the entries of a subspace,
-on the lex position, for the coefficients of each bracket's projection, and
-:func:`bracket_leak` joins once more for the distance of each bracket from
-a subspace (or from one of several blocks); both keep only nonzeros, as
-sorted index and value arrays, and are the only projections onto a
-subspace.  No (dim x, dim y, n, n) array and no dense bracket row is ever
-formed, and :func:`scatter` is the one way back to a dense array, for
-references.
+exactly one index.  :func:`bracket_coords` joins those nonzeros with the
+entries of a subspace, on the lex position, for the coefficients of each
+bracket's projection and, on request, joins once more for each bracket's
+part off the subspace (:func:`_projection`, which :func:`basis_change`
+shares).  All keep only nonzeros, as sorted index and value arrays.  No
+(dim x, dim y, n, n) array and no dense bracket row is ever formed, and
+:func:`scatter` is the one way back to a dense array, for references.
 """
 
 from __future__ import annotations
@@ -132,8 +130,8 @@ class Subspace:
         key = row * dg + pos
         if len(key) and (min(row.min(), pos.min()) < 0 or row.max() >= dim or pos.max() >= dg):
             raise ValueError(f"entries out of range for {dim} rows of so({ambient_n})")
-        order = np.argsort(key, kind="stable")
-        if np.any(np.diff(key[order]) == 0):
+        order = key.argsort(kind="stable")
+        if (key[order][1:] == key[order][:-1]).any():
             raise ValueError("an entry is given twice")
         sp = cls.__new__(cls)
         sp._set(ambient_n, dim, row[order], pos[order], val[order])
@@ -173,7 +171,7 @@ def _gram_deviation(dg: int, dim: int, row, pos, val) -> float:
     keys, g = sum_by_key(row[li] * dim + row[ri], val[li] * val[ri])
     diag = keys // dim == keys % dim
     missing = dim - np.count_nonzero(diag)  # zero rows
-    return max(float(np.max(np.abs(g - diag), initial=0.0)), 1.0 if missing else 0.0)
+    return max(float(np.abs(g - diag).max(initial=0.0)), 1.0 if missing else 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,21 +242,22 @@ def poly_in(op: EndoOnM, coeffs, powers: np.ndarray | None = None) -> EndoOnM:
 
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the sum of each key's values."""
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys, values = keys[order], values[order]
     del order
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)].nonzero()[0]
     return keys[first], np.add.reduceat(values, first)
 
 
 def _join(left: np.ndarray, right: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (li, ri) with left[li] == right[ri], for values in
     range(size): li ascending, and for each li the ri ascending."""
-    order = np.argsort(right, kind="stable")
-    start = np.searchsorted(right[order], np.arange(size + 1))  # right[order[start[v]:start[v + 1]]] == v
-    count = (start[1:] - start[:-1])[left]
-    li = np.repeat(np.arange(len(left)), count)
-    ri = order[np.arange(len(li)) + np.repeat(start[left] - (np.cumsum(count) - count), count)]
+    order = right.argsort(kind="stable")
+    start = right[order].searchsorted(np.arange(size + 1))  # right[order[start[v]:start[v + 1]]] == v
+    first = start[left]
+    count = start[1:][left] - first
+    li = np.arange(len(left)).repeat(count)
+    ri = order[np.arange(len(li)) + (first - (count.cumsum() - count)).repeat(count)]
     return li, ri
 
 
@@ -268,12 +267,14 @@ def _matrix_entries(n: int, row, pos, val) -> tuple[np.ndarray, ...]:
     exactly as in :func:`lie_mats`."""
     i, j = lex_indices(n)
     half = val / _SQRT2
-    return np.tile(row, 2), np.concatenate([i[pos], j[pos]]), np.concatenate([j[pos], i[pos]]), np.concatenate([half, -half])
+    i, j = i[pos], j[pos]
+    return np.concatenate([row, row]), np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([half, -half])
 
 
-def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:
-    """The nonzero lex coordinates of every bracket [x_a, y_b], as arrays
-    (a, b, lex position, value) sorted by (a, b, position).
+def _bracket_join(n: int, x_entries, y_entries, dy: int) -> tuple[np.ndarray, ...]:
+    """The nonzero lex coordinates of every bracket [x_a, y_b] of rows given by
+    their nonzeros (row, pos, val), dy rows of y, as arrays (a, b, lex
+    position, value) sorted by (a, b, position).
 
     Rows need not be orthonormal.  The entries X[r, s] and Y[s, q] of the two
     skew matrices are joined on their shared index s; each product adds to
@@ -283,13 +284,6 @@ def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:
     For rows with one nonzero each, every coordinate is one product, so it
     has the bits of the dense product.
     """
-    x_rows, y_rows = (np.asarray(r, dtype=float).reshape(-1, so_dim(n)) for r in (x_rows, y_rows))
-    x_nz, y_nz = (np.nonzero(r) for r in (x_rows, y_rows))
-    return _bracket_join(n, (*x_nz, x_rows[x_nz]), (*y_nz, y_rows[y_nz]), len(y_rows))
-
-
-def _bracket_join(n: int, x_entries, y_entries, dy: int) -> tuple[np.ndarray, ...]:
-    """:func:`bracket_nonzeros` of rows given by their nonzeros (row, pos, val), dy rows of y."""
     xa, xr, xs, xv = _matrix_entries(n, *x_entries)
     yb, ys, yq, yv = _matrix_entries(n, *y_entries)
     xi, yi = _join(xs, ys, n)  # every X entry (r, s) with every Y entry (s, q)
@@ -302,64 +296,48 @@ def _bracket_join(n: int, x_entries, y_entries, dy: int) -> tuple[np.ndarray, ..
     prod = xv[xi] * yv[yi]
     keys, val = sum_by_key((xa[xi] * dy + yb[yi]) * dg + pos, np.where(r < q, prod, -prod))
     val = _SQRT2 * val
-    keys, val = keys[val != 0.0], val[val != 0.0]
+    nz = val != 0.0
+    keys, val = keys[nz], val[nz]
     return keys // (dy * dg), keys // dg % dy, keys % dg, val
 
 
-def _coefficients(pair, pos, val, row, row_pos, row_val, d: int, dg: int, keep=None):
+def _coefficients(pair, pos, val, row, row_pos, row_val, d: int, dg: int):
     """The nonzero inner products of vectors given by their nonzeros (pair, pos,
-    val) with d rows given by theirs (row, pos, val), joined on the lex position,
-    over the pairs of entries that ``keep`` (a mask of the joined pairs) keeps:
+    val) with d rows given by theirs (row, pos, val), joined on the lex position:
     sorted keys pair d + row and values."""
     bi, oi = _join(pos, row_pos, dg)
-    if keep is not None:
-        mask = keep(bi, oi)
-        bi, oi = bi[mask], oi[mask]
     keys, coef = sum_by_key(pair[bi] * d + row[oi], val[bi] * row_val[oi])
     nz = coef != 0.0
     return keys[nz], coef[nz]
 
 
-def bracket_coords(x: Subspace, y: Subspace, onto: Subspace) -> tuple[np.ndarray, ...]:
+def _projection(pair, pos, val, row, row_pos, row_val, d: int, dg: int):
+    """:func:`_coefficients` of vectors over d orthonormal rows (keys, values),
+    then each vector minus its projection, the coefficients joined back with
+    the entries of their rows (sorted keys pair dg + lex position, values)."""
+    keys, coef = _coefficients(pair, pos, val, row, row_pos, row_val, d, dg)
+    ci, oi = _join(keys % d, row, d)  # each coefficient with the entries of its row
+    off_keys = np.concatenate([pair * dg + pos, keys[ci] // d * dg + row_pos[oi]])
+    off_keys, off = sum_by_key(off_keys, np.concatenate([val, -(coef[ci] * row_val[oi])]))
+    return keys, coef, off_keys[off != 0.0], off[off != 0.0]
+
+
+def bracket_coords(x: Subspace, y: Subspace, onto: Subspace, rest: bool = False):
     """The nonzero coefficients of the projections of every basis bracket
     [x_a, y_b] onto ``onto``, as arrays (a, b, onto position, value) sorted by
     (a, b, position): the nonzeros of the brackets joined with the entries of
     ``onto`` on the lex position, equal keys summed, exact zeros dropped.  On
-    rows of one entry 1.0 each coefficient is one product by 1.0."""
-    n = x.ambient_n
+    rows of one entry 1.0 each coefficient is one product by 1.0.  With
+    ``rest``, three such tuples: the brackets' nonzeros (a, b, lex position,
+    value), these coefficients, and each bracket's part off ``onto``
+    (orthonormal rows; :func:`_projection`) by lex position."""
+    n, dy, d, dg = x.ambient_n, y.dim, onto.dim, so_dim(x.ambient_n)
     if y.ambient_n != n or onto.ambient_n != n:
         raise ValueError("ambient dimension mismatch")
-    a, b, pos, val = _bracket_join(n, x.entries, y.entries, y.dim)
-    keys, coef = _coefficients(a * y.dim + b, pos, val, *onto.entries, onto.dim, so_dim(n))
-    return keys // (y.dim * onto.dim), keys // onto.dim % y.dim, keys % onto.dim, coef
-
-
-def bracket_leak(x: Subspace, *blocks: Subspace) -> float:
-    """The largest distance of a basis bracket [x_a, y] from the block of y,
-    y a basis vector of one of the blocks: absolute, since a bracket of unit
-    basis vectors that is 0 exactly must not be scaled by its own noise.
-
-    From nonzeros: the brackets of x with the stacked rows of the blocks, their
-    coefficients over the rows of the same block (as :func:`bracket_coords`),
-    and each bracket minus its projection, the coefficients joined back with
-    the entries of the block.  ``bracket_leak(h, m)`` measures [h, m] against m.
-    """
-    n, dg = x.ambient_n, so_dim(x.ambient_n)
-    if any(blk.ambient_n != n for blk in blocks):
-        raise ValueError("ambient dimension mismatch")
-    dims = [blk.dim for blk in blocks]
-    d, offset = sum(dims), np.cumsum([0] + dims)
-    row, pos, val = (np.concatenate([blk.entries[t] + (offset[i] if t == 0 else 0) for i, blk in enumerate(blocks)]) for t in range(3))
-    owner = np.repeat(np.arange(len(blocks)), dims)
-    a, b, bpos, bval = _bracket_join(n, x.entries, (row, pos, val), d)
-    pair = a * d + b
-    same_block = lambda bi, oi: owner[b[bi]] == owner[row[oi]]  # noqa: E731
-    keys, coef = _coefficients(pair, bpos, bval, row, pos, val, d, dg, keep=same_block)
-    ci, oi = _join(keys % d, row, d)  # each coefficient with the entries of its row
-    diff_keys = np.concatenate([pair * dg + bpos, keys[ci] // d * dg + pos[oi]])
-    diff_keys, diff = sum_by_key(diff_keys, np.concatenate([bval, -(coef[ci] * val[oi])]))
-    pair = diff_keys // dg
-    return float(np.sqrt(np.max(sum_by_key(pair, diff * diff)[1], initial=0.0)))
+    a, b, pos, val = brackets = _bracket_join(n, x.entries, y.entries, dy)
+    keys, coef, *off = (_projection if rest else _coefficients)(a * dy + b, pos, val, *onto.entries, d, dg)
+    coords = keys // (dy * d), keys // d % dy, keys % d, coef
+    return (brackets, coords, (off[0] // (dy * dg), off[0] // dg % dy, off[0] % dg, off[1])) if rest else coords
 
 
 def operator_on(space: Subspace, rows, cols, vals) -> np.ndarray:
@@ -385,18 +363,24 @@ def scatter(shape, *nonzeros) -> np.ndarray:
     return out
 
 
-def decompose_orthogonal(whole: Subspace, parts) -> bool:
-    """True iff the parts are pairwise orthogonal subspaces of ``whole`` whose
-    dimensions add up to dim(whole)."""
-    parts = list(parts)
+def basis_change(whole: Subspace, parts):
+    """The stacked rows Y of the parts as nonzeros (row, lex position, value) and
+    R = Y W^T over the rows W of ``whole`` (keys Y row * dim + W row, values) if
+    the parts are an orthogonal decomposition of ``whole``, else None: from
+    nonzeros, Y Y^T = I within TAU_ORTH and Y = R W within TAU_SUBSPACE."""
+    parts = list(parts) or [whole.sub(0, 0)]
     if any(p.ambient_n != whole.ambient_n for p in parts):
         raise ValueError("ambient dimension mismatch")
-    if sum(p.dim for p in parts) != whole.dim:
-        return False
-    for i, p in enumerate(parts):
-        if p.dim and np.max(np.abs(p.coords @ whole.coords.T @ whole.coords - p.coords)) > TAU_SUBSPACE:
-            return False
-        for q in parts[i + 1 :]:
-            if p.dim and q.dim and np.max(np.abs(p.coords @ q.coords.T)) > TAU_ORTH:
-                return False
-    return True
+    d, dg, offset = whole.dim, so_dim(whole.ambient_n), np.cumsum([0] + [p.dim for p in parts])
+    if offset[-1] != d:
+        return None
+    rows = [np.concatenate([p.entries[t] + (offset[i] if t == 0 else 0) for i, p in enumerate(parts)]) for t in range(3)]
+    if _gram_deviation(dg, d, *rows) > TAU_ORTH:
+        return None
+    keys, r, _, off = _projection(*rows, *whole.entries, d, dg)
+    return (rows, keys, r) if np.abs(off).max(initial=0.0) <= TAU_SUBSPACE else None
+
+
+def decompose_orthogonal(whole: Subspace, parts) -> bool:
+    """True iff the parts are pairwise orthogonal subspaces of ``whole`` whose dimensions add up to dim(whole)."""
+    return basis_change(whole, parts) is not None

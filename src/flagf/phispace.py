@@ -6,8 +6,7 @@ An automorphism is conjugation by an orthogonal block matrix
 
 where eps_t is the 2x2 rotation by 2*pi*t/k.  The induced map phi = Ad(B) on
 so(n) has fixed-point subalgebra h = ker(phi - id) and canonical complement
-m = im(phi - id); theta is phi restricted to m.  These are the data on
-which canonical structures and invariant metrics are built.
+m = im(phi - id); theta is phi restricted to m.
 
 All of them are read off B's blocks, the connected index sets of its
 support.  B X B^T maps the lex basis vector of (i, j) into the span of those
@@ -21,7 +20,9 @@ from the nonzeros of phi.  The blocks are the only form phi is kept in:
 :func:`check_regularity` reads its ranks off the singular values of each
 block of phi - id and of its square, and verify's phi checks apply phi to
 lex rows block by block.  Nothing forms a dense dim-so(n) matrix, except the
-one block of a hand-built dense B.
+one block of a hand-built dense B.  The brackets [h, m] are joined once per
+space, into :attr:`PhiSpace.h_m_table`; ad(h) on m, reductivity and the
+ad(h)-invariance of the split's blocks (:func:`ad_h_leak`) are read off it.
 """
 
 from __future__ import annotations
@@ -32,20 +33,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .liealg import (
-    EndoOnM,
-    Subspace,
-    _coefficients,
-    bracket_coords,
-    bracket_leak,
-    brackets,
-    lex_indices,
-    lie_mats,
-    lie_rows,
-    op_powers,
-    operator_on,
-    so_dim,
-)
+from .liealg import EndoOnM, Subspace, _coefficients, _join, _projection, basis_change, bracket_coords, brackets
+from .liealg import lex_indices, lie_mats, lie_rows, op_powers, operator_on, so_dim, sum_by_key
 from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
 _SQRT2 = np.sqrt(2.0)
@@ -110,22 +99,47 @@ class PhiSpace:
 
     @cached_property
     def theta_order_residual(self) -> float:
-        """max |theta^k - id| on m, the one theta-order residual (build_phi_space
-        raises on it, verify reports it).  theta^k is theta @ theta^(k - 1) by the
-        products of :attr:`theta_powers`, bit for bit, without keeping the k powers."""
-        tk = np.eye(self.m.dim)
-        for _ in range(self.spec.k):
-            tk = self.theta.matrix @ tk
-        return float(np.max(np.abs(tk - np.eye(self.m.dim)), initial=0.0))
+        """max |theta^k - id| on m, theta^k = theta @ theta^(k - 1) of :attr:`theta_powers`:
+        the one theta-order residual (build_phi_space raises on it, verify reports it)."""
+        return float(np.abs(self.theta.matrix @ self.theta_powers[-1] - np.eye(self.m.dim)).max(initial=0.0))
+
+    @cached_property
+    def h_m_table(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """[h, m] joined once: the nonzeros of each [h_a, m_b], its m-coefficients and
+        its part off m (:func:`bracket_coords` with the rest), read by ad(h) on m and :func:`ad_h_leak`."""
+        return bracket_coords(self.h, self.m, self.m, rest=True)
 
     @cached_property
     def ad_h_nonzeros(self) -> tuple[np.ndarray, ...]:
         """The nonzeros of ad(h) on m as arrays (a, row, column, value), sorted:
         ``value`` is the m-coefficient ``row`` of [h_a, m_column]
-        (:func:`bracket_coords` of h and m onto m, re-sorted by row)."""
-        a, column, row, value = bracket_coords(self.h, self.m, self.m)
+        (:attr:`h_m_table`, re-sorted by row)."""
+        a, column, row, value = self.h_m_table[1]
         order = np.lexsort((column, row, a))
         return a[order], row[order], column[order], value[order]
+
+
+def ad_h_leak(ps: PhiSpace, *blocks: Subspace) -> float:
+    """The largest distance of a basis bracket [h_a, y] from the block of y, y
+    a row of one of the blocks (from m, y a row of m, if there are none),
+    absolute; infinite unless the blocks are an orthogonal decomposition of m.
+    Read off :attr:`PhiSpace.h_m_table` in the blocks' own basis Y: with
+    R = Y M^T (:func:`basis_change`), [h_a, y_b] = sum_c R[b, c] [h_a, m_c], and
+    its distance from the block of y_b, squared, is its distance from m
+    squared plus its squared coefficients on the rows of the other blocks."""
+    (a, c, pos, val), _, (ra, rc, _, off) = ps.h_m_table
+    d, dg = ps.m.dim, so_dim(ps.spec.n)
+    pair, sq = ra * d + rc, off * off
+    if blocks:
+        change = basis_change(ps.m, blocks)
+        if change is None:
+            return np.inf
+        (rows, r_keys, r_val), owner = change, np.repeat(np.arange(len(blocks)), [blk.dim for blk in blocks])
+        li, ri = _join(c, r_keys % d, d)  # each [h_a, m_c] with the R[b, c] of its c
+        keys, coef, off_keys, off = _projection(a[li] * d + r_keys[ri] // d, pos[li], val[li] * r_val[ri], *rows, d, dg)
+        other = owner[keys // d % d] != owner[keys % d]
+        pair, sq = np.concatenate([off_keys // dg, keys[other] // d]), np.concatenate([off * off, coef[other] ** 2])
+    return float(np.sqrt(sum_by_key(pair, sq)[1].max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -234,19 +248,20 @@ def phi_blocks(b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     for pos in _index_blocks(lo * n + hi):
         s = pos.shape[1]
-        u, v = i[pos][:, :, None], j[pos][:, :, None]  # row pairs
-        ci, cj = i[pos][:, None, :], j[pos][:, None, :]  # column pairs
+        ip, jp = i[pos], j[pos]
+        u, v = ip[:, :, None], jp[:, :, None]  # row pairs
+        ci, cj = ip[:, None, :], jp[:, None, :]  # column pairs
         direct = lab[u] == lab[ci]
         be = np.where(direct, b[u, ci] * half, b[u, cj] * -half)  # (B E)[u, c] for the one c that meets v
         mats = _SQRT2 * (be * np.where(direct, b[v, cj], b[v, ci]))
         inside = lo[pos[:, 0]] == hi[pos[:, 0]]
-        if inside.any():  # the stacked conjugation itself, on the lex basis elements of these blocks
-            cols = pos[inside]
-            unit = np.zeros((cols.size, so_dim(n)))
-            unit[np.arange(cols.size), cols.ravel()] = 1.0
-            conj = (b @ lie_mats(n, unit) @ b.T).reshape(len(cols), s, n, n)  # [g, c]: B E B^T, E at cols[g, c]
-            g, c = np.arange(len(cols))[:, None, None], np.arange(s)[None, None, :]
-            mats[inside] = _SQRT2 * conj[g, c, i[cols][:, :, None], j[cols][:, :, None]]  # read as lie_rows does
+        if inside.any():  # the stacked conjugation itself, on the lex basis elements E of these blocks
+            ic, jc = ip[inside], jp[inside]
+            e, at = np.zeros((ic.size, n, n)), np.arange(ic.size)
+            e[at, ic.ravel(), jc.ravel()], e[at, jc.ravel(), ic.ravel()] = half, -half  # E as lie_mats makes it
+            conj = (b @ e @ b.T).reshape(len(ic), s, n, n)  # [g, c]: B E B^T, E at the lex position pos[g, c]
+            g, c = np.arange(len(ic))[:, None, None], np.arange(s)[None, None, :]
+            mats[inside] = _SQRT2 * conj[g, c, ic[:, :, None], jc[:, :, None]]  # read as lie_rows does
         out.append((pos, mats))
     return out
 
@@ -279,8 +294,8 @@ def _support_labels(mat: np.ndarray) -> np.ndarray:
     adj = (mat != 0) | (mat.T != 0)
     lab = np.arange(len(mat))
     while True:
-        new = np.minimum(lab, np.min(np.where(adj, lab, len(mat)), axis=1, initial=len(mat)))
-        if np.array_equal(new, lab):
+        new = np.minimum(lab, np.where(adj, lab, len(mat)).min(axis=1, initial=len(mat)))
+        if (new == lab).all():
             return lab
         lab = new
 
@@ -288,11 +303,11 @@ def _support_labels(mat: np.ndarray) -> np.ndarray:
 def _index_blocks(labels: np.ndarray) -> list[np.ndarray]:
     """The indices of each label, ascending, stacked by count: a (blocks, s)
     array per count s, ascending in s, blocks in the order of their labels."""
-    order = np.argsort(labels, kind="stable")
+    order = labels.argsort(kind="stable")
     sorted_labels = labels[order]
-    first = np.flatnonzero(np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1])))
-    size = np.diff(np.append(first, len(labels)))
-    return [order[first[size == s][:, None] + np.arange(s)] for s in np.flatnonzero(np.bincount(size))]
+    first = np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1])).nonzero()[0]
+    size = np.concatenate((first[1:], [len(labels)])) - first
+    return [order[first[size == s][:, None] + np.arange(s)] for s in np.bincount(size).nonzero()[0]]
 
 
 def _stack_singular_values(mats: np.ndarray) -> np.ndarray:
@@ -330,7 +345,7 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
     h_parts, m_parts = [], []  # per entry: the vector's sort key (first, index), position, value
     for (pos, mats), v in zip(blocks, sv):
         s = pos.shape[1]
-        rank = np.sum(v > TAU_RANK_REL * top, axis=1)
+        rank = (v > TAU_RANK_REL * top).sum(axis=1)
         for parts, lex in ((h_parts, pos[rank == 0].ravel()), (m_parts, pos[rank == s].ravel())):
             parts.append((lex, np.zeros(len(lex), dtype=int), lex, np.ones(len(lex))))
         for g in np.flatnonzero((rank > 0) & (rank < s)):
@@ -347,8 +362,8 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
     if m is None:
         m = _basis(n, m_parts)
 
-    nonzeros = [(np.broadcast_to(pos[:, :, None], mats.shape), np.broadcast_to(pos[:, None, :], mats.shape), mats) for pos, mats in blocks]
-    rows, cols, vals = (np.concatenate([nz[t].ravel() for nz in nonzeros]) for t in range(3))
+    entries = [(pos.repeat(pos.shape[1]), pos.repeat(pos.shape[1], axis=0).ravel(), mats.ravel()) for pos, mats in blocks]
+    rows, cols, vals = (np.concatenate(col) for col in zip(*entries))
     ps = PhiSpace(spec=spec, h=h, m=m, theta=EndoOnM(m, operator_on(m, rows, cols, vals)))
     _check_phi_space_invariants(ps)
     return ps
@@ -362,7 +377,7 @@ def _basis(n: int, parts) -> Subspace:
     order = np.lexsort((at, first))
     first, at = first[order], at[order]
     new = np.concatenate(([True], (first[1:] != first[:-1]) | (at[1:] != at[:-1])))[: len(first)]
-    return Subspace.of_entries(n, int(new.sum()), np.cumsum(new) - 1, pos[order], val[order])
+    return Subspace.of_entries(n, int(new.sum()), new.cumsum() - 1, pos[order], val[order])
 
 
 @cache
@@ -382,7 +397,7 @@ def _check_phi_space_invariants(ps: PhiSpace) -> None:
     if h.dim + m.dim != dg:
         raise RuntimeError(f"dim h + dim m = {h.dim}+{m.dim} != {dg}")
     # Reductivity: [h, m] stays in m (absolute leak; a zero bracket leaks nothing).
-    if bracket_leak(h, m) > TAU_SUBSPACE:
+    if ad_h_leak(ps) > TAU_SUBSPACE:
         raise RuntimeError("reductivity failure: [h, m] leaves m")
     if not _nonsingular(ps.theta.matrix - np.eye(m.dim)):
         raise RuntimeError("theta has a fixed vector")

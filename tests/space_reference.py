@@ -7,9 +7,12 @@ dense matrix (the two agree bit for bit on a well-formed spec);
 ``conjugation_order`` the order of Ad(B) by repeated dense products;
 ``kernel_and_image`` one SVD of a matrix on a domain; ``dense_phi_space`` h
 and m off the SVD of phi - id (m replaced by the flag pattern when it spans
-it) and theta as m phi m^T; ``bracket_row_chunks``, ``bracket_coords`` and
+it) and theta as m phi m^T; ``bracket_nonzeros`` the brackets of dense lex
+rows from their nonzeros; ``bracket_row_chunks``, ``bracket_coords`` and
 ``bracket_leak`` the brackets as dense lex rows, a chunk at a time, projected
-by one product per chunk.  ``dense_regularity`` is check_regularity on the
+by one product per chunk; ``sparse_bracket_leak`` the block leak from
+nonzeros, as liealg computed it before the [h, m] brackets of a space were
+joined once into a table.  ``dense_regularity`` is check_regularity on the
 dense A = phi - id and A^2, with every singular value of A^2 and the dense
 cross Gram h.coords @ m.coords.T.  ``residuals``, ``relative_residuals`` and
 ``project_rows`` measure and project dense lex rows against a subspace.
@@ -19,7 +22,7 @@ zero subspace, which only the tests build.
 
 import numpy as np
 
-from flagf.liealg import EndoOnM, Subspace, bracket_nonzeros, lie_mats, lie_rows, so_dim
+from flagf.liealg import EndoOnM, Subspace, _bracket_join, _join, lie_mats, lie_rows, so_dim, sum_by_key
 from flagf.phispace import RegularityReport, _nonsingular, flag_complement_pattern
 from flagf.tolerances import TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
@@ -128,6 +131,14 @@ def dense_phi_space(spec) -> tuple[Subspace, Subspace, EndoOnM]:
     return h, m, EndoOnM(m, m.coords @ phi @ m.coords.T)
 
 
+def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:
+    """The nonzeros (a, b, lex position, value) of every bracket [x_a, y_b] of
+    dense lex rows (liealg._bracket_join of their nonzeros)."""
+    x_rows, y_rows = (np.asarray(r, dtype=float).reshape(-1, so_dim(n)) for r in (x_rows, y_rows))
+    x_nz, y_nz = (np.nonzero(r) for r in (x_rows, y_rows))
+    return _bracket_join(n, (*x_nz, x_rows[x_nz]), (*y_nz, y_rows[y_nz]), len(y_rows))
+
+
 CHUNK_BYTES = 1 << 18
 
 
@@ -160,3 +171,28 @@ def bracket_leak(x: Subspace, y: Subspace, onto: Subspace) -> float:
     """The largest :func:`residuals` of a basis bracket's dense row."""
     chunks = bracket_row_chunks(x.ambient_n, x.coords, y.coords)
     return max([0.0] + [float(np.max(residuals(onto, rows), initial=0.0)) for _, _, rows in chunks])
+
+
+def sparse_bracket_leak(x: Subspace, *blocks: Subspace) -> float:
+    """The largest distance of a basis bracket [x_a, y] from the block of y,
+    y a basis vector of one of the blocks, from nonzeros: the brackets of x
+    with the stacked rows of the blocks, their coefficients over the rows of
+    the same block, and each bracket minus its projection, the coefficients
+    joined back with the entries of the block."""
+    n, dg = x.ambient_n, so_dim(x.ambient_n)
+    if any(blk.ambient_n != n for blk in blocks):
+        raise ValueError("ambient dimension mismatch")
+    dims = [blk.dim for blk in blocks]
+    d, offset = sum(dims), np.cumsum([0] + dims)
+    row, pos, val = (np.concatenate([blk.entries[t] + (offset[i] if t == 0 else 0) for i, blk in enumerate(blocks)]) for t in range(3))
+    owner = np.repeat(np.arange(len(blocks)), dims)
+    a, b, bpos, bval = _bracket_join(n, x.entries, (row, pos, val), d)
+    pair = a * d + b
+    bi, oi = _join(bpos, pos, dg)
+    same_block = owner[b[bi]] == owner[row[oi]]
+    bi, oi = bi[same_block], oi[same_block]
+    keys, coef = sum_by_key(pair[bi] * d + row[oi], bval[bi] * val[oi])
+    ci, oi = _join(keys % d, row, d)  # each coefficient with the entries of its row
+    diff_keys = np.concatenate([pair * dg + bpos, keys[ci] // d * dg + pos[oi]])
+    diff_keys, diff = sum_by_key(diff_keys, np.concatenate([bval, -(coef[ci] * val[oi])]))
+    return float(np.sqrt(np.max(sum_by_key(diff_keys // dg, diff * diff)[1], initial=0.0)))

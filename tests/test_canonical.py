@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import generation_reference
 import structure_checks_reference as reference
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 
@@ -125,18 +126,19 @@ class TestSignKeys:
         assert sum(cs.kind == "almost-complex" for cs in fs) == 8
 
     def test_cost_guard_one_polynomial_per_structure(self, get_space, monkeypatch):
-        # Enumerating every zeta would evaluate 3^7 - 1 = 2186 polynomials in theta.
+        # Enumerating every zeta would evaluate 3^7 - 1 = 2186 polynomials in theta.  Generation
+        # evaluates one stack of polynomials, a row per sign key, and calls poly_in for none.
         ps = get_space(12, 16)
-        calls = []
+        rows = []
 
-        def counting_poly_in(op, coeffs, *powers):
-            calls.append(1)
-            return poly_in(op, coeffs, *powers)
+        def counting_f_polynomial(k, zeta):
+            rows.append(np.shape(zeta)[0])
+            return f_polynomial(k, zeta)
 
-        monkeypatch.setattr(canonical, "poly_in", counting_poly_in)
+        monkeypatch.setattr(canonical, "f_polynomial", counting_f_polynomial)
+        monkeypatch.setattr(liealg, "poly_in", lambda *args: pytest.fail("generation called poly_in"))
         fs = canonical.generate_f_structures(ps)
-        assert len(calls) <= len(fs) == 8
-
+        assert rows == [len(fs)] and len(fs) == 8
 
     def test_cost_guard_one_theta_power_stack_per_space(self, monkeypatch):
         # Generation and verify's reconstruction check share the space's
@@ -155,6 +157,49 @@ class TestSignKeys:
         for chk in verify_structures(structures[:: len(structures) // 10], ps):
             assert chk.polynomial_residual < 1e-10
         assert calls == [16]
+
+
+class TestStackedGeneration:
+    """The stacked generation against the per-structure one it replaced
+    (tests/generation_reference.py): the same structures, bit for bit."""
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 4), (8, 1, 6), (12, 1, 6), (9, 2, 8), (9, 4, 16)])
+    def test_bitwise_equal_to_one_structure_at_a_time(self, get_space, n, m_blocks, k):
+        ps = get_space(n, k, m_blocks)
+        for product, generate in ((False, flagf.generate_f_structures), (True, flagf.generate_product_structures)):
+            got, want = generate(ps), generation_reference.structures_one_at_a_time(ps, product)
+            assert len(got) == len(want) > 0
+            for a, b in zip(got, want):
+                assert (a.kind, a.label, a.signature, a.theta_polynomial) == (b.kind, b.label, b.signature, b.theta_polynomial)
+                assert a.op.domain is b.op.domain is ps.m
+                assert a.op.matrix.tobytes() == b.op.matrix.tobytes(), (n, m_blocks, k, a.label)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 8, 10, 12, 16])
+    def test_polynomial_stacks_equal_their_rows_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        zeta = rng.integers(-1, 2, (40, u_of_k(k)))
+        xi = rng.choice([-1, 1], (40, k // 2))
+        for stack, one, sigs in (
+            (f_polynomial, generation_reference.f_polynomial, zeta),
+            (p_polynomial, generation_reference.p_polynomial, xi),
+        ):
+            got = stack(k, sigs)
+            assert got.shape == (len(sigs), k)
+            for row, sig in zip(got, sigs.tolist()):
+                assert row.tobytes() == one(k, tuple(sig)).tobytes()
+                assert stack(k, tuple(sig)).tobytes() == row.tobytes()
+
+    def test_a_violated_identity_raises_as_before(self, get_space):
+        # theta of the wrong order: the formulas no longer give f^3 = -f.
+        ps = get_space(5, 6)
+        bad = flagf.PhiSpace(ps.spec, ps.h, ps.m, EndoOnM(ps.m, 1.01 * ps.theta.matrix))
+        for product in (False, True):
+            with pytest.raises(RuntimeError, match="violates its identity") as got:
+                canonical._structures(bad, product)
+            with pytest.raises(RuntimeError, match="violates its identity") as want:
+                generation_reference.structures_one_at_a_time(bad, product)
+            residual = [float(str(e.value).rsplit("(", 1)[1].rstrip(")")) for e in (got, want)]
+            assert residual[0] == pytest.approx(residual[1], rel=1e-6)  # the first structure that fails, in both
 
 
 class TestOrder4Generation:

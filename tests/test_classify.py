@@ -903,3 +903,42 @@ class TestGridBuilder:
             build_grid(1.0, 316.0, 1.0, extras=extras)
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
             build_grid(1.0, 317.0, 1.0, extras=())
+
+
+def linear_scan_grid(gmin, gmax, step, extras):
+    """build_grid's points as it once deduplicated them: a linear scan of the
+    whole list per extra point, which misses a list-typed point on the grid."""
+    count = int(max(0.0, np.floor((gmax - gmin) / step + 1e-9) + 1))
+    vals = [gmin + i * step for i in range(count)]
+    pts = [(s, t) for s in vals for t in vals]
+    for p in extras:
+        if p not in pts:
+            pts.append((float(p[0]), float(p[1])))
+    return pts
+
+
+class TestBuildGridExtras:
+    def test_a_list_typed_point_on_the_grid_is_not_added_twice(self):
+        grid = build_grid(extras=[[0.25, 0.25]])
+        assert grid.count((0.25, 0.25)) == 1
+        assert grid == build_grid(extras=())
+        assert linear_scan_grid(0.25, 3.0, 0.25, [[0.25, 0.25]]).count((0.25, 0.25)) == 2  # the old duplicate
+
+    def test_points_are_floats_in_order_each_once(self):
+        extras = [(1, 1), [0.3, 2.0], (np.float64(0.3), 2), (5.0, 0.1), (1.0, 1.0), np.array([5.0, 0.1])]
+        grid = build_grid(0.5, 2.0, 0.5, extras=extras)
+        assert grid[16:] == [(0.3, 2.0), (5.0, 0.1)]
+        assert all(type(c) is float for p in grid[16:] for c in p)
+
+    def test_many_extras_on_a_near_limit_grid_match_the_linear_scan_fast(self):
+        import time
+
+        extras = [(0.005 + 0.031 * i, 3.2 - 0.029 * i) for i in range(96)] + [(0.01, 0.01), (1.0, 1.0), (3.15, 0.02), (0.5, 0.5)]
+        want = linear_scan_grid(0.01, 3.15, 0.01, extras)  # 0.4 s
+        best = np.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            got = build_grid(0.01, 3.15, 0.01, extras=extras)
+            best = min(best, time.perf_counter() - start)
+        assert got == want and len(got) == 315**2 + 96
+        assert best < 0.1

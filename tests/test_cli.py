@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf import canonical, classify, metricgeom, report
+from flagf import canonical, classify, liealg, metricgeom, report
 from flagf.classify import SPECIAL_POINTS
 from flagf.cli import build_parser, config_from_args, main
 from flagf.report import fmt_float, json_dumps
@@ -508,6 +508,36 @@ def per_row_rendering(argv, summary: dict) -> dict[str, str]:
             lines += [f"  {n_}: {summary[label][n_]['description']}" for n_ in names]
             out[path.name] = "\n".join(lines) + "\n"
     return out
+
+
+class TestBracketJoins:
+    """Each call builds its space once: one join of the [h, m] brackets (read
+    for reductivity, the split's blocks and ad(h) on m) and one of [m, m]
+    (the bracket tensor of the split)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "5", "--k", "4"],
+            ["verify", "--n", "8", "--k", "6", "--format", "json"],
+            ["classify", "--n", "5", "--k", "4", "--f", "f0", "--s", "1", "--t", "2"],
+            ["classify", "--n", "8", "--k", "6", "--f", "f1", "--s", "1", "--t", "2"],
+            ["sweep", "--n", "5", "--k", "4", "--grid-step", "1.0"],
+            ["sweep", "--n", "8", "--k", "6", "--grid-step", "1.0"],
+        ],
+    )
+    def test_cost_guard_one_h_m_and_one_m_m_join(self, capsys, tmp_path, monkeypatch, argv):
+        joins, original = [], liealg._bracket_join
+
+        def counting(n, x_entries, y_entries, dy):
+            joins.append("[m, m]" if x_entries is y_entries else "[h, m]")
+            return original(n, x_entries, y_entries, dy)
+
+        monkeypatch.setattr(liealg, "_bracket_join", counting)
+        out = ["--out", str(tmp_path)] if argv[0] == "sweep" else []
+        code, _, _ = run(capsys, *argv, *out)
+        assert code == 0
+        assert sorted(joins) == ["[h, m]", "[m, m]"]
 
 
 class TestNonFiniteValues:

@@ -5,8 +5,6 @@ from flagf.liealg import (
     EndoOnM,
     Subspace,
     bracket_coords,
-    bracket_leak,
-    bracket_nonzeros,
     brackets,
     decompose_orthogonal,
     lex_indices,
@@ -20,7 +18,7 @@ from flagf.liealg import (
 from flagf.tolerances import TAU_SUBSPACE
 
 import space_reference as ref
-from space_reference import empty_space, full_space, kernel_and_image
+from space_reference import bracket_nonzeros, empty_space, full_space, kernel_and_image
 
 
 def elementary(n, i, j):
@@ -414,6 +412,25 @@ class TestBracketKernel:
                 np.testing.assert_array_equal(g, w)
             np.testing.assert_allclose(got[3], want[3], rtol=0.0, atol=1e-14)
 
+    def test_rest_is_the_bracket_minus_its_projection(self, rng):
+        # The part of each bracket off onto, against the dense rows minus their projection.
+        x, y = random_subspace(rng, 6, 5), random_subspace(rng, 6, 4)
+        for onto in (y, random_subspace(rng, 6, 7), full_space(6)):
+            brackets, coords, (a, b, pos, val) = bracket_coords(x, y, onto, rest=True)
+            for g, w in zip(brackets + coords, bracket_nonzeros(6, x.coords, y.coords) + bracket_coords(x, y, onto)):
+                assert g.tobytes() == w.tobytes()
+            keys = (a * y.dim + b) * 15 + pos
+            assert np.all(np.diff(keys) > 0) and np.all(val != 0.0)
+            got = scatter((x.dim, y.dim, 15), a, b, pos, val)
+            want = np.zeros((x.dim, y.dim, 15))
+            for pa, pb, rows in ref.bracket_row_chunks(6, x.coords, y.coords):
+                want[pa, pb] = rows - (rows @ onto.coords.T) @ onto.coords
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        # Lex rows onto lex rows: every part off m is an exact 0 and dropped.
+        x, y = Subspace(5, np.eye(10)[[0, 4]]), Subspace(5, np.eye(10)[[1, 2, 5]])
+        _, _, (a, _, _, val) = bracket_coords(x, y, full_space(5), rest=True)
+        assert len(a) == len(val) == 0
+
     def test_rows_need_not_be_orthonormal(self, rng):
         x, y = lie_rows(random_skew(rng, 5)), lie_rows(random_skew(rng, 5))
         (row,) = joined(5, [x], [y, 2.0 * y])
@@ -477,29 +494,29 @@ class TestSparseRows:
 
 
 class TestSparseLeakAndRestriction:
-    """bracket_leak and operator_on from nonzeros against dense rows and products."""
+    """The sparse block leak and operator_on from nonzeros against dense rows and products."""
 
     @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (12, 6, 1), (7, 6, 2), (9, 6, 4)])
     def test_leak_of_flag_spaces(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
         full = full_space(n)
         for x, y in ((ps.h, ps.m), (ps.m, ps.m), (full, ps.m)):
-            np.testing.assert_allclose(bracket_leak(x, y), ref.bracket_leak(x, y, y), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(ref.sparse_bracket_leak(x, y), ref.bracket_leak(x, y, y), rtol=1e-12, atol=1e-15)
 
     def test_leak_of_rotated_rows(self, rng):
         x, y = random_subspace(rng, 6, 5), random_subspace(rng, 6, 7)
-        assert bracket_leak(x, y) > 0.1
-        np.testing.assert_allclose(bracket_leak(x, y), ref.bracket_leak(x, y, y), rtol=1e-12)
+        assert ref.sparse_bracket_leak(x, y) > 0.1
+        np.testing.assert_allclose(ref.sparse_bracket_leak(x, y), ref.bracket_leak(x, y, y), rtol=1e-12)
 
     def test_leak_per_block_is_the_largest_block_leak(self, rng, get_split):
         split = get_split(7, 6)
         x = random_subspace(rng, 7, 3)
         blocks = (split.m1, split.m2, split.m3)
         want = max(ref.bracket_leak(x, blk, blk) for blk in blocks)
-        np.testing.assert_allclose(bracket_leak(x, *blocks), want, rtol=1e-12)
+        np.testing.assert_allclose(ref.sparse_bracket_leak(x, *blocks), want, rtol=1e-12)
         rotated = [Subspace(7, np.linalg.qr(rng.standard_normal((21, blk.dim)))[0].T) for blk in blocks]
         want = max(ref.bracket_leak(x, blk, blk) for blk in rotated)
-        np.testing.assert_allclose(bracket_leak(x, *rotated), want, rtol=1e-12)
+        np.testing.assert_allclose(ref.sparse_bracket_leak(x, *rotated), want, rtol=1e-12)
 
     def test_operator_on(self, rng):
         op = np.where(rng.random((10, 10)) < 0.3, rng.standard_normal((10, 10)), 0.0)

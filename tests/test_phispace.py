@@ -5,7 +5,7 @@ import pytest
 
 import flagf
 from flagf.canonical import CanonicalStructure, verify_structures
-from flagf.liealg import EndoOnM, Subspace, brackets, lex_indices, lie_mats, lie_rows
+from flagf.liealg import EndoOnM, Subspace, bracket_coords, brackets, lex_indices, lie_mats, lie_rows
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
@@ -14,6 +14,7 @@ from flagf.phispace import (
     _check_phi_space_invariants,
     _nonsingular,
     _stack_singular_values,
+    ad_h_leak,
     build_automorphism,
     build_phi_space,
     check_regularity,
@@ -400,6 +401,89 @@ def _rotate_rows(coords_a, coords_b, angle):
     c, s = np.cos(angle), np.sin(angle)
     a[0], b[0] = c * coords_a[0] + s * coords_b[0], -s * coords_a[0] + c * coords_b[0]
     return a, b
+
+
+def _turned_blocks(rng, space: Subspace, cuts) -> list[Subspace]:
+    """The rows of a random orthogonal turn of the basis of space, cut into blocks."""
+    q = np.linalg.qr(rng.standard_normal((space.dim, space.dim)))[0]
+    rows = q @ space.coords
+    return [Subspace(space.ambient_n, part) for part in np.split(rows, cuts)]
+
+
+class TestHMTable:
+    """ad(h) on m, reductivity and the split's block leak, read off one [h, m] table."""
+
+    SPACES = [(5, 4, 1), (8, 6, 1), (12, 6, 1), (7, 6, 2), (8, 6, 2), (9, 8, 3)]
+
+    @pytest.mark.parametrize("n,k,m_blocks", SPACES)
+    def test_ad_h_nonzeros_keep_the_bits_of_bracket_coords(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        a, column, row, value = bracket_coords(ps.h, ps.m, ps.m)
+        order = np.lexsort((column, row, a))
+        for got, want in zip(ps.ad_h_nonzeros, (a[order], row[order], column[order], value[order])):
+            assert got.tobytes() == want.tobytes()
+        brackets, coords, _ = ps.h_m_table
+        assert all(np.array_equal(x, y) for x, y in zip(coords, (a, column, row, value)))
+        for x, y in zip(brackets, ref.bracket_nonzeros(n, ps.h.coords, ps.m.coords)):
+            assert x.tobytes() == y.tobytes()
+        assert ps.h_m_table is ps.h_m_table
+
+    @pytest.mark.parametrize("n,k,m_blocks", SPACES)
+    def test_reductivity_leak_matches_the_dense_rows(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        want = ref.bracket_leak(ps.h, ps.m, ps.m)
+        assert want < 1e-14
+        np.testing.assert_allclose(ad_h_leak(ps), want, rtol=1e-12, atol=1e-15)
+
+    def test_reductivity_leak_of_a_corrupted_m_matches_the_dense_rows(self, get_space):
+        ps = get_space(6, 4)
+        i, j = lex_indices(6)
+        r = np.flatnonzero(ps.h.coords[:, np.flatnonzero((i == 4) & (j == 5))[0]])[0]
+        h_rows, m_rows = _rotate_rows(np.roll(ps.h.coords, -r, axis=0), ps.m.coords, 0.3)
+        bad = PhiSpace(ps.spec, Subspace(6, h_rows), Subspace(6, m_rows), ps.theta)
+        want = ref.bracket_leak(bad.h, bad.m, bad.m)
+        assert want > 0.1
+        np.testing.assert_allclose(ad_h_leak(bad), want, rtol=1e-12)
+        # In blocks, the part off m counts too: one block, all of m in another basis, leaks only off m.
+        rng = np.random.default_rng(6)
+        (whole,) = _turned_blocks(rng, bad.m, [])
+        np.testing.assert_allclose(ad_h_leak(bad, whole), ref.bracket_leak(bad.h, whole, whole), rtol=1e-10)
+        blocks = _turned_blocks(rng, bad.m, [3, 5])
+        np.testing.assert_allclose(ad_h_leak(bad, *blocks), max(ref.bracket_leak(bad.h, b, b) for b in blocks), rtol=1e-10)
+
+    @pytest.mark.parametrize("n,k,m_blocks", SPACES)
+    def test_block_leak_in_turned_blocks_matches_the_dense_rows(self, get_space, n, k, m_blocks):
+        ps = get_space(n, k, m_blocks)
+        rng = np.random.default_rng(n * k + m_blocks)
+        blocks = _turned_blocks(rng, ps.m, [2, ps.m.dim - 3])
+        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in blocks)
+        assert want > 0.01
+        np.testing.assert_allclose(ad_h_leak(ps, *blocks), want, rtol=1e-10)
+        (whole,) = _turned_blocks(rng, ps.m, [])  # one block, all of m in another basis: only the part off m
+        np.testing.assert_allclose(ad_h_leak(ps, whole), ref.bracket_leak(ps.h, whole, whole), rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (12, 6)])
+    def test_split_blocks_leak_nothing_in_any_basis_of_each(self, get_space, get_split, n, k):
+        ps, split = get_space(n, k), get_split(n, k)
+        blocks = (split.m1, split.m2, split.m3)
+        assert ad_h_leak(ps, *blocks) == 0.0
+        rng = np.random.default_rng(n)
+        turned = [_turned_blocks(rng, blk, [])[0] for blk in blocks]
+        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in turned)
+        assert ad_h_leak(ps, *turned) < 1e-14 and want < 1e-14
+        m1, m3 = _rotate_rows(split.m1.coords, split.m3.coords, 0.3)
+        rotated = (Subspace(n, m1), split.m2, Subspace(n, m3))
+        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in rotated)
+        assert want > 0.1
+        np.testing.assert_allclose(ad_h_leak(ps, *rotated), want, rtol=1e-10)
+
+    def test_blocks_that_do_not_span_m_leak_infinitely(self, get_space, get_split):
+        ps, split = get_space(6, 6), get_split(6, 6)
+        assert ad_h_leak(ps, split.m1, split.m2) == np.inf  # m3 missing
+        outside = Subspace(6, ps.h.coords[:3])  # as many rows as m3, all in h
+        assert ad_h_leak(ps, split.m1, split.m2, outside) == np.inf
+        with pytest.raises(RuntimeError, match="block is not ad\\(h\\)-invariant"):
+            _check_split_invariants(ps, dataclasses.replace(split, m3=outside))
 
 
 class TestCostGuard:
