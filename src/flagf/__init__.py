@@ -12,10 +12,8 @@ from .liealg import (
     EndoOnM,
     Subspace,
     brackets,
-    decompose_orthogonal,
     lie_mats,
     lie_rows,
-    poly_in,
 )
 from .phispace import (
     AutomorphismSpec,

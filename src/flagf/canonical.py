@@ -152,8 +152,8 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
     on the angles theta has, -1 on the others.  A label is the first of: a
     sign-table entry or its negative; I or -I (P only); the negative of an
     earlier structure's label; a fresh label.  The operators are summed term
-    by term as :func:`poly_in` sums one polynomial, a stack of them at a
-    time, and their defining identity is checked on each stack.
+    by term over theta's powers, in the order of the powers, a stack of them
+    at a time, and their defining identity is checked on each stack.
     """
     k, d = ps.spec.k, ps.m.dim
     width = k // 2 if product else u_of_k(k)
@@ -171,7 +171,7 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
     for lo in range(0, len(keys), step):
         flat = np.zeros((min(step, len(keys) - lo), d * d))
         tmp = np.empty_like(flat)
-        for c, p in terms:  # term by term, as poly_in
+        for c, p in terms:  # term by term, in the order of the powers
             flat += np.multiply(c[lo : lo + step, None], p, out=tmp)
         stack = flat.reshape(-1, d, d)
         sq = stack @ stack
@@ -246,9 +246,12 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
     commutation with the rest of the list and with ad(h).
 
     Write F_b = sum_m c_{b,m} theta^m + E_b, r_b = max |E_b| the reconstruction
-    residual.  For any X, [X, theta^m] telescopes to sum_{i<m} theta^i [X, theta]
-    theta^(m-1-i), and max |X Y Z| <= |X|_inf max |Y| |Z|_1 (row and column
-    sums), so with K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1
+    residual, measured with one product of the coefficient stack with theta's
+    powers, which rounds otherwise than generation's term-by-term sum (a few
+    1e-16 where a term is inexact).  For any X, [X, theta^m] telescopes to
+    sum_{i<m} theta^i [X, theta] theta^(m-1-i), and max |X Y Z| <= |X|_inf
+    max |Y| |Z|_1 (row and column sums), so with
+    K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1
 
         max |[X, F_b]| <= max |[X, theta]| sum_m |c_{b,m}| K_m + (|X|_inf + |X|_1) r_b.
 
@@ -275,10 +278,7 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
     coeffs = np.zeros((count, len(ps.theta_powers)))
     for row, cs in zip(coeffs, structures):
         row[: len(cs.theta_polynomial)] = cs.theta_polynomial
-    work.fill(0.0)
-    for c, p in zip(coeffs.T, ps.theta_powers):  # term by term, as poly_in
-        if np.any(c != 0.0):
-            work += np.multiply(c[:, None, None], p, out=tmp)
+    np.matmul(coeffs, ps.theta_powers.reshape(len(coeffs.T), -1), out=work.reshape(count, -1))
     polynomial = _max_abs(np.subtract(work, f, out=work))
     np.matmul(f, th, out=work)
     theta_commutation = _max_abs(np.subtract(work, np.matmul(th, f, out=tmp), out=work))

@@ -226,20 +226,6 @@ def op_powers(op: EndoOnM, count: int) -> np.ndarray:
     return powers
 
 
-def poly_in(op: EndoOnM, coeffs, powers: np.ndarray | None = None) -> EndoOnM:
-    """Evaluate sum_m coeffs[m] * op^m, term by term in m.  ``powers`` is
-    op_powers(op, count) for some count >= len(coeffs), to reuse across calls."""
-    if powers is None:
-        powers = op_powers(op, len(coeffs))
-    if len(coeffs) > len(powers):
-        raise ValueError(f"{len(coeffs)} coefficients need more than {len(powers)} powers")
-    acc = np.zeros((op.dim, op.dim))
-    for c, p in zip(coeffs, powers):
-        if c != 0.0:
-            acc = acc + c * p
-    return EndoOnM(op.domain, acc)
-
-
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the sum of each key's values."""
     order = keys.argsort(kind="stable")
@@ -379,8 +365,3 @@ def basis_change(whole: Subspace, parts):
         return None
     keys, r, _, off = _projection(*rows, *whole.entries, d, dg)
     return (rows, keys, r) if np.abs(off).max(initial=0.0) <= TAU_SUBSPACE else None
-
-
-def decompose_orthogonal(whole: Subspace, parts) -> bool:
-    """True iff the parts are pairwise orthogonal subspaces of ``whole`` whose dimensions add up to dim(whole)."""
-    return basis_change(whole, parts) is not None

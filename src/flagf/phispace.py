@@ -100,7 +100,7 @@ class PhiSpace:
     @cached_property
     def theta_order_residual(self) -> float:
         """max |theta^k - id| on m, theta^k = theta @ theta^(k - 1) of :attr:`theta_powers`:
-        the one theta-order residual (build_phi_space raises on it, verify reports it)."""
+        the one theta-order residual, which build_phi_space raises on."""
         return float(np.abs(self.theta.matrix @ self.theta_powers[-1] - np.eye(self.m.dim)).max(initial=0.0))
 
     @cached_property

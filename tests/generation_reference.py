@@ -6,7 +6,8 @@ polynomial and operator bits.
 Python sums; ``structures_one_at_a_time`` walks the sign keys in
 itertools.product order, builds each signature, evaluates its polynomial in
 theta with ``poly_in`` on the space's power stack and checks its defining
-identity on its own.
+identity on its own.  ``poly_in`` sums one polynomial in an operator term by
+term, the float steps every generated operator keeps.
 """
 
 import itertools
@@ -14,9 +15,23 @@ import itertools
 import numpy as np
 
 from flagf.canonical import F_LABEL_SIGNS, P_LABEL_SIGNS, CanonicalStructure, u_of_k
-from flagf.liealg import poly_in
+from flagf.liealg import EndoOnM, op_powers
 from flagf.phispace import theta_angles
 from flagf.tolerances import TAU_GENERATED
+
+
+def poly_in(op: EndoOnM, coeffs, powers=None) -> EndoOnM:
+    """Evaluate sum_m coeffs[m] * op^m, term by term in m.  ``powers`` is
+    op_powers(op, count) for some count >= len(coeffs), to reuse across calls."""
+    if powers is None:
+        powers = op_powers(op, len(coeffs))
+    if len(coeffs) > len(powers):
+        raise ValueError(f"{len(coeffs)} coefficients need more than {len(powers)} powers")
+    acc = np.zeros((op.dim, op.dim))
+    for c, p in zip(coeffs, powers):
+        if c != 0.0:
+            acc = acc + c * p
+    return EndoOnM(op.domain, acc)
 
 
 def f_polynomial(k: int, zeta) -> np.ndarray:

@@ -22,10 +22,11 @@ U coefficient to patch in, for tests that a check sees it.
 import numpy as np
 
 from flagf.canonical import StructureCheck, nonzero_rows
-from flagf.liealg import brackets, lie_mats, lie_rows, poly_in, scatter, sum_by_key
+from flagf.liealg import brackets, lie_mats, lie_rows, scatter, sum_by_key
 from flagf import metricgeom
 from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
 from flagf.tolerances import TAU_SUBSPACE
+from generation_reference import poly_in
 from space_reference import project_rows, relative_residuals
 
 

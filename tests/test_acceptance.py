@@ -17,8 +17,8 @@ import pytest
 import flagf
 from flagf.canonical import structure_by_label
 from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid, characteristic_set
-from flagf.liealg import poly_in
 from flagf.metricgeom import MetricParams, naturally_reductive_residual
+from generation_reference import poly_in
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 from structure_checks_reference import u_coords_tensor
 

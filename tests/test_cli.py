@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import warnings
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf import canonical, classify, liealg, metricgeom, report
+from flagf import canonical, classify, cli, liealg, metricgeom, phispace, report
 from flagf.classify import SPECIAL_POINTS
 from flagf.cli import build_parser, config_from_args, main
+from flagf.liealg import EndoOnM, Subspace
 from flagf.report import fmt_float, json_dumps
 from flagf.tolerances import TAU_CONNECTION
 from structure_checks_reference import scaled_channel
@@ -165,6 +167,270 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("flagf: I/O failure: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # no temp file left behind
+
+
+# verify's checks in report order.  Each measures something construction does not raise on, so each
+# can fail; test_every_check_fails_under_its_corruption makes each one fail.
+BLOCK_SPACE_CHECKS = [
+    "regularity-direct-sum",
+    "regularity-nonsingular-restriction",
+    "regularity-kernel-stable",
+    "regularity-conditions-agree",
+    "phi-preserves-bracket",
+    "phi-isometry",
+    "phi-is-conjugation-by-b",
+    "f-structure-count",
+    "product-structure-count",
+    "structure-defining-identities",
+    "structure-polynomial-reconstruction",
+    "structure-theta-commutation",
+    "structure-ad-invariance",
+    "structure-pairwise-commutation",
+    "f-negation-closure",
+    "product-negation-closure",
+]
+FLAG_SPACE_CHECKS = BLOCK_SPACE_CHECKS + [
+    "golden-action",
+    "u-oracle-agreement",
+    "u-vanishes-at-neutral-metric",
+    "metric-f-compatibility",
+    "metric-product-compatibility",
+    "naturally-reductive-at-neutral-metric",
+    "not-naturally-reductive-off-neutral",
+    "connection-metric-compatibility",
+    "class-chain-at-special-points",
+]
+VERIFY_CHECKS = {
+    "--n 5 --k 4": FLAG_SPACE_CHECKS,
+    "--n 5 --k 6": FLAG_SPACE_CHECKS,
+    "--n 7 --m-blocks 2 --k 6": BLOCK_SPACE_CHECKS,
+}
+
+
+def turn(d, i, j, angle):
+    """The rotation of basis vectors i and j of a d-dimensional space by angle."""
+    q = np.eye(d)
+    q[i, i] = q[j, j] = np.cos(angle)
+    q[i, j], q[j, i] = -np.sin(angle), np.sin(angle)
+    return q
+
+
+def feed(monkeypatch, module, name, change):
+    """verify's calls of module.name see change(x) in place of their first argument x."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda first, *rest: original(change(first), *rest))
+
+
+def with_phi_blocks(ps, edit):
+    """ps with the blocks of phi that edit returns, given copies of the (positions, matrices) of ps."""
+    spec = dataclasses.replace(ps.spec)
+    spec.__dict__["phi_blocks"] = edit([(pos, mats.copy()) for pos, mats in ps.spec.phi_blocks])  # the cache
+    return dataclasses.replace(ps, spec=spec)
+
+
+def set_block(size, sign, value):
+    """An edit of phi's blocks: the first size x size block whose first entry has that sign becomes value."""
+
+    def edit(blocks):
+        pos, mats = next(b for b in blocks if b[0].shape[1] == size)
+        mats[np.flatnonzero(np.sign(mats[:, 0, 0]) == sign)[0]] = value
+        return blocks
+
+    return edit
+
+
+def h_leaning_into_m(ps):
+    """h with its first row turned by 1e-3 towards the first row of m: no longer orthogonal to m."""
+    rows = np.array(ps.h.coords)
+    rows[0] = np.cos(1e-3) * rows[0] + np.sin(1e-3) * ps.m.coords[0]
+    return dataclasses.replace(ps, h=Subspace(ps.spec.n, rows))
+
+
+def theta_fixing_m1(ps):
+    """theta as the identity on m1, the first two basis vectors of m."""
+    th = np.array(ps.theta.matrix)
+    th[:2], th[:, :2] = 0.0, 0.0
+    th[:2, :2] = np.eye(2)
+    return dataclasses.replace(ps, theta=EndoOnM(ps.m, th))
+
+
+def turned_theta(ps):
+    """theta conjugated by a rotation of the first and last basis vectors of m, which ad(h) does not commute with."""
+    q = turn(ps.m.dim, 0, ps.m.dim - 1, 0.3)
+    return dataclasses.replace(ps, theta=EndoOnM(ps.m, q @ ps.theta.matrix @ q.T))
+
+
+def space_with_turned_theta(monkeypatch):
+    """verify builds the space, then works on it with theta turned (:func:`turned_theta`)."""
+    setup = cli._setup_space
+    monkeypatch.setattr(cli, "_setup_space", lambda cfg: turned_theta(setup(cfg)))
+
+
+def edit_family(monkeypatch, family, edit):
+    """verify's generate_<family>_structures gives edit(list) for the list of structures."""
+    name = f"generate_{family}_structures"
+    original = getattr(canonical, name)
+    monkeypatch.setattr(canonical, name, lambda ps: edit(original(ps)))
+
+
+def edit_structure(monkeypatch, family, label, edit):
+    """The structure of that label comes out of generation as edit(structure)."""
+    edit_family(monkeypatch, family, lambda structures: [edit(cs) if cs.label == label else cs for cs in structures])
+
+
+def with_op(cs, op):
+    """cs with its operator matrix M replaced by op(a copy of M)."""
+    return dataclasses.replace(cs, op=EndoOnM(cs.op.domain, op(np.array(cs.op.matrix))))
+
+
+def constant_term_off(cs):
+    """cs with 1e-6 added to the constant coefficient of its polynomial, its operator unchanged."""
+    a0, *rest = cs.theta_polynomial
+    return dataclasses.replace(cs, theta_polynomial=(a0 + 1e-6, *rest))
+
+
+def bumped(matrix):
+    """A matrix unit of 1e-6 added: the matrix no longer commutes with theta."""
+    matrix[0, 1] += 1e-6
+    return matrix
+
+
+def m1_turned_into_m3(matrix):
+    """Conjugated by a rotation of the first basis vector of m (in m1) and the last (in m3)."""
+    q = turn(len(matrix), 0, len(matrix) - 1, 1e-3)
+    return q @ matrix @ q.T
+
+
+def skewed_bracket(monkeypatch):
+    """The bracket tensor of m with one coefficient off by a factor 1 + 1e-6: no longer g0-skew."""
+
+    def skew(split):
+        i, j, r, v = split.bracket_nonzeros
+        v = v.copy()
+        v[0] *= 1 + 1e-6
+        return dataclasses.replace(split, bracket_nonzeros=(i, j, r, v))
+
+    build = metricgeom.build_split
+    monkeypatch.setattr(metricgeom, "build_split", lambda ps: skew(build(ps)))
+
+
+def weights_blind_to_s_and_t(monkeypatch):
+    """Every metric weighted as the neutral one."""
+    weights, neutral = metricgeom.block_weights, lambda p: metricgeom.MetricParams(1.0, 1.0, p.kappa)
+    monkeypatch.setattr(metricgeom, "block_weights", lambda split, p: weights(split, neutral(p)))
+
+
+def swap_labels(pairs):
+    """Each structure labelled a of a pair (a, b), or -a, takes the label b (-b), and the other way round."""
+    swap = {**pairs, **{b: a for a, b in pairs.items()}}
+    swap.update({"-" + a: "-" + b for a, b in swap.items()})
+    return lambda structures: [dataclasses.replace(cs, label=swap.get(cs.label, cs.label)) for cs in structures]
+
+
+def drop_angle(monkeypatch):
+    """Generation misses theta's angle k/2 - 1."""
+    angles = phispace.theta_angles
+    monkeypatch.setattr(canonical, "theta_angles", lambda spec: tuple(l for l in angles(spec) if l != spec.k // 2 - 1))
+
+
+CORRUPTIONS = {
+    "h-leans-into-m": lambda mp: feed(mp, phispace, "check_regularity", h_leaning_into_m),
+    "phi-near-identity-on-m": lambda mp: feed(
+        mp, phispace, "check_regularity", lambda ps: with_phi_blocks(ps, set_block(1, -1, 1.0 - 1e-7))
+    ),
+    "phi-not-normal": lambda mp: feed(
+        mp, phispace, "check_regularity", lambda ps: with_phi_blocks(ps, set_block(2, 1, [[1.0, 1e-3], [0.0, 1.0]]))
+    ),
+    "theta-fixes-m1": lambda mp: feed(mp, phispace, "check_regularity", theta_fixing_m1),
+    "phi-flips-one-lex-vector": lambda mp: feed(
+        mp, phispace, "phi_homomorphism_residuals", lambda ps: with_phi_blocks(ps, set_block(1, 1, -1.0))
+    ),
+    "phi-scaled": lambda mp: feed(
+        mp, phispace, "phi_homomorphism_residuals",
+        lambda ps: with_phi_blocks(ps, lambda blocks: [(pos, mats * (1 + 1e-6)) for pos, mats in blocks]),
+    ),
+    "phi-of-b-transposed": lambda mp: feed(
+        mp, phispace, "phi_conjugation_residual",
+        lambda ps: with_phi_blocks(ps, lambda _: phispace.phi_blocks(ps.spec.b.T)),
+    ),
+    "f-repeated": lambda mp: edit_family(mp, "f", lambda fs: fs + fs[:1]),
+    "p-repeated": lambda mp: edit_family(mp, "product", lambda prods: prods + prods[:1]),
+    "angle-dropped": drop_angle,
+    "f1-scaled": lambda mp: edit_structure(mp, "f", "f1", lambda cs: with_op(cs, lambda f: f * (1 + 1e-6))),
+    "f1-polynomial-off": lambda mp: edit_structure(mp, "f", "f1", constant_term_off),
+    "f1-turned": lambda mp: edit_structure(mp, "f", "f1", lambda cs: with_op(cs, m1_turned_into_m3)),
+    "p2-turned": lambda mp: edit_structure(mp, "product", "P2", lambda cs: with_op(cs, m1_turned_into_m3)),
+    "theta-turned": space_with_turned_theta,
+    "p1-bumped": lambda mp: edit_structure(mp, "product", "P1", lambda cs: with_op(cs, bumped)),
+    "-f1-unsigned": lambda mp: edit_structure(mp, "f", "-f1", lambda cs: with_op(cs, np.negative)),
+    "-p1-unsigned": lambda mp: edit_structure(mp, "product", "-P1", lambda cs: with_op(cs, np.negative)),
+    "f1-f2-swapped": lambda mp: edit_family(mp, "f", swap_labels({"f1": "f2"})),
+    "u-channel-off": lambda mp: mp.setattr(metricgeom, "u_channel_coefficients", scaled_channel(0, 1.0 + 1e-6)),
+    "bracket-skewed": skewed_bracket,
+    "weights-blind": weights_blind_to_s_and_t,
+    "chain-broken": lambda mp: mp.setattr(classify, "_chain_ok", lambda m: np.arange(len(m["kill"])) != 1),
+}
+
+# (check, verify arguments, corruption): each corruption must make its check fail.
+CORRUPTED_CHECKS = [
+    ("regularity-direct-sum", "--n 5 --k 6", "h-leans-into-m"),
+    ("regularity-nonsingular-restriction", "--n 5 --k 6", "phi-near-identity-on-m"),
+    ("regularity-kernel-stable", "--n 5 --k 6", "phi-not-normal"),
+    ("regularity-conditions-agree", "--n 5 --k 6", "theta-fixes-m1"),
+    ("phi-preserves-bracket", "--n 5 --k 6", "phi-flips-one-lex-vector"),
+    ("phi-isometry", "--n 5 --k 6", "phi-scaled"),
+    ("phi-is-conjugation-by-b", "--n 5 --k 6", "phi-of-b-transposed"),
+    ("f-structure-count", "--n 5 --k 6", "f-repeated"),
+    ("product-structure-count", "--n 5 --k 6", "p-repeated"),
+    ("f-structure-count", "--n 5 --k 8", "angle-dropped"),
+    ("product-structure-count", "--n 5 --k 8", "angle-dropped"),
+    ("structure-defining-identities", "--n 5 --k 6", "f1-scaled"),
+    ("structure-polynomial-reconstruction", "--n 5 --k 6", "f1-polynomial-off"),
+    ("structure-theta-commutation", "--n 5 --k 6", "f1-turned"),
+    ("structure-ad-invariance", "--n 5 --k 6", "theta-turned"),
+    ("structure-pairwise-commutation", "--n 5 --k 6", "p1-bumped"),
+    ("f-negation-closure", "--n 5 --k 6", "-f1-unsigned"),
+    ("product-negation-closure", "--n 5 --k 6", "-p1-unsigned"),
+    ("golden-action", "--n 5 --k 6", "f1-f2-swapped"),
+    ("u-oracle-agreement", "--n 5 --k 6", "u-channel-off"),
+    ("u-vanishes-at-neutral-metric", "--n 5 --k 6", "bracket-skewed"),
+    ("metric-f-compatibility", "--n 5 --k 6", "f1-turned"),
+    ("metric-product-compatibility", "--n 5 --k 6", "p2-turned"),
+    ("naturally-reductive-at-neutral-metric", "--n 5 --k 6", "bracket-skewed"),
+    ("not-naturally-reductive-off-neutral", "--n 5 --k 6", "weights-blind"),
+    ("connection-metric-compatibility", "--n 5 --k 6", "u-channel-off"),
+    ("class-chain-at-special-points", "--n 5 --k 6", "chain-broken"),
+]
+
+
+class TestVerifyChecks:
+    @pytest.mark.parametrize("args", sorted(VERIFY_CHECKS))
+    def test_the_checks_in_report_order(self, capsys, args):
+        code, out, _ = run(capsys, "verify", *args.split(), "--format", "json")
+        assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == VERIFY_CHECKS[args]
+
+    def test_every_check_has_a_corruption(self):
+        covered = sorted(check for check, args, _ in CORRUPTED_CHECKS if args == "--n 5 --k 6")
+        assert covered == sorted(FLAG_SPACE_CHECKS)
+
+    @pytest.mark.parametrize("check,args,corruption", CORRUPTED_CHECKS)
+    def test_every_check_fails_under_its_corruption(self, capsys, monkeypatch, check, args, corruption):
+        CORRUPTIONS[corruption](monkeypatch)
+        code, out, _ = run(capsys, "verify", *args.split(), "--format", "json")
+        report = json.loads(out)
+        assert code == 1 and report["passed"] is False
+        assert check in [c["name"] for c in report["checks"] if not c["passed"]]
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(4, 1, 4), (4, 1, 8), (9, 1, 10), (6, 1, 16), (9, 2, 8)])
+    def test_structure_counts_expect_the_closed_form(self, capsys, n, m_blocks, k):
+        # theta has the angles {1, k/2 - 1, k/2} at m_blocks = 1: 3^2 - 1 f- and 2^3 P-structures once k >= 6.
+        # No closed form is tabulated at m_blocks >= 2 beyond k = 4, 6.
+        argv = ("--n", str(n), "--m-blocks", str(m_blocks), "--k", str(k), "--format", "json")
+        code, out, _ = run(capsys, "verify", *argv)
+        counts = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if c["name"].endswith("structure-count")}
+        want = {1: ((2, 4) if k == 4 else (8, 8))}.get(m_blocks, (None, None))
+        assert code == 0
+        assert (counts["f-structure-count"]["expected"], counts["product-structure-count"]["expected"]) == want
 
 
 class TestClassify:

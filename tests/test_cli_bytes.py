@@ -1,12 +1,15 @@
 """The bytes that `verify` and `classify` print, pinned by sha256.
 
-The digests were taken before the [h, m] brackets of a space were joined
-once into a table and before the canonical structures were generated as one
-stack, so any change to a residual, a polynomial coefficient, a label or the
-layout of either report shows here.  As in test_sweep_bytes.py, residuals
-carry the last bits of floating-point sums and products, so a numpy or BLAS
-build that orders them differently changes the digests; they were taken with
-numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
+The classify digests were taken before the [h, m] brackets of a space were
+joined once into a table and before the canonical structures were generated
+as one stack; the verify digests were retaken when the structures'
+reconstruction became one product with theta's powers and the checks that
+construction raises on left the report.  Any other change to a residual, a
+polynomial coefficient, a label, the list of checks or the layout of either
+report shows here.  As in test_sweep_bytes.py, residuals carry the last
+bits of floating-point sums and products, so a numpy or BLAS build that
+orders them differently changes the digests; they were taken with numpy
+2.4.6 and OpenBLAS 0.3.31 on x86-64.
 """
 
 import hashlib
@@ -17,20 +20,20 @@ from flagf.cli import main
 
 DIGESTS = {
     ("verify", "--n 5 --k 4"): {
-        "json": "247ed077b1722ab9f8602968b47e6d0f0ed93a0d6eec48bc2cd8e01197cad12c",
-        "text": "c72ade5ddfa14242b45a1267e0b19301a2442c427854971033da9dc8db0a9614",
+        "json": "1bb30684bcfb6a7bbd9a581ff0e3a7bc8e0bde667d187fd314ecd68a91ce3f82",
+        "text": "ccbb3bc7a1e5e80278120970376da0443084f86178d7af7389eb734f2f1fc2f5",
     },
     ("verify", "--n 12 --k 6"): {
-        "json": "ae5a65ba064ed0c7d922f2ceb713e63a0d3ab35088df7b62c6ae73519962c3c7",
-        "text": "b3759694ebdce183c46fd2913e50d4d86a3a5dfca269304eb89e65a043db07bc",
+        "json": "00f7e3ff9ec4a65110dbc778d234dce5063f1d9851169161471b63b520a9b107",
+        "text": "1ec0c6d9e6b725e21d52fe5b40dbd494ac12946611c8ed35a54c1873f0cfd530",
     },
     ("verify", "--n 16 --k 6"): {
-        "json": "19ff443916f2dc27f5c148a908bb601fc5b28d79352114649be6e30c3232ab51",
-        "text": "00584999a534bdcf655d0c3926655d84c082395b3db951d396f6e9073ef7df3e",
+        "json": "275b70fd96ee2d1e0d5810d5eb17719da336719e1e39e4df6856e9c80249953d",
+        "text": "44b73e83568355acb99496a9a6a7213844c6e723cec4841ff01327810722f50e",
     },
     ("verify", "--n 7 --m-blocks 2 --k 6"): {
-        "json": "3e4f5aca835eb7d34273a8eb7a1c7772a3ca893c222b85ea7240426536ff854b",
-        "text": "09d9526f56bd8f3a1bac635e3b2de85c3edccab2fbea6de7f926266ee36cda3e",
+        "json": "2d1778f4e600c4edaa3b952db3999fe989756b04432847f758f86bd2a296d295",
+        "text": "11d32af1daca29b00c46249e36a5d919bdaf4bce2b6dedbfe2494925ed76355c",
     },
     ("classify", "--n 5 --k 4 --f f0 --s 1 --t 1.3333333333333333"): {
         "json": "1d77159cd248df34a4cef1036ed2d9be4f2322b9672e5cf95e8d8567807bcb64",

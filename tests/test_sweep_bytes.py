@@ -2,7 +2,10 @@
 
 The digests were taken before the report writer formatted whole columns at
 a time, so any change to a float, a flag, a key or the layout of a sweep
-file shows here.  The residual columns carry the last bits of floating-point
+file shows here.  Those of the per-structure JSON files at k = 6 were
+retaken when the structures' reconstruction became one product with theta's
+powers, which moved their polynomial_residual, ad_invariance and
+pairwise_commutation by a few 1e-16.  The residual columns carry the last bits of floating-point
 sums, so a numpy or BLAS build that orders a sum differently changes them;
 they were taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
 """
@@ -30,10 +33,10 @@ DIGESTS = {
     },
     "--n 5 --k 6": {
         "json": {
-            "f1.json": "26bc6deb32093217f501e3d8e90f14971437e1c6003c15cce58a62c0927af992",
-            "f2.json": "a1008f62b1ef110a52b9f017a9a3bcd7ff343d52ce8ee24723ae7ac5921fb1ea",
-            "f3.json": "c2adaf4b144563662fd28d517fc2ffb51bdb03eaca3c30cfed82c55f140294af",
-            "f4.json": "997755b6fdf34bd7ccdc6dc367dcb9ca38b508561d2bbf00ffbc43ab8f126828",
+            "f1.json": "402accb7de496847c7a70faa1d243bf23828ffcf5ec95f4edf6e04f48c4fa961",
+            "f2.json": "8dcb427a68f5120032f57824a786aa00e773ca68e4b6efa8155271d668ca5f98",
+            "f3.json": "7229fa730267d45d0941da7c11c5e156bd0104084668bd9b67c3e39d08304a8f",
+            "f4.json": "52957686b27824e1f411d55349df2f9db8c029659de93abc1be01f49f4297e4d",
             "summary.json": "b190138d183a7713d69547598a2d422087fb43113d8edaaedd21ffd740e89364",
         },
         "csv": {
@@ -53,10 +56,10 @@ DIGESTS = {
     },
     "--n 8 --k 6": {
         "json": {
-            "f1.json": "caa01bcedc67b8944127cdc11d1f151732a27fac7d08ef6898d0408634783dec",
-            "f2.json": "90bd1a6d301c8307c7158e41ac0e324581776860bfb7b958e7020af8eec64b7c",
-            "f3.json": "bdb130b42ac15acfac088e4bded5a6c987587d69c0e9d0c7b10784fb33851b89",
-            "f4.json": "70a3ab3dc640bd2c55ab208c939c24cb095a8dd0e54937dfba9715f54cf479eb",
+            "f1.json": "34b8a7836abc779af12412eb0b9d8d71ca0580f4ec3f4600fdea496989d3bb45",
+            "f2.json": "a45f8bf338f6e886c802bc1fb18a3eef1bc803c020848d9fa8666db5b4912472",
+            "f3.json": "3869edf9c43626bc29fac9c052fb7049fe003500758a771d95400b1d29a22aee",
+            "f4.json": "0bc1ef23a00232b694d9fde69cb74b58a1f4d029b61b7984ad865b2457de1967",
             "summary.json": "d131256bbbfc2556183bc244469607f936ff033dfa9bf946d38c2e3791501616",
         },
         "csv": {
@@ -76,10 +79,10 @@ DIGESTS = {
     },
     "--n 5 --k 6 --grid-step 1.0": {
         "json": {
-            "f1.json": "be89f2b4fb850c265c70ebb7e6e672b6b3223a7c195b878ba4241d2b1f2119fc",
-            "f2.json": "cb5ba8dadd983bc2e8a065f8129369b369969ee48211e8c2bb5e86cd2c51140b",
-            "f3.json": "1465655c2838bc5d17d036ecc336e834aa4f3f1832fc6b88ae936eb6ce4a69d0",
-            "f4.json": "8f1c7472b8d9a304065c5ee9c745768103596b198fc336ec2fb01d8a2783f2dd",
+            "f1.json": "ea1a34d4d9545658e2f0956e834c7e10a1e4715792967e6ea2957d2b761749c8",
+            "f2.json": "a1f53c43ea5ccf1bcdbb94f5fcedcfc5527e3e06ad62e47fe5a123f78b662ecc",
+            "f3.json": "754197f08ceb290e60cec69ea578e701c18ee48b3d5590d64a67832ea1fab36c",
+            "f4.json": "8b217066ed152411c5fd545a5d059f723b1a2c67a4dd78302e04dce622bfee41",
             "summary.json": "02ffcd9c80f7d744c2c90d27343b5d186d5837b41aa01e36bc5ea97e6422be38",
         },
         "csv": {
