@@ -31,6 +31,7 @@ from .canonical import (
     generate_f_structures,
     generate_product_structures,
     golden_action_check,
+    sign_pair_matrices,
     structure_by_label,
     u_of_k,
     verify_structures,

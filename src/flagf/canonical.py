@@ -18,6 +18,10 @@ the angles theta has (:func:`phispace.theta_angles`), its sign key, and two
 signature tuples give the same operator iff their keys agree.  This module
 builds one structure per sign key, all keys of a kind as one stack summed
 term by term over theta's powers, and labels them from exact sign tables.
+On the m_blocks = 1 flag space theta has one angle on each of m1, m2, m3,
+so an f-structure is fixed by its sign pair (eps1, eps2) on m1 and m2, and
+:func:`sign_pair_matrices` builds it from that pair exactly; the class
+engine reads those matrices, and verify ties them to the generated ones.
 :func:`verify_structures` re-checks a list of structures on the stack of
 their matrices (identities, reconstruction, theta-commutation) and bounds
 from those their commutation with each other and with ad(h),
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import EndoOnM, lie_mats, sum_by_key
+from .metricgeom import TripleSplit
 from .phispace import PhiSpace, theta_angles
 from .tolerances import TAU_GENERATED, TAU_GOLDEN
 
@@ -57,7 +62,9 @@ class CanonicalStructure:
     kind is "f-structure", "almost-complex" (an f-structure with trivial
     kernel) or "almost-product".  ``signature`` is the coefficient tuple
     (zeta or xi) that produced the operator; ``theta_polynomial`` lists
-    a_0..a_{k-1} with op = sum a_m theta^m.
+    a_0..a_{k-1} with op = sum a_m theta^m.  ``sign_pair`` is (eps1, eps2),
+    the signs of an f-structure on m1 and m2 of the m_blocks = 1 flag space
+    (:func:`sign_pair_matrices`), and None for any other structure.
     """
 
     kind: str
@@ -65,6 +72,7 @@ class CanonicalStructure:
     signature: tuple[int, ...]
     theta_polynomial: tuple[float, ...]
     op: EndoOnM
+    sign_pair: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -180,6 +188,8 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
             raise RuntimeError(f"generated operator violates its identity ({res[np.argmax(res > TAU_GENERATED)]:.3e})")
         ops += [EndoOnM(ps.m, op) for op in stack]
 
+    paired = not product and ps.spec.m_blocks == 1
+    at = [l - 1 for l in flag_block_angles(k)[:2]]  # the signs of m1 and m2 in a signature
     labels: dict[tuple[int, ...], str] = {}
     out: list[CanonicalStructure] = []
     fresh = 0
@@ -202,8 +212,43 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
             kind = "almost-product"
         else:  # f is 0 at the angle pi and on the angles whose sign is 0
             kind = "almost-complex" if 0 not in key and k // 2 not in angles else "f-structure"
-        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(poly), op))
+        pair = (signature[at[0]], signature[at[1]]) if paired else None
+        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(poly), op, pair))
     return out
+
+
+def flag_block_angles(k: int) -> tuple[int, int, int]:
+    """The angle index l of theta on m1, m2 and m3 of the m_blocks = 1 flag
+    space, folded to 1 <= l <= k/2 as :func:`phispace.theta_angles` folds
+    them: (1, k/2 - 1, k/2).  B has the eigen-angle indices 0 (its leading
+    1), +-1 (its rotation) and k/2 (each -1), and m1, m2, m3 are the lex
+    positions (0, 1..2), (1..2, j) and (0, j), j >= 3, so theta turns them by
+    the sums 1, 1 + k/2 and k/2."""
+    return tuple(min(a % k, -a % k) for a in (1, 1 + k // 2, k // 2))
+
+
+def sign_pair_matrices(pairs, split: TripleSplit) -> np.ndarray:
+    """The (S, d, d) stack eps1 J1 (+) eps2 J2 (+) 0 over the split's block
+    basis, one matrix per sign pair (eps1, eps2): the m_blocks = 1
+    f-structures, exactly.
+
+    On the eigenspace of theta at the angle 2 pi l / k an f-structure acts as
+    zeta_l J, J = (theta - theta^-1) / (2 sin(2 pi l / k)) there, and as 0 at
+    the angle pi (see the module docstring).  theta has one angle on each
+    block (:func:`flag_block_angles`): m1 sits at l = 1, m2 at l = k/2 - 1
+    and m3 at k/2, so f is zeta_1 J1 on m1, zeta_(k/2 - 1) J2 on m2 and 0 on
+    m3, and its signature enters only through the pair of those two signs.
+    J1 and J2 are the split's ``complex_structure``, oriented as theta turns
+    each block.  Neither the blocks, nor J, nor the bracket tensor of m
+    depends on k, so the class conditions are functions of the sign pair
+    alone; k decides only which pairs are canonical.  At k = 4 the two
+    blocks share the angle l = 1, so eps1 = eps2 = zeta_1 and only +-(1, 1)
+    occur; from k = 6 on, every pair but (0, 0).  On the flag-pattern split
+    every entry is exactly 0 or +-1; a split with turned block bases gets
+    its own J, and the matrices conjugated into its basis."""
+    eps = np.zeros((len(pairs), 4))  # indexed by the block, 1..3, of a basis vector
+    eps[:, 1:3] = np.reshape(pairs, (-1, 2))
+    return eps[:, split.block_index, None] * split.complex_structure
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:

@@ -13,14 +13,20 @@ identically iff its bilinear extension has C(X, Y) + C(Y, X) = 0 on all
 basis pairs; pairs where that holds for every metric are dropped at set-up.
 Set-up reads the conditions term by term (_TERMS) off the nonzeros of the
 bracket tensor (TripleSplit.bracket_nonzeros) and of f; the tests keep the
-dense einsum tensors of each condition as the reference.  All the structures
-of a space share the bracket tensor, so class_evaluators sets
-them up in one join over the stack of their matrices, keyed structure first,
-with the bits of a set-up of each alone; ClassEvaluator(f, split) is the
-list [f].  Residuals are normalized by the operator norm of f and by (1 + s
-+ t + 1/s + 1/t), so grid sweeps stay comparable as the U coefficients grow
-near the parameter boundary.  A point where a pair norm still overflows is
-refused with ValueError rather than given a verdict.
+dense einsum tensors of each condition as the reference.  f is the matrix of
+the structure's sign pair, eps1 J1 (+) eps2 J2 (+) 0
+(canonical.sign_pair_matrices): on the flag split every entry is 0 or +-1,
+one per row, where the generated operator carries rounding noise beside
+each entry.  The generated operator stays what verify checks against it
+(structure-sign-pair) and what the metric-compatibility residuals read.
+All the structures of a space share the bracket tensor, so class_evaluators
+sets them up in one join over the stack of their matrices, keyed structure
+first, with the bits of a set-up of each alone; ClassEvaluator(f, split) is
+the list [f].  Residuals are normalized by the operator norm of f,
+max(|eps1|, |eps2|) = 1, and by (1 + s + t + 1/s + 1/t), so grid sweeps stay
+comparable as the U coefficients grow near the parameter boundary.  A point
+where a pair norm still overflows is refused with ValueError rather than
+given a verdict.
 
 Membership is declared below TAU_MEMBER = 1e-9, non-membership above
 NONMEMBER_MARGIN = 1e-3 (both in :mod:`flagf.tolerances`); the band in between
@@ -47,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .canonical import CanonicalStructure, nonzero_rows
+from .canonical import CanonicalStructure, nonzero_rows, sign_pair_matrices
 from .liealg import sum_by_key
 from .metricgeom import MetricGrid, MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channels
 from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
@@ -74,9 +80,10 @@ _TERMS = (  # (on U, coef, A, B, P), term by term as in the module docstring, 3 
 _ON_U, _COEF, _A, _B, _P = (np.array(col)[:, None] for col in zip(*_TERMS))
 # Set-up joins the groups g = 3 * structure + condition in blocks of consecutive
 # groups, each of at most this many padded products (3 terms x bracket nonzeros x w^3
-# per group, w the widest row of f and f^2) for each structure joined, or of one group
-# if a group alone is larger.  A block peaks at about 17 bytes per padded product, so
-# set-up takes about 70 kB per structure on top of what it keeps.
+# per group, w the widest row of f and f^2: 1 for the sign-pair matrices on the flag
+# split) for each structure joined, or of one group if a group alone is larger.  A
+# block peaks at about 17 bytes per padded product, so set-up takes about 70 kB per
+# structure on top of what it keeps.
 JOIN_PRODUCTS_PER_STRUCTURE = 1 << 12
 
 
@@ -329,11 +336,12 @@ class ClassEvaluator:
     """Evaluates the three class conditions for one structure on one split.
 
     Set-up joins the nonzeros of the bracket tensor (``split.bracket_nonzeros``)
-    and of f into each condition's base and three U-channel tensors,
-    polarizes them and keeps only what carries data: the basis pairs i <= j
-    with a nonzero row (at most 169 of 2,145 per condition at n = 24, k = 6)
-    and, of their polarized rows, the entries nonzero in some channel: under
-    40 kB per evaluator at n = 24, and no d^3 array on the way.  The join runs
+    and of f, the matrix of its sign pair (``f_matrix``), into each
+    condition's base and three U-channel tensors, polarizes them and keeps
+    only what carries data: the basis pairs i <= j with a nonzero row (at
+    most 127 of 2,145 per condition at n = 24, k = 6) and, of their polarized
+    rows, the entries nonzero in some channel (at most 171): under 11 kB per
+    evaluator at n = 24, and no d^3 array on the way.  The join runs
     once per space: :func:`class_evaluators` sets up every structure of a list
     together, in blocks of JOIN_PRODUCTS_PER_STRUCTURE per structure, and each
     evaluator holds its slice of the shared arrays; this constructor is the
@@ -418,11 +426,16 @@ class ClassEvaluator:
 
 def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
     """One ClassEvaluator per structure, all set up by one join (see
-    ClassEvaluator); each holds a slice of the shared arrays."""
+    ClassEvaluator) of the matrices of their sign pairs; each holds a slice
+    of the shared arrays.  Raises ValueError for a structure without a sign
+    pair (only the m_blocks = 1 f-structures have one)."""
     if not structures:
         return []
-    mats = structure_matrices(structures, split)
-    norms = np.linalg.norm(mats, 2, axis=(1, 2)).tolist()
+    unpaired = [cs.label for cs in structures if cs.sign_pair is None]
+    if unpaired:
+        raise ValueError(f"no sign pair (an m_blocks = 1 f-structure has one): {', '.join(unpaired)}")
+    mats = sign_pair_matrices([cs.sign_pair for cs in structures], split)
+    norms = [float(max(map(abs, cs.sign_pair))) for cs in structures]  # |eps1 J1 (+) eps2 J2 (+) 0|
     pairs, owner, values = (np.concatenate(x, axis=-1) for x in zip(*_kept_entries(mats, split)))
     owner = np.searchsorted(pairs, owner)
     group, i, j = np.unravel_index(pairs, (3 * len(structures), split.dim, split.dim))
@@ -434,7 +447,7 @@ def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
         lo, hi = bounds[3 * s], bounds[3 * s + 3]
         first, stop = starts[lo], starts[hi]
         ev = ClassEvaluator.__new__(ClassEvaluator)
-        ev.structure, ev.split, ev.f_matrix, ev.f_norm = cs, split, mats[s], norms[s] or 1.0
+        ev.structure, ev.split, ev.f_matrix, ev.f_norm = cs, split, mats[s], norms[s]
         ev._pairs, ev._owner, ev._values = ij[lo:hi], owner[first:stop] - lo, values[:, first:stop]
         ev._starts = starts[lo:hi] - first
         spans = zip(CONDITION_NAMES, bounds[3 * s :], bounds[3 * s + 1 :])
@@ -444,7 +457,7 @@ def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
 
 
 def structure_matrices(structures, split: TripleSplit) -> np.ndarray:
-    """The (S, d, d) stack of the structures' matrices over the block basis."""
+    """The (S, d, d) stack of the structures' generated matrices over the block basis."""
     return np.array([cs.op.matrix_on(split.combined) for cs in structures]).reshape(-1, split.dim, split.dim)
 
 

@@ -10,11 +10,13 @@ dimensions and orthogonal decomposition stop the build), each check
 measuring its quantity another way than the code that produced it.  It
 re-checks every f- and P-structure of the space in one stacked call
 (canonical.verify_structures), counts them against the paper's closed form,
-compares the closed and solved U on their nonzeros (metricgeom.u_nonzeros)
-and reads the solved U at the neutral metric, checks the connection's metric
-compatibility on every basis triple from the same nonzeros and the class
-chain on the f-structures up to sign; sweep's per-structure checks come from
-one stacked call too.
+holds each generated f-structure to the exact matrix of its sign pair, which
+the class engine reads (canonical.sign_pair_matrices), compares the closed
+and solved U on their nonzeros (metricgeom.u_nonzeros) and reads the solved
+U at the neutral metric, checks the connection's metric compatibility on
+every basis triple from the same nonzeros and the class chain on the
+f-structures up to sign; sweep's per-structure checks come from one stacked
+call too.
 
 Exit codes: 0 all checks pass / report written, 1 check or I/O failure,
 2 invalid configuration (a negative --seed among them).  Reports are
@@ -266,6 +268,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
     if cfg.m_blocks == 1:
         split = metricgeom.build_split(ps)
+        # the class engine reads each f from its sign pair; the generated f must be that matrix
+        f_mats, p_mats = (classify.structure_matrices(family, split) for family in (fs, prods))
+        pairs = canonical.sign_pair_matrices([cs.sign_pair for cs in fs], split)
+        dev_pair = float(np.max(np.abs(f_mats - pairs), initial=0.0))
+        add("structure-sign-pair", dev_pair < TAU_STRUCTURE, dev_pair)
         kappa = float(n - 1) if cfg.kappa is None else cfg.kappa
         dev_u = 0.0
         for s_, t_ in [tuple(rng.uniform(*VERIFY_ST, 2)) for _ in range(5)] + [(1.0, 1.0)]:
@@ -279,7 +286,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         p11 = metricgeom.MetricParams(1.0, 1.0, kappa)
 
         dev_mc = dev_pc = 0.0
-        f_mats, p_mats = (classify.structure_matrices(family, split) for family in (fs, prods))
         for _ in range(5):
             s_, t_ = rng.uniform(*VERIFY_ST, 2)
             p = metricgeom.MetricParams(float(s_), float(t_), kappa)
@@ -357,7 +363,8 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ev = classify.ClassEvaluator(cs, split)
-    compat = classify.metric_compat_residual(ev.f_matrix, split, params)
+    # the generated f, not the evaluator's sign-pair matrix, which is compatible by construction
+    compat = classify.metric_compat_residual(classify.structure_matrices([cs], split), split, params)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual raises ValueError
             rep = ev.report(params)

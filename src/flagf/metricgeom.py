@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import bracket_coords, sum_by_key
+from .liealg import Subspace, bracket_coords, sum_by_key
 from .phispace import PhiSpace, ad_h_leak, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_SUBSPACE
 
@@ -54,6 +54,10 @@ class TripleSplit:
     (1, 2 or 3).  ``bracket_nonzeros`` is the bracket tensor of m, the only
     form it is kept in: arrays (i, j, r, value), sorted by (i, j, r), of the
     nonzero coefficients r of [X_i, X_j]_m (252 of 65^3 at n = 24).
+    ``complex_structure`` is J1 (+) J2 (+) 0 over ``combined``: theta acts
+    on m1 and on m2 as cos + sin J for one angle, J oriented as theta turns
+    the block (:func:`canonical.sign_pair_matrices`); on the flag basis every
+    entry is 0 or +-1.
     """
 
     m1: Subspace
@@ -62,6 +66,7 @@ class TripleSplit:
     combined: Subspace
     block_index: np.ndarray
     bracket_nonzeros: tuple[np.ndarray, ...]
+    complex_structure: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -161,10 +166,21 @@ def build_split(ps: PhiSpace) -> TripleSplit:
 
     nonzeros = bracket_coords(combined, combined, onto=combined)
     split = TripleSplit(
-        m1=m1, m2=m2, m3=m3, combined=combined, block_index=block_index, bracket_nonzeros=nonzeros
+        m1=m1, m2=m2, m3=m3, combined=combined, block_index=block_index, bracket_nonzeros=nonzeros,
+        complex_structure=_complex_structure(ps, combined),
     )
     _check_split_invariants(ps, split)
     return split
+
+
+def _complex_structure(ps: PhiSpace, basis: Subspace) -> np.ndarray:
+    """J1 (+) J2 (+) 0 over the flag basis: the signs of theta - theta^T.
+    theta turns each pair (X, JX) of m1 and m2 by an angle 2 pi l / k,
+    0 < l < k/2, up to sign, and each entry of theta on m is one product, so
+    theta - theta^T is 2 sin(2 pi l / k) J there, with the orientation theta
+    turns by, and exactly 0 off those pairs and on m3 (the angle pi)."""
+    theta = ps.theta.matrix_on(basis)
+    return np.sign(theta - theta.T)
 
 
 def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:

@@ -685,3 +685,49 @@ class TestKernelStructure:
             lhs = brackets(hs, cs.op.apply_mats(ms[0])[None, :])
             rhs = np.stack([cs.op.apply_mats(b) for b in brackets(hs, ms)])
             assert np.max(np.linalg.norm(lhs - rhs, axis=(2, 3))) < 1e-10
+
+
+class TestSignPairs:
+    """At m_blocks = 1 an f-structure is eps1 J1 (+) eps2 J2 (+) 0 in the block basis,
+    (eps1, eps2) its signs on theta's angles at m1 and m2; the class engine reads that matrix."""
+
+    @pytest.mark.parametrize("k", range(4, 17, 2))
+    @pytest.mark.parametrize("n", [4, 5, 9, 16])
+    def test_generated_structures_are_their_sign_pair_matrices(self, get_space, get_split, n, k):
+        ps, split = get_space(n, k), get_split(n, k)
+        fs = canonical.generate_f_structures(ps)
+        pairs = [cs.sign_pair for cs in fs]
+        exact = canonical.sign_pair_matrices(pairs, split)
+        assert set(np.unique(exact)) <= {-1.0, 0.0, 1.0}
+        generated = flagf.structure_matrices(fs, split)
+        assert np.max(np.abs(generated - exact)) < 1e-14
+        by_label = dict(zip((cs.label for cs in fs), pairs))
+        for label, (e1, e2) in by_label.items():  # -f has the negated pair
+            assert by_label[label[1:] if label.startswith("-") else "-" + label] == (-e1, -e2)
+        everything = {p for p in itertools.product((-1, 0, 1), repeat=2) if any(p)}
+        assert set(pairs) == ({(1, 1), (-1, -1)} if k == 4 else everything)
+        assert len(pairs) == len(set(pairs))
+
+    @pytest.mark.parametrize("k", range(4, 17, 2))
+    def test_block_angles_are_the_angles_of_theta(self, get_space, k):
+        angles = canonical.flag_block_angles(k)
+        assert angles == (1, k // 2 - 1, k // 2)
+        assert set(angles) == set(phispace.theta_angles(get_space(6, k).spec))
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 6), (9, 8), (24, 6)])
+    def test_the_complex_structure_is_exact(self, get_split, n, k):
+        # theta's J on m1 and m2: skew, one entry +-1 per row there, J^2 = -1 on m1 (+) m2 and 0 on m3, exactly.
+        split = get_split(n, k)
+        j = split.complex_structure
+        assert set(np.unique(j)) == {-1.0, 0.0, 1.0}
+        assert np.array_equal(j, -j.T)
+        assert np.array_equal(j @ j, -np.diag((split.block_index < 3).astype(float)))
+        for b in (1, 2, 3):  # block-diagonal
+            inside = split.block_index == b
+            assert not j[np.ix_(inside, ~inside)].any()
+
+    def test_other_structures_have_no_sign_pair(self, get_space):
+        for ps in (get_space(5, 6, 2), get_space(5, 6)):
+            for cs in canonical.generate_product_structures(ps):
+                assert cs.sign_pair is None
+        assert all(cs.sign_pair is None for cs in canonical.generate_f_structures(get_space(5, 6, 2)))

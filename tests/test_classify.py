@@ -461,6 +461,34 @@ class TestJoinedSetUp:
     def test_no_structures_no_evaluators(self, get_split):
         assert classify.class_evaluators([], get_split(5, 4)) == []
 
+    def test_cost_guard_one_block_of_width_one(self, get_split, get_f_structures, monkeypatch):
+        # The sign-pair matrices, their squares and transposes have at most one nonzero per row, so
+        # the join's tables have width 1 and the 8 f-structures of (24, 6) join in one block.  The
+        # generated matrices carry rounding noise beside each entry: width 2, 8x the padded products.
+        split, fs = get_split(24, 6), get_f_structures(24, 6)
+        assert classify.nonzero_rows(structure_matrices(fs, split))[0].shape[-1] == 2
+        widths, blocks = [], []
+        rows, summed = classify.nonzero_rows, classify._summed_entries
+
+        def recording_rows(*mats):
+            out = rows(*mats)
+            widths.append(out[0].shape[-1])
+            return out
+
+        def counting_summed(block, *rest):
+            blocks.append(len(block))
+            return summed(block, *rest)
+
+        monkeypatch.setattr(classify, "nonzero_rows", recording_rows)
+        monkeypatch.setattr(classify, "_summed_entries", counting_summed)
+        classify.class_evaluators(fs, split)
+        assert widths == [1] and blocks == [3 * len(fs)]
+
+    def test_a_structure_needs_its_sign_pair(self, get_split, get_f_structures):
+        f1 = structure_by_label(get_f_structures(5, 6), "f1")
+        with pytest.raises(ValueError, match="no sign pair.*f1"):
+            ClassEvaluator(replace(f1, sign_pair=None), get_split(5, 6))
+
     @pytest.mark.parametrize("n,k", [(5, 6), (12, 6), (16, 4)])
     def test_stacked_compatibility_maxima_equal_the_per_structure_ones(
         self, get_split, get_f_structures, get_products, n, k
@@ -725,16 +753,25 @@ class TestExactZeroSets:
 
 
 def rotated_split(split: TripleSplit, rng) -> TripleSplit:
-    """The split with the basis of each block turned by a random orthogonal matrix."""
+    """The split with the basis of each block turned by a random orthogonal matrix, and its
+    complex structure conjugated into the turned basis."""
     blocks = [
         Subspace(b.ambient_n, np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] @ b.coords)
         for b in (split.m1, split.m2, split.m3)
     ]
     combined = Subspace(split.combined.ambient_n, np.vstack([b.coords for b in blocks]))
-    return TripleSplit(*blocks, combined, split.block_index, bracket_coords(combined, combined, combined))
+    q = combined.coords @ split.combined.coords.T
+    j = q @ split.complex_structure @ q.T
+    return TripleSplit(*blocks, combined, split.block_index, bracket_coords(combined, combined, combined), j)
 
 
 class TestBasisInvariance:
+    """The class engine reads each f as the matrix of its sign pair.  On the
+    flag split its entries are 0 and +-1; on a split whose block bases are
+    turned it is that matrix conjugated into the turned basis, whose entries
+    are not integers, so the engine's generic route (rows as wide as d,
+    rounding in every product) meets the same verdicts and zero sets."""
+
     @pytest.mark.parametrize("k", [4, 6])
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_verdicts_and_zero_sets_ignore_the_basis_inside_each_block(
@@ -744,9 +781,14 @@ class TestBasisInvariance:
         turned = rotated_split(split, np.random.default_rng(5))
         assert not np.allclose(turned.combined.coords, split.combined.coords)
         _check_split_invariants(get_space(n, k), turned)
+        q = turned.combined.coords @ split.combined.coords.T
         grid = build_grid()
         for cs in get_f_structures(n, k):  # f and -f
             ev, ev_turned = ClassEvaluator(cs, split), ClassEvaluator(cs, turned)
+            f, f_turned = ev.f_matrix, ev_turned.f_matrix
+            assert set(np.unique(f)) <= {-1.0, 0.0, 1.0}
+            np.testing.assert_allclose(f_turned, q @ f @ q.T, rtol=0.0, atol=1e-14)
+            assert np.any(f_turned != np.rint(f_turned)), cs.label  # not integers: the generic route
             swept, swept_turned = ev.sweep(grid), ev_turned.sweep(grid)
             for name in CONDITION_NAMES:
                 assert swept.memberships[name].tolist() == swept_turned.memberships[name].tolist(), (cs.label, name)

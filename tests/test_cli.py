@@ -191,6 +191,7 @@ BLOCK_SPACE_CHECKS = [
 ]
 FLAG_SPACE_CHECKS = BLOCK_SPACE_CHECKS + [
     "golden-action",
+    "structure-sign-pair",
     "u-oracle-agreement",
     "u-vanishes-at-neutral-metric",
     "metric-f-compatibility",
@@ -365,6 +366,7 @@ CORRUPTIONS = {
     "-f1-unsigned": lambda mp: edit_structure(mp, "f", "-f1", lambda cs: with_op(cs, np.negative)),
     "-p1-unsigned": lambda mp: edit_structure(mp, "product", "-P1", lambda cs: with_op(cs, np.negative)),
     "f1-f2-swapped": lambda mp: edit_family(mp, "f", swap_labels({"f1": "f2"})),
+    "f1-paired-as-f4": lambda mp: edit_structure(mp, "f", "f1", lambda cs: dataclasses.replace(cs, sign_pair=(1, -1))),
     "u-channel-off": lambda mp: mp.setattr(metricgeom, "u_channel_coefficients", scaled_channel(0, 1.0 + 1e-6)),
     "bracket-skewed": skewed_bracket,
     "weights-blind": weights_blind_to_s_and_t,
@@ -392,6 +394,7 @@ CORRUPTED_CHECKS = [
     ("f-negation-closure", "--n 5 --k 6", "-f1-unsigned"),
     ("product-negation-closure", "--n 5 --k 6", "-p1-unsigned"),
     ("golden-action", "--n 5 --k 6", "f1-f2-swapped"),
+    ("structure-sign-pair", "--n 5 --k 6", "f1-paired-as-f4"),
     ("u-oracle-agreement", "--n 5 --k 6", "u-channel-off"),
     ("u-vanishes-at-neutral-metric", "--n 5 --k 6", "bracket-skewed"),
     ("metric-f-compatibility", "--n 5 --k 6", "f1-turned"),
@@ -530,6 +533,14 @@ class TestClassify:
         report = json.loads(out)
         assert code == 0 and report["results"]["kill"]["member"] is True
         assert report["metric_compatibility_residual"] > 0.0  # its digits survive, as at kappa = 1
+
+    def test_compatibility_is_read_off_the_generated_structure(self, capsys, monkeypatch):
+        # The evaluator's sign-pair matrix is compatible with every metric by construction; the
+        # reported residual measures the generated f, so a generated f that is off shows.
+        edit_structure(monkeypatch, "f", "f0", lambda cs: with_op(cs, m1_turned_into_m3))
+        argv = ("--f", "f0", "--s", "2", "--t", "0.5", "--format", "json")
+        code, out, _ = run(capsys, "classify", "--n", "5", "--k", "4", *argv)
+        assert code == 0 and json.loads(out)["metric_compatibility_residual"] > 1e-4
 
     def test_nonpositive_params_rejected(self, capsys):
         code, _, err = run(
