@@ -49,7 +49,6 @@ from .classify import (
     ClassReport,
     ClassSweep,
     build_grid,
-    characteristic_set,
     class_evaluators,
     metric_compat_residual,
     product_compat_residual,

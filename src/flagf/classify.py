@@ -395,12 +395,8 @@ class ClassEvaluator:
             witnesses={name: None if m else tuple(w) for name, m, w in zip(CONDITION_NAMES, member, witness)},
         )
 
-    def sweep(self, grid, kappa: float = 1.0) -> ClassSweep:
-        """The residuals and verdicts at every grid point, as columns in grid
-        order.  ``grid`` is a MetricGrid, or (s, t) points that
-        :meth:`MetricGrid.of` checks at ``kappa`` (no verdict depends on kappa)."""
-        if not isinstance(grid, MetricGrid):
-            grid = MetricGrid.of(grid, kappa)
+    def sweep(self, grid: MetricGrid) -> ClassSweep:
+        """The residuals and verdicts at every point of the grid, as columns in grid order."""
         columns = [dict(zip(CONDITION_NAMES, x)) for x in self._verdicts(grid)]
         return ClassSweep(self.structure.label, grid.s, grid.t, *columns)
 
@@ -513,18 +509,3 @@ def grid_disagreement(sets: dict[str, CharacteristicSet], sweep: ClassSweep) -> 
         f"member={bool(sweep.memberships[name][p])}, exact zero set {sets[name].description()!r}"
     )
 
-
-def characteristic_set(
-    f: CanonicalStructure, split: TripleSplit, condition: str, grid=None, kappa: float = 1.0
-) -> CharacteristicSet:
-    """Exact zero set of the condition; see :meth:`ClassEvaluator.zero_set`.
-
-    With a grid, every grid verdict is checked against the set, and a
-    disagreement raises RuntimeError naming the point.
-    """
-    ev = ClassEvaluator(f, split)
-    zs = ev.zero_set(condition)
-    problem = grid_disagreement({condition: zs}, ev.sweep(() if grid is None else grid, kappa))
-    if problem is not None:
-        raise RuntimeError(problem)
-    return zs

@@ -234,19 +234,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
     fs = canonical.generate_f_structures(ps)
     prods = canonical.generate_product_structures(ps)
-    # 3^a - 1 f- and 2^b P-structures for theta's a angles below pi and b angles up to pi: theta has
-    # the angles {1, k/2 - 1, k/2} at m_blocks = 1, and every angle up to pi at k = 4 and 6
-    expected_f, expected_p = {4: (2, 4), 6: (8, 8)}.get(k, (8, 8) if cfg.m_blocks == 1 else (None, None))
-    add(
-        "f-structure-count",
-        expected_f is None or len(fs) == expected_f,
-        detail={"count": len(fs), "up_to_sign": len(fs) // 2, "expected": expected_f},
-    )
-    add(
-        "product-structure-count",
-        expected_p is None or len(prods) == expected_p,
-        detail={"count": len(prods), "up_to_sign": len(prods) // 2, "expected": expected_p},
-    )
+    # 3^a - 1 f- and 2^b P-structures for the a angles 2 pi l / k of theta below pi and the b up to pi,
+    # read off the eigenvalues of phi's blocks (l = 0 is h), not off the theta_angles generation uses
+    angles = np.concatenate([np.angle(np.linalg.eigvals(mats)).ravel() for _, mats in ps.spec.phi_blocks])
+    turns = set(np.rint(np.abs(angles) * k / (2 * np.pi)).astype(int).tolist()) - {0}
+    for name, family, expected in (("f", fs, 3 ** len(turns - {k // 2}) - 1), ("product", prods, 2 ** len(turns))):
+        detail = {"count": len(family), "up_to_sign": len(family) // 2, "expected": expected}
+        add(f"{name}-structure-count", len(family) == expected, detail=detail)
 
     structure_checks = canonical.verify_structures(fs + prods, ps)
     for name, field in (
@@ -274,16 +268,14 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         dev_pair = float(np.max(np.abs(f_mats - pairs), initial=0.0))
         add("structure-sign-pair", dev_pair < TAU_STRUCTURE, dev_pair)
         kappa = float(n - 1) if cfg.kappa is None else cfg.kappa
-        dev_u = 0.0
-        for s_, t_ in [tuple(rng.uniform(*VERIFY_ST, 2)) for _ in range(5)] + [(1.0, 1.0)]:
-            p = metricgeom.MetricParams(s=float(s_), t=float(t_), kappa=kappa)
-            (kc, uc), (ks, us) = (metricgeom.u_nonzeros(split, p, mode) for mode in ("closed", "solved"))
-            diff = sum_by_key(np.concatenate([kc, ks]), np.concatenate([uc, -us]))[1]  # U closed - U solved
-            dev_u = max(dev_u, float(np.max(np.abs(diff), initial=0.0)))
+        # closed and solved U at five random metrics and the neutral one, (1, 1), which comes last
+        oracle = metricgeom.MetricGrid.of([tuple(rng.uniform(*VERIFY_ST, 2)) for _ in range(5)] + [(1.0, 1.0)], kappa)
+        (kc, uc), (ks, us) = (metricgeom.u_nonzeros(split, oracle, mode) for mode in ("closed", "solved"))
+        diff = sum_by_key(np.concatenate([kc, ks]), np.concatenate([uc, -us]))[1]  # U closed - U solved
+        dev_u = float(np.max(np.abs(diff), initial=0.0))
         add("u-oracle-agreement", dev_u < TAU_U_ORACLE, dev_u)
-        u11 = float(np.max(np.abs(us), initial=0.0))  # U solved at the last point, the neutral metric
+        u11 = float(np.max(np.abs(us[:, -1]), initial=0.0))
         add("u-vanishes-at-neutral-metric", u11 < TAU_U_NEUTRAL, u11)
-        p11 = metricgeom.MetricParams(1.0, 1.0, kappa)
 
         dev_mc = dev_pc = 0.0
         for _ in range(5):
@@ -294,13 +286,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         add("metric-f-compatibility", dev_mc < TAU_METRIC_COMPAT, dev_mc)
         add("metric-product-compatibility", dev_pc < TAU_METRIC_COMPAT, dev_pc)
 
-        r_nat = metricgeom.naturally_reductive_residual(split, p11)
+        nat = metricgeom.MetricGrid.of([(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)], kappa)
+        r_nat, *r_off = metricgeom.naturally_reductive_residual(split, nat).tolist()
         add("naturally-reductive-at-neutral-metric", r_nat < TAU_NAT_RED, r_nat)
-        r_off = min(
-            metricgeom.naturally_reductive_residual(split, metricgeom.MetricParams(2.0, 1.0, kappa)),
-            metricgeom.naturally_reductive_residual(split, metricgeom.MetricParams(1.0, 2.0, kappa)),
-        )
-        add("not-naturally-reductive-off-neutral", r_off > NAT_RED_MARGIN, r_off)
+        add("not-naturally-reductive-off-neutral", min(r_off) > NAT_RED_MARGIN, min(r_off))
 
         p_rand = metricgeom.MetricParams(float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0)), kappa)
         dev_conn = metricgeom.connection_compat_residual(split, p_rand)

@@ -73,12 +73,20 @@ class TripleSplit:
         return self.combined.dim
 
 
+_DERIVED = ("1/s", "1/t", "s + t", "kappa*s", "kappa*t", "t/s", "s/t", "s + t + 1/s + 1/t")
+
+
+def _derived(s, t, kappa) -> tuple:
+    """The quantities _DERIVED of a point, of which the metric weights, the U
+    coefficients and the residual scale are built; each must be finite, or a
+    residual would read 0 or NaN instead of a verdict."""
+    return (1 / s, 1 / t, s + t, kappa * s, kappa * t, t / s, s / t, s + t + 1 / s + 1 / t)
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Characteristic numbers (s, t) plus the overall normalization kappa, all
-    positive and finite; so must be 1/s, 1/t, s + t, kappa s, kappa t, t/s,
-    s/t and s + t + 1/s + 1/t, of which the metric weights, the U coefficients
-    and the residual scale are built."""
+    positive and finite; so must be every quantity of :func:`_derived`."""
 
     s: float
     t: float
@@ -90,10 +98,9 @@ class MetricParams:
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a positive finite number, got {v}")
         s, t, kappa = float(self.s), float(self.t), float(self.kappa)
-        derived = (1 / s, 1 / t, s + t, kappa * s, kappa * t, t / s, s / t, s + t + 1 / s + 1 / t)
-        if not all(map(math.isfinite, derived)):  # a residual would read 0 or NaN instead of a verdict
-            names = ("1/s", "1/t", "s + t", "kappa*s", "kappa*t", "t/s", "s/t", "s + t + 1/s + 1/t")
-            bad = next(name for name, v in zip(names, derived) if not math.isfinite(v))
+        derived = _derived(s, t, kappa)
+        if not all(map(math.isfinite, derived)):
+            bad = next(name for name, v in zip(_DERIVED, derived) if not math.isfinite(v))
             raise ValueError(f"(s, t) = ({s!r}, {t!r}) with kappa = {kappa!r} overflows {bad}")
 
     @staticmethod
@@ -108,7 +115,10 @@ class MetricGrid:
 
     Build it with :meth:`of`, which checks every point once, as arrays, with
     the predicates of MetricParams; a grid can then be swept by any number of
-    evaluators without a check per point and per evaluator.
+    evaluators without a check per point and per evaluator.  The metric
+    functions of this module and the class evaluator take either: a
+    MetricParams gives one point's result, a MetricGrid the same bits with
+    the points on the last axis.
     """
 
     s: np.ndarray
@@ -130,7 +140,7 @@ class MetricGrid:
             s, t = np.ascontiguousarray(st.T, dtype=float)
             kf = float(k)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                derived = (1 / s, 1 / t, s + t, kf * s, kf * t, t / s, s / t, s + t + 1 / s + 1 / t)
+                derived = _derived(s, t, kf)
                 ok = (s > 0.0) & (t > 0.0) & (kf > 0.0) & np.isfinite([s, t, *derived]).all(axis=0) & np.isfinite(kf)
             if ok.all():
                 return MetricGrid(s, t, kappa)
@@ -139,6 +149,12 @@ class MetricGrid:
             MetricParams(s_, t_, kappa)
         s, t = np.ascontiguousarray(np.array(points, dtype=float).reshape(-1, 2).T)
         return MetricGrid(s, t, kappa)
+
+
+def _per_point(x: np.ndarray, params: MetricParams | MetricGrid) -> np.ndarray:
+    """x with an axis of length 1 appended for the points of a grid, so that
+    it broadcasts against per-point columns; x itself at one point."""
+    return x[(..., *[None] * np.ndim(params.s))]
 
 
 def build_split(ps: PhiSpace) -> TripleSplit:
@@ -202,17 +218,20 @@ def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
         raise RuntimeError("bracket relation [m_i, m_{i+1}] in m_{i+2} fails")
 
 
-def block_weights(split: TripleSplit, params: MetricParams) -> np.ndarray:
-    """Diagonal of the metric Gram matrix in the block basis: kappa*(1, s, t)."""
-    bi = split.block_index
+def block_weights(split: TripleSplit, params: MetricParams | MetricGrid) -> np.ndarray:
+    """Diagonal of the metric Gram matrix in the block basis, kappa*(1, s, t):
+    (d,) at one point, (d, P) with a column per point of a grid."""
+    bi = _per_point(split.block_index, params)
     w = np.where(bi == 1, 1.0, np.where(bi == 2, params.s, params.t))
     return params.kappa * w
 
 
-def u_nonzeros(split: TripleSplit, params: MetricParams, mode: str = "closed") -> tuple[np.ndarray, np.ndarray]:
+def u_nonzeros(
+    split: TripleSplit, params: MetricParams | MetricGrid, mode: str = "closed"
+) -> tuple[np.ndarray, np.ndarray]:
     """U on all basis pairs, read off the nonzeros of the bracket tensor, as
     sorted flat keys (a d + b) d + z into the (d, d, d) coordinate tensor
-    U[a, b, z] and their values.
+    U[a, b, z] and their values, (K,) at one point and (K, P) on a grid.
 
     mode "closed" scales each nonzero by the closed-form coefficient of its
     block pair; mode "solved" runs the metric-equation solve
@@ -221,9 +240,11 @@ def u_nonzeros(split: TripleSplit, params: MetricParams, mode: str = "closed") -
     """
     d = split.dim
     i, j, r, v = split.bracket_nonzeros
+    v = _per_point(v, params)
     if mode == "closed":
         channel, sign = u_channels(split, i, j)
-        coef = np.concatenate(([0.0], u_channel_coefficients(params)))[channel] * sign
+        c = u_channel_coefficients(params)
+        coef = np.concatenate((np.zeros((1, *c.shape[1:])), c))[channel] * _per_point(sign, params)
         return (i * d + j) * d + r, coef * v
     if mode == "solved":
         gd = block_weights(split, params)
@@ -268,13 +289,15 @@ def _compat_form(split: TripleSplit, params: MetricParams) -> tuple[np.ndarray, 
     return sum_by_key(np.concatenate([(i * d + j) * d + r, (i * d + r) * d + j]), np.concatenate([gr, gr]))
 
 
-def naturally_reductive_residual(split: TripleSplit, params: MetricParams) -> float:
+def naturally_reductive_residual(split: TripleSplit, params: MetricParams | MetricGrid) -> float | np.ndarray:
     """Max violation of g([X,Y]_m, Z) = g(X, [Y,Z]_m) over basis triples,
-    normalized by kappa."""
+    normalized by kappa: a float at one point, a (P,) array on a grid."""
     d = split.dim
     gd = block_weights(split, params)
     i, j, r, v = split.bracket_nonzeros
+    v = _per_point(v, params)
     # B[i, j, r] g_r is the left side at (i, j, r) and the right side at (r, i, j).
     keys = np.concatenate([(i * d + j) * d + r, (r * d + i) * d + j])
     _, diff = sum_by_key(keys, np.concatenate([v * gd[r], -(gd[r] * v)]))
-    return float(np.max(np.abs(diff), initial=0.0) / params.kappa)
+    residual = np.max(np.abs(diff), axis=0, initial=0.0) / params.kappa
+    return residual if residual.ndim else float(residual)

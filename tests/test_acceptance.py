@@ -16,8 +16,8 @@ import pytest
 
 import flagf
 from flagf.canonical import structure_by_label
-from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid, characteristic_set
-from flagf.metricgeom import MetricParams, naturally_reductive_residual
+from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid
+from flagf.metricgeom import MetricGrid, MetricParams, naturally_reductive_residual
 from generation_reference import poly_in
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 from structure_checks_reference import u_coords_tensor
@@ -149,7 +149,7 @@ def test_criterion_07_order4_classification(get_split, get_f_structures):
         f0 = structure_by_label(get_f_structures(n, 4), "f0")
         ev = ClassEvaluator(f0, split)
 
-        kill_set = characteristic_set(f0, split, "kill")
+        kill_set = ev.zero_set("kill")
         ok &= kill_set.kind == "points" and len(kill_set.points) == 1
         if kill_set.points:
             s_ref, t_ref = kill_set.points[0]
@@ -159,10 +159,10 @@ def test_criterion_07_order4_classification(get_split, get_f_structures):
             ok &= ev.report(MetricParams(1.0, t)).residuals["nk"] < 1e-9
             for s in (0.5, 2.0):
                 ok &= ev.report(MetricParams(s, t)).residuals["nk"] > 1e-3
-        nk_set = characteristic_set(f0, split, "nk")
+        nk_set = ev.zero_set("nk")
         ok &= nk_set.kind == "line" and nk_set.lines == (("s", 1.0),)
 
-        worst_g1 = float(ev.sweep(build_grid()).residuals["g1"].max())
+        worst_g1 = float(ev.sweep(MetricGrid.of(build_grid())).residuals["g1"].max())
         ok &= worst_g1 < 1e-9
         details.append(f"n={n}")
     _report(7, ok, f"order-4 classes: point (1,4/3), line s=1, G1 all ({', '.join(details)})")
@@ -202,7 +202,7 @@ def test_criterion_09_chain_property(get_split, get_f_structures):
         for cs in get_f_structures(n, k):
             if cs.label.startswith("-"):
                 continue
-            chain_ok = ClassEvaluator(cs, split).sweep(build_grid(), kappa=float(n - 1)).chain_ok
+            chain_ok = ClassEvaluator(cs, split).sweep(MetricGrid.of(build_grid(), float(n - 1))).chain_ok
             reports += len(chain_ok)
             violations += int(np.sum(~chain_ok))
     _report(9, violations == 0, f"kill => nk => g1 in all {reports} reports, {violations} violations")

@@ -15,7 +15,6 @@ from flagf.classify import (
     ClassEvaluator,
     build_grid,
     CharacteristicSet,
-    characteristic_set,
     decode_constraints,
     grid_disagreement,
     metric_compat_residual,
@@ -204,7 +203,7 @@ class TestOrderSixMemberships:
         split, fs = setup
         grid = build_grid(0.5, 2.5, 0.5)
         for lbl in ("f2", "f3", "f4"):
-            swept = ClassEvaluator(fs[lbl], split).sweep(grid)
+            swept = ClassEvaluator(fs[lbl], split).sweep(MetricGrid.of(grid))
             assert not swept.memberships["kill"].any() and swept.residuals["kill"].min() > 1e-3, lbl
 
     def test_all_g1_everywhere(self, setup, rng):
@@ -251,7 +250,7 @@ class TestEvaluatorInternals:
         for cs in get_f_structures(n, k):
             ev = ClassEvaluator(cs, split)
             stacks = {name: dense_stacks(ev, name) for name in CONDITION_NAMES}
-            swept = ev.sweep(grid + extremes, kappa=float(n - 1))
+            swept = ev.sweep(MetricGrid.of(grid + extremes, float(n - 1)))
             for p, (s, t) in enumerate(grid + extremes):
                 c = u_channel_coefficients(MetricParams(s, t))
                 scale = ev.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
@@ -330,7 +329,7 @@ class TestEvaluatorInternals:
         for label in ("f1", "f4"):
             ev = ClassEvaluator(structure_by_label(get_f_structures(12, 6), label), split)
             assert len(grid) > 2 * ((1 << 16) // ev._values.shape[1])
-            swept = ev.sweep(grid, kappa=11.0)
+            swept = ev.sweep(MetricGrid.of(grid, 11.0))
             for p, (s, t) in enumerate(grid):
                 single = ev.report(MetricParams(s, t, kappa=11.0))
                 assert single.residuals == {name: swept.residuals[name][p] for name in CONDITION_NAMES}
@@ -433,7 +432,7 @@ class TestJoinedSetUp:
         assert bits(a.f_matrix, a._values, a._pairs, a._owner, a._starts) == bits(
             b.f_matrix, b._values, b._pairs, b._owner, b._starts
         )
-        sa, sb = a.sweep(grid), b.sweep(grid)
+        sa, sb = a.sweep(MetricGrid.of(grid)), b.sweep(MetricGrid.of(grid))
         for name in CONDITION_NAMES:
             assert bits(sa.residuals[name], sa.witnesses[name]) == bits(sb.residuals[name], sb.witnesses[name])
             za, zb = a.zero_set(name), b.zero_set(name)
@@ -517,7 +516,7 @@ class TestResidualOverflow:
         ev = ClassEvaluator(structure_by_label(get_f_structures(6, 6), "f1"), get_split(6, 6))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"overflows at \(s, t\) = \(1e-180, 2e-180\)"):
-                ev.sweep([(1.0, 1.0), (1e-180, 2e-180), (1e-200, 1e-200)])
+                ev.sweep(MetricGrid.of([(1.0, 1.0), (1e-180, 2e-180), (1e-200, 1e-200)]))
 
     def test_finite_residuals_are_kept(self, get_split, get_f_structures):
         # Nearer the edge than most grids, but every norm finite: a report as before.
@@ -531,7 +530,7 @@ class TestSweep:
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         grid = build_grid(0.5, 2.0, 0.5)
-        swept = ClassEvaluator(f0, split).sweep(grid, kappa=4.0)
+        swept = ClassEvaluator(f0, split).sweep(MetricGrid.of(grid, 4.0))
         assert list(zip(swept.s.tolist(), swept.t.tolist())) == grid
         assert swept.chain_ok.tolist() == [True] * len(grid)
 
@@ -544,14 +543,14 @@ class TestSweep:
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         with pytest.raises(ValueError, match="positive"):
-            ClassEvaluator(f0, split).sweep([(0.0, 1.0)])
+            ClassEvaluator(f0, split).sweep(MetricGrid.of([(0.0, 1.0)]))
 
     def test_no_indeterminate_verdicts_on_the_standard_grid(self, get_split, get_f_structures):
         split = get_split(5, 6)
         for cs in get_f_structures(5, 6):
             if cs.label.startswith("-"):
                 continue
-            swept = ClassEvaluator(cs, split).sweep(build_grid())
+            swept = ClassEvaluator(cs, split).sweep(MetricGrid.of(build_grid()))
             for name, flags in swept.indeterminate.items():
                 assert not flags.any(), (cs.label, name, swept.s[flags], swept.t[flags])
 
@@ -582,11 +581,20 @@ class TestSweep:
             assert ClassEvaluator(plus, split).report(p).memberships == ClassEvaluator(minus, split).report(p).memberships
 
 
+def swept_zero_set(cs, split, name, grid=()):
+    """The exact zero set of the named condition, with the verdicts of the grid
+    (at kappa = 1) checked against it, as cmd_sweep checks them."""
+    ev = ClassEvaluator(cs, split)
+    zs = ev.zero_set(name)
+    assert grid_disagreement({name: zs}, ev.sweep(MetricGrid.of(grid))) is None
+    return zs
+
+
 class TestCharacteristicSets:
     def test_kill_single_point_refined(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        cs = characteristic_set(f0, split, "kill")
+        cs = swept_zero_set(f0, split, "kill")
         assert cs.kind == "points"
         assert len(cs.points) == 1
         s, t = cs.points[0]
@@ -599,7 +607,7 @@ class TestCharacteristicSets:
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         grid = build_grid(0.25, 3.0, 0.25, extras=())
-        cs = characteristic_set(f0, split, "kill", grid=grid)
+        cs = swept_zero_set(f0, split, "kill", grid)
         assert cs.kind == "points"
         s, t = cs.points[0]
         assert abs(s - 1.0) < 1e-6 and abs(t - FOUR_THIRDS) < 1e-6
@@ -607,38 +615,37 @@ class TestCharacteristicSets:
     def test_nk_line(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        cs = characteristic_set(f0, split, "nk")
+        cs = swept_zero_set(f0, split, "nk")
         assert cs.kind == "line"
         assert cs.lines == (("s", 1.0),)
 
     def test_g1_all(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        assert characteristic_set(f0, split, "g1").kind == "all"
+        assert swept_zero_set(f0, split, "g1").kind == "all"
 
     def test_f2_kill_empty(self, get_split, get_f_structures):
         split = get_split(5, 6)
         f2 = structure_by_label(get_f_structures(5, 6), "f2")
-        assert characteristic_set(f2, split, "kill").kind == "empty"
+        assert swept_zero_set(f2, split, "kill").kind == "empty"
 
     def test_f4_nk_empty(self, get_split, get_f_structures):
         split = get_split(5, 6)
         f4 = structure_by_label(get_f_structures(5, 6), "f4")
-        assert characteristic_set(f4, split, "nk").kind == "empty"
+        assert swept_zero_set(f4, split, "nk").kind == "empty"
 
-    def test_grid_given_as_an_array_or_a_metric_grid(self, get_split, get_f_structures):
+    def test_grid_given_as_an_array(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         points = np.array([[1.0, FOUR_THIRDS], [2.0, 2.0]])
-        for grid in (points, MetricGrid.of(points)):
-            cs = characteristic_set(f0, split, "kill", grid=grid)
-            assert cs.kind == "points" and cs.contains(points[:, 0], points[:, 1]).tolist() == [True, False]
+        cs = swept_zero_set(f0, split, "kill", points)
+        assert cs.kind == "points" and cs.contains(points[:, 0], points[:, 1]).tolist() == [True, False]
 
     def test_description_strings(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        assert characteristic_set(f0, split, "g1").description() == "all (s, t)"
-        assert "line s=1.0" in characteristic_set(f0, split, "nk").description()
+        assert swept_zero_set(f0, split, "g1").description() == "all (s, t)"
+        assert "line s=1.0" in swept_zero_set(f0, split, "nk").description()
 
 
 # The README classification table; it holds for -f exactly as for f.
@@ -673,7 +680,8 @@ class TestExactZeroSets:
             for name, zs in sets.items():
                 assert_table_shape(zs, README_TABLE[cs.label.lstrip("-")][name])
             for kappa in (1e-3, 1.0, 1e3):
-                assert grid_disagreement(sets, ev.sweep(SMALL_GRID, kappa)) is None, (cs.label, kappa)
+                swept = ev.sweep(MetricGrid.of(SMALL_GRID, kappa))
+                assert grid_disagreement(sets, swept) is None, (cs.label, kappa)
 
     @pytest.mark.parametrize("k", [8, 10])
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
@@ -688,7 +696,7 @@ class TestExactZeroSets:
             ev = ClassEvaluator(cs, split)
             sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
             assert all(zs.kind in ("all", "empty", "line", "points") for zs in sets.values())
-            assert grid_disagreement(sets, ev.sweep(SMALL_GRID)) is None, cs.label
+            assert grid_disagreement(sets, ev.sweep(MetricGrid.of(SMALL_GRID))) is None, cs.label
         assert labels == ["f1", "f2", "f3", "f4"]
 
     @pytest.mark.parametrize("n,k", [(5, 4), (5, 6), (6, 8), (6, 10)])
@@ -724,18 +732,17 @@ class TestExactZeroSets:
         with pytest.raises(ValueError, match="condition 'bogus'"):
             ClassEvaluator(f0, split).zero_set("bogus")
 
-    def test_grid_disagreement_raises(self, get_split, get_f_structures, monkeypatch):
-        split = get_split(5, 4)
-        f0 = structure_by_label(get_f_structures(5, 4), "f0")
+    def test_grid_disagreement_names_the_point(self, get_split, get_f_structures, monkeypatch):
+        ev = ClassEvaluator(structure_by_label(get_f_structures(5, 4), "f0"), get_split(5, 4))
         monkeypatch.setattr(ClassEvaluator, "zero_set", lambda self, name: CharacteristicSet(kind="empty"))
-        with pytest.raises(RuntimeError, match=r"f0 g1 at \(s, t\) = \(0.5, 0.5\)"):
-            characteristic_set(f0, split, "g1", grid=SMALL_GRID)
+        problem = grid_disagreement({"g1": ev.zero_set("g1")}, ev.sweep(MetricGrid.of(SMALL_GRID)))
+        assert problem is not None and problem.startswith("f0 g1 at (s, t) = (0.5, 0.5)")
 
     def test_first_disagreement_is_the_earliest_point_then_the_first_condition(
         self, get_split, get_f_structures
     ):
         ev = ClassEvaluator(structure_by_label(get_f_structures(5, 4), "f0"), get_split(5, 4))
-        swept = ev.sweep(SMALL_GRID)
+        swept = ev.sweep(MetricGrid.of(SMALL_GRID))
         sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
         assert grid_disagreement(sets, swept) is None
         early, late = (1.5, 0.5), (2.0, 2.0)  # f0 is in neither class there
@@ -789,7 +796,7 @@ class TestBasisInvariance:
             assert set(np.unique(f)) <= {-1.0, 0.0, 1.0}
             np.testing.assert_allclose(f_turned, q @ f @ q.T, rtol=0.0, atol=1e-14)
             assert np.any(f_turned != np.rint(f_turned)), cs.label  # not integers: the generic route
-            swept, swept_turned = ev.sweep(grid), ev_turned.sweep(grid)
+            swept, swept_turned = ev.sweep(MetricGrid.of(grid)), ev_turned.sweep(MetricGrid.of(grid))
             for name in CONDITION_NAMES:
                 assert swept.memberships[name].tolist() == swept_turned.memberships[name].tolist(), (cs.label, name)
                 assert swept.indeterminate[name].tolist() == swept_turned.indeterminate[name].tolist(), (cs.label, name)

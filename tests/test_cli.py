@@ -162,6 +162,32 @@ class TestVerify:
         assert len(structures["f"]) + len(structures["product"]) == 16
         assert counts == {"verify_structures": 1, "ad_joins": 1}
 
+    def test_cost_guard_one_metric_call_per_sampled_check(self, capsys, monkeypatch):
+        # The U oracle takes its six points as one grid, once per mode, and the
+        # natural reductivity checks read (1, 1), (2, 1) and (1, 2) in one call; the
+        # connection check reads U closed-form once more, at its own point.
+        calls = []
+        u_nonzeros, nat_red = metricgeom.u_nonzeros, metricgeom.naturally_reductive_residual
+
+        def counting_u(split, params, mode="closed"):
+            calls.append(("u_nonzeros", mode, np.size(params.s)))
+            return u_nonzeros(split, params, mode)
+
+        def counting_nat_red(split, params):
+            calls.append(("naturally_reductive_residual", list(zip(params.s.tolist(), params.t.tolist()))))
+            return nat_red(split, params)
+
+        monkeypatch.setattr(metricgeom, "u_nonzeros", counting_u)
+        monkeypatch.setattr(metricgeom, "naturally_reductive_residual", counting_nat_red)
+        code, out, _ = run(capsys, "verify", "--n", "8", "--k", "6", "--format", "json")
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert calls == [
+            ("u_nonzeros", "closed", 6),
+            ("u_nonzeros", "solved", 6),
+            ("naturally_reductive_residual", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]),
+            ("u_nonzeros", "closed", 1),
+        ]
+
     def test_out_naming_a_directory_is_an_io_failure(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--n", "5", "--k", "4", "--out", str(tmp_path))
         assert code == 1 and out == ""
@@ -316,9 +342,13 @@ def skewed_bracket(monkeypatch):
 
 
 def weights_blind_to_s_and_t(monkeypatch):
-    """Every metric weighted as the neutral one."""
-    weights, neutral = metricgeom.block_weights, lambda p: metricgeom.MetricParams(1.0, 1.0, p.kappa)
-    monkeypatch.setattr(metricgeom, "block_weights", lambda split, p: weights(split, neutral(p)))
+    """Every metric weighted as the neutral one, at a point or on a grid."""
+    weights = metricgeom.block_weights
+
+    def neutral(split, p):
+        return weights(split, dataclasses.replace(p, s=np.ones_like(p.s), t=np.ones_like(p.t)))
+
+    monkeypatch.setattr(metricgeom, "block_weights", neutral)
 
 
 def swap_labels(pairs):
@@ -386,6 +416,10 @@ CORRUPTED_CHECKS = [
     ("product-structure-count", "--n 5 --k 6", "p-repeated"),
     ("f-structure-count", "--n 5 --k 8", "angle-dropped"),
     ("product-structure-count", "--n 5 --k 8", "angle-dropped"),
+    ("f-structure-count", "--n 9 --m-blocks 2 --k 8", "f-repeated"),
+    ("product-structure-count", "--n 9 --m-blocks 2 --k 8", "p-repeated"),
+    ("f-structure-count", "--n 9 --m-blocks 2 --k 8", "angle-dropped"),
+    ("product-structure-count", "--n 9 --m-blocks 2 --k 8", "angle-dropped"),
     ("structure-defining-identities", "--n 5 --k 6", "f1-scaled"),
     ("structure-polynomial-reconstruction", "--n 5 --k 6", "f1-polynomial-off"),
     ("structure-theta-commutation", "--n 5 --k 6", "f1-turned"),
@@ -424,16 +458,22 @@ class TestVerifyChecks:
         assert code == 1 and report["passed"] is False
         assert check in [c["name"] for c in report["checks"] if not c["passed"]]
 
-    @pytest.mark.parametrize("n,m_blocks,k", [(4, 1, 4), (4, 1, 8), (9, 1, 10), (6, 1, 16), (9, 2, 8)])
-    def test_structure_counts_expect_the_closed_form(self, capsys, n, m_blocks, k):
-        # theta has the angles {1, k/2 - 1, k/2} at m_blocks = 1: 3^2 - 1 f- and 2^3 P-structures once k >= 6.
-        # No closed form is tabulated at m_blocks >= 2 beyond k = 4, 6.
+    @pytest.mark.parametrize(
+        "n,m_blocks,k,angles",
+        [(4, 1, 4, (1, 2)), (4, 1, 8, (1, 3, 4)), (9, 1, 10, (1, 4, 5)), (6, 1, 16, (1, 7, 8)),
+         (7, 2, 6, (1, 2, 3)), (9, 2, 8, (1, 2, 3, 4)), (9, 3, 8, (1, 2, 3, 4)), (9, 4, 16, (1, 2, 3, 4, 5, 6, 7))],
+    )
+    def test_structure_counts_expect_the_closed_form(self, capsys, n, m_blocks, k, angles):
+        # 3^a - 1 f- and 2^b P-structures for theta's a angles 2 pi l / k below pi and b up to pi, at every
+        # k and m_blocks: {1, k/2 - 1, k/2} at m_blocks = 1, and here every l up to k/2 at m_blocks >= 2.
+        assert phispace.theta_angles(phispace.build_automorphism(n, m_blocks, k)) == angles
         argv = ("--n", str(n), "--m-blocks", str(m_blocks), "--k", str(k), "--format", "json")
         code, out, _ = run(capsys, "verify", *argv)
         counts = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if c["name"].endswith("structure-count")}
-        want = {1: ((2, 4) if k == 4 else (8, 8))}.get(m_blocks, (None, None))
+        f, p = counts["f-structure-count"], counts["product-structure-count"]
         assert code == 0
-        assert (counts["f-structure-count"]["expected"], counts["product-structure-count"]["expected"]) == want
+        assert f["expected"] == f["count"] == 3 ** len([l for l in angles if l < k // 2]) - 1
+        assert p["expected"] == p["count"] == 2 ** len(angles)
 
 
 class TestClassify:

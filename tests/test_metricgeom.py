@@ -582,3 +582,50 @@ class TestSparseBracketTensor:
         d = split.dim
         assert len(v) == 252 and np.all(v != 0.0)
         assert np.all(np.diff((i * d + j) * d + r) > 0)
+
+
+def bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestPointOrGrid:
+    """The metric functions take a MetricParams or a MetricGrid: a grid's column
+    p carries the bits of the same call at its point p."""
+
+    POINTS = [(0.25, 0.25), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.3, 4.7), (1e-6, 1e6), (1.7, 4.0 / 3.0)]
+
+    @staticmethod
+    def point_and_grid(kappa):
+        grid = MetricGrid.of(TestPointOrGrid.POINTS, kappa)
+        return [MetricParams(s, t, kappa) for s, t in TestPointOrGrid.POINTS], grid
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (16, 6)])
+    def test_block_weights(self, get_split, n, k):
+        split = get_split(n, k)
+        points, grid = self.point_and_grid(float(n - 1))
+        columns = block_weights(split, grid)
+        assert columns.shape == (split.dim, len(points))
+        for p, params in enumerate(points):
+            assert bits(columns[:, p]) == bits(block_weights(split, params))
+
+    @pytest.mark.parametrize("mode", ["closed", "solved"])
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (16, 6)])
+    def test_u_nonzeros(self, get_split, n, k, mode):
+        split = get_split(n, k)
+        points, grid = self.point_and_grid(float(n - 1))
+        keys, columns = u_nonzeros(split, grid, mode)
+        assert columns.shape == (len(keys), len(points))
+        for p, params in enumerate(points):
+            at_point = u_nonzeros(split, params, mode)
+            assert bits(keys) == bits(at_point[0]) and bits(columns[:, p]) == bits(at_point[1])
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (16, 6)])
+    def test_naturally_reductive_residual(self, get_split, n, k):
+        split = get_split(n, k)
+        points, grid = self.point_and_grid(3.5)
+        residuals = naturally_reductive_residual(split, grid)
+        assert residuals.shape == (len(points),)
+        at_points = [naturally_reductive_residual(split, params) for params in points]
+        assert all(type(r) is float for r in at_points)
+        assert residuals.tolist() == at_points
+        assert residuals[1] < TAU_NAT_RED and min(residuals[2:4]) > 0.1  # (1, 1) and off it
