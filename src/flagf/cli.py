@@ -18,6 +18,10 @@ every basis triple from the same nonzeros and the class chain on the
 f-structures up to sign; sweep's per-structure checks come from one stacked
 call too.
 
+A call builds the argument parser of its own command only (build_parser);
+help, a missing command and an unknown one build all three, and every
+help, usage and error text reads as with the whole tree.
+
 Exit codes: 0 all checks pass / report written, 1 check or I/O failure,
 2 invalid configuration (a negative --seed among them).  Reports are
 deterministic for a fixed config and seed; sweep output files are written
@@ -83,7 +87,14 @@ class RunConfig:
         }
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("verify", "classify", "sweep")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only the subparser of ``command`` if it names
+    one: the first argument selects the subparser, and the rest never reach
+    the others.  Without a command, all three, so that help, a missing
+    command and an unknown one read as they list every command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, required=True, help="matrix size n of SO(n)")
     common.add_argument("--m-blocks", type=int, default=1, help="number of rotation blocks")
@@ -97,19 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flagf",
         description="Canonical f-structures on SO(n)/SO(2)xSO(n-3) and their metric classes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common], help="run the full verification suite")
+    built = (command,) if command in COMMANDS else COMMANDS
+    # with one command built, the usage line of an error still names all three
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    pc = sub.add_parser("classify", parents=[common], help="class membership of one structure at one (s, t)")
-    pc.add_argument("--f", type=str, required=True,
-                    help="structure label (f0, or f1..f4); pass a negative one as --f=-f1")
-    pc.add_argument("--s", type=float, required=True)
-    pc.add_argument("--t", type=float, required=True)
+    if "verify" in built:
+        sub.add_parser("verify", parents=[common], help="run the full verification suite")
 
-    pw = sub.add_parser("sweep", parents=[common], help="sweep the (s, t) grid for every f-structure")
-    for option, default in zip(("--grid-min", "--grid-max", "--grid-step"), classify.DEFAULT_GRID):
-        pw.add_argument(option, type=float, default=default)
-    pw.add_argument("--extra-points", type=str, default="", help='extra grid points, e.g. "0.3,2.0;1.5,1.5"')
+    if "classify" in built:
+        pc = sub.add_parser("classify", parents=[common], help="class membership of one structure at one (s, t)")
+        pc.add_argument("--f", type=str, required=True,
+                        help="structure label (f0, or f1..f4); pass a negative one as --f=-f1")
+        pc.add_argument("--s", type=float, required=True)
+        pc.add_argument("--t", type=float, required=True)
+
+    if "sweep" in built:
+        pw = sub.add_parser("sweep", parents=[common], help="sweep the (s, t) grid for every f-structure")
+        for option, default in zip(("--grid-min", "--grid-max", "--grid-step"), classify.DEFAULT_GRID):
+            pw.add_argument(option, type=float, default=default)
+        pw.add_argument("--extra-points", type=str, default="", help='extra grid points, e.g. "0.3,2.0;1.5,1.5"')
     return parser
 
 
@@ -226,10 +244,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
     a = rng.standard_normal((10, 2, n, n))
     xy = a - a.swapaxes(-1, -2)
-    dev_b, dev_iso = phispace.phi_homomorphism_residuals(ps, xy)
+    dev_b, dev_iso, dev_conj = phispace.phi_residuals(ps, xy)
     add("phi-preserves-bracket", dev_b < TAU_PHI, dev_b)
     add("phi-isometry", dev_iso < TAU_PHI, dev_iso)
-    dev_conj = phispace.phi_conjugation_residual(ps, xy.reshape(-1, n, n))
     add("phi-is-conjugation-by-b", dev_conj < TAU_PHI, dev_conj)
 
     fs = canonical.generate_f_structures(ps)
@@ -511,8 +528,8 @@ def _render_sweep(doc: dict, swept: classify.ClassSweep, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = config_from_args(args)
         if cfg.command == "verify":

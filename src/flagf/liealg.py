@@ -349,6 +349,14 @@ def scatter(shape, *nonzeros) -> np.ndarray:
     return out
 
 
+def stacked_rows(parts) -> tuple[np.ndarray, ...]:
+    """The basis rows of the subspaces, one after another, as nonzeros (row,
+    lex position, value) in row-major order, as in ``Subspace.entries``."""
+    offset = np.cumsum([0] + [p.dim for p in parts])
+    rows = np.concatenate([p.entries[0] + offset[i] for i, p in enumerate(parts)])
+    return rows, *(np.concatenate([p.entries[t] for p in parts]) for t in (1, 2))
+
+
 def basis_change(whole: Subspace, parts):
     """The stacked rows Y of the parts as nonzeros (row, lex position, value) and
     R = Y W^T over the rows W of ``whole`` (keys Y row * dim + W row, values) if
@@ -357,10 +365,10 @@ def basis_change(whole: Subspace, parts):
     parts = list(parts) or [whole.sub(0, 0)]
     if any(p.ambient_n != whole.ambient_n for p in parts):
         raise ValueError("ambient dimension mismatch")
-    d, dg, offset = whole.dim, so_dim(whole.ambient_n), np.cumsum([0] + [p.dim for p in parts])
-    if offset[-1] != d:
+    d, dg = whole.dim, so_dim(whole.ambient_n)
+    if sum(p.dim for p in parts) != d:
         return None
-    rows = [np.concatenate([p.entries[t] + (offset[i] if t == 0 else 0) for i, p in enumerate(parts)]) for t in range(3)]
+    rows = stacked_rows(parts)
     if _gram_deviation(dg, d, *rows) > TAU_ORTH:
         return None
     keys, r, _, off = _projection(*rows, *whole.entries, d, dg)

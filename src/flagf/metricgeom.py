@@ -30,7 +30,8 @@ closed-form channel of each basis pair.  The connection alpha = (1/2) B + U
 has the keys of B, and :func:`connection_compat_residual` checks it on every
 basis triple from them.  Nothing here takes a stack of matrices or scatters
 nonzeros into a d^3 array; the ad(h)-invariance of the blocks is read off
-the space's [h, m] table, in the blocks' own basis (:func:`phispace.ad_h_leak`).
+the space's [h, m] table (:func:`phispace.ad_h_leak`), as it stands, since
+the blocks are m's own rows.
 """
 
 from __future__ import annotations

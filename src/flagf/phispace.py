@@ -18,11 +18,14 @@ block gives h its lex vectors, a nonsingular one gives them to m, and only a
 block that is neither takes an SVD, of its own matrix.  theta is gathered
 from the nonzeros of phi.  The blocks are the only form phi is kept in:
 :func:`check_regularity` reads its ranks off the singular values of each
-block of phi - id and of its square, and verify's phi checks apply phi to
-lex rows block by block.  Nothing forms a dense dim-so(n) matrix, except the
-one block of a hand-built dense B.  The brackets [h, m] are joined once per
-space, into :attr:`PhiSpace.h_m_table`; ad(h) on m, reductivity and the
-ad(h)-invariance of the split's blocks (:func:`ad_h_leak`) are read off it.
+block of phi - id and of its square, and verify's three phi checks apply phi
+to lex rows block by block, once to the probe pairs and once to their
+brackets (:func:`phi_residuals`).  Nothing forms a dense dim-so(n) matrix,
+except the one block of a hand-built dense B.  The brackets [h, m] are
+joined once per space, into :attr:`PhiSpace.h_m_table`; ad(h) on m,
+reductivity and the ad(h)-invariance of the split's blocks
+(:func:`ad_h_leak`) are read off it, the last with no change of basis when
+the blocks are m's own rows, as the split's are.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .liealg import EndoOnM, Subspace, _coefficients, _join, _projection, basis_change, bracket_coords, brackets
-from .liealg import lex_indices, lie_mats, lie_rows, op_powers, operator_on, so_dim, sum_by_key
+from .liealg import lex_indices, lie_mats, lie_rows, op_powers, operator_on, so_dim, stacked_rows, sum_by_key
 from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
 _SQRT2 = np.sqrt(2.0)
@@ -126,19 +129,27 @@ def ad_h_leak(ps: PhiSpace, *blocks: Subspace) -> float:
     Read off :attr:`PhiSpace.h_m_table` in the blocks' own basis Y: with
     R = Y M^T (:func:`basis_change`), [h_a, y_b] = sum_c R[b, c] [h_a, m_c], and
     its distance from the block of y_b, squared, is its distance from m
-    squared plus its squared coefficients on the rows of the other blocks."""
-    (a, c, pos, val), _, (ra, rc, _, off) = ps.h_m_table
+    squared plus its squared coefficients on the rows of the other blocks.
+    If the blocks' rows, one after another, are m's own rows (the split's
+    are), R = I and the table's coefficients are already the blocks'."""
+    (a, c, pos, val), coords, (ra, rc, _, off) = ps.h_m_table
     d, dg = ps.m.dim, so_dim(ps.spec.n)
     pair, sq = ra * d + rc, off * off
     if blocks:
-        change = basis_change(ps.m, blocks)
-        if change is None:
-            return np.inf
-        (rows, r_keys, r_val), owner = change, np.repeat(np.arange(len(blocks)), [blk.dim for blk in blocks])
-        li, ri = _join(c, r_keys % d, d)  # each [h_a, m_c] with the R[b, c] of its c
-        keys, coef, off_keys, off = _projection(a[li] * d + r_keys[ri] // d, pos[li], val[li] * r_val[ri], *rows, d, dg)
-        other = owner[keys // d % d] != owner[keys % d]
-        pair, sq = np.concatenate([off_keys // dg, keys[other] // d]), np.concatenate([off * off, coef[other] ** 2])
+        owner = np.repeat(np.arange(len(blocks)), [blk.dim for blk in blocks])
+        if len(owner) == d and all(map(np.array_equal, stacked_rows(blocks), ps.m.entries)):
+            ca, cb, cr, coef = coords
+            other = owner[cb] != owner[cr]
+            pair, sq = np.concatenate([pair, (ca * d + cb)[other]]), np.concatenate([sq, coef[other] ** 2])
+        else:
+            change = basis_change(ps.m, blocks)
+            if change is None:
+                return np.inf
+            rows, r_keys, r_val = change
+            li, ri = _join(c, r_keys % d, d)  # each [h_a, m_c] with the R[b, c] of its c
+            keys, coef, off_keys, off = _projection(a[li] * d + r_keys[ri] // d, pos[li], val[li] * r_val[ri], *rows, d, dg)
+            other = owner[keys // d % d] != owner[keys % d]
+            pair, sq = np.concatenate([off_keys // dg, keys[other] // d]), np.concatenate([off * off, coef[other] ** 2])
     return float(np.sqrt(sum_by_key(pair, sq)[1].max(initial=0.0)))
 
 
@@ -218,14 +229,20 @@ def theta_angles(spec: AutomorphismSpec) -> tuple[int, ...]:
     return tuple(sorted({min(s, k - s) for s in sums} - {0}))
 
 
-def phi_homomorphism_residuals(ps: PhiSpace, xy: np.ndarray) -> tuple[float, float]:
-    """max |phi[X, Y] - [phi X, phi Y]| (Frobenius) and max |<phi X, phi Y> - <X, Y>|
-    over a (P, 2, n, n) stack of skew pairs (X, Y)."""
-    xs, ys = xy[:, 0], xy[:, 1]
-    px, py, pb = (_apply_phi(ps.spec, mats) for mats in (xs, ys, brackets(xs, ys)))
+def phi_residuals(ps: PhiSpace, xy: np.ndarray) -> tuple[float, float, float]:
+    """phi, as assembled block by block, against the bracket, the trace form
+    and B itself, over a (P, 2, n, n) stack of skew pairs (X, Y): max
+    |phi[X, Y] - [phi X, phi Y]| (Frobenius), max |<phi X, phi Y> - <X, Y>|
+    and max |phi(Z) - B Z B^T| (entrywise) over every Z of the pairs.  phi
+    runs twice, on the pairs as one stack and on their brackets."""
+    n, b = ps.spec.n, ps.spec.b
+    xs, ys, zs = xy[:, 0], xy[:, 1], xy.reshape(-1, n, n)
+    pz, pb = _apply_phi(ps.spec, zs), _apply_phi(ps.spec, brackets(xs, ys))
+    px, py = pz[0::2], pz[1::2]
     dev_b = np.linalg.norm(pb - brackets(px, py), axis=(1, 2))
     dev_iso = np.abs(np.sum(px * py, axis=(1, 2)) - np.sum(xs * ys, axis=(1, 2)))
-    return float(np.max(dev_b, initial=0.0)), float(np.max(dev_iso, initial=0.0))
+    dev_conj = np.abs(pz - b @ zs @ b.T)
+    return tuple(float(np.max(dev, initial=0.0)) for dev in (dev_b, dev_iso, dev_conj))
 
 
 def phi_blocks(b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -264,13 +281,6 @@ def phi_blocks(b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             mats[inside] = _SQRT2 * conj[g, c, ic[:, :, None], jc[:, :, None]]  # read as lie_rows does
         out.append((pos, mats))
     return out
-
-
-def phi_conjugation_residual(ps: PhiSpace, xs: np.ndarray) -> float:
-    """max |phi(X) - B X B^T| (entrywise) over a (P, n, n) stack of skew
-    matrices: phi, as assembled block by block, against B itself."""
-    b = ps.spec.b
-    return float(np.max(np.abs(_apply_phi(ps.spec, xs) - b @ xs @ b.T), initial=0.0))
 
 
 def _apply_phi(spec: AutomorphismSpec, mats: np.ndarray) -> np.ndarray:

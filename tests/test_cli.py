@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import time
@@ -374,14 +375,14 @@ CORRUPTIONS = {
     ),
     "theta-fixes-m1": lambda mp: feed(mp, phispace, "check_regularity", theta_fixing_m1),
     "phi-flips-one-lex-vector": lambda mp: feed(
-        mp, phispace, "phi_homomorphism_residuals", lambda ps: with_phi_blocks(ps, set_block(1, 1, -1.0))
+        mp, phispace, "phi_residuals", lambda ps: with_phi_blocks(ps, set_block(1, 1, -1.0))
     ),
     "phi-scaled": lambda mp: feed(
-        mp, phispace, "phi_homomorphism_residuals",
+        mp, phispace, "phi_residuals",
         lambda ps: with_phi_blocks(ps, lambda blocks: [(pos, mats * (1 + 1e-6)) for pos, mats in blocks]),
     ),
     "phi-of-b-transposed": lambda mp: feed(
-        mp, phispace, "phi_conjugation_residual",
+        mp, phispace, "phi_residuals",
         lambda ps: with_phi_blocks(ps, lambda _: phispace.phi_blocks(ps.spec.b.T)),
     ),
     "f-repeated": lambda mp: edit_family(mp, "f", lambda fs: fs + fs[:1]),
@@ -606,6 +607,20 @@ class TestSweep:
         assert doc["summary"]["g1"]["kind"] == "all"
         summary = json.loads((out / "summary.json").read_text())
         assert "f0" in summary["structures"]
+
+    def test_structure_checks_are_those_of_every_f_structure(self, capsys, tmp_path):
+        # Each file carries its structure's check from one call on all f-structures, negatives
+        # included: the pairwise bound maxes the reconstruction residuals over that list, and at
+        # k = 10 a measured residual depends on the rows it is multiplied with, so the
+        # representatives alone would read another bound.
+        code, _, _ = run(capsys, "sweep", "--n", "5", "--k", "10", "--grid-step", "1.0", "--out", str(tmp_path),
+                         "--format", "json")
+        assert code == 0
+        ps = flagf.build_phi_space(flagf.build_automorphism(5, 1, 10))
+        checks = {chk.label: chk for chk in canonical.verify_structures(flagf.generate_f_structures(ps), ps)}
+        for label in ("f1", "f2", "f3", "f4"):
+            (written,) = json.loads((tmp_path / f"{label}.json").read_text())["structures"]
+            assert written["checks"] == {key: v for key, v in dataclasses.asdict(checks[label]).items() if key != "label"}
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -855,6 +870,50 @@ class TestBracketJoins:
         code, _, _ = run(capsys, *argv, *out)
         assert code == 0
         assert sorted(joins) == ["[h, m]", "[m, m]"]
+
+
+class TestFixedCostPerCall:
+    """What every call builds before its command runs: the subparser of its
+    command alone, and for verify phi applied twice, to the probe pairs and to
+    their brackets."""
+
+    @pytest.mark.parametrize(
+        "argv,subparsers",
+        [
+            (["verify", "--n", "5", "--k", "4"], ["verify"]),
+            (["classify", "--n", "5", "--k", "4", "--f", "f0", "--s", "1", "--t", "2"], ["classify"]),
+            (["sweep", "--n", "5", "--k", "4", "--grid-step", "1.0"], ["sweep"]),
+            (["-h"], ["verify", "classify", "sweep"]),
+            ([], ["verify", "classify", "sweep"]),
+            (["bogus"], ["verify", "classify", "sweep"]),
+        ],
+    )
+    def test_cost_guard_one_subparser_per_command(self, capsys, tmp_path, monkeypatch, argv, subparsers):
+        built, original = [], argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        out = ["--out", str(tmp_path)] if argv[:1] == ["sweep"] else []
+        try:
+            main([*argv, *out])
+        except SystemExit:  # help, and a missing or unknown command
+            pass
+        assert built == subparsers
+
+    def test_cost_guard_phi_applied_twice_per_verify(self, capsys, monkeypatch):
+        stacks, original = [], phispace._apply_phi
+
+        def counting(spec, mats):
+            stacks.append(len(mats))
+            return original(spec, mats)
+
+        monkeypatch.setattr(phispace, "_apply_phi", counting)
+        code, _, _ = run(capsys, "verify", "--n", "8", "--k", "6")
+        assert code == 0
+        assert stacks == [20, 10]  # the ten pairs (X, Y) as one stack, then their brackets
 
 
 class TestNonFiniteValues:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flagf
+from flagf import phispace
 from flagf.canonical import CanonicalStructure, verify_structures
 from flagf.liealg import EndoOnM, Subspace, bracket_coords, brackets, lex_indices, lie_mats, lie_rows
 from flagf.metricgeom import _check_split_invariants
@@ -20,8 +21,7 @@ from flagf.phispace import (
     check_regularity,
     flag_complement_pattern,
     phi_blocks,
-    phi_conjugation_residual,
-    phi_homomorphism_residuals,
+    phi_residuals,
     rotation_block,
     theta_angles,
 )
@@ -137,8 +137,9 @@ class TestBatchedPhiChecks:
                 assert np.array_equal(phi_matrix(spec), np.array(cols).T), (n, m_blocks, k)
 
     @pytest.mark.parametrize("n,k,m_blocks", [(12, 6, 1), (7, 6, 2)])
-    def test_homomorphism_residuals_equal_per_element_loop(self, get_space, n, k, m_blocks):
+    def test_phi_residuals_equal_per_element_loop(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
+        b = ps.spec.b
 
         def apply(x):  # phi on one (n, n) matrix, a stack of one
             return _apply_phi(ps.spec, x[None])[0]
@@ -148,16 +149,18 @@ class TestBatchedPhiChecks:
             return m - m.T
 
         rng = np.random.default_rng(4242)
-        dev_b = dev_iso = 0.0
+        dev_b = dev_iso = dev_conj = 0.0
         for _ in range(10):
             x, y = random_skew(rng, n), random_skew(rng, n)
             px, py = apply(x), apply(y)
             dev_b = max(dev_b, np.linalg.norm(apply(br(x, y)) - br(px, py)))
             dev_iso = max(dev_iso, abs(np.sum(px * py) - np.sum(x * y)))
+            dev_conj = max(dev_conj, np.max(np.abs(px - b @ x @ b.T)), np.max(np.abs(py - b @ y @ b.T)))
         a = np.random.default_rng(4242).standard_normal((10, 2, n, n))
         xy = a - a.swapaxes(-1, -2)
-        got = phi_homomorphism_residuals(ps, xy)
-        np.testing.assert_allclose(got, (dev_b, dev_iso), rtol=1e-12, atol=0)  # norms sum in another order
+        got = phi_residuals(ps, xy)
+        np.testing.assert_allclose(got[:2], (dev_b, dev_iso), rtol=1e-12, atol=0)  # norms sum in another order
+        assert got[2] == dev_conj  # one product per element either way
         assert max(got) < TAU_PHI
 
     @pytest.mark.parametrize("n", [5, 8, 12, 16, 24])
@@ -180,7 +183,7 @@ class TestBatchedPhiChecks:
         assert not np.array_equal(phi_matrix(ps.spec), ref.scattered_phi(broken.spec))
         a = np.random.default_rng(1).standard_normal((10, 2, 7, 7))
         xy = a - a.swapaxes(-1, -2)
-        dev_b, _ = phi_homomorphism_residuals(broken, xy)
+        dev_b, _, _ = phi_residuals(broken, xy)
         assert dev_b > 0.1
 
 
@@ -349,8 +352,7 @@ class TestRegularityFromBlocks:
 
         def run():
             check_regularity(ps)
-            phi_homomorphism_residuals(ps, xy)
-            phi_conjugation_residual(ps, xy.reshape(-1, 24, 24))
+            phi_residuals(ps, xy)
 
         run()
         assert TestCostGuard.peak(run) < 276 * 276 * 8
@@ -476,6 +478,29 @@ class TestHMTable:
         want = max(ref.bracket_leak(ps.h, blk, blk) for blk in rotated)
         assert want > 0.1
         np.testing.assert_allclose(ad_h_leak(ps, *rotated), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (12, 6), (24, 6)])
+    def test_cost_guard_split_blocks_read_off_the_table(self, get_space, monkeypatch, n, k):
+        # The split's blocks are m's own rows, R = I: no change of basis, and the bits of the general
+        # route, also where they leak, with h's first row turned into m.
+        ps = get_space(n, k)
+        h_rows, _ = _rotate_rows(ps.h.coords, ps.m.coords, 0.3)
+        leaning = PhiSpace(ps.spec, Subspace(n, h_rows), ps.m, ps.theta)
+        calls, original = [], phispace.basis_change
+
+        def counting(whole, parts):
+            calls.append(len(parts))
+            return original(whole, parts)
+
+        monkeypatch.setattr(phispace, "basis_change", counting)
+        split = flagf.build_split(ps)
+        blocks = (split.m1, split.m2, split.m3)
+        leaks = [np.float64(ad_h_leak(space, *blocks)) for space in (ps, leaning)]
+        assert calls == [] and leaks[0] == 0.0 and leaks[1] > 0.1
+        monkeypatch.setattr(phispace, "stacked_rows", lambda parts: (None,))  # never m's rows
+        general = [np.float64(ad_h_leak(space, *blocks)) for space in (ps, leaning)]
+        assert [x.tobytes() for x in general] == [x.tobytes() for x in leaks]
+        assert calls == [3, 3]
 
     def test_blocks_that_do_not_span_m_leak_infinitely(self, get_space, get_split):
         ps, split = get_space(6, 6), get_split(6, 6)
@@ -699,9 +724,9 @@ class TestBlockRoute:
 
     def test_phi_conjugation_residual_bites(self, get_space):
         ps = get_space(7, 6)
-        xs = random_skew(np.random.default_rng(5), 7, 20)
-        assert phi_conjugation_residual(ps, xs) < TAU_PHI
-        assert phi_conjugation_residual(with_phi_columns_swapped(ps, 0, 1), xs) > 0.1
+        xy = random_skew(np.random.default_rng(5), 7, 20).reshape(10, 2, 7, 7)
+        assert phi_residuals(ps, xy)[2] < TAU_PHI
+        assert phi_residuals(with_phi_columns_swapped(ps, 0, 1), xy)[2] > 0.1
 
 
 class TestSingularValues:
