@@ -25,9 +25,11 @@ engine reads those matrices, and verify ties them to the generated ones.
 :func:`verify_structures` re-checks a list of structures on the stack of
 their matrices (identities, reconstruction, theta-commutation) and bounds
 from those their commutation with each other and with ad(h),
-:func:`negation_residual` pairs each structure with its negative, and
-:func:`golden_action_check` compares the k = 4 and k = 6 structures
-entrywise with their closed-form actions on the flag spaces.
+:func:`negation_residual` pairs each structure with its negative, in one
+stacked sum, and :func:`golden_action_check` compares the k = 4 and k = 6
+structures entrywise with their closed-form actions on the flag spaces:
+the images of all labels come from one product chain in lex coordinates,
+and the lower triangle of a skew image is the negated upper one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import EndoOnM, lie_mats, sum_by_key
+from .liealg import EndoOnM, lex_indices, lie_mats, nonzero_rows, sum_by_key
 from .metricgeom import TripleSplit
 from .phispace import PhiSpace, theta_angles
 from .tolerances import TAU_GENERATED, TAU_GOLDEN
@@ -246,34 +248,21 @@ def sign_pair_matrices(pairs, split: TripleSplit) -> np.ndarray:
     occur; from k = 6 on, every pair but (0, 0).  On the flag-pattern split
     every entry is exactly 0 or +-1; a split with turned block bases gets
     its own J, and the matrices conjugated into its basis."""
+    return sign_pair_rows(pairs, split)[..., None] * split.complex_structure
+
+
+def sign_pair_rows(pairs, split: TripleSplit) -> np.ndarray:
+    """The (S, d) signs of each sign pair (eps1, eps2) on the block of each
+    basis vector of the split: eps1 on m1, eps2 on m2, 0 on m3.  Row r of
+    eps1 J1 (+) eps2 J2 (+) 0 is row r of J times the sign of row r."""
     eps = np.zeros((len(pairs), 4))  # indexed by the block, 1..3, of a basis vector
     eps[:, 1:3] = np.reshape(pairs, (-1, 2))
-    return eps[:, split.block_index, None] * split.complex_structure
+    return eps[:, split.block_index]
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
     """max |entry| of each matrix of a (..., d, d) stack, overwriting a with |a|."""
     return np.max(np.abs(a, out=a), axis=(-2, -1), initial=0.0)
-
-
-def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of each row of the given (..., d, d) matrices, all of one
-    shape, as (len(mats), ..., d, w) column and value tables, in column order,
-    padded with column 0 and value 0 to the widest row w.  Entries are read
-    exactly: nothing is thresholded."""
-    entries = []  # per matrix: row, slot in the row, column and value of each nonzero
-    for m in mats:
-        rows = m.reshape(-1, m.shape[-1])
-        r, c = np.nonzero(rows)
-        entries.append((r, np.arange(len(r)) - np.searchsorted(r, r), c, rows[r, c]))
-    w = max(1, max(int(slot.max(initial=0)) + 1 for _, slot, _, _ in entries))
-    shape = (len(mats), mats[0].size // mats[0].shape[-1], w)
-    idx, val = np.zeros(shape, dtype=np.intp), np.zeros(shape)
-    for t, (r, slot, c, v) in enumerate(entries):
-        idx[t, r, slot] = c
-        val[t, r, slot] = v
-    shape = (len(mats),) + mats[0].shape[:-1] + (w,)
-    return idx.reshape(shape), val.reshape(shape)
 
 
 def structure_by_label(structures, label: str) -> CanonicalStructure:
@@ -347,15 +336,21 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
 
 def negation_residual(structures) -> float:
     """max |F + G| over the structures F of the list, G the one labelled as the
-    negative of F ("x" and "-x"); infinite if some F has no such partner."""
-    by_label = {cs.label: cs.op.matrix for cs in structures}
-    worst = 0.0
-    for label, f in by_label.items():
-        g = by_label.get(label[1:] if label.startswith("-") else "-" + label)
-        if g is None:
+    negative of F ("x" and "-x"); infinite if some F has no such partner.
+    One stacked sum, over each pair once: |F + G| and |G + F| have the same bits."""
+    by_label = {cs.label: s for s, cs in enumerate(structures)}  # a repeated label names its last structure
+    pairs = []
+    for label, a in by_label.items():
+        b = by_label.get(label[1:] if label.startswith("-") else "-" + label)
+        if b is None:
             return np.inf
-        worst = max(worst, float(np.max(np.abs(f + g), initial=0.0)))
-    return worst
+        if a < b:
+            pairs.append((a, b))
+    if not pairs:
+        return 0.0
+    f = np.array([cs.op.matrix for cs in structures])
+    a, b = np.transpose(pairs)
+    return float(np.max(np.abs(f[a] + f[b])))
 
 
 def _ad_commutator(x: np.ndarray, ps: PhiSpace) -> float:
@@ -395,7 +390,13 @@ def expected_flag_action(label: str, s: np.ndarray) -> np.ndarray:
 def golden_action_check(ps: PhiSpace, structures) -> GoldenActionReport:
     """Compare every order-4/order-6 f-structure against its closed-form
     action, entrywise, on each basis coordinate and on a dense element.
-    ``structures`` are the f-structures of ps, as generate_f_structures gives them."""
+    ``structures`` are the f-structures of ps, as generate_f_structures gives them.
+
+    The images of all labels come as one product chain in lex coordinates,
+    x C^T F^T C / sqrt(2) for the probes' rows x, C = ps.m.coords: the upper
+    triangles of the image matrices.  Their lower triangles are the negated
+    upper ones, 0.0 - x as in a skew matrix built from its upper triangle,
+    so the deviations and mismatches are those of the dense matrices."""
     k, n = ps.spec.k, ps.spec.n
     if k not in (4, 6) or ps.spec.m_blocks != 1:
         raise ValueError("closed-form actions are tabulated for the m_blocks=1 spaces of order 4 or 6")
@@ -403,21 +404,41 @@ def golden_action_check(ps: PhiSpace, structures) -> GoldenActionReport:
 
     # Probes: every basis element of m, then one dense element.  Mismatches are
     # listed in the C order of (probe, i, j): probe-major, entries row by row.
-    probes = lie_mats(n, np.vstack([ps.m.coords, (np.arange(1.0, ps.m.dim + 1.0) / 3.0) @ ps.m.coords]))
-
-    per = []
-    mismatches = []
-    for label in labels:
-        got = structure_by_label(structures, label).op.apply_mats(probes)
-        want = expected_flag_action(label, probes)
-        delta = np.abs(got - want)
-        per.append((label, float(np.max(delta))))
-        for p, i, j in zip(*np.nonzero(delta > TAU_GOLDEN)):
-            mismatches.append((label, (int(i), int(j)), float(got[p, i, j]), float(want[p, i, j])))
+    c = ps.m.coords
+    rows = np.vstack([c, (np.arange(1.0, ps.m.dim + 1.0) / 3.0) @ c])
+    probes = lie_mats(n, rows)
+    f = np.array([structure_by_label(structures, label).op.matrix for label in labels])
+    x = np.sqrt(2.0) * (rows / np.sqrt(2.0))  # lie_rows(probes), bit for bit, without re-checking their skew symmetry
+    y = (x @ c.T)[..., None]  # (probes, d, 1)
+    # F y one matrix-vector product per (label, probe), as apply_mats takes it: one matrix
+    # product over the probes would sum the dense probe's image in another order
+    got = (f[:, None] @ y)[..., 0] @ c / np.sqrt(2.0)  # (labels, probes, lex)
+    upper = lex_indices(n)
+    want = np.array([expected_flag_action(label, probes)[(..., *upper)] for label in labels])
+    delta = np.abs(got - want)
+    per = [(label, float(dev)) for label, dev in zip(labels, delta.max(axis=(1, 2)))]
+    high = delta > TAU_GOLDEN
     return GoldenActionReport(
         n=n,
         k=k,
         max_deviation=max(dev for _, dev in per),
         per_structure=tuple(per),
-        mismatches=tuple(mismatches),
+        mismatches=_mismatches(labels, upper, got, want, high) if high.any() else (),
+    )
+
+
+def _mismatches(labels, upper, got, want, high) -> tuple:
+    """The entries (label, (i, j), got, want) of the skew images where high is
+    set on their upper triangles, given as (labels, probes, lex) arrays, each
+    also at (j, i) with 0.0 - got and 0.0 - want; label-major, then in the C
+    order of (probe, i, j)."""
+    lab, p, q = np.unravel_index(np.flatnonzero(high), high.shape)
+    i, j = upper[0][q], upper[1][q]
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    g, w = got[lab, p, q], want[lab, p, q]
+    g, w = np.concatenate([g, 0.0 - g]), np.concatenate([w, 0.0 - w])
+    lab, p = np.tile(lab, 2), np.tile(p, 2)
+    order = np.lexsort((cols, rows, p, lab))
+    return tuple(
+        (labels[a], (r, c), gv, wv) for a, r, c, gv, wv in zip(*(x[order].tolist() for x in (lab, rows, cols, g, w)))
     )

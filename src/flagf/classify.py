@@ -12,21 +12,24 @@ Each map is tested by full polarization: the quadratic map vanishes
 identically iff its bilinear extension has C(X, Y) + C(Y, X) = 0 on all
 basis pairs; pairs where that holds for every metric are dropped at set-up.
 Set-up reads the conditions term by term (_TERMS) off the nonzeros of the
-bracket tensor (TripleSplit.bracket_nonzeros) and of f; the tests keep the
-dense einsum tensors of each condition as the reference.  f is the matrix of
-the structure's sign pair, eps1 J1 (+) eps2 J2 (+) 0
-(canonical.sign_pair_matrices): on the flag split every entry is 0 or +-1,
-one per row, where the generated operator carries rounding noise beside
-each entry.  The generated operator stays what verify checks against it
-(structure-sign-pair) and what the metric-compatibility residuals read.
-All the structures of a space share the bracket tensor, so class_evaluators
-sets them up in one join over the stack of their matrices, keyed structure
-first, with the bits of a set-up of each alone; ClassEvaluator(f, split) is
-the list [f].  Residuals are normalized by the operator norm of f,
-max(|eps1|, |eps2|) = 1, and by (1 + s + t + 1/s + 1/t), so grid sweeps stay
-comparable as the U coefficients grow near the parameter boundary.  A point
-where a pair norm still overflows is refused with ValueError rather than
-given a verdict.
+bracket tensor (TripleSplit.bracket_nonzeros) and the rows of f, f^2 and
+their transposes; the tests keep the dense einsum tensors of each condition
+as the reference.  f is the matrix of the structure's sign pair,
+eps1 J1 (+) eps2 J2 (+) 0 (canonical.sign_pair_matrices): on the flag split
+every entry is 0 or +-1, one per row, where the generated operator carries
+rounding noise beside each entry.  J is block-diagonal, so the rows of f,
+f^2, f^T and (f^2)^T are those of J, J^2, J^T and (J^2)^T times the sign
+(or its square) of their block: set-up scales the split's tables of J
+(TripleSplit.row_tables) and scans no structure's matrix.  The generated
+operator stays what verify checks against it (structure-sign-pair) and
+what the metric-compatibility residuals read.  All the structures of a
+space share the bracket tensor, so class_evaluators sets them up in one
+join over the stack of their signs, keyed structure first, with the bits
+of a set-up of each alone; ClassEvaluator(f, split) is the list [f].
+Residuals are normalized by the operator norm of f, max(|eps1|, |eps2|) = 1,
+and by (1 + s + t + 1/s + 1/t), so grid sweeps stay comparable as the U
+coefficients grow near the parameter boundary.  A point where a pair norm
+still overflows is refused with ValueError rather than given a verdict.
 
 Membership is declared below TAU_MEMBER = 1e-9, non-membership above
 NONMEMBER_MARGIN = 1e-3 (both in :mod:`flagf.tolerances`); the band in between
@@ -53,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .canonical import CanonicalStructure, nonzero_rows, sign_pair_matrices
+from .canonical import CanonicalStructure, sign_pair_matrices, sign_pair_rows
 from .liealg import sum_by_key
 from .metricgeom import MetricGrid, MetricParams, TripleSplit, block_weights, u_channel_coefficients, u_channels
 from .tolerances import NONMEMBER_MARGIN, TAU_GRID, TAU_MEMBER, TAU_RANK
@@ -87,17 +90,24 @@ _ON_U, _COEF, _A, _B, _P = (np.array(col)[:, None] for col in zip(*_TERMS))
 JOIN_PRODUCTS_PER_STRUCTURE = 1 << 12
 
 
-def _kept_entries(f: np.ndarray, split: TripleSplit):
+def _kept_entries(eps: np.ndarray, split: TripleSplit):
     """Per block of groups g = 3 * structure + condition, the kept polarized
-    entries (see _polarize) of the (S, d, d) stack f of block-basis matrices."""
-    d, groups = split.dim, 3 * len(f)
-    tables = nonzero_rows(np.broadcast_to(np.eye(d), f.shape), f, f @ f, f.swapaxes(1, 2), (f @ f).swapaxes(1, 2))
-    # (5, S, d, w) -> (w, 5 S d): row a of table m of structure s is column (5 s + m) d + a
-    idx, val = (x.transpose(3, 1, 0, 2).reshape(x.shape[-1], -1) for x in tables)
-    del tables
+    entries (see _polarize) of the structures f = eps J, row by row, for the
+    (S, d) signs eps of each structure on the block of each basis row
+    (canonical.sign_pair_rows).  J is block-diagonal, so f^2 = eps^2 J^2,
+    f^T = eps J^T and (f^2)^T = eps^2 (J^2)^T row by row, all exactly (eps
+    is -1, 0 or 1): the row tables of f are the split's tables of J
+    (``TripleSplit.row_tables``) with their rows scaled."""
+    d, groups = split.dim, 3 * len(eps)
+    sq = eps * eps
+    scale = np.stack([np.ones_like(eps), eps, sq, eps, sq], axis=1)  # (S, 5, d), for I, f, f^2, f^T, (f^2)^T
+    idx, val = (x.transpose(2, 0, 1)[:, None] for x in split.row_tables)  # (w, 1, 5, d)
+    # (w, S, 5, d) -> (w, 5 S d): row a of table m of structure s is column (5 s + m) d + a
     idx = idx.astype(np.int32 if 4 * groups * d**3 < 2**31 else np.int64)  # keys stay below 4 groups d^3
+    idx = np.broadcast_to(idx, (len(idx), len(eps), 5, d)).reshape(len(idx), -1)
+    val = (val * scale).reshape(len(idx), -1)
     per_group = 3 * len(split.bracket_nonzeros[0]) * len(idx) ** 3  # padded products
-    step = max(1, len(f) * JOIN_PRODUCTS_PER_STRUCTURE // per_group)  # groups per block
+    step = max(1, len(eps) * JOIN_PRODUCTS_PER_STRUCTURE // per_group)  # groups per block
     for g in range(0, groups, step):
         block = np.arange(g, min(g + step, groups))
         yield _polarize(*_summed_entries(block, idx, val, split), d, block, groups)
@@ -148,11 +158,14 @@ def _polarize(keys: np.ndarray, k: np.ndarray, d: int, block: np.ndarray, groups
     g, ch, i, j, r = np.unravel_index(keys[k != 0.0], (groups, 4, d, d, d))
     k = k[k != 0.0]
     pair = (g * d + np.minimum(i, j)) * d + np.maximum(i, j)
-    pairs = np.unique(np.concatenate([pair, block * d * d]))
+    pairs = np.sort(np.concatenate([pair, block * d * d]))
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]  # distinct; np.unique hashes first, slower here
     # Keyed (pair, r, ch), K[.., i, j, r] meets K[.., j, i, r]; a diagonal pair doubles.
     keys, pol = sum_by_key((pair * d + r) * 4 + ch, np.where(i == j, 2.0 * k, k))
     keys, pol = keys[pol != 0.0], pol[pol != 0.0]
-    entries, at = np.unique(keys // 4, return_inverse=True)
+    entry = keys // 4  # ascending, as keys are: the entries start where it changes
+    first = np.concatenate(([True], entry[1:] != entry[:-1]))[: len(entry)]
+    entries, at = entry[first], np.cumsum(first) - 1
     values = np.zeros((4, len(entries) + len(pairs)))  # room for one zero entry per pair
     values[keys % 4, at] = pol
     empty = np.ones(len(pairs), dtype=bool)
@@ -430,9 +443,10 @@ def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
     unpaired = [cs.label for cs in structures if cs.sign_pair is None]
     if unpaired:
         raise ValueError(f"no sign pair (an m_blocks = 1 f-structure has one): {', '.join(unpaired)}")
-    mats = sign_pair_matrices([cs.sign_pair for cs in structures], split)
+    signs = [cs.sign_pair for cs in structures]
+    mats, eps = sign_pair_matrices(signs, split), sign_pair_rows(signs, split)
     norms = [float(max(map(abs, cs.sign_pair))) for cs in structures]  # |eps1 J1 (+) eps2 J2 (+) 0|
-    pairs, owner, values = (np.concatenate(x, axis=-1) for x in zip(*_kept_entries(mats, split)))
+    pairs, owner, values = (np.concatenate(x, axis=-1) for x in zip(*_kept_entries(eps, split)))
     owner = np.searchsorted(pairs, owner)
     group, i, j = np.unravel_index(pairs, (3 * len(structures), split.dim, split.dim))
     ij = np.stack([i, j], axis=1)

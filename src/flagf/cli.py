@@ -95,15 +95,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     one: the first argument selects the subparser, and the rest never reach
     the others.  Without a command, all three, so that help, a missing
     command and an unknown one read as they list every command."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True, help="matrix size n of SO(n)")
-    common.add_argument("--m-blocks", type=int, default=1, help="number of rotation blocks")
-    common.add_argument("--k", type=int, required=True, help="even order of the automorphism")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument("--kappa", type=float, default=None, help="metric normalization (default n-1)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--out", type=str, default=None, help="output file (verify/classify) or directory (sweep)")
-
     parser = argparse.ArgumentParser(
         prog="flagf",
         description="Canonical f-structures on SO(n)/SO(2)xSO(n-3) and their metric classes.",
@@ -113,18 +104,29 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
+    def add_parser(name, summary):  # a command's parser, with the options every command takes
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--n", type=int, required=True, help="matrix size n of SO(n)")
+        p.add_argument("--m-blocks", type=int, default=1, help="number of rotation blocks")
+        p.add_argument("--k", type=int, required=True, help="even order of the automorphism")
+        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        p.add_argument("--kappa", type=float, default=None, help="metric normalization (default n-1)")
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--out", type=str, default=None, help="output file (verify/classify) or directory (sweep)")
+        return p
+
     if "verify" in built:
-        sub.add_parser("verify", parents=[common], help="run the full verification suite")
+        add_parser("verify", "run the full verification suite")
 
     if "classify" in built:
-        pc = sub.add_parser("classify", parents=[common], help="class membership of one structure at one (s, t)")
+        pc = add_parser("classify", "class membership of one structure at one (s, t)")
         pc.add_argument("--f", type=str, required=True,
                         help="structure label (f0, or f1..f4); pass a negative one as --f=-f1")
         pc.add_argument("--s", type=float, required=True)
         pc.add_argument("--t", type=float, required=True)
 
     if "sweep" in built:
-        pw = sub.add_parser("sweep", parents=[common], help="sweep the (s, t) grid for every f-structure")
+        pw = add_parser("sweep", "sweep the (s, t) grid for every f-structure")
         for option, default in zip(("--grid-min", "--grid-max", "--grid-step"), classify.DEFAULT_GRID):
             pw.add_argument(option, type=float, default=default)
         pw.add_argument("--extra-points", type=str, default="", help='extra grid points, e.g. "0.3,2.0;1.5,1.5"')

@@ -34,6 +34,8 @@ part off the subspace (:func:`_projection`, which :func:`basis_change`
 shares).  All keep only nonzeros, as sorted index and value arrays.  No
 (dim x, dim y, n, n) array and no dense bracket row is ever formed, and
 :func:`scatter` is the one way back to a dense array, for references.
+:func:`nonzero_rows` goes the other way for small operator matrices on m:
+it reads each row's nonzeros into padded column and value tables.
 """
 
 from __future__ import annotations
@@ -347,6 +349,25 @@ def scatter(shape, *nonzeros) -> np.ndarray:
     out = np.zeros(shape)
     out[nonzeros[:-1]] = nonzeros[-1]
     return out
+
+
+def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of each row of the given (..., d, d) matrices, all of one
+    shape, as (len(mats), ..., d, w) column and value tables, in column order,
+    padded with column 0 and value 0 to the widest row w.  Entries are read
+    exactly: nothing is thresholded."""
+    d = mats[0].shape[-1]
+    rows = [m.reshape(-1, d) for m in mats]
+    nonzero = [x != 0.0 for x in rows]
+    # the rows of all matrices, one after another: row, slot in the row, column and value of each nonzero
+    r, c = np.divmod(np.flatnonzero(np.concatenate(nonzero)), d)  # 1-d: np.nonzero of 2-d is slower
+    slot = np.arange(len(r)) - np.searchsorted(r, r)
+    shape = (len(mats) * len(rows[0]), max(1, int(slot.max(initial=0)) + 1))
+    idx, val = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    idx[r, slot] = c
+    val[r, slot] = np.concatenate([x[nz] for x, nz in zip(rows, nonzero)])
+    shape = (len(mats),) + mats[0].shape[:-1] + (shape[1],)
+    return idx.reshape(shape), val.reshape(shape)
 
 
 def stacked_rows(parts) -> tuple[np.ndarray, ...]:

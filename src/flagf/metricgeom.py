@@ -37,11 +37,11 @@ the blocks are m's own rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import Subspace, bracket_coords, sum_by_key
+from .liealg import Subspace, bracket_coords, nonzero_rows, sum_by_key
 from .phispace import PhiSpace, ad_h_leak, flag_complement_pattern
 from .tolerances import TAU_CYCLIC, TAU_SUBSPACE
 
@@ -58,7 +58,10 @@ class TripleSplit:
     ``complex_structure`` is J1 (+) J2 (+) 0 over ``combined``: theta acts
     on m1 and on m2 as cos + sin J for one angle, J oriented as theta turns
     the block (:func:`canonical.sign_pair_matrices`); on the flag basis every
-    entry is 0 or +-1.
+    entry is 0 or +-1.  ``row_tables`` holds the nonzeros of each row of I,
+    J, J^2, J^T and (J^2)^T (:func:`liealg.nonzero_rows`, two (5, d, w)
+    arrays), made with the split: the class engine scales them by each
+    structure's signs instead of scanning its matrices.
     """
 
     m1: Subspace
@@ -68,6 +71,12 @@ class TripleSplit:
     block_index: np.ndarray
     bracket_nonzeros: tuple[np.ndarray, ...]
     complex_structure: np.ndarray
+    row_tables: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        j = self.complex_structure
+        jj = j @ j
+        object.__setattr__(self, "row_tables", nonzero_rows(np.eye(len(j)), j, jj, j.T, jj.T))
 
     @property
     def dim(self) -> int:

@@ -17,15 +17,25 @@ g(alpha(Z, X), Y) + g(X, alpha(Z, Y)) on triples of stacks, whose largest
 value over random triples was verify's connection check
 (``connection_compat_residual``).  ``scaled_channel`` is a wrong closed-form
 U coefficient to patch in, for tests that a check sees it.
+
+``negation_residual_loop`` takes max |F + G| one label at a time, over a
+dict of the structures' matrices.  ``golden_action_dense`` is the
+golden-action check on each label's dense (P, n, n) image of the probes,
+one ``EndoOnM.apply_mats`` per label, compared with ``expected_flag_action``
+entry by entry.  ``kept_entries_from_stacks`` is the class engine's join
+with its row tables scanned off the (S, d, d) stacks I, f, f^2, f^T and
+(f^2)^T of the structures f = eps J.
 """
 
 import numpy as np
 
-from flagf.canonical import StructureCheck, nonzero_rows
-from flagf.liealg import brackets, lie_mats, lie_rows, scatter, sum_by_key
-from flagf import metricgeom
+from flagf import classify, metricgeom
+from flagf.canonical import (
+    F_LABEL_SIGNS, GoldenActionReport, StructureCheck, expected_flag_action, structure_by_label
+)
+from flagf.liealg import brackets, lie_mats, lie_rows, nonzero_rows, scatter, sum_by_key
 from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
-from flagf.tolerances import TAU_SUBSPACE
+from flagf.tolerances import TAU_GOLDEN, TAU_SUBSPACE
 from generation_reference import poly_in
 from space_reference import project_rows, relative_residuals
 
@@ -144,3 +154,43 @@ def scaled_channel(channel, factor):
         return c
 
     return coefficients
+
+
+def golden_action_dense(ps, structures):
+    n = ps.spec.n
+    probes = lie_mats(n, np.vstack([ps.m.coords, (np.arange(1.0, ps.m.dim + 1.0) / 3.0) @ ps.m.coords]))
+    per, mismatches = [], []
+    for label in sorted(F_LABEL_SIGNS[ps.spec.k]):
+        got = structure_by_label(structures, label).op.apply_mats(probes)
+        want = expected_flag_action(label, probes)
+        delta = np.abs(got - want)
+        per.append((label, float(np.max(delta))))
+        for p, i, j in zip(*np.nonzero(delta > TAU_GOLDEN)):
+            mismatches.append((label, (int(i), int(j)), float(got[p, i, j]), float(want[p, i, j])))
+    return GoldenActionReport(n, ps.spec.k, max(dev for _, dev in per), tuple(per), tuple(mismatches))
+
+
+def kept_entries_from_stacks(eps, split):
+    """classify._kept_entries, its tables read off the stacks of f = eps J."""
+    f = eps[..., None] * split.complex_structure
+    d, groups = split.dim, 3 * len(f)
+    tables = nonzero_rows(np.broadcast_to(np.eye(d), f.shape), f, f @ f, f.swapaxes(1, 2), (f @ f).swapaxes(1, 2))
+    # (5, S, d, w) -> (w, 5 S d): row a of table m of structure s is column (5 s + m) d + a
+    idx, val = (x.transpose(3, 1, 0, 2).reshape(x.shape[-1], -1) for x in tables)
+    idx = idx.astype(np.int32 if 4 * groups * d**3 < 2**31 else np.int64)
+    per_group = 3 * len(split.bracket_nonzeros[0]) * len(idx) ** 3
+    step = max(1, len(f) * classify.JOIN_PRODUCTS_PER_STRUCTURE // per_group)
+    for g in range(0, groups, step):
+        block = np.arange(g, min(g + step, groups))
+        yield classify._polarize(*classify._summed_entries(block, idx, val, split), d, block, groups)
+
+
+def negation_residual_loop(structures):
+    by_label = {cs.label: cs.op.matrix for cs in structures}
+    worst = 0.0
+    for label, f in by_label.items():
+        g = by_label.get(label[1:] if label.startswith("-") else "-" + label)
+        if g is None:
+            return np.inf
+        worst = max(worst, float(np.max(np.abs(f + g), initial=0.0)))
+    return worst

@@ -577,6 +577,17 @@ class TestNegationClosure:
         assert negation_residual(family) > TAU_STRUCTURE
         assert not self.any_negative(family)
 
+    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 6), (12, 1, 6), (24, 1, 4), (9, 2, 8), (9, 3, 8)])
+    def test_stacked_maximum_equals_the_per_label_loop(self, get_space, n, m_blocks, k):
+        ps = get_space(n, k, m_blocks)
+        for family in (flagf.generate_f_structures(ps), flagf.generate_product_structures(ps)):
+            assert negation_residual(family).hex() == reference.negation_residual_loop(family).hex()
+            bent = np.array(family[-1].op.matrix)
+            bent[-1, 0] += 3e-12
+            family[-1] = dataclasses.replace(family[-1], op=EndoOnM(family[-1].op.domain, bent))
+            assert negation_residual(family).hex() == reference.negation_residual_loop(family).hex()
+            assert negation_residual(family[1:]) == reference.negation_residual_loop(family[1:]) == np.inf
+
     def test_a_structure_without_a_partner_fails(self, get_space):
         family = [cs for cs in flagf.generate_product_structures(get_space(5, 6)) if cs.label != "-P3"]
         assert negation_residual(family) == np.inf
@@ -623,6 +634,36 @@ class TestGoldenActions:
         assert not rep.passed and rep.max_deviation == worst > 1.0
         assert rep.mismatches == mismatches and {m[0] for m in mismatches} == {"f2"}
 
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (5, 6), (8, 6), (12, 6), (16, 6), (24, 6)])
+    @pytest.mark.parametrize("corruption", ["none", "entry-3e-12", "labels-swapped"])
+    def test_lex_chain_equals_dense_images_bitwise(self, get_space, get_f_structures, n, k, corruption):
+        # The check reads all labels' images off one product chain in lex coordinates; the
+        # reference builds each label's dense (P, n, n) image.  Deviations and mismatches, their
+        # order and the sign of every zero in them must agree.
+        ps, fs = get_space(n, k), get_f_structures(n, k)
+        if corruption == "entry-3e-12":
+            first = sorted(canonical.F_LABEL_SIGNS[k])[0]
+            bent = np.array(structure_by_label(fs, first).op.matrix)
+            bent[1, 0] += 3e-12
+            fs = [dataclasses.replace(cs, op=EndoOnM(cs.op.domain, bent)) if cs.label == first else cs for cs in fs]
+        elif corruption == "labels-swapped":  # f2 <-> f3; f0 <-> -f0 at k = 4, which has no f2
+            swap = {"f2": "f3", "f3": "f2"} if k == 6 else {"f0": "-f0", "-f0": "f0"}
+            fs = [dataclasses.replace(cs, label=swap.get(cs.label, cs.label)) for cs in fs]
+
+        def hexed(rep):
+            return (
+                rep.n, rep.k, rep.max_deviation.hex(), [(label, dev.hex()) for label, dev in rep.per_structure],
+                [(label, ij, got.hex(), want.hex()) for label, ij, got, want in rep.mismatches],
+            )
+
+        rep = golden_action_check(ps, fs)
+        assert hexed(rep) == hexed(reference.golden_action_dense(ps, fs))
+        assert rep.passed == (corruption == "none")
+        if corruption != "none":
+            assert rep.mismatches and any(ij[0] > ij[1] for _, ij, _, _ in rep.mismatches)
+        if corruption == "labels-swapped" and k == 6:  # f3 is 0 on m2, f2 on m1: zeros are listed, signed
+            assert any(x == 0.0 for m in rep.mismatches for x in m[2:])
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("k", [4, 6])

@@ -21,10 +21,10 @@ from flagf.classify import (
     product_compat_residual,
     structure_matrices,
 )
-from flagf import classify
+from flagf import canonical, classify, liealg, metricgeom
 from flagf.liealg import Subspace, bracket_coords, scatter
 from flagf.metricgeom import MetricGrid, MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients
-from structure_checks_reference import u_coords_tensor
+from structure_checks_reference import kept_entries_from_stacks, u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -461,27 +461,63 @@ class TestJoinedSetUp:
         assert classify.class_evaluators([], get_split(5, 4)) == []
 
     def test_cost_guard_one_block_of_width_one(self, get_split, get_f_structures, monkeypatch):
-        # The sign-pair matrices, their squares and transposes have at most one nonzero per row, so
-        # the join's tables have width 1 and the 8 f-structures of (24, 6) join in one block.  The
+        # J, J^2 and their transposes have at most one nonzero per row on the flag split, so the
+        # join's tables have width 1 and the 8 f-structures of (24, 6) join in one block.  The
         # generated matrices carry rounding noise beside each entry: width 2, 8x the padded products.
         split, fs = get_split(24, 6), get_f_structures(24, 6)
-        assert classify.nonzero_rows(structure_matrices(fs, split))[0].shape[-1] == 2
+        assert liealg.nonzero_rows(structure_matrices(fs, split))[0].shape[-1] == 2
+        assert split.row_tables[0].shape == split.row_tables[1].shape == (5, split.dim, 1)
         widths, blocks = [], []
-        rows, summed = classify.nonzero_rows, classify._summed_entries
+        summed = classify._summed_entries
 
-        def recording_rows(*mats):
-            out = rows(*mats)
-            widths.append(out[0].shape[-1])
-            return out
-
-        def counting_summed(block, *rest):
+        def counting_summed(block, idx, *rest):
             blocks.append(len(block))
-            return summed(block, *rest)
+            widths.append(len(idx))
+            return summed(block, idx, *rest)
 
-        monkeypatch.setattr(classify, "nonzero_rows", recording_rows)
         monkeypatch.setattr(classify, "_summed_entries", counting_summed)
         classify.class_evaluators(fs, split)
         assert widths == [1] and blocks == [3 * len(fs)]
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (5, 6), (8, 6), (12, 6), (16, 6), (24, 6)])
+    def test_row_tables_off_j_equal_the_stack_scan(self, get_split, get_f_structures, monkeypatch, n, k):
+        # The join reads its row tables off the split's tables of J, scaled by each structure's
+        # signs; the reference scans the (S, d, d) stacks of f, f^2 and their transposes.  The
+        # bits must agree for the whole list, for one structure alone, and on a split whose block
+        # bases are turned, where J's rows are as wide as their block.
+        split, fs = get_split(n, k), get_f_structures(n, k)
+        splits = [split] + ([rotated_split(split, np.random.default_rng(5))] if n <= 8 else [])  # its rows are wide
+        for sp in splits:
+            for family in (fs, fs[:1], fs[-1:]):
+                fresh = classify.class_evaluators(family, sp)
+                with monkeypatch.context() as patched:
+                    patched.setattr(classify, "_kept_entries", kept_entries_from_stacks)
+                    scanned = classify.class_evaluators(family, sp)
+                for a, b in zip(fresh, scanned, strict=True):
+                    assert [x.shape for x in (a._values, a._pairs, a._owner)] == [
+                        x.shape for x in (b._values, b._pairs, b._owner)
+                    ]
+                    self.assert_same_bits(a, b, CORNER_GRID[:3])
+
+    def test_cost_guard_no_structure_stack_is_scanned(self, get_split, get_f_structures, monkeypatch):
+        # Set-up scales the split's row tables of J: it scans no matrix for its nonzeros,
+        # neither the (S, d, d) stack of the structures nor f^2 or a transpose.
+        scanned = []
+        original = liealg.nonzero_rows
+
+        def recording(*mats):
+            scanned.append([np.shape(m) for m in mats])
+            return original(*mats)
+
+        split, fs = get_split(8, 6), get_f_structures(8, 6)
+        turned = rotated_split(split, np.random.default_rng(5))
+        for module in (liealg, canonical, classify, metricgeom):
+            if hasattr(module, "nonzero_rows"):
+                monkeypatch.setattr(module, "nonzero_rows", recording)
+        for sp in (split, turned):
+            classify.class_evaluators(fs, sp)
+            ClassEvaluator(fs[0], sp)
+        assert scanned == []
 
     def test_a_structure_needs_its_sign_pair(self, get_split, get_f_structures):
         f1 = structure_by_label(get_f_structures(5, 6), "f1")

@@ -10,6 +10,7 @@ from flagf.liealg import (
     lex_indices,
     lie_mats,
     lie_rows,
+    nonzero_rows,
     op_powers,
     operator_on,
     scatter,
@@ -491,6 +492,23 @@ class TestSparseRows:
         sp = random_subspace(rng, 5, 6)
         np.testing.assert_array_equal(sp.sub(2, 5).coords, sp.coords[2:5])
         assert sp.sub(3, 3).dim == 0
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 6, 6)])
+    def test_nonzero_rows_read_each_row(self, rng, shape):
+        # Per matrix and row: the columns of its nonzeros in order and their values, then
+        # column 0 and value 0 to the widest row.  -0.0 counts as zero; a transposed view is read row by row.
+        mats = rng.standard_normal(shape) * (rng.random(shape) < 0.4)
+        mats[..., 0, :] = -0.0
+        idx, val = nonzero_rows(mats, mats.swapaxes(-1, -2), np.zeros(shape))
+        rows = np.concatenate([mats.reshape(-1, shape[-1]), mats.swapaxes(-1, -2).reshape(-1, shape[-1])])
+        wide = max(1, np.count_nonzero(rows, axis=1).max())
+        assert idx.shape == val.shape == (3,) + shape[:-1] + (wide,) and idx.dtype == np.intp
+        for t, m in enumerate((mats, mats.swapaxes(-1, -2), np.zeros(shape))):
+            for row, cols, vals in zip(m.reshape(-1, shape[-1]), idx[t].reshape(-1, wide), val[t].reshape(-1, wide)):
+                at = np.flatnonzero(row)
+                pad = wide - len(at)
+                np.testing.assert_array_equal(cols, np.concatenate([at, np.zeros(pad, dtype=int)]))
+                assert vals.tobytes() == np.concatenate([row[at], np.zeros(pad)]).tobytes()
 
 
 class TestSparseLeakAndRestriction:
