@@ -26,6 +26,6 @@ for n, k in [(5, 4), (5, 6)]:
 
     # theta generates everything downstream; its matrix powers cycle with
     # period exactly k.
-    tk = np.linalg.matrix_power(ps.theta.matrix, k)
+    tk = np.linalg.matrix_power(ps.theta, k)
     print(f"max |theta^{k} - id| = {np.max(np.abs(tk - np.eye(ps.m.dim))):.2e}")
     print()

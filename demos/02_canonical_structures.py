@@ -10,8 +10,8 @@ np.set_printoptions(precision=4, suppress=True)
 
 def max_commutator(cs, family):
     """max |[F, G]| over the other structures G of the family, multiplied out."""
-    f = cs.op.matrix
-    return max(float(np.max(np.abs(f @ g.op.matrix - g.op.matrix @ f))) for g in family if g is not cs)
+    f = cs.matrix
+    return max(float(np.max(np.abs(f @ g.matrix - g.matrix @ f))) for g in family if g is not cs)
 
 
 def poly_str(coeffs):

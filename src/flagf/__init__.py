@@ -9,7 +9,6 @@ the Killing, nearly-Kaehler and G1 classes as a function of (s, t).
 """
 
 from .liealg import (
-    EndoOnM,
     Subspace,
     brackets,
     lie_mats,
@@ -25,7 +24,6 @@ from .phispace import (
 )
 from .canonical import (
     CanonicalStructure,
-    GoldenActionReport,
     StructureCheck,
     expected_flag_action,
     generate_f_structures,

@@ -17,7 +17,8 @@ at the angle pi) and P acts as xi_l.  So a structure is fixed by its signs on
 the angles theta has (:func:`phispace.theta_angles`), its sign key, and two
 signature tuples give the same operator iff their keys agree.  This module
 builds one structure per sign key, all keys of a kind as one stack summed
-term by term over theta's powers, and labels them from exact sign tables.
+term by term over theta's powers, and labels them from exact sign tables;
+each structure's matrix is a plain (d, d) array over m's basis, as theta is.
 On the m_blocks = 1 flag space theta has one angle on each of m1, m2, m3,
 so an f-structure is fixed by its sign pair (eps1, eps2) on m1 and m2, and
 :func:`sign_pair_matrices` builds it from that pair exactly; the class
@@ -26,10 +27,11 @@ engine reads those matrices, and verify ties them to the generated ones.
 their matrices (identities, reconstruction, theta-commutation) and bounds
 from those their commutation with each other and with ad(h),
 :func:`negation_residual` pairs each structure with its negative, in one
-stacked sum, and :func:`golden_action_check` compares the k = 4 and k = 6
-structures entrywise with their closed-form actions on the flag spaces:
-the images of all labels come from one product chain in lex coordinates,
-and the lower triangle of a skew image is the negated upper one.
+stacked sum, and :func:`golden_action_check` returns the largest entrywise
+deviation of the k = 4 and k = 6 structures from their closed-form actions
+on the flag spaces: the images of all labels come from one product chain in
+lex coordinates, and the lower triangle of a skew image is the negated
+upper one.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import EndoOnM, lex_indices, lie_mats, nonzero_rows, sum_by_key
+from .liealg import lex_indices, lie_mats, nonzero_rows, sum_by_key
 from .metricgeom import TripleSplit
 from .phispace import PhiSpace, theta_angles
-from .tolerances import TAU_GENERATED, TAU_GOLDEN
+from .tolerances import TAU_GENERATED
 
 # The paper's structures of orders 4 and 6, by their signature: zeta_1..zeta_u
 # for f, xi_1..xi_{k/2} for P.  A structure takes the first label whose signs
@@ -59,12 +61,13 @@ P_LABEL_SIGNS = {
 
 @dataclass(frozen=True, eq=False)
 class CanonicalStructure:
-    """One canonical structure: its operator and the polynomial that built it.
+    """One canonical structure: its matrix and the polynomial that built it.
 
     kind is "f-structure", "almost-complex" (an f-structure with trivial
     kernel) or "almost-product".  ``signature`` is the coefficient tuple
     (zeta or xi) that produced the operator; ``theta_polynomial`` lists
-    a_0..a_{k-1} with op = sum a_m theta^m.  ``sign_pair`` is (eps1, eps2),
+    a_0..a_{k-1} with matrix = sum a_m theta^m, a read-only (d, d) array
+    over m's basis, as ``PhiSpace.theta``.  ``sign_pair`` is (eps1, eps2),
     the signs of an f-structure on m1 and m2 of the m_blocks = 1 flag space
     (:func:`sign_pair_matrices`), and None for any other structure.
     """
@@ -73,7 +76,7 @@ class CanonicalStructure:
     label: str
     signature: tuple[int, ...]
     theta_polynomial: tuple[float, ...]
-    op: EndoOnM
+    matrix: np.ndarray
     sign_pair: tuple[int, int] | None = None
 
 
@@ -87,21 +90,6 @@ class StructureCheck:
     theta_commutation: float
     ad_invariance: float
     pairwise_commutation: float
-
-
-@dataclass(frozen=True)
-class GoldenActionReport:
-    """Entrywise comparison of structure actions against their closed forms."""
-
-    n: int
-    k: int
-    max_deviation: float
-    per_structure: tuple[tuple[str, float], ...]
-    mismatches: tuple[tuple[str, tuple[int, int], float, float], ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation < TAU_GOLDEN
 
 
 def u_of_k(k: int) -> int:
@@ -188,7 +176,8 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
         res = _max_abs(np.subtract(sq, np.eye(d), out=sq) if product else np.add(sq @ stack, stack, out=sq))
         if res.max() > TAU_GENERATED:  # the generating formulas guarantee the defining identities
             raise RuntimeError(f"generated operator violates its identity ({res[np.argmax(res > TAU_GENERATED)]:.3e})")
-        ops += [EndoOnM(ps.m, op) for op in stack]
+        stack.flags.writeable = False
+        ops += list(stack)
 
     paired = not product and ps.spec.m_blocks == 1
     at = [l - 1 for l in flag_block_angles(k)[:2]]  # the signs of m1 and m2 in a signature
@@ -299,9 +288,9 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
     if not structures:
         return []
     d, count = ps.m.dim, len(structures)
-    th = ps.theta.matrix
+    th = ps.theta
     t_h = _ad_commutator(th, ps)  # joined before the stacks exist, so its memory adds to none of them
-    f = np.array([cs.op.matrix for cs in structures]).reshape(count, d, d)
+    f = np.array([cs.matrix for cs in structures]).reshape(count, d, d)
     work, tmp = np.empty_like(f), np.empty_like(f)  # every step below writes into these two
 
     np.matmul(f, f, out=work)
@@ -348,7 +337,7 @@ def negation_residual(structures) -> float:
             pairs.append((a, b))
     if not pairs:
         return 0.0
-    f = np.array([cs.op.matrix for cs in structures])
+    f = np.array([cs.matrix for cs in structures])
     a, b = np.transpose(pairs)
     return float(np.max(np.abs(f[a] + f[b])))
 
@@ -387,58 +376,30 @@ def expected_flag_action(label: str, s: np.ndarray) -> np.ndarray:
     return t - t.swapaxes(-1, -2)
 
 
-def golden_action_check(ps: PhiSpace, structures) -> GoldenActionReport:
-    """Compare every order-4/order-6 f-structure against its closed-form
-    action, entrywise, on each basis coordinate and on a dense element.
-    ``structures`` are the f-structures of ps, as generate_f_structures gives them.
+def golden_action_check(ps: PhiSpace, structures) -> float:
+    """The largest entrywise deviation of an order-4/order-6 f-structure's
+    action from its closed form, over each basis coordinate and a dense
+    element.  ``structures`` are the f-structures of ps, as
+    generate_f_structures gives them.
 
     The images of all labels come as one product chain in lex coordinates,
     x C^T F^T C / sqrt(2) for the probes' rows x, C = ps.m.coords: the upper
     triangles of the image matrices.  Their lower triangles are the negated
-    upper ones, 0.0 - x as in a skew matrix built from its upper triangle,
-    so the deviations and mismatches are those of the dense matrices."""
+    upper ones, so the deviation is that of the dense matrices."""
     k, n = ps.spec.k, ps.spec.n
     if k not in (4, 6) or ps.spec.m_blocks != 1:
         raise ValueError("closed-form actions are tabulated for the m_blocks=1 spaces of order 4 or 6")
     labels = sorted(F_LABEL_SIGNS[k])
 
-    # Probes: every basis element of m, then one dense element.  Mismatches are
-    # listed in the C order of (probe, i, j): probe-major, entries row by row.
+    # Probes: every basis element of m, then one dense element.
     c = ps.m.coords
     rows = np.vstack([c, (np.arange(1.0, ps.m.dim + 1.0) / 3.0) @ c])
     probes = lie_mats(n, rows)
-    f = np.array([structure_by_label(structures, label).op.matrix for label in labels])
+    f = np.array([structure_by_label(structures, label).matrix for label in labels])
     x = np.sqrt(2.0) * (rows / np.sqrt(2.0))  # lie_rows(probes), bit for bit, without re-checking their skew symmetry
     y = (x @ c.T)[..., None]  # (probes, d, 1)
-    # F y one matrix-vector product per (label, probe), as apply_mats takes it: one matrix
-    # product over the probes would sum the dense probe's image in another order
+    # F y one matrix-vector product per (label, probe): one matrix product over
+    # the probes would sum the dense probe's image in another order
     got = (f[:, None] @ y)[..., 0] @ c / np.sqrt(2.0)  # (labels, probes, lex)
-    upper = lex_indices(n)
-    want = np.array([expected_flag_action(label, probes)[(..., *upper)] for label in labels])
-    delta = np.abs(got - want)
-    per = [(label, float(dev)) for label, dev in zip(labels, delta.max(axis=(1, 2)))]
-    high = delta > TAU_GOLDEN
-    return GoldenActionReport(
-        n=n,
-        k=k,
-        max_deviation=max(dev for _, dev in per),
-        per_structure=tuple(per),
-        mismatches=_mismatches(labels, upper, got, want, high) if high.any() else (),
-    )
-
-
-def _mismatches(labels, upper, got, want, high) -> tuple:
-    """The entries (label, (i, j), got, want) of the skew images where high is
-    set on their upper triangles, given as (labels, probes, lex) arrays, each
-    also at (j, i) with 0.0 - got and 0.0 - want; label-major, then in the C
-    order of (probe, i, j)."""
-    lab, p, q = np.unravel_index(np.flatnonzero(high), high.shape)
-    i, j = upper[0][q], upper[1][q]
-    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-    g, w = got[lab, p, q], want[lab, p, q]
-    g, w = np.concatenate([g, 0.0 - g]), np.concatenate([w, 0.0 - w])
-    lab, p = np.tile(lab, 2), np.tile(p, 2)
-    order = np.lexsort((cols, rows, p, lab))
-    return tuple(
-        (labels[a], (r, c), gv, wv) for a, r, c, gv, wv in zip(*(x[order].tolist() for x in (lab, rows, cols, g, w)))
-    )
+    want = np.array([expected_flag_action(label, probes)[(..., *lex_indices(n))] for label in labels])
+    return float(np.abs(got - want).max())

@@ -467,25 +467,44 @@ def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
 
 
 def structure_matrices(structures, split: TripleSplit) -> np.ndarray:
-    """The (S, d, d) stack of the structures' generated matrices over the block basis."""
-    return np.array([cs.op.matrix_on(split.combined) for cs in structures]).reshape(-1, split.dim, split.dim)
+    """The (S, d, d) stack of the structures' generated matrices, over m's
+    basis, which is the split's (build_split requires it)."""
+    return np.array([cs.matrix for cs in structures]).reshape(-1, split.dim, split.dim)
 
 
-def metric_compat_residual(f: np.ndarray, split: TripleSplit, params: MetricParams) -> float:
+def metric_compat_residual(f: np.ndarray, split: TripleSplit, params: MetricParams | MetricGrid) -> float | np.ndarray:
     """Max |g(fX, Y) + g(X, fY)| over basis pairs, normalized by kappa, for a
-    (d, d) block-basis matrix f or the most incompatible of an (S, d, d) stack."""
-    gd = block_weights(split, params)
-    lhs = np.swapaxes(f, -1, -2) * gd  # lhs[i, j] = g(f X_i, X_j) = gd_j F[j, i]
-    rhs = gd[:, None] * f  # rhs[i, j] = g(X_i, f X_j) = gd_i F[i, j]
-    return float(np.max(np.abs(lhs + rhs), initial=0.0) / params.kappa)
+    (d, d) block-basis matrix f or the most incompatible of an (S, d, d)
+    stack: a float at one point, a (P,) array on a grid."""
+
+    def worst(g):
+        y = g[:, None] * f  # y[i, j] = g(X_i, f X_j) = g_i F[i, j], so y[j, i] = g(f X_i, X_j)
+        return np.max(np.abs(np.swapaxes(y, -1, -2) + y), initial=0.0)
+
+    return _at_each_point(worst, split, params)
 
 
-def product_compat_residual(p: np.ndarray, split: TripleSplit, params: MetricParams) -> float:
+def product_compat_residual(p: np.ndarray, split: TripleSplit, params: MetricParams | MetricGrid) -> float | np.ndarray:
     """Max |g(PX, PY) - g(X, Y)| over basis pairs, normalized by kappa, for a
     (d, d) block-basis matrix P or the worst of an (S, d, d) stack (the
-    compatibility notion appropriate for almost product structures)."""
-    g = np.diag(block_weights(split, params))
-    return float(np.max(np.abs(np.swapaxes(p, -1, -2) @ g @ p - g), initial=0.0) / params.kappa)
+    compatibility notion appropriate for almost product structures): a
+    float at one point, a (P,) array on a grid."""
+
+    def worst(g):
+        g = np.diag(g)
+        return np.max(np.abs(np.swapaxes(p, -1, -2) @ g @ p - g), initial=0.0)
+
+    return _at_each_point(worst, split, params)
+
+
+def _at_each_point(worst, split: TripleSplit, params: MetricParams | MetricGrid) -> float | np.ndarray:
+    """worst(g) / kappa for the block weights g of the point, or of each point
+    of a grid as a (P,) array: one point at a time, so that the (S, d, d)
+    temporaries of a point stay in cache."""
+    g = block_weights(split, params)
+    if g.ndim == 1:
+        return float(worst(g) / params.kappa)
+    return np.array([worst(column) for column in g.T]) / params.kappa
 
 
 def build_grid(

@@ -7,9 +7,11 @@ ordered lexicographically in (i, j).  :func:`lie_rows` and :func:`lie_mats`
 convert between them, and lie_rows is the one place a matrix is checked for
 skew-symmetry.  The lex basis is orthonormal for the trace form
 <X, Y> = Tr(X^T Y), so the trace form of two elements is the dot product of
-their rows.  :func:`brackets` takes the commutators of two stacks,
-:class:`Subspace` holds orthonormal rows and :class:`EndoOnM` an operator on
-them.  The fixed basis pins down every operator matrix and report for
+their rows.  :func:`brackets` takes the commutators of two stacks and
+:class:`Subspace` holds orthonormal rows.  An operator on a subspace is a
+plain (dim, dim) matrix over its basis, column j the coefficients of the
+image of basis vector j (:func:`operator_on`, :func:`op_powers`).  The
+fixed basis pins down every operator matrix and report for
 reproducibility.  Stacks of matrices serve only the oracles on random and
 probe elements (verify's phi checks and the golden actions of the
 structures); brackets, and the connection and class conditions built on
@@ -40,7 +42,6 @@ it reads each row's nonzeros into padded column and value tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -176,55 +177,15 @@ def _gram_deviation(dg: int, dim: int, row, pos, val) -> float:
     return max(float(np.abs(g - diag).max(initial=0.0)), 1.0 if missing else 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class EndoOnM:
-    """A linear operator on a subspace, as a matrix over its ordered basis.
-
-    Column j holds the coefficients of the image of basis vector j.
-    :meth:`apply_mats` projects its arguments to the domain first; callers
-    that need exactness keep them inside the domain.
-    """
-
-    domain: Subspace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        d = self.domain.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must be {d}x{d}, got {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
-
-    def apply_mats(self, mats: np.ndarray) -> np.ndarray:
-        """Images of a (P, n, n) stack of skew matrices, one matrix-vector product per factor."""
-        c = self.domain.coords
-        return lie_mats(self.domain.ambient_n, (c.T @ (self.matrix @ (c @ lie_rows(mats)[..., None])))[..., 0])
-
-    def matrix_on(self, domain: Subspace) -> np.ndarray:
-        """Matrix of this operator over another orthonormal basis of the domain."""
-        mine = self.domain
-        if domain is mine or (
-            domain.dim == mine.dim and all(np.array_equal(a, b) for a, b in zip(domain.entries, mine.entries))
-        ):
-            return np.array(self.matrix)
-        r = domain.coords @ self.domain.coords.T
-        return r @ self.matrix @ r.T
-
-
-def op_powers(op: EndoOnM, count: int) -> np.ndarray:
-    """op^0, ..., op^(count - 1) as a (count, d, d) stack, each op @ the one before."""
-    powers = np.empty((count, op.dim, op.dim))
-    p = np.eye(op.dim)
+def op_powers(op: np.ndarray, count: int) -> np.ndarray:
+    """op^0, ..., op^(count - 1) of a (d, d) matrix as a (count, d, d) stack, each op @ the one before."""
+    d = len(op)
+    powers = np.empty((count, d, d))
+    p = np.eye(d)
     for m in range(count):
         powers[m] = p
         if m + 1 < count:
-            p = op.matrix @ p
+            p = op @ p
     return powers
 
 

@@ -170,10 +170,12 @@ def _per_point(x: np.ndarray, params: MetricParams | MetricGrid) -> np.ndarray:
 def build_split(ps: PhiSpace) -> TripleSplit:
     """Read off the three blocks of m for a single-rotation-block flag space.
 
-    Raises ValueError if the space does not have the m_blocks = 1 pattern.
-    All structural invariants (dimensions, exact pairwise orthogonality,
-    ad(h)-invariance of each block, and the cyclic bracket relations
-    [m_i, m_{i+1}] in m_{i+2}) are verified before returning.
+    Raises ValueError if the space does not have the m_blocks = 1 pattern,
+    or if m's rows are not the pattern's rows: the split's basis is m's
+    basis, so every operator on m is already over it.  All structural
+    invariants (dimensions, exact pairwise orthogonality, ad(h)-invariance
+    of each block, and the cyclic bracket relations [m_i, m_{i+1}] in
+    m_{i+2}) are verified before returning.
     """
     if ps.spec.m_blocks != 1:
         raise ValueError(
@@ -181,8 +183,7 @@ def build_split(ps: PhiSpace) -> TripleSplit:
         )
     n = ps.spec.n
     pattern = flag_complement_pattern(n)
-    if ps.m.dim != pattern.dim or not set(ps.m.entries[1].tolist()) <= set(pattern.entries[1].tolist()):
-        # m lies in the pattern's span iff its nonzeros sit on the pattern's lex positions
+    if not all(map(np.array_equal, ps.m.entries, pattern.entries)):
         raise ValueError("complement does not match the flag block pattern")
 
     d1, d2, d3 = 2, 2 * (n - 3), n - 3
@@ -193,20 +194,19 @@ def build_split(ps: PhiSpace) -> TripleSplit:
     nonzeros = bracket_coords(combined, combined, onto=combined)
     split = TripleSplit(
         m1=m1, m2=m2, m3=m3, combined=combined, block_index=block_index, bracket_nonzeros=nonzeros,
-        complex_structure=_complex_structure(ps, combined),
+        complex_structure=_complex_structure(ps),
     )
     _check_split_invariants(ps, split)
     return split
 
 
-def _complex_structure(ps: PhiSpace, basis: Subspace) -> np.ndarray:
+def _complex_structure(ps: PhiSpace) -> np.ndarray:
     """J1 (+) J2 (+) 0 over the flag basis: the signs of theta - theta^T.
     theta turns each pair (X, JX) of m1 and m2 by an angle 2 pi l / k,
     0 < l < k/2, up to sign, and each entry of theta on m is one product, so
     theta - theta^T is 2 sin(2 pi l / k) J there, with the orientation theta
     turns by, and exactly 0 off those pairs and on m3 (the angle pi)."""
-    theta = ps.theta.matrix_on(basis)
-    return np.sign(theta - theta.T)
+    return np.sign(ps.theta - ps.theta.T)
 
 
 def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:

@@ -16,16 +16,18 @@ block-diagonal on the lex basis, one block per pair of B's blocks
 dim so(n) for a dense B).  h and m come block by block from phi - id: a zero
 block gives h its lex vectors, a nonsingular one gives them to m, and only a
 block that is neither takes an SVD, of its own matrix.  theta is gathered
-from the nonzeros of phi.  The blocks are the only form phi is kept in:
-:func:`check_regularity` reads its ranks off the singular values of each
-block of phi - id and of its square, and verify's three phi checks apply phi
-to lex rows block by block, once to the probe pairs and once to their
-brackets (:func:`phi_residuals`).  Nothing forms a dense dim-so(n) matrix,
-except the one block of a hand-built dense B.  The brackets [h, m] are
-joined once per space, into :attr:`PhiSpace.h_m_table`; ad(h) on m,
-reductivity and the ad(h)-invariance of the split's blocks
-(:func:`ad_h_leak`) are read off it, the last with no change of basis when
-the blocks are m's own rows, as the split's are.
+from the nonzeros of phi into a plain matrix over m's basis, the one basis
+every operator on m is held in (the flag basis at m_blocks = 1).  The
+blocks are the only form phi is kept in: :func:`check_regularity` reads its
+ranks off the singular values of each block of phi - id and of its square,
+and verify's three phi checks apply phi to lex rows block by block, once to
+the probe pairs and once to their brackets (:func:`phi_residuals`).
+Nothing forms a dense dim-so(n) matrix, except the one block of a
+hand-built dense B.  The brackets [h, m] are joined once per space, into
+:attr:`PhiSpace.h_m_table`; ad(h) on m, reductivity and the
+ad(h)-invariance of the split's blocks (:func:`ad_h_leak`) are read off it,
+the last with no change of basis when the blocks are m's own rows, as the
+split's are.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .liealg import EndoOnM, Subspace, _coefficients, _join, _projection, basis_change, bracket_coords, brackets
+from .liealg import Subspace, _coefficients, _join, _projection, basis_change, bracket_coords, brackets
 from .liealg import lex_indices, lie_mats, lie_rows, op_powers, operator_on, so_dim, stacked_rows, sum_by_key
 from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
@@ -83,14 +85,15 @@ class PhiSpace:
         Fixed-point subalgebra ker(phi - id).
     m : Subspace
         Canonical complement im(phi - id).
-    theta : EndoOnM
-        Restriction of phi to m.
+    theta : np.ndarray
+        Restriction of phi to m: its read-only (dim m, dim m) matrix over
+        m's basis, column j the image of basis vector j.
     """
 
     spec: AutomorphismSpec
     h: Subspace
     m: Subspace
-    theta: EndoOnM
+    theta: np.ndarray
 
     @cached_property
     def theta_powers(self) -> np.ndarray:
@@ -104,7 +107,7 @@ class PhiSpace:
     def theta_order_residual(self) -> float:
         """max |theta^k - id| on m, theta^k = theta @ theta^(k - 1) of :attr:`theta_powers`:
         the one theta-order residual, which build_phi_space raises on."""
-        return float(np.abs(self.theta.matrix @ self.theta_powers[-1] - np.eye(self.m.dim)).max(initial=0.0))
+        return float(np.abs(self.theta @ self.theta_powers[-1] - np.eye(self.m.dim)).max(initial=0.0))
 
     @cached_property
     def h_m_table(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -169,10 +172,6 @@ class RegularityReport:
     @property
     def agree(self) -> bool:
         return len(set(asdict(self).values())) == 1
-
-    @property
-    def all_pass(self) -> bool:
-        return self.agree and self.direct_sum
 
 
 def rotation_block(angle: float) -> np.ndarray:
@@ -374,7 +373,9 @@ def build_phi_space(spec: AutomorphismSpec) -> PhiSpace:
 
     entries = [(pos.repeat(pos.shape[1]), pos.repeat(pos.shape[1], axis=0).ravel(), mats.ravel()) for pos, mats in blocks]
     rows, cols, vals = (np.concatenate(col) for col in zip(*entries))
-    ps = PhiSpace(spec=spec, h=h, m=m, theta=EndoOnM(m, operator_on(m, rows, cols, vals)))
+    theta = operator_on(m, rows, cols, vals)
+    theta.flags.writeable = False
+    ps = PhiSpace(spec=spec, h=h, m=m, theta=theta)
     _check_phi_space_invariants(ps)
     return ps
 
@@ -409,7 +410,7 @@ def _check_phi_space_invariants(ps: PhiSpace) -> None:
     # Reductivity: [h, m] stays in m (absolute leak; a zero bracket leaks nothing).
     if ad_h_leak(ps) > TAU_SUBSPACE:
         raise RuntimeError("reductivity failure: [h, m] leaves m")
-    if not _nonsingular(ps.theta.matrix - np.eye(m.dim)):
+    if not _nonsingular(ps.theta - np.eye(m.dim)):
         raise RuntimeError("theta has a fixed vector")
     if ps.theta_order_residual > TAU_ORDER:
         raise RuntimeError("theta^k is not the identity")
@@ -439,7 +440,7 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
         direct_sum=bool(ps.h.dim + ps.m.dim == dg and np.max(np.abs(cross), initial=0.0) < TAU_SUBSPACE),
         nonsingular_on_image=bool(np.min(kept, initial=np.inf) > TAU_NONSINGULAR),
         kernel_square_stable=ps.h.dim == np.count_nonzero(sv_a2 <= TAU_RANK_REL * sv_a2.max()),
-        theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
+        theta_no_fixed_vector=_nonsingular(ps.theta - np.eye(ps.m.dim)),
     )
 
 

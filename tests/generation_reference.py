@@ -6,8 +6,8 @@ polynomial and operator bits.
 Python sums; ``structures_one_at_a_time`` walks the sign keys in
 itertools.product order, builds each signature, evaluates its polynomial in
 theta with ``poly_in`` on the space's power stack and checks its defining
-identity on its own.  ``poly_in`` sums one polynomial in an operator term by
-term, the float steps every generated operator keeps.
+identity on its own.  ``poly_in`` sums one polynomial in an operator's
+matrix term by term, the float steps every generated operator keeps.
 """
 
 import itertools
@@ -15,23 +15,23 @@ import itertools
 import numpy as np
 
 from flagf.canonical import F_LABEL_SIGNS, P_LABEL_SIGNS, CanonicalStructure, u_of_k
-from flagf.liealg import EndoOnM, op_powers
+from flagf.liealg import op_powers
 from flagf.phispace import theta_angles
 from flagf.tolerances import TAU_GENERATED
 
 
-def poly_in(op: EndoOnM, coeffs, powers=None) -> EndoOnM:
-    """Evaluate sum_m coeffs[m] * op^m, term by term in m.  ``powers`` is
+def poly_in(op: np.ndarray, coeffs, powers=None) -> np.ndarray:
+    """Evaluate sum_m coeffs[m] * op^m for a (d, d) matrix op, term by term in m.  ``powers`` is
     op_powers(op, count) for some count >= len(coeffs), to reuse across calls."""
     if powers is None:
         powers = op_powers(op, len(coeffs))
     if len(coeffs) > len(powers):
         raise ValueError(f"{len(coeffs)} coefficients need more than {len(powers)} powers")
-    acc = np.zeros((op.dim, op.dim))
+    acc = np.zeros(op.shape)
     for c, p in zip(coeffs, powers):
         if c != 0.0:
             acc = acc + c * p
-    return EndoOnM(op.domain, acc)
+    return acc
 
 
 def f_polynomial(k: int, zeta) -> np.ndarray:
@@ -91,8 +91,8 @@ def structures_one_at_a_time(ps, product: bool) -> list[CanonicalStructure]:
             signature[l - 1] = sign
         poly = (p_polynomial if product else f_polynomial)(k, signature)
         op = poly_in(ps.theta, poly, ps.theta_powers)
-        sq = op.matrix @ op.matrix
-        res = np.max(np.abs(sq - np.eye(len(sq)) if product else sq @ op.matrix + op.matrix))
+        sq = op @ op
+        res = np.max(np.abs(sq - np.eye(len(sq)) if product else sq @ op + op))
         if res > TAU_GENERATED:
             raise RuntimeError(f"generated operator violates its identity ({res:.3e})")
         if product:

@@ -17,12 +17,13 @@ dense A = phi - id and A^2, with every singular value of A^2 and the dense
 cross Gram h.coords @ m.coords.T.  ``residuals``, ``relative_residuals`` and
 ``project_rows`` measure and project dense lex rows against a subspace.
 ``full_space`` and ``empty_space`` are all of so(n) on the lex basis and the
-zero subspace, which only the tests build.
+zero subspace, which only the tests build.  ``apply_on`` applies an operator,
+given by its matrix over a subspace's basis, to a stack of skew matrices.
 """
 
 import numpy as np
 
-from flagf.liealg import EndoOnM, Subspace, _bracket_join, _join, lie_mats, lie_rows, so_dim, sum_by_key
+from flagf.liealg import Subspace, _bracket_join, _join, lie_mats, lie_rows, so_dim, sum_by_key
 from flagf.phispace import RegularityReport, _nonsingular, flag_complement_pattern
 from flagf.tolerances import TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
@@ -60,6 +61,15 @@ def project_rows(space: Subspace, rows: np.ndarray) -> np.ndarray:
     return lie_mats(space.ambient_n, (space.coords.T @ (space.coords @ rows[..., None]))[..., 0])
 
 
+def apply_on(space: Subspace, matrix, mats) -> np.ndarray:
+    """Images of a (P, n, n) stack of skew matrices under the operator whose
+    (dim, dim) matrix over the basis of ``space`` is given (column j the image
+    of basis vector j): each argument projected to the space, then one
+    matrix-vector product per factor."""
+    c = space.coords
+    return lie_mats(space.ambient_n, (c.T @ (matrix @ (c @ lie_rows(mats)[..., None])))[..., 0])
+
+
 def kernel_dim(mat) -> int:
     """The singular values at or below TAU_RANK_REL times the largest one, counted."""
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -77,7 +87,7 @@ def dense_regularity(ps) -> RegularityReport:
         direct_sum=bool(ps.h.dim + ps.m.dim == dg and np.max(np.abs(cross)) < TAU_SUBSPACE),
         nonsingular_on_image=_nonsingular(ps.m.coords @ a @ ps.m.coords.T),
         kernel_square_stable=ps.h.dim == kernel_dim(a @ a),
-        theta_no_fixed_vector=_nonsingular(ps.theta.matrix - np.eye(ps.m.dim)),
+        theta_no_fixed_vector=_nonsingular(ps.theta - np.eye(ps.m.dim)),
     )
 
 
@@ -117,7 +127,7 @@ def kernel_and_image(m, domain: Subspace) -> tuple[Subspace, Subspace]:
     return Subspace(n, vh[rank:] @ domain.coords), Subspace(n, u[:, :rank].T @ domain.coords)
 
 
-def dense_phi_space(spec) -> tuple[Subspace, Subspace, EndoOnM]:
+def dense_phi_space(spec) -> tuple[Subspace, Subspace, np.ndarray]:
     """h, m and theta by the dense route: the SVD of phi - id, the flag
     pattern for m where it spans the same space, theta = m phi m^T."""
     n = spec.n
@@ -128,7 +138,7 @@ def dense_phi_space(spec) -> tuple[Subspace, Subspace, EndoOnM]:
         pattern = flag_complement_pattern(n)
         if pattern.dim == m.dim and np.max(residuals(m, pattern.coords)) < TAU_SUBSPACE:
             m = pattern
-    return h, m, EndoOnM(m, m.coords @ phi @ m.coords.T)
+    return h, m, m.coords @ phi @ m.coords.T
 
 
 def bracket_nonzeros(n: int, x_rows, y_rows) -> tuple[np.ndarray, ...]:

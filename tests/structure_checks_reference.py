@@ -21,8 +21,8 @@ U coefficient to patch in, for tests that a check sees it.
 ``negation_residual_loop`` takes max |F + G| one label at a time, over a
 dict of the structures' matrices.  ``golden_action_dense`` is the
 golden-action check on each label's dense (P, n, n) image of the probes,
-one ``EndoOnM.apply_mats`` per label, compared with ``expected_flag_action``
-entry by entry.  ``kept_entries_from_stacks`` is the class engine's join
+one ``space_reference.apply_on`` per label, compared with
+``expected_flag_action`` entry by entry.  ``kept_entries_from_stacks`` is the class engine's join
 with its row tables scanned off the (S, d, d) stacks I, f, f^2, f^T and
 (f^2)^T of the structures f = eps J.
 """
@@ -30,14 +30,12 @@ with its row tables scanned off the (S, d, d) stacks I, f, f^2, f^T and
 import numpy as np
 
 from flagf import classify, metricgeom
-from flagf.canonical import (
-    F_LABEL_SIGNS, GoldenActionReport, StructureCheck, expected_flag_action, structure_by_label
-)
+from flagf.canonical import F_LABEL_SIGNS, StructureCheck, expected_flag_action, structure_by_label
 from flagf.liealg import brackets, lie_mats, lie_rows, nonzero_rows, scatter, sum_by_key
 from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
-from flagf.tolerances import TAU_GOLDEN, TAU_SUBSPACE
+from flagf.tolerances import TAU_SUBSPACE
 from generation_reference import poly_in
-from space_reference import project_rows, relative_residuals
+from space_reference import apply_on, project_rows, relative_residuals
 
 
 def _max_abs(a):
@@ -60,14 +58,14 @@ def ad_commutator(f, ps):
 
 
 def verify_structure(cs, ps, others=()):
-    f, th = cs.op.matrix, ps.theta.matrix
+    f, th = cs.matrix, ps.theta
     return StructureCheck(
         label=cs.label,
         defining_residual=_defining_residual(f, product=cs.kind == "almost-product"),
-        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial, ps.theta_powers).matrix - f),
+        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial, ps.theta_powers) - f),
         theta_commutation=_max_abs(f @ th - th @ f),
         ad_invariance=ad_commutator(f, ps),
-        pairwise_commutation=max([0.0] + [_max_abs(f @ o.op.matrix - o.op.matrix @ f) for o in others]),
+        pairwise_commutation=max([0.0] + [_max_abs(f @ o.matrix - o.matrix @ f) for o in others]),
     )
 
 
@@ -159,15 +157,11 @@ def scaled_channel(channel, factor):
 def golden_action_dense(ps, structures):
     n = ps.spec.n
     probes = lie_mats(n, np.vstack([ps.m.coords, (np.arange(1.0, ps.m.dim + 1.0) / 3.0) @ ps.m.coords]))
-    per, mismatches = [], []
+    per = []
     for label in sorted(F_LABEL_SIGNS[ps.spec.k]):
-        got = structure_by_label(structures, label).op.apply_mats(probes)
-        want = expected_flag_action(label, probes)
-        delta = np.abs(got - want)
-        per.append((label, float(np.max(delta))))
-        for p, i, j in zip(*np.nonzero(delta > TAU_GOLDEN)):
-            mismatches.append((label, (int(i), int(j)), float(got[p, i, j]), float(want[p, i, j])))
-    return GoldenActionReport(n, ps.spec.k, max(dev for _, dev in per), tuple(per), tuple(mismatches))
+        got = apply_on(ps.m, structure_by_label(structures, label).matrix, probes)
+        per.append(float(np.max(np.abs(got - expected_flag_action(label, probes)))))
+    return max(per)
 
 
 def kept_entries_from_stacks(eps, split):
@@ -186,7 +180,7 @@ def kept_entries_from_stacks(eps, split):
 
 
 def negation_residual_loop(structures):
-    by_label = {cs.label: cs.op.matrix for cs in structures}
+    by_label = {cs.label: cs.matrix for cs in structures}
     worst = 0.0
     for label, f in by_label.items():
         g = by_label.get(label[1:] if label.startswith("-") else "-" + label)

@@ -95,7 +95,7 @@ class TestMetricCompatibility:
                 s, t = rng.uniform(0.1, 5.0, size=2)
                 p = MetricParams(float(s), float(t), kappa=float(n - 1))
                 for cs in get_f_structures(n, k):
-                    assert metric_compat_residual(cs.op.matrix_on(split.combined), split, p) < 1e-10
+                    assert metric_compat_residual(cs.matrix, split, p) < 1e-10
 
     def test_product_structures_preserve_metric(self, get_split, get_products, rng):
         split = get_split(5, 6)
@@ -103,14 +103,14 @@ class TestMetricCompatibility:
             s, t = rng.uniform(0.2, 4.0, size=2)
             p = MetricParams(float(s), float(t))
             for cs in get_products(5, 6):
-                assert product_compat_residual(cs.op.matrix_on(split.combined), split, p) < 1e-10
+                assert product_compat_residual(cs.matrix, split, p) < 1e-10
 
     def test_product_structure_fails_f_compatibility(self, get_space, get_split, get_products):
         # P3 is symmetric, not skew-adjoint, for g; treating it as an
         # f-structure must be reported honestly while the product-style
         # compatibility g(PX, PY) = g(X, Y) holds.
         split = get_split(5, 6)
-        p3 = structure_by_label(get_products(5, 6), "P3").op.matrix_on(split.combined)
+        p3 = structure_by_label(get_products(5, 6), "P3").matrix
         p = MetricParams(1.5, 0.8)
         assert metric_compat_residual(p3, split, p) > 1e-3
         assert product_compat_residual(p3, split, p) < 1e-10
@@ -122,7 +122,7 @@ class TestMetricCompatibility:
         split = get_split(5, 6)
         fake = flagf.CanonicalStructure(
             kind="f-structure", label="theta", signature=(),
-            theta_polynomial=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), op=ps.theta,
+            theta_polynomial=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), matrix=ps.theta,
         )
         assert metric_compat_residual(structure_matrices([fake], split), split, MetricParams(2.0, 0.5)) > 1e-3
 
@@ -408,7 +408,7 @@ class TestEvaluatorInternals:
         # zero after polarization for f0 and f1.
         split = get_split(n, k)
         cs = structure_by_label(get_f_structures(n, k), label)
-        f = cs.op.matrix_on(split.combined)
+        f = cs.matrix
         bm = dense_bracket(split)
         base = _condition_tensor("nk", f, f @ f, bm, np.zeros_like(bm))
         sym = base + base.transpose(1, 0, 2)
@@ -530,12 +530,22 @@ class TestJoinedSetUp:
     ):
         split, fs, prods = get_split(n, k), get_f_structures(n, k), get_products(n, k)
         f_mats, p_mats = structure_matrices(fs, split), structure_matrices(prods, split)
-        for s, t in [(0.1, 5.0), (2.3, 0.7), (1.0, FOUR_THIRDS)]:
+        points = [(0.1, 5.0), (2.3, 0.7), (1.0, FOUR_THIRDS)]
+        at_points = {metric_compat_residual: [], product_compat_residual: []}
+        for s, t in points:
             p = MetricParams(s, t, kappa=float(n - 1))
-            one = [metric_compat_residual(cs.op.matrix_on(split.combined), split, p) for cs in fs]
+            one = [metric_compat_residual(cs.matrix, split, p) for cs in fs]
             assert metric_compat_residual(f_mats, split, p) == max(one)
-            one = [product_compat_residual(cs.op.matrix_on(split.combined), split, p) for cs in prods]
+            one = [product_compat_residual(cs.matrix, split, p) for cs in prods]
             assert product_compat_residual(p_mats, split, p) == max(one)
+            for residual, mats in ((metric_compat_residual, f_mats), (product_compat_residual, p_mats)):
+                at_points[residual].append(residual(mats, split, p))
+        # on a grid: one call, the bits of each point's call
+        grid = MetricGrid.of(points, kappa=float(n - 1))
+        for residual, mats in ((metric_compat_residual, f_mats), (product_compat_residual, p_mats)):
+            assert residual(mats, split, grid).tolist() == at_points[residual]
+            one = [residual(mats[0], split, MetricParams(s, t, kappa=float(n - 1))) for s, t in points]
+            assert residual(mats[0], split, grid).tolist() == one
 
 
 class TestResidualOverflow:
@@ -725,7 +735,7 @@ class TestExactZeroSets:
         split = get_split(n, k)
         labels = []
         for cs in get_f_structures(n, k):
-            assert np.linalg.norm(cs.op.matrix, 2) >= 0.5, cs.label  # no zero operator
+            assert np.linalg.norm(cs.matrix, 2) >= 0.5, cs.label  # no zero operator
             if cs.label.startswith("-"):
                 continue
             labels.append(cs.label)

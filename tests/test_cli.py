@@ -12,7 +12,7 @@ import flagf
 from flagf import canonical, classify, cli, liealg, metricgeom, phispace, report
 from flagf.classify import SPECIAL_POINTS
 from flagf.cli import build_parser, config_from_args, main
-from flagf.liealg import EndoOnM, Subspace
+from flagf.liealg import Subspace
 from flagf.report import fmt_float, json_dumps
 from flagf.tolerances import TAU_CONNECTION
 from structure_checks_reference import scaled_channel
@@ -164,11 +164,19 @@ class TestVerify:
         assert counts == {"verify_structures": 1, "ad_joins": 1}
 
     def test_cost_guard_one_metric_call_per_sampled_check(self, capsys, monkeypatch):
-        # The U oracle takes its six points as one grid, once per mode, and the
+        # The U oracle takes its six points as one grid, once per mode, the two
+        # compatibility checks their five random points as one grid each, and the
         # natural reductivity checks read (1, 1), (2, 1) and (1, 2) in one call; the
         # connection check reads U closed-form once more, at its own point.
         calls = []
         u_nonzeros, nat_red = metricgeom.u_nonzeros, metricgeom.naturally_reductive_residual
+        compat = {name: getattr(classify, name) for name in ("metric_compat_residual", "product_compat_residual")}
+
+        def counting_compat(name):
+            def wrapper(f, split, params):
+                calls.append((name, np.size(params.s)))
+                return compat[name](f, split, params)
+            return wrapper
 
         def counting_u(split, params, mode="closed"):
             calls.append(("u_nonzeros", mode, np.size(params.s)))
@@ -180,11 +188,15 @@ class TestVerify:
 
         monkeypatch.setattr(metricgeom, "u_nonzeros", counting_u)
         monkeypatch.setattr(metricgeom, "naturally_reductive_residual", counting_nat_red)
+        for name in compat:
+            monkeypatch.setattr(classify, name, counting_compat(name))
         code, out, _ = run(capsys, "verify", "--n", "8", "--k", "6", "--format", "json")
         assert code == 0 and json.loads(out)["passed"] is True
         assert calls == [
             ("u_nonzeros", "closed", 6),
             ("u_nonzeros", "solved", 6),
+            ("metric_compat_residual", 5),
+            ("product_compat_residual", 5),
             ("naturally_reductive_residual", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]),
             ("u_nonzeros", "closed", 1),
         ]
@@ -276,16 +288,16 @@ def h_leaning_into_m(ps):
 
 def theta_fixing_m1(ps):
     """theta as the identity on m1, the first two basis vectors of m."""
-    th = np.array(ps.theta.matrix)
+    th = np.array(ps.theta)
     th[:2], th[:, :2] = 0.0, 0.0
     th[:2, :2] = np.eye(2)
-    return dataclasses.replace(ps, theta=EndoOnM(ps.m, th))
+    return dataclasses.replace(ps, theta=th)
 
 
 def turned_theta(ps):
     """theta conjugated by a rotation of the first and last basis vectors of m, which ad(h) does not commute with."""
     q = turn(ps.m.dim, 0, ps.m.dim - 1, 0.3)
-    return dataclasses.replace(ps, theta=EndoOnM(ps.m, q @ ps.theta.matrix @ q.T))
+    return dataclasses.replace(ps, theta=q @ ps.theta @ q.T)
 
 
 def space_with_turned_theta(monkeypatch):
@@ -308,7 +320,7 @@ def edit_structure(monkeypatch, family, label, edit):
 
 def with_op(cs, op):
     """cs with its operator matrix M replaced by op(a copy of M)."""
-    return dataclasses.replace(cs, op=EndoOnM(cs.op.domain, op(np.array(cs.op.matrix))))
+    return dataclasses.replace(cs, matrix=op(np.array(cs.matrix)))
 
 
 def constant_term_off(cs):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,23 @@ class TestSplit:
     def test_wrong_block_pattern_rejected(self, get_space):
         with pytest.raises(ValueError, match="m_blocks=1"):
             build_split(get_space(7, 6, 2))
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (6, 6)])
+    def test_m_must_hold_the_pattern_rows(self, get_space, n, k):
+        # Every operator on m is a matrix over m's basis, so the split's basis must be
+        # m's own rows, not just rows on the pattern's lex positions.
+        ps = get_space(n, k)
+        split = build_split(ps)
+        assert all(map(np.array_equal, split.combined.entries, ps.m.entries))
+        np.testing.assert_array_equal(split.complex_structure, np.sign(ps.theta - ps.theta.T))
+        c = ps.m.coords
+        flipped = np.array(c)
+        flipped[0] *= -1.0
+        turned = np.array(c)
+        turned[:2] = np.array([[0.6, 0.8], [-0.8, 0.6]]) @ c[:2]  # a turn inside m1
+        for rows in (c[::-1], flipped, turned):
+            with pytest.raises(ValueError, match="flag block pattern"):
+                build_split(dataclasses.replace(ps, m=liealg.Subspace(n, rows)))
 
     def test_blocks_are_exactly_orthogonal(self, get_split):
         split = get_split(6, 6)

@@ -6,7 +6,7 @@ import pytest
 import flagf
 from flagf import phispace
 from flagf.canonical import CanonicalStructure, verify_structures
-from flagf.liealg import EndoOnM, Subspace, bracket_coords, brackets, lex_indices, lie_mats, lie_rows
+from flagf.liealg import Subspace, bracket_coords, brackets, lex_indices, lie_mats, lie_rows
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
@@ -222,9 +222,9 @@ class TestBuildPhiSpace:
     def test_theta_order_and_no_fixed_vector(self, get_space, n, k):
         ps = get_space(n, k)
         d = ps.m.dim
-        tk = np.linalg.matrix_power(ps.theta.matrix, k)
+        tk = np.linalg.matrix_power(ps.theta, k)
         assert np.max(np.abs(tk - np.eye(d))) < 1e-12
-        assert np.min(np.linalg.svd(ps.theta.matrix - np.eye(d), compute_uv=False)) > 1e-6
+        assert np.min(np.linalg.svd(ps.theta - np.eye(d), compute_uv=False)) > 1e-6
 
     @pytest.mark.parametrize(
         "n,m_blocks,k",
@@ -232,7 +232,7 @@ class TestBuildPhiSpace:
     )
     def test_theta_angles_are_those_of_the_numeric_theta(self, get_space, n, m_blocks, k):
         ps = get_space(n, k, m_blocks)
-        folded = np.abs(np.angle(np.linalg.eigvals(ps.theta.matrix))) * k / (2 * np.pi)
+        folded = np.abs(np.angle(np.linalg.eigvals(ps.theta))) * k / (2 * np.pi)
         assert np.max(np.abs(folded - np.rint(folded))) < 1e-9
         assert theta_angles(ps.spec) == tuple(sorted(set(np.rint(folded).astype(int).tolist())))
         if m_blocks == 1:
@@ -252,12 +252,12 @@ class TestRegularity:
     @pytest.mark.parametrize("n,k", TEST_MATRIX)
     def test_all_conditions_pass(self, get_space, n, k):
         rep = check_regularity(get_space(n, k))
-        assert rep.all_pass
+        assert rep.agree and rep.direct_sum
         assert rep.agree
 
     def test_general_blocks(self, get_space):
         rep = check_regularity(get_space(7, 6, 2))
-        assert rep.all_pass
+        assert rep.agree and rep.direct_sum
 
     def test_identity_automorphism_degenerate(self):
         # Hand-built identity conjugation: empty complement, checks vacuous.
@@ -266,7 +266,7 @@ class TestRegularity:
         assert ps.m.dim == 0
         assert ps.h.dim == 6
         rep = check_regularity(ps)
-        assert rep.all_pass
+        assert rep.agree and rep.direct_sum
 
     def test_report_agreement_detection(self):
         rep = flagf.RegularityReport(
@@ -276,7 +276,7 @@ class TestRegularity:
             theta_no_fixed_vector=True,
         )
         assert not rep.agree
-        assert not rep.all_pass
+        assert not (rep.agree and rep.direct_sum)
 
 
 class TestRegularityFromBlocks:
@@ -290,7 +290,7 @@ class TestRegularityFromBlocks:
             ps = build_phi_space(spec)
             rep = check_regularity(ps)
             assert rep == ref.dense_regularity(ps), (spec.n, spec.m_blocks, spec.k)
-            assert rep.all_pass, (spec.n, spec.m_blocks, spec.k)
+            assert rep.agree and rep.direct_sum, (spec.n, spec.m_blocks, spec.k)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_identity_and_dense_b(self, n):
@@ -298,7 +298,7 @@ class TestRegularityFromBlocks:
         for spec in [identity.spec] + [AutomorphismSpec(n, 1, k, _order_k_dense_b(n, k, seed=n)) for k in (4, 6)]:
             ps = build_phi_space(spec)
             rep = check_regularity(ps)
-            assert rep == ref.dense_regularity(ps) and rep.all_pass, (n, spec.k)
+            assert rep == ref.dense_regularity(ps) and rep.agree and rep.direct_sum, (n, spec.k)
 
     @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (8, 6, 1), (9, 8, 2)])
     def test_a_dropped_h_row_fails_both_routes(self, get_space, n, k, m_blocks):
@@ -306,7 +306,7 @@ class TestRegularityFromBlocks:
         broken = dataclasses.replace(ps, h=ps.h.sub(1, ps.h.dim))
         rep = check_regularity(broken)
         assert rep == ref.dense_regularity(broken)
-        assert not rep.direct_sum and not rep.kernel_square_stable and not rep.all_pass
+        assert not rep.direct_sum and not rep.kernel_square_stable and not (rep.agree and rep.direct_sum)
 
     @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (9, 8, 2)])
     def test_an_m_row_tilted_into_h_fails_both_routes(self, get_space, n, k, m_blocks):
@@ -317,7 +317,7 @@ class TestRegularityFromBlocks:
         broken = dataclasses.replace(ps, m=Subspace(n, rows))
         rep = check_regularity(broken)
         assert rep == ref.dense_regularity(broken)
-        assert not rep.direct_sum and not rep.all_pass
+        assert not rep.direct_sum and not (rep.agree and rep.direct_sum)
 
     @staticmethod
     def with_block(ps, size, g, mat):
@@ -392,7 +392,7 @@ class TestAdStack:
         proj = np.zeros((d, d))
         proj[0, 0] = 1.0  # keeps one basis direction of m1; ad(h) rotates it
         cs = CanonicalStructure(
-            kind="f-structure", label="x", signature=(), theta_polynomial=(0.0,), op=EndoOnM(ps.m, proj)
+            kind="f-structure", label="x", signature=(), theta_polynomial=(0.0,), matrix=proj
         )
         assert verify_structures([cs], ps)[0].ad_invariance > 1e-3
 
@@ -552,14 +552,14 @@ class TestStructuralChecksStillBite:
         r = np.flatnonzero(ps.h.coords[:, np.flatnonzero((i == 4) & (j == 5))[0]])[0]
         h_rows, m_rows = _rotate_rows(np.roll(ps.h.coords, -r, axis=0), ps.m.coords, 0.3)
         h, m = Subspace(6, h_rows), Subspace(6, m_rows)
-        theta = EndoOnM(m, m.coords @ phi_matrix(ps.spec) @ m.coords.T)
+        theta = m.coords @ phi_matrix(ps.spec) @ m.coords.T
         with pytest.raises(RuntimeError, match="reductivity failure"):
             _check_phi_space_invariants(PhiSpace(ps.spec, h, m, theta))
 
     def test_theta_order_fails_above_tau_order(self, get_space):
         # theta scaled by 1 + 5e-10 gives |theta^4 - id| = 2e-9: above TAU_ORDER, below 1e-8.
         ps = get_space(6, 4)
-        bad = PhiSpace(ps.spec, ps.h, ps.m, EndoOnM(ps.m, (1.0 + 5e-10) * ps.theta.matrix))
+        bad = PhiSpace(ps.spec, ps.h, ps.m, (1.0 + 5e-10) * ps.theta)
         assert TAU_ORDER < bad.theta_order_residual < 1e-8
         with pytest.raises(RuntimeError, match="theta\\^k is not the identity"):
             _check_phi_space_invariants(bad)
@@ -568,8 +568,8 @@ class TestStructuralChecksStillBite:
     def test_theta_order_residual_is_theta_times_its_last_power(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
         eye = np.eye(ps.m.dim)
-        assert ps.theta_order_residual == float(np.max(np.abs(ps.theta.matrix @ ps.theta_powers[-1] - eye)))
-        by_squaring = float(np.max(np.abs(np.linalg.matrix_power(ps.theta.matrix, k) - eye)))
+        assert ps.theta_order_residual == float(np.max(np.abs(ps.theta @ ps.theta_powers[-1] - eye)))
+        by_squaring = float(np.max(np.abs(np.linalg.matrix_power(ps.theta, k) - eye)))
         assert max(ps.theta_order_residual, by_squaring) < 1e-14
 
     def test_split_fails_when_m1_is_rotated_into_m3(self, get_space, get_split):
@@ -651,7 +651,8 @@ class TestBlockRoute:
             assert ps.m is pattern
             np.testing.assert_array_equal(ps.h.coords, np.eye(n * (n - 1) // 2)[others])
             want = pattern.coords @ ref.phi_matrix(spec) @ pattern.coords.T
-            assert ps.theta.matrix.tobytes() == want.tobytes(), (n, spec.k)
+            assert ps.theta.tobytes() == want.tobytes(), (n, spec.k)
+            assert not ps.theta.flags.writeable
 
     @pytest.mark.parametrize(
         "specs",
@@ -666,7 +667,8 @@ class TestBlockRoute:
             for got, want in ((ps.h, h), (ps.m, m)):
                 np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
             # theta is the same operator over another basis of m
-            np.testing.assert_allclose(theta.matrix_on(ps.m), ps.theta.matrix, rtol=0, atol=1e-12)
+            r = ps.m.coords @ m.coords.T
+            np.testing.assert_allclose(r @ theta @ r.T, ps.theta, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m_blocks,k,rows,cols", [(3, 4, (1, 2), (5, 6)), (4, 6, (3, 4), (7, 8))])
     def test_mixed_block(self, m_blocks, k, rows, cols):
@@ -687,7 +689,8 @@ class TestBlockRoute:
         h, m, _ = ref.dense_phi_space(spec)
         np.testing.assert_allclose(_projector(ps.h), _projector(h), rtol=0, atol=1e-12)
         np.testing.assert_allclose(_projector(ps.m), _projector(m), rtol=0, atol=1e-12)
-        assert check_regularity(ps).all_pass
+        rep = check_regularity(ps)
+        assert rep.agree and rep.direct_sum
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_hand_built_b(self, n):
@@ -704,7 +707,8 @@ class TestBlockRoute:
             h, m, _ = ref.dense_phi_space(spec)
             np.testing.assert_allclose(_projector(ps.h), _projector(h), rtol=0, atol=1e-12)
             np.testing.assert_allclose(_projector(ps.m), _projector(m), rtol=0, atol=1e-12)
-            assert check_regularity(ps).all_pass
+            rep = check_regularity(ps)
+            assert rep.agree and rep.direct_sum
 
     def test_dense_order_is_k_on_every_accepted_spec(self):
         # build_automorphism no longer checks the order: B has the eigen-angle
@@ -718,9 +722,9 @@ class TestBlockRoute:
     def test_theta_and_f_rows_are_at_most_4_wide(self, get_space, n, m_blocks, k):
         # m is block-local, so theta and every polynomial in it act within blocks of <= 4.
         ps = get_space(n, k, m_blocks)
-        assert np.max(np.count_nonzero(ps.theta.matrix, axis=1)) <= 4
+        assert np.max(np.count_nonzero(ps.theta, axis=1)) <= 4
         for cs in flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps):
-            assert np.max(np.count_nonzero(cs.op.matrix, axis=1)) <= 4, cs.label
+            assert np.max(np.count_nonzero(cs.matrix, axis=1)) <= 4, cs.label
 
     def test_phi_conjugation_residual_bites(self, get_space):
         ps = get_space(7, 6)

@@ -1,17 +1,20 @@
 """Every top-level function, class or UPPER_CASE constant of the package is
-used by the package or exported by it: a reference kept only for the tests
-lives in tests/.
+used by the package or exported by it, and every public method or property
+of a package class is named by the package outside its own definition, by
+a demo or by the benchmark: a reference kept only for the tests lives in
+tests/.
 
-The guard matches names, not bindings, and only at the top level of a
-module: a method is not checked, and a name counts as used wherever it
+The guard matches names, not bindings: a name counts as used wherever it
 appears as an identifier or attribute.  So a method that only the tests call
-(as Subspace.full and Subspace.empty were, while np.full and np.empty named
-the same attributes) is left to review."""
+while another object's attribute of the same name is used elsewhere (as
+Subspace.full and Subspace.empty were, while np.full and np.empty named the
+same attributes) is left to review."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "flagf"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "flagf"
 
 
 def names_outside(tree: ast.AST, skip: ast.AST) -> set[str]:
@@ -55,6 +58,28 @@ def unused_definitions(src: Path) -> list[str]:
     return unused
 
 
+def unused_members(src: Path, *elsewhere: Path) -> list[str]:
+    """The public methods and properties of the classes of the package at src
+    that no code names outside their own definition: in the package, or in
+    the .py files under the elsewhere directories."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    named = set()
+    for folder in elsewhere:
+        for path in sorted(folder.rglob("*.py")):
+            named |= names_outside(ast.parse(path.read_text(encoding="utf-8")), None)
+    unused = []
+    for file, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name in named:
+                    continue
+                if not any(node.name in names_outside(other, node) for other in trees.values()):
+                    unused.append(f"{file}:{cls.name}.{node.name}")
+    return unused
+
+
 def test_every_top_level_definition_is_used_or_exported():
     assert unused_definitions(SRC) == []
 
@@ -78,3 +103,27 @@ def test_the_guard_sees_a_constant_named_only_in_its_own_assignment(tmp_path):
     )
     (tmp_path / "b.py").write_text("STALE = 5\nPAIR, ALSO = 6, 7\nprint(ALSO)\n")
     assert unused_definitions(tmp_path) == ["a.py:ORPHAN", "a.py:TYPED", "b.py:STALE", "b.py:PAIR"]
+
+
+def test_every_public_method_is_used_by_the_package_a_demo_or_the_benchmark():
+    assert unused_members(SRC, ROOT / "demos", ROOT / "perfbench") == []
+
+
+def test_the_guard_sees_a_method_named_only_in_its_own_body_or_a_test(tmp_path):
+    src, demos, tests = tmp_path / "src", tmp_path / "demos", tmp_path / "tests"
+    for folder in (src, demos, tests):
+        folder.mkdir()
+    (src / "__init__.py").write_text("from .a import Kept\n")
+    (src / "a.py").write_text(
+        "class Kept:\n"
+        "    def used(self):\n        return self._helper()\n\n"
+        "    def _helper(self):\n        return 1\n\n"
+        "    @property\n    def shown(self):\n        return 2\n\n"
+        '    def recursive(self):\n        """See orphan."""\n        return self.recursive()\n\n'
+        "    @property\n    def orphan(self):\n        return 3\n\n"
+        "    def tested(self):\n        return 4\n\n\n"
+        "def run():\n    return Kept().used()\n"
+    )
+    (demos / "demo.py").write_text("from pkg import Kept\nprint(Kept().shown)\n")
+    (tests / "test_a.py").write_text("from pkg import Kept\nassert Kept().tested() == 4\n")
+    assert unused_members(src, demos) == ["a.py:Kept.recursive", "a.py:Kept.orphan", "a.py:Kept.tested"]
