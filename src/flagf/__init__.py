@@ -51,6 +51,7 @@ from .classify import (
     metric_compat_residual,
     product_compat_residual,
     structure_matrices,
+    zero_sets,
 )
 
 __version__ = "0.1.0"

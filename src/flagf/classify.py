@@ -39,6 +39,9 @@ With closed-form U each polarized condition reads A @ (1, c) = 0 for a fixed
 four-column A and the channel coefficients c = ((t-s)/2, (t-1)/(2s), (s-1)/(2t)),
 so zero sets are exact: the SVD of A gives constraint rows w . (1, c) = 0, read
 as a point, an axis line, all, empty, or else kept as polynomial equations.
+zero_sets takes the A of every condition of a list of evaluators through one
+stacked QR, with the bits of each A's own; ClassEvaluator.zero_set is the list
+[self].
 
 ClassEvaluator.report gives one ClassReport for one MetricParams.  A sweep
 works on columns: ClassEvaluator.sweep takes a MetricGrid (its points
@@ -414,23 +417,55 @@ class ClassEvaluator:
         return ClassSweep(self.structure.label, grid.s, grid.t, *columns)
 
     def zero_set(self, name: str) -> CharacteristicSet:
-        """Exact zero set of the named condition.  A's columns are the polarized
-        base and channel tensors; its leading right singular vectors, the constraints.
-        A pair i < j stands for both ordered pairs, so its rows weigh sqrt(2):
-        A^T A is that of the dense polarized tensors."""
+        """Exact zero set of the named condition: ``zero_sets([self])[0][name]``."""
         if name not in CONDITION_NAMES:
             raise ValueError(f"no exact zero set for condition {name!r}")
-        span = self._spans[name]
-        mine = (self._owner >= span.start) & (self._owner < span.stop)
-        i, j = self._pairs[self._owner[mine]].T
-        a = (self._values[:, mine] * np.where(i == j, 1.0, np.sqrt(2.0))).T
-        _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
-        rank = int(np.sum(sigma > TAU_RANK * self.f_norm))  # kept sigma >= 1, dropped <= 1e-14 (n = 4..24)
-        return replace(
-            decode_constraints(vt[:rank]),
-            sigma_min_kept=float(sigma[rank - 1]) if rank else None,
-            sigma_max_dropped=float(sigma[rank]) if rank < sigma.size else None,
+        return zero_sets([self])[0][name]
+
+
+def zero_sets(evaluators) -> list[dict[str, CharacteristicSet]]:
+    """The exact zero set of each condition of each evaluator, by name.
+
+    A condition's (E, 4) matrix A has its polarized entries as rows and the
+    base and channel tensors as columns; its leading right singular vectors
+    are the constraints.  A pair i < j stands for both ordered pairs, so its
+    rows weigh sqrt(2): A^T A is that of the dense polarized tensors.  Owners
+    ascend, so each condition's rows are one run of the kept entries.  All the
+    A are zero-padded to one (G, max(4, E), 4) stack for one QR; each R's
+    first min(E, 4) rows, those of A's own R, go to one stacked SVD per
+    height (the SVD of a wide R with zero rows added has other bits)."""
+    runs, f_norms = [], []
+    for ev in evaluators:
+        i, j = ev._pairs[ev._owner].T
+        a = (ev._values * np.where(i == j, 1.0, np.sqrt(2.0))).T
+        bounds = np.append(ev._starts, len(a))
+        runs += [a[bounds[span.start] : bounds[span.stop]] for span in ev._spans.values()]
+        f_norms += [ev.f_norm] * len(ev._spans)
+    if not runs:
+        return []
+    stack = np.zeros((len(runs), max(4, *map(len, runs)), 4))
+    for g, a in enumerate(runs):
+        stack[g, : len(a)] = a
+    r = np.linalg.qr(stack, mode="r")
+    heights = [min(len(a), 4) for a in runs]
+    svds = {}  # per set, its singular values as floats and vt
+    for h in set(heights):
+        at = [g for g, x in enumerate(heights) if x == h]
+        _, sigma, vt = np.linalg.svd(r[at, :h])
+        svds.update(zip(at, zip(sigma.tolist(), vt)))
+    sets = []
+    for g, f_norm in enumerate(f_norms):
+        sigma, vt = svds[g]
+        rank = sum(x > TAU_RANK * f_norm for x in sigma)  # kept sigma >= 1, dropped <= 1e-14 (n = 4..24)
+        sets.append(
+            replace(
+                decode_constraints(vt[:rank]),
+                sigma_min_kept=sigma[rank - 1] if rank else None,
+                sigma_max_dropped=sigma[rank] if rank < len(sigma) else None,
+            )
         )
+    names = len(CONDITION_NAMES)
+    return [dict(zip(CONDITION_NAMES, sets[e : e + names])) for e in range(0, len(sets), names)]
 
 
 def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
@@ -491,8 +526,8 @@ def product_compat_residual(p: np.ndarray, split: TripleSplit, params: MetricPar
     float at one point, a (P,) array on a grid."""
 
     def worst(g):
-        g = np.diag(g)
-        return np.max(np.abs(np.swapaxes(p, -1, -2) @ g @ p - g), initial=0.0)
+        # P^T G P with G = diag(g) as one product: g[:, None] * P is G P, row by row
+        return np.max(np.abs(np.swapaxes(p, -1, -2) @ (g[:, None] * p) - np.diag(g)), initial=0.0)
 
     return _at_each_point(worst, split, params)
 

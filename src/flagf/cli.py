@@ -432,13 +432,13 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     reps = sorted((cs for cs in fs if not cs.label.startswith("-")), key=lambda c: c.label)
 
     results = []
-    for cs, ev in zip(reps, classify.class_evaluators(reps, split)):
+    evs = classify.class_evaluators(reps, split)
+    for cs, ev, summary in zip(reps, evs, classify.zero_sets(evs)):
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual raises ValueError
                 swept = ev.sweep(grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        summary = {name: ev.zero_set(name) for name in classify.CONDITION_NAMES}
         problem = classify.grid_disagreement(summary, swept)
         if problem is not None:
             print(f"flagf: grid sweep contradicts the exact zero set: {problem}", file=sys.stderr)

@@ -11,6 +11,7 @@ write leaves neither a partial report nor a stray temp file behind.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -78,6 +79,7 @@ _EXACT = frozenset(_KINDS)
 _SCALARS = {float: fmt_float, bool: lambda v: "true" if v else "false", int: str, type(None): lambda v: "null",
             str: encode_basestring_ascii}  # a str as json.dumps writes it, quoted in C
 _COLUMNS = {float: fmt_floats, bool: fmt_bools}  # a whole column of one of these kinds at once
+_ARRAY_COLUMNS = {np.dtype(np.float64): fmt_floats, np.dtype(np.float32): fmt_floats, np.dtype(bool): fmt_bools}
 _FLOAT_SLOTS = np.array(["%.17g\0", "%.17g.0\0"], dtype=object)  # a cell of fmt_floats, by whether it is whole
 _TRUTH = np.array(["false", "true"], dtype=object)
 _SLOT = "\0"  # stands for a column in a row of Rows; a JSON string writes NUL as \u0000
@@ -120,6 +122,8 @@ def json_dumps(obj, indent: int = 2) -> str:
 
     def column(col, level: int) -> list[str]:
         """Each value as emit writes it, with one formatter for a column of one scalar type."""
+        if type(col) is np.ndarray and col.ndim == 1 and col.dtype in _ARRAY_COLUMNS:
+            return _ARRAY_COLUMNS[col.dtype](col)  # the formatter its tolist() would pick
         values = col.tolist() if hasattr(col, "tolist") else col
         kinds = set(map(type, values))
         kind = kinds.pop() if len(kinds) == 1 else None
@@ -145,19 +149,25 @@ def json_dumps(obj, indent: int = 2) -> str:
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Replace ``path`` with ``text`` in one rename.
+    """Replace ``path`` with ``text``, UTF-8 encoded, in one rename.
 
-    The temp file is created exclusively (mode "x", so the umask applies as
-    for a plain write) under a random name next to ``path``, and removed if
-    the write or the rename fails.
+    The text is encoded first; the temp file is then created exclusively
+    (O_EXCL, mode 0o666, so the umask applies as for a plain write) under a
+    random name next to ``path``, written, closed and renamed, and removed
+    if the write or the rename fails.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    data = text.encode("utf-8")
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with fh:
-            fh.write(text)
+        try:
+            view = memoryview(data)
+            while view:  # one write, unless the system writes less
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise

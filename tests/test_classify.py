@@ -524,6 +524,17 @@ class TestJoinedSetUp:
         with pytest.raises(ValueError, match="no sign pair.*f1"):
             ClassEvaluator(replace(f1, sign_pair=None), get_split(5, 6))
 
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 6), (8, 8), (12, 6), (24, 6)])
+    def test_product_compatibility_is_that_of_the_three_factor_product(self, get_split, get_products, n, k):
+        # P^T (G P) rounds each entry's products in another order than (P^T G) P,
+        # but the worst entry keeps its bits.
+        split = get_split(n, k)
+        p = structure_matrices(get_products(n, k), split)
+        grid = MetricGrid.of(np.random.default_rng(n * k).uniform(0.1, 5.0, (20, 2)), kappa=float(n - 1))
+        for g, got in zip(metricgeom.block_weights(split, grid).T, product_compat_residual(p, split, grid)):
+            g = np.diag(g)
+            assert got == np.max(np.abs(np.swapaxes(p, -1, -2) @ g @ p - g), initial=0.0) / grid.kappa
+
     @pytest.mark.parametrize("n,k", [(5, 6), (12, 6), (16, 4)])
     def test_stacked_compatibility_maxima_equal_the_per_structure_ones(
         self, get_split, get_f_structures, get_products, n, k
@@ -803,6 +814,71 @@ class TestExactZeroSets:
         assert grid_disagreement(sets, swept).startswith("f0 kill at (s, t) = (1.5, 0.5)")
         reordered = {name: sets[name] for name in ("nk", "kill", "g1")}
         assert grid_disagreement(reordered, swept).startswith("f0 nk at (s, t) = (1.5, 0.5)")
+
+
+def unpadded_zero_set(ev: ClassEvaluator, name: str) -> CharacteristicSet:
+    """The zero set of one condition from its own (E, 4) matrix A alone: its
+    rows gathered by a mask over the owners, then QR, SVD and decode."""
+    span = ev._spans[name]
+    mine = (ev._owner >= span.start) & (ev._owner < span.stop)
+    i, j = ev._pairs[ev._owner[mine]].T
+    a = (ev._values[:, mine] * np.where(i == j, 1.0, np.sqrt(2.0))).T
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
+    rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
+    return replace(
+        decode_constraints(vt[:rank]),
+        sigma_min_kept=float(sigma[rank - 1]) if rank else None,
+        sigma_max_dropped=float(sigma[rank]) if rank < sigma.size else None,
+    )
+
+
+def few_entry_evaluator(rng) -> ClassEvaluator:
+    """An evaluator whose kill and nk keep 2 and 3 independent entries (so
+    each has full rank and no dropped singular value) and whose g1 keeps 5."""
+    ev = ClassEvaluator.__new__(ClassEvaluator)
+    ev.f_norm = 1.0
+    ev._pairs = np.array([[0, 1], [0, 0], [1, 2], [0, 0], [2, 2]])
+    ev._owner = np.array([0, 0, 1, 1, 2, 3, 3, 4, 4, 4])
+    ev._starts = np.array([0, 2, 4, 5, 7])
+    ev._values = np.round(rng.standard_normal((4, 10)) * 4.0) / np.sqrt(8.0)
+    ev._spans = {"kill": slice(0, 1), "nk": slice(1, 3), "g1": slice(3, 5)}
+    return ev
+
+
+class TestBatchedZeroSets:
+    """zero_sets pads every condition's A to one stack for one QR; each set
+    must keep the bits of its own A's QR and SVD, field for field."""
+
+    @staticmethod
+    def assert_same(got: CharacteristicSet, want: CharacteristicSet, where) -> None:
+        assert got == want, where
+        assert repr(got) == repr(want), where  # tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize("n", [4, 5, 8, 12, 24])
+    def test_padded_stack_keeps_the_bits_of_each_set_alone(self, get_split, get_f_structures, n, k):
+        reps = [cs for cs in get_f_structures(n, k) if not cs.label.startswith("-")]
+        evs = classify.class_evaluators(reps, get_split(n, k))
+        batched = classify.zero_sets(evs)
+        assert len(batched) == len(evs)
+        for ev, sets in zip(evs, batched):
+            assert list(sets) == list(CONDITION_NAMES)
+            for name, zs in sets.items():
+                self.assert_same(zs, unpadded_zero_set(ev, name), (ev.structure.label, name))
+                self.assert_same(ev.zero_set(name), zs, (ev.structure.label, name))
+
+    def test_conditions_with_fewer_than_four_entries(self, get_split, get_f_structures):
+        few = few_entry_evaluator(np.random.default_rng(3))
+        real = classify.class_evaluators(get_f_structures(5, 6), get_split(5, 6))[0]
+        for evs in ([few], [real, few]):  # alone, and padded beside a long A
+            sets = classify.zero_sets(evs)[-1]
+            for name in CONDITION_NAMES:
+                self.assert_same(sets[name], unpadded_zero_set(few, name), name)
+        assert (sets["kill"].rank, sets["nk"].rank, sets["g1"].rank) == (2, 3, 4)
+        assert sets["kill"].sigma_max_dropped is None and sets["nk"].sigma_max_dropped is None
+
+    def test_no_evaluators(self):
+        assert classify.zero_sets([]) == []
 
 
 def rotated_split(split: TripleSplit, rng) -> TripleSplit:

@@ -783,9 +783,10 @@ class TestSweep:
             assert (tmp_path / label).read_text() == text, label
 
     def test_disagreeing_grid_verdict_fails_the_sweep(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            classify.ClassEvaluator, "zero_set", lambda self, name: classify.CharacteristicSet(kind="empty")
-        )
+        def empty_sets(evaluators):
+            return [dict.fromkeys(classify.CONDITION_NAMES, classify.CharacteristicSet(kind="empty")) for _ in evaluators]
+
+        monkeypatch.setattr(classify, "zero_sets", empty_sets)
         out = tmp_path / "bad"
         code, _, err = run(capsys, "sweep", "--n", "4", "--k", "4", "--out", str(out), "--format", "json")
         assert code == 1

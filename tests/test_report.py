@@ -149,6 +149,24 @@ class TestColumns:
             report.fmt_floats(np.array([1.0, bad, -bad]))
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_array_columns_write_the_bytes_of_their_lists(self, dtype):
+        # An array column skips the scan of its cells' types; a list takes the
+        # generic path.  Both must write the same bytes, empty columns too.
+        values = self.EDGES + [-x for x in self.EDGES] + [2.0, -7.0, 0.5]
+        if dtype is np.float32:
+            values = [x for x in values if abs(x) <= float(np.finfo(np.float32).max)]  # 5e-324 rounds to 0.0
+        for col in (np.array(values, dtype=dtype), np.zeros(0, dtype=dtype)):
+            layout = {"x": col, "y": {"same": col[::-1]}}
+            listed = {"x": col.tolist(), "y": {"same": col[::-1].tolist()}}
+            assert report.json_dumps(report.Rows(layout)) == report.json_dumps(report.Rows(listed))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_cell_raises(self, dtype, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            report.json_dumps(report.Rows({"x": np.array([1.0, bad], dtype=dtype)}))
+
     def test_bool_column(self):
         assert report.fmt_bools(np.array([True, False, True])) == ["true", "false", "true"]
         assert report.fmt_bools([False]) == ["false"] and report.fmt_bools(np.zeros(0, dtype=bool)) == []
