@@ -16,7 +16,8 @@ from flagf.tolerances import TAU_NAT_RED
 n = 5
 ps = flagf.build_phi_space(flagf.build_automorphism(n, 1, 4))
 split = flagf.build_split(ps)
-print(f"m splits into blocks of dims {split.m1.dim}, {split.m2.dim}, {split.m3.dim}")
+d1, d2, d3 = np.bincount(split.block_index)[1:]  # the rows of m labelled 1, 2, 3
+print(f"m splits into blocks of dims {d1}, {d2}, {d3}")
 
 
 def closed_vs_solved(p):

@@ -228,6 +228,17 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     ps = _setup_space(cfg)
     rng = np.random.default_rng(cfg.seed)
     n, k = cfg.n, cfg.k
+    # 3^a - 1 f- and 2^b P-structures for the a angles 2 pi l / k of theta below pi and the b up to pi,
+    # read off the eigenvalues of phi's blocks (l = 0 is h), not off the theta_angles generation uses
+    angles = np.concatenate([np.angle(np.linalg.eigvals(mats)).ravel() for _, mats in ps.spec.phi_blocks])
+    turns = set(np.rint(np.abs(angles) * k / (2 * np.pi)).astype(int).tolist()) - {0}
+    expected = {"f": 3 ** len(turns - {k // 2}) - 1, "product": 2 ** len(turns)}
+    count, d = sum(expected.values()), ps.m.dim
+    if count * d * d * 8 > classify.MAX_STACK_BYTES:
+        raise ConfigError(
+            f"{count} structures on dim m = {d} take {count * d * d * 8} bytes per (S, d, d) stack,"
+            f" above MAX_STACK_BYTES = {classify.MAX_STACK_BYTES}"
+        )
     checks: list[dict] = []
 
     def add(name: str, passed: bool, residual: float | None = None, detail=None):
@@ -253,13 +264,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
     fs = canonical.generate_f_structures(ps)
     prods = canonical.generate_product_structures(ps)
-    # 3^a - 1 f- and 2^b P-structures for the a angles 2 pi l / k of theta below pi and the b up to pi,
-    # read off the eigenvalues of phi's blocks (l = 0 is h), not off the theta_angles generation uses
-    angles = np.concatenate([np.angle(np.linalg.eigvals(mats)).ravel() for _, mats in ps.spec.phi_blocks])
-    turns = set(np.rint(np.abs(angles) * k / (2 * np.pi)).astype(int).tolist()) - {0}
-    for name, family, expected in (("f", fs, 3 ** len(turns - {k // 2}) - 1), ("product", prods, 2 ** len(turns))):
-        detail = {"count": len(family), "up_to_sign": len(family) // 2, "expected": expected}
-        add(f"{name}-structure-count", len(family) == expected, detail=detail)
+    for name, family in (("f", fs), ("product", prods)):
+        detail = {"count": len(family), "up_to_sign": len(family) // 2, "expected": expected[name]}
+        add(f"{name}-structure-count", len(family) == expected[name], detail=detail)
 
     structure_checks = canonical.verify_structures(fs + prods, ps)
     for name, field in (

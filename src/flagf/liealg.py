@@ -32,10 +32,10 @@ keys, so two lex basis vectors cost one product, and only if they share
 exactly one index.  :func:`bracket_coords` joins those nonzeros with the
 entries of a subspace, on the lex position, for the coefficients of each
 bracket's projection and, on request, joins once more for each bracket's
-part off the subspace (:func:`_projection`, which :func:`basis_change`
-shares).  All keep only nonzeros, as sorted index and value arrays.  No
-(dim x, dim y, n, n) array and no dense bracket row is ever formed, and
-:func:`scatter` is the one way back to a dense array, for references.
+part off the subspace (:func:`_projection`).  All keep only nonzeros, as
+sorted index and value arrays.  No (dim x, dim y, n, n) array and no dense
+bracket row is ever formed, and :func:`scatter` is the one way back to a
+dense array, for references.
 :func:`nonzero_rows` goes the other way for small operator matrices on m:
 it reads each row's nonzeros into padded column and value tables.
 """
@@ -46,7 +46,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .tolerances import TAU_ORTH, TAU_SKEW, TAU_SUBSPACE
+from .tolerances import TAU_ORTH, TAU_SKEW
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -140,11 +140,11 @@ class Subspace:
         sp._set(ambient_n, dim, row[order], pos[order], val[order])
         return sp
 
-    def _set(self, ambient_n: int, dim: int, *entries, check: bool = True) -> None:
+    def _set(self, ambient_n: int, dim: int, *entries) -> None:
         for a in entries:
             a.flags.writeable = False
         self.__dict__.update(ambient_n=ambient_n, dim=dim, entries=entries)
-        if check and dim:
+        if dim:
             dev = _gram_deviation(so_dim(ambient_n), dim, *entries)
             if dev > TAU_ORTH:
                 raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
@@ -157,14 +157,6 @@ class Subspace:
         c = scatter((self.dim, so_dim(self.ambient_n)), *self.entries)
         c.flags.writeable = False
         return c
-
-    def sub(self, lo: int, hi: int) -> "Subspace":
-        """The span of basis rows lo..hi-1, in order (orthonormal as a part of this basis)."""
-        row, pos, val = self.entries
-        keep = (row >= lo) & (row < hi)
-        sp = Subspace.__new__(Subspace)
-        sp._set(self.ambient_n, hi - lo, row[keep] - lo, pos[keep], val[keep], check=False)
-        return sp
 
 
 def _gram_deviation(dg: int, dim: int, row, pos, val) -> float:
@@ -329,29 +321,3 @@ def nonzero_rows(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     val[r, slot] = np.concatenate([x[nz] for x, nz in zip(rows, nonzero)])
     shape = (len(mats),) + mats[0].shape[:-1] + (shape[1],)
     return idx.reshape(shape), val.reshape(shape)
-
-
-def stacked_rows(parts) -> tuple[np.ndarray, ...]:
-    """The basis rows of the subspaces, one after another, as nonzeros (row,
-    lex position, value) in row-major order, as in ``Subspace.entries``."""
-    offset = np.cumsum([0] + [p.dim for p in parts])
-    rows = np.concatenate([p.entries[0] + offset[i] for i, p in enumerate(parts)])
-    return rows, *(np.concatenate([p.entries[t] for p in parts]) for t in (1, 2))
-
-
-def basis_change(whole: Subspace, parts):
-    """The stacked rows Y of the parts as nonzeros (row, lex position, value) and
-    R = Y W^T over the rows W of ``whole`` (keys Y row * dim + W row, values) if
-    the parts are an orthogonal decomposition of ``whole``, else None: from
-    nonzeros, Y Y^T = I within TAU_ORTH and Y = R W within TAU_SUBSPACE."""
-    parts = list(parts) or [whole.sub(0, 0)]
-    if any(p.ambient_n != whole.ambient_n for p in parts):
-        raise ValueError("ambient dimension mismatch")
-    d, dg = whole.dim, so_dim(whole.ambient_n)
-    if sum(p.dim for p in parts) != d:
-        return None
-    rows = stacked_rows(parts)
-    if _gram_deviation(dg, d, *rows) > TAU_ORTH:
-        return None
-    keys, r, _, off = _projection(*rows, *whole.entries, d, dg)
-    return (rows, keys, r) if np.abs(off).max(initial=0.0) <= TAU_SUBSPACE else None

@@ -30,8 +30,8 @@ closed-form channel of each basis pair.  The connection alpha = (1/2) B + U
 has the keys of B, and :func:`connection_compat_residual` checks it on every
 basis triple from them.  Nothing here takes a stack of matrices or scatters
 nonzeros into a d^3 array; the ad(h)-invariance of the blocks is read off
-the space's [h, m] table (:func:`phispace.ad_h_leak`), as it stands, since
-the blocks are m's own rows.
+the space's [h, m] table with the block label of each row of m
+(:func:`phispace.ad_h_leak`).
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ class TripleSplit:
     """The block decomposition m = m1 (+) m2 (+) m3 with precomputed brackets.
 
     ``combined`` carries the block-adapted orthonormal basis (m1 rows first,
-    then m2, then m3); ``block_index`` maps each basis vector to its block
-    (1, 2 or 3).  ``bracket_nonzeros`` is the bracket tensor of m, the only
-    form it is kept in: arrays (i, j, r, value), sorted by (i, j, r), of the
-    nonzero coefficients r of [X_i, X_j]_m (252 of 65^3 at n = 24).
+    then m2, then m3), m's own rows, and ``block_index`` maps each basis
+    vector to its block (1, 2 or 3): a block is the span of the rows with
+    its label, and no other form of it is kept.  ``bracket_nonzeros`` is the
+    bracket tensor of m, the only form it is kept in: arrays (i, j, r,
+    value), sorted by (i, j, r), of the nonzero coefficients r of
+    [X_i, X_j]_m (252 of 65^3 at n = 24).
     ``complex_structure`` is J1 (+) J2 (+) 0 over ``combined``: theta acts
     on m1 and on m2 as cos + sin J for one angle, J oriented as theta turns
     the block (:func:`canonical.sign_pair_matrices`); on the flag basis every
@@ -64,9 +66,6 @@ class TripleSplit:
     structure's signs instead of scanning its matrices.
     """
 
-    m1: Subspace
-    m2: Subspace
-    m3: Subspace
     combined: Subspace
     block_index: np.ndarray
     bracket_nonzeros: tuple[np.ndarray, ...]
@@ -172,10 +171,10 @@ def build_split(ps: PhiSpace) -> TripleSplit:
 
     Raises ValueError if the space does not have the m_blocks = 1 pattern,
     or if m's rows are not the pattern's rows: the split's basis is m's
-    basis, so every operator on m is already over it.  All structural
-    invariants (dimensions, exact pairwise orthogonality, ad(h)-invariance
-    of each block, and the cyclic bracket relations [m_i, m_{i+1}] in
-    m_{i+2}) are verified before returning.
+    basis, so every operator on m is already over it, and the blocks are
+    its rows labelled 1, 2, 3.  All structural invariants (the block
+    dimensions, ad(h)-invariance of each block, and the cyclic bracket
+    relations [m_i, m_{i+1}] in m_{i+2}) are verified before returning.
     """
     if ps.spec.m_blocks != 1:
         raise ValueError(
@@ -186,14 +185,10 @@ def build_split(ps: PhiSpace) -> TripleSplit:
     if not all(map(np.array_equal, ps.m.entries, pattern.entries)):
         raise ValueError("complement does not match the flag block pattern")
 
-    d1, d2, d3 = 2, 2 * (n - 3), n - 3
-    combined = pattern
-    m1, m2, m3 = pattern.sub(0, d1), pattern.sub(d1, d1 + d2), pattern.sub(d1 + d2, d1 + d2 + d3)
-    block_index = np.repeat([1, 2, 3], [d1, d2, d3])
-
-    nonzeros = bracket_coords(combined, combined, onto=combined)
     split = TripleSplit(
-        m1=m1, m2=m2, m3=m3, combined=combined, block_index=block_index, bracket_nonzeros=nonzeros,
+        combined=pattern,
+        block_index=np.repeat([1, 2, 3], [2, 2 * (n - 3), n - 3]),
+        bracket_nonzeros=bracket_coords(pattern, pattern, onto=pattern),
         complex_structure=_complex_structure(ps),
     )
     _check_split_invariants(ps, split)
@@ -211,11 +206,11 @@ def _complex_structure(ps: PhiSpace) -> np.ndarray:
 
 def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:
     n = ps.spec.n
-    dims = (split.m1.dim, split.m2.dim, split.m3.dim)
-    if dims != (2, 2 * (n - 3), n - 3):
-        raise RuntimeError(f"unexpected block dimensions {dims}")
-    # Each block is ad(h)-invariant: [h_a, x] stays in the block of x (and the blocks decompose m).
-    if ad_h_leak(ps, split.m1, split.m2, split.m3) > TAU_SUBSPACE:
+    dims = tuple(np.bincount(split.block_index, minlength=4).tolist())
+    if dims != (0, 2, 2 * (n - 3), n - 3):
+        raise RuntimeError(f"unexpected block dimensions {dims[1:]}")
+    # Each block is ad(h)-invariant: [h_a, m_b] stays in the block of m_b.
+    if ad_h_leak(ps, split.block_index) > TAU_SUBSPACE:
         raise RuntimeError("block is not ad(h)-invariant")
     # Cyclic relations: cross-block brackets land in the third block (6 minus
     # the other two), and same-block brackets leave m entirely (they fall into h).

@@ -25,9 +25,8 @@ the probe pairs and once to their brackets (:func:`phi_residuals`).
 Nothing forms a dense dim-so(n) matrix, except the one block of a
 hand-built dense B.  The brackets [h, m] are joined once per space, into
 :attr:`PhiSpace.h_m_table`; ad(h) on m, reductivity and the
-ad(h)-invariance of the split's blocks (:func:`ad_h_leak`) are read off it,
-the last with no change of basis when the blocks are m's own rows, as the
-split's are.
+ad(h)-invariance of the split's blocks (:func:`ad_h_leak`, given the block
+of each row of m) are read off it.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .liealg import Subspace, _coefficients, _join, _projection, basis_change, bracket_coords, brackets
-from .liealg import lex_indices, lie_mats, lie_rows, op_powers, operator_on, so_dim, stacked_rows, sum_by_key
+from .liealg import Subspace, _coefficients, bracket_coords, brackets, lex_indices, lie_mats, lie_rows, op_powers
+from .liealg import operator_on, so_dim, sum_by_key
 from .tolerances import TAU_B_ORTH, TAU_NONSINGULAR, TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
 _SQRT2 = np.sqrt(2.0)
@@ -125,34 +124,18 @@ class PhiSpace:
         return a[order], row[order], column[order], value[order]
 
 
-def ad_h_leak(ps: PhiSpace, *blocks: Subspace) -> float:
-    """The largest distance of a basis bracket [h_a, y] from the block of y, y
-    a row of one of the blocks (from m, y a row of m, if there are none),
-    absolute; infinite unless the blocks are an orthogonal decomposition of m.
-    Read off :attr:`PhiSpace.h_m_table` in the blocks' own basis Y: with
-    R = Y M^T (:func:`basis_change`), [h_a, y_b] = sum_c R[b, c] [h_a, m_c], and
-    its distance from the block of y_b, squared, is its distance from m
-    squared plus its squared coefficients on the rows of the other blocks.
-    If the blocks' rows, one after another, are m's own rows (the split's
-    are), R = I and the table's coefficients are already the blocks'."""
-    (a, c, pos, val), coords, (ra, rc, _, off) = ps.h_m_table
-    d, dg = ps.m.dim, so_dim(ps.spec.n)
+def ad_h_leak(ps: PhiSpace, labels: np.ndarray | None = None) -> float:
+    """The largest distance of a basis bracket [h_a, m_b] from m, absolute, or
+    with ``labels``, the block of each row of m, from the block of m_b.  Read
+    off :attr:`PhiSpace.h_m_table`: the distance from the block, squared, is
+    the distance from m squared plus the squared coefficients on the rows of
+    m labelled otherwise."""
+    _, (ca, cb, cr, coef), (ra, rc, _, off) = ps.h_m_table
+    d = ps.m.dim
     pair, sq = ra * d + rc, off * off
-    if blocks:
-        owner = np.repeat(np.arange(len(blocks)), [blk.dim for blk in blocks])
-        if len(owner) == d and all(map(np.array_equal, stacked_rows(blocks), ps.m.entries)):
-            ca, cb, cr, coef = coords
-            other = owner[cb] != owner[cr]
-            pair, sq = np.concatenate([pair, (ca * d + cb)[other]]), np.concatenate([sq, coef[other] ** 2])
-        else:
-            change = basis_change(ps.m, blocks)
-            if change is None:
-                return np.inf
-            rows, r_keys, r_val = change
-            li, ri = _join(c, r_keys % d, d)  # each [h_a, m_c] with the R[b, c] of its c
-            keys, coef, off_keys, off = _projection(a[li] * d + r_keys[ri] // d, pos[li], val[li] * r_val[ri], *rows, d, dg)
-            other = owner[keys // d % d] != owner[keys % d]
-            pair, sq = np.concatenate([off_keys // dg, keys[other] // d]), np.concatenate([off * off, coef[other] ** 2])
+    if labels is not None:
+        other = labels[cb] != labels[cr]
+        pair, sq = np.concatenate([pair, (ca * d + cb)[other]]), np.concatenate([sq, coef[other] ** 2])
     return float(np.sqrt(sum_by_key(pair, sq)[1].max(initial=0.0)))
 
 

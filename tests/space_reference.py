@@ -19,6 +19,9 @@ cross Gram h.coords @ m.coords.T.  ``residuals``, ``relative_residuals`` and
 ``full_space`` and ``empty_space`` are all of so(n) on the lex basis and the
 zero subspace, which only the tests build.  ``apply_on`` applies an operator,
 given by its matrix over a subspace's basis, to a stack of skew matrices.
+``labelled_blocks`` gives the rows of a subspace with each label as one
+subspace per label, and ``split_blocks`` the blocks m1, m2, m3 of a split,
+which the split holds only as one label per row of m.
 """
 
 import numpy as np
@@ -59,6 +62,18 @@ def relative_residuals(space: Subspace, rows) -> np.ndarray:
 def project_rows(space: Subspace, rows: np.ndarray) -> np.ndarray:
     """Projections of lex-coordinate rows onto a subspace, as a (rows, n, n) stack."""
     return lie_mats(space.ambient_n, (space.coords.T @ (space.coords @ rows[..., None]))[..., 0])
+
+
+def labelled_blocks(space: Subspace, labels) -> list[Subspace]:
+    """The rows of ``space`` with each label, in their order, one subspace per
+    label, labels ascending."""
+    return [Subspace(space.ambient_n, space.coords[labels == b]) for b in np.unique(labels)]
+
+
+def split_blocks(split) -> list[Subspace]:
+    """The blocks m1, m2, m3 of a split: the rows of ``combined`` labelled 1, 2
+    and 3 by ``block_index``."""
+    return labelled_blocks(split.combined, split.block_index)
 
 
 def apply_on(space: Subspace, matrix, mats) -> np.ndarray:

@@ -35,7 +35,7 @@ from flagf.liealg import brackets, lie_mats, lie_rows, nonzero_rows, scatter, su
 from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
 from flagf.tolerances import TAU_SUBSPACE
 from generation_reference import poly_in
-from space_reference import apply_on, project_rows, relative_residuals
+from space_reference import apply_on, project_rows, relative_residuals, split_blocks
 
 
 def _max_abs(a):
@@ -114,8 +114,9 @@ def u_tensor_closed(split, params, xs, ys):
     """Closed-form U(X_p, Y_p) as a (P, n, n) stack; symmetric in (X, Y) and valued in m."""
     xr, yr = m_rows(split, xs, ys)
     s, t = params.s, params.t
-    x1, x2, x3 = (project_rows(blk, xr) for blk in (split.m1, split.m2, split.m3))
-    y1, y2, y3 = (project_rows(blk, yr) for blk in (split.m1, split.m2, split.m3))
+    blocks = split_blocks(split)
+    x1, x2, x3 = (project_rows(blk, xr) for blk in blocks)
+    y1, y2, y3 = (project_rows(blk, yr) for blk in blocks)
     out = 0.5 * (t - s) * (brackets(x2, y3) + brackets(y2, x3))
     out = out + ((t - 1.0) / (2.0 * s)) * (brackets(x1, y3) + brackets(y1, x3))
     return out + ((s - 1.0) / (2.0 * t)) * (brackets(x1, y2) + brackets(y1, x2))

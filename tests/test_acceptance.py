@@ -20,6 +20,7 @@ from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid
 from flagf.metricgeom import MetricGrid, MetricParams, naturally_reductive_residual
 from generation_reference import poly_in
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
+from space_reference import split_blocks
 from structure_checks_reference import u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
@@ -102,8 +103,9 @@ def test_criterion_05_splitting(get_space, get_split):
     for n, k in TEST_MATRIX:
         ps = get_space(n, k)
         split = get_split(n, k)
-        ok &= (split.m1.dim, split.m2.dim, split.m3.dim) == (2, 2 * (n - 3), n - 3)
-        for a, b in ((split.m1, split.m2), (split.m1, split.m3), (split.m2, split.m3)):
+        m1, m2, m3 = split_blocks(split)
+        ok &= (m1.dim, m2.dim, m3.dim) == (2, 2 * (n - 3), n - 3)
+        for a, b in ((m1, m2), (m1, m3), (m2, m3)):
             worst_orth = max(worst_orth, float(np.max(np.abs(a.coords @ b.coords.T))))
         bi = split.block_index
         for i, j, r, v in zip(*split.bracket_nonzeros):

@@ -23,7 +23,7 @@ from flagf.canonical import (
 )
 from flagf.liealg import brackets, lie_mats, lie_rows
 from flagf.tolerances import TAU_GOLDEN, TAU_STRUCTURE
-from space_reference import apply_on, kernel_and_image, relative_residuals
+from space_reference import apply_on, kernel_and_image, relative_residuals, split_blocks
 
 # m_blocks 1-3 with k = 4..12; n = 2 m_blocks + 1 has no angle pi once m_blocks >= 2.
 SIGN_GRID = [
@@ -686,14 +686,15 @@ class TestKernelStructure:
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         ker = kernel_and_image(f0.matrix, ps.m)[0]
-        assert ker.dim == split.m3.dim
-        assert np.all(relative_residuals(ker, split.m3.coords) <= 1e-10)
+        m3 = split_blocks(split)[2]
+        assert ker.dim == m3.dim
+        assert np.all(relative_residuals(ker, m3.coords) <= 1e-10)
 
     def test_f0_squares_to_minus_id_off_kernel(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
         f2 = f0.matrix @ f0.matrix
-        for blk in (split.m1, split.m2):
+        for blk in split_blocks(split)[:2]:
             v = split.combined.coords @ blk.coords.T  # one column per basis element of the block
             np.testing.assert_allclose(f2 @ v, -v, atol=1e-12)
 

@@ -23,7 +23,10 @@ from flagf.classify import (
 )
 from flagf import canonical, classify, liealg, metricgeom
 from flagf.liealg import Subspace, bracket_coords, scatter
-from flagf.metricgeom import MetricGrid, MetricParams, TripleSplit, _check_split_invariants, u_channel_coefficients
+from flagf.metricgeom import MetricGrid, MetricParams, TripleSplit, u_channel_coefficients
+from flagf.tolerances import TAU_CYCLIC
+import space_reference as ref
+from space_reference import split_blocks
 from structure_checks_reference import kept_entries_from_stacks, u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
@@ -743,8 +746,10 @@ class TestExactZeroSets:
     @pytest.mark.parametrize("k", [8, 10])
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_higher_orders_decode_and_agree_with_grid(self, get_split, get_f_structures, n, k):
+        # README: at k >= 8 the labels come in key order and the class follows the sign pair, so
+        # f3 (opposite signs) takes the f4 row of the order-6 table and f4 (one zero sign) the f2/f3 row.
         split = get_split(n, k)
-        labels = []
+        labels, classes = [], {}
         for cs in get_f_structures(n, k):
             assert np.linalg.norm(cs.matrix, 2) >= 0.5, cs.label  # no zero operator
             if cs.label.startswith("-"):
@@ -754,7 +759,14 @@ class TestExactZeroSets:
             sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
             assert all(zs.kind in ("all", "empty", "line", "points") for zs in sets.values())
             assert grid_disagreement(sets, ev.sweep(MetricGrid.of(SMALL_GRID))) is None, cs.label
+            classes[cs.label] = (cs.sign_pair, tuple(sets[name].kind for name in CONDITION_NAMES))
         assert labels == ["f1", "f2", "f3", "f4"]
+        assert classes == {
+            "f1": ((-1, -1), ("points", "line", "all")),
+            "f2": ((-1, 0), ("empty", "all", "all")),
+            "f3": ((-1, 1), ("empty", "empty", "all")),
+            "f4": ((0, -1), ("empty", "all", "all")),
+        }
 
     @pytest.mark.parametrize("n,k", [(5, 4), (5, 6), (6, 8), (6, 10)])
     def test_zero_sets_match_dense_svd(self, get_split, get_f_structures, n, k):
@@ -883,15 +895,23 @@ class TestBatchedZeroSets:
 
 def rotated_split(split: TripleSplit, rng) -> TripleSplit:
     """The split with the basis of each block turned by a random orthogonal matrix, and its
-    complex structure conjugated into the turned basis."""
-    blocks = [
-        Subspace(b.ambient_n, np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] @ b.coords)
-        for b in (split.m1, split.m2, split.m3)
-    ]
-    combined = Subspace(split.combined.ambient_n, np.vstack([b.coords for b in blocks]))
+    complex structure conjugated into the turned basis; the labels stay, since the blocks'
+    rows stay in their order."""
+    rows = [np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] @ b.coords for b in split_blocks(split)]
+    combined = Subspace(split.combined.ambient_n, np.vstack(rows))
     q = combined.coords @ split.combined.coords.T
     j = q @ split.complex_structure @ q.T
-    return TripleSplit(*blocks, combined, split.block_index, bracket_coords(combined, combined, combined), j)
+    return TripleSplit(combined, split.block_index, bracket_coords(combined, combined, combined), j)
+
+
+def assert_cyclic_relations(split: TripleSplit) -> None:
+    """The split's bracket nonzeros: none within a block, and each across two
+    blocks in the third one (the cyclic relations), to TAU_CYCLIC."""
+    i, j, r, v = split.bracket_nonzeros
+    bi = split.block_index
+    same = bi[i] == bi[j]
+    assert np.max(np.abs(v[same]), initial=0.0) <= TAU_CYCLIC
+    assert np.max(np.abs(v[~same & (bi[r] != 6 - bi[i] - bi[j])]), initial=0.0) <= TAU_CYCLIC
 
 
 class TestBasisInvariance:
@@ -909,7 +929,9 @@ class TestBasisInvariance:
         split = get_split(n, k)
         turned = rotated_split(split, np.random.default_rng(5))
         assert not np.allclose(turned.combined.coords, split.combined.coords)
-        _check_split_invariants(get_space(n, k), turned)
+        ps = get_space(n, k)
+        assert max(ref.bracket_leak(ps.h, blk, blk) for blk in split_blocks(turned)) < 1e-14
+        assert_cyclic_relations(turned)
         q = turned.combined.coords @ split.combined.coords.T
         grid = build_grid()
         for cs in get_f_structures(n, k):  # f and -f

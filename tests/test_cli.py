@@ -1001,6 +1001,32 @@ class TestNonFiniteValues:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "MAX_GRID_POINTS" in err
 
+    def test_oversized_structure_stack_is_refused_before_generation(self, capsys):
+        # 3^7 - 1 + 2^8 = 2442 structures on d = 517: one (S, d, d) float64 stack is 5.2 GB, and
+        # generation and the stacked checks hold several; the counts are read off phi's blocks first.
+        # The space itself peaks at 41 MB (its [h, m] table, dim h = 263).
+        import tracemalloc
+
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "verify", "--n", "40", "--k", "16", "--m-blocks", "9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == "" and peak < 64_000_000
+        assert err == (
+            "flagf: invalid configuration: 2442 structures on dim m = 517 take 5221757904 bytes per"
+            f" (S, d, d) stack, above MAX_STACK_BYTES = {classify.MAX_STACK_BYTES}\n"
+        )
+
+    def test_structure_stack_at_the_bound_is_accepted(self, capsys, monkeypatch):
+        # (5, 4): 2 f- and 4 P-structures on d = 8, 6 * 8^2 * 8 = 3072 bytes.
+        for bound, want in ((3072, 0), (3071, 2)):
+            monkeypatch.setattr(classify, "MAX_STACK_BYTES", bound)
+            assert run(capsys, "verify", "--n", "5", "--k", "4")[0] == want
+
 
     @pytest.mark.parametrize("command", ["verify", "classify", "sweep"])
     def test_size_limits_accept_their_bounds(self, command, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from flagf.liealg import (
     Subspace,
-    basis_change,
     bracket_coords,
     brackets,
     lex_indices,
@@ -230,26 +229,6 @@ class TestNullspaceImage:
             kernel_and_image(np.zeros((6, 5)), full_space(4))
 
 
-class TestDecomposeOrthogonal:
-    def test_true_decomposition(self):
-        whole = Subspace(4, np.stack([unit(4, 0, 1), unit(4, 0, 2), unit(4, 2, 3)]))
-        parts = [
-            Subspace(4, unit(4, 0, 1)[None]),
-            Subspace(4, np.stack([unit(4, 0, 2), unit(4, 2, 3)])),
-        ]
-        assert basis_change(whole, parts) is not None
-
-    def test_dimension_shortfall(self):
-        whole = full_space(4)
-        assert basis_change(whole, [Subspace(4, unit(4, 0, 1)[None])]) is None
-
-    def test_non_orthogonal_parts(self):
-        x, y = unit(4, 0, 1), unit(4, 0, 2)
-        whole = Subspace(4, np.stack([x, y]))
-        parts = [Subspace(4, x[None]), Subspace(4, (x + y)[None] / np.sqrt(2.0))]
-        assert basis_change(whole, parts) is None
-
-
 class TestOpPowers:
     def test_poly_in(self, rng):
         m = rng.standard_normal((6, 6))
@@ -467,11 +446,6 @@ class TestSparseRows:
         with pytest.raises(AttributeError):
             sp.coords = np.zeros((6, 6))
 
-    def test_sub_keeps_the_rows(self, rng):
-        sp = random_subspace(rng, 5, 6)
-        np.testing.assert_array_equal(sp.sub(2, 5).coords, sp.coords[2:5])
-        assert sp.sub(3, 3).dim == 0
-
     @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 6, 6)])
     def test_nonzero_rows_read_each_row(self, rng, shape):
         # Per matrix and row: the columns of its nonzeros in order and their values, then
@@ -508,7 +482,7 @@ class TestSparseLeakAndRestriction:
     def test_leak_per_block_is_the_largest_block_leak(self, rng, get_split):
         split = get_split(7, 6)
         x = random_subspace(rng, 7, 3)
-        blocks = (split.m1, split.m2, split.m3)
+        blocks = ref.split_blocks(split)
         want = max(ref.bracket_leak(x, blk, blk) for blk in blocks)
         np.testing.assert_allclose(ref.sparse_bracket_leak(x, *blocks), want, rtol=1e-12)
         rotated = [Subspace(7, np.linalg.qr(rng.standard_normal((21, blk.dim)))[0].T) for blk in blocks]

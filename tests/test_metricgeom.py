@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import structure_checks_reference as reference
-from space_reference import project_rows, relative_residuals
+from space_reference import project_rows, relative_residuals, split_blocks
 from structure_checks_reference import metric_eval, nomizu, scaled_channel, u_coords_tensor, u_tensor_closed, u_tensor_solved
 
 from flagf import liealg, metricgeom
-from flagf.liealg import basis_change, brackets, lie_mats, lie_rows, scatter, sum_by_key
+from flagf.liealg import brackets, lie_mats, lie_rows, scatter, sum_by_key
 from flagf.tolerances import TAU_CONNECTION, TAU_NAT_RED
 from flagf.metricgeom import (
     MetricGrid,
@@ -140,10 +140,15 @@ class TestMetricGrid:
 
 
 class TestSplit:
-    @pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (6, 6), (8, 6)])
-    def test_block_dimensions(self, get_split, n, k):
-        split = get_split(n, k)
-        assert (split.m1.dim, split.m2.dim, split.m3.dim) == (2, 2 * (n - 3), n - 3)
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (6, 6), (8, 6), (12, 6), (24, 6), (6, 8), (9, 10)])
+    def test_block_dimensions(self, get_space, get_split, n, k):
+        # One label per row of m, 1, 2, 3 in order; the blocks' rows, one after another, are m's.
+        ps, split = get_space(n, k), get_split(n, k)
+        assert tuple(blk.dim for blk in split_blocks(split)) == (2, 2 * (n - 3), n - 3)
+        assert np.bincount(split.block_index).tolist() == [0, 2, 2 * (n - 3), n - 3]
+        assert np.all(np.diff(split.block_index) >= 0)
+        rows = np.vstack([blk.coords for blk in split_blocks(split)])
+        assert rows.tobytes() == ps.m.coords.tobytes()
 
     def test_wrong_block_pattern_rejected(self, get_space):
         with pytest.raises(ValueError, match="m_blocks=1"):
@@ -167,24 +172,19 @@ class TestSplit:
                 build_split(dataclasses.replace(ps, m=liealg.Subspace(n, rows)))
 
     def test_blocks_are_exactly_orthogonal(self, get_split):
-        split = get_split(6, 6)
-        for a, b in ((split.m1, split.m2), (split.m1, split.m3), (split.m2, split.m3)):
+        m1, m2, m3 = split_blocks(get_split(6, 6))
+        for a, b in ((m1, m2), (m1, m3), (m2, m3)):
             assert np.max(np.abs(a.coords @ b.coords.T)) == 0.0
-
-    def test_orthogonal_decomposition_of_m(self, get_space, get_split):
-        ps = get_space(5, 4)
-        split = get_split(5, 4)
-        assert basis_change(ps.m, [split.m1, split.m2, split.m3]) is not None
 
     def test_blocks_orthogonal_to_h(self, get_space, get_split):
         ps = get_space(5, 6)
         split = get_split(5, 6)
-        for blk in (split.m1, split.m2, split.m3):
+        for blk in split_blocks(split):
             assert np.max(np.abs(blk.coords @ ps.h.coords.T)) < 1e-12
 
     def test_cyclic_bracket_relations(self, get_split):
         split = get_split(6, 6)
-        blocks = {1: split.m1, 2: split.m2, 3: split.m3}
+        blocks = dict(zip((1, 2, 3), split_blocks(split)))
         for i in (1, 2, 3):
             j = i % 3 + 1
             target = blocks[({1, 2, 3} - {i, j}).pop()]
@@ -194,7 +194,7 @@ class TestSplit:
     def test_ad_h_invariance_of_blocks(self, get_space, get_split):
         ps = get_space(6, 4)
         split = get_split(6, 4)
-        for blk in (split.m1, split.m2, split.m3):
+        for blk in split_blocks(split):
             rows = all_brackets(ps.h, blk)
             assert np.all((relative_residuals(blk, rows) <= 1e-9) | (np.linalg.norm(rows, axis=1) < 1e-12))
 
@@ -202,14 +202,15 @@ class TestSplit:
 class TestMetricEval:
     def test_unit_vector_in_m2_scales_with_s(self, get_split):
         split = get_split(5, 4)
-        x = basis_mats(split.m2)[:1]
+        x = basis_mats(split_blocks(split)[1])[:1]
         p = MetricParams(s=2.0, t=1.0, kappa=1.0)
         assert metric_eval(split, p, x, x) == pytest.approx([2.0])
 
     def test_cross_block_pairs_vanish(self, get_split):
         split = get_split(5, 4)
         p = MetricParams(s=2.0, t=3.0, kappa=1.0)
-        assert np.all(metric_eval(split, p, basis_mats(split.m1)[:1], basis_mats(split.m3)[:1]) == 0.0)
+        m1, _, m3 = split_blocks(split)
+        assert np.all(metric_eval(split, p, basis_mats(m1)[:1], basis_mats(m3)[:1]) == 0.0)
 
     def test_neutral_params_reduce_to_scaled_trace_form(self, get_split, rng):
         split = get_split(6, 4)
@@ -222,7 +223,7 @@ class TestMetricEval:
         split = get_split(5, 4)
         h_elem = elem(5, 1, 2)  # isotropy direction, not in m
         with pytest.raises(ValueError, match="not in the complement"):
-            metric_eval(split, MetricParams(1.0, 1.0), h_elem, basis_mats(split.m1)[:1])
+            metric_eval(split, MetricParams(1.0, 1.0), h_elem, basis_mats(split_blocks(split)[0])[:1])
 
     def test_positive_definite(self, get_split, rng):
         split = get_split(5, 6)
@@ -348,8 +349,8 @@ def _alpha_per_element(split, p, x, y):
     def proj(space, a):
         return lie_mats(n, (space.coords.T @ (space.coords @ lie_rows(a)))[None])[0]
 
-    x1, x2, x3 = (proj(b, x) for b in (split.m1, split.m2, split.m3))
-    y1, y2, y3 = (proj(b, y) for b in (split.m1, split.m2, split.m3))
+    x1, x2, x3 = (proj(b, x) for b in split_blocks(split))
+    y1, y2, y3 = (proj(b, y) for b in split_blocks(split))
     u = 0.5 * (t - s) * (br(x2, y3) + br(y2, x3))
     u = u + ((t - 1.0) / (2.0 * s)) * (br(x1, y3) + br(y1, x3))
     u = u + ((s - 1.0) / (2.0 * t)) * (br(x1, y2) + br(y1, x2))

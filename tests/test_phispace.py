@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import flagf
-from flagf import phispace
 from flagf.canonical import CanonicalStructure, verify_structures
 from flagf.liealg import Subspace, bracket_coords, brackets, lex_indices, lie_mats, lie_rows
 from flagf.metricgeom import _check_split_invariants
@@ -28,7 +27,7 @@ from flagf.phispace import (
 from flagf.tolerances import TAU_ORDER, TAU_PHI
 
 import space_reference as ref
-from space_reference import full_space, phi_matrix
+from space_reference import full_space, phi_matrix, split_blocks
 
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]
 
@@ -303,7 +302,7 @@ class TestRegularityFromBlocks:
     @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (8, 6, 1), (9, 8, 2)])
     def test_a_dropped_h_row_fails_both_routes(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
-        broken = dataclasses.replace(ps, h=ps.h.sub(1, ps.h.dim))
+        broken = dataclasses.replace(ps, h=Subspace(n, ps.h.coords[1:]))
         rep = check_regularity(broken)
         assert rep == ref.dense_regularity(broken)
         assert not rep.direct_sum and not rep.kernel_square_stable and not (rep.agree and rep.direct_sum)
@@ -405,13 +404,6 @@ def _rotate_rows(coords_a, coords_b, angle):
     return a, b
 
 
-def _turned_blocks(rng, space: Subspace, cuts) -> list[Subspace]:
-    """The rows of a random orthogonal turn of the basis of space, cut into blocks."""
-    q = np.linalg.qr(rng.standard_normal((space.dim, space.dim)))[0]
-    rows = q @ space.coords
-    return [Subspace(space.ambient_n, part) for part in np.split(rows, cuts)]
-
-
 class TestHMTable:
     """ad(h) on m, reductivity and the split's block leak, read off one [h, m] table."""
 
@@ -446,69 +438,33 @@ class TestHMTable:
         want = ref.bracket_leak(bad.h, bad.m, bad.m)
         assert want > 0.1
         np.testing.assert_allclose(ad_h_leak(bad), want, rtol=1e-12)
-        # In blocks, the part off m counts too: one block, all of m in another basis, leaks only off m.
-        rng = np.random.default_rng(6)
-        (whole,) = _turned_blocks(rng, bad.m, [])
-        np.testing.assert_allclose(ad_h_leak(bad, whole), ref.bracket_leak(bad.h, whole, whole), rtol=1e-10)
-        blocks = _turned_blocks(rng, bad.m, [3, 5])
-        np.testing.assert_allclose(ad_h_leak(bad, *blocks), max(ref.bracket_leak(bad.h, b, b) for b in blocks), rtol=1e-10)
+        # With labels, the part off m counts too: one label is the leak off m, three add the leak across them.
+        assert ad_h_leak(bad, np.zeros(bad.m.dim, dtype=int)) == ad_h_leak(bad)
+        labels = np.repeat([1, 2, 3], [2, 6, 3])
+        want = max(ref.bracket_leak(bad.h, blk, blk) for blk in ref.labelled_blocks(bad.m, labels))
+        np.testing.assert_allclose(ad_h_leak(bad, labels), want, rtol=1e-10)
 
     @pytest.mark.parametrize("n,k,m_blocks", SPACES)
-    def test_block_leak_in_turned_blocks_matches_the_dense_rows(self, get_space, n, k, m_blocks):
+    def test_block_leak_of_labelled_rows_matches_the_dense_rows(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
-        rng = np.random.default_rng(n * k + m_blocks)
-        blocks = _turned_blocks(rng, ps.m, [2, ps.m.dim - 3])
-        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in blocks)
+        labels = np.random.default_rng(n * k + m_blocks).permutation(np.arange(ps.m.dim) % 3)
+        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in ref.labelled_blocks(ps.m, labels))
         assert want > 0.01
-        np.testing.assert_allclose(ad_h_leak(ps, *blocks), want, rtol=1e-10)
-        (whole,) = _turned_blocks(rng, ps.m, [])  # one block, all of m in another basis: only the part off m
-        np.testing.assert_allclose(ad_h_leak(ps, whole), ref.bracket_leak(ps.h, whole, whole), rtol=1e-10, atol=1e-14)
-
-    @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (12, 6)])
-    def test_split_blocks_leak_nothing_in_any_basis_of_each(self, get_space, get_split, n, k):
-        ps, split = get_space(n, k), get_split(n, k)
-        blocks = (split.m1, split.m2, split.m3)
-        assert ad_h_leak(ps, *blocks) == 0.0
-        rng = np.random.default_rng(n)
-        turned = [_turned_blocks(rng, blk, [])[0] for blk in blocks]
-        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in turned)
-        assert ad_h_leak(ps, *turned) < 1e-14 and want < 1e-14
-        m1, m3 = _rotate_rows(split.m1.coords, split.m3.coords, 0.3)
-        rotated = (Subspace(n, m1), split.m2, Subspace(n, m3))
-        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in rotated)
-        assert want > 0.1
-        np.testing.assert_allclose(ad_h_leak(ps, *rotated), want, rtol=1e-10)
+        np.testing.assert_allclose(ad_h_leak(ps, labels), want, rtol=1e-10)
+        assert ad_h_leak(ps, np.zeros(ps.m.dim, dtype=int)) == ad_h_leak(ps)  # one block: the leak off m
 
     @pytest.mark.parametrize("n,k", [(5, 4), (8, 6), (12, 6), (24, 6)])
-    def test_cost_guard_split_blocks_read_off_the_table(self, get_space, monkeypatch, n, k):
-        # The split's blocks are m's own rows, R = I: no change of basis, and the bits of the general
-        # route, also where they leak, with h's first row turned into m.
-        ps = get_space(n, k)
+    def test_split_blocks_leak_nothing_and_a_leaning_h_leaks(self, get_space, get_split, n, k):
+        # The split's labels on m's own rows leak nothing, as the dense rows of each block; with
+        # h's first row turned into m they leak as the dense rows do, above 0.1.
+        ps, split = get_space(n, k), get_split(n, k)
+        assert ad_h_leak(ps, split.block_index) == 0.0
+        assert max(ref.bracket_leak(ps.h, blk, blk) for blk in split_blocks(split)) < 1e-14
         h_rows, _ = _rotate_rows(ps.h.coords, ps.m.coords, 0.3)
         leaning = PhiSpace(ps.spec, Subspace(n, h_rows), ps.m, ps.theta)
-        calls, original = [], phispace.basis_change
-
-        def counting(whole, parts):
-            calls.append(len(parts))
-            return original(whole, parts)
-
-        monkeypatch.setattr(phispace, "basis_change", counting)
-        split = flagf.build_split(ps)
-        blocks = (split.m1, split.m2, split.m3)
-        leaks = [np.float64(ad_h_leak(space, *blocks)) for space in (ps, leaning)]
-        assert calls == [] and leaks[0] == 0.0 and leaks[1] > 0.1
-        monkeypatch.setattr(phispace, "stacked_rows", lambda parts: (None,))  # never m's rows
-        general = [np.float64(ad_h_leak(space, *blocks)) for space in (ps, leaning)]
-        assert [x.tobytes() for x in general] == [x.tobytes() for x in leaks]
-        assert calls == [3, 3]
-
-    def test_blocks_that_do_not_span_m_leak_infinitely(self, get_space, get_split):
-        ps, split = get_space(6, 6), get_split(6, 6)
-        assert ad_h_leak(ps, split.m1, split.m2) == np.inf  # m3 missing
-        outside = Subspace(6, ps.h.coords[:3])  # as many rows as m3, all in h
-        assert ad_h_leak(ps, split.m1, split.m2, outside) == np.inf
-        with pytest.raises(RuntimeError, match="block is not ad\\(h\\)-invariant"):
-            _check_split_invariants(ps, dataclasses.replace(split, m3=outside))
+        want = max(ref.bracket_leak(leaning.h, blk, blk) for blk in split_blocks(split))
+        assert ad_h_leak(leaning, split.block_index) > 0.1
+        np.testing.assert_allclose(ad_h_leak(leaning, split.block_index), want, rtol=1e-10)
 
 
 class TestCostGuard:
@@ -572,12 +528,22 @@ class TestStructuralChecksStillBite:
         by_squaring = float(np.max(np.abs(np.linalg.matrix_power(ps.theta, k) - eye)))
         assert max(ps.theta_order_residual, by_squaring) < 1e-14
 
-    def test_split_fails_when_m1_is_rotated_into_m3(self, get_space, get_split):
-        ps, split = get_space(6, 6), get_split(6, 6)
-        m1, m3 = _rotate_rows(split.m1.coords, split.m3.coords, 0.3)
-        bad = dataclasses.replace(split, m1=Subspace(6, m1), m3=Subspace(6, m3))
+    @pytest.mark.parametrize("n,k", [(4, 4), (6, 6), (12, 6)])
+    def test_split_fails_when_an_m1_and_an_m3_label_swap(self, get_space, get_split, n, k):
+        ps, split = get_space(n, k), get_split(n, k)
+        labels = split.block_index.copy()
+        labels[[0, -1]] = labels[[-1, 0]]  # the first row of m1 in m3, the last row of m3 in m1
+        want = max(ref.bracket_leak(ps.h, blk, blk) for blk in ref.labelled_blocks(ps.m, labels))
+        assert want > 0.1
+        np.testing.assert_allclose(ad_h_leak(ps, labels), want, rtol=1e-10)
         with pytest.raises(RuntimeError, match="block is not ad\\(h\\)-invariant"):
-            _check_split_invariants(ps, bad)
+            _check_split_invariants(ps, dataclasses.replace(split, block_index=labels))
+
+    def test_split_fails_on_wrong_block_dimensions(self, get_space, get_split):
+        ps, split = get_space(6, 6), get_split(6, 6)
+        for labels in (np.where(split.block_index == 1, 2, split.block_index), split.block_index - 1):
+            with pytest.raises(RuntimeError, match="unexpected block dimensions"):
+                _check_split_invariants(ps, dataclasses.replace(split, block_index=labels))
 
     def test_split_fails_on_a_wrong_bracket_relation(self, get_space, get_split):
         ps, split = get_space(6, 6), get_split(6, 6)

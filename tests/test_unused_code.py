@@ -2,7 +2,8 @@
 used by the package or exported by it, and every public method or property
 of a package class is named by the package outside its own definition, by
 a demo or by the benchmark: a reference kept only for the tests lives in
-tests/.
+tests/.  Every name imported into a module of the package, other than
+__init__.py (whose imports are the exports), is used by that module.
 
 The guard matches names, not bindings: a name counts as used wherever it
 appears as an identifier or attribute.  So a method that only the tests call
@@ -80,6 +81,25 @@ def unused_members(src: Path, *elsewhere: Path) -> list[str]:
     return unused
 
 
+def unused_imports(src: Path) -> list[str]:
+    """The names imported into a module of the package at src, __init__.py
+    aside, that the module's code never names (``from __future__`` imports
+    are directives, not names)."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in named:
+                        unused.append(f"{path.name}:{name}")
+    return unused
+
+
 def test_every_top_level_definition_is_used_or_exported():
     assert unused_definitions(SRC) == []
 
@@ -127,3 +147,20 @@ def test_the_guard_sees_a_method_named_only_in_its_own_body_or_a_test(tmp_path):
     (demos / "demo.py").write_text("from pkg import Kept\nprint(Kept().shown)\n")
     (tests / "test_a.py").write_text("from pkg import Kept\nassert Kept().tested() == 4\n")
     assert unused_members(src, demos) == ["a.py:Kept.recursive", "a.py:Kept.orphan", "a.py:Kept.tested"]
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports(SRC) == []
+
+
+def test_the_guard_sees_a_name_imported_and_never_used(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import kept\nimport json\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport numpy as np\nimport sys as system\n"
+        "from .b import helper, orphan as alias\n\n\n"
+        'def kept(x: np.ndarray):\n    """Not system, alias or os."""\n    def inner():\n        import re\n'
+        "        return re\n    return helper(x), inner\n"
+    )
+    (tmp_path / "b.py").write_text("def helper(x):\n    return x\n\n\ndef orphan():\n    return 1\n")
+    assert unused_imports(tmp_path) == ["a.py:os", "a.py:system", "a.py:alias"]
