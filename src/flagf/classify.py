@@ -304,17 +304,16 @@ def _term_text(i: int, j: int, coeff: float) -> str:
     return "*".join([f"{coeff:+.6f}", *powers])
 
 
-def decode_constraints(rows) -> CharacteristicSet:
-    """Zero set over s, t > 0 of w . (1, c(s, t)) = 0 for each of the (r, 4)
-    independent constraint rows w.  No rows is "all"; a kernel without the
-    constant term is "empty"; a 1-dim kernel is a point ("empty" at infinity
-    or off the open quadrant); one row on c3 (c2) alone is the line s = 1
-    (t = 1).  Any other shape is returned as "equations", not guessed."""
-    w = np.asarray(rows, dtype=float).reshape(-1, 4)
-    rank = len(w)
+def decode_constraints(vt: np.ndarray, rank: int) -> CharacteristicSet:
+    """Zero set over s, t > 0 of w . (1, c(s, t)) = 0 for each constraint row
+    w of vt[:rank], vt the (4, 4) right singular vectors of a condition's
+    matrix of rank ``rank``, whose kernel is vt[rank:].  No rows is "all"; a
+    kernel without the constant term is "empty"; a 1-dim kernel is a point
+    ("empty" at infinity or off the open quadrant); one row on c3 (c2) alone
+    is the line s = 1 (t = 1).  Any other shape is returned as "equations",
+    not guessed."""
     if rank == 0:
         return CharacteristicSet(kind="all")
-    _, _, vt = np.linalg.svd(w)
     kernel = vt[rank:]
     if not np.any(np.abs(kernel[:, 0]) > TAU_RANK):
         return CharacteristicSet(kind="empty", rank=rank)
@@ -464,7 +463,7 @@ def zero_sets(evaluators) -> list[dict[str, CharacteristicSet]]:
         rank = sum(x > TAU_RANK * f_norm for x in sigma)  # kept sigma >= 1, dropped <= 1e-14 (n = 4..24)
         sets.append(
             replace(
-                decode_constraints(vt[:rank]),
+                decode_constraints(vt, rank),
                 sigma_min_kept=sigma[rank - 1] if rank else None,
                 sigma_max_dropped=sigma[rank] if rank < len(sigma) else None,
             )

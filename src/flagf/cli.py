@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,42 +52,8 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    m_blocks: int
-    k: int
-    f_label: str | None
-    s: float | None
-    t: float | None
-    grid_min: float
-    grid_max: float
-    grid_step: float
-    extra_points: tuple[tuple[float, float], ...]
-    fmt: str
-    out: str | None
-    seed: int
-    kappa: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "m_blocks": self.m_blocks,
-            "k": self.k,
-            "f": self.f_label,
-            "s": self.s,
-            "t": self.t,
-            "grid": {"min": self.grid_min, "max": self.grid_max, "step": self.grid_step},
-            "extra_points": [list(p) for p in self.extra_points],
-            "format": self.fmt,
-            "seed": self.seed,
-            "kappa": self.kappa,
-        }
-
-
 COMMANDS = ("verify", "classify", "sweep")
+_GRID_OPTIONS = ("grid_min", "grid_max", "grid_step")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -113,6 +79,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--kappa", type=float, default=None, help="metric normalization (default n-1)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", type=str, default=None, help="output file (verify/classify) or directory (sweep)")
+        # the options of the other commands, as a command without them reads them: every namespace has every field
+        p.set_defaults(f=None, s=None, t=None, extra_points="", **dict(zip(_GRID_OPTIONS, classify.DEFAULT_GRID)))
         return p
 
     if "verify" in built:
@@ -127,16 +95,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if "sweep" in built:
         pw = add_parser("sweep", "sweep the (s, t) grid for every f-structure")
-        for option, default in zip(("--grid-min", "--grid-max", "--grid-step"), classify.DEFAULT_GRID):
-            pw.add_argument(option, type=float, default=default)
-        pw.add_argument("--extra-points", type=str, default="", help='extra grid points, e.g. "0.3,2.0;1.5,1.5"')
+        for option in _GRID_OPTIONS:
+            pw.add_argument("--" + option.replace("_", "-"), type=float)
+        pw.add_argument("--extra-points", type=str, help='extra grid points, e.g. "0.3,2.0;1.5,1.5"')
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
+    """Validate the parsed arguments and return them, ``extra_points`` parsed
+    into a tuple of (s, t); raises ConfigError on an invalid configuration."""
     extras = []
-    raw = getattr(args, "extra_points", "") or ""
-    for chunk in raw.replace(" ", "").split(";"):
+    for chunk in cfg.extra_points.replace(" ", "").split(";"):
         if not chunk:
             continue
         parts = chunk.split(",")
@@ -149,27 +118,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not (0 < s < math.inf and 0 < t < math.inf):
             raise ConfigError(f"extra points must be positive and finite, got ({s}, {t})")
         extras.append((s, t))
-
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        m_blocks=args.m_blocks,
-        k=args.k,
-        f_label=getattr(args, "f", None),
-        s=getattr(args, "s", None),
-        t=getattr(args, "t", None),
-        grid_min=getattr(args, "grid_min", classify.DEFAULT_GRID[0]),
-        grid_max=getattr(args, "grid_max", classify.DEFAULT_GRID[1]),
-        grid_step=getattr(args, "grid_step", classify.DEFAULT_GRID[2]),
-        extra_points=tuple(extras),
-        fmt=args.format,
-        out=args.out,
-        seed=args.seed,
-        kappa=args.kappa,
-    )
+    cfg.extra_points = tuple(extras)
     if cfg.command == "sweep" and cfg.out is None:
         raise ConfigError("sweep requires --out DIRECTORY")
-    if cfg.command in ("verify", "classify") and cfg.fmt == "csv":
+    if cfg.command in ("verify", "classify") and cfg.format == "csv":
         raise ConfigError(f"format csv is not supported for {cfg.command}")
     # Written as 0 < x < inf, so that NaN and infinity are rejected too.
     if cfg.command == "sweep" and not 0 < cfg.grid_step < math.inf:
@@ -191,12 +143,38 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _setup_space(cfg: RunConfig) -> phispace.PhiSpace:
+def _config_dict(cfg: argparse.Namespace) -> dict:
+    """The report's config block: every option but --out, the grid as one object."""
+    return {
+        "command": cfg.command,
+        "n": cfg.n,
+        "m_blocks": cfg.m_blocks,
+        "k": cfg.k,
+        "f": cfg.f,
+        "s": cfg.s,
+        "t": cfg.t,
+        "grid": {"min": cfg.grid_min, "max": cfg.grid_max, "step": cfg.grid_step},
+        "extra_points": [list(p) for p in cfg.extra_points],
+        "format": cfg.format,
+        "seed": cfg.seed,
+        "kappa": cfg.kappa,
+    }
+
+
+def _setup_space(cfg: argparse.Namespace) -> phispace.PhiSpace:
     try:
         spec = phispace.build_automorphism(cfg.n, cfg.m_blocks, cfg.k)
         return phispace.build_phi_space(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _flag_space(cfg: argparse.Namespace, what: str):
+    """The m_blocks = 1 flag space that ``what`` requires, its split and its f-structures."""
+    ps = _setup_space(cfg)
+    if cfg.m_blocks != 1:
+        raise ConfigError(f"{what} requires the m_blocks=1 flag space")
+    return ps, metricgeom.build_split(ps), canonical.generate_f_structures(ps)
 
 
 def _space_dict(ps: phispace.PhiSpace) -> dict:
@@ -223,7 +201,7 @@ def _structure_dict(cs: canonical.CanonicalStructure, check: canonical.Structure
 # ----------------------------------------------------------------- verify --
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
+def cmd_verify(cfg: argparse.Namespace) -> tuple[int, dict]:
     """Run the whole structural verification suite; exit 0 iff all pass."""
     ps = _setup_space(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -327,7 +305,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
-        "config": cfg.as_dict(),
+        "config": _config_dict(cfg),
         "space": _space_dict(ps),
         "structures": {
             "f": [cs.label for cs in fs],
@@ -357,16 +335,12 @@ def _verify_text(report: dict) -> str:
 # --------------------------------------------------------------- classify --
 
 
-def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
-    ps = _setup_space(cfg)
-    if cfg.m_blocks != 1:
-        raise ConfigError("classification requires the m_blocks=1 flag space")
-    split = metricgeom.build_split(ps)
-    fs = canonical.generate_f_structures(ps)
+def cmd_classify(cfg: argparse.Namespace) -> tuple[int, dict]:
+    ps, split, fs = _flag_space(cfg, "classification")
     try:
-        cs = canonical.structure_by_label(fs, cfg.f_label)
+        cs = canonical.structure_by_label(fs, cfg.f)
     except KeyError as exc:
-        raise ConfigError(f"unknown structure {cfg.f_label!r}; known: "
+        raise ConfigError(f"unknown structure {cfg.f!r}; known: "
                           + ", ".join(sorted(c.label for c in fs))
                           + " (pass a negative label as --f=-f1)") from exc
 
@@ -385,7 +359,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
 
     report = {
         "command": "classify",
-        "config": cfg.as_dict(),
+        "config": _config_dict(cfg),
         "space": _space_dict(ps),
         "structure": _structure_dict(cs),
         "params": {"s": params.s, "t": params.t, "kappa": params.kappa},
@@ -422,7 +396,7 @@ def _classify_text(report: dict) -> str:
 # ------------------------------------------------------------------ sweep --
 
 
-def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
+def cmd_sweep(cfg: argparse.Namespace) -> tuple[int, dict]:
     kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
     try:
         points = classify.build_grid(
@@ -431,11 +405,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
         grid = metricgeom.MetricGrid.of(points, kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    ps = _setup_space(cfg)
-    if cfg.m_blocks != 1:
-        raise ConfigError("sweep requires the m_blocks=1 flag space")
-    split = metricgeom.build_split(ps)
-    fs = canonical.generate_f_structures(ps)
+    ps, split, fs = _flag_space(cfg, "sweep")
     reps = sorted((cs for cs in fs if not cs.label.startswith("-")), key=lambda c: c.label)
 
     results = []
@@ -464,7 +434,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
             summary_all[cs.label] = sdict
             doc = {
                 "command": "sweep",
-                "config": cfg.as_dict(),
+                "config": _config_dict(cfg),
                 "space": _space_dict(ps),
                 "structures": [_structure_dict(cs, chk)],
                 "sweep": Rows(
@@ -478,13 +448,13 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
                 ),
                 "summary": sdict,
             }
-            path = outdir / f"{cs.label}.{_ext(cfg.fmt)}"
-            atomic_write_text(path, _render_sweep(doc, swept, cfg.fmt))
+            path = outdir / f"{cs.label}.{_ext(cfg.format)}"
+            atomic_write_text(path, _render_sweep(doc, swept, cfg.format))
             written.append(str(path))
 
         summary_doc = {
             "command": "sweep",
-            "config": cfg.as_dict(),
+            "config": _config_dict(cfg),
             "space": _space_dict(ps),
             "structures": summary_all,
         }
@@ -561,9 +531,9 @@ def main(argv=None) -> int:
         return 2
 
 
-def _deliver(cfg: RunConfig, report: dict, to_text) -> int:
+def _deliver(cfg: argparse.Namespace, report: dict, to_text) -> int:
     """Write the report to --out or stdout: 0, or 1 on an I/O failure."""
-    text = json_dumps(report) if cfg.fmt == "json" else to_text(report)
+    text = json_dumps(report) if cfg.format == "json" else to_text(report)
     if not cfg.out:
         sys.stdout.write(text)
         return 0

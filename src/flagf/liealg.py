@@ -21,15 +21,14 @@ Matrices are small (the benchmark goes up to n = 24, so dim so(n) <= 276) and
 entries are O(1).  Each threshold, and the scale it applies to, is named in
 :mod:`flagf.tolerances`.
 
-A :class:`Subspace` keeps its rows both ways: as their nonzeros
-(``entries``) and as dense lex rows (``coords``); it is built from either and
-makes the other on first use, so a subspace of unit lex vectors costs
-O(dim log dim) to build and check.  Structural quantities (ad(h) on m,
-reductivity, the split checks, the bracket tensor of m) all come from one
-sparse kernel, :func:`_bracket_join`: it joins the nonzero entries of the
-skew matrices of two sets of rows on their shared matrix index and sums equal
-keys, so two lex basis vectors cost one product, and only if they share
-exactly one index.  :func:`bracket_coords` joins those nonzeros with the
+A :class:`Subspace` is built from the nonzeros of its rows (``entries``)
+and scatters them into dense lex rows (``coords``) only on first use, so a
+subspace of unit lex vectors costs O(dim log dim) to build and check.
+Structural quantities (ad(h) on m, reductivity, the split checks, the
+bracket tensor of m) all come from one sparse kernel, :func:`_bracket_join`:
+it joins the nonzero entries of the skew matrices of two sets of rows on
+their shared matrix index and sums equal keys, so two lex basis vectors
+cost one product, and only if they share exactly one index.  :func:`bracket_coords` joins those nonzeros with the
 entries of a subspace, on the lex position, for the coefficients of each
 bracket's projection and, on request, joins once more for each bracket's
 part off the subspace (:func:`_projection`).  All keep only nonzeros, as
@@ -100,26 +99,15 @@ def brackets(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 class Subspace:
     """A linear subspace of so(n) with an orthonormal ordered basis.
 
-    Each basis element is a row of lex coordinates.  ``coords`` holds the rows
-    densely, as a (dim, dim so(n)) array, and ``entries`` holds their nonzeros
-    as arrays (row, lex position, value) in row-major order; both are
-    read-only.  ``Subspace(n, coords)`` builds from dense rows and
-    :meth:`of_entries` from nonzeros, and either way the other form is made
-    on first use.  The Gram matrix under Tr(X^T Y) is ``coords @ coords.T``;
-    construction sums it from the entries and rejects bases that are not
-    orthonormal within TAU_ORTH.  Subspaces are immutable and compare by
-    identity.
+    Each basis element is a row of lex coordinates, given by its nonzeros:
+    :meth:`of_entries` is the one constructor, and ``entries`` holds them as
+    arrays (row, lex position, value) in row-major order.  ``coords``, the
+    rows as a dense (dim, dim so(n)) array, is scattered from them on first
+    use; both are read-only.  The Gram matrix under Tr(X^T Y) is
+    ``coords @ coords.T``; construction sums it from the entries and rejects
+    bases that are not orthonormal within TAU_ORTH.  Subspaces are immutable
+    and compare by identity.
     """
-
-    def __init__(self, ambient_n: int, coords):
-        c = np.array(coords, dtype=float)
-        dg = so_dim(ambient_n)
-        if c.ndim != 2 or c.shape[1] != dg:
-            raise ValueError(f"coords must be (dim, {dg}), got {c.shape}")
-        c.flags.writeable = False
-        row, pos = np.nonzero(c)
-        self._set(ambient_n, c.shape[0], row, pos, c[row, pos])
-        self.__dict__["coords"] = c
 
     @classmethod
     def of_entries(cls, ambient_n: int, dim: int, row, pos, val) -> "Subspace":
@@ -136,18 +124,14 @@ class Subspace:
         order = key.argsort(kind="stable")
         if (key[order][1:] == key[order][:-1]).any():
             raise ValueError("an entry is given twice")
-        sp = cls.__new__(cls)
-        sp._set(ambient_n, dim, row[order], pos[order], val[order])
-        return sp
-
-    def _set(self, ambient_n: int, dim: int, *entries) -> None:
+        entries = row[order], pos[order], val[order]
         for a in entries:
             a.flags.writeable = False
-        self.__dict__.update(ambient_n=ambient_n, dim=dim, entries=entries)
-        if dim:
-            dev = _gram_deviation(so_dim(ambient_n), dim, *entries)
-            if dev > TAU_ORTH:
-                raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
+        if dim and (dev := _gram_deviation(dg, dim, *entries)) > TAU_ORTH:
+            raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
+        sp = cls.__new__(cls)
+        sp.__dict__.update(ambient_n=ambient_n, dim=dim, entries=entries)
+        return sp
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Subspace is immutable (cannot set {name!r})")

@@ -2,10 +2,11 @@
 
 Floats are rendered with 17 significant digits so every report round-trips
 losslessly and reruns with the same configuration are byte-identical; the
-columns of a Rows are formatted a column at a time, as one batch each.  Files
-are written atomically (a uniquely named temp file in the target directory,
-then a rename): concurrent writers never share a temp file, and a failed
-write leaves neither a partial report nor a stray temp file behind.
+columns of a Rows, float64 and bool arrays, are formatted a column at a
+time, as one batch each.  Files are written atomically (a uniquely named
+temp file in the target directory, then a rename): concurrent writers never
+share a temp file, and a failed write leaves neither a partial report nor a
+stray temp file behind.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def fill(template: str, sep: str, columns: list) -> str:
 class Rows:
     """A JSON list of objects of one shape, given by columns.
 
-    ``layout`` is one row: a dict, possibly nested, whose leaves are columns
-    of equal length (sequences, or arrays with ``tolist``; json_dumps raises
-    ValueError if the lengths differ).  json_dumps writes row i as it writes
-    that dict with every column replaced by its element i, byte for byte,
-    without building the row dicts.
+    ``layout`` is one row: a dict, possibly nested, whose leaves are columns,
+    1-D float64 or bool arrays of equal length (json_dumps raises TypeError
+    on any other column and ValueError if the lengths differ).  json_dumps
+    writes row i as it writes that dict with every column replaced by its
+    element i, byte for byte, without building the row dicts.
     """
 
     layout: dict
@@ -78,8 +79,7 @@ _KINDS = (Rows, dict, list, tuple, str, bool, int, float, type(None))
 _EXACT = frozenset(_KINDS)
 _SCALARS = {float: fmt_float, bool: lambda v: "true" if v else "false", int: str, type(None): lambda v: "null",
             str: encode_basestring_ascii}  # a str as json.dumps writes it, quoted in C
-_COLUMNS = {float: fmt_floats, bool: fmt_bools}  # a whole column of one of these kinds at once
-_ARRAY_COLUMNS = {np.dtype(np.float64): fmt_floats, np.dtype(np.float32): fmt_floats, np.dtype(bool): fmt_bools}
+_FORMATTERS = {np.dtype(np.float64): fmt_floats, np.dtype(bool): fmt_bools}  # a column's formatter, by its dtype
 _FLOAT_SLOTS = np.array(["%.17g\0", "%.17g.0\0"], dtype=object)  # a cell of fmt_floats, by whether it is whole
 _TRUTH = np.array(["false", "true"], dtype=object)
 _SLOT = "\0"  # stands for a column in a row of Rows; a JSON string writes NUL as \u0000
@@ -95,12 +95,12 @@ def json_dumps(obj, indent: int = 2) -> str:
 
     def emit(obj, level: int, slots: list | None = None) -> str:
         """obj at nesting level ``level``; with ``slots``, each value below a
-        dict is a column: it is appended to slots, with its level, as _SLOT."""
+        dict is a column: it is appended to slots, and written as _SLOT."""
         kind = type(obj)
         if kind not in _EXACT:
             kind = next((k for k in _KINDS if isinstance(obj, k)), None)
         if slots is not None and kind is not dict:
-            slots.append((obj, level))
+            slots.append(obj)
             return _SLOT
         if kind in _SCALARS:
             return _SCALARS[kind](obj)
@@ -116,22 +116,9 @@ def json_dumps(obj, indent: int = 2) -> str:
         if kind is Rows:
             columns: list = []
             template = emit(obj.layout, level + 1, columns).replace("%", "%%").replace(_SLOT, "%s")
-            body = fill(template, f",\n{pad(level + 1)}", [column(col, at) for col, at in columns])
+            body = fill(template, f",\n{pad(level + 1)}", list(map(_column, columns)))
             return container("[]", [body] if body else [], level)  # a row is never empty
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
-
-    def column(col, level: int) -> list[str]:
-        """Each value as emit writes it, with one formatter for a column of one scalar type."""
-        if type(col) is np.ndarray and col.ndim == 1 and col.dtype in _ARRAY_COLUMNS:
-            return _ARRAY_COLUMNS[col.dtype](col)  # the formatter its tolist() would pick
-        values = col.tolist() if hasattr(col, "tolist") else col
-        kinds = set(map(type, values))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind in _COLUMNS:
-            return _COLUMNS[kind](col)
-        if kind in _SCALARS:
-            return list(map(_SCALARS[kind], values))
-        return [emit(value, level) for value in values]
 
     def pad(level: int) -> str:
         while len(pads) <= level:
@@ -146,6 +133,14 @@ def json_dumps(obj, indent: int = 2) -> str:
         return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pads[level]}{brackets[1]}"
 
     return emit(obj, 0) + "\n"
+
+
+def _column(col) -> list[str]:
+    """Each cell of a Rows column as emit writes the element of its tolist(), one formatter for the column."""
+    if type(col) is np.ndarray and col.ndim == 1 and col.dtype in _FORMATTERS:
+        return _FORMATTERS[col.dtype](col)
+    got = f"a {col.dtype} array of shape {col.shape}" if isinstance(col, np.ndarray) else type(col).__name__
+    raise TypeError(f"a Rows column must be a 1-D float64 or bool array, got {got}")
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

@@ -21,7 +21,8 @@ zero subspace, which only the tests build.  ``apply_on`` applies an operator,
 given by its matrix over a subspace's basis, to a stack of skew matrices.
 ``labelled_blocks`` gives the rows of a subspace with each label as one
 subspace per label, and ``split_blocks`` the blocks m1, m2, m3 of a split,
-which the split holds only as one label per row of m.
+which the split holds only as one label per row of m.  ``dense_subspace``
+builds a subspace from dense lex rows, through their nonzeros.
 """
 
 import numpy as np
@@ -64,10 +65,20 @@ def project_rows(space: Subspace, rows: np.ndarray) -> np.ndarray:
     return lie_mats(space.ambient_n, (space.coords.T @ (space.coords @ rows[..., None]))[..., 0])
 
 
+def dense_subspace(n: int, coords) -> Subspace:
+    """The subspace of so(n) whose basis rows are the dense lex rows ``coords``
+    ((dim, dim so(n))), built from their nonzeros."""
+    c = np.asarray(coords, dtype=float)
+    if c.ndim != 2 or c.shape[1] != so_dim(n):
+        raise ValueError(f"coords must be (dim, {so_dim(n)}), got {c.shape}")
+    row, pos = np.nonzero(c)
+    return Subspace.of_entries(n, len(c), row, pos, c[row, pos])
+
+
 def labelled_blocks(space: Subspace, labels) -> list[Subspace]:
     """The rows of ``space`` with each label, in their order, one subspace per
     label, labels ascending."""
-    return [Subspace(space.ambient_n, space.coords[labels == b]) for b in np.unique(labels)]
+    return [dense_subspace(space.ambient_n, space.coords[labels == b]) for b in np.unique(labels)]
 
 
 def split_blocks(split) -> list[Subspace]:
@@ -139,7 +150,7 @@ def kernel_and_image(m, domain: Subspace) -> tuple[Subspace, Subspace]:
         raise ValueError(f"a {m.shape} matrix does not act on a domain of dim {domain.dim}")
     u, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > TAU_RANK_REL * s[0])) if s[0] > 0 else 0
-    return Subspace(n, vh[rank:] @ domain.coords), Subspace(n, u[:, :rank].T @ domain.coords)
+    return dense_subspace(n, vh[rank:] @ domain.coords), dense_subspace(n, u[:, :rank].T @ domain.coords)
 
 
 def dense_phi_space(spec) -> tuple[Subspace, Subspace, np.ndarray]:

@@ -22,11 +22,11 @@ from flagf.classify import (
     structure_matrices,
 )
 from flagf import canonical, classify, liealg, metricgeom
-from flagf.liealg import Subspace, bracket_coords, scatter
+from flagf.liealg import bracket_coords, scatter
 from flagf.metricgeom import MetricGrid, MetricParams, TripleSplit, u_channel_coefficients
 from flagf.tolerances import TAU_CYCLIC
 import space_reference as ref
-from space_reference import split_blocks
+from space_reference import dense_subspace, split_blocks
 from structure_checks_reference import kept_entries_from_stacks, u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
@@ -782,7 +782,7 @@ class TestExactZeroSets:
                 rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
                 zs = ev.zero_set(name)
                 assert zs.rank == rank, (cs.label, name)
-                assert zs.description() == decode_constraints(vt[:rank]).description(), (cs.label, name)
+                assert zs.description() == decode_constraints(vt, rank).description(), (cs.label, name)
                 if rank:
                     np.testing.assert_allclose(zs.sigma_min_kept, sigma[rank - 1], rtol=1e-12)
 
@@ -838,7 +838,7 @@ def unpadded_zero_set(ev: ClassEvaluator, name: str) -> CharacteristicSet:
     _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
     rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
     return replace(
-        decode_constraints(vt[:rank]),
+        decode_constraints(vt, rank),
         sigma_min_kept=float(sigma[rank - 1]) if rank else None,
         sigma_max_dropped=float(sigma[rank]) if rank < sigma.size else None,
     )
@@ -898,7 +898,7 @@ def rotated_split(split: TripleSplit, rng) -> TripleSplit:
     complex structure conjugated into the turned basis; the labels stay, since the blocks'
     rows stay in their order."""
     rows = [np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] @ b.coords for b in split_blocks(split)]
-    combined = Subspace(split.combined.ambient_n, np.vstack(rows))
+    combined = dense_subspace(split.combined.ambient_n, np.vstack(rows))
     q = combined.coords @ split.combined.coords.T
     j = q @ split.complex_structure @ q.T
     return TripleSplit(combined, split.block_index, bracket_coords(combined, combined, combined), j)
@@ -958,19 +958,26 @@ def constraints_for_kernel(v: np.ndarray) -> np.ndarray:
     return np.linalg.svd(v[None, :])[2][1:]
 
 
+def decoded(rows) -> CharacteristicSet:
+    """decode_constraints of independent hand-made constraint rows, read off
+    their SVD as zero_sets reads a condition's."""
+    w = np.asarray(rows, dtype=float).reshape(-1, 4)
+    return decode_constraints(np.linalg.svd(w)[2], len(w))
+
+
 class TestDecodeConstraints:
     def test_no_constraint_is_all(self):
-        assert decode_constraints(np.zeros((0, 4))).kind == "all"
+        assert decoded(np.zeros((0, 4))).kind == "all"
 
     @pytest.mark.parametrize("row,axis", [((0.0, 0.0, 0.0, -2.0), "s"), ((0.0, 0.0, 3.0, 0.0), "t")])
     def test_axis_lines(self, row, axis):
-        zs = decode_constraints([row])
+        zs = decoded([row])
         assert zs.kind == "line" and zs.lines == ((axis, 1.0),) and zs.rank == 1
         on = (1.0, 2.5) if axis == "s" else (2.5, 1.0)
         assert zs.contains(*on) and not zs.contains(2.5, 2.5)
 
     def test_point(self):
-        zs = decode_constraints(constraints_for_kernel(channel_point(2.0, 0.5)))
+        zs = decoded(constraints_for_kernel(channel_point(2.0, 0.5)))
         assert zs.kind == "points" and zs.rank == 3
         np.testing.assert_allclose(zs.points[0], (2.0, 0.5), rtol=0.0, atol=1e-13)
         assert zs.contains(2.0, 0.5) and not zs.contains(2.0, 0.6)
@@ -981,21 +988,21 @@ class TestDecodeConstraints:
         # (0, 1/2, 1/2) is the limit of c(s, s) as s grows without bound, and
         # c2 within TAU_RANK of 1/2 counts as that limit.
         with np.errstate(divide="raise"):
-            zs = decode_constraints(constraints_for_kernel(np.array(v)))
+            zs = decoded(constraints_for_kernel(np.array(v)))
         assert zs.kind == "empty" and zs.rank == 3
 
     def test_point_with_inconsistent_third_channel_is_empty(self):
         v = channel_point(2.0, 0.5)
         v[3] += 0.1
-        assert decode_constraints(constraints_for_kernel(v)).kind == "empty"
+        assert decoded(constraints_for_kernel(v)).kind == "empty"
 
     def test_constant_row_is_empty(self):
-        zs = decode_constraints([(1.0, 0.0, 0.0, 0.0)])
+        zs = decoded([(1.0, 0.0, 0.0, 0.0)])
         assert zs.kind == "empty" and not zs.contains(1.0, 1.0)
 
     def test_diagonal_is_returned_as_equations(self):
         # c1 = 0 is the diagonal t = s: no axis line, so no guess either.
-        zs = decode_constraints([(0.0, 1.0, 0.0, 0.0)])
+        zs = decoded([(0.0, 1.0, 0.0, 0.0)])
         assert zs.kind == "equations" and not zs.lines and not zs.points
         assert zs.equations == (((1, 2, 1.0), (2, 1, -1.0)),)
         assert zs.contains(2.0, 2.0) and zs.contains(0.3, 0.3) and not zs.contains(2.0, 3.0)
@@ -1032,19 +1039,19 @@ class TestContainsOnArrays:
 
     def test_all_and_empty(self):
         points = [(0.3, 2.0), (1.0, 1.0), (1e-6, 1e6)]
-        assert contains_both_forms(decode_constraints(np.zeros((0, 4))), points) == [True] * 3
-        assert contains_both_forms(decode_constraints([(1.0, 0.0, 0.0, 0.0)]), points) == [False] * 3
+        assert contains_both_forms(decoded(np.zeros((0, 4))), points) == [True] * 3
+        assert contains_both_forms(decoded([(1.0, 0.0, 0.0, 0.0)]), points) == [False] * 3
 
     @pytest.mark.parametrize("row,axis", [((0.0, 0.0, 0.0, -2.0), "s"), ((0.0, 0.0, 3.0, 0.0), "t")])
     def test_lines_at_the_edge_of_the_band(self, row, axis):
-        zs = decode_constraints([row])
+        zs = decoded([row])
         assert zs.kind == "line" and zs.lines == ((axis, 1.0),)
         offsets = [sign * k * TAU_RANK for k in self.BAND for sign in (1, -1)]
         points = [(1.0 + o, 2.5) if axis == "s" else (2.5, 1.0 + o) for o in offsets] + [(2.5, 2.5)]
         assert contains_both_forms(zs, points) == [True] * 4 + [False] * 5
 
     def test_point_at_the_edge_of_the_band(self):
-        zs = decode_constraints(constraints_for_kernel(channel_point(2.0, 0.5)))
+        zs = decoded(constraints_for_kernel(channel_point(2.0, 0.5)))
         assert zs.kind == "points"
         (ps, pt), = zs.points
         points = []
@@ -1054,7 +1061,7 @@ class TestContainsOnArrays:
 
     def test_equations_from_a_rank_two_row_set(self):
         # c1 = 0 and c2 = c3, that is t = s and t(t - 1) = s(s - 1): the diagonal.
-        zs = decode_constraints([(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, -1.0)])
+        zs = decoded([(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, -1.0)])
         assert zs.kind == "equations" and zs.rank == 2 and len(zs.equations) == 2
         points = [(s, s * (1.0 + sign * eps)) for s in (0.3, 1.7, 40.0) for eps in np.geomspace(1e-12, 1e-6, 25)
                   for sign in (1, -1)]

@@ -12,9 +12,9 @@ import flagf
 from flagf import canonical, classify, cli, liealg, metricgeom, phispace, report
 from flagf.classify import SPECIAL_POINTS
 from flagf.cli import build_parser, config_from_args, main
-from flagf.liealg import Subspace
 from flagf.report import fmt_float, json_dumps
 from flagf.tolerances import TAU_CONNECTION
+from space_reference import dense_subspace
 from structure_checks_reference import scaled_channel
 
 
@@ -283,7 +283,7 @@ def h_leaning_into_m(ps):
     """h with its first row turned by 1e-3 towards the first row of m: no longer orthogonal to m."""
     rows = np.array(ps.h.coords)
     rows[0] = np.cos(1e-3) * rows[0] + np.sin(1e-3) * ps.m.coords[0]
-    return dataclasses.replace(ps, h=Subspace(ps.spec.n, rows))
+    return dataclasses.replace(ps, h=dense_subspace(ps.spec.n, rows))
 
 
 def theta_fixing_m1(ps):
@@ -814,13 +814,13 @@ def per_row_rendering(argv, summary: dict) -> dict[str, str]:
     split = flagf.build_split(ps)
     fs = flagf.generate_f_structures(ps)
     names = classify.CONDITION_NAMES
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[cfg.fmt]
+    ext = {"json": "json", "csv": "csv", "text": "txt"}[cfg.format]
     out = {}
     for label in summary:
         ev = classify.ClassEvaluator(flagf.structure_by_label(fs, label), split)
         reports = [ev.report(metricgeom.MetricParams(s, t, kappa)) for s, t in grid]
         path = Path(cfg.out) / f"{label}.{ext}"
-        if cfg.fmt == "json":
+        if cfg.format == "json":
             doc = json.loads(path.read_text())
             doc["sweep"] = [
                 {
@@ -833,7 +833,7 @@ def per_row_rendering(argv, summary: dict) -> dict[str, str]:
                 for r in reports
             ]
             out[path.name] = json_dumps(doc)
-        elif cfg.fmt == "csv":
+        elif cfg.format == "csv":
             header = ["s", "t", "kill_residual", "nk_residual", "g1_residual", "kill", "nk", "g1"]
             rows = [
                 [fmt_float(r.s), fmt_float(r.t)]
@@ -994,27 +994,35 @@ class TestNonFiniteValues:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_grid_is_refused_before_it_is_built(self, capsys, tmp_path):
-        # 2.75e9 values per axis: building them alone would take minutes.
-        start = time.perf_counter()
-        argv = ("sweep", "--n", "5", "--k", "4", "--out", str(tmp_path / "out"), "--grid-step", "1e-9")
-        code, _, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 1.0
-        assert code == 2 and "MAX_GRID_POINTS" in err
+        # 2.75e9 values per axis: building them alone would take minutes and 22 GB.  CPU time, not
+        # wall time, so that a loaded machine does not fail the bound; the refusal peaks near 0.25 MB.
+        import tracemalloc
+
+        start = time.process_time()
+        tracemalloc.start()
+        try:
+            argv = ("sweep", "--n", "5", "--k", "4", "--out", str(tmp_path / "out"), "--grid-step", "1e-9")
+            code, _, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.process_time() - start < 1.0
+        assert code == 2 and "MAX_GRID_POINTS" in err and peak < 4_000_000
 
     def test_oversized_structure_stack_is_refused_before_generation(self, capsys):
         # 3^7 - 1 + 2^8 = 2442 structures on d = 517: one (S, d, d) float64 stack is 5.2 GB, and
         # generation and the stacked checks hold several; the counts are read off phi's blocks first.
-        # The space itself peaks at 41 MB (its [h, m] table, dim h = 263).
+        # The space itself peaks at 41 MB (its [h, m] table, dim h = 263).  CPU time, as above.
         import tracemalloc
 
-        start = time.perf_counter()
+        start = time.process_time()
         tracemalloc.start()
         try:
             code, stdout, err = run(capsys, "verify", "--n", "40", "--k", "16", "--m-blocks", "9")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert time.perf_counter() - start < 1.0
+        assert time.process_time() - start < 1.0
         assert code == 2 and stdout == "" and peak < 64_000_000
         assert err == (
             "flagf: invalid configuration: 2442 structures on dim m = 517 take 5221757904 bytes per"
@@ -1034,6 +1042,39 @@ class TestNonFiniteValues:
         argv = [command, "--n", str(classify.MAX_N), "--k", str(classify.MAX_K), *extra[command]]
         cfg = config_from_args(build_parser().parse_args(argv))
         assert (cfg.n, cfg.k) == (classify.MAX_N, classify.MAX_K) == (40, 16)
+
+
+class TestConfigDict:
+    """The config block of a report, written out for one argv per command: a
+    command's own options as given, the others at their defaults."""
+
+    CASES = {
+        ("verify", "--n", "5", "--k", "4"): {
+            "command": "verify", "n": 5, "m_blocks": 1, "k": 4, "f": None, "s": None, "t": None,
+            "grid": {"min": 0.25, "max": 3.0, "step": 0.25}, "extra_points": [], "format": "text",
+            "seed": 0, "kappa": None,
+        },
+        ("classify", "--n", "6", "--k", "6", "--f=-f2", "--s", "1.5", "--t", "3", "--kappa", "2", "--seed", "7",
+         "--format", "json"): {
+            "command": "classify", "n": 6, "m_blocks": 1, "k": 6, "f": "-f2", "s": 1.5, "t": 3.0,
+            "grid": {"min": 0.25, "max": 3.0, "step": 0.25}, "extra_points": [], "format": "json",
+            "seed": 7, "kappa": 2.0,
+        },
+        ("sweep", "--n", "8", "--k", "6", "--m-blocks", "1", "--grid-min", "0.5", "--grid-step", "1",
+         "--extra-points", "0.3, 2.0;1.5,1.5;", "--out", "reports", "--format", "csv"): {
+            "command": "sweep", "n": 8, "m_blocks": 1, "k": 6, "f": None, "s": None, "t": None,
+            "grid": {"min": 0.5, "max": 3.0, "step": 1.0}, "extra_points": [[0.3, 2.0], [1.5, 1.5]],
+            "format": "csv", "seed": 0, "kappa": None,
+        },
+    }
+
+    @pytest.mark.parametrize("whole_tree", [False, True])
+    @pytest.mark.parametrize("argv", list(CASES), ids=lambda argv: argv[0])
+    def test_config_block(self, argv, whole_tree):
+        # json_dumps tells the key order and 1 from 1.0 apart, which == does not
+        parser = build_parser() if whole_tree else build_parser(argv[0])
+        got = cli._config_dict(config_from_args(parser.parse_args(argv)))
+        assert json_dumps(got) == json_dumps(self.CASES[argv])
 
 
 class TestArgumentErrors:

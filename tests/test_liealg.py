@@ -17,7 +17,7 @@ from flagf.tolerances import TAU_SUBSPACE
 
 import space_reference as ref
 from generation_reference import poly_in
-from space_reference import bracket_nonzeros, empty_space, full_space, kernel_and_image
+from space_reference import bracket_nonzeros, dense_subspace, empty_space, full_space, kernel_and_image
 
 
 def elementary(n, i, j):
@@ -146,7 +146,7 @@ class TestSubspace:
     def test_orthonormality_enforced(self):
         bad = np.ones((2, 6))
         with pytest.raises(ValueError, match="orthonormal"):
-            Subspace(4, bad)
+            dense_subspace(4, bad)
 
     def test_span_orthonormalizes_dependent_set(self):
         # The image of a matrix is the span of its columns, here x, 2x and y.
@@ -160,7 +160,7 @@ class TestSubspace:
         assert np.max(ref.residuals(sp, np.stack([x, y]) / np.sqrt(2.0))) < 1e-12
 
     def test_projection_into_and_out(self):
-        sp = Subspace(4, unit(4, 0, 1)[None])
+        sp = dense_subspace(4, unit(4, 0, 1)[None])
         inside, outside = 2.5 * unit(4, 0, 1), unit(4, 2, 3)
         proj = ref.project_rows(sp, np.stack([inside, outside]))
         assert np.max(np.abs(proj[0] - lie_mats(4, inside[None])[0])) <= 1e-12
@@ -171,7 +171,7 @@ class TestSubspace:
     def test_reorthonormalize_idempotent(self, rng):
         # The image of the orthogonal projector onto a subspace is that subspace.
         rows = np.linalg.qr(rng.standard_normal((10, 4)))[0].T
-        sp = Subspace(5, rows)
+        sp = dense_subspace(5, rows)
         again = kernel_and_image(rows.T @ rows, full_space(5))[1]
         # Same subspace, orthonormal to within TAU_ORTH.
         assert again.dim == sp.dim
@@ -280,7 +280,7 @@ class TestAdMatrix:
         np.testing.assert_allclose(self.ad(h, full) @ lie_rows(x), lie_rows(brackets(h, x)), atol=1e-10)
 
     def test_ad_matches_per_element_brackets(self, rng):
-        sp = Subspace(6, np.linalg.qr(rng.standard_normal((15, 7)))[0].T)
+        sp = dense_subspace(6, np.linalg.qr(rng.standard_normal((15, 7)))[0].T)
         h = random_skew(rng, 6)
         want = sp.coords @ lie_rows(brackets(h, lie_mats(6, sp.coords))).T
         np.testing.assert_allclose(self.ad(h, sp), want, atol=1e-14)
@@ -288,7 +288,7 @@ class TestAdMatrix:
 
 def random_subspace(rng, n, dim):
     q = np.linalg.qr(rng.standard_normal((n * (n - 1) // 2, dim)))[0]
-    return Subspace(n, q.T)
+    return dense_subspace(n, q.T)
 
 
 class TestBracketKernel:
@@ -386,7 +386,7 @@ class TestBracketKernel:
                 want[pa, pb] = rows - (rows @ onto.coords.T) @ onto.coords
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
         # Lex rows onto lex rows: every part off m is an exact 0 and dropped.
-        x, y = Subspace(5, np.eye(10)[[0, 4]]), Subspace(5, np.eye(10)[[1, 2, 5]])
+        x, y = dense_subspace(5, np.eye(10)[[0, 4]]), dense_subspace(5, np.eye(10)[[1, 2, 5]])
         _, _, (a, _, _, val) = bracket_coords(x, y, full_space(5), rest=True)
         assert len(a) == len(val) == 0
 
@@ -416,15 +416,15 @@ class TestBracketKernel:
 
 
 class TestSparseRows:
-    """A Subspace built from nonzeros is the one built from the same dense rows."""
+    """A Subspace is built from its nonzeros, and its dense rows are scattered from them."""
 
     def test_entries_and_coords_agree(self, rng):
-        dense = random_subspace(rng, 5, 4)
-        sparse = Subspace.of_entries(5, 4, *dense.entries)
-        np.testing.assert_array_equal(sparse.coords, dense.coords)
-        for got, want in zip(sparse.entries, dense.entries, strict=True):
+        rows = np.linalg.qr(rng.standard_normal((10, 4)))[0].T
+        sp = dense_subspace(5, rows)
+        assert sp.coords.tobytes() == rows.tobytes()
+        for got, want in zip(sp.entries, (*np.nonzero(rows), rows[np.nonzero(rows)]), strict=True):
             np.testing.assert_array_equal(got, want)
-        assert not sparse.coords.flags.writeable and not any(a.flags.writeable for a in sparse.entries)
+        assert not sp.coords.flags.writeable and not any(a.flags.writeable for a in sp.entries)
 
     def test_entries_are_sorted_and_zeros_dropped(self):
         sp = Subspace.of_entries(4, 2, [1, 0, 0], [0, 5, 2], [1.0, 1.0, 0.0])
@@ -485,15 +485,15 @@ class TestSparseLeakAndRestriction:
         blocks = ref.split_blocks(split)
         want = max(ref.bracket_leak(x, blk, blk) for blk in blocks)
         np.testing.assert_allclose(ref.sparse_bracket_leak(x, *blocks), want, rtol=1e-12)
-        rotated = [Subspace(7, np.linalg.qr(rng.standard_normal((21, blk.dim)))[0].T) for blk in blocks]
+        rotated = [dense_subspace(7, np.linalg.qr(rng.standard_normal((21, blk.dim)))[0].T) for blk in blocks]
         want = max(ref.bracket_leak(x, blk, blk) for blk in rotated)
         np.testing.assert_allclose(ref.sparse_bracket_leak(x, *rotated), want, rtol=1e-12)
 
     def test_operator_on(self, rng):
         op = np.where(rng.random((10, 10)) < 0.3, rng.standard_normal((10, 10)), 0.0)
         rows, cols = np.nonzero(op)
-        for sp in (random_subspace(rng, 5, 4), Subspace(5, np.eye(10)[[7, 2, 3]])):
+        for sp in (random_subspace(rng, 5, 4), dense_subspace(5, np.eye(10)[[7, 2, 3]])):
             want = sp.coords @ op @ sp.coords.T
             np.testing.assert_allclose(operator_on(sp, rows, cols, op[rows, cols]), want, rtol=0, atol=1e-14)
-        unit = Subspace(5, np.eye(10)[[7, 2, 3]])
+        unit = dense_subspace(5, np.eye(10)[[7, 2, 3]])
         assert operator_on(unit, rows, cols, op[rows, cols]).tobytes() == op[np.ix_([7, 2, 3], [7, 2, 3])].tobytes()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import structure_checks_reference as reference
-from space_reference import project_rows, relative_residuals, split_blocks
+from space_reference import dense_subspace, project_rows, relative_residuals, split_blocks
 from structure_checks_reference import metric_eval, nomizu, scaled_channel, u_coords_tensor, u_tensor_closed, u_tensor_solved
 
 from flagf import liealg, metricgeom
@@ -169,7 +169,7 @@ class TestSplit:
         turned[:2] = np.array([[0.6, 0.8], [-0.8, 0.6]]) @ c[:2]  # a turn inside m1
         for rows in (c[::-1], flipped, turned):
             with pytest.raises(ValueError, match="flag block pattern"):
-                build_split(dataclasses.replace(ps, m=liealg.Subspace(n, rows)))
+                build_split(dataclasses.replace(ps, m=dense_subspace(n, rows)))
 
     def test_blocks_are_exactly_orthogonal(self, get_split):
         m1, m2, m3 = split_blocks(get_split(6, 6))

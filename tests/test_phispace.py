@@ -5,7 +5,7 @@ import pytest
 
 import flagf
 from flagf.canonical import CanonicalStructure, verify_structures
-from flagf.liealg import Subspace, bracket_coords, brackets, lex_indices, lie_mats, lie_rows
+from flagf.liealg import bracket_coords, brackets, lex_indices, lie_mats, lie_rows
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
@@ -27,7 +27,7 @@ from flagf.phispace import (
 from flagf.tolerances import TAU_ORDER, TAU_PHI
 
 import space_reference as ref
-from space_reference import full_space, phi_matrix, split_blocks
+from space_reference import dense_subspace, full_space, phi_matrix, split_blocks
 
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]
 
@@ -302,7 +302,7 @@ class TestRegularityFromBlocks:
     @pytest.mark.parametrize("n,k,m_blocks", [(6, 4, 1), (8, 6, 1), (9, 8, 2)])
     def test_a_dropped_h_row_fails_both_routes(self, get_space, n, k, m_blocks):
         ps = get_space(n, k, m_blocks)
-        broken = dataclasses.replace(ps, h=Subspace(n, ps.h.coords[1:]))
+        broken = dataclasses.replace(ps, h=dense_subspace(n, ps.h.coords[1:]))
         rep = check_regularity(broken)
         assert rep == ref.dense_regularity(broken)
         assert not rep.direct_sum and not rep.kernel_square_stable and not (rep.agree and rep.direct_sum)
@@ -313,7 +313,7 @@ class TestRegularityFromBlocks:
         ps = get_space(n, k, m_blocks)
         rows = np.array(ps.m.coords)
         rows[0] = np.cos(0.1) * rows[0] + np.sin(0.1) * ps.h.coords[0]
-        broken = dataclasses.replace(ps, m=Subspace(n, rows))
+        broken = dataclasses.replace(ps, m=dense_subspace(n, rows))
         rep = check_regularity(broken)
         assert rep == ref.dense_regularity(broken)
         assert not rep.direct_sum and not (rep.agree and rep.direct_sum)
@@ -434,7 +434,7 @@ class TestHMTable:
         i, j = lex_indices(6)
         r = np.flatnonzero(ps.h.coords[:, np.flatnonzero((i == 4) & (j == 5))[0]])[0]
         h_rows, m_rows = _rotate_rows(np.roll(ps.h.coords, -r, axis=0), ps.m.coords, 0.3)
-        bad = PhiSpace(ps.spec, Subspace(6, h_rows), Subspace(6, m_rows), ps.theta)
+        bad = PhiSpace(ps.spec, dense_subspace(6, h_rows), dense_subspace(6, m_rows), ps.theta)
         want = ref.bracket_leak(bad.h, bad.m, bad.m)
         assert want > 0.1
         np.testing.assert_allclose(ad_h_leak(bad), want, rtol=1e-12)
@@ -461,7 +461,7 @@ class TestHMTable:
         assert ad_h_leak(ps, split.block_index) == 0.0
         assert max(ref.bracket_leak(ps.h, blk, blk) for blk in split_blocks(split)) < 1e-14
         h_rows, _ = _rotate_rows(ps.h.coords, ps.m.coords, 0.3)
-        leaning = PhiSpace(ps.spec, Subspace(n, h_rows), ps.m, ps.theta)
+        leaning = PhiSpace(ps.spec, dense_subspace(n, h_rows), ps.m, ps.theta)
         want = max(ref.bracket_leak(leaning.h, blk, blk) for blk in split_blocks(split))
         assert ad_h_leak(leaning, split.block_index) > 0.1
         np.testing.assert_allclose(ad_h_leak(leaning, split.block_index), want, rtol=1e-10)
@@ -507,7 +507,7 @@ class TestStructuralChecksStillBite:
         i, j = lex_indices(6)
         r = np.flatnonzero(ps.h.coords[:, np.flatnonzero((i == 4) & (j == 5))[0]])[0]
         h_rows, m_rows = _rotate_rows(np.roll(ps.h.coords, -r, axis=0), ps.m.coords, 0.3)
-        h, m = Subspace(6, h_rows), Subspace(6, m_rows)
+        h, m = dense_subspace(6, h_rows), dense_subspace(6, m_rows)
         theta = m.coords @ phi_matrix(ps.spec) @ m.coords.T
         with pytest.raises(RuntimeError, match="reductivity failure"):
             _check_phi_space_invariants(PhiSpace(ps.spec, h, m, theta))
