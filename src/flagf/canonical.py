@@ -234,9 +234,8 @@ def sign_pair_matrices(pairs, split: TripleSplit) -> np.ndarray:
     depends on k, so the class conditions are functions of the sign pair
     alone; k decides only which pairs are canonical.  At k = 4 the two
     blocks share the angle l = 1, so eps1 = eps2 = zeta_1 and only +-(1, 1)
-    occur; from k = 6 on, every pair but (0, 0).  On the flag-pattern split
-    every entry is exactly 0 or +-1; a split with turned block bases gets
-    its own J, and the matrices conjugated into its basis."""
+    occur; from k = 6 on, every pair but (0, 0).  J is a signed
+    permutation, so every entry is exactly 0 or +-1, at most one per row."""
     return sign_pair_rows(pairs, split)[..., None] * split.complex_structure
 
 

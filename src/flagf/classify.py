@@ -15,17 +15,19 @@ Set-up reads the conditions term by term (_TERMS) off the nonzeros of the
 bracket tensor (TripleSplit.bracket_nonzeros) and the rows of f, f^2 and
 their transposes; the tests keep the dense einsum tensors of each condition
 as the reference.  f is the matrix of the structure's sign pair,
-eps1 J1 (+) eps2 J2 (+) 0 (canonical.sign_pair_matrices): on the flag split
-every entry is 0 or +-1, one per row, where the generated operator carries
-rounding noise beside each entry.  J is block-diagonal, so the rows of f,
-f^2, f^T and (f^2)^T are those of J, J^2, J^T and (J^2)^T times the sign
-(or its square) of their block: set-up scales the split's tables of J
-(TripleSplit.row_tables) and scans no structure's matrix.  The generated
-operator stays what verify checks against it (structure-sign-pair) and
-what the metric-compatibility residuals read.  All the structures of a
-space share the bracket tensor, so class_evaluators sets them up in one
-join over the stack of their signs, keyed structure first, with the bits
-of a set-up of each alone; ClassEvaluator(f, split) is the list [f].
+eps1 J1 (+) eps2 J2 (+) 0 (canonical.sign_pair_matrices), J the split's
+signed permutation: every entry is 0 or +-1, at most one per row, where the
+generated operator carries rounding noise beside each entry.  J is
+block-diagonal, so the one nonzero of each row of f, f^2, f^T and (f^2)^T
+is that of J, J^2, J^T and (J^2)^T times the sign (or its square) of its
+block: set-up scales the split's tables of J (TripleSplit.row_tables) and
+scans no structure's matrix, and each bracket nonzero of each term is one
+exact product.  The generated operator stays what verify checks against it
+(structure-sign-pair) and what the metric-compatibility residuals read.
+All the structures of a space share the bracket tensor, so
+class_evaluators sets them up in one pass over every structure, condition
+and term, keyed structure first, with the bits of a set-up of each alone;
+ClassEvaluator(f, split) is the list [f].
 Residuals are normalized by the operator norm of f, max(|eps1|, |eps2|) = 1,
 and by (1 + s + t + 1/s + 1/t), so grid sweeps stay comparable as the U
 coefficients grow near the parameter boundary.  A point where a pair norm
@@ -89,75 +91,42 @@ _TERMS = (  # (on U, coef, A, B, P), term by term as in the module docstring, 3 
     (1, 2.0, 1, 2, 3), (1, -1.0, 1, 1, 4), (1, 1.0, 2, 2, 4),  # g1, its outer f in P
 )
 _ON_U, _COEF, _A, _B, _P = (np.array(col)[:, None] for col in zip(*_TERMS))
-# Set-up joins the groups g = 3 * structure + condition in blocks of consecutive
-# groups, each of at most this many padded products (3 terms x bracket nonzeros x w^3
-# per group, w the widest row of f and f^2: 1 for the sign-pair matrices on the flag
-# split) for each structure joined, or of one group if a group alone is larger.  A
-# block peaks at about 17 bytes per padded product, so set-up takes about 70 kB per
-# structure on top of what it keeps.
-JOIN_PRODUCTS_PER_STRUCTURE = 1 << 12
 
 
-def _kept_entries(eps: np.ndarray, split: TripleSplit):
-    """Per block of groups g = 3 * structure + condition, the kept polarized
-    entries (see _polarize) of the structures f = eps J, row by row, for the
-    (S, d) signs eps of each structure on the block of each basis row
-    (canonical.sign_pair_rows).  J is block-diagonal, so f^2 = eps^2 J^2,
-    f^T = eps J^T and (f^2)^T = eps^2 (J^2)^T row by row, all exactly (eps
-    is -1, 0 or 1): the row tables of f are the split's tables of J
-    (``TripleSplit.row_tables``) with their rows scaled."""
+def _kept_entries(eps: np.ndarray, split: TripleSplit) -> tuple[np.ndarray, ...]:
+    """The kept polarized entries (see _polarize) of the groups g = 3 *
+    structure + condition of the structures f = eps J, eps the (S, d) signs
+    of each structure on the block of each basis row (sign_pair_rows).  J
+    is block-diagonal, so f, f^2, f^T and (f^2)^T are J, J^2, J^T and
+    (J^2)^T with row r scaled by eps_r or eps_r^2, exactly: the split's
+    one-entry row tables, scaled.  Per group, term and bracket nonzero, one
+    product of the rows of A, B and P^T at its indices, keyed into shape
+    (groups, 4, d, d, d) (ch 0: base terms, 1-3: the U channels); each key
+    sums its terms in that order."""
     d, groups = split.dim, 3 * len(eps)
-    sq = eps * eps
-    scale = np.stack([np.ones_like(eps), eps, sq, eps, sq], axis=1)  # (S, 5, d), for I, f, f^2, f^T, (f^2)^T
-    idx, val = (x.transpose(2, 0, 1)[:, None] for x in split.row_tables)  # (w, 1, 5, d)
-    # (w, S, 5, d) -> (w, 5 S d): row a of table m of structure s is column (5 s + m) d + a
-    idx = idx.astype(np.int32 if 4 * groups * d**3 < 2**31 else np.int64)  # keys stay below 4 groups d^3
-    idx = np.broadcast_to(idx, (len(idx), len(eps), 5, d)).reshape(len(idx), -1)
-    val = (val * scale).reshape(len(idx), -1)
-    per_group = 3 * len(split.bracket_nonzeros[0]) * len(idx) ** 3  # padded products
-    step = max(1, len(eps) * JOIN_PRODUCTS_PER_STRUCTURE // per_group)  # groups per block
-    for g in range(0, groups, step):
-        block = np.arange(g, min(g + step, groups))
-        yield _polarize(*_summed_entries(block, idx, val, split), d, block, groups)
-
-
-def _summed_entries(block: np.ndarray, idx: np.ndarray, val: np.ndarray, split: TripleSplit):
-    """The entries != 0 of K[g, ch, i, j, r] (ch 0: base terms, 1-3: the U
-    channels) for the groups g in block, summed over their terms, as keys into
-    shape (groups, 4, d, d, d) and values: each nonzero of the bracket tensor
-    times the rows of A, B and P^T at its indices, from the tables idx, val
-    padded to (w, w, w, terms, nonzeros).  The group is the outermost key, so
-    each key sums its terms in the same order whatever else is in the block."""
     i, j, r, v = split.bracket_nonzeros
-    channel, sign = u_channels(split, i, j)
-    d = split.dim
-    term = (3 * (block % 3)[:, None] + np.arange(3)).ravel()  # the 3 terms of each group's condition
-    group = np.repeat(block, 3)[:, None]
-    table = 5 * (group // 3)  # the first table of each term's structure
-    rows = [((table + m[term]) * d + at).astype(idx.dtype) for m, at in ((_A, i), (_B, j), (_P, r))]
-    value = np.take(val, rows[0], axis=1) * (_COEF[term] * np.where(_ON_U[term], sign * v, v))
-    for row in rows[1:]:
-        value = np.einsum("wte,...te->w...te", np.take(val, row, axis=1), value)  # no broadcast buffers
+    channel, bsign = u_channels(split, i, j)
+    col, sign = split.row_tables
+    sq = eps * eps
+    val = sign * np.stack([np.ones_like(eps), eps, sq, eps, sq], axis=1)  # (S, 5, d), for I, f, f^2, f^T, (f^2)^T
+    col = np.broadcast_to(col, val.shape).ravel().astype(np.int32 if 4 * groups * d**3 < 2**31 else np.int64)
+    val = val.ravel()  # row a of table m of structure s is at (5 s + m) d + a; keys stay below 4 groups d^3
+    term = np.tile(np.arange(len(_TERMS)), len(eps))  # 9 per structure: 3 per group, the groups in order
+    table = 5 * (np.arange(len(term)) // len(_TERMS))[:, None]  # the first table of each term's structure
+    a, b, p = ((table + m[term]) * d + at for m, at in ((_A, i), (_B, j), (_P, r)))
+    value = val[a] * (_COEF[term] * np.where(_ON_U[term], bsign * v, v))
+    value = val[b] * value
+    value = val[p] * value
+    group = (np.arange(len(term)) // 3)[:, None]
+    key = ((group * 4 + np.where(_ON_U[term], channel, 0)) * d).astype(col.dtype) + col[a]
+    key = (key * d + col[b]) * d + col[p]
     live = value != 0.0
-    value = value[live]
-    key = np.take(idx, rows[0], axis=1) + ((group * 4 + np.where(_ON_U[term], channel, 0)) * d).astype(idx.dtype)
-    for row in rows[1:]:
-        key = _outer_sum(np.take(idx, row, axis=1), key * d)
-    key = key[live]
-    return sum_by_key(key, value)
+    return _polarize(*sum_by_key(key[live], value[live]), d, groups)
 
 
-def _outer_sum(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[w] = x + rows[w], a row at a time (broadcasting allocates buffers)."""
-    out = np.empty((len(rows),) + x.shape, dtype=x.dtype)
-    for w, row in enumerate(rows):
-        np.add(x, row, out=out[w])
-    return out
-
-
-def _polarize(keys: np.ndarray, k: np.ndarray, d: int, block: np.ndarray, groups: int) -> tuple[np.ndarray, ...]:
-    """From the entries K[g, ch, i, j, r] of the groups in block (ascending
-    keys into shape (groups, 4, d, d, d), values k): the (g, i, j) keys of the
+def _polarize(keys: np.ndarray, k: np.ndarray, d: int, groups: int) -> tuple[np.ndarray, ...]:
+    """From the entries K[g, ch, i, j, r] of all groups (ascending keys into
+    shape (groups, 4, d, d, d), values k): the (g, i, j) keys of the
     pairs i <= j whose rows K[g, :, i, j] or K[g, :, j, i] hold an entry != 0,
     and (0, 0), so that an all-zero residual has the dense witness; and the
     polarized entries K[g, :, i, j, r] + K[g, :, j, i, r] != 0 in some channel,
@@ -166,7 +135,7 @@ def _polarize(keys: np.ndarray, k: np.ndarray, d: int, block: np.ndarray, groups
     g, ch, i, j, r = np.unravel_index(keys[k != 0.0], (groups, 4, d, d, d))
     k = k[k != 0.0]
     pair = (g * d + np.minimum(i, j)) * d + np.maximum(i, j)
-    pairs = np.sort(np.concatenate([pair, block * d * d]))
+    pairs = np.sort(np.concatenate([pair, np.arange(groups) * d * d]))
     pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]  # distinct; np.unique hashes first, slower here
     # Keyed (pair, r, ch), K[.., i, j, r] meets K[.., j, i, r]; a diagonal pair doubles.
     keys, pol = sum_by_key((pair * d + r) * 4 + ch, np.where(i == j, 2.0 * k, k))
@@ -361,11 +330,11 @@ class ClassEvaluator:
     only what carries data: the basis pairs i <= j with a nonzero row (at
     most 127 of 2,145 per condition at n = 24, k = 6) and, of their polarized
     rows, the entries nonzero in some channel (at most 171): under 11 kB per
-    evaluator at n = 24, and no d^3 array on the way.  The join runs
-    once per space: :func:`class_evaluators` sets up every structure of a list
-    together, in blocks of JOIN_PRODUCTS_PER_STRUCTURE per structure, and each
-    evaluator holds its slice of the shared arrays; this constructor is the
-    list [f].  A residual combines the kept entries with (1, c(s, t)) of the
+    evaluator at n = 24, and no d^3 array on the way.  The join runs once
+    per space: :func:`class_evaluators` sets up every structure of a list in
+    one pass, 9 terms per structure times the bracket nonzeros (at most
+    72 x 12 (n - 3) products), and each evaluator holds its slice of the
+    shared arrays; this constructor is the list [f].  A residual combines the kept entries with (1, c(s, t)) of the
     closed-form U and takes the pair norms, a sweep does the same for blocks
     of grid points, and the exact zero sets come from the same entries.
     """
@@ -485,7 +454,7 @@ def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
     signs = [cs.sign_pair for cs in structures]
     mats, eps = sign_pair_matrices(signs, split), sign_pair_rows(signs, split)
     norms = [float(max(map(abs, cs.sign_pair))) for cs in structures]  # |eps1 J1 (+) eps2 J2 (+) 0|
-    pairs, owner, values = (np.concatenate(x, axis=-1) for x in zip(*_kept_entries(eps, split)))
+    pairs, owner, values = _kept_entries(eps, split)
     owner = np.searchsorted(pairs, owner)
     group, i, j = np.unravel_index(pairs, (3 * len(structures), split.dim, split.dim))
     ij = np.stack([i, j], axis=1)

@@ -161,19 +161,27 @@ def _config_dict(cfg: argparse.Namespace) -> dict:
     }
 
 
-def _setup_space(cfg: argparse.Namespace) -> phispace.PhiSpace:
+def _automorphism(cfg: argparse.Namespace) -> phispace.AutomorphismSpec:
     try:
-        spec = phispace.build_automorphism(cfg.n, cfg.m_blocks, cfg.k)
+        return phispace.build_automorphism(cfg.n, cfg.m_blocks, cfg.k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _setup_space(spec: phispace.AutomorphismSpec) -> phispace.PhiSpace:
+    try:
         return phispace.build_phi_space(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _flag_space(cfg: argparse.Namespace, what: str):
-    """The m_blocks = 1 flag space that ``what`` requires, its split and its f-structures."""
-    ps = _setup_space(cfg)
+    """The m_blocks = 1 flag space that ``what`` requires, its split and its
+    f-structures; another space is refused before it is built."""
+    spec = _automorphism(cfg)
     if cfg.m_blocks != 1:
         raise ConfigError(f"{what} requires the m_blocks=1 flag space")
+    ps = _setup_space(spec)
     return ps, metricgeom.build_split(ps), canonical.generate_f_structures(ps)
 
 
@@ -203,20 +211,23 @@ def _structure_dict(cs: canonical.CanonicalStructure, check: canonical.Structure
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[int, dict]:
     """Run the whole structural verification suite; exit 0 iff all pass."""
-    ps = _setup_space(cfg)
+    spec = _automorphism(cfg)
     rng = np.random.default_rng(cfg.seed)
     n, k = cfg.n, cfg.k
     # 3^a - 1 f- and 2^b P-structures for the a angles 2 pi l / k of theta below pi and the b up to pi,
-    # read off the eigenvalues of phi's blocks (l = 0 is h), not off the theta_angles generation uses
-    angles = np.concatenate([np.angle(np.linalg.eigvals(mats)).ravel() for _, mats in ps.spec.phi_blocks])
-    turns = set(np.rint(np.abs(angles) * k / (2 * np.pi)).astype(int).tolist()) - {0}
-    expected = {"f": 3 ** len(turns - {k // 2}) - 1, "product": 2 ** len(turns)}
-    count, d = sum(expected.values()), ps.m.dim
+    # read off the eigenvalues of phi's blocks (l = 0 is h), not off the theta_angles generation uses;
+    # dim m counts the eigenvalues other than 1, so an oversized stack is refused before the space is built
+    angles = np.concatenate([np.angle(np.linalg.eigvals(mats)).ravel() for _, mats in spec.phi_blocks])
+    turns = np.rint(np.abs(angles) * k / (2 * np.pi)).astype(int)
+    angle_set = set(turns.tolist()) - {0}
+    expected = {"f": 3 ** len(angle_set - {k // 2}) - 1, "product": 2 ** len(angle_set)}
+    count, d = sum(expected.values()), int(np.count_nonzero(turns))
     if count * d * d * 8 > classify.MAX_STACK_BYTES:
         raise ConfigError(
             f"{count} structures on dim m = {d} take {count * d * d * 8} bytes per (S, d, d) stack,"
             f" above MAX_STACK_BYTES = {classify.MAX_STACK_BYTES}"
         )
+    ps = _setup_space(spec)
     checks: list[dict] = []
 
     def add(name: str, passed: bool, residual: float | None = None, detail=None):

@@ -35,8 +35,9 @@ part off the subspace (:func:`_projection`).  All keep only nonzeros, as
 sorted index and value arrays.  No (dim x, dim y, n, n) array and no dense
 bracket row is ever formed, and :func:`scatter` is the one way back to a
 dense array, for references.
-:func:`nonzero_rows` goes the other way for small operator matrices on m:
-it reads each row's nonzeros into padded column and value tables.
+:func:`nonzero_rows` goes the other way for small operator matrices on m
+(the split's J, theta): it reads each row's nonzeros into column and value
+tables padded to the widest row, of width 1 for J.
 """
 
 from __future__ import annotations

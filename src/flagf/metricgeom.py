@@ -57,13 +57,15 @@ class TripleSplit:
     bracket tensor of m, the only form it is kept in: arrays (i, j, r,
     value), sorted by (i, j, r), of the nonzero coefficients r of
     [X_i, X_j]_m (252 of 65^3 at n = 24).
-    ``complex_structure`` is J1 (+) J2 (+) 0 over ``combined``: theta acts
-    on m1 and on m2 as cos + sin J for one angle, J oriented as theta turns
-    the block (:func:`canonical.sign_pair_matrices`); on the flag basis every
-    entry is 0 or +-1.  ``row_tables`` holds the nonzeros of each row of I,
-    J, J^2, J^T and (J^2)^T (:func:`liealg.nonzero_rows`, two (5, d, w)
-    arrays), made with the split: the class engine scales them by each
-    structure's signs instead of scanning its matrices.
+    ``complex_structure`` is J1 (+) J2 (+) 0 over ``combined``, theta acting
+    on m1 and m2 as cos + sin J for one angle: a signed permutation, which
+    sends each basis vector of m1 and m2 to +-1 times its partner
+    (:func:`canonical.sign_pair_matrices`) and m3 to 0.  ``row_tables``
+    holds the one nonzero of each row of I, J, J^2, J^T and (J^2)^T
+    (:func:`liealg.nonzero_rows`) as a (5, d) column table and a (5, d)
+    sign table (0 for a zero row): the class engine scales them by each
+    structure's signs.  A J with two nonzeros in a row or a column (a row
+    of J^T) is refused with ValueError.
     """
 
     combined: Subspace
@@ -75,7 +77,12 @@ class TripleSplit:
     def __post_init__(self):
         j = self.complex_structure
         jj = j @ j
-        object.__setattr__(self, "row_tables", nonzero_rows(np.eye(len(j)), j, jj, j.T, jj.T))
+        col, sign = nonzero_rows(np.eye(len(j)), j, jj, j.T, jj.T)
+        if col.shape[-1] > 1:
+            m, row = np.argwhere(sign[..., 1] != 0.0)[0].tolist()
+            name = ("I", "J", "J^2", "J^T", "(J^2)^T")[m]
+            raise ValueError(f"J is not a signed permutation: row {row} of {name} has two nonzeros or more")
+        object.__setattr__(self, "row_tables", (col[..., 0], sign[..., 0]))
 
     @property
     def dim(self) -> int:
@@ -196,12 +203,16 @@ def build_split(ps: PhiSpace) -> TripleSplit:
 
 
 def _complex_structure(ps: PhiSpace) -> np.ndarray:
-    """J1 (+) J2 (+) 0 over the flag basis: the signs of theta - theta^T.
-    theta turns each pair (X, JX) of m1 and m2 by an angle 2 pi l / k,
-    0 < l < k/2, up to sign, and each entry of theta on m is one product, so
-    theta - theta^T is 2 sin(2 pi l / k) J there, with the orientation theta
-    turns by, and exactly 0 off those pairs and on m3 (the angle pi)."""
-    return np.sign(ps.theta - ps.theta.T)
+    """J1 (+) J2 (+) 0 over the flag basis, a signed permutation.  theta
+    turns each pair (X, JX) of m1 and m2 by an angle 2 pi l / k, 0 < l < k/2,
+    up to sign, so J sends each row (0,1), (0,2), (1,j), (2,j) to its partner
+    (0,2), (0,1), (2,j), (1,j) with the sign of theta - theta^T there, the
+    orientation theta turns by, and m3's rows (0,j), the angle pi, to 0."""
+    row, n = np.arange(2 * ps.spec.n - 4), ps.spec.n  # the rows of m1 and m2, in the pattern's order
+    partner = np.concatenate([[1, 0], row[n - 1 :], row[2 : n - 1]])
+    j = np.zeros_like(ps.theta)
+    j[row, partner] = np.sign(ps.theta[row, partner] - ps.theta[partner, row])
+    return j
 
 
 def _check_split_invariants(ps: PhiSpace, split: TripleSplit) -> None:

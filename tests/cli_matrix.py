@@ -6,13 +6,14 @@ Each case runs ``python -m flagf.cli`` in a subprocess, with the package
 imported from ``--src`` (default: this checkout's ``src``) and its working
 directory a fresh empty one, so that --out paths and the paths sweep prints
 are relative and the same on every run.  The cases are verify, classify and
-sweep in every format, with --out, the configurations the CLI refuses and
-the help texts.  For each case the manifest holds the sha256 of stdout and
-of stderr (with the random part of a temp file's name masked), the exit
-code and the sha256 of every file the call wrote, one line each; two
-checkouts produce the same bytes over the matrix exactly when ``diff`` of
-their manifests is empty.  The cases run one at a time.  This is a
-development script: pytest does not collect it.
+sweep in every format, with --out, verify at n = 40, classify and sweep at
+extreme (s, t), the configurations the CLI refuses and the help texts.  For
+each case the manifest holds the sha256 of stdout and of stderr (with the
+random part of a temp file's name masked), the exit code and the sha256 of
+every file the call wrote, one line each; two checkouts produce the same
+bytes over the matrix exactly when ``diff`` of their manifests is empty.
+The cases run one at a time.  This is a development script: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -49,11 +50,16 @@ def cases() -> list[tuple[str, ...]]:
             out.append(("classify", "--n", n, "--k", k, f"--f={label}", "--s", s, "--t", t, "--format", fmt))
     out.append(("classify", "--n", "5", "--k", "4", "--f", "f0", "--s", "1", "--t", "1", "--out", "c.json",
                 "--format", "json"))
+    # extreme points where the normalised residual gives wrong verdicts (ROADMAP item 1)
+    for label, s, t, n, k in (("f0", "1e-300", "1", "5", "4"), ("f1", "1e-5", "3e5", "24", "6")):
+        for fmt in ("json", "text"):
+            out.append(("classify", "--n", n, "--k", k, "--f", label, "--s", s, "--t", t, "--format", fmt))
+    out.append(("verify", "--n", "40", "--k", "6", "--format", "json"))
     for n, k in SIZES:
         for grid in SWEEP_GRIDS:
             for fmt in ("json", "csv", "text"):
                 out.append(("sweep", "--n", n, "--k", k, *grid, "--format", fmt, "--out", "out"))
-    out += [  # refused: exit 2, or exit 1 on a failing write
+    out += [  # refused: exit 2, or exit 1 on a failing write or a grid verdict the exact zero set contradicts
         ("verify", "--n", "5", "--k", "4", "--format", "csv"),
         ("verify", "--n", "5", "--k", "4", "--seed", "-1"),
         ("verify", "--n", "41", "--k", "4"),
@@ -74,6 +80,8 @@ def cases() -> list[tuple[str, ...]]:
         ("sweep", "--n", "5", "--k", "4", "--extra-points", "1,2,3", "--out", "out"),
         ("sweep", "--n", "5", "--k", "4", "--extra-points", "0,1", "--out", "out"),
         ("sweep", "--n", "5", "--k", "4", "--extra-points", "a,1", "--out", "out"),
+        ("sweep", "--n", "5", "--k", "4", "--extra-points", "1e-5,3e5;1e-300,1", "--out", "out"),
+        ("sweep", "--n", "24", "--k", "6", "--extra-points", "1e-5,3e5;1e-300,1", "--out", "out"),
         ("sweep", "--n", "6", "--k", "6", "--grid-min", "1e-200", "--grid-max", "1e-199", "--grid-step", "1e-200",
          "--out", "out"),
         ("bogus",),

@@ -22,15 +22,18 @@ U coefficient to patch in, for tests that a check sees it.
 dict of the structures' matrices.  ``golden_action_dense`` is the
 golden-action check on each label's dense (P, n, n) image of the probes,
 one ``space_reference.apply_on`` per label, compared with
-``expected_flag_action`` entry by entry.  ``kept_entries_from_stacks`` is the class engine's join
-with its row tables scanned off the (S, d, d) stacks I, f, f^2, f^T and
-(f^2)^T of the structures f = eps J.
+``expected_flag_action`` entry by entry.  ``kept_entries_from_stacks`` is
+the class engine's join with its one-entry row tables scanned off the (S, d,
+d) stacks I, f, f^2, f^T and (f^2)^T of the structures f = eps J.
 """
+
+import copy
 
 import numpy as np
 
-from flagf import classify, metricgeom
+from flagf import metricgeom
 from flagf.canonical import F_LABEL_SIGNS, StructureCheck, expected_flag_action, structure_by_label
+from flagf.classify import _kept_entries  # bound here, so that a test may patch classify's name with this route
 from flagf.liealg import brackets, lie_mats, lie_rows, nonzero_rows, scatter, sum_by_key
 from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
 from flagf.tolerances import TAU_SUBSPACE
@@ -166,18 +169,15 @@ def golden_action_dense(ps, structures):
 
 
 def kept_entries_from_stacks(eps, split):
-    """classify._kept_entries, its tables read off the stacks of f = eps J."""
+    """classify._kept_entries, its one-entry row tables read off the exact
+    stacks of f = eps J, f^2 and their transposes, one table per structure."""
     f = eps[..., None] * split.complex_structure
-    d, groups = split.dim, 3 * len(f)
-    tables = nonzero_rows(np.broadcast_to(np.eye(d), f.shape), f, f @ f, f.swapaxes(1, 2), (f @ f).swapaxes(1, 2))
-    # (5, S, d, w) -> (w, 5 S d): row a of table m of structure s is column (5 s + m) d + a
-    idx, val = (x.transpose(3, 1, 0, 2).reshape(x.shape[-1], -1) for x in tables)
-    idx = idx.astype(np.int32 if 4 * groups * d**3 < 2**31 else np.int64)
-    per_group = 3 * len(split.bracket_nonzeros[0]) * len(idx) ** 3
-    step = max(1, len(f) * classify.JOIN_PRODUCTS_PER_STRUCTURE // per_group)
-    for g in range(0, groups, step):
-        block = np.arange(g, min(g + step, groups))
-        yield classify._polarize(*classify._summed_entries(block, idx, val, split), d, block, groups)
+    mats = (np.broadcast_to(np.eye(split.dim), f.shape), f, f @ f, f.swapaxes(1, 2), (f @ f).swapaxes(1, 2))
+    tables = nonzero_rows(*mats)
+    assert tables[0].shape[-1] == 1  # one entry per row
+    scanned = copy.copy(split)  # its row tables (S, 5, d), the signs in the values already
+    object.__setattr__(scanned, "row_tables", tuple(x[..., 0].swapaxes(0, 1) for x in tables))
+    return _kept_entries(np.ones_like(eps), scanned)
 
 
 def negation_residual_loop(structures):

@@ -24,8 +24,6 @@ from flagf.classify import (
 from flagf import canonical, classify, liealg, metricgeom
 from flagf.liealg import bracket_coords, scatter
 from flagf.metricgeom import MetricGrid, MetricParams, TripleSplit, u_channel_coefficients
-from flagf.tolerances import TAU_CYCLIC
-import space_reference as ref
 from space_reference import dense_subspace, split_blocks
 from structure_checks_reference import kept_entries_from_stacks, u_coords_tensor
 
@@ -63,11 +61,16 @@ def dense_bracket(split: TripleSplit) -> np.ndarray:
 
 
 def dense_stacks(ev: ClassEvaluator, name: str) -> list[np.ndarray]:
-    """The base and the three U-channel (d, d, d) tensors of a condition,
+    """:func:`condition_stacks` of the evaluator's f on its split."""
+    return condition_stacks(name, ev.f_matrix, dense_bracket(ev.split), ev.split.block_index)
+
+
+def condition_stacks(name: str, f: np.ndarray, bm: np.ndarray, bi: np.ndarray) -> list[np.ndarray]:
+    """The base and the three U-channel (d, d, d) tensors of a condition for
+    the matrix f, the bracket tensor bm and the block labels bi of a basis,
     built by the einsum reference route: a zero bracket tensor drops the
     bracket terms, a zero U tensor the U terms.  Channel c holds the bracket
     tensor on its block pairs (a, b), with sign +1 on (a, b) and -1 on (b, a)."""
-    f, bm, bi = ev.f_matrix, dense_bracket(ev.split), ev.split.block_index
     zero = np.zeros_like(bm)
     masks = [np.outer(bi == a, bi == b) * 1.0 - np.outer(bi == b, bi == a) for a, b in ((2, 3), (1, 3), (1, 2))]
     return [_condition_tensor(name, f, f @ f, bm, zero)] + [
@@ -286,7 +289,7 @@ class TestEvaluatorInternals:
             key(2, 3, 1, 4, 2): 0.0,  # carries nothing
         }
         keys = np.array(sorted(entries))
-        pairs, owner, values = _polarize(keys, np.array([entries[x] for x in keys]), 5, np.arange(3), 3)
+        pairs, owner, values = _polarize(keys, np.array([entries[x] for x in keys]), 5, 3)
         assert np.transpose(np.unravel_index(pairs, (3, 5, 5))).tolist() == [
             [0, 0, 0], [0, 1, 3], [1, 0, 0], [1, 2, 4], [2, 0, 0], [2, 2, 2]
         ]
@@ -450,57 +453,44 @@ class TestJoinedSetUp:
         for ev, cs in zip(joined, fs):
             self.assert_same_bits(ev, ClassEvaluator(cs, split), CORNER_GRID)
 
-    @pytest.mark.parametrize("per_structure", [1, 1 << 30])
-    def test_block_size_does_not_change_the_bits(self, get_split, get_f_structures, monkeypatch, per_structure):
-        # One group per block, or every group in one block: each key sums its
-        # terms in the same order either way.
-        split, fs = get_split(8, 6), get_f_structures(8, 6)
-        joined = classify.class_evaluators(fs, split)
-        monkeypatch.setattr(classify, "JOIN_PRODUCTS_PER_STRUCTURE", per_structure)
-        for a, b in zip(joined, classify.class_evaluators(fs, split)):
-            self.assert_same_bits(a, b, CORNER_GRID)
-
     def test_no_structures_no_evaluators(self, get_split):
         assert classify.class_evaluators([], get_split(5, 4)) == []
 
-    def test_cost_guard_one_block_of_width_one(self, get_split, get_f_structures, monkeypatch):
-        # J, J^2 and their transposes have at most one nonzero per row on the flag split, so the
-        # join's tables have width 1 and the 8 f-structures of (24, 6) join in one block.  The
-        # generated matrices carry rounding noise beside each entry: width 2, 8x the padded products.
+    def test_cost_guard_one_pass_of_one_entry_per_row(self, get_split, get_f_structures, monkeypatch):
+        # J, J^2 and their transposes have one nonzero per row on the flag split, so the row tables
+        # have no width axis, and the 8 f-structures of (24, 6) join in one pass of one product per
+        # term and bracket nonzero.  The generated matrices carry rounding noise beside each entry.
         split, fs = get_split(24, 6), get_f_structures(24, 6)
         assert liealg.nonzero_rows(structure_matrices(fs, split))[0].shape[-1] == 2
-        assert split.row_tables[0].shape == split.row_tables[1].shape == (5, split.dim, 1)
-        widths, blocks = [], []
-        summed = classify._summed_entries
+        col, sign = split.row_tables
+        assert col.shape == sign.shape == (5, split.dim)
+        joins = []
+        kept = classify._kept_entries
 
-        def counting_summed(block, idx, *rest):
-            blocks.append(len(block))
-            widths.append(len(idx))
-            return summed(block, idx, *rest)
+        def counting_kept(eps, sp):
+            joins.append((eps.shape, [x.shape for x in sp.row_tables]))
+            return kept(eps, sp)
 
-        monkeypatch.setattr(classify, "_summed_entries", counting_summed)
+        monkeypatch.setattr(classify, "_kept_entries", counting_kept)
         classify.class_evaluators(fs, split)
-        assert widths == [1] and blocks == [3 * len(fs)]
+        assert joins == [((len(fs), split.dim), [(5, split.dim), (5, split.dim)])]
 
     @pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (5, 6), (8, 6), (12, 6), (16, 6), (24, 6)])
     def test_row_tables_off_j_equal_the_stack_scan(self, get_split, get_f_structures, monkeypatch, n, k):
         # The join reads its row tables off the split's tables of J, scaled by each structure's
-        # signs; the reference scans the (S, d, d) stacks of f, f^2 and their transposes.  The
-        # bits must agree for the whole list, for one structure alone, and on a split whose block
-        # bases are turned, where J's rows are as wide as their block.
+        # signs; the reference reads them off the (S, d, d) stacks of f, f^2 and their transposes.
+        # The bits must agree for the whole list, for the first structure alone and for the last.
         split, fs = get_split(n, k), get_f_structures(n, k)
-        splits = [split] + ([rotated_split(split, np.random.default_rng(5))] if n <= 8 else [])  # its rows are wide
-        for sp in splits:
-            for family in (fs, fs[:1], fs[-1:]):
-                fresh = classify.class_evaluators(family, sp)
-                with monkeypatch.context() as patched:
-                    patched.setattr(classify, "_kept_entries", kept_entries_from_stacks)
-                    scanned = classify.class_evaluators(family, sp)
-                for a, b in zip(fresh, scanned, strict=True):
-                    assert [x.shape for x in (a._values, a._pairs, a._owner)] == [
-                        x.shape for x in (b._values, b._pairs, b._owner)
-                    ]
-                    self.assert_same_bits(a, b, CORNER_GRID[:3])
+        for family in (fs, fs[:1], fs[-1:]):
+            fresh = classify.class_evaluators(family, split)
+            with monkeypatch.context() as patched:
+                patched.setattr(classify, "_kept_entries", kept_entries_from_stacks)
+                scanned = classify.class_evaluators(family, split)
+            for a, b in zip(fresh, scanned, strict=True):
+                assert [x.shape for x in (a._values, a._pairs, a._owner)] == [
+                    x.shape for x in (b._values, b._pairs, b._owner)
+                ]
+                self.assert_same_bits(a, b, CORNER_GRID[:3])
 
     def test_cost_guard_no_structure_stack_is_scanned(self, get_split, get_f_structures, monkeypatch):
         # Set-up scales the split's row tables of J: it scans no matrix for its nonzeros,
@@ -513,14 +503,22 @@ class TestJoinedSetUp:
             return original(*mats)
 
         split, fs = get_split(8, 6), get_f_structures(8, 6)
-        turned = rotated_split(split, np.random.default_rng(5))
         for module in (liealg, canonical, classify, metricgeom):
             if hasattr(module, "nonzero_rows"):
                 monkeypatch.setattr(module, "nonzero_rows", recording)
-        for sp in (split, turned):
-            classify.class_evaluators(fs, sp)
-            ClassEvaluator(fs[0], sp)
+        classify.class_evaluators(fs, split)
+        ClassEvaluator(fs[0], split)
         assert scanned == []
+
+    @pytest.mark.parametrize("at,named", [((2, 6), "row 2 of J"), ((6, 4), "row 4 of J\\^T")], ids=["row", "column"])
+    def test_j_with_two_nonzeros_in_a_row_or_column_is_refused(self, get_split, at, named):
+        # At n = 5, row 2 of J holds its entry at its partner 4; row and column 6 (in m3) are zero.
+        split = get_split(5, 6)
+        j = np.array(split.complex_structure)
+        assert j[2, 4] != 0.0 and not j[6].any() and not j[:, 6].any()
+        j[at] = 1.0
+        with pytest.raises(ValueError, match=f"J is not a signed permutation: {named} has two nonzeros"):
+            TripleSplit(split.combined, split.block_index, split.bracket_nonzeros, j)
 
     def test_a_structure_needs_its_sign_pair(self, get_split, get_f_structures):
         f1 = structure_by_label(get_f_structures(5, 6), "f1")
@@ -893,60 +891,50 @@ class TestBatchedZeroSets:
         assert classify.zero_sets([]) == []
 
 
-def rotated_split(split: TripleSplit, rng) -> TripleSplit:
-    """The split with the basis of each block turned by a random orthogonal matrix, and its
-    complex structure conjugated into the turned basis; the labels stay, since the blocks'
-    rows stay in their order."""
+def turned_basis(split: TripleSplit, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The dense bracket tensor of the split's basis with each block's rows
+    turned by a random orthogonal matrix, and the (d, d) change of basis q
+    from the split's rows to the turned ones; the block labels stay, since
+    the blocks' rows stay in their order."""
     rows = [np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] @ b.coords for b in split_blocks(split)]
-    combined = dense_subspace(split.combined.ambient_n, np.vstack(rows))
-    q = combined.coords @ split.combined.coords.T
-    j = q @ split.complex_structure @ q.T
-    return TripleSplit(combined, split.block_index, bracket_coords(combined, combined, combined), j)
-
-
-def assert_cyclic_relations(split: TripleSplit) -> None:
-    """The split's bracket nonzeros: none within a block, and each across two
-    blocks in the third one (the cyclic relations), to TAU_CYCLIC."""
-    i, j, r, v = split.bracket_nonzeros
-    bi = split.block_index
-    same = bi[i] == bi[j]
-    assert np.max(np.abs(v[same]), initial=0.0) <= TAU_CYCLIC
-    assert np.max(np.abs(v[~same & (bi[r] != 6 - bi[i] - bi[j])]), initial=0.0) <= TAU_CYCLIC
+    turned = dense_subspace(split.combined.ambient_n, np.vstack(rows))
+    bm = scatter((split.dim,) * 3, *bracket_coords(turned, turned, onto=turned))
+    return bm, turned.coords @ split.combined.coords.T
 
 
 class TestBasisInvariance:
-    """The class engine reads each f as the matrix of its sign pair.  On the
-    flag split its entries are 0 and +-1; on a split whose block bases are
-    turned it is that matrix conjugated into the turned basis, whose entries
-    are not integers, so the engine's generic route (rows as wide as d,
-    rounding in every product) meets the same verdicts and zero sets."""
+    """The class engine reads each f as the matrix of its sign pair, whose
+    entries on the flag split are 0 and +-1.  The dense einsum reference,
+    run on a basis whose block bases are turned, where f's entries are not
+    integers and every product rounds, meets its verdicts and zero sets."""
 
     @pytest.mark.parametrize("k", [4, 6])
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_verdicts_and_zero_sets_ignore_the_basis_inside_each_block(
-        self, get_space, get_split, get_f_structures, n, k
-    ):
+    def test_verdicts_and_zero_sets_ignore_the_basis_inside_each_block(self, get_split, get_f_structures, n, k):
         split = get_split(n, k)
-        turned = rotated_split(split, np.random.default_rng(5))
-        assert not np.allclose(turned.combined.coords, split.combined.coords)
-        ps = get_space(n, k)
-        assert max(ref.bracket_leak(ps.h, blk, blk) for blk in split_blocks(turned)) < 1e-14
-        assert_cyclic_relations(turned)
-        q = turned.combined.coords @ split.combined.coords.T
-        grid = build_grid()
+        bm, q = turned_basis(split, np.random.default_rng(5))
+        assert not np.allclose(q, np.eye(split.dim))
+        grid = MetricGrid.of(build_grid())
+        c = u_channel_coefficients(grid).T
         for cs in get_f_structures(n, k):  # f and -f
-            ev, ev_turned = ClassEvaluator(cs, split), ClassEvaluator(cs, turned)
-            f, f_turned = ev.f_matrix, ev_turned.f_matrix
-            assert set(np.unique(f)) <= {-1.0, 0.0, 1.0}
-            np.testing.assert_allclose(f_turned, q @ f @ q.T, rtol=0.0, atol=1e-14)
-            assert np.any(f_turned != np.rint(f_turned)), cs.label  # not integers: the generic route
-            swept, swept_turned = ev.sweep(MetricGrid.of(grid)), ev_turned.sweep(MetricGrid.of(grid))
+            ev = ClassEvaluator(cs, split)
+            assert set(np.unique(ev.f_matrix)) <= {-1.0, 0.0, 1.0}
+            f = q @ ev.f_matrix @ q.T
+            assert np.any(f != np.rint(f)), cs.label  # not integers: every product rounds
+            swept = ev.sweep(grid)
+            scale = ev.f_norm * (1.0 + grid.s + grid.t + 1.0 / grid.s + 1.0 / grid.t)
             for name in CONDITION_NAMES:
-                assert swept.memberships[name].tolist() == swept_turned.memberships[name].tolist(), (cs.label, name)
-                assert swept.indeterminate[name].tolist() == swept_turned.indeterminate[name].tolist(), (cs.label, name)
-            for name in CONDITION_NAMES:
-                want = ev.zero_set(name).description()
-                assert ev_turned.zero_set(name).description() == want, (cs.label, name)
+                stack = np.array(condition_stacks(name, f, bm, split.block_index))
+                pol = stack + stack.transpose(0, 2, 1, 3)
+                cond = pol[0] + np.einsum("pc,cijr->pijr", c, pol[1:])
+                dense = np.linalg.norm(cond, axis=3).max(axis=(1, 2)) / scale
+                assert swept.memberships[name].tolist() == (dense < TAU_MEMBER).tolist(), (cs.label, name)
+                want = (TAU_MEMBER <= dense) & (dense <= NONMEMBER_MARGIN)
+                assert swept.indeterminate[name].tolist() == want.tolist(), (cs.label, name)
+                _, sigma, vt = np.linalg.svd(pol.reshape(4, -1).T, full_matrices=False)
+                rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
+                zs = ev.zero_set(name)
+                assert (zs.rank, zs.description()) == (rank, decode_constraints(vt, rank).description()), cs.label
 
 
 def channel_point(s: float, t: float) -> np.ndarray:

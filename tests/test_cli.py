@@ -303,7 +303,7 @@ def turned_theta(ps):
 def space_with_turned_theta(monkeypatch):
     """verify builds the space, then works on it with theta turned (:func:`turned_theta`)."""
     setup = cli._setup_space
-    monkeypatch.setattr(cli, "_setup_space", lambda cfg: turned_theta(setup(cfg)))
+    monkeypatch.setattr(cli, "_setup_space", lambda spec: turned_theta(setup(spec)))
 
 
 def edit_family(monkeypatch, family, edit):
@@ -1009,31 +1009,55 @@ class TestNonFiniteValues:
         assert time.process_time() - start < 1.0
         assert code == 2 and "MAX_GRID_POINTS" in err and peak < 4_000_000
 
-    def test_oversized_structure_stack_is_refused_before_generation(self, capsys):
-        # 3^7 - 1 + 2^8 = 2442 structures on d = 517: one (S, d, d) float64 stack is 5.2 GB, and
-        # generation and the stacked checks hold several; the counts are read off phi's blocks first.
-        # The space itself peaks at 41 MB (its [h, m] table, dim h = 263).  CPU time, as above.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("verify",), "2442 structures on dim m = 517 take 5221757904 bytes per (S, d, d) stack, above"
+                          f" MAX_STACK_BYTES = {classify.MAX_STACK_BYTES}"),
+            (("classify", "--f", "f0", "--s", "1", "--t", "1"), "classification requires the m_blocks=1 flag space"),
+            (("sweep", "--out", "never-written"), "sweep requires the m_blocks=1 flag space"),
+        ],
+        ids=["verify", "classify", "sweep"],
+    )
+    def test_large_space_is_refused_before_it_is_built(self, capsys, monkeypatch, tmp_path, argv, message):
+        # At (40, 16, m_blocks 9), 3^7 - 1 + 2^8 = 2442 structures on d = 517: one (S, d, d) float64
+        # stack is 5.2 GB, and generation and the stacked checks hold several.  The counts and dim m
+        # are read off the eigenvalues of phi's blocks, and m_blocks off the configuration, before
+        # the space is built: it alone peaks at 41 MB (its [h, m] table, dim h = 263) and 0.2 s CPU.
+        # The refusals peak near 0.4 MB.  CPU time, as above.
         import tracemalloc
 
+        monkeypatch.chdir(tmp_path)
         start = time.process_time()
         tracemalloc.start()
         try:
-            code, stdout, err = run(capsys, "verify", "--n", "40", "--k", "16", "--m-blocks", "9")
+            code, stdout, err = run(capsys, argv[0], "--n", "40", "--k", "16", "--m-blocks", "9", *argv[1:])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert time.process_time() - start < 1.0
-        assert code == 2 and stdout == "" and peak < 64_000_000
-        assert err == (
-            "flagf: invalid configuration: 2442 structures on dim m = 517 take 5221757904 bytes per"
-            f" (S, d, d) stack, above MAX_STACK_BYTES = {classify.MAX_STACK_BYTES}\n"
-        )
+        assert code == 2 and stdout == "" and peak < 4_000_000
+        assert err == f"flagf: invalid configuration: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_structure_stack_at_the_bound_is_accepted(self, capsys, monkeypatch):
-        # (5, 4): 2 f- and 4 P-structures on d = 8, 6 * 8^2 * 8 = 3072 bytes.
-        for bound, want in ((3072, 0), (3071, 2)):
+    def test_an_invalid_automorphism_is_named_before_the_space_is_refused(self, capsys, monkeypatch, tmp_path):
+        # n - 2 m_blocks - 1 < 0: build_automorphism's message, not a refusal of the space.
+        monkeypatch.chdir(tmp_path)
+        for argv in (("verify",), ("classify", "--f", "f0", "--s", "1", "--t", "1"), ("sweep", "--out", "never-written")):
+            code, _, err = run(capsys, argv[0], "--n", "5", "--k", "16", "--m-blocks", "3", *argv[1:])
+            assert code == 2
+            assert err == "flagf: invalid configuration: need n - 2*m_blocks - 1 >= 0, got n=5, m_blocks=3\n"
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 4), (9, 2, 8), (12, 4, 16)])
+    def test_structure_stack_at_the_bound_is_accepted(self, capsys, monkeypatch, get_space, n, m_blocks, k):
+        # The bound is read off phi's eigenvalues before the space is built; it must be the stack of
+        # the structures verify generates on the space's own dim m (at (5, 4): 6 * 8^2 * 8 = 3072 bytes).
+        argv = ("verify", "--n", str(n), "--m-blocks", str(m_blocks), "--k", str(k), "--format", "json")
+        count = len(sum(json.loads(run(capsys, *argv)[1])["structures"].values(), []))
+        stack = count * get_space(n, k, m_blocks).m.dim ** 2 * 8
+        for bound, want in ((stack, 0), (stack - 1, 2)):
             monkeypatch.setattr(classify, "MAX_STACK_BYTES", bound)
-            assert run(capsys, "verify", "--n", "5", "--k", "4")[0] == want
+            assert run(capsys, *argv)[0] == want
 
 
     @pytest.mark.parametrize("command", ["verify", "classify", "sweep"])
