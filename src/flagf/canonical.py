@@ -16,28 +16,28 @@ the eigenspace of theta at the angle 2 pi l / k, f acts as zeta_l J (and as 0
 at the angle pi) and P acts as xi_l.  So a structure is fixed by its signs on
 the angles theta has (:func:`phispace.theta_angles`), its sign key, and two
 signature tuples give the same operator iff their keys agree.  This module
-builds one structure per sign key, all keys of a kind as one stack summed
-term by term over theta's powers, and labels them from exact sign tables;
-each structure's matrix is a plain (d, d) array over m's basis, as theta is.
-On the m_blocks = 1 flag space theta has one angle on each of m1, m2, m3,
-so an f-structure is fixed by its sign pair (eps1, eps2) on m1 and m2, and
+builds one structure per sign key on theta's blocks (every polynomial in
+theta is block-diagonal where theta is), all keys of a kind as one stack per
+block size, and labels them from exact sign tables.  On the m_blocks = 1
+flag space theta has one angle on each of m1, m2, m3, so an f-structure is
+fixed by its sign pair (eps1, eps2) on m1 and m2, and
 :func:`sign_pair_matrices` builds it from that pair exactly; the class
 engine reads those matrices, and verify ties them to the generated ones.
-:func:`verify_structures` re-checks a list of structures on the stack of
-their matrices (identities, reconstruction, theta-commutation) and bounds
-from those their commutation with each other and with ad(h),
-:func:`negation_residual` pairs each structure with its negative, in one
-stacked sum, and :func:`golden_action_check` returns the largest entrywise
-deviation of the k = 4 and k = 6 structures from their closed-form actions
-on the flag spaces: the images of all labels come from one product chain in
-lex coordinates, and the lower triangle of a skew image is the negated
-upper one.
+:func:`verify_structures` re-checks a list of structures on their blocks
+(identities, reconstruction, theta-commutation) and bounds from those their
+commutation with each other and with ad(h), :func:`negation_residual`
+pairs each structure with its negative, and :func:`golden_action_check`
+returns the largest entrywise deviation of the k = 4 and k = 6 structures
+from their closed-form actions on the flag spaces: the images of all labels
+come from one product chain in lex coordinates, and the lower triangle of a
+skew image is the negated upper one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,23 +61,32 @@ P_LABEL_SIGNS = {
 
 @dataclass(frozen=True, eq=False)
 class CanonicalStructure:
-    """One canonical structure: its matrix and the polynomial that built it.
+    """One canonical structure: its blocks and the polynomial that built it.
 
     kind is "f-structure", "almost-complex" (an f-structure with trivial
     kernel) or "almost-product".  ``signature`` is the coefficient tuple
     (zeta or xi) that produced the operator; ``theta_polynomial`` lists
-    a_0..a_{k-1} with matrix = sum a_m theta^m, a read-only (d, d) array
-    over m's basis, as ``PhiSpace.theta``.  ``sign_pair`` is (eps1, eps2),
-    the signs of an f-structure on m1 and m2 of the m_blocks = 1 flag space
-    (:func:`sign_pair_matrices`), and None for any other structure.
+    a_0..a_{k-1} with the operator sum a_m theta^m, held on theta's blocks as
+    ``PhiSpace.theta_blocks`` holds theta (``blocks``, read-only); ``matrix``,
+    over m's basis, is scattered from them on first use.  ``sign_pair`` is
+    (eps1, eps2), the signs of an f-structure on m1 and m2 of the m_blocks = 1
+    flag space (:func:`sign_pair_matrices`), and None for any other one.
     """
 
     kind: str
     label: str
     signature: tuple[int, ...]
     theta_polynomial: tuple[float, ...]
-    matrix: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     sign_pair: tuple[int, int] | None = None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        out = np.zeros((sum(rows.size for rows, _ in self.blocks),) * 2)
+        for rows, mats in self.blocks:
+            out[rows[:, :, None], rows[:, None, :]] = mats
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -149,11 +158,11 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
     The signature is the first zeta (xi) in that order with the key: the key
     on the angles theta has, -1 on the others.  A label is the first of: a
     sign-table entry or its negative; I or -I (P only); the negative of an
-    earlier structure's label; a fresh label.  The operators are summed term
-    by term over theta's powers, in the order of the powers, a stack of them
-    at a time, and their defining identity is checked on each stack.
+    earlier structure's label; a fresh label.  The operators are summed on
+    theta's blocks, one stack per block size, and their defining identity
+    is checked on each stack.
     """
-    k, d = ps.spec.k, ps.m.dim
+    k = ps.spec.k
     width = k // 2 if product else u_of_k(k)
     angles = theta_angles(ps.spec)
     on = [l for l in angles if l <= width]
@@ -164,28 +173,18 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
     signatures[:, np.subtract(on, 1)] = keys
     polys = (p_polynomial if product else f_polynomial)(k, signatures)
 
-    ops, step = [], max(1, (1 << 17) // (8 * d * d))  # operators per stack: a stack and its temporaries stay in cache
-    terms = [(c, p.ravel()) for c, p, live in zip(polys.T, ps.theta_powers, polys.any(axis=0)) if live]
-    for lo in range(0, len(keys), step):
-        flat = np.zeros((min(step, len(keys) - lo), d * d))
-        tmp = np.empty_like(flat)
-        for c, p in terms:  # term by term, in the order of the powers
-            flat += np.multiply(c[lo : lo + step, None], p, out=tmp)
-        stack = flat.reshape(-1, d, d)
-        sq = stack @ stack
-        res = _max_abs(np.subtract(sq, np.eye(d), out=sq) if product else np.add(sq @ stack, stack, out=sq))
-        if res.max() > TAU_GENERATED:  # the generating formulas guarantee the defining identities
-            raise RuntimeError(f"generated operator violates its identity ({res[np.argmax(res > TAU_GENERATED)]:.3e})")
-        stack.flags.writeable = False
-        ops += list(stack)
+    stacks = [(rows, _polynomial_blocks(polys, p)) for (rows, _), p in zip(ps.theta_blocks, ps.theta_block_powers)]
+    res = np.max([_defining_residuals(stack, product) for _, stack in stacks], axis=0, initial=0.0)
+    if res.max(initial=0.0) > TAU_GENERATED:  # the generating formulas guarantee the defining identities
+        raise RuntimeError(f"generated operator violates its identity ({res[np.argmax(res > TAU_GENERATED)]:.3e})")
 
     paired = not product and ps.spec.m_blocks == 1
     at = [l - 1 for l in flag_block_angles(k)[:2]]  # the signs of m1 and m2 in a signature
     labels: dict[tuple[int, ...], str] = {}
     out: list[CanonicalStructure] = []
     fresh = 0
-    for key, signature, poly, op in zip(keys, signatures.tolist(), polys.tolist(), ops):
-        neg = tuple(-s for s in key)
+    for s, (key, signature, poly) in enumerate(zip(keys, signatures.tolist(), polys.tolist())):
+        neg = tuple(-x for x in key)
         label = None
         for name, ref in named:
             if ref in (key, neg):
@@ -204,8 +203,32 @@ def _structures(ps: PhiSpace, product: bool) -> list[CanonicalStructure]:
         else:  # f is 0 at the angle pi and on the angles whose sign is 0
             kind = "almost-complex" if 0 not in key and k // 2 not in angles else "f-structure"
         pair = (signature[at[0]], signature[at[1]]) if paired else None
-        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(poly), op, pair))
+        blocks = tuple((rows, stack[s]) for rows, stack in stacks)
+        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(poly), blocks, pair))
     return out
+
+
+def _polynomial_blocks(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Read-only sum_m coeffs[:, m] powers[m], (S, k) by (k, count, b, b), term by term: each row's own sum."""
+    out = np.zeros((len(coeffs), *powers.shape[1:]))
+    for c, p in zip(coeffs.T, powers):
+        out += c[:, None, None, None] * p
+    out.flags.writeable = False
+    return out
+
+
+def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of broadcast block stacks, summed elementwise in order: its bits depend on no stack or BLAS kernel."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
+
+
+def _defining_residuals(f: np.ndarray, product) -> np.ndarray:
+    """max |F^2 - I| (where ``product``) or max |F^3 + F| of each structure of an (S, count, b, b) stack."""
+    sq = _block_product(f, f)
+    return np.where(product, _max_abs(sq - np.eye(f.shape[-1])), _max_abs(_block_product(sq, f) + f))
 
 
 def flag_block_angles(k: int) -> tuple[int, int, int]:
@@ -249,8 +272,8 @@ def sign_pair_rows(pairs, split: TripleSplit) -> np.ndarray:
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
-    """max |entry| of each matrix of a (..., d, d) stack, overwriting a with |a|."""
-    return np.max(np.abs(a, out=a), axis=(-2, -1), initial=0.0)
+    """max |entry| of each structure of an (S, count, b, b) block stack."""
+    return np.max(np.abs(a), axis=(-3, -2, -1), initial=0.0)
 
 
 def structure_by_label(structures, label: str) -> CanonicalStructure:
@@ -262,16 +285,14 @@ def structure_by_label(structures, label: str) -> CanonicalStructure:
 
 
 def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
-    """Re-check each structure of the list on the (S, d, d) stack of operator
-    matrices, in O(S) products: measure its defining identity, polynomial
-    reconstruction and commutation with theta, and bound from those its
-    commutation with the rest of the list and with ad(h).
+    """Re-check each structure of the list (on ps.theta's blocks, k coefficients
+    each) in O(S) block products, elementwise in a fixed order: measure its own
+    defining identity, polynomial reconstruction and commutation with theta,
+    and bound from those its commutation with the list and with ad(h).
 
     Write F_b = sum_m c_{b,m} theta^m + E_b, r_b = max |E_b| the reconstruction
-    residual, measured with one product of the coefficient stack with theta's
-    powers, which rounds otherwise than generation's term-by-term sum (a few
-    1e-16 where a term is inexact).  For any X, [X, theta^m] telescopes to
-    sum_{i<m} theta^i [X, theta] theta^(m-1-i), and max |X Y Z| <= |X|_inf
+    residual, summed as generation sums it.  For any X, [X, theta^m] telescopes
+    to sum_{i<m} theta^i [X, theta] theta^(m-1-i), and max |X Y Z| <= |X|_inf
     max |Y| |Z|_1 (row and column sums), so with
     K_m = sum_{i<m} |theta^i|_inf |theta^(m-1-i)|_1
 
@@ -286,37 +307,30 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
     structures = list(structures)
     if not structures:
         return []
-    d, count = ps.m.dim, len(structures)
-    th = ps.theta
-    t_h = _ad_commutator(th, ps)  # joined before the stacks exist, so its memory adds to none of them
-    f = np.array([cs.matrix for cs in structures]).reshape(count, d, d)
-    work, tmp = np.empty_like(f), np.empty_like(f)  # every step below writes into these two
-
-    np.matmul(f, f, out=work)
-    cubic = _max_abs(np.add(np.matmul(work, f, out=tmp), f, out=tmp))
+    k, count = ps.spec.k, len(structures)
+    coeffs = np.array([cs.theta_polynomial for cs in structures]).reshape(count, k)
     product = np.array([cs.kind == "almost-product" for cs in structures])
-    defining = np.where(product, _max_abs(np.subtract(work, np.eye(d), out=work)), cubic)
 
-    coeffs = np.zeros((count, len(ps.theta_powers)))
-    for row, cs in zip(coeffs, structures):
-        row[: len(cs.theta_polynomial)] = cs.theta_polynomial
-    np.matmul(coeffs, ps.theta_powers.reshape(len(coeffs.T), -1), out=work.reshape(count, -1))
-    polynomial = _max_abs(np.subtract(work, f, out=work))
-    np.matmul(f, th, out=work)
-    theta_commutation = _max_abs(np.subtract(work, np.matmul(th, f, out=tmp), out=work))
+    defining, polynomial, theta_commutation = np.zeros((3, count))
+    f_sums, power_sums = np.zeros((2, count)), np.zeros((2, k))  # max row and column sums of |F_b| and |theta^m|
+    for i, ((_, th), powers) in enumerate(zip(ps.theta_blocks, ps.theta_block_powers)):
+        f = np.array([cs.blocks[i][1] for cs in structures])  # (S, count, b, b)
+        defining = np.maximum(defining, _defining_residuals(f, product))
+        polynomial = np.maximum(polynomial, _max_abs(_polynomial_blocks(coeffs, powers) - f))
+        theta_commutation = np.maximum(theta_commutation, _max_abs(_block_product(f, th) - _block_product(th, f)))
+        for stack, sums in ((f, f_sums), (powers, power_sums)):
+            a = np.abs(stack)
+            np.maximum(sums, [a.sum(axis=-1).max(axis=(1, 2)), a.sum(axis=-2).max(axis=(1, 2))], out=sums)
 
-    powers = np.abs(ps.theta_powers)
-    row_sums, col_sums = powers.sum(axis=2).max(axis=1), powers.sum(axis=1).max(axis=1)
-    k_m = np.concatenate(([0.0], np.convolve(row_sums, col_sums)[: len(powers) - 1]))
-    reach = np.abs(coeffs) @ k_m
-    abs_f = np.abs(f, out=work)
-    f_norms = abs_f.sum(axis=2).max(axis=1) + abs_f.sum(axis=1).max(axis=1)
-    pairwise = theta_commutation * np.max(reach) + f_norms * np.max(polynomial)
+    k_m = np.concatenate(([0.0], np.convolve(*power_sums)[: k - 1]))
+    reach = sum(np.abs(c) * k_m[m] for m, c in enumerate(coeffs.T))  # term by term: a row's sum is its own
+    pairwise = theta_commutation * np.max(reach) + f_sums.sum(axis=0) * np.max(polynomial)
 
+    d = ps.m.dim
     a, x, z, v = ps.ad_h_nonzeros
     by_row, by_col = (np.bincount(a * d + i, np.abs(v), ps.h.dim * d).reshape(-1, d) for i in (x, z))
     ad_norm = np.max(by_row.max(axis=1) + by_col.max(axis=1), initial=0.0)  # N_A
-    ad_invariance = t_h * reach + ad_norm * polynomial
+    ad_invariance = _ad_commutator(ps.theta, ps) * reach + ad_norm * polynomial
 
     columns = (defining, polynomial, theta_commutation, ad_invariance, pairwise)
     return [StructureCheck(cs.label, *values) for cs, *values in zip(structures, *(c.tolist() for c in columns))]
@@ -325,20 +339,14 @@ def verify_structures(structures, ps: PhiSpace) -> list[StructureCheck]:
 def negation_residual(structures) -> float:
     """max |F + G| over the structures F of the list, G the one labelled as the
     negative of F ("x" and "-x"); infinite if some F has no such partner.
-    One stacked sum, over each pair once: |F + G| and |G + F| have the same bits."""
+    One stacked sum per block size over each pair once (|G + F| = |F + G|)."""
     by_label = {cs.label: s for s, cs in enumerate(structures)}  # a repeated label names its last structure
-    pairs = []
-    for label, a in by_label.items():
-        b = by_label.get(label[1:] if label.startswith("-") else "-" + label)
-        if b is None:
-            return np.inf
-        if a < b:
-            pairs.append((a, b))
-    if not pairs:
-        return 0.0
-    f = np.array([cs.matrix for cs in structures])
-    a, b = np.transpose(pairs)
-    return float(np.max(np.abs(f[a] + f[b])))
+    pairs = [(a, by_label.get(label[1:] if label.startswith("-") else "-" + label)) for label, a in by_label.items()]
+    if any(b is None for _, b in pairs):
+        return np.inf
+    a, b = np.transpose([(a, b) for a, b in pairs if a < b]).reshape(2, -1)
+    stacks = map(np.array, zip(*([mats for _, mats in cs.blocks] for cs in structures)))  # one per block size
+    return max((float(np.max(np.abs(f[a] + f[b]), initial=0.0)) for f in stacks), default=0.0)
 
 
 def _ad_commutator(x: np.ndarray, ps: PhiSpace) -> float:

@@ -75,11 +75,6 @@ MAX_N = 40  # the CLI refuses a larger --n: on a 2-core Xeon verify --k 4 takes 
 # 8 f- and 8 P-structures for any k; m_blocks >= 2 can reach all k/2 - 1 angles below pi, and
 # then 3^(k/2 - 1) - 1 f-structures.
 MAX_K = 16
-# verify refuses a space whose S structures take more than this many bytes as one (S, d, d)
-# float64 stack, d = dim m: its peak RSS is about four such stacks plus 40 MB (on a 2-core Xeon,
-# 85 MB at a 10 MB stack, 2.0 GB at 499 MB with n = 31, k = 14, m_blocks = 5), so the bound
-# holds it near 2 GB.  At n = 40, k = 16, m_blocks = 9 (S = 2442, d = 517) it would pass 21 GB.
-MAX_STACK_BYTES = 500_000_000
 
 
 # C[i, j, :] of each condition is a sum of terms coef * P T(A X_i, B X_j), T the

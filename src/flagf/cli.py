@@ -8,8 +8,9 @@ verify reports only what construction does not already raise on (theta's
 order and fixed vectors, reductivity, the dimension of m and the split's
 dimensions and orthogonal decomposition stop the build), each check
 measuring its quantity another way than the code that produced it.  It
-re-checks every f- and P-structure of the space in one stacked call
-(canonical.verify_structures), counts them against the paper's closed form,
+re-checks every f- and P-structure of the space in one call on theta's
+blocks (canonical.verify_structures), so it runs every configuration it
+accepts, and counts them against the paper's closed form,
 holds each generated f-structure to the exact matrix of its sign pair, which
 the class engine reads (canonical.sign_pair_matrices), compares the closed
 and solved U on their nonzeros (metricgeom.u_nonzeros) and reads the solved
@@ -168,20 +169,13 @@ def _automorphism(cfg: argparse.Namespace) -> phispace.AutomorphismSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _setup_space(spec: phispace.AutomorphismSpec) -> phispace.PhiSpace:
-    try:
-        return phispace.build_phi_space(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _flag_space(cfg: argparse.Namespace, what: str):
     """The m_blocks = 1 flag space that ``what`` requires, its split and its
     f-structures; another space is refused before it is built."""
     spec = _automorphism(cfg)
     if cfg.m_blocks != 1:
         raise ConfigError(f"{what} requires the m_blocks=1 flag space")
-    ps = _setup_space(spec)
+    ps = phispace.build_phi_space(spec)
     return ps, metricgeom.build_split(ps), canonical.generate_f_structures(ps)
 
 
@@ -215,19 +209,11 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[int, dict]:
     rng = np.random.default_rng(cfg.seed)
     n, k = cfg.n, cfg.k
     # 3^a - 1 f- and 2^b P-structures for the a angles 2 pi l / k of theta below pi and the b up to pi,
-    # read off the eigenvalues of phi's blocks (l = 0 is h), not off the theta_angles generation uses;
-    # dim m counts the eigenvalues other than 1, so an oversized stack is refused before the space is built
+    # read off the eigenvalues of phi's blocks (l = 0 is h), not off the theta_angles generation uses
     angles = np.concatenate([np.angle(np.linalg.eigvals(mats)).ravel() for _, mats in spec.phi_blocks])
-    turns = np.rint(np.abs(angles) * k / (2 * np.pi)).astype(int)
-    angle_set = set(turns.tolist()) - {0}
+    angle_set = set(np.rint(np.abs(angles) * k / (2 * np.pi)).astype(int).tolist()) - {0}
     expected = {"f": 3 ** len(angle_set - {k // 2}) - 1, "product": 2 ** len(angle_set)}
-    count, d = sum(expected.values()), int(np.count_nonzero(turns))
-    if count * d * d * 8 > classify.MAX_STACK_BYTES:
-        raise ConfigError(
-            f"{count} structures on dim m = {d} take {count * d * d * 8} bytes per (S, d, d) stack,"
-            f" above MAX_STACK_BYTES = {classify.MAX_STACK_BYTES}"
-        )
-    ps = _setup_space(spec)
+    ps = phispace.build_phi_space(spec)
     checks: list[dict] = []
 
     def add(name: str, passed: bool, residual: float | None = None, detail=None):

@@ -155,10 +155,9 @@ def _gram_deviation(dg: int, dim: int, row, pos, val) -> float:
 
 
 def op_powers(op: np.ndarray, count: int) -> np.ndarray:
-    """op^0, ..., op^(count - 1) of a (d, d) matrix as a (count, d, d) stack, each op @ the one before."""
-    d = len(op)
-    powers = np.empty((count, d, d))
-    p = np.eye(d)
+    """op^0, ..., op^(count - 1) of a (..., d, d) matrix or stack as (count, ..., d, d), each op @ the one before."""
+    powers = np.empty((count, *op.shape))
+    p = np.broadcast_to(np.eye(op.shape[-1]), op.shape)
     for m in range(count):
         powers[m] = p
         if m + 1 < count:

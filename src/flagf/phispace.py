@@ -17,11 +17,12 @@ dim so(n) for a dense B).  h and m come block by block from phi - id: a zero
 block gives h its lex vectors, a nonsingular one gives them to m, and only a
 block that is neither takes an SVD, of its own matrix.  theta is gathered
 from the nonzeros of phi into a plain matrix over m's basis, the one basis
-every operator on m is held in (the flag basis at m_blocks = 1).  The
-blocks are the only form phi is kept in: :func:`check_regularity` reads its
-ranks off the singular values of each block of phi - id and of its square,
-and verify's three phi checks apply phi to lex rows block by block, once to
-the probe pairs and once to their brackets (:func:`phi_residuals`).
+every operator on m is held in (the flag basis at m_blocks = 1), and read on
+its own blocks (:attr:`PhiSpace.theta_blocks`).  The blocks are the only
+form phi is kept in: :func:`check_regularity` reads its ranks off the
+singular values of each block of phi - id and of its square, and verify's
+three phi checks apply phi to lex rows block by block, once to the probe
+pairs and once to their brackets (:func:`phi_residuals`).
 Nothing forms a dense dim-so(n) matrix, except the one block of a
 hand-built dense B.  The brackets [h, m] are joined once per space, into
 :attr:`PhiSpace.h_m_table`; ad(h) on m, reductivity and the
@@ -95,18 +96,28 @@ class PhiSpace:
     theta: np.ndarray
 
     @cached_property
-    def theta_powers(self) -> np.ndarray:
-        """theta^0, ..., theta^(k - 1) on m (:func:`op_powers`): every canonical
-        structure is a polynomial of degree < k in theta."""
-        powers = op_powers(self.theta, self.spec.k)
-        powers.flags.writeable = False
+    def theta_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """theta on the connected sets of its support, as ``spec.phi_blocks`` holds phi: read-only rows of m
+        (count, b) and matrices (count, b, b), ascending in b (1, 2, 4 from :func:`build_automorphism`)."""
+        blocks = [(r, self.theta[r[:, :, None], r[:, None, :]]) for r in _index_blocks(_support_labels(self.theta))]
+        for rows, mats in blocks:
+            rows.flags.writeable = mats.flags.writeable = False
+        return blocks
+
+    @cached_property
+    def theta_block_powers(self) -> list[np.ndarray]:
+        """theta^0..theta^(k - 1) of each block stack (:func:`op_powers`), read-only
+        (k, count, b, b): every canonical structure is a polynomial of degree < k in theta."""
+        powers = [op_powers(mats, self.spec.k) for _, mats in self.theta_blocks]
+        for p in powers:
+            p.flags.writeable = False
         return powers
 
     @cached_property
     def theta_order_residual(self) -> float:
-        """max |theta^k - id| on m, theta^k = theta @ theta^(k - 1) of :attr:`theta_powers`:
-        the one theta-order residual, which build_phi_space raises on."""
-        return float(np.abs(self.theta @ self.theta_powers[-1] - np.eye(self.m.dim)).max(initial=0.0))
+        """max |theta @ theta^(k - 1) - id| on the blocks: the theta-order residual build_phi_space raises on."""
+        blocks = zip(self.theta_blocks, self.theta_block_powers)
+        return float(max((np.abs(mats @ p[-1] - np.eye(p.shape[-1])).max() for (_, mats), p in blocks), default=0.0))
 
     @cached_property
     def h_m_table(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -297,7 +308,7 @@ def _index_blocks(labels: np.ndarray) -> list[np.ndarray]:
     array per count s, ascending in s, blocks in the order of their labels."""
     order = labels.argsort(kind="stable")
     sorted_labels = labels[order]
-    first = np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1])).nonzero()[0]
+    first = np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1]))[: len(labels)].nonzero()[0]
     size = np.concatenate((first[1:], [len(labels)])) - first
     return [order[first[size == s][:, None] + np.arange(s)] for s in np.bincount(size).nonzero()[0]]
 
@@ -393,7 +404,7 @@ def _check_phi_space_invariants(ps: PhiSpace) -> None:
     # Reductivity: [h, m] stays in m (absolute leak; a zero bracket leaks nothing).
     if ad_h_leak(ps) > TAU_SUBSPACE:
         raise RuntimeError("reductivity failure: [h, m] leaves m")
-    if not _nonsingular(ps.theta - np.eye(m.dim)):
+    if not _fixes_no_vector(ps):
         raise RuntimeError("theta has a fixed vector")
     if ps.theta_order_residual > TAU_ORDER:
         raise RuntimeError("theta^k is not the identity")
@@ -405,13 +416,14 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
     Checks: so(n) = h (+) im(A) as an orthogonal direct sum; A restricted
     to its image is nonsingular; ker A^2 = ker A; and theta has no fixed
     vector.  The four answers agree on every well-formed space.  ker A is
-    ps.h, as :func:`build_phi_space` computed it, and A = phi - id is read
-    block by block off ``spec.phi_blocks``.  Ranks count the singular values
-    of the blocks of A (of A^2) above TAU_RANK_REL times the largest of all
-    blocks.  phi is orthogonal, so A is normal, and the singular values of A
-    on its image are its nonzero ones: the restriction is nonsingular iff the
-    smallest kept one exceeds TAU_NONSINGULAR.  h and m are orthogonal iff
-    their entries, joined on the lex position, have no cross Gram entry.
+    ps.h, as :func:`build_phi_space` computed it, A = phi - id is read block
+    by block off ``spec.phi_blocks``, and theta - id off theta's blocks.
+    Ranks count the singular values of the blocks of A (of A^2) above
+    TAU_RANK_REL times the largest of all blocks.  phi is orthogonal, so A is
+    normal, and the singular values of A on its image are its nonzero ones:
+    the restriction is nonsingular iff the smallest kept one exceeds
+    TAU_NONSINGULAR.  h and m are orthogonal iff their entries, joined on the
+    lex position, have no cross Gram entry.
     """
     a = [mats - np.eye(mats.shape[-1]) for _, mats in ps.spec.phi_blocks]
     sv_a, sv_a2 = (np.concatenate([_stack_singular_values(x).ravel() for x in xs]) for xs in (a, [x @ x for x in a]))
@@ -423,12 +435,11 @@ def check_regularity(ps: PhiSpace) -> RegularityReport:
         direct_sum=bool(ps.h.dim + ps.m.dim == dg and np.max(np.abs(cross), initial=0.0) < TAU_SUBSPACE),
         nonsingular_on_image=bool(np.min(kept, initial=np.inf) > TAU_NONSINGULAR),
         kernel_square_stable=ps.h.dim == np.count_nonzero(sv_a2 <= TAU_RANK_REL * sv_a2.max()),
-        theta_no_fixed_vector=_nonsingular(ps.theta - np.eye(ps.m.dim)),
+        theta_no_fixed_vector=_fixes_no_vector(ps),
     )
 
 
-def _nonsingular(mat: np.ndarray) -> bool:
-    """Smallest singular value above TAU_NONSINGULAR (True for an empty matrix),
-    read as the smallest eigenvalue of mat^T mat above TAU_NONSINGULAR^2: its
-    error, about 1e-16 |mat|^2, is far below that bound for O(1) operators."""
-    return not mat.size or bool(np.linalg.eigvalsh(mat.T @ mat)[0] > TAU_NONSINGULAR**2)
+def _fixes_no_vector(ps: PhiSpace) -> bool:
+    """theta - id nonsingular on m: the smallest singular value of each of its blocks above TAU_NONSINGULAR."""
+    sv = [_stack_singular_values(mats - np.eye(mats.shape[-1])) for _, mats in ps.theta_blocks]
+    return all(v.min() > TAU_NONSINGULAR for v in sv)

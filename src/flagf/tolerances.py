@@ -19,8 +19,7 @@ TAU_CYCLIC = 1e-10  # absolute: bracket tensor nonzeros that the cyclic block re
 # canonical structures (canonical)
 TAU_GENERATED = 1e-9  # absolute: max |f^3 + f| or |P^2 - 1| of a freshly generated operator
 TAU_STRUCTURE = 1e-10  # absolute: the StructureCheck residuals, and max |f + g| for the negative g of f
-# The reconstruction residual is one product of the coefficients with theta's powers, rounded otherwise
-# than generation's term-by-term sum: up to 7e-16 on the spaces tested, 0 where every term is exact.
+# The reconstruction residual is summed on theta's blocks as generation sums it: 0 for a generated structure.
 # pairwise_commutation and ad_invariance are bounds read off it and each structure's theta commutation
 # (canonical.verify_structures): 0 where both read 0, though products round to 1e-16
 TAU_GOLDEN = 1e-12  # absolute: entrywise deviation from the closed-form actions at k = 4, 6

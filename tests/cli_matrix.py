@@ -6,8 +6,9 @@ Each case runs ``python -m flagf.cli`` in a subprocess, with the package
 imported from ``--src`` (default: this checkout's ``src``) and its working
 directory a fresh empty one, so that --out paths and the paths sweep prints
 are relative and the same on every run.  The cases are verify, classify and
-sweep in every format, with --out, verify at n = 40, classify and sweep at
-extreme (s, t), the configurations the CLI refuses and the help texts.  For
+sweep in every format, with --out, verify at n = 40 and at the largest
+structure counts, classify and sweep at extreme (s, t), the configurations
+the CLI refuses and the help texts.  For
 each case the manifest holds the sha256 of stdout and of stderr (with the
 random part of a temp file's name masked), the exit code and the sha256 of
 every file the call wrote, one line each; two checkouts produce the same
@@ -55,6 +56,8 @@ def cases() -> list[tuple[str, ...]]:
         for fmt in ("json", "text"):
             out.append(("classify", "--n", n, "--k", k, "--f", label, "--s", s, "--t", t, "--format", fmt))
     out.append(("verify", "--n", "40", "--k", "6", "--format", "json"))
+    for n, blocks, k in (("40", "9", "16"), ("31", "5", "14"), ("17", "6", "16")):  # the largest structure counts
+        out.append(("verify", "--n", n, "--m-blocks", blocks, "--k", k, "--format", "json"))
     for n, k in SIZES:
         for grid in SWEEP_GRIDS:
             for fmt in ("json", "csv", "text"):
@@ -66,7 +69,6 @@ def cases() -> list[tuple[str, ...]]:
         ("verify", "--n", "5", "--k", "5"),
         ("verify", "--n", "5", "--k", "4", "--kappa", "0"),
         ("verify", "--n", "5", "--k", "4", "--kappa", "1e308"),
-        ("verify", "--n", "40", "--k", "16", "--m-blocks", "9"),
         ("verify", "--n", "5"),
         ("classify", "--n", "9", "--k", "8", "--m-blocks", "2", "--f", "f0", "--s", "1", "--t", "1"),
         ("classify", "--n", "5", "--k", "4", "--f", "f9", "--s", "1", "--t", "1"),

@@ -1,20 +1,24 @@
-"""The per-structure generation that the stacked one replaced, kept as the
-reference: every generated structure must keep its label, kind, signature,
-polynomial and operator bits.
+"""The per-structure dense generation that the generation on theta's blocks
+replaced, kept as the reference: every generated structure must keep its
+label, kind, signature, polynomial and operator bits (on the dense powers
+where theta's block powers keep their bits, and within rounding elsewhere).
 
 ``f_polynomial`` and ``p_polynomial`` evaluate one signature tuple with
 Python sums; ``structures_one_at_a_time`` walks the sign keys in
 itertools.product order, builds each signature, evaluates its polynomial in
-theta with ``poly_in`` on the space's power stack and checks its defining
-identity on its own.  ``poly_in`` sums one polynomial in an operator's
-matrix term by term, the float steps every generated operator keeps.
+theta with ``poly_in`` on a (k, d, d) power stack and checks its defining
+identity on its own, and returns (kind, label, signature, polynomial,
+matrix) tuples.  ``poly_in`` sums one polynomial in an operator's matrix
+term by term, the float steps every generated operator keeps.  The power
+stack is the dense one, op_powers of theta, or ``block_powers``: the powers
+of each block stack of theta, as generation takes them, scattered.
 """
 
 import itertools
 
 import numpy as np
 
-from flagf.canonical import F_LABEL_SIGNS, P_LABEL_SIGNS, CanonicalStructure, u_of_k
+from flagf.canonical import F_LABEL_SIGNS, P_LABEL_SIGNS, u_of_k
 from flagf.liealg import op_powers
 from flagf.phispace import theta_angles
 from flagf.tolerances import TAU_GENERATED
@@ -32,6 +36,14 @@ def poly_in(op: np.ndarray, coeffs, powers=None) -> np.ndarray:
         if c != 0.0:
             acc = acc + c * p
     return acc
+
+
+def block_powers(ps) -> np.ndarray:
+    """theta^0, ..., theta^(k - 1) as a (k, d, d) stack, scattered from the powers of theta's block stacks."""
+    out = np.zeros((ps.spec.k, ps.m.dim, ps.m.dim))
+    for (rows, _), powers in zip(ps.theta_blocks, ps.theta_block_powers):
+        out[:, rows[:, :, None], rows[:, None, :]] = powers
+    return out
 
 
 def f_polynomial(k: int, zeta) -> np.ndarray:
@@ -57,9 +69,12 @@ def p_polynomial(k: int, xi) -> np.ndarray:
     return poly
 
 
-def structures_one_at_a_time(ps, product: bool) -> list[CanonicalStructure]:
-    """The structures of ps, one sign key, one polynomial and one identity check at a time."""
+def structures_one_at_a_time(ps, product: bool, powers=None) -> list[tuple]:
+    """The structures of ps, one sign key, one polynomial and one identity check at a time, as
+    (d, d) matrices.  ``powers`` is theta's power stack, op_powers(ps.theta, k) by default."""
     k = ps.spec.k
+    if powers is None:
+        powers = op_powers(ps.theta, k)
     width = k // 2 if product else u_of_k(k)
     angles = theta_angles(ps.spec)
     on = [l for l in angles if l <= width]
@@ -90,7 +105,7 @@ def structures_one_at_a_time(ps, product: bool) -> list[CanonicalStructure]:
         for l, sign in zip(on, key):
             signature[l - 1] = sign
         poly = (p_polynomial if product else f_polynomial)(k, signature)
-        op = poly_in(ps.theta, poly, ps.theta_powers)
+        op = poly_in(ps.theta, poly, powers)
         sq = op @ op
         res = np.max(np.abs(sq - np.eye(len(sq)) if product else sq @ op + op))
         if res > TAU_GENERATED:
@@ -99,5 +114,5 @@ def structures_one_at_a_time(ps, product: bool) -> list[CanonicalStructure]:
             kind = "almost-product"
         else:
             kind = "almost-complex" if 0 not in key and k // 2 not in angles else "f-structure"
-        out.append(CanonicalStructure(kind, label, tuple(signature), tuple(float(c) for c in poly), op))
+        out.append((kind, label, tuple(signature), tuple(float(c) for c in poly), op))
     return out

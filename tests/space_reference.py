@@ -14,7 +14,9 @@ by one product per chunk; ``sparse_bracket_leak`` the block leak from
 nonzeros, as liealg computed it before the [h, m] brackets of a space were
 joined once into a table.  ``dense_regularity`` is check_regularity on the
 dense A = phi - id and A^2, with every singular value of A^2 and the dense
-cross Gram h.coords @ m.coords.T.  ``residuals``, ``relative_residuals`` and
+cross Gram h.coords @ m.coords.T, and theta - id on the dense theta; its
+``_nonsingular`` reads the smallest singular value off one eigvalsh, as
+phispace did before it read theta's blocks.  ``residuals``, ``relative_residuals`` and
 ``project_rows`` measure and project dense lex rows against a subspace.
 ``full_space`` and ``empty_space`` are all of so(n) on the lex basis and the
 zero subspace, which only the tests build.  ``apply_on`` applies an operator,
@@ -28,8 +30,8 @@ builds a subspace from dense lex rows, through their nonzeros.
 import numpy as np
 
 from flagf.liealg import Subspace, _bracket_join, _join, lie_mats, lie_rows, so_dim, sum_by_key
-from flagf.phispace import RegularityReport, _nonsingular, flag_complement_pattern
-from flagf.tolerances import TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
+from flagf.phispace import RegularityReport, flag_complement_pattern
+from flagf.tolerances import TAU_NONSINGULAR, TAU_ORDER, TAU_RANK_REL, TAU_SUBSPACE
 
 
 def phi_matrix(spec) -> np.ndarray:
@@ -115,6 +117,13 @@ def dense_regularity(ps) -> RegularityReport:
         kernel_square_stable=ps.h.dim == kernel_dim(a @ a),
         theta_no_fixed_vector=_nonsingular(ps.theta - np.eye(ps.m.dim)),
     )
+
+
+def _nonsingular(mat: np.ndarray) -> bool:
+    """Smallest singular value above TAU_NONSINGULAR (True for an empty matrix),
+    read as the smallest eigenvalue of mat^T mat above TAU_NONSINGULAR^2: its
+    error, about 1e-16 |mat|^2, is far below that bound for O(1) operators."""
+    return not mat.size or bool(np.linalg.eigvalsh(mat.T @ mat)[0] > TAU_NONSINGULAR**2)
 
 
 def conjugation_order(spec, cap: int) -> int | None:

@@ -1,6 +1,7 @@
 """The per-structure routes that verify's stacked checks replaced, kept as
-references: every measured StructureCheck field and every U coordinate must
-keep their bits, and the two bounds must cover what these routes measure.
+references: every measured StructureCheck field must equal theirs to
+rounding and every U coordinate keep its bits, and the two bounds must cover
+what these routes measure.
 
 ``verify_structure`` re-checks one structure against a list of others, one
 matrix product at a time (every pair multiplied out), and joins ad(h) with
@@ -18,6 +19,9 @@ value over random triples was verify's connection check
 (``connection_compat_residual``).  ``scaled_channel`` is a wrong closed-form
 U coefficient to patch in, for tests that a check sees it.
 
+``on_theta_blocks`` reads a dense (d, d) operator onto the blocks of a
+space's theta (or of a structure), the form a CanonicalStructure holds, and
+refuses one with an entry off them; tests build their bent and fake structures with it.
 ``negation_residual_loop`` takes max |F + G| one label at a time, over a
 dict of the structures' matrices.  ``golden_action_dense`` is the
 golden-action check on each label's dense (P, n, n) image of the probes,
@@ -39,6 +43,18 @@ from flagf.metricgeom import block_weights, u_channel_coefficients, u_channels
 from flagf.tolerances import TAU_SUBSPACE
 from generation_reference import poly_in
 from space_reference import apply_on, project_rows, relative_residuals, split_blocks
+
+
+def on_theta_blocks(layout, matrix):
+    """The blocks of a (d, d) operator on the rows of ``layout``, a space's theta_blocks or a
+    structure's blocks, as CanonicalStructure.blocks holds them."""
+    blocks = tuple((rows, matrix[rows[:, :, None], rows[:, None, :]]) for rows, _ in layout)
+    inside = np.zeros(np.shape(matrix), dtype=bool)
+    for rows, _ in blocks:
+        inside[rows[:, :, None], rows[:, None, :]] = True
+    if np.any(matrix[~inside]):
+        raise ValueError("the operator has entries off theta's blocks")
+    return blocks
 
 
 def _max_abs(a):
@@ -65,7 +81,7 @@ def verify_structure(cs, ps, others=()):
     return StructureCheck(
         label=cs.label,
         defining_residual=_defining_residual(f, product=cs.kind == "almost-product"),
-        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial, ps.theta_powers) - f),
+        polynomial_residual=_max_abs(poly_in(ps.theta, cs.theta_polynomial) - f),
         theta_commutation=_max_abs(f @ th - th @ f),
         ad_invariance=ad_commutator(f, ps),
         pairwise_commutation=max([0.0] + [_max_abs(f @ o.matrix - o.matrix @ f) for o in others]),

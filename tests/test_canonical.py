@@ -35,17 +35,18 @@ SIGN_GRID = [
 SAME_OP = 1e-8  # the reference route's bound on max |entry| of the difference of two operators
 
 
-def reference_structures(ps, product):
+def reference_structures(ps, product, powers):
     """The structures by brute force, as (label, signature, polynomial, kind, op):
-    every zeta (xi) evaluated as a d x d polynomial in theta, duplicates and the
-    zero operator dropped by pairwise comparison, labels matched against the
-    paper's coefficients, almost-complex read off the smallest singular value."""
+    every zeta (xi) evaluated as a d x d polynomial in theta on the power stack
+    ``powers``, duplicates and the zero operator dropped by pairwise comparison,
+    labels matched against the paper's coefficients, almost-complex read off the
+    smallest singular value."""
     k, d = ps.spec.k, ps.m.dim
     width = k // 2 if product else u_of_k(k)
     kept = []
     for sig in itertools.product((-1, 1) if product else (-1, 0, 1), repeat=width):
         poly = (p_polynomial if product else f_polynomial)(k, sig)
-        op = poly_in(ps.theta, poly)
+        op = poly_in(ps.theta, poly, powers)
         if np.max(np.abs(op)) < SAME_OP or any(np.max(np.abs(op - o)) < SAME_OP for _, _, o in kept):
             continue
         kept.append((sig, poly, op))
@@ -111,13 +112,16 @@ class TestUOfK:
 class TestSignKeys:
     @pytest.mark.parametrize("n,m_blocks,k", SIGN_GRID)
     def test_bitwise_equal_to_the_brute_force_route(self, get_space, n, m_blocks, k):
+        # On theta's powers as generation takes them, block by block: the dense powers
+        # round otherwise at some blocks of 4 (TestStackedGeneration).
         ps = get_space(n, k, m_blocks)
+        powers = generation_reference.block_powers(ps)
         for product, generate in ((False, flagf.generate_f_structures), (True, flagf.generate_product_structures)):
             got = [
                 (cs.label, cs.signature, cs.theta_polynomial, cs.kind, cs.matrix.tobytes())
                 for cs in generate(ps)
             ]
-            want = [(*rest, op.tobytes()) for *rest, op in reference_structures(ps, product)]
+            want = [(*rest, op.tobytes()) for *rest, op in reference_structures(ps, product, powers)]
             assert got == want
 
     def test_almost_complex_where_theta_has_no_angle_pi(self, get_space):
@@ -140,38 +144,70 @@ class TestSignKeys:
         fs = canonical.generate_f_structures(ps)
         assert rows == [len(fs)] and len(fs) == 8
 
-    def test_cost_guard_one_theta_power_stack_per_space(self, monkeypatch):
-        # Generation and verify's reconstruction check share the space's
-        # stack of theta powers, computed once.
-        calls, op_powers = [], liealg.op_powers
+    def test_cost_guard_theta_powers_once_on_its_blocks(self, monkeypatch):
+        # The space's order check, generation and verify's reconstruction check share theta's
+        # powers, taken once per space on each block stack: no dense (d, d) power is formed.
+        shapes, op_powers = [], liealg.op_powers
 
         def counting_op_powers(op, count):
-            calls.append(count)
+            shapes.append((count, op.shape))
             return op_powers(op, count)
 
         monkeypatch.setattr(phispace, "op_powers", counting_op_powers)
         ps = flagf.build_phi_space(flagf.build_automorphism(12, 2, 16))
+        sizes = [mats.shape for _, mats in ps.theta_blocks]
         structures = canonical.generate_f_structures(ps) + canonical.generate_product_structures(ps)
         assert len(structures) > 100
         for chk in verify_structures(structures[:: len(structures) // 10], ps):
             assert chk.polynomial_residual < 1e-10
-        assert calls == [16]
+        assert sizes == [(7, 1, 1), (16, 2, 2), (1, 4, 4)]
+        assert shapes == [(16, shape) for shape in sizes]
+
+
+# The dense powers of theta against its block powers: both sum the same nonzero products, at most
+# 4 per entry, in another order at some blocks of 4; a generated entry sums at most k = 16 terms
+# c_m (theta^m)_ij with sum_m |c_m| < 4, so the two generated operators differ by a few eps.
+DENSE_POWERS_ROUNDING = 8 * np.finfo(float).eps
 
 
 class TestStackedGeneration:
-    """The stacked generation against the per-structure one it replaced
-    (tests/generation_reference.py): the same structures, bit for bit."""
+    """The generation on theta's blocks against the per-structure dense one it
+    replaced (tests/generation_reference.py)."""
 
-    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 4), (8, 1, 6), (12, 1, 6), (9, 2, 8), (9, 4, 16)])
-    def test_bitwise_equal_to_one_structure_at_a_time(self, get_space, n, m_blocks, k):
+    @pytest.mark.parametrize(
+        "n,m_blocks,k",
+        [(5, 1, 4), (8, 1, 6), (12, 1, 6), (20, 1, 16), (40, 1, 14), (9, 2, 8), (7, 2, 6), (10, 2, 14),
+         (7, 3, 10), (9, 3, 12), (9, 4, 16), (12, 4, 14)],
+    )
+    def test_matrix_is_the_dense_generation(self, get_space, n, m_blocks, k):
+        # Bit for bit at m_blocks = 1, where theta's blocks (of 1 and 2) keep the dense powers'
+        # bits.  At a block of 4 the powers may round otherwise (at (7, 2, 6), (7, 3, 10) and
+        # (10, 2, 14) here): there the dense generation on the block powers has the bits, and
+        # the one on the dense powers is within their rounding.
         ps = get_space(n, k, m_blocks)
         for product, generate in ((False, flagf.generate_f_structures), (True, flagf.generate_product_structures)):
-            got, want = generate(ps), generation_reference.structures_one_at_a_time(ps, product)
-            assert len(got) == len(want) > 0
-            for a, b in zip(got, want):
-                assert (a.kind, a.label, a.signature, a.theta_polynomial) == (b.kind, b.label, b.signature, b.theta_polynomial)
+            got = generate(ps)
+            dense = generation_reference.structures_one_at_a_time(ps, product)
+            on_blocks = generation_reference.structures_one_at_a_time(ps, product, generation_reference.block_powers(ps))
+            assert len(got) == len(dense) == len(on_blocks) > 0
+            for a, b, c in zip(got, dense, on_blocks):
+                assert (a.kind, a.label, a.signature, a.theta_polynomial) == b[:4] == c[:4]
                 assert a.matrix.shape == (ps.m.dim,) * 2 and not a.matrix.flags.writeable
-                assert a.matrix.tobytes() == b.matrix.tobytes(), (n, m_blocks, k, a.label)
+                assert a.matrix.tobytes() == c[4].tobytes(), (n, m_blocks, k, a.label)
+                if m_blocks == 1:
+                    assert a.matrix.tobytes() == b[4].tobytes(), (n, k, a.label)
+                assert np.max(np.abs(a.matrix - b[4])) <= DENSE_POWERS_ROUNDING, (n, m_blocks, k, a.label)
+
+    @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 6), (9, 2, 8), (12, 4, 16)])
+    def test_blocks_are_the_matrix_on_theta_blocks(self, get_space, n, m_blocks, k):
+        # Each structure holds the rows of theta's blocks and read-only block stacks; its matrix
+        # is those blocks scattered, built once, and 0 off them.
+        ps = get_space(n, k, m_blocks)
+        for cs in flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps):
+            assert all(a is b for (a, _), (b, _) in zip(cs.blocks, ps.theta_blocks, strict=True))
+            assert all(not mats.flags.writeable for _, mats in cs.blocks)
+            assert cs.matrix is cs.matrix
+            assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(cs.blocks, reference.on_theta_blocks(ps.theta_blocks, cs.matrix)))
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 8, 10, 12, 16])
     def test_polynomial_stacks_equal_their_rows_bitwise(self, k):
@@ -339,7 +375,7 @@ class TestStructureIdentities:
             label="theta",
             signature=(),
             theta_polynomial=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-            matrix=ps.theta,
+            blocks=reference.on_theta_blocks(ps.theta_blocks, ps.theta),
         )
         (chk,) = verify_structures([fake], ps)
         assert chk.defining_residual > 0.5
@@ -350,18 +386,19 @@ class TestStructureIdentities:
             assert cs.kind == "f-structure"
 
 
-# The fields measured structure by structure, bit for bit as the reference measures them; pairwise_commutation
-# and ad_invariance are bounds built from them and from polynomial_residual.
+# The fields measured structure by structure, as the reference measures them; pairwise_commutation and
+# ad_invariance are bounds built from them and from polynomial_residual.
 CHECK_FIELDS = ("defining_residual", "theta_commutation")
 MEASURED_FIELDS = CHECK_FIELDS + ("polynomial_residual",)
+ALL_MEASURED = MEASURED_FIELDS + ("ad_invariance",)  # every field that is a structure's own
 
 
-def check_bits(checks):
-    """Each check's label and the bytes of each measured residual; every field must be a float."""
+def check_bits(checks, fields=CHECK_FIELDS):
+    """Each check's label and the bytes of each named residual; every field must be a float."""
     out = []
     for chk in checks:
         assert all(type(v) is float for v in dataclasses.astuple(chk)[1:]), chk
-        out.append((chk.label, *(np.float64(getattr(chk, name)).tobytes() for name in CHECK_FIELDS)))
+        out.append((chk.label, *(np.float64(getattr(chk, name)).tobytes() for name in fields)))
     return out
 
 
@@ -371,21 +408,28 @@ def worst_pairwise(checks):
 
 # The pairwise bound holds for exact products; a product of O(1) matrices rounds to about this.
 ROUNDING = np.finfo(float).eps
-# verify sums sum_m c_m theta^m as one (S, k) @ (k, d^2) product, the reference (and generation) term by term
-# with poly_in: each entry of either is a float sum of at most k <= MAX_K = 16 products c_m (theta^m)_ij, off
-# the exact sum by at most 16 (eps / 2) sum_m |c_m| <= 32 eps (|theta^m|_ij <= 1 and sum_m |c_m| < 4 on every
-# space tested), so the two reconstruction residuals differ by at most 64 eps.
+# verify multiplies the blocks out elementwise, the reference the dense matrices with BLAS: both sum the
+# same nonzero products, at most 4 per entry and step and at most two steps, of entries |f| <= 1, in
+# their own orders, so a measured defining or theta-commutation residual differs by a few eps.
+MEASURE_ROUNDING = 16 * ROUNDING
+# verify sums sum_m c_m theta^m on the block powers, the reference on the dense ones, both term by term:
+# each entry of either is a float sum of at most k <= MAX_K = 16 products c_m (theta^m)_ij, off the exact
+# sum by at most 16 (eps / 2) sum_m |c_m| <= 32 eps (|theta^m|_ij <= 1 and sum_m |c_m| < 4 on every space
+# tested), so the two reconstruction residuals differ by at most 64 eps.
 RECONSTRUCTION_ROUNDING = 64 * ROUNDING
 # ad_invariance bounds [A, F] for F = sum_m c_m theta^m + E exactly, E = F minus the exact sum, and verify
-# measures E against its product, off the exact sum by at most 32 eps (above), which ad(h) scales by at most
+# measures E against its sum, off the exact sum by at most 32 eps (above), which ad(h) scales by at most
 # N_A = sqrt(2) to 46 eps; each entry of the reference's own join of ad(h) with F rounds by a few eps more.
 AD_REFERENCE_ROUNDING = 64 * ROUNDING
 
 
 def assert_measured_as_reference(got, want):
-    """Each check's measured fields are the reference's: bit for bit, the reconstruction within rounding."""
-    assert check_bits(got) == check_bits(want)
+    """Each check's measured fields are the reference's, within the rounding of the two routes."""
+    assert [chk.label for chk in got] == [ref.label for ref in want]
     for chk, ref in zip(got, want):
+        assert all(type(v) is float for v in dataclasses.astuple(chk)[1:]), chk
+        for name in CHECK_FIELDS:
+            assert abs(getattr(chk, name) - getattr(ref, name)) <= MEASURE_ROUNDING, (chk.label, name)
         assert abs(chk.polynomial_residual - ref.polynomial_residual) <= RECONSTRUCTION_ROUNDING, chk.label
 
 
@@ -394,14 +438,14 @@ def non_equivariant_fake(ps):
     which ad(h) rotates: not ad(h)-invariant, not a polynomial in theta."""
     proj = np.zeros((ps.m.dim, ps.m.dim))
     proj[0, 0] = 1.0
-    return CanonicalStructure("f-structure", "fake", (), (0.0,) * ps.spec.k, proj)
+    return CanonicalStructure("f-structure", "fake", (), (0.0,) * ps.spec.k, reference.on_theta_blocks(ps.theta_blocks, proj))
 
 
 class TestStackedStructureChecks:
     @pytest.mark.parametrize(
         "n,m_blocks,k", [(5, 1, 4), (5, 1, 6), (8, 1, 6), (12, 1, 6), (16, 1, 6), (7, 2, 6), (9, 2, 8)]
     )
-    def test_measured_fields_are_bitwise_the_per_structure_route(self, get_space, n, m_blocks, k):
+    def test_measured_fields_are_the_per_structure_route(self, get_space, n, m_blocks, k):
         # The pairwise bound is at least the largest commutator the reference multiplies out,
         # up to rounding: the f-structures alone read 0 where their products round to 1e-32.
         # The ad(h) bound is at least each structure's join, up to the reference's rounding.
@@ -444,7 +488,7 @@ class TestStackedStructureChecks:
         a, x, z, v = ps.ad_h_nonzeros
         u, w = np.zeros(ps.m.dim), np.zeros(ps.m.dim)
         u[x[0]], u[z[0]], w[x[0]], w[z[0]] = 1.0, -1.0, 1.0, 1.0
-        fake = dataclasses.replace(non_equivariant_fake(ps), matrix=np.outer(u, w))
+        fake = dataclasses.replace(non_equivariant_fake(ps), blocks=reference.on_theta_blocks(ps.theta_blocks, np.outer(u, w)))
         (chk,) = verify_structures([fake], ps)
         joined = reference.ad_commutator(fake.matrix, ps)
         assert chk.polynomial_residual == 1.0 and joined == 2 * abs(v[0])
@@ -469,9 +513,10 @@ class TestStackedStructureChecks:
         assert all(ref.ad_invariance <= chk.ad_invariance for chk, ref in zip(got, want))
         assert min(chk.ad_invariance for chk in got) > 1e-3
 
-    def test_cost_guard_stack_and_two_working_stacks(self, get_space):
-        # verify_structures keeps the (S, d, d) stack and two working stacks that every step
-        # writes into; the per-structure lists add under 5 % of a stack here (S = 2314, d = 32).
+    def test_cost_guard_no_dense_stack(self, get_space):
+        # verify_structures works on one block size at a time: its peak is a few stacks of the
+        # structures' blocks (3.7 times all their blocks here, S = 2314, d = 32), far below one
+        # (S, d, d) stack.
         import tracemalloc
 
         ps = get_space(9, 16, 4)
@@ -483,8 +528,8 @@ class TestStackedStructureChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stack = len(family) * ps.m.dim**2 * 8
-        assert len(family) == 2314 and peak < 3.15 * stack
+        blocks = len(family) * sum(mats.size for _, mats in ps.theta_blocks) * 8
+        assert len(family) == 2314 and peak < 5 * blocks < len(family) * ps.m.dim**2 * 8 / 1.5
 
     @pytest.mark.parametrize("n,m_blocks,k", [(5, 1, 6), (9, 2, 8), (12, 3, 8)])
     def test_pairwise_bound_covers_every_measured_commutator(self, get_space, n, m_blocks, k):
@@ -504,8 +549,8 @@ class TestStackedStructureChecks:
         # f1 plus a multiple of a matrix unit: its polynomial still claims to be f1.
         f1 = structure_by_label(family, "f1")
         bent = np.array(f1.matrix)
-        bent[0, 1] += 1e-6
-        stack = family + [dataclasses.replace(f1, label="bent", matrix=bent)]
+        bent[0, 1] += 1e-6  # inside m1's block of theta
+        stack = family + [dataclasses.replace(f1, label="bent", blocks=reference.on_theta_blocks(f1.blocks, bent))]
         got = verify_structures(stack, ps)
         want = [reference.verify_structure(cs, ps, others=stack) for cs in stack]
         assert worst_pairwise(want) > TAU_STRUCTURE
@@ -527,12 +572,31 @@ class TestStackedStructureChecks:
         assert checks[at].polynomial_residual == 1.0 and checks[at].pairwise_commutation > 1e-3
         # Every other structure keeps its own residuals and ad(h) bound; only its commutator with the fake is new.
         alone = verify_structures(everything, ps)
-        for chk, ref in zip(checks[:at] + checks[at + 1 :], alone):
-            assert check_bits([chk]) == check_bits([ref]) and chk.polynomial_residual == ref.polynomial_residual
-            assert chk.ad_invariance == ref.ad_invariance
+        assert check_bits(checks[:at] + checks[at + 1 :], ALL_MEASURED) == check_bits(alone, ALL_MEASURED)
 
     def test_empty_list(self, get_space):
         assert verify_structures([], get_space(5, 6)) == []
+
+    @pytest.mark.parametrize("k", range(4, 17, 2))
+    def test_a_structure_reads_its_own_residuals(self, get_space, k):
+        # Every measured field is the structure's own, summed in a fixed order on its blocks: checked
+        # alone, a structure reads the bits it reads inside the whole list, and -f reads f's bits
+        # wherever its polynomial is the exact negation of f's.  That is every pair at k = 4 and 6.
+        # From k = 8 on, theta has no angle 2 pi l / k for some l <= k/2 - 2, a signature holds -1
+        # there for f and -f alike, and their polynomials are negations only up to rounding.
+        exact = 0
+        for n in [*range(4, 25), 40]:
+            ps = get_space(n, k)
+            family = flagf.generate_f_structures(ps) + flagf.generate_product_structures(ps)
+            bits = check_bits(verify_structures(family, ps), ALL_MEASURED)
+            assert [check_bits(verify_structures([cs], ps), ALL_MEASURED)[0] for cs in family] == bits, n
+            by_label = {cs.label: (cs, chk[1:]) for cs, chk in zip(family, bits)}
+            for label, (cs, got) in by_label.items():
+                f, want = by_label[label[1:] if label.startswith("-") else "-" + label]
+                if cs.theta_polynomial == tuple(-c for c in f.theta_polynomial):
+                    assert got == want, (n, label)
+                    exact += 1
+        assert exact == (22 * len(family) if k in (4, 6) else 0)
 
     def test_cost_guard_no_pairwise_products(self, get_space, get_f_structures, get_products):
         # The checks take O(S) products of d x d matrices; gathering all
@@ -573,7 +637,7 @@ class TestNegationClosure:
         at = [cs.label for cs in family].index("-f2")
         bent = np.array(family[at].matrix)
         bent[0, 0] += 1e-6
-        family[at] = dataclasses.replace(family[at], matrix=bent)
+        family[at] = dataclasses.replace(family[at], blocks=reference.on_theta_blocks(family[at].blocks, bent))
         assert negation_residual(family) > TAU_STRUCTURE
         assert not self.any_negative(family)
 
@@ -583,8 +647,8 @@ class TestNegationClosure:
         for family in (flagf.generate_f_structures(ps), flagf.generate_product_structures(ps)):
             assert negation_residual(family).hex() == reference.negation_residual_loop(family).hex()
             bent = np.array(family[-1].matrix)
-            bent[-1, 0] += 3e-12
-            family[-1] = dataclasses.replace(family[-1], matrix=bent)
+            bent[-1, -1] += 3e-12
+            family[-1] = dataclasses.replace(family[-1], blocks=reference.on_theta_blocks(family[-1].blocks, bent))
             assert negation_residual(family).hex() == reference.negation_residual_loop(family).hex()
             assert negation_residual(family[1:]) == reference.negation_residual_loop(family[1:]) == np.inf
 
@@ -622,7 +686,7 @@ class TestGoldenActions:
     def test_sign_flipped_structure_fails(self, get_space):
         ps = get_space(6, 6)
         flipped = [
-            dataclasses.replace(cs, matrix=-cs.matrix) if cs.label == "f2" else cs
+            dataclasses.replace(cs, blocks=reference.on_theta_blocks(cs.blocks, -cs.matrix)) if cs.label == "f2" else cs
             for cs in canonical.generate_f_structures(ps)
         ]
         dev = golden_action_check(ps, flipped)
@@ -637,8 +701,8 @@ class TestGoldenActions:
         if corruption == "entry-3e-12":
             first = sorted(canonical.F_LABEL_SIGNS[k])[0]
             bent = np.array(structure_by_label(fs, first).matrix)
-            bent[1, 0] += 3e-12
-            fs = [dataclasses.replace(cs, matrix=bent) if cs.label == first else cs for cs in fs]
+            bent[1, 0] += 3e-12  # inside m1's block of theta
+            fs = [dataclasses.replace(cs, blocks=reference.on_theta_blocks(cs.blocks, bent)) if cs.label == first else cs for cs in fs]
         elif corruption == "labels-swapped":  # f2 <-> f3; f0 <-> -f0 at k = 4, which has no f2
             swap = {"f2": "f3", "f3": "f2"} if k == 6 else {"f0": "-f0", "-f0": "f0"}
             fs = [dataclasses.replace(cs, label=swap.get(cs.label, cs.label)) for cs in fs]

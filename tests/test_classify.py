@@ -25,7 +25,7 @@ from flagf import canonical, classify, liealg, metricgeom
 from flagf.liealg import bracket_coords, scatter
 from flagf.metricgeom import MetricGrid, MetricParams, TripleSplit, u_channel_coefficients
 from space_reference import dense_subspace, split_blocks
-from structure_checks_reference import kept_entries_from_stacks, u_coords_tensor
+from structure_checks_reference import kept_entries_from_stacks, on_theta_blocks, u_coords_tensor
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -128,7 +128,7 @@ class TestMetricCompatibility:
         split = get_split(5, 6)
         fake = flagf.CanonicalStructure(
             kind="f-structure", label="theta", signature=(),
-            theta_polynomial=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), matrix=ps.theta,
+            theta_polynomial=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), blocks=on_theta_blocks(ps.theta_blocks, ps.theta),
         )
         assert metric_compat_residual(structure_matrices([fake], split), split, MetricParams(2.0, 0.5)) > 1e-3
 

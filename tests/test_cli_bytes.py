@@ -2,8 +2,10 @@
 
 The verify digests were retaken when the structures' reconstruction became
 one product with theta's powers and the checks that construction raises on
-left the report, and at m_blocks = 1 again when structure-sign-pair joined
-it.  The classify digests were retaken when the class engine began to read
+left the report, at m_blocks = 1 again when structure-sign-pair joined it,
+and at k = 6 when the structure checks moved onto theta's blocks, which
+read the reconstruction and the ad(h) bound as 0.0 and the pairwise bound a
+few 1e-16 lower.  The classify digests were retaken when the class engine began to read
 each f-structure as the exact matrix of its sign pair, which moved the
 class residuals in their last bits.  Any other change to a residual, a
 polynomial coefficient, a label, the list of checks or the layout of either
@@ -33,16 +35,16 @@ DIGESTS = {
         "text": "c51058b7a5c01e2ba3168f96edf39e5b2b9b352d908282de8534b2a2acc10020",
     },
     ("verify", "--n 12 --k 6"): {
-        "json": "0b9a31f4dcab78797b87f2617d8e628eeede23841d329ae8ec8190e024f4c754",
-        "text": "49b16d5611dc6baf5e6de1d7fdae44bfd3638060f552caa9cc4b64505ebae74d",
+        "json": "6b13725ef1cd4898ba39d48959ac0123461de515e11e309a2388a2e4f5b04332",
+        "text": "b065998ef8f5abf06e884629e00adf74ac7a837996a0d7296c3a7bbad86c8e83",
     },
     ("verify", "--n 16 --k 6"): {
-        "json": "1b25e5b3d89fddb8334981105ad894ff68a7f55e1db7e4bd2dee2e1d5f585761",
-        "text": "cc5409b20a24b827bf53ea062219546fb9c0f422875558c513a375449902b149",
+        "json": "ddd6f71e0c15622cd37a441f445e3682880a5480321ba2ab9ec1efa539c3e520",
+        "text": "9f8821e97b1952460082fbac50796eebf00212b70c84792c9755a3aa959a591b",
     },
     ("verify", "--n 7 --m-blocks 2 --k 6"): {
-        "json": "2d1778f4e600c4edaa3b952db3999fe989756b04432847f758f86bd2a296d295",
-        "text": "11d32af1daca29b00c46249e36a5d919bdaf4bce2b6dedbfe2494925ed76355c",
+        "json": "bb52706be6cc0f6b63eec2de066e4b9a90f0318c06a4fd44783cb60f9378b29f",
+        "text": "7a0804841cc412ef85b6f7f0b68f470f27c1c9e56ebe7176a070e8849fc2afa6",
     },
     ("classify", "--n 5 --k 4 --f f0 --s 1 --t 1.3333333333333333"): {
         "json": "d4ef057a1162cfd3f5fd7a56bacf27624d06de87bd2f025eb6025af9eaed2bce",

@@ -5,14 +5,13 @@ import pytest
 
 import flagf
 from flagf.canonical import CanonicalStructure, verify_structures
-from flagf.liealg import bracket_coords, brackets, lex_indices, lie_mats, lie_rows
+from flagf.liealg import bracket_coords, brackets, lex_indices, lie_mats, lie_rows, op_powers
 from flagf.metricgeom import _check_split_invariants
 from flagf.phispace import (
     AutomorphismSpec,
     PhiSpace,
     _apply_phi,
     _check_phi_space_invariants,
-    _nonsingular,
     _stack_singular_values,
     ad_h_leak,
     build_automorphism,
@@ -27,7 +26,8 @@ from flagf.phispace import (
 from flagf.tolerances import TAU_ORDER, TAU_PHI
 
 import space_reference as ref
-from space_reference import dense_subspace, full_space, phi_matrix, split_blocks
+from space_reference import _nonsingular, dense_subspace, full_space, phi_matrix, split_blocks
+from structure_checks_reference import on_theta_blocks
 
 TEST_MATRIX = [(n, k) for n in (4, 5, 6, 7, 8) for k in (4, 6)]
 
@@ -357,6 +357,48 @@ class TestRegularityFromBlocks:
         assert TestCostGuard.peak(run) < 276 * 276 * 8
 
 
+class TestThetaBlocks:
+    """theta on its blocks (PhiSpace.theta_blocks): the rows of m in blocks of 1, 2 and
+    4 on every space build_automorphism gives, theta zero off them."""
+
+    def test_blocks_partition_m_and_hold_theta(self):
+        specs = _specs(range(4, 17), blocks=(1, 2, 3, 4))
+        for spec in specs:
+            ps = build_phi_space(spec)
+            sizes = [rows.shape[1] for rows, _ in ps.theta_blocks]
+            assert sizes == sorted(set(sizes)) and set(sizes) <= {1, 2, 4}, (spec.n, spec.m_blocks, spec.k)
+            covered = np.sort(np.concatenate([rows.ravel() for rows, _ in ps.theta_blocks]))
+            assert np.array_equal(covered, np.arange(ps.m.dim))
+            scattered = np.zeros_like(ps.theta)
+            for rows, mats in ps.theta_blocks:
+                assert not rows.flags.writeable and not mats.flags.writeable
+                scattered[rows[:, :, None], rows[:, None, :]] = mats
+            assert scattered.tobytes() == ps.theta.tobytes()
+
+    def test_theta_minus_id_is_read_on_the_blocks(self, monkeypatch):
+        # build_phi_space and check_regularity read theta - id block by block: closed forms at
+        # blocks of 1 and 2, one batched SVD at blocks of 4, no eigvalsh of a dense d x d matrix.
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        for n, m_blocks, k in [(24, 1, 6), (9, 2, 8), (40, 9, 16)]:
+            ps = build_phi_space(build_automorphism(n, m_blocks, k))
+            assert check_regularity(ps).theta_no_fixed_vector
+
+    def test_a_fixed_vector_in_one_block_is_seen(self, get_space):
+        # theta as the identity on m1, one block of 2: both routes see the fixed vector.
+        ps = get_space(6, 6)
+        th = np.array(ps.theta)
+        th[:2], th[:, :2] = 0.0, 0.0
+        th[:2, :2] = np.eye(2)
+        fixing = dataclasses.replace(ps, theta=th)
+        assert not check_regularity(fixing).theta_no_fixed_vector
+        assert not ref.dense_regularity(fixing).theta_no_fixed_vector
+        with pytest.raises(RuntimeError, match="theta has a fixed vector"):
+            _check_phi_space_invariants(fixing)
+
+
 def dense_ad_h(ps):
     """ad(h) on m as a (dim h, d, d) stack from matrix commutators: [a][:, j] holds
     the m-coefficients of [h_a, m_j]."""
@@ -391,7 +433,8 @@ class TestAdStack:
         proj = np.zeros((d, d))
         proj[0, 0] = 1.0  # keeps one basis direction of m1; ad(h) rotates it
         cs = CanonicalStructure(
-            kind="f-structure", label="x", signature=(), theta_polynomial=(0.0,), matrix=proj
+            kind="f-structure", label="x", signature=(), theta_polynomial=(0.0,) * ps.spec.k,
+            blocks=on_theta_blocks(ps.theta_blocks, proj),
         )
         assert verify_structures([cs], ps)[0].ad_invariance > 1e-3
 
@@ -520,11 +563,14 @@ class TestStructuralChecksStillBite:
         with pytest.raises(RuntimeError, match="theta\\^k is not the identity"):
             _check_phi_space_invariants(bad)
 
-    @pytest.mark.parametrize("n,k,m_blocks", [(4, 4, 1), (12, 6, 1), (9, 8, 3), (16, 16, 1)])
+    @pytest.mark.parametrize("n,k,m_blocks", [(4, 4, 1), (12, 6, 1), (9, 8, 3), (16, 16, 1), (7, 10, 3)])
     def test_theta_order_residual_is_theta_times_its_last_power(self, get_space, n, k, m_blocks):
+        # Read on theta's blocks: the dense theta @ theta^(k - 1) sums the same nonzero products,
+        # in another order at a block of 4, so the two agree to a few rounding steps.
         ps = get_space(n, k, m_blocks)
         eye = np.eye(ps.m.dim)
-        assert ps.theta_order_residual == float(np.max(np.abs(ps.theta @ ps.theta_powers[-1] - eye)))
+        dense = float(np.max(np.abs(ps.theta @ op_powers(ps.theta, k)[-1] - eye)))
+        assert abs(ps.theta_order_residual - dense) <= 4 * np.finfo(float).eps
         by_squaring = float(np.max(np.abs(np.linalg.matrix_power(ps.theta, k) - eye)))
         assert max(ps.theta_order_residual, by_squaring) < 1e-14
 

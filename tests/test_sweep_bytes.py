@@ -12,7 +12,10 @@ sigma_max_dropped in their last bits; no membership and no zero-set
 description moved.  The f0/f1 JSON files and every summary.json were
 retaken when the zero sets began to read their kernel off the SVD that
 zero_sets takes, not off a second SVD of the constraint rows: only the Kill
-point moved, at (5, 4) and (5, 6) to exactly (1.0, 1.3333333333333333).  The
+point moved, at (5, 4) and (5, 6) to exactly (1.0, 1.3333333333333333).
+The per-structure JSON files at k = 6 were retaken when the structure
+checks moved onto theta's blocks: their polynomial_residual, ad_invariance
+and pairwise_commutation went from a few 1e-16 to 0.0.  The
 residual columns carry the last bits of floating-point
 sums, so a numpy or BLAS build that orders a sum differently changes them;
 they were taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
@@ -41,10 +44,10 @@ DIGESTS = {
     },
     "--n 5 --k 6": {
         "json": {
-            "f1.json": "4b63ff4fb89f40c83c11104a2f9eff6bc55def89335376dc0aa8d3ee350f79bb",
-            "f2.json": "16570a6016df2b3191cdc403d9fad318b507162907ee5a61963c8c524a68179b",
-            "f3.json": "350c6bb23f113b32d828378b8ca80f663a5b008bcd915147312048051f7a665d",
-            "f4.json": "d494ebfaffbe5658c2e2f9c09b64da7ee2f97911d7716751531238d6c6669929",
+            "f1.json": "ba790fb50504ec1935edb7d09fe2dd264abd26e6fe2768ca997645b914490f33",
+            "f2.json": "c9549066909d139d26b99899df41e369d4122174ee8ad05f49318c6e1fae0bbf",
+            "f3.json": "0ae1ff9b3338679a6c01a1c30b30268a4577296f57925438c1d7483389435f32",
+            "f4.json": "93505cd230f4b360aec87d3ad104c3c19b4d2fe50bfb8043a57e77f296e0f53e",
             "summary.json": "e5a41a53bad7c284a862b59c895f3db13d57c5a6f9388f28b5a4b423997b143d",
         },
         "csv": {
@@ -64,10 +67,10 @@ DIGESTS = {
     },
     "--n 8 --k 6": {
         "json": {
-            "f1.json": "65f7bca03720225857865b9685deebd3987fb7f68b6c2529b91c3b6f53ffa703",
-            "f2.json": "30cdc6d13b0bfbe0485c5e6d00d2795558f830210e469509a31535ad7b94fced",
-            "f3.json": "51d46dbde060a434ecfd10fda8c1fc30e50efe190c7ad0b47c47c554ae3a9186",
-            "f4.json": "550f56ab55ad62afe4135907adad9ad44fd784ed9bbbbf4741320f502763c27e",
+            "f1.json": "d38bcff437093c9e801a1d8c60ebecebd1397a3945a4d4129f43212e9ff23780",
+            "f2.json": "a9513c86eb7f1f7395c787daf809e4fe7112e913167285669c5b49e8165b9a35",
+            "f3.json": "9f2a7851de608bc5ac3975492591eae8f25909af6dd9ec10d46728306940b5f2",
+            "f4.json": "244a3ef5698f2f60a53136d1a64267ef1153548ef72e889f51dc515778460943",
             "summary.json": "31a74b138dc089d8a9bb9e8ba788db0faae6b64eeec15ba16514313d3c2b5354",
         },
         "csv": {
@@ -87,10 +90,10 @@ DIGESTS = {
     },
     "--n 5 --k 6 --grid-step 1.0": {
         "json": {
-            "f1.json": "98c7d510f418f2aa666d55657ab4d43f4cc28ad698b0055c3730a372def89449",
-            "f2.json": "b23e1b36cbbd3ff37790bd9417b7cda9f25aaef20aa30c573968cbda8b61387a",
-            "f3.json": "24c79b275327b4853a46aa18af2d26a647681a69036b3c6fa202c7b2b3408ad0",
-            "f4.json": "0371ced7ecf614b6876a3fa83117d5b5e2a431fe6909333961a5908f178d6285",
+            "f1.json": "4c4b745fff07b3f2e96e1a51ce6086eedc7c24c95cbdf8aa5b002637d9ed5771",
+            "f2.json": "57f9bcb0aea1c1a87d6edfd0da0cdb34830458ca930e7434ac02f90dfcf8e873",
+            "f3.json": "0be2d0020775da65bc6e9f9a928c83ff8c582eaa1891ef978bf2883b8537585e",
+            "f4.json": "57c48d5c57f6662d5b71a19846f740c076827c2c25bc47b10766316fb3acdbfc",
             "summary.json": "24977de7c7a7c882e92979780dea43c8503071f12c0c1548e7cc4cf4b0c9434d",
         },
         "csv": {
