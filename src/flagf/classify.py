@@ -21,17 +21,20 @@ generated operator carries rounding noise beside each entry.  J is
 block-diagonal, so the one nonzero of each row of f, f^2, f^T and (f^2)^T
 is that of J, J^2, J^T and (J^2)^T times the sign (or its square) of its
 block: set-up scales the split's tables of J (TripleSplit.row_tables) and
-scans no structure's matrix, and each bracket nonzero of each term is one
-exact product.  The generated operator stays what verify checks against it
+scans no structure's matrix.  It joins the signs of the bracket tensor,
+whose nonzeros share the one magnitude 1/sqrt(2), so every kept entry is a
+half-integer, exactly; the residuals read it times that magnitude.  The
+generated operator stays what verify checks against it
 (structure-sign-pair) and what the metric-compatibility residuals read.
 All the structures of a space share the bracket tensor, so
 class_evaluators sets them up in one pass over every structure, condition
 and term, keyed structure first, with the bits of a set-up of each alone;
 ClassEvaluator(f, split) is the list [f].
-Residuals are normalized by the operator norm of f, max(|eps1|, |eps2|) = 1,
-and by (1 + s + t + 1/s + 1/t), so grid sweeps stay comparable as the U
-coefficients grow near the parameter boundary.  A point where a pair norm
-still overflows is refused with ValueError rather than given a verdict.
+Residuals are normalized by (1 + s + t + 1/s + 1/t), so grid sweeps stay
+comparable as the U coefficients grow near the parameter boundary; the
+operator norm of f, max(|eps1|, |eps2|), is 1 for every sign pair.  A point
+where a pair norm still overflows is refused with ValueError rather than
+given a verdict.
 
 Membership is declared below TAU_MEMBER = 1e-9, non-membership above
 NONMEMBER_MARGIN = 1e-3 (both in :mod:`flagf.tolerances`); the band in between
@@ -39,11 +42,11 @@ is flagged indeterminate.
 
 With closed-form U each polarized condition reads A @ (1, c) = 0 for a fixed
 four-column A and the channel coefficients c = ((t-s)/2, (t-1)/(2s), (s-1)/(2t)),
-so zero sets are exact: the SVD of A gives constraint rows w . (1, c) = 0, read
-as a point, an axis line, all, empty, or else kept as polynomial equations.
-zero_sets takes the A of every condition of a list of evaluators through one
-stacked QR, with the bits of each A's own; ClassEvaluator.zero_set is the list
-[self].
+so zero sets are exact: 8 A^T A is an integer 4 x 4 matrix, and its reduced
+rows, found in integers, are the constraint rows w . (1, c) = 0, read with
+exact zero tests as a point, an axis line, all, empty, or else kept as
+polynomial equations.  zero_sets sums the matrix of every condition of a list
+of evaluators in one pass; ClassEvaluator.zero_set is the list [self].
 
 ClassEvaluator.report gives one ClassReport for one MetricParams.  A sweep
 works on columns: ClassEvaluator.sweep takes a MetricGrid (its points
@@ -57,6 +60,8 @@ zero sets.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,13 +96,13 @@ _ON_U, _COEF, _A, _B, _P = (np.array(col)[:, None] for col in zip(*_TERMS))
 def _kept_entries(eps: np.ndarray, split: TripleSplit) -> tuple[np.ndarray, ...]:
     """The kept polarized entries (see _polarize) of the groups g = 3 *
     structure + condition of the structures f = eps J, eps the (S, d) signs
-    of each structure on the block of each basis row (sign_pair_rows).  J
-    is block-diagonal, so f, f^2, f^T and (f^2)^T are J, J^2, J^T and
-    (J^2)^T with row r scaled by eps_r or eps_r^2, exactly: the split's
-    one-entry row tables, scaled.  Per group, term and bracket nonzero, one
-    product of the rows of A, B and P^T at its indices, keyed into shape
-    (groups, 4, d, d, d) (ch 0: base terms, 1-3: the U channels); each key
-    sums its terms in that order."""
+    of each structure on the block of each basis row (sign_pair_rows), over
+    the signs of the bracket tensor: half-integers, exactly.  J is
+    block-diagonal, so f, f^2, f^T and (f^2)^T are J, J^2, J^T and (J^2)^T
+    with row r scaled by eps_r or eps_r^2: the split's one-entry row tables,
+    scaled.  Per group, term and bracket nonzero, one product of the rows of
+    A, B and P^T at its indices, keyed into shape (groups, 4, d, d, d) (ch 0:
+    base terms, 1-3: the U channels); each key sums its terms."""
     d, groups = split.dim, 3 * len(eps)
     i, j, r, v = split.bracket_nonzeros
     channel, bsign = u_channels(split, i, j)
@@ -109,9 +114,7 @@ def _kept_entries(eps: np.ndarray, split: TripleSplit) -> tuple[np.ndarray, ...]
     term = np.tile(np.arange(len(_TERMS)), len(eps))  # 9 per structure: 3 per group, the groups in order
     table = 5 * (np.arange(len(term)) // len(_TERMS))[:, None]  # the first table of each term's structure
     a, b, p = ((table + m[term]) * d + at for m, at in ((_A, i), (_B, j), (_P, r)))
-    value = val[a] * (_COEF[term] * np.where(_ON_U[term], bsign * v, v))
-    value = val[b] * value
-    value = val[p] * value
+    value = val[a] * val[b] * val[p] * _COEF[term] * np.where(_ON_U[term], bsign, 1.0) * np.sign(v)  # of +-1, 1/2, 2
     group = (np.arange(len(term)) // 3)[:, None]
     key = ((group * 4 + np.where(_ON_U[term], channel, 0)) * d).astype(col.dtype) + col[a]
     key = (key * d + col[b]) * d + col[p]
@@ -212,7 +215,9 @@ class CharacteristicSet:
     "points" (``points``: (s, t)) or "equations": the common zeros of
     ``equations``, the constraints times 2st (degree <= 3) as tuples of
     (i, j, coeff) terms coeff s^i t^j.  ``rank`` counts the constraints;
-    ``sigma_min_kept`` / ``sigma_max_dropped`` (or None) bound its gap.
+    ``sigma_min_kept`` is the smallest nonzero singular value of the
+    condition's matrix (None at rank 0) and ``sigma_max_dropped`` its largest
+    zero one, exactly 0.0 (None at rank 4).
     """
 
     kind: str
@@ -268,52 +273,66 @@ def _term_text(i: int, j: int, coeff: float) -> str:
     return "*".join([f"{coeff:+.6f}", *powers])
 
 
-def decode_constraints(vt: np.ndarray, rank: int) -> CharacteristicSet:
-    """Zero set over s, t > 0 of w . (1, c(s, t)) = 0 for each constraint row
-    w of vt[:rank], vt the (4, 4) right singular vectors of a condition's
-    matrix of rank ``rank``, whose kernel is vt[rank:].  No rows is "all"; a
-    kernel without the constant term is "empty"; a 1-dim kernel is a point
-    ("empty" at infinity or off the open quadrant); one row on c3 (c2) alone
-    is the line s = 1 (t = 1).  Any other shape is returned as "equations",
-    not guessed."""
+def decode_constraints(rows) -> CharacteristicSet:
+    """Zero set over s, t > 0 of w . (1, c(s, t)) = 0 for each row w of
+    ``rows``, four integers each, decided exactly on their reduced rows
+    (_reduced_rows).  No rows is "all"; rows that hold the constant row
+    (1, 0, 0, 0) are "empty"; rank 3 leaves one kernel vector, a point
+    ("empty" at infinity or off the open quadrant), found in integers; one
+    row on c3 (c2) alone is the line s = 1 (t = 1).  Any other shape is
+    returned as "equations", not guessed."""
+    rows = _reduced_rows(rows)
+    rank = len(rows)
     if rank == 0:
         return CharacteristicSet(kind="all")
-    kernel = vt[rank:]
-    if not np.any(np.abs(kernel[:, 0]) > TAU_RANK):
+    if not any(rows[0][1:]):
         return CharacteristicSet(kind="empty", rank=rank)
     if rank == 3:
-        points = _kernel_points(kernel[0])
+        points = _kernel_point(rows)
         return CharacteristicSet(kind="points" if points else "empty", points=points, rank=rank)
-    support = np.flatnonzero(np.abs(vt[0]) > TAU_RANK).tolist()
-    if rank == 1 and support in ([3], [2]):
-        axis = "s" if support == [3] else "t"
-        return CharacteristicSet(kind="line", lines=((axis, 1.0),), rank=rank)
-    equations = tuple(_constraint_polynomial(row) for row in vt[:rank])
-    return CharacteristicSet(kind="equations", equations=equations, rank=rank)
+    if rows in ([(0, 0, 0, 1)], [(0, 0, 1, 0)]):
+        return CharacteristicSet(kind="line", lines=(("s" if rows[0][3] else "t", 1.0),), rank=rank)
+    return CharacteristicSet(kind="equations", equations=tuple(map(_constraint_polynomial, rows)), rank=rank)
 
 
-def _kernel_points(v: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """The (s, t) with c(s, t) = v[1:] / v[0] for a kernel vector v: one or none."""
-    c1, c2, c3 = v[1:] / v[0]
-    den = 1.0 - 2.0 * c2
-    if abs(den) <= TAU_RANK:  # the point lies at infinity
+def _reduced_rows(rows) -> list[tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form of integer rows, each
+    scaled to coprime integers with a positive pivot, by fraction-free
+    Gauss-Jordan elimination in Python ints."""
+    rest, done = [[operator.index(x) for x in w] for w in rows], []
+    for col in range(4):
+        live = [w for w in rest if w[col]]
+        if live:
+            pivot = live[0] if live[0][col] > 0 else [-x for x in live[0]]
+            rest, done = ([[pivot[col] * x - w[col] * y for x, y in zip(w, pivot)] if w[col] else w for w in group]
+                          for group in ([w for w in rest if w is not live[0]], done))
+            done.append(pivot)
+    return [tuple(x // math.gcd(*w) for x in w) for w in done]
+
+
+def _kernel_point(rows) -> tuple[tuple[float, float], ...]:
+    """The (s, t) with c(s, t) = v[1:] / v[0], v the kernel vector of three
+    reduced rows whose kernel has v[0] != 0, exactly: one or none."""
+    leads = [next(x for x, w in enumerate(row) if w) for row in rows]
+    (free,) = {0, 1, 2, 3} - set(leads)
+    scale = math.prod(row[lead] for row, lead in zip(rows, leads))  # v in integers
+    v = {free: scale} | {lead: -row[free] * scale // row[lead] for row, lead in zip(rows, leads)}
+    sn, sd = v[0] - 2 * v[1], v[0] - 2 * v[2]  # s = (1 - 2 c1) / (1 - 2 c2) = sn / sd
+    if sd == 0:  # c2 = 1/2: the point lies at infinity
         return ()
-    s = (1.0 - 2.0 * c1) / den
-    t = s + 2.0 * c1
-    if s <= TAU_RANK or t <= TAU_RANK:  # on or beyond the edge of the quadrant
+    tn, td = sn * v[0] + 2 * v[1] * sd, sd * v[0]  # t = s + 2 c1 = tn / td
+    # s and t must be positive, and c3 = v[3] / v[0] must equal (s - 1) / (2t)
+    if sn * sd <= 0 or tn * td <= 0 or (sn - sd) * td * v[0] != 2 * tn * sd * v[3]:
         return ()
-    if abs((s - 1.0) / (2.0 * t) - c3) > TAU_RANK * (1.0 + abs(c3)):
-        return ()
-    return ((float(s), float(t)),)
+    return ((sn / sd, tn / td),)  # int / int rounds once
 
 
-def _constraint_polynomial(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
-    """2st * w . (1, c(s, t)) as (i, j, coeff) terms of coeff s^i t^j, with
-    the sign of w fixed so that its first nonzero component is positive."""
-    lead = w[np.flatnonzero(np.abs(w) > TAU_RANK)[0]]
-    w0, w1, w2, w3 = (float(x) for x in np.sign(lead) * w)
-    terms = ((1, 1, 2.0 * w0), (1, 2, w1), (2, 1, -w1), (0, 2, w2), (0, 1, -w2), (2, 0, w3), (1, 0, -w3))
-    return tuple(term for term in terms if abs(term[2]) > TAU_RANK)
+def _constraint_polynomial(w) -> tuple[tuple[int, int, float], ...]:
+    """2st * w . (1, c(s, t)) as (i, j, coeff) terms of coeff s^i t^j, for a
+    reduced row w divided by its pivot."""
+    w0, w1, w2, w3 = w
+    terms = ((1, 1, 2 * w0), (1, 2, w1), (2, 1, -w1), (0, 2, w2), (0, 1, -w2), (2, 0, w3), (1, 0, -w3))
+    return tuple((i, j, c / next(x for x in w if x)) for i, j, c in terms if c)
 
 
 class ClassEvaluator:
@@ -329,9 +348,12 @@ class ClassEvaluator:
     per space: :func:`class_evaluators` sets up every structure of a list in
     one pass, 9 terms per structure times the bracket nonzeros (at most
     72 x 12 (n - 3) products), and each evaluator holds its slice of the
-    shared arrays; this constructor is the list [f].  A residual combines the kept entries with (1, c(s, t)) of the
-    closed-form U and takes the pair norms, a sweep does the same for blocks
-    of grid points, and the exact zero sets come from the same entries.
+    shared arrays; this constructor is the list [f].  The join reads the
+    bracket tensor's signs, so each kept entry is a half-integer, exactly
+    (``_signed``); ``_values`` is that times the tensor's one magnitude.  A
+    residual combines ``_values`` with (1, c(s, t)) of the closed-form U and
+    takes the pair norms, a sweep does the same for blocks of grid points,
+    and the exact zero sets come from ``_signed``.
     """
 
     def __init__(self, f: CanonicalStructure, split: TripleSplit):
@@ -348,7 +370,7 @@ class ClassEvaluator:
         for b in range(0, len(coeffs), step):
             norms[b : b + step] = _combined_norms(self._values, self._starts, coeffs[b : b + step])
         s, t = params.s, params.t
-        scale = self.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
+        scale = 1.0 + s + t + 1.0 / s + 1.0 / t
         at = np.empty((len(self._spans), len(coeffs)), dtype=np.intp)  # the pair of each maximum
         for c, span in enumerate(self._spans.values()):
             at[c] = norms[:, span].argmax(axis=1) + span.start
@@ -392,64 +414,56 @@ class ClassEvaluator:
 
 
 def zero_sets(evaluators) -> list[dict[str, CharacteristicSet]]:
-    """The exact zero set of each condition of each evaluator, by name.
-
-    A condition's (E, 4) matrix A has its polarized entries as rows and the
-    base and channel tensors as columns; its leading right singular vectors
-    are the constraints.  A pair i < j stands for both ordered pairs, so its
-    rows weigh sqrt(2): A^T A is that of the dense polarized tensors.  Owners
-    ascend, so each condition's rows are one run of the kept entries.  All the
-    A are zero-padded to one (G, max(4, E), 4) stack for one QR; each R's
-    first min(E, 4) rows, those of A's own R, go to one stacked SVD per
-    height (the SVD of a wide R with zero rows added has other bits)."""
-    runs, f_norms = [], []
-    for ev in evaluators:
-        i, j = ev._pairs[ev._owner].T
-        a = (ev._values * np.where(i == j, 1.0, np.sqrt(2.0))).T
-        bounds = np.append(ev._starts, len(a))
-        runs += [a[bounds[span.start] : bounds[span.stop]] for span in ev._spans.values()]
-        f_norms += [ev.f_norm] * len(ev._spans)
-    if not runs:
+    """The exact zero set of each condition of each evaluator, by name: the
+    constraints span the row space of the condition's 8 A^T A (_grams),
+    which decode_constraints reduces exactly.  sigma_min_kept is the square
+    root of the smallest of A^T A's top-rank eigenvalues (one stacked
+    eigvalsh); the dropped singular values are exactly 0."""
+    if not evaluators:
         return []
-    stack = np.zeros((len(runs), max(4, *map(len, runs)), 4))
-    for g, a in enumerate(runs):
-        stack[g, : len(a)] = a
-    r = np.linalg.qr(stack, mode="r")
-    heights = [min(len(a), 4) for a in runs]
-    svds = {}  # per set, its singular values as floats and vt
-    for h in set(heights):
-        at = [g for g, x in enumerate(heights) if x == h]
-        _, sigma, vt = np.linalg.svd(r[at, :h])
-        svds.update(zip(at, zip(sigma.tolist(), vt)))
-    sets = []
-    for g, f_norm in enumerate(f_norms):
-        sigma, vt = svds[g]
-        rank = sum(x > TAU_RANK * f_norm for x in sigma)  # kept sigma >= 1, dropped <= 1e-14 (n = 4..24)
-        sets.append(
-            replace(
-                decode_constraints(vt, rank),
-                sigma_min_kept=sigma[rank - 1] if rank else None,
-                sigma_max_dropped=sigma[rank] if rank < len(sigma) else None,
-            )
-        )
-    names = len(CONDITION_NAMES)
-    return [dict(zip(CONDITION_NAMES, sets[e : e + names])) for e in range(0, len(sets), names)]
+    grams, sets = _grams(evaluators), []
+    for gram, lam in zip(grams.tolist(), np.linalg.eigvalsh(grams / 8.0).tolist()):  # lam ascending
+        zs = decode_constraints(gram)
+        kept = math.sqrt(lam[4 - zs.rank]) if zs.rank else None
+        sets.append(replace(zs, sigma_min_kept=kept, sigma_max_dropped=0.0 if zs.rank < 4 else None))
+    return [dict(zip(CONDITION_NAMES, sets[e : e + 3])) for e in range(0, len(sets), 3)]
+
+
+def _grams(evaluators) -> np.ndarray:
+    """8 A^T A of each condition of each evaluator, in order: a (3 E, 4, 4)
+    integer array.  A condition's (E, 4) matrix A has its polarized entries
+    as rows and the base and channel tensors as columns, and a pair i < j
+    stands for both ordered pairs, so its rows weigh sqrt(2): A^T A is that
+    of the dense polarized tensors.  Each entry is a half-integer times the
+    bracket tensor's magnitude 1/sqrt(2), so with m twice the signed entry,
+    8 A^T A sums m m^T over the diagonal pairs and 2 m m^T over the others,
+    in integers, for every condition in one pass."""
+    m = np.concatenate([2.0 * ev._signed.T for ev in evaluators]).astype(np.int64)
+    i, j = np.concatenate([ev._pairs[ev._owner] for ev in evaluators]).T
+    runs = np.cumsum([0] + [len(ev._owner) for ev in evaluators])  # a condition's entries are one run
+    starts = [run + ev._starts[span.start] for run, ev in zip(runs, evaluators) for span in ev._spans.values()]
+    return np.add.reduceat(np.where(i == j, 1, 2)[:, None, None] * m[:, :, None] * m[:, None, :], starts)
 
 
 def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
     """One ClassEvaluator per structure, all set up by one join (see
-    ClassEvaluator) of the matrices of their sign pairs; each holds a slice
-    of the shared arrays.  Raises ValueError for a structure without a sign
-    pair (only the m_blocks = 1 f-structures have one)."""
+    ClassEvaluator) of the matrices of their sign pairs with the signs of
+    the bracket tensor; each holds a slice of the shared arrays.  Raises
+    ValueError for a structure without a sign pair (only the m_blocks = 1
+    f-structures have one), and for a bracket tensor whose nonzeros do not
+    share one magnitude."""
     if not structures:
         return []
     unpaired = [cs.label for cs in structures if cs.sign_pair is None]
     if unpaired:
         raise ValueError(f"no sign pair (an m_blocks = 1 f-structure has one): {', '.join(unpaired)}")
+    magnitude = np.abs(split.bracket_nonzeros[3])
+    if np.any(magnitude != magnitude[0]):  # np.unique would import numpy.ma, 1.6 MB
+        raise ValueError("the bracket tensor's nonzeros have more than one magnitude")
     signs = [cs.sign_pair for cs in structures]
     mats, eps = sign_pair_matrices(signs, split), sign_pair_rows(signs, split)
-    norms = [float(max(map(abs, cs.sign_pair))) for cs in structures]  # |eps1 J1 (+) eps2 J2 (+) 0|
-    pairs, owner, values = _kept_entries(eps, split)
+    pairs, owner, signed = _kept_entries(eps, split)
+    values = signed * magnitude[0]
     owner = np.searchsorted(pairs, owner)
     group, i, j = np.unravel_index(pairs, (3 * len(structures), split.dim, split.dim))
     ij = np.stack([i, j], axis=1)
@@ -460,8 +474,9 @@ def class_evaluators(structures, split: TripleSplit) -> list[ClassEvaluator]:
         lo, hi = bounds[3 * s], bounds[3 * s + 3]
         first, stop = starts[lo], starts[hi]
         ev = ClassEvaluator.__new__(ClassEvaluator)
-        ev.structure, ev.split, ev.f_matrix, ev.f_norm = cs, split, mats[s], norms[s]
-        ev._pairs, ev._owner, ev._values = ij[lo:hi], owner[first:stop] - lo, values[:, first:stop]
+        ev.structure, ev.split, ev.f_matrix = cs, split, mats[s]
+        ev._pairs, ev._owner = ij[lo:hi], owner[first:stop] - lo
+        ev._signed, ev._values = signed[:, first:stop], values[:, first:stop]
         ev._starts = starts[lo:hi] - first
         spans = zip(CONDITION_NAMES, bounds[3 * s :], bounds[3 * s + 1 :])
         ev._spans = {name: slice(a - lo, b - lo) for name, a, b in spans}

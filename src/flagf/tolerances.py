@@ -34,7 +34,7 @@ NAT_RED_MARGIN = 1e-3  # relative to kappa: the same residual off the neutral me
 TAU_CONNECTION = 1e-8  # relative to kappa: |g(alpha(Z, X), Y) + g(X, alpha(Z, Y))| on every basis triple
 
 # class membership and zero sets (classify)
-TAU_MEMBER = 1e-9  # relative to |f| (1 + s + t + 1/s + 1/t): a class residual below it is a member
+TAU_MEMBER = 1e-9  # relative to (1 + s + t + 1/s + 1/t): a class residual below it is a member
 NONMEMBER_MARGIN = 1e-3  # same scale: a residual above it is a non-member, in between indeterminate
-TAU_RANK = 1e-9  # times |f|: zero-set singular values; absolute: unit vectors; relative: (s, t), equation terms
+TAU_RANK = 1e-9  # relative: the band of CharacteristicSet.contains around a zero set's coordinates and equation terms
 TAU_GRID = 1e-9  # relative to the grid step: rounding allowance when counting grid values

@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 SWEEP_GRIDS = ((), ("--grid-step", "1.0"), ("--grid-min", "2"), ("--extra-points", "0.3,2.0;1.5,1.5"))
-SIZES = (("5", "4"), ("5", "6"), ("8", "6"))
+SIZES = (("5", "4"), ("5", "6"), ("8", "6"), ("24", "6"), ("40", "6"), ("8", "8"), ("12", "16"))
 
 
 def cases() -> list[tuple[str, ...]]:

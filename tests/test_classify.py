@@ -90,7 +90,7 @@ def dense_residual(ev: ClassEvaluator, name: str, p: MetricParams) -> float:
     c = dense_condition(ev, name, p, "solved")
     i, j = np.triu_indices(ev.split.dim)
     pair_max = np.max(np.linalg.norm(c[i, j] + c[j, i], axis=1))
-    return pair_max / (ev.f_norm * (1.0 + p.s + p.t + 1.0 / p.s + 1.0 / p.t))
+    return pair_max / (1.0 + p.s + p.t + 1.0 / p.s + 1.0 / p.t)
 
 
 class TestMetricCompatibility:
@@ -259,7 +259,7 @@ class TestEvaluatorInternals:
             swept = ev.sweep(MetricGrid.of(grid + extremes, float(n - 1)))
             for p, (s, t) in enumerate(grid + extremes):
                 c = u_channel_coefficients(MetricParams(s, t))
-                scale = ev.f_norm * (1.0 + s + t + 1.0 / s + 1.0 / t)
+                scale = 1.0 + s + t + 1.0 / s + 1.0 / t
                 for name, (base, *chans) in stacks.items():
                     cond = base + c[0] * chans[0] + c[1] * chans[1] + c[2] * chans[2]
                     norms = np.linalg.norm(cond + cond.transpose(1, 0, 2), axis=2)
@@ -434,9 +434,9 @@ class TestJoinedSetUp:
 
     @staticmethod
     def assert_same_bits(a: ClassEvaluator, b: ClassEvaluator, grid) -> None:
-        assert a.structure is b.structure and a.f_norm == b.f_norm and a._spans == b._spans
-        assert bits(a.f_matrix, a._values, a._pairs, a._owner, a._starts) == bits(
-            b.f_matrix, b._values, b._pairs, b._owner, b._starts
+        assert a.structure is b.structure and a._spans == b._spans
+        assert bits(a.f_matrix, a._signed, a._values, a._pairs, a._owner, a._starts) == bits(
+            b.f_matrix, b._signed, b._values, b._pairs, b._owner, b._starts
         )
         sa, sb = a.sweep(MetricGrid.of(grid)), b.sweep(MetricGrid.of(grid))
         for name in CONDITION_NAMES:
@@ -719,8 +719,7 @@ SMALL_GRID = build_grid(0.5, 2.0, 0.5)
 
 def assert_table_shape(zs: CharacteristicSet, expected: str) -> None:
     if expected == "point":
-        assert zs.kind == "points" and not zs.lines and len(zs.points) == 1, zs
-        np.testing.assert_allclose(zs.points[0], (1.0, FOUR_THIRDS), rtol=0.0, atol=1e-12)
+        assert zs.kind == "points" and not zs.lines and zs.points == ((1.0, FOUR_THIRDS),), zs
     elif expected == "line":
         assert zs.kind == "line" and zs.lines == (("s", 1.0),) and not zs.points, zs
     else:
@@ -769,20 +768,20 @@ class TestExactZeroSets:
     @pytest.mark.parametrize("n,k", [(5, 4), (5, 6), (6, 8), (6, 10)])
     def test_zero_sets_match_dense_svd(self, get_split, get_f_structures, n, k):
         # The compact entries weigh pairs i < j by sqrt(2), so that A^T A is that
-        # of the dense (d^3, 4) matrix of polarized reference tensors.
+        # of the dense (d^3, 4) matrix of polarized reference tensors: its float
+        # SVD has the exact rank, the exact rows span its leading right singular
+        # vectors, and its smallest kept singular value is sigma_min_kept.
         split = get_split(n, k)
         for cs in get_f_structures(n, k):
             ev = ClassEvaluator(cs, split)
             for name in CONDITION_NAMES:
                 stack = np.array(dense_stacks(ev, name))
                 a = (stack + stack.transpose(0, 2, 1, 3)).reshape(4, -1).T
-                _, sigma, vt = np.linalg.svd(a, full_matrices=False)
-                rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
+                sigma, vt = np.linalg.svd(a, full_matrices=False)[1:]
                 zs = ev.zero_set(name)
-                assert zs.rank == rank, (cs.label, name)
-                assert zs.description() == decode_constraints(vt, rank).description(), (cs.label, name)
-                if rank:
-                    np.testing.assert_allclose(zs.sigma_min_kept, sigma[rank - 1], rtol=1e-12)
+                assert_rows_span(exact_rows(ev, name), sigma, vt, (cs.label, name))
+                if zs.rank:
+                    np.testing.assert_allclose(zs.sigma_min_kept, sigma[zs.rank - 1], rtol=1e-12)
 
     def test_rank_and_singular_value_gap(self, get_split, get_f_structures):
         split = get_split(5, 4)
@@ -790,8 +789,8 @@ class TestExactZeroSets:
         kill, nk, g1 = (ev.zero_set(name) for name in CONDITION_NAMES)
         assert (kill.rank, nk.rank, g1.rank) == (3, 1, 0)
         for zs in (kill, nk):
-            assert zs.sigma_min_kept >= 1.0 and zs.sigma_max_dropped <= 1e-12
-        assert g1.sigma_min_kept is None and g1.sigma_max_dropped <= 1e-12
+            assert zs.sigma_min_kept >= 1.0 and zs.sigma_max_dropped == 0.0
+        assert g1.sigma_min_kept is None and g1.sigma_max_dropped == 0.0
 
     def test_needs_a_known_condition(self, get_split, get_f_structures):
         split = get_split(5, 4)
@@ -826,69 +825,99 @@ class TestExactZeroSets:
         assert grid_disagreement(reordered, swept).startswith("f0 nk at (s, t) = (1.5, 0.5)")
 
 
-def unpadded_zero_set(ev: ClassEvaluator, name: str) -> CharacteristicSet:
-    """The zero set of one condition from its own (E, 4) matrix A alone: its
-    rows gathered by a mask over the owners, then QR, SVD and decode."""
+def float_svd(ev: ClassEvaluator, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values and right singular vectors of one condition's
+    float (E, 4) matrix A alone, its rows gathered by a mask over the owners
+    and weighed sqrt(2) off the diagonal, through A's R factor: the float
+    oracle of the exact rank and rows."""
     span = ev._spans[name]
     mine = (ev._owner >= span.start) & (ev._owner < span.stop)
     i, j = ev._pairs[ev._owner[mine]].T
     a = (ev._values[:, mine] * np.where(i == j, 1.0, np.sqrt(2.0))).T
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
-    rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
-    return replace(
-        decode_constraints(vt, rank),
-        sigma_min_kept=float(sigma[rank - 1]) if rank else None,
-        sigma_max_dropped=float(sigma[rank]) if rank < sigma.size else None,
-    )
+    return np.linalg.svd(np.linalg.qr(a, mode="r"))[1:]
 
 
-def few_entry_evaluator(rng) -> ClassEvaluator:
-    """An evaluator whose kill and nk keep 2 and 3 independent entries (so
-    each has full rank and no dropped singular value) and whose g1 keeps 5."""
-    ev = ClassEvaluator.__new__(ClassEvaluator)
-    ev.f_norm = 1.0
-    ev._pairs = np.array([[0, 1], [0, 0], [1, 2], [0, 0], [2, 2]])
-    ev._owner = np.array([0, 0, 1, 1, 2, 3, 3, 4, 4, 4])
-    ev._starts = np.array([0, 2, 4, 5, 7])
-    ev._values = np.round(rng.standard_normal((4, 10)) * 4.0) / np.sqrt(8.0)
-    ev._spans = {"kill": slice(0, 1), "nk": slice(1, 3), "g1": slice(3, 5)}
-    return ev
+FLOAT_RANK_FLOOR = 1e-9  # the oracle counts singular values above it: kept ones are about 1 or more, dropped <= 1e-12
 
 
-class TestBatchedZeroSets:
-    """zero_sets pads every condition's A to one stack for one QR; each set
-    must keep the bits of its own A's QR and SVD, field for field."""
+def exact_rows(ev: ClassEvaluator, name: str) -> list[tuple[int, ...]]:
+    """The reduced integer constraint rows of one condition of the evaluator."""
+    return classify._reduced_rows(classify._grams([ev])[CONDITION_NAMES.index(name)].tolist())
 
-    @staticmethod
-    def assert_same(got: CharacteristicSet, want: CharacteristicSet, where) -> None:
-        assert got == want, where
-        assert repr(got) == repr(want), where  # tells -0.0 from 0.0
+
+def assert_rows_span(rows, sigma: np.ndarray, vt: np.ndarray, where) -> None:
+    """The exact rows are as many as the float singular values above
+    FLOAT_RANK_FLOOR, and they span the leading right singular vectors."""
+    rank = int(np.sum(sigma > FLOAT_RANK_FLOOR))
+    assert len(rows) == rank, where
+    if rank:
+        unit = np.array(rows, dtype=float)
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        assert np.linalg.matrix_rank(np.vstack([unit, vt[:rank]]), tol=1e-9) == rank, where
+
+
+class TestStackedZeroSets:
+    """zero_sets sums every condition's integer matrix in one pass and takes
+    one stacked eigvalsh; each set must keep the bits of its evaluator's alone."""
 
     @pytest.mark.parametrize("k", [4, 6, 8])
     @pytest.mark.parametrize("n", [4, 5, 8, 12, 24])
-    def test_padded_stack_keeps_the_bits_of_each_set_alone(self, get_split, get_f_structures, n, k):
+    def test_one_pass_keeps_the_bits_of_each_set_alone(self, get_split, get_f_structures, n, k):
         reps = [cs for cs in get_f_structures(n, k) if not cs.label.startswith("-")]
         evs = classify.class_evaluators(reps, get_split(n, k))
-        batched = classify.zero_sets(evs)
-        assert len(batched) == len(evs)
-        for ev, sets in zip(evs, batched):
+        stacked = classify.zero_sets(evs)
+        assert len(stacked) == len(evs)
+        for ev, sets in zip(evs, stacked):
             assert list(sets) == list(CONDITION_NAMES)
             for name, zs in sets.items():
-                self.assert_same(zs, unpadded_zero_set(ev, name), (ev.structure.label, name))
-                self.assert_same(ev.zero_set(name), zs, (ev.structure.label, name))
-
-    def test_conditions_with_fewer_than_four_entries(self, get_split, get_f_structures):
-        few = few_entry_evaluator(np.random.default_rng(3))
-        real = classify.class_evaluators(get_f_structures(5, 6), get_split(5, 6))[0]
-        for evs in ([few], [real, few]):  # alone, and padded beside a long A
-            sets = classify.zero_sets(evs)[-1]
-            for name in CONDITION_NAMES:
-                self.assert_same(sets[name], unpadded_zero_set(few, name), name)
-        assert (sets["kill"].rank, sets["nk"].rank, sets["g1"].rank) == (2, 3, 4)
-        assert sets["kill"].sigma_max_dropped is None and sets["nk"].sigma_max_dropped is None
+                alone = ev.zero_set(name)
+                assert zs == alone and repr(zs) == repr(alone), (ev.structure.label, name)  # tells -0.0 from 0.0
 
     def test_no_evaluators(self):
         assert classify.zero_sets([]) == []
+
+    def test_a_bracket_tensor_of_two_magnitudes_is_refused(self, get_split, get_f_structures):
+        split = get_split(5, 4)
+        i, j, r, v = split.bracket_nonzeros
+        bent = replace(split, bracket_nonzeros=(i, j, r, np.where(np.arange(len(v)) == 0, 2.0 * v, v)))
+        with pytest.raises(ValueError, match="more than one magnitude"):
+            classify.class_evaluators(get_f_structures(5, 4), bent)
+
+
+# ROADMAP item 1's table: the reduced rows of each sign pair, up to sign, for kill, nk and g1.
+SIGN_PAIR_ROWS = {
+    (1, 1): ([(1, 0, -6, 0), (0, 1, -1, 0), (0, 0, 0, 1)], [(0, 0, 0, 1)], []),
+    (1, 0): ([(1, 0, 0, -2), (0, 1, 0, 0), (0, 0, 1, -1)], [], []),
+    (0, 1): ([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 0)], [], []),
+    (1, -1): ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0)], []),
+}
+
+
+class TestEveryAcceptedFlagSpace:
+    """Every m_blocks = 1 flag space the CLI accepts, n = 4..MAX_N at each even k."""
+
+    @pytest.mark.parametrize("k", range(4, classify.MAX_K + 1, 2))
+    def test_exact_rows_float_ranks_and_grams_linear_in_n(self, k):
+        # Per structure and condition: the exact rows are item 1's rows of the sign pair, the float
+        # SVD of A has that rank with a wide gap, and 8 A^T A is (n - 3) times its value at n = 4.
+        at_four = {}
+        for n in range(4, classify.MAX_N + 1):
+            ps = flagf.build_phi_space(flagf.build_automorphism(n, 1, k))
+            evs = classify.class_evaluators(flagf.generate_f_structures(ps), flagf.build_split(ps))
+            grams = classify._grams(evs).reshape(len(evs), 3, 4, 4)
+            for ev, gram in zip(evs, grams):
+                pair = tuple(ev.structure.sign_pair)
+                pair = tuple(-x for x in pair) if next(x for x in pair if x) < 0 else pair
+                for name, g, want in zip(CONDITION_NAMES, gram, SIGN_PAIR_ROWS[pair]):
+                    rows = classify._reduced_rows(g.tolist())
+                    assert rows == want, (n, ev.structure.label, name)
+                    sigma, vt = float_svd(ev, name)
+                    assert_rows_span(rows, sigma, vt, (n, ev.structure.label, name))
+                    assert sigma[: len(rows)].min(initial=np.inf) > 0.5  # 1 or more, to rounding
+                    assert sigma[len(rows) :].max(initial=0.0) <= 1e-12
+                four = at_four.setdefault(pair, gram) if n == 4 else at_four[pair]
+                assert np.array_equal(gram, (n - 3) * four), (n, ev.structure.label)
+        assert len(at_four) == (1 if k == 4 else 4)
 
 
 def turned_basis(split: TripleSplit, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -922,7 +951,7 @@ class TestBasisInvariance:
             f = q @ ev.f_matrix @ q.T
             assert np.any(f != np.rint(f)), cs.label  # not integers: every product rounds
             swept = ev.sweep(grid)
-            scale = ev.f_norm * (1.0 + grid.s + grid.t + 1.0 / grid.s + 1.0 / grid.t)
+            scale = 1.0 + grid.s + grid.t + 1.0 / grid.s + 1.0 / grid.t
             for name in CONDITION_NAMES:
                 stack = np.array(condition_stacks(name, f, bm, split.block_index))
                 pol = stack + stack.transpose(0, 2, 1, 3)
@@ -931,70 +960,72 @@ class TestBasisInvariance:
                 assert swept.memberships[name].tolist() == (dense < TAU_MEMBER).tolist(), (cs.label, name)
                 want = (TAU_MEMBER <= dense) & (dense <= NONMEMBER_MARGIN)
                 assert swept.indeterminate[name].tolist() == want.tolist(), (cs.label, name)
-                _, sigma, vt = np.linalg.svd(pol.reshape(4, -1).T, full_matrices=False)
-                rank = int(np.sum(sigma > TAU_RANK * ev.f_norm))
-                zs = ev.zero_set(name)
-                assert (zs.rank, zs.description()) == (rank, decode_constraints(vt, rank).description()), cs.label
+                sigma, vt = np.linalg.svd(pol.reshape(4, -1).T, full_matrices=False)[1:]
+                assert_rows_span(exact_rows(ev, name), sigma, vt, (cs.label, name))
 
 
-def channel_point(s: float, t: float) -> np.ndarray:
-    return np.array([1.0, 0.5 * (t - s), (t - 1.0) / (2.0 * s), (s - 1.0) / (2.0 * t)])
+def kernel_rows(v) -> list[tuple[int, ...]]:
+    """Three integer rows whose common kernel is spanned by the integer vector v."""
+    p = next(x for x, w in enumerate(v) if w)
+    return [tuple(v[x] if y == p else -v[p] if y == x else 0 for y in range(4)) for x in range(4) if x != p]
 
 
-def constraints_for_kernel(v: np.ndarray) -> np.ndarray:
-    """Three rows whose common kernel is spanned by v."""
-    return np.linalg.svd(v[None, :])[2][1:]
-
-
-def decoded(rows) -> CharacteristicSet:
-    """decode_constraints of independent hand-made constraint rows, read off
-    their SVD as zero_sets reads a condition's."""
-    w = np.asarray(rows, dtype=float).reshape(-1, 4)
-    return decode_constraints(np.linalg.svd(w)[2], len(w))
+POINT_ROWS = kernel_rows((8, -6, -1, 8))  # 8 (1, c(2, 1/2)): c = (-3/4, -1/8, 1)
 
 
 class TestDecodeConstraints:
     def test_no_constraint_is_all(self):
-        assert decoded(np.zeros((0, 4))).kind == "all"
+        assert decode_constraints([]).kind == "all"
+        assert decode_constraints([(0, 0, 0, 0)] * 4).kind == "all"
 
-    @pytest.mark.parametrize("row,axis", [((0.0, 0.0, 0.0, -2.0), "s"), ((0.0, 0.0, 3.0, 0.0), "t")])
+    @pytest.mark.parametrize("row,axis", [((0, 0, 0, -2), "s"), ((0, 0, 3, 0), "t")])
     def test_axis_lines(self, row, axis):
-        zs = decoded([row])
+        zs = decode_constraints([row, tuple(2 * x for x in row)])  # dependent rows reduce to one
         assert zs.kind == "line" and zs.lines == ((axis, 1.0),) and zs.rank == 1
         on = (1.0, 2.5) if axis == "s" else (2.5, 1.0)
         assert zs.contains(*on) and not zs.contains(2.5, 2.5)
 
     def test_point(self):
-        zs = decoded(constraints_for_kernel(channel_point(2.0, 0.5)))
-        assert zs.kind == "points" and zs.rank == 3
-        np.testing.assert_allclose(zs.points[0], (2.0, 0.5), rtol=0.0, atol=1e-13)
+        zs = decode_constraints(POINT_ROWS)
+        assert zs.kind == "points" and zs.rank == 3 and zs.points == ((2.0, 0.5),)
         assert zs.contains(2.0, 0.5) and not zs.contains(2.0, 0.6)
 
-    @pytest.mark.parametrize("v", [(1.0, 0.5, 0.3, -0.5), (1.0, 0.0, 0.5, 0.5), (1.0, 0.0, 0.5 - 1e-12, 0.5)])
+    def test_kill_point_is_exact(self):
+        # ROADMAP item 1's kill rows of +-(1, 1): c = (1/6, 1/6, 0), that is s = 1 and t = 4/3.
+        zs = decode_constraints([(1, 0, -6, 0), (0, 1, -1, 0), (0, 0, 0, 1)])
+        assert zs.points == ((1.0, FOUR_THIRDS),) and repr(zs.points) == "((1.0, 1.3333333333333333),)"
+
+    @pytest.mark.parametrize("v", [(10, 5, 3, -5), (2, 0, 1, 1)])
     def test_point_on_the_boundary_or_at_infinity_is_empty(self, v):
-        # (1/2, c2, -1/2) inverts to s = 0, t = 1, the edge of the quadrant;
-        # (0, 1/2, 1/2) is the limit of c(s, s) as s grows without bound, and
-        # c2 within TAU_RANK of 1/2 counts as that limit.
-        with np.errstate(divide="raise"):
-            zs = decoded(constraints_for_kernel(np.array(v)))
+        # (1/2, 3/10, -1/2) inverts to s = 0, t = 1, the edge of the quadrant;
+        # (0, 1/2, 1/2) is the limit of c(s, s) as s grows without bound.
+        zs = decode_constraints(kernel_rows(v))
         assert zs.kind == "empty" and zs.rank == 3
 
+    def test_a_point_near_infinity_is_a_point(self):
+        # c(s, s) at s = 10^12 is (0, 1/2 - 1/(2 s), 1/2 - 1/(2 s)): c2 within 1e-12 of the limit 1/2.
+        zs = decode_constraints(kernel_rows((2 * 10**12, 0, 10**12 - 1, 10**12 - 1)))
+        assert zs.kind == "points" and zs.points == ((1e12, 1e12),)
+
     def test_point_with_inconsistent_third_channel_is_empty(self):
-        v = channel_point(2.0, 0.5)
-        v[3] += 0.1
-        assert decoded(constraints_for_kernel(v)).kind == "empty"
+        assert decode_constraints(kernel_rows((8, -6, -1, 9))).kind == "empty"
 
     def test_constant_row_is_empty(self):
-        zs = decoded([(1.0, 0.0, 0.0, 0.0)])
+        zs = decode_constraints([(1, 0, 0, 0)])
         assert zs.kind == "empty" and not zs.contains(1.0, 1.0)
+        assert decode_constraints(POINT_ROWS + [(0, 0, 0, 1)]).kind == "empty"  # rank 4
 
     def test_diagonal_is_returned_as_equations(self):
         # c1 = 0 is the diagonal t = s: no axis line, so no guess either.
-        zs = decoded([(0.0, 1.0, 0.0, 0.0)])
+        zs = decode_constraints([(0, 1, 0, 0)])
         assert zs.kind == "equations" and not zs.lines and not zs.points
         assert zs.equations == (((1, 2, 1.0), (2, 1, -1.0)),)
         assert zs.contains(2.0, 2.0) and zs.contains(0.3, 0.3) and not zs.contains(2.0, 3.0)
         assert zs.description() == "+1.000000*s*t^2 -1.000000*s^2*t = 0"
+
+    def test_rows_are_integers(self):
+        with pytest.raises(TypeError):
+            decode_constraints([(0.5, 0, 0, 0)])
 
 
 def contains_both_forms(zs: CharacteristicSet, points) -> list[bool]:
@@ -1027,20 +1058,19 @@ class TestContainsOnArrays:
 
     def test_all_and_empty(self):
         points = [(0.3, 2.0), (1.0, 1.0), (1e-6, 1e6)]
-        assert contains_both_forms(decoded(np.zeros((0, 4))), points) == [True] * 3
-        assert contains_both_forms(decoded([(1.0, 0.0, 0.0, 0.0)]), points) == [False] * 3
+        assert contains_both_forms(decode_constraints([]), points) == [True] * 3
+        assert contains_both_forms(decode_constraints([(1, 0, 0, 0)]), points) == [False] * 3
 
-    @pytest.mark.parametrize("row,axis", [((0.0, 0.0, 0.0, -2.0), "s"), ((0.0, 0.0, 3.0, 0.0), "t")])
+    @pytest.mark.parametrize("row,axis", [((0, 0, 0, -2), "s"), ((0, 0, 3, 0), "t")])
     def test_lines_at_the_edge_of_the_band(self, row, axis):
-        zs = decoded([row])
+        zs = decode_constraints([row])
         assert zs.kind == "line" and zs.lines == ((axis, 1.0),)
         offsets = [sign * k * TAU_RANK for k in self.BAND for sign in (1, -1)]
         points = [(1.0 + o, 2.5) if axis == "s" else (2.5, 1.0 + o) for o in offsets] + [(2.5, 2.5)]
         assert contains_both_forms(zs, points) == [True] * 4 + [False] * 5
 
     def test_point_at_the_edge_of_the_band(self):
-        zs = decoded(constraints_for_kernel(channel_point(2.0, 0.5)))
-        assert zs.kind == "points"
+        zs = decode_constraints(POINT_ROWS)
         (ps, pt), = zs.points
         points = []
         for k in self.BAND:
@@ -1049,7 +1079,7 @@ class TestContainsOnArrays:
 
     def test_equations_from_a_rank_two_row_set(self):
         # c1 = 0 and c2 = c3, that is t = s and t(t - 1) = s(s - 1): the diagonal.
-        zs = decoded([(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, -1.0)])
+        zs = decode_constraints([(0, 1, 0, 0), (0, 0, 1, -1)])
         assert zs.kind == "equations" and zs.rank == 2 and len(zs.equations) == 2
         points = [(s, s * (1.0 + sign * eps)) for s in (0.3, 1.7, 40.0) for eps in np.geomspace(1e-12, 1e-6, 25)
                   for sign in (1, -1)]

@@ -466,6 +466,14 @@ class TestVerifyChecks:
         assert code == 1 and report["passed"] is False
         assert check in [c["name"] for c in report["checks"] if not c["passed"]]
 
+    def test_a_bracket_the_class_engine_refuses_fails_the_class_chain(self, capsys, monkeypatch):
+        # One coefficient off by 1 + 1e-6 gives the bracket tensor two magnitudes: verify reports, not raises.
+        CORRUPTIONS["bracket-skewed"](monkeypatch)
+        code, out, _ = run(capsys, "verify", "--n", "5", "--k", "6", "--format", "json")
+        assert code == 1 and "class-chain-at-special-points" in [
+            c["name"] for c in json.loads(out)["checks"] if not c["passed"]
+        ]
+
     @pytest.mark.parametrize(
         "n,m_blocks,k,angles",
         [(4, 1, 4, (1, 2)), (4, 1, 8, (1, 3, 4)), (9, 1, 10, (1, 4, 5)), (6, 1, 16, (1, 7, 8)),
