@@ -42,7 +42,7 @@ import numpy as np
 
 from . import canonical, classify, metricgeom, phispace
 from .liealg import sum_by_key
-from .report import Rows, atomic_write_text, fill, fmt_bools, fmt_float, fmt_floats, json_dumps
+from .report import Rows, atomic_write_text, fill, fmt_float, fmt_table, json_dumps
 from .tolerances import NAT_RED_MARGIN, TAU_CONNECTION, TAU_METRIC_COMPAT, TAU_NAT_RED, TAU_PHI, TAU_STRUCTURE
 from .tolerances import TAU_GOLDEN, TAU_U_NEUTRAL, TAU_U_ORACLE
 
@@ -488,14 +488,14 @@ def _render_sweep(doc: dict, swept: classify.ClassSweep, fmt: str) -> str:
     if fmt == "json":
         return json_dumps(doc)
     names = classify.CONDITION_NAMES
-    s, t, *res = map(fmt_floats, (swept.s, swept.t, *(swept.residuals[n_] for n_ in names)))
-    member = [swept.memberships[n_] for n_ in names]
     if fmt == "csv":
         header = "s,t,kill_residual,nk_residual,g1_residual,kill,nk,g1\n"
-        return header + fill(",".join(["%s"] * 8) + "\n", "", [s, t, *res, *map(fmt_bools, member)])
-    cells = [col for n_, rs, ms in zip(names, res, member) for col in (rs, np.where(ms, "*", "").tolist())]
+        columns = [swept.s, swept.t, *(swept.residuals[n_] for n_ in names), *(swept.memberships[n_] for n_ in names)]
+        return header + fill([""] + [","] * 7 + ["\n"], "", fmt_table(columns))
+    columns = [swept.s, swept.t, *(col for n_ in names for col in (swept.residuals[n_], swept.memberships[n_]))]
     row = "s=%s t=%s " + " ".join(f"{n_}=%s%s" for n_ in names) + "\n"
-    lines = [f"structure {doc['structures'][0]['id']}\n", fill(row, "", [s, t, *cells]), "summary:\n"]
+    cells = fmt_table(columns, bools=("", "*"))  # a member's residual is starred
+    lines = [f"structure {doc['structures'][0]['id']}\n", fill(row.split("%s"), "", cells), "summary:\n"]
     lines += [f"  {n_}: {doc['summary'][n_]['description']}\n" for n_ in names]
     return "".join(lines)
 

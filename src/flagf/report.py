@@ -1,12 +1,13 @@
 """Deterministic JSON/CSV/text emission.
 
 Floats are rendered with 17 significant digits so every report round-trips
-losslessly and reruns with the same configuration are byte-identical; the
-columns of a Rows, float64 and bool arrays, are formatted a column at a
-time, as one batch each.  Files are written atomically (a uniquely named
-temp file in the target directory, then a rename): concurrent writers never
-share a temp file, and a failed write leaves neither a partial report nor a
-stray temp file behind.
+losslessly and reruns with the same configuration are byte-identical.  A
+table (a Rows, or a CSV or text sweep) is formatted by fmt_table, its float
+columns together as one "%.17g" batch in which each distinct bit pattern is
+formatted once, and fill writes its rows with one join.  Files are written
+atomically (a uniquely named temp file in the target directory, then a
+rename): concurrent writers never share a temp file, and a failed write
+leaves neither a partial report nor a stray temp file behind.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -29,36 +29,56 @@ def fmt_float(x: float) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
-def fmt_floats(values) -> list[str]:
-    """fmt_float of each value, formatted as one batch.
+def fmt_table(columns: list, bools: tuple[str, str] = ("false", "true")) -> np.ndarray:
+    """The cells of a table as a (rows, len(columns)) object array: cell
+    [i, j] is element i of column j as json_dumps writes it, or for a bool
+    column, ``bools[0]`` for False and ``bools[1]`` for True.
 
-    "%.17g" leaves out both "." and "e" exactly where the value is a whole
-    number below 1e17 in magnitude (17 digits tell every double apart, so
-    no fraction rounds to a whole number), and those cells get ".0".
+    A column is a 1-D float64 or bool array; any other raises TypeError, and
+    columns of unequal length raise ValueError.  The float columns are
+    formatted together as one batch in which each distinct bit pattern is
+    formatted once and its text indexed back into every cell that holds it
+    (bits, not values, so 0.0 and -0.0 stay apart); a non-finite cell raises
+    ValueError as fmt_float does.  "%.17g" leaves out both "." and "e" exactly
+    where the value is a whole number below 1e17 in magnitude (17 digits tell
+    every double apart, so no fraction rounds to a whole number), and those
+    cells get ".0".
     """
-    a = np.asarray(values, dtype=float)
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise ValueError(f"non-finite value in report: {float(a[np.argmin(finite)])}")
-    whole = (a == np.trunc(a)) & (np.abs(a) < 1e17)
-    cells = ("".join(_FLOAT_SLOTS[whole.view(np.uint8)].tolist()) % tuple(a.tolist())).split("\0")
-    cells.pop()  # the empty tail after the last separator
-    return cells
-
-
-def fmt_bools(values) -> list[str]:
-    """"true" or "false" for each value."""
-    return _TRUTH[np.asarray(values, dtype=bool).view(np.uint8)].tolist()
-
-
-def fill(template: str, sep: str, columns: list) -> str:
-    """``template`` once per row, joined by ``sep``, with its %s slots taken
-    from the columns in order: one % over the repeated template."""
+    for col in columns:
+        if not (type(col) is np.ndarray and col.ndim == 1 and col.dtype in (_FLOAT, _BOOL)):
+            got = f"a {col.dtype} array of shape {col.shape}" if isinstance(col, np.ndarray) else type(col).__name__
+            raise TypeError(f"a Rows column must be a 1-D float64 or bool array, got {got}")
     lengths = [len(col) for col in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
+    floats = [col for col in columns if col.dtype == _FLOAT]
+    a = np.concatenate(floats + [np.zeros(0)])
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"non-finite value in report: {float(a[np.argmin(finite)])}")
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    whole = (distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e17)
+    texts = ("".join(_FLOAT_SLOTS[whole.view(np.uint8)].tolist()) % tuple(distinct.tolist())).split("\0")
+    texts[-1:] = bools  # in place of the empty tail after the last separator
     rows = lengths[0] if lengths else 0
-    return sep.join([template] * rows) % tuple(chain.from_iterable(zip(*columns)))
+    by_column = iter(inverse.reshape(len(floats), rows))
+    index = np.empty((rows, len(columns)), dtype=np.intp)
+    for j, col in enumerate(columns):
+        index[:, j] = next(by_column) if col.dtype == _FLOAT else col + len(distinct)
+    return np.array(texts, dtype=object)[index]
+
+
+def fill(pieces: list[str], sep: str, cells: np.ndarray) -> str:
+    """One text per row of ``cells``, joined by ``sep``: row i is pieces[0],
+    cells[i, 0], pieces[1], ..., cells[i, -1], pieces[-1], all in one join."""
+    rows, slots = cells.shape
+    parts = np.empty((rows, 2 * slots + 1), dtype=object)
+    parts[:, 0] = sep + pieces[0]
+    parts[:1, 0] = pieces[0]
+    parts[:, 1::2] = cells
+    parts[:, 2::2] = pieces[1:]
+    return "".join(parts.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +99,8 @@ _KINDS = (Rows, dict, list, tuple, str, bool, int, float, type(None))
 _EXACT = frozenset(_KINDS)
 _SCALARS = {float: fmt_float, bool: lambda v: "true" if v else "false", int: str, type(None): lambda v: "null",
             str: encode_basestring_ascii}  # a str as json.dumps writes it, quoted in C
-_FORMATTERS = {np.dtype(np.float64): fmt_floats, np.dtype(bool): fmt_bools}  # a column's formatter, by its dtype
-_FLOAT_SLOTS = np.array(["%.17g\0", "%.17g.0\0"], dtype=object)  # a cell of fmt_floats, by whether it is whole
-_TRUTH = np.array(["false", "true"], dtype=object)
+_FLOAT, _BOOL = np.dtype(np.float64), np.dtype(bool)  # the dtypes of a column
+_FLOAT_SLOTS = np.array(["%.17g\0", "%.17g.0\0"], dtype=object)  # a float cell of fmt_table, by whether it is whole
 _SLOT = "\0"  # stands for a column in a row of Rows; a JSON string writes NUL as \u0000
 
 
@@ -96,12 +115,12 @@ def json_dumps(obj, indent: int = 2) -> str:
     def emit(obj, level: int, slots: list | None = None) -> str:
         """obj at nesting level ``level``; with ``slots``, each value below a
         dict is a column: it is appended to slots, and written as _SLOT."""
+        if slots is not None and not isinstance(obj, dict):
+            slots.append(obj)
+            return _SLOT
         kind = type(obj)
         if kind not in _EXACT:
             kind = next((k for k in _KINDS if isinstance(obj, k)), None)
-        if slots is not None and kind is not dict:
-            slots.append(obj)
-            return _SLOT
         if kind in _SCALARS:
             return _SCALARS[kind](obj)
         if kind is dict:
@@ -115,8 +134,8 @@ def json_dumps(obj, indent: int = 2) -> str:
             return container("[]", [emit(val, level + 1) for val in obj], level)
         if kind is Rows:
             columns: list = []
-            template = emit(obj.layout, level + 1, columns).replace("%", "%%").replace(_SLOT, "%s")
-            body = fill(template, f",\n{pad(level + 1)}", list(map(_column, columns)))
+            pieces = emit(obj.layout, level + 1, columns).split(_SLOT)
+            body = fill(pieces, f",\n{pad(level + 1)}", fmt_table(columns))
             return container("[]", [body] if body else [], level)  # a row is never empty
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
 
@@ -133,14 +152,6 @@ def json_dumps(obj, indent: int = 2) -> str:
         return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pads[level]}{brackets[1]}"
 
     return emit(obj, 0) + "\n"
-
-
-def _column(col) -> list[str]:
-    """Each cell of a Rows column as emit writes the element of its tolist(), one formatter for the column."""
-    if type(col) is np.ndarray and col.ndim == 1 and col.dtype in _FORMATTERS:
-        return _FORMATTERS[col.dtype](col)
-    got = f"a {col.dtype} array of shape {col.shape}" if isinstance(col, np.ndarray) else type(col).__name__
-    raise TypeError(f"a Rows column must be a 1-D float64 or bool array, got {got}")
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

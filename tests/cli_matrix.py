@@ -7,8 +7,8 @@ imported from ``--src`` (default: this checkout's ``src``) and its working
 directory a fresh empty one, so that --out paths and the paths sweep prints
 are relative and the same on every run.  The cases are verify, classify and
 sweep in every format, with --out, verify at n = 40 and at the largest
-structure counts, classify and sweep at extreme (s, t), the configurations
-the CLI refuses and the help texts.  For
+structure counts, sweep on a mid-size grid (step 0.05), classify and sweep
+at extreme (s, t), the configurations the CLI refuses and the help texts.  For
 each case the manifest holds the sha256 of stdout and of stderr (with the
 random part of a temp file's name masked), the exit code and the sha256 of
 every file the call wrote, one line each; two checkouts produce the same
@@ -62,6 +62,8 @@ def cases() -> list[tuple[str, ...]]:
         for grid in SWEEP_GRIDS:
             for fmt in ("json", "csv", "text"):
                 out.append(("sweep", "--n", n, "--k", k, *grid, "--format", fmt, "--out", "out"))
+    for fmt in ("json", "csv"):  # 3,137 rows a file, most of whose cells repeat a value of their table
+        out.append(("sweep", "--n", "5", "--k", "6", "--grid-step", "0.05", "--format", fmt, "--out", "out"))
     out += [  # refused: exit 2, or exit 1 on a failing write or a grid verdict the exact zero set contradicts
         ("verify", "--n", "5", "--k", "4", "--format", "csv"),
         ("verify", "--n", "5", "--k", "4", "--seed", "-1"),

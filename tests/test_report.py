@@ -132,9 +132,8 @@ class TestColumns:
 
     def test_float_column_is_fmt_float_of_each_cell(self):
         values = self.EDGES + [-x for x in self.EDGES] + [99999999999999984.0, 1e16 + 2.0, 0.5, 1e-5, 123456789.0]
-        assert report.fmt_floats(np.array(values)) == list(map(report.fmt_float, values))
-        assert report.fmt_floats(values) == list(map(report.fmt_float, values))
-        assert report.fmt_floats(np.zeros(0)) == []
+        assert report.fmt_table([np.array(values)]).ravel().tolist() == list(map(report.fmt_float, values))
+        assert report.fmt_table([np.zeros(0)]).shape == (0, 1) and report.fmt_table([]).shape == (0, 0)
 
     def test_float_column_matches_on_random_bit_patterns(self):
         # Any finite double, and whole numbers on both sides of 1e17, where
@@ -143,15 +142,15 @@ class TestColumns:
         values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
         values = values[np.isfinite(values)]
         wholes = np.round(rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.integers(0, 20, 4000))
-        for col in (values, wholes, np.nextafter(wholes, np.inf), np.arange(-50.0, 50.0) / 4):
-            assert report.fmt_floats(col) == list(map(report.fmt_float, col.tolist()))
+        cols = [values[:4000], wholes, np.nextafter(wholes, np.inf), np.arange(-2000.0, 2000.0) / 4]
+        assert report.fmt_table(cols).T.tolist() == [list(map(report.fmt_float, col.tolist())) for col in cols]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_raises_as_fmt_float(self, bad):
         with pytest.raises(ValueError) as want:
             report.fmt_float(bad)
         with pytest.raises(ValueError) as got:
-            report.fmt_floats(np.array([1.0, bad, -bad]))
+            report.fmt_table([np.array([True, False, True]), np.array([1.0, 2.0, 3.0]), np.array([1.0, bad, -bad])])
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("dtype", [np.float64, bool])
@@ -169,9 +168,26 @@ class TestColumns:
         with pytest.raises(ValueError, match="non-finite"):
             report.json_dumps(report.Rows({"x": np.array([1.0, bad])}))
 
+    def test_repeated_values_write_the_bytes_of_their_row_dicts(self):
+        # Cells repeat within and across the float columns; each distinct bit
+        # pattern is formatted once, so 0.0 and -0.0 in one column must keep
+        # their own texts, as must whole numbers on both sides of 1e17 and
+        # subnormals.
+        values = np.array([0.0, -0.0, 1e17, 1e16, -1e17, 2.0**60, 5e-324, -5e-324, 1e-310, 0.1, 3.0, -0.0])
+        rng = np.random.default_rng(11)
+        a, b, c = (rng.choice(values, 40) for _ in range(3))
+        b[:2], c[:2] = [0.0, -0.0], [-0.0, 0.0]
+        flag = a > 0
+        layout = {"a": a, "r": {"b": b, "flag": flag, "c": c}, "again": a}
+        rows = [{"a": x, "r": {"b": y, "flag": f, "c": z}, "again": x}
+                for x, y, f, z in zip(a.tolist(), b.tolist(), flag.tolist(), c.tolist())]
+        assert report.json_dumps(report.Rows(layout)) == report.json_dumps(rows)
+
     def test_bool_column(self):
-        assert report.fmt_bools(np.array([True, False, True])) == ["true", "false", "true"]
-        assert report.fmt_bools([False]) == ["false"] and report.fmt_bools(np.zeros(0, dtype=bool)) == []
+        flags = np.array([True, False, True])
+        assert report.fmt_table([flags]).ravel().tolist() == ["true", "false", "true"]
+        starred = report.fmt_table([flags, np.ones(3)], bools=("", "*"))
+        assert starred.tolist() == [["*", "1.0"], ["", "1.0"], ["*", "1.0"]]
 
     def test_strings_are_quoted_as_json_dumps_quotes_them(self):
         texts = ["", "plain", 'a "quoted" \\ \u00e9\n\t\0', "\u2028\U0001f600", "\ud800 lone", "{key} 100%"]
@@ -179,16 +195,16 @@ class TestColumns:
         assert report.json_dumps({t: t for t in texts}) == json.dumps({t: t for t in texts}, indent=2) + "\n"
 
     def test_fill_repeats_the_template(self):
-        assert report.fill("%s=%s;", "|", [["a", "b"], ["1", "2"]]) == "a=1;|b=2;"
-        assert report.fill("x", ",", []) == ""
+        assert report.fill(["(", "=", ";"], "|", np.array([["a", "1"], ["b", "2"]], dtype=object)) == "(a=1;|(b=2;"
+        assert report.fill(["x"], ",", np.empty((0, 0), dtype=object)) == ""
 
     def test_columns_of_unequal_length_are_refused(self):
-        # zip would stop at the shortest column and drop rows without a word
+        # a short column would otherwise shift or drop cells without a word
         rows = report.Rows({"a": np.array([1.0, 2.0, 3.0]), "b": np.array([True, False])})
         with pytest.raises(ValueError, match=r"columns differ in length: \[3, 2\]"):
             report.json_dumps(rows)
         with pytest.raises(ValueError, match=r"columns differ in length: \[1, 2\]"):
-            report.fill("%s%s", "", [["a"], ["1", "2"]])
+            report.fmt_table([np.ones(1), np.ones(2)])
 
 
 class TestAtomicWrite:
