@@ -44,16 +44,18 @@ With closed-form U each polarized condition reads A @ (1, c) = 0 for a fixed
 four-column A and the channel coefficients c = ((t-s)/2, (t-1)/(2s), (s-1)/(2t)),
 so zero sets are exact: 8 A^T A is an integer 4 x 4 matrix, and its reduced
 rows, found in integers, are the constraint rows w . (1, c) = 0, read with
-exact zero tests as a point, an axis line, all, empty, or else kept as
-polynomial equations.  zero_sets sums the matrix of every condition of a list
-of evaluators in one pass; ClassEvaluator.zero_set is the list [self].
+exact zero tests as one of the four shapes they take on every flag space: a
+point, an axis line, all or empty (any other shape is refused).  zero_sets
+sums the matrix of every condition of a list of evaluators in one pass;
+ClassEvaluator.zero_set is the list [self].
 
 ClassEvaluator.report gives one ClassReport for one MetricParams.  A sweep
-works on columns: ClassEvaluator.sweep takes a MetricGrid (its points
-checked once, as arrays, however many structures are swept) and returns
-one ClassSweep, whose s, t, residuals, memberships, indeterminate flags,
-witnesses and chain_ok are arrays over the grid, computed from the same
-blocks of pair norms as a report, bit for bit.  CharacteristicSet.contains
+works on columns: build_grid builds the grid as two float arrays, a
+MetricGrid whose points are checked once, however many structures are
+swept, and ClassEvaluator.sweep returns one ClassSweep, whose s, t,
+residuals, memberships, indeterminate flags, witnesses and chain_ok are
+arrays over the grid, computed from the same blocks of pair norms as a
+report, bit for bit.  CharacteristicSet.contains
 takes arrays too, so grid_disagreement compares whole columns with the exact
 zero sets.
 """
@@ -211,10 +213,8 @@ class ClassSweep:
 class CharacteristicSet:
     """Zero set of a class condition over the open quadrant s, t > 0.
 
-    kind is "all", "empty", "line" (``lines``: (axis, value), axis "s" or "t"),
-    "points" (``points``: (s, t)) or "equations": the common zeros of
-    ``equations``, the constraints times 2st (degree <= 3) as tuples of
-    (i, j, coeff) terms coeff s^i t^j.  ``rank`` counts the constraints;
+    kind is "all", "empty", "line" (``lines``: (axis, value), axis "s" or "t")
+    or "points" (``points``: (s, t)).  ``rank`` counts the constraints;
     ``sigma_min_kept`` is the smallest nonzero singular value of the
     condition's matrix (None at rank 0) and ``sigma_max_dropped`` its largest
     zero one, exactly 0.0 (None at rank 4).
@@ -223,19 +223,18 @@ class CharacteristicSet:
     kind: str
     points: tuple[tuple[float, float], ...] = ()
     lines: tuple[tuple[str, float], ...] = ()
-    equations: tuple[tuple[tuple[int, int, float], ...], ...] = ()
     rank: int = 0
     sigma_min_kept: float | None = None
-    sigma_max_dropped: float | None = None
+
+    @property
+    def sigma_max_dropped(self) -> float | None:
+        return 0.0 if self.rank < 4 else None
 
     def contains(self, s, t):
         """Whether (s, t) lies in the set: a bool for one point, a bool array
-        for arrays of points.  Coordinates are compared to TAU_RANK, and so is
-        the sum of an equation's terms, taken left to right, to their sizes."""
+        for arrays of points.  Coordinates are compared to TAU_RANK."""
         s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        inside = np.full(np.broadcast(s, t).shape, self.kind in ("all", "equations"))
-        for poly in self.equations:
-            inside &= _vanishes(poly, s, t)
+        inside = np.full(np.broadcast(s, t).shape, self.kind == "all")
         for axis, v in self.lines:
             inside |= _near(s if axis == "s" else t, v)
         for ps, pt in self.points:
@@ -249,28 +248,11 @@ class CharacteristicSet:
             return "empty"
         parts = [f"line {axis}={value:.6f}" for axis, value in self.lines]
         parts += [f"({s:.6f}, {t:.6f})" for s, t in self.points]
-        parts += [" ".join(_term_text(*term) for term in poly) + " = 0" for poly in self.equations]
         return "; ".join(parts)
 
 
 def _near(x: np.ndarray, v: float) -> np.ndarray:
     return np.abs(x - v) <= TAU_RANK * max(1.0, abs(v))
-
-
-def _vanishes(poly, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|sum of the terms coeff s^i t^j| <= TAU_RANK * sum of their sizes."""
-    s_pow, t_pow = (1.0, s, s * s), (1.0, t, t * t)  # the degrees are at most 2
-    total = size = 0.0
-    for i, j, c in poly:
-        term = c * s_pow[i] * t_pow[j]
-        total = total + term
-        size = size + np.abs(term)
-    return np.abs(total) <= TAU_RANK * size
-
-
-def _term_text(i: int, j: int, coeff: float) -> str:
-    powers = [v if p == 1 else f"{v}^{p}" for v, p in (("s", i), ("t", j)) if p]
-    return "*".join([f"{coeff:+.6f}", *powers])
 
 
 def decode_constraints(rows) -> CharacteristicSet:
@@ -279,8 +261,9 @@ def decode_constraints(rows) -> CharacteristicSet:
     (_reduced_rows).  No rows is "all"; rows that hold the constant row
     (1, 0, 0, 0) are "empty"; rank 3 leaves one kernel vector, a point
     ("empty" at infinity or off the open quadrant), found in integers; one
-    row on c3 (c2) alone is the line s = 1 (t = 1).  Any other shape is
-    returned as "equations", not guessed."""
+    row on c3 (c2) alone is the line s = 1 (t = 1).  These are the shapes
+    the rows take on every flag space; any other raises ValueError naming
+    the reduced rows."""
     rows = _reduced_rows(rows)
     rank = len(rows)
     if rank == 0:
@@ -292,7 +275,7 @@ def decode_constraints(rows) -> CharacteristicSet:
         return CharacteristicSet(kind="points" if points else "empty", points=points, rank=rank)
     if rows in ([(0, 0, 0, 1)], [(0, 0, 1, 0)]):
         return CharacteristicSet(kind="line", lines=(("s" if rows[0][3] else "t", 1.0),), rank=rank)
-    return CharacteristicSet(kind="equations", equations=tuple(map(_constraint_polynomial, rows)), rank=rank)
+    raise ValueError(f"reduced rows {rows}: none of rank 0 or 3, a constant row or one row on c2 or c3 alone")
 
 
 def _reduced_rows(rows) -> list[tuple[int, ...]]:
@@ -325,14 +308,6 @@ def _kernel_point(rows) -> tuple[tuple[float, float], ...]:
     if sn * sd <= 0 or tn * td <= 0 or (sn - sd) * td * v[0] != 2 * tn * sd * v[3]:
         return ()
     return ((sn / sd, tn / td),)  # int / int rounds once
-
-
-def _constraint_polynomial(w) -> tuple[tuple[int, int, float], ...]:
-    """2st * w . (1, c(s, t)) as (i, j, coeff) terms of coeff s^i t^j, for a
-    reduced row w divided by its pivot."""
-    w0, w1, w2, w3 = w
-    terms = ((1, 1, 2 * w0), (1, 2, w1), (2, 1, -w1), (0, 2, w2), (0, 1, -w2), (2, 0, w3), (1, 0, -w3))
-    return tuple((i, j, c / next(x for x in w if x)) for i, j, c in terms if c)
 
 
 class ClassEvaluator:
@@ -424,8 +399,7 @@ def zero_sets(evaluators) -> list[dict[str, CharacteristicSet]]:
     grams, sets = _grams(evaluators), []
     for gram, lam in zip(grams.tolist(), np.linalg.eigvalsh(grams / 8.0).tolist()):  # lam ascending
         zs = decode_constraints(gram)
-        kept = math.sqrt(lam[4 - zs.rank]) if zs.rank else None
-        sets.append(replace(zs, sigma_min_kept=kept, sigma_max_dropped=0.0 if zs.rank < 4 else None))
+        sets.append(replace(zs, sigma_min_kept=math.sqrt(lam[4 - zs.rank]) if zs.rank else None))
     return [dict(zip(CONDITION_NAMES, sets[e : e + 3])) for e in range(0, len(sets), 3)]
 
 
@@ -530,19 +504,28 @@ def build_grid(
     gmax: float = DEFAULT_GRID[1],
     step: float = DEFAULT_GRID[2],
     extras: tuple[tuple[float, float], ...] = SPECIAL_POINTS,
-) -> list[tuple[float, float]]:
-    """Row-major (s, t) grid with the extra points appended as floats, each point once."""
+    kappa: float = 1.0,
+) -> MetricGrid:
+    """The row-major (s, t) grid at kappa, each axis gmin + i step up to gmax,
+    then the extra points as floats in first-occurrence order: an extra is
+    dropped when both its coordinates are axis values or it repeats an
+    earlier one, so each point comes once.  Raises ValueError for more than
+    MAX_GRID_POINTS points, counted before any is built, and as MetricGrid
+    does for a point it refuses."""
     if step <= 0:
         raise ValueError("grid step must be positive")
     if gmin <= 0:
         raise ValueError("grid values must be positive")
-    per_axis = max(0.0, np.floor((gmax - gmin) / step + TAU_GRID) + 1)
-    if not per_axis**2 + len(extras) <= MAX_GRID_POINTS:  # counted before any is built; refuses inf, nan
+    per_axis = max(0.0, float(np.floor((gmax - gmin) / step + TAU_GRID)) + 1.0)
+    if not per_axis * per_axis + len(extras) <= MAX_GRID_POINTS:  # a float product, inf rather than a warning
         raise ValueError(f"{per_axis:.3g}^2 + {len(extras)} grid points exceed MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-    count = int(per_axis)
-    vals = [gmin + i * step for i in range(count)]
-    pts = [(s, t) for s in vals for t in vals]
-    return list(dict.fromkeys(pts + [(float(p[0]), float(p[1])) for p in extras]))
+    vals = gmin + np.arange(int(per_axis)) * step
+    vals = vals[np.diff(vals, prepend=-np.inf) > 0]  # each value once: they ascend, but rounding can repeat one
+    on_axis = set(vals.tolist())
+    extras = [p for p in dict.fromkeys(map(tuple, np.array(extras, dtype=float).reshape(-1, 2).tolist()))
+              if not (p[0] in on_axis and p[1] in on_axis)]
+    s, t = np.array(extras).reshape(-1, 2).T
+    return MetricGrid(np.append(np.repeat(vals, len(vals)), s), np.append(np.tile(vals, len(vals)), t), kappa)
 
 
 def grid_disagreement(sets: dict[str, CharacteristicSet], sweep: ClassSweep) -> str | None:

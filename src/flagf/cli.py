@@ -399,10 +399,8 @@ def _classify_text(report: dict) -> str:
 def cmd_sweep(cfg: argparse.Namespace) -> tuple[int, dict]:
     kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
     try:
-        points = classify.build_grid(
-            cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=classify.SPECIAL_POINTS + cfg.extra_points
-        )
-        grid = metricgeom.MetricGrid.of(points, kappa)
+        extras = classify.SPECIAL_POINTS + cfg.extra_points
+        grid = classify.build_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step, extras, kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ps, split, fs = _flag_space(cfg, "sweep")
@@ -476,7 +474,7 @@ def _charset_dict(cs: classify.CharacteristicSet) -> dict:
         "kind": cs.kind,
         "lines": [{"axis": a, "value": v} for a, v in cs.lines],
         "points": [[s, t] for s, t in cs.points],
-        "equations": [[list(term) for term in poly] for poly in cs.equations],
+        "equations": [],
         "description": cs.description(),
         "rank": cs.rank,
         "sigma_min_kept": cs.sigma_min_kept,

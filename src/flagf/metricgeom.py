@@ -102,7 +102,8 @@ def _derived(s, t, kappa) -> tuple:
 @dataclass(frozen=True)
 class MetricParams:
     """Characteristic numbers (s, t) plus the overall normalization kappa, all
-    positive and finite; so must be every quantity of :func:`_derived`."""
+    positive and finite; so must be every quantity of :func:`_derived`.  They
+    may be given as any real numbers, and are kept as floats."""
 
     s: float
     t: float
@@ -113,11 +114,11 @@ class MetricParams:
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a positive finite number, got {v}")
-        s, t, kappa = float(self.s), float(self.t), float(self.kappa)
-        derived = _derived(s, t, kappa)
+            object.__setattr__(self, name, float(v))
+        derived = _derived(self.s, self.t, self.kappa)
         if not all(map(math.isfinite, derived)):
             bad = next(name for name, v in zip(_DERIVED, derived) if not math.isfinite(v))
-            raise ValueError(f"(s, t) = ({s!r}, {t!r}) with kappa = {kappa!r} overflows {bad}")
+            raise ValueError(f"(s, t) = ({self.s!r}, {self.t!r}) with kappa = {self.kappa!r} overflows {bad}")
 
     @staticmethod
     def for_space(ps: PhiSpace, s: float, t: float, kappa: float | None = None) -> "MetricParams":
@@ -129,40 +130,39 @@ class MetricParams:
 class MetricGrid:
     """Points (s, t) at one kappa as two float arrays, in point order.
 
-    Build it with :meth:`of`, which checks every point once, as arrays, with
-    the predicates of MetricParams; a grid can then be swept by any number of
-    evaluators without a check per point and per evaluator.  The metric
-    functions of this module and the class evaluator take either: a
-    MetricParams gives one point's result, a MetricGrid the same bits with
-    the points on the last axis.
+    Construction checks every point once, as arrays, with the predicates of
+    MetricParams, and raises as MetricParams does at the first point it
+    refuses; kappa is checked with the points and kept as a float.  A grid
+    can then be swept by any number of evaluators without a check per point
+    and per evaluator.  The metric functions of this module and the class
+    evaluator take either: a MetricParams gives one point's result, a
+    MetricGrid the same bits with the points on the last axis.
     """
 
     s: np.ndarray
     t: np.ndarray
     kappa: float = 1.0
 
+    def __post_init__(self):
+        s, t, kappa = self.s, self.t, float(self.kappa)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            derived = _derived(s, t, kappa)
+            ok = (s > 0.0) & (t > 0.0) & np.isfinite([s, t, *derived]).all(axis=0) & (0.0 < kappa < math.inf)
+        if not ok.all():
+            p = int(np.argmin(ok))
+            MetricParams(float(s[p]), float(t[p]), self.kappa)
+        object.__setattr__(self, "kappa", kappa)
+
     @staticmethod
     def of(points, kappa: float = 1.0) -> "MetricGrid":
-        """Raises as MetricParams does at the first point it refuses.
-
-        Plain numbers are checked as two float arrays, and only a refused
-        point is handed to MetricParams, which raises; any other coordinate
-        or kappa (a string, a Fraction) goes to MetricParams point by point.
-        """
+        """The grid of a sequence of (s, t) points.  Plain numbers are checked
+        as two float arrays; any other coordinate or kappa (a string, a
+        Fraction) goes to MetricParams point by point first."""
         points = list(points)
         st, k = np.array(points), np.array(kappa)
-        first = 0
-        if st.dtype.kind in "biuf" and st.shape == (len(points), 2) and k.dtype.kind in "biuf" and k.ndim == 0:
-            s, t = np.ascontiguousarray(st.T, dtype=float)
-            kf = float(k)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                derived = _derived(s, t, kf)
-                ok = (s > 0.0) & (t > 0.0) & (kf > 0.0) & np.isfinite([s, t, *derived]).all(axis=0) & np.isfinite(kf)
-            if ok.all():
-                return MetricGrid(s, t, kappa)
-            first = int(np.argmin(ok))
-        for s_, t_ in points[first:]:
-            MetricParams(s_, t_, kappa)
+        if not (st.dtype.kind in "biuf" and st.shape == (len(points), 2) and k.dtype.kind in "biuf" and k.ndim == 0):
+            for s_, t_ in points:
+                MetricParams(s_, t_, kappa)
         s, t = np.ascontiguousarray(np.array(points, dtype=float).reshape(-1, 2).T)
         return MetricGrid(s, t, kappa)
 

@@ -36,5 +36,5 @@ TAU_CONNECTION = 1e-8  # relative to kappa: |g(alpha(Z, X), Y) + g(X, alpha(Z, Y
 # class membership and zero sets (classify)
 TAU_MEMBER = 1e-9  # relative to (1 + s + t + 1/s + 1/t): a class residual below it is a member
 NONMEMBER_MARGIN = 1e-3  # same scale: a residual above it is a non-member, in between indeterminate
-TAU_RANK = 1e-9  # relative: the band of CharacteristicSet.contains around a zero set's coordinates and equation terms
+TAU_RANK = 1e-9  # relative: the band of CharacteristicSet.contains around the coordinates of a zero set's points and lines
 TAU_GRID = 1e-9  # relative to the grid step: rounding allowance when counting grid values

@@ -7,8 +7,9 @@ imported from ``--src`` (default: this checkout's ``src``) and its working
 directory a fresh empty one, so that --out paths and the paths sweep prints
 are relative and the same on every run.  The cases are verify, classify and
 sweep in every format, with --out, verify at n = 40 and at the largest
-structure counts, sweep on a mid-size grid (step 0.05), classify and sweep
-at extreme (s, t), the configurations the CLI refuses and the help texts.  For
+structure counts, sweep on a mid-size grid (step 0.05) and on a near-limit
+one (step 0.01), classify and sweep at extreme (s, t), the configurations
+the CLI refuses and the help texts.  For
 each case the manifest holds the sha256 of stdout and of stderr (with the
 random part of a temp file's name masked), the exit code and the sha256 of
 every file the call wrote, one line each; two checkouts produce the same
@@ -64,6 +65,8 @@ def cases() -> list[tuple[str, ...]]:
                 out.append(("sweep", "--n", n, "--k", k, *grid, "--format", fmt, "--out", "out"))
     for fmt in ("json", "csv"):  # 3,137 rows a file, most of whose cells repeat a value of their table
         out.append(("sweep", "--n", "5", "--k", "6", "--grid-step", "0.05", "--format", fmt, "--out", "out"))
+    out.append(("sweep", "--n", "5", "--k", "4", "--grid-min", "0.01", "--grid-max", "3.15", "--grid-step", "0.01",
+                "--format", "csv", "--out", "out"))  # 315^2 points plus (1, 4/3): 99,226 rows a file
     out += [  # refused: exit 2, or exit 1 on a failing write or a grid verdict the exact zero set contradicts
         ("verify", "--n", "5", "--k", "4", "--format", "csv"),
         ("verify", "--n", "5", "--k", "4", "--seed", "-1"),
@@ -80,6 +83,8 @@ def cases() -> list[tuple[str, ...]]:
         ("sweep", "--n", "5", "--k", "4"),
         ("sweep", "--n", "9", "--k", "8", "--m-blocks", "2", "--out", "out"),
         ("sweep", "--n", "5", "--k", "4", "--grid-step", "1e-9", "--out", "out"),
+        ("sweep", "--n", "5", "--k", "4", "--grid-min", "3", "--grid-max", "3.0000000001", "--grid-step", "1e-300",
+         "--out", "out"),
         ("sweep", "--n", "5", "--k", "4", "--grid-min", "3", "--grid-max", "2", "--out", "out"),
         ("sweep", "--n", "5", "--k", "4", "--extra-points", "1,2,3", "--out", "out"),
         ("sweep", "--n", "5", "--k", "4", "--extra-points", "0,1", "--out", "out"),

@@ -17,7 +17,7 @@ import pytest
 import flagf
 from flagf.canonical import structure_by_label
 from flagf.classify import CONDITION_NAMES, ClassEvaluator, build_grid
-from flagf.metricgeom import MetricGrid, MetricParams, naturally_reductive_residual
+from flagf.metricgeom import MetricParams, naturally_reductive_residual
 from generation_reference import poly_in
 from paper_coefficients import REFERENCE_F_COEFFS, REFERENCE_P_COEFFS
 from space_reference import split_blocks
@@ -163,7 +163,7 @@ def test_criterion_07_order4_classification(get_split, get_f_structures):
         nk_set = ev.zero_set("nk")
         ok &= nk_set.kind == "line" and nk_set.lines == (("s", 1.0),)
 
-        worst_g1 = float(ev.sweep(MetricGrid.of(build_grid())).residuals["g1"].max())
+        worst_g1 = float(ev.sweep(build_grid()).residuals["g1"].max())
         ok &= worst_g1 < 1e-9
         details.append(f"n={n}")
     _report(7, ok, f"order-4 classes: point (1,4/3), line s=1, G1 all ({', '.join(details)})")
@@ -177,7 +177,7 @@ def test_criterion_08_order6_classification(get_split, get_f_structures):
         fs = get_f_structures(n, 6)
         evs = {lbl: ClassEvaluator(structure_by_label(fs, lbl), split) for lbl in ("f1", "f2", "f3", "f4")}
 
-        for s, t in grid:
+        for s, t in zip(grid.s.tolist(), grid.t.tolist()):
             res = {lbl: ev.report(MetricParams(s, t)).residuals for lbl, ev in evs.items()}
             at_special = abs(s - 1.0) < 1e-12 and abs(t - FOUR_THIRDS) < 1e-12
             r1 = res["f1"]["kill"]
@@ -203,7 +203,7 @@ def test_criterion_09_chain_property(get_split, get_f_structures):
         for cs in get_f_structures(n, k):
             if cs.label.startswith("-"):
                 continue
-            chain_ok = ClassEvaluator(cs, split).sweep(MetricGrid.of(build_grid(), float(n - 1))).chain_ok
+            chain_ok = ClassEvaluator(cs, split).sweep(build_grid(kappa=float(n - 1))).chain_ok
             reports += len(chain_ok)
             violations += int(np.sum(~chain_ok))
     _report(9, violations == 0, f"kill => nk => g1 in all {reports} reports, {violations} violations")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from flagf.classify import (
     CONDITION_NAMES,
     MAX_GRID_POINTS,
     NONMEMBER_MARGIN,
+    SPECIAL_POINTS,
     TAU_MEMBER,
     TAU_RANK,
     ClassEvaluator,
@@ -53,6 +55,11 @@ def _condition_tensor(name: str, f: np.ndarray, f2: np.ndarray, bm: np.ndarray, 
         )
         return np.einsum("rs,ijs->ijr", f, inner, optimize=True)
     raise ValueError(f"unknown condition {name!r}")
+
+
+def grid_points(grid) -> list[tuple[float, float]]:
+    """The (s, t) points of a MetricGrid or a ClassSweep, in order, as floats."""
+    return list(zip(grid.s.tolist(), grid.t.tolist()))
 
 
 def dense_bracket(split: TripleSplit) -> np.ndarray:
@@ -209,7 +216,7 @@ class TestOrderSixMemberships:
         split, fs = setup
         grid = build_grid(0.5, 2.5, 0.5)
         for lbl in ("f2", "f3", "f4"):
-            swept = ClassEvaluator(fs[lbl], split).sweep(MetricGrid.of(grid))
+            swept = ClassEvaluator(fs[lbl], split).sweep(grid)
             assert not swept.memberships["kill"].any() and swept.residuals["kill"].min() > 1e-3, lbl
 
     def test_all_g1_everywhere(self, setup, rng):
@@ -252,7 +259,7 @@ class TestEvaluatorInternals:
         # only the verdicts are compared there.
         split = get_split(n, k)
         extremes = [(s, t) for s in (1e-6, 1e6) for t in (1e-6, 1e6)]
-        grid = build_grid()
+        grid = grid_points(build_grid())
         for cs in get_f_structures(n, k):
             ev = ClassEvaluator(cs, split)
             stacks = {name: dense_stacks(ev, name) for name in CONDITION_NAMES}
@@ -331,12 +338,12 @@ class TestEvaluatorInternals:
         # report() is a batch of one; sweep() takes the grid in blocks of
         # about 2^16 combined entries, and this grid spans several of them.
         split = get_split(12, 6)
-        grid = build_grid(0.05, 3.0, 0.05)
+        grid = build_grid(0.05, 3.0, 0.05, kappa=11.0)
         for label in ("f1", "f4"):
             ev = ClassEvaluator(structure_by_label(get_f_structures(12, 6), label), split)
-            assert len(grid) > 2 * ((1 << 16) // ev._values.shape[1])
-            swept = ev.sweep(MetricGrid.of(grid, 11.0))
-            for p, (s, t) in enumerate(grid):
+            assert len(grid.s) > 2 * ((1 << 16) // ev._values.shape[1])
+            swept = ev.sweep(grid)
+            for p, (s, t) in enumerate(grid_points(grid)):
                 single = ev.report(MetricParams(s, t, kappa=11.0))
                 assert single.residuals == {name: swept.residuals[name][p] for name in CONDITION_NAMES}
                 assert single.witnesses == {
@@ -587,13 +594,13 @@ class TestSweep:
     def test_reports_in_grid_order_with_chain(self, get_split, get_f_structures):
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        grid = build_grid(0.5, 2.0, 0.5)
-        swept = ClassEvaluator(f0, split).sweep(MetricGrid.of(grid, 4.0))
-        assert list(zip(swept.s.tolist(), swept.t.tolist())) == grid
-        assert swept.chain_ok.tolist() == [True] * len(grid)
+        grid = build_grid(0.5, 2.0, 0.5, kappa=4.0)
+        swept = ClassEvaluator(f0, split).sweep(grid)
+        assert grid_points(swept) == grid_points(grid)
+        assert swept.chain_ok.tolist() == [True] * len(grid.s)
 
     def test_grid_includes_special_points(self):
-        grid = build_grid()
+        grid = grid_points(build_grid())
         assert (1.0, 1.0) in grid
         assert (1.0, FOUR_THIRDS) in grid
 
@@ -608,7 +615,7 @@ class TestSweep:
         for cs in get_f_structures(5, 6):
             if cs.label.startswith("-"):
                 continue
-            swept = ClassEvaluator(cs, split).sweep(MetricGrid.of(build_grid()))
+            swept = ClassEvaluator(cs, split).sweep(build_grid())
             for name, flags in swept.indeterminate.items():
                 assert not flags.any(), (cs.label, name, swept.s[flags], swept.t[flags])
 
@@ -664,7 +671,7 @@ class TestCharacteristicSets:
         # when it is not a grid node, and the grid verdicts agree with it.
         split = get_split(5, 4)
         f0 = structure_by_label(get_f_structures(5, 4), "f0")
-        grid = build_grid(0.25, 3.0, 0.25, extras=())
+        grid = grid_points(build_grid(0.25, 3.0, 0.25, extras=()))
         cs = swept_zero_set(f0, split, "kill", grid)
         assert cs.kind == "points"
         s, t = cs.points[0]
@@ -737,7 +744,7 @@ class TestExactZeroSets:
             for name, zs in sets.items():
                 assert_table_shape(zs, README_TABLE[cs.label.lstrip("-")][name])
             for kappa in (1e-3, 1.0, 1e3):
-                swept = ev.sweep(MetricGrid.of(SMALL_GRID, kappa))
+                swept = ev.sweep(MetricGrid(SMALL_GRID.s, SMALL_GRID.t, kappa))
                 assert grid_disagreement(sets, swept) is None, (cs.label, kappa)
 
     @pytest.mark.parametrize("k", [8, 10])
@@ -755,7 +762,7 @@ class TestExactZeroSets:
             ev = ClassEvaluator(cs, split)
             sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
             assert all(zs.kind in ("all", "empty", "line", "points") for zs in sets.values())
-            assert grid_disagreement(sets, ev.sweep(MetricGrid.of(SMALL_GRID))) is None, cs.label
+            assert grid_disagreement(sets, ev.sweep(SMALL_GRID)) is None, cs.label
             classes[cs.label] = (cs.sign_pair, tuple(sets[name].kind for name in CONDITION_NAMES))
         assert labels == ["f1", "f2", "f3", "f4"]
         assert classes == {
@@ -801,18 +808,18 @@ class TestExactZeroSets:
     def test_grid_disagreement_names_the_point(self, get_split, get_f_structures, monkeypatch):
         ev = ClassEvaluator(structure_by_label(get_f_structures(5, 4), "f0"), get_split(5, 4))
         monkeypatch.setattr(ClassEvaluator, "zero_set", lambda self, name: CharacteristicSet(kind="empty"))
-        problem = grid_disagreement({"g1": ev.zero_set("g1")}, ev.sweep(MetricGrid.of(SMALL_GRID)))
+        problem = grid_disagreement({"g1": ev.zero_set("g1")}, ev.sweep(SMALL_GRID))
         assert problem is not None and problem.startswith("f0 g1 at (s, t) = (0.5, 0.5)")
 
     def test_first_disagreement_is_the_earliest_point_then_the_first_condition(
         self, get_split, get_f_structures
     ):
         ev = ClassEvaluator(structure_by_label(get_f_structures(5, 4), "f0"), get_split(5, 4))
-        swept = ev.sweep(MetricGrid.of(SMALL_GRID))
+        swept = ev.sweep(SMALL_GRID)
         sets = {name: ev.zero_set(name) for name in CONDITION_NAMES}
         assert grid_disagreement(sets, swept) is None
         early, late = (1.5, 0.5), (2.0, 2.0)  # f0 is in neither class there
-        assert SMALL_GRID.index(early) < SMALL_GRID.index(late)
+        assert grid_points(SMALL_GRID).index(early) < grid_points(SMALL_GRID).index(late)
         # kill, first in condition order, is wrong only at the later point; nk only at the earlier one.
         sets["kill"] = replace(sets["kill"], points=sets["kill"].points + (late,))
         sets["nk"] = replace(sets["nk"], points=(early,))
@@ -891,6 +898,12 @@ SIGN_PAIR_ROWS = {
     (0, 1): ([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 0)], [], []),
     (1, -1): ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0)], []),
 }
+SIGN_PAIR_KINDS = {  # the zero sets the rows decode to, per condition
+    (1, 1): ("points", "line", "all"),
+    (1, 0): ("empty", "all", "all"),
+    (0, 1): ("empty", "all", "all"),
+    (1, -1): ("empty", "empty", "all"),
+}
 
 
 class TestEveryAcceptedFlagSpace:
@@ -898,8 +911,9 @@ class TestEveryAcceptedFlagSpace:
 
     @pytest.mark.parametrize("k", range(4, classify.MAX_K + 1, 2))
     def test_exact_rows_float_ranks_and_grams_linear_in_n(self, k):
-        # Per structure and condition: the exact rows are item 1's rows of the sign pair, the float
-        # SVD of A has that rank with a wide gap, and 8 A^T A is (n - 3) times its value at n = 4.
+        # Per structure and condition: the exact rows are item 1's rows of the sign pair, they decode
+        # to its zero set's kind, the float SVD of A has their rank with a wide gap, and 8 A^T A is
+        # (n - 3) times its value at n = 4.
         at_four = {}
         for n in range(4, classify.MAX_N + 1):
             ps = flagf.build_phi_space(flagf.build_automorphism(n, 1, k))
@@ -908,9 +922,10 @@ class TestEveryAcceptedFlagSpace:
             for ev, gram in zip(evs, grams):
                 pair = tuple(ev.structure.sign_pair)
                 pair = tuple(-x for x in pair) if next(x for x in pair if x) < 0 else pair
-                for name, g, want in zip(CONDITION_NAMES, gram, SIGN_PAIR_ROWS[pair]):
+                for name, g, want, kind in zip(CONDITION_NAMES, gram, SIGN_PAIR_ROWS[pair], SIGN_PAIR_KINDS[pair]):
                     rows = classify._reduced_rows(g.tolist())
                     assert rows == want, (n, ev.structure.label, name)
+                    assert decode_constraints(rows).kind == kind, (n, ev.structure.label, name)
                     sigma, vt = float_svd(ev, name)
                     assert_rows_span(rows, sigma, vt, (n, ev.structure.label, name))
                     assert sigma[: len(rows)].min(initial=np.inf) > 0.5  # 1 or more, to rounding
@@ -943,7 +958,7 @@ class TestBasisInvariance:
         split = get_split(n, k)
         bm, q = turned_basis(split, np.random.default_rng(5))
         assert not np.allclose(q, np.eye(split.dim))
-        grid = MetricGrid.of(build_grid())
+        grid = build_grid()
         c = u_channel_coefficients(grid).T
         for cs in get_f_structures(n, k):  # f and -f
             ev = ClassEvaluator(cs, split)
@@ -1015,13 +1030,21 @@ class TestDecodeConstraints:
         assert zs.kind == "empty" and not zs.contains(1.0, 1.0)
         assert decode_constraints(POINT_ROWS + [(0, 0, 0, 1)]).kind == "empty"  # rank 4
 
-    def test_diagonal_is_returned_as_equations(self):
-        # c1 = 0 is the diagonal t = s: no axis line, so no guess either.
-        zs = decode_constraints([(0, 1, 0, 0)])
-        assert zs.kind == "equations" and not zs.lines and not zs.points
-        assert zs.equations == (((1, 2, 1.0), (2, 1, -1.0)),)
-        assert zs.contains(2.0, 2.0) and zs.contains(0.3, 0.3) and not zs.contains(2.0, 3.0)
-        assert zs.description() == "+1.000000*s*t^2 -1.000000*s^2*t = 0"
+    @pytest.mark.parametrize(
+        "rows,reduced",
+        [
+            ([(0, 2, 0, 0)], [(0, 1, 0, 0)]),  # c1 = 0: the diagonal t = s
+            ([(1, 0, 0, -2)], [(1, 0, 0, -2)]),  # c3 = 1/2: a curve through no axis line
+            ([(0, 0, 1, 1)], [(0, 0, 1, 1)]),  # c2 = -c3
+            ([(0, 1, 0, 0), (0, 1, 1, -1)], [(0, 1, 0, 0), (0, 0, 1, -1)]),  # t = s and c2 = c3: the diagonal
+            ([(1, 0, -6, 0), (0, 0, 0, 1)], [(1, 0, -6, 0), (0, 0, 0, 1)]),  # c3 = 0, c2 = 1/6: (1, 4/3) and no c1 row
+        ],
+    )
+    def test_rows_of_no_point_or_line_shape_are_refused(self, rows, reduced):
+        # Rank 1 and rank 2 rows that are neither an axis line nor empty are not solved: the shape
+        # is read off the rows, and no accepted flag space gives such rows (TestEveryAcceptedFlagSpace).
+        with pytest.raises(ValueError, match=re.escape(f"reduced rows {reduced}")):
+            decode_constraints(rows)
 
     def test_rows_are_integers(self):
         with pytest.raises(TypeError):
@@ -1037,20 +1060,6 @@ def contains_both_forms(zs: CharacteristicSet, points) -> list[bool]:
     assert all(np.ndim(x) == 0 for x in one_by_one)
     assert got.tolist() == [bool(x) for x in one_by_one], zs
     return got.tolist()
-
-
-def equations_hold(zs: CharacteristicSet, s: float, t: float) -> bool:
-    """The rule for "equations" in plain floats: each equation's terms summed
-    left to right, compared with TAU_RANK times the sum of their sizes."""
-    ok = True
-    for poly in zs.equations:
-        total = size = 0.0
-        for i, j, c in poly:
-            term = c * s**i * t**j
-            total += term
-            size += abs(term)
-        ok = ok and abs(total) <= TAU_RANK * size
-    return ok
 
 
 class TestContainsOnArrays:
@@ -1077,31 +1086,11 @@ class TestContainsOnArrays:
             points += [(ps + k * TAU_RANK * ps, pt), (ps, pt - k * TAU_RANK)]  # the bands are 2e-9 and 1e-9 wide
         assert contains_both_forms(zs, points) == [True] * 4 + [False] * 4
 
-    def test_equations_from_a_rank_two_row_set(self):
-        # c1 = 0 and c2 = c3, that is t = s and t(t - 1) = s(s - 1): the diagonal.
-        zs = decode_constraints([(0, 1, 0, 0), (0, 0, 1, -1)])
-        assert zs.kind == "equations" and zs.rank == 2 and len(zs.equations) == 2
-        points = [(s, s * (1.0 + sign * eps)) for s in (0.3, 1.7, 40.0) for eps in np.geomspace(1e-12, 1e-6, 25)
-                  for sign in (1, -1)]
-        got = contains_both_forms(zs, points)
-        assert got == [equations_hold(zs, s, t) for s, t in points]
-
-        def ratio(s, t):  # of the worst equation: 1 on the edge of the band
-            worst = 0.0
-            for poly in zs.equations:
-                terms = [c * s**i * t**j for i, j, c in poly]
-                worst = max(worst, abs(sum(terms)) / (TAU_RANK * sum(abs(x) for x in terms)))
-            return worst
-
-        ratios = [ratio(s, t) for s, t in points]
-        assert any(0.5 < r < 1.0 for r in ratios) and any(1.0 < r < 2.0 for r in ratios)
-        assert all((r <= 1.0) == hit for r, hit in zip(ratios, got) if abs(r - 1.0) > 1e-6)
-
 
 class TestGridBuilder:
     def test_default_spacing(self):
         grid = build_grid()
-        svals = sorted({p[0] for p in grid})
+        svals = sorted(set(grid.s.tolist()))
         assert svals[:3] == [0.25, 0.5, 0.75]
         assert svals[-1] == 3.0
 
@@ -1116,7 +1105,7 @@ class TestGridBuilder:
     def test_size_limit_is_exact(self):
         # 316^2 grid points plus extra points off the grid, up to the limit.
         extras = tuple((0.5, 0.5 + i) for i in range(MAX_GRID_POINTS - 316**2 + 1))
-        assert len(build_grid(1.0, 316.0, 1.0, extras=extras[:-1])) == MAX_GRID_POINTS
+        assert len(build_grid(1.0, 316.0, 1.0, extras=extras[:-1]).s) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
             build_grid(1.0, 316.0, 1.0, extras=extras)
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
@@ -1124,33 +1113,48 @@ class TestGridBuilder:
 
 
 def linear_scan_grid(gmin, gmax, step, extras):
-    """build_grid's points as it once deduplicated them: a linear scan of the
-    whole list per extra point, which misses a list-typed point on the grid."""
+    """build_grid's points as a list, the extras deduplicated as it once did
+    it: each extra as a float pair, appended unless a linear scan of the
+    whole list finds it."""
     count = int(max(0.0, np.floor((gmax - gmin) / step + 1e-9) + 1))
     vals = [gmin + i * step for i in range(count)]
     pts = [(s, t) for s in vals for t in vals]
     for p in extras:
+        p = (float(p[0]), float(p[1]))
         if p not in pts:
-            pts.append((float(p[0]), float(p[1])))
+            pts.append(p)
     return pts
 
 
 class TestBuildGridExtras:
     def test_a_list_typed_point_on_the_grid_is_not_added_twice(self):
         grid = build_grid(extras=[[0.25, 0.25]])
-        assert grid.count((0.25, 0.25)) == 1
-        assert grid == build_grid(extras=())
-        assert linear_scan_grid(0.25, 3.0, 0.25, [[0.25, 0.25]]).count((0.25, 0.25)) == 2  # the old duplicate
+        assert grid_points(grid).count((0.25, 0.25)) == 1
+        assert grid_points(grid) == grid_points(build_grid(extras=()))
 
-    def test_points_are_floats_in_order_each_once(self):
-        extras = [(1, 1), [0.3, 2.0], (np.float64(0.3), 2), (5.0, 0.1), (1.0, 1.0), np.array([5.0, 0.1])]
-        grid = build_grid(0.5, 2.0, 0.5, extras=extras)
-        assert grid[16:] == [(0.3, 2.0), (5.0, 0.1)]
-        assert all(type(c) is float for p in grid[16:] for c in p)
+    def test_on_grid_and_repeated_extras_are_dropped_in_order(self):
+        # On the grid: both coordinates are axis values; (0.5, 0.3) has one only, and stays.
+        extras = [(1, 1), [0.3, 2.0], (np.float64(0.3), 2), (5.0, 0.1), (1.0, 1.0), np.array([5.0, 0.1]),
+                  [0.5, 2.0], (0.5, 0.3), (0.3, 2.0)]
+        grid = build_grid(0.5, 2.0, 0.5, extras=extras, kappa=3.0)
+        assert grid_points(grid)[16:] == [(0.3, 2.0), (5.0, 0.1), (0.5, 0.3)]
+        assert grid_points(grid) == linear_scan_grid(0.5, 2.0, 0.5, extras)
+        assert grid.s.dtype == grid.t.dtype == float and grid.kappa == 3.0
+        assert grid.s.flags.c_contiguous and grid.t.flags.c_contiguous
 
-    def test_many_extras_on_a_near_limit_grid_match_the_linear_scan_fast(self):
+    def test_an_axis_value_rounding_to_its_neighbour_comes_once(self):
+        # At 1e16 the floats are 2 apart: 1e16 + 1 and 1e16 + 3 round to 1e16 and 1e16 + 4.
+        grid = build_grid(1e16, 1e16 + 4, 1.0, extras=((1e16 + 2, 1e16), (1e16 + 1, 5.0)))
+        vals = [1e16, 1e16 + 2, 1e16 + 4]
+        assert grid_points(grid) == [(s, t) for s in vals for t in vals] + [(1e16, 5.0)]
+        assert grid_points(grid) == list(dict.fromkeys(linear_scan_grid(1e16, 1e16 + 4, 1.0, [(1e16 + 2, 1e16), (1e16 + 1, 5.0)])))
+
+    def test_the_near_limit_grid_matches_the_linear_scan_fast(self):
         import time
 
+        # The special points: (1, 1) lies on the grid, (1, 4/3) does not.
+        grid = build_grid(0.01, 3.15, 0.01)
+        assert len(grid.s) == 99_226 and grid_points(grid) == linear_scan_grid(0.01, 3.15, 0.01, SPECIAL_POINTS)
         extras = [(0.005 + 0.031 * i, 3.2 - 0.029 * i) for i in range(96)] + [(0.01, 0.01), (1.0, 1.0), (3.15, 0.02), (0.5, 0.5)]
         want = linear_scan_grid(0.01, 3.15, 0.01, extras)  # 0.4 s
         best = np.inf
@@ -1158,5 +1162,5 @@ class TestBuildGridExtras:
             start = time.perf_counter()
             got = build_grid(0.01, 3.15, 0.01, extras=extras)
             best = min(best, time.perf_counter() - start)
-        assert got == want and len(got) == 315**2 + 96
+        assert grid_points(got) == want and len(got.s) == 315**2 + 96
         assert best < 0.1

@@ -812,6 +812,7 @@ def per_row_rendering(argv, summary: dict) -> dict[str, str]:
     cfg = config_from_args(build_parser().parse_args(argv))
     kappa = float(cfg.n - 1) if cfg.kappa is None else cfg.kappa
     grid = classify.build_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step, extras=SPECIAL_POINTS + cfg.extra_points)
+    points = list(zip(grid.s.tolist(), grid.t.tolist()))
     ps = flagf.build_phi_space(flagf.build_automorphism(cfg.n, 1, cfg.k))
     split = flagf.build_split(ps)
     fs = flagf.generate_f_structures(ps)
@@ -820,7 +821,7 @@ def per_row_rendering(argv, summary: dict) -> dict[str, str]:
     out = {}
     for label in summary:
         ev = classify.ClassEvaluator(flagf.structure_by_label(fs, label), split)
-        reports = [ev.report(metricgeom.MetricParams(s, t, kappa)) for s, t in grid]
+        reports = [ev.report(metricgeom.MetricParams(s, t, kappa)) for s, t in points]
         path = Path(cfg.out) / f"{label}.{ext}"
         if cfg.format == "json":
             doc = json.loads(path.read_text())
@@ -993,6 +994,18 @@ class TestNonFiniteValues:
         assert code == 2 and stdout == ""
         assert err.startswith("flagf: invalid configuration: ") and "Traceback" not in err
         assert "a class residual overflows at (s, t) = (1e-200, 1e-200)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tiny_step_is_refused_with_no_warning(self, capsys, tmp_path):
+        # About 1e290 values per axis: counted in floats, whose square rounds to inf, with no
+        # numpy overflow warning on the way.
+        argv = ("sweep", "--n", "5", "--k", "4", "--out", str(tmp_path / "out"), "--grid-min", "3", "--grid-max",
+                "3.0000000001", "--grid-step", "1e-300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == "flagf: invalid configuration: 1e+290^2 + 2 grid points exceed MAX_GRID_POINTS = 100000\n"
         assert not (tmp_path / "out").exists()
 
     def test_oversized_grid_is_refused_before_it_is_built(self, capsys, tmp_path):

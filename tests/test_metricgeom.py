@@ -97,6 +97,23 @@ def outcome(build, points, kappa):
     return "grid", s.tolist(), t.tolist()
 
 
+class TestNumbersAreKeptAsFloats:
+    @pytest.mark.parametrize("s,t,kappa", [(1, Fraction(2), Fraction(3, 2)), (np.float32(1.0), True, np.int64(3))])
+    def test_metric_params(self, s, t, kappa):
+        p = MetricParams(s, t, kappa)
+        assert [type(v) for v in (p.s, p.t, p.kappa)] == [float] * 3
+        assert (p.s, p.t, p.kappa) == (float(s), float(t), float(kappa))
+
+    def test_a_fraction_kappa_gives_the_bits_of_its_float(self, get_split):
+        split = get_split(5, 6)
+        got = naturally_reductive_residual(split, MetricParams(1.0, 2.0, Fraction(3, 2)))
+        assert type(got) is float and got == naturally_reductive_residual(split, MetricParams(1.0, 2.0, 1.5))
+        points = [(1.0, 2.0), (0.5, 3.0)]
+        got = naturally_reductive_residual(split, MetricGrid.of(points, Fraction(3, 2)))
+        assert got.dtype == float and got.tolist() == naturally_reductive_residual(split, MetricGrid.of(points, 1.5)).tolist()
+        assert block_weights(split, MetricGrid.of(points, Fraction(3, 2))).dtype == float
+
+
 class TestMetricGrid:
     @pytest.mark.parametrize(
         "bad,kappa",
@@ -112,14 +129,15 @@ class TestMetricGrid:
 
     @pytest.mark.parametrize(
         "points,kappa",
-        [([(1, 2), (True, 3.5)], 2), ([(0.25, 0.25), (1e-150, 1e150)], np.int64(4)), ([], "unchecked"),
+        [([(1, 2), (True, 3.5)], 2), ([(0.25, 0.25), (1e-150, 1e150)], np.int64(4)), ([], -1),
          ([(Fraction(1, 3), 2.0)], Fraction(3, 2)), (np.array([[1.0, 4.0 / 3.0], [2.0, 0.5]]), 7.0)],
     )
     def test_valid_points_keep_their_values(self, points, kappa):
-        # kappa is only checked with a point, as MetricParams checks it.
+        # kappa is only checked with a point, as MetricParams checks it, and kept as a float.
         want = per_point_grid(points, kappa)
         grid = MetricGrid.of(points, kappa)
-        assert grid.kappa is kappa and grid.s.flags.c_contiguous and grid.t.flags.c_contiguous
+        assert type(grid.kappa) is float and grid.kappa == kappa
+        assert grid.s.flags.c_contiguous and grid.t.flags.c_contiguous
         assert np.array([grid.s, grid.t]).tolist() == want.tolist() and grid.s.dtype == float
 
     def test_matches_the_per_point_check_on_random_extremes(self):
